@@ -3,7 +3,8 @@
 //! and after strength reduction, and coalesced-layout variants.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dataflow::exec::{run_kernel_serial, DataStore};
+use dataflow::exec::{run_kernel_with, DataStore, VmMode};
+use machine::Pool;
 use dataflow::kernel::{Domain, KOrder, Kernel, LValue, Schedule, Stmt};
 use dataflow::transforms::power::reduce_powers;
 use dataflow::{Array3, BinOp, Expr, Sdfg};
@@ -68,21 +69,22 @@ fn smag_kernel(reduced: bool) -> Kernel {
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("stencil_exec");
     group.sample_size(20);
+    let pool = Pool::new(1);
 
     let (_, mut store) = setup(&["a", "b"]);
     let k = copy_kernel();
     group.bench_function("copy_stencil", |b| {
-        b.iter(|| run_kernel_serial(&k, &mut store, &[]))
+        b.iter(|| run_kernel_with(&k, &mut store, &[], &pool, VmMode::default()))
     });
 
     let (_, mut store) = setup(&["delpc", "vort", "out"]);
     let slow = smag_kernel(false);
     let fast = smag_kernel(true);
     group.bench_function("smagorinsky_pow", |b| {
-        b.iter(|| run_kernel_serial(&slow, &mut store, &[]))
+        b.iter(|| run_kernel_with(&slow, &mut store, &[], &pool, VmMode::default()))
     });
     group.bench_function("smagorinsky_strength_reduced", |b| {
-        b.iter(|| run_kernel_serial(&fast, &mut store, &[]))
+        b.iter(|| run_kernel_with(&fast, &mut store, &[], &pool, VmMode::default()))
     });
     group.finish();
 }

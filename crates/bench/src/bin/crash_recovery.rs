@@ -23,6 +23,7 @@ use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{DistributedDycore, DriverConfig};
 use machine::Pool;
+use obs::json;
 use resilience::{FaultPlan, Supervisor, SupervisorPolicy};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -50,18 +51,6 @@ fn dycore() -> DistributedDycore {
         },
     );
     DistributedDycore::new(cfg, &ExpansionAttrs::tuned())
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn main() -> ExitCode {
@@ -114,13 +103,13 @@ fn main() -> ExitCode {
         for ev in &injections {
             writeln!(
                 health,
-                "{{\"type\": \"fault_injection\", \"scenario\": \"{}\", \"site\": \"{}\", \
-                 \"action\": \"{}\", \"step\": {}, \"module\": \"{}\", \"call\": {}}}",
+                "{{\"type\": \"fault_injection\", \"scenario\": \"{}\", \"site\": {}, \
+                 \"action\": {}, \"step\": {}, \"module\": {}, \"call\": {}}}",
                 sc.name,
-                json_escape(&ev.site),
-                json_escape(&format!("{:?}", ev.action)),
+                json::string(&ev.site),
+                json::string(&format!("{:?}", ev.action)),
                 ev.step.map_or("null".to_string(), |s| s.to_string()),
-                json_escape(ev.module.as_deref().unwrap_or("")),
+                json::string(ev.module.as_deref().unwrap_or("")),
                 ev.call
             )
             .unwrap();
@@ -150,14 +139,14 @@ fn main() -> ExitCode {
                         health,
                         "{{\"type\": \"recovery\", \"scenario\": \"{}\", \"step\": {}, \
                          \"kind\": \"{}\", \"retry\": {}, \"rolled_back_to\": {}, \
-                         \"backed_off\": {}, \"detail\": \"{}\"}}",
+                         \"backed_off\": {}, \"detail\": {}}}",
                         sc.name,
                         ev.step,
                         ev.kind.label(),
                         ev.retry,
                         ev.rolled_back_to,
                         ev.backed_off,
-                        json_escape(&ev.detail)
+                        json::string(&ev.detail)
                     )
                     .unwrap();
                 }

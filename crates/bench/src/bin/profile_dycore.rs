@@ -22,12 +22,13 @@
 //! health sample carries a violation, so CI can use it as a smoke
 //! check.
 
-use bench::profile::{bench_json_complete, profile_case, tuned_ablation};
+use bench::profile::{bench_json, profile_case, tuned_ablation};
 use bench::serve_load::{overload_study, serve_load, ServeLoadConfig};
 use bench::weak_scaling::{study_table, weak_scaling_study};
 use dataflow::report::roofline_table;
 use fv3::dyn_core::DycoreConfig;
 use obs::{compare_runs, RegressionPolicy, BENCH_SCHEMA_VERSION};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const N: usize = 8;
@@ -59,7 +60,10 @@ fn main() -> ExitCode {
         dddmp: 0.02,
         nord4_damp: None,
     };
-    let run = profile_case(N, NK, STEPS, config);
+    // The two environment knobs this bin honours, read once, here.
+    let env_tuned = fv3core::parallel::tune_from_env();
+    let checkpoint_dir = std::env::var_os("FV3_CHECKPOINT_DIR").map(PathBuf::from);
+    let run = profile_case(N, NK, STEPS, config, checkpoint_dir.as_deref(), env_tuned);
     let report = &run.report;
 
     // Roofline denominator: measured host STREAM copy bandwidth.
@@ -110,7 +114,6 @@ fn main() -> ExitCode {
     // neighbour load), so the arms are interleaved and each keeps its
     // minimum-kernel-seconds run — min-of-N is robust against the
     // one-sided slowdowns that plague back-to-back profiling.
-    let env_tuned = fv3core::parallel::tune_from_env();
     const ABLATION_N: usize = 24;
     const ABLATION_STEPS: usize = 2;
     const ABLATION_REPS: usize = 5;
@@ -352,7 +355,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let json = bench_json_complete(
+    let json = bench_json(
         &run,
         attainable,
         stream.gib_per_s(),

@@ -4,26 +4,27 @@
 //! kernel spans on one timeline), a metrics JSONL stream, a health
 //! JSONL stream, and the `BENCH_dycore.json` summary (schema v2).
 //!
-//! The trace unification works by epoch alignment: the tracer's clock
-//! starts first, the kernel [`Profiler`]'s epoch offset is captured the
-//! instant it is created, and after each step the profiler's raw kernel
-//! events (plus their [`module_spans`] grouping) are absorbed into the
-//! tracer shifted by that offset, so they land inside the enclosing
-//! `timestep{N}` span.
+//! The trace is unified by construction: the executor records its
+//! kernel/copy/halo/callback spans into the same [`Tracer`] that holds
+//! the open `run` and `timestep{N}` spans (one clock, one thread stack),
+//! and after each step the [`module_spans`] grouping of that step's
+//! events is appended beside them.
 
 use comm::CubeGeometry;
 use dataflow::exec::{DataStore, Executor};
 use dataflow::graph::ExpansionAttrs;
+use dataflow::profile::ProfileReport;
 use dataflow::DataId;
-use dataflow::profile::{json_string, ProfileReport, Profiler};
 use fv3::dyn_core::{build_dycore_program, extract_state, load_state, DycoreConfig};
 use fv3::grid::Grid;
+use fv3::health::HealthMonitor;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
 use fv3::profiling::{module_spans, rollup_modules, ModuleRollup, RemapHooks};
 use fv3::state::DycoreState;
 use fv3core::checkpoint::{step_path, Checkpoint};
 use fv3core::DriverConfig;
-use obs::{HealthMonitor, MetricsRegistry, Tracer};
+use obs::json;
+use obs::{MetricsRegistry, Tracer};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
@@ -38,7 +39,7 @@ pub struct ProfileRun {
     pub report: ProfileReport,
     /// Per-module rollup of `report`.
     pub rollup: Vec<ModuleRollup>,
-    /// Unified trace: run/step spans plus absorbed module/kernel events.
+    /// Unified trace: run/step/kernel spans plus derived module spans.
     pub tracer: Tracer,
     /// Kernel/store metrics sampled per step.
     pub metrics: MetricsRegistry,
@@ -71,45 +72,19 @@ pub struct ProfileRun {
 /// Run the baroclinic `c{n}L{nk}` case for `steps` timesteps under the
 /// flight recorder (tuned expansion, serial host executor).
 ///
-/// Installs nothing process-global: the tracer, metrics registry, and
-/// health monitor are owned by the returned [`ProfileRun`], so this is
-/// safe to call from parallel tests.
-pub fn profile_case(n: usize, nk: usize, steps: usize, config: DycoreConfig) -> ProfileRun {
-    let dir = std::env::var("FV3_CHECKPOINT_DIR").ok();
-    profile_case_with_checkpoints(n, nk, steps, config, dir.as_deref().map(Path::new))
-}
-
-/// [`profile_case`] with an explicit checkpoint directory instead of the
-/// `FV3_CHECKPOINT_DIR` environment variable (`None` disables
-/// checkpointing). One `FV3CKPT1` checkpoint of the profiled state is
-/// written per step, and the final one is restored and verified, so the
-/// summary carries the real write/restore cost the resilience layer adds.
-/// Whole-program tuning is read from `FV3_TUNE`; see
-/// [`profile_case_full`] to pin it explicitly.
-pub fn profile_case_with_checkpoints(
-    n: usize,
-    nk: usize,
-    steps: usize,
-    config: DycoreConfig,
-    checkpoint_dir: Option<&Path>,
-) -> ProfileRun {
-    profile_case_full(
-        n,
-        nk,
-        steps,
-        config,
-        checkpoint_dir,
-        fv3core::parallel::tune_from_env(),
-    )
-}
-
-/// [`profile_case_with_checkpoints`] with the tuning decision pinned
-/// explicitly. When `tuned`, the expanded dycore graph is run through
-/// the vetted autotune pipeline before the first step — exactly what the
-/// serving path's `CompiledSubstep::build` does under `FV3_TUNE=1` — and the
-/// report lands in [`ProfileRun::tune`] so [`tuned_ablation`] can render
-/// the Table III analogue.
-pub fn profile_case_full(
+/// With a `checkpoint_dir`, one `FV3CKPT1` checkpoint of the profiled
+/// state is written per step, and the final one is restored and verified,
+/// so the summary carries the real write/restore cost the resilience
+/// layer adds. When `tuned`, the expanded dycore graph is run through the
+/// vetted autotune pipeline before the first step — exactly what the
+/// serving path's `CompiledSubstep::build` does under `FV3_TUNE=1` — and
+/// the report lands in [`ProfileRun::tune`] so [`tuned_ablation`] can
+/// render the Table III analogue.
+///
+/// Reads no environment and installs nothing process-global: the tracer,
+/// metrics registry, and health monitor are owned by the returned
+/// [`ProfileRun`], so this is safe to call from parallel tests.
+pub fn profile_case(
     n: usize,
     nk: usize,
     steps: usize,
@@ -200,13 +175,9 @@ pub fn profile_prepared(
 
     let tracer = Tracer::new();
     let metrics = MetricsRegistry::new();
-    let mut monitor = fv3::health::default_monitor().with_tracer(&tracer);
+    let mut monitor = HealthMonitor::new().with_tracer(&tracer);
 
     let run_span = tracer.span("run", &case_name);
-    // The profiler's clock starts at `Profiler::new()`; events absorbed
-    // later are shifted by this offset onto the tracer's timeline.
-    let offset_us = tracer.now_us();
-    let mut prof = Profiler::new();
     let store_bytes: usize = (0..store.len()).map(|i| store.get(DataId(i)).layout().len * 8).sum();
     metrics.gauge_high_water("store_bytes", &[], store_bytes as f64);
 
@@ -232,22 +203,15 @@ pub fn profile_prepared(
     let exec = Executor::serial();
     for step in 0..steps {
         let step_span = tracer.span("step", &format!("timestep{step}"));
-        let ev_before = prof.events().len();
+        let ev_before = tracer.len();
         let t0 = tracer.now_us();
-        let exec_report =
-            exec.run_profiled(g, &mut store, &prog.params, &mut hooks, &mut prof);
+        let exec_report = exec.run_profiled(g, &mut store, &prog.params, &mut hooks, &tracer);
         let dur_s = (tracer.now_us() - t0) / 1e6;
 
         // Per-step kernel metrics from this step's slice of the event
-        // stream, then a cumulative snapshot line per series. The slice
-        // is shifted onto the tracer's timeline *before* module spans
-        // are derived, so span end = max(event end) holds exactly in
-        // the final trace (shifting afterwards can flip containment by
-        // one ULP).
-        let mut slice = prof.events()[ev_before..].to_vec();
-        for e in &mut slice {
-            e.ts_us += offset_us;
-        }
+        // stream (everything the executor closed since the step span
+        // opened), then a cumulative snapshot line per series.
+        let slice = tracer.finished().split_off(ev_before);
         let mut launches = 0u64;
         let mut points = 0u64;
         let mut bytes = 0u64;
@@ -293,9 +257,8 @@ pub fn profile_prepared(
         monitor.sample(&fv3::health::health_input(&state, &grid, step as u64, config.dt));
         metrics_jsonl.push_str(&obs::emit_jsonl(&metrics, step as u64));
 
-        // Absorb per step so module groups never straddle a step span.
-        tracer.absorb_events(module_spans(&slice), 0.0);
-        tracer.absorb_events(slice, 0.0);
+        // Grouped per step so module spans never straddle a step span.
+        tracer.absorb_events(module_spans(&slice));
         drop(step_span);
     }
     drop(run_span);
@@ -325,7 +288,7 @@ pub fn profile_prepared(
         }
     }
 
-    let report = prof.report();
+    let report = ProfileReport::from_events(&tracer.finished());
     let rollup = rollup_modules(&report);
     ProfileRun {
         case_name,
@@ -416,49 +379,24 @@ pub fn tuned_ablation(baseline: &ProfileRun, tuned: &ProfileRun) -> Option<Tuned
 /// Render the `BENCH_dycore.json` summary (schema v2) for a run.
 ///
 /// `attainable` is the roofline denominator in bytes/s; `stream_gib`
-/// the measured STREAM copy bandwidth it came from.
-pub fn bench_json(run: &ProfileRun, attainable: f64, stream_gib: f64) -> String {
-    bench_json_with_scaling(run, attainable, stream_gib, &[])
-}
-
-/// [`bench_json`] plus the measured weak-scaling overlap study embedded
-/// as *top-level, non-module* fields: a `weak_scaling` array (one object
-/// per resolution point) and, when the study includes the c48 point,
-/// `overlap_efficiency_c48` / `halo_wait_seconds_c48` scalars. The
-/// per-module regression gate compares `modules` rows only, so these
-/// fields record the overlap without entering the >15% gate.
-pub fn bench_json_with_scaling(
-    run: &ProfileRun,
-    attainable: f64,
-    stream_gib: f64,
-    scaling: &[crate::weak_scaling::OverlapPoint],
-) -> String {
-    bench_json_full(run, attainable, stream_gib, scaling, None)
-}
-
-/// [`bench_json_with_scaling`] plus the forecast-service load study
-/// embedded as a top-level `serve` object (sustained requests/second,
-/// p50/p99/max submit-to-finish latency, steady-state compile count).
-/// Like `weak_scaling`, it sits outside the `modules` array, so the
-/// per-module >15% regression gate never compares it; the serve-soak CI
-/// job owns its regression story instead.
-pub fn bench_json_full(
-    run: &ProfileRun,
-    attainable: f64,
-    stream_gib: f64,
-    scaling: &[crate::weak_scaling::OverlapPoint],
-    serve: Option<&crate::serve_load::ServeLoadReport>,
-) -> String {
-    bench_json_complete(run, attainable, stream_gib, scaling, serve, None)
-}
-
-/// [`bench_json_full`] plus the tuned-vs-baseline ablation. The ablation
-/// lands twice: as a top-level `tuned` object (full provenance, outside
-/// the gate, like `serve`) and as a `tuned_kernels` pseudo-module row
-/// whose `wall_seconds` is the tuned run's kernel total — *inside* the
-/// \>15% per-module regression gate, so a tuning regression across BENCH
-/// revisions fails CI exactly like a kernel regression would.
-pub fn bench_json_complete(
+/// the measured STREAM copy bandwidth it came from. The three optional
+/// studies embed as follows — only `modules` rows enter the >15%
+/// per-module regression gate:
+///
+/// * `scaling` (weak-scaling overlap study): a top-level `weak_scaling`
+///   array (one object per resolution point) and, when the study includes
+///   the c48 point, `overlap_efficiency_c48` / `halo_wait_seconds_c48`
+///   scalars; outside the gate.
+/// * `serve` (forecast-service load study): a top-level `serve` object
+///   (sustained requests/second, p50/p99/max submit-to-finish latency,
+///   steady-state compile count); outside the gate — the serve-soak CI
+///   job owns its regression story.
+/// * `tuned` (tuned-vs-baseline ablation): lands twice — as a top-level
+///   `tuned` object (full provenance, outside the gate) and as a
+///   `tuned_kernels` pseudo-module row whose `wall_seconds` is the tuned
+///   run's kernel total, *inside* the gate, so a tuning regression across
+///   BENCH revisions fails CI exactly like a kernel regression would.
+pub fn bench_json(
     run: &ProfileRun,
     attainable: f64,
     stream_gib: f64,
@@ -474,7 +412,7 @@ pub fn bench_json_complete(
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema_version\": {},", obs::BENCH_SCHEMA_VERSION);
-    let _ = writeln!(out, "  \"case\": {},", json_string(&run.case_name));
+    let _ = writeln!(out, "  \"case\": {},", json::string(&run.case_name));
     let _ = writeln!(out, "  \"executor\": \"serial_host\",");
     let _ = writeln!(out, "  \"steps\": {},", run.steps);
     let _ = writeln!(out, "  \"health_violations\": {},", run.monitor.total_violations());
@@ -526,7 +464,7 @@ pub fn bench_json_complete(
              \"kernels_before\": {}, \"kernels_after\": {}, \
              \"cross_module_fusions\": {}, \"transferred\": {}, \
              \"modeled_speedup\": {}, \"measured_speedup\": {}, \"summary\": {}}},",
-            json_string(&t.case),
+            json::string(&t.case),
             t.tuned_kernel_seconds,
             t.baseline_kernel_seconds,
             t.tuned_tracer_seconds,
@@ -537,7 +475,7 @@ pub fn bench_json_complete(
             t.transferred,
             t.modeled_speedup,
             t.measured_speedup(),
-            json_string(&t.summary)
+            json::string(&t.summary)
         );
     }
     let _ = writeln!(out, "  \"modules\": [");
@@ -549,7 +487,7 @@ pub fn bench_json_complete(
                 "    {{\"module\": {}, \"kernels\": {}, \"invocations\": {}, \"points\": {}, \
                  \"wall_seconds\": {}, \"modeled_bytes\": {}, \"modeled_flops\": {}, \
                  \"bytes_per_s\": {}}}",
-                json_string(&m.module),
+                json::string(&m.module),
                 m.kernels,
                 m.invocations,
                 m.points,
@@ -609,7 +547,7 @@ pub fn bench_json_complete(
             "    {{\"name\": {}, \"invocations\": {}, \"points\": {}, \"wall_seconds\": {}, \
              \"modeled_bytes\": {}, \"modeled_flops\": {}, \"bytes_per_s\": {}, \
              \"roofline_fraction\": {}, \"compute_bound\": {}}}{}",
-            json_string(&k.name),
+            json::string(&k.name),
             k.invocations,
             k.points,
             k.wall_seconds,
@@ -642,8 +580,8 @@ mod tests {
 
     #[test]
     fn bench_json_carries_schema_v2_and_diffs_clean_against_itself() {
-        let run = profile_case(8, 4, 2, small_config());
-        let json = bench_json(&run, 1e9, 1.0);
+        let run = profile_case(8, 4, 2, small_config(), None, false);
+        let json = bench_json(&run, 1e9, 1.0, &[], None, None);
         assert_eq!(obs::regression::schema_version(&json), Ok(2));
         let report =
             obs::compare_runs(&json, &json, &obs::RegressionPolicy::default()).unwrap();
@@ -654,7 +592,7 @@ mod tests {
 
     #[test]
     fn kernel_cache_reaches_steady_state_after_first_step() {
-        let run = profile_case(8, 4, 3, small_config());
+        let run = profile_case(8, 4, 3, small_config(), None, false);
         assert!(run.cache_misses > 0, "first step must compile kernels");
         assert!(run.cache_hits > 0, "later steps must hit the cache");
         assert_eq!(run.steady_state_misses, 0, "no recompiles after step 0");
@@ -666,13 +604,13 @@ mod tests {
     fn checkpointed_profile_records_write_and_restore_cost() {
         let dir = std::env::temp_dir().join(format!("fv3_bench_ckpt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let run = profile_case_with_checkpoints(8, 4, 2, small_config(), Some(&dir));
+        let run = profile_case(8, 4, 2, small_config(), Some(&dir), false);
         assert_eq!(run.checkpoint_writes, 2);
         assert!(run.checkpoint_bytes > 0);
         assert!(run.checkpoint_write_seconds > 0.0);
         assert!(run.checkpoint_restore_seconds > 0.0);
         assert_eq!(run.metrics.counter_value("checkpoint_writes", &[]), 2);
-        let json = bench_json(&run, 1e9, 1.0);
+        let json = bench_json(&run, 1e9, 1.0, &[], None, None);
         assert!(json.contains("\"module\": \"checkpoint_write\""));
         assert!(json.contains("\"module\": \"checkpoint_restore\""));
         assert!(json.contains("\"checkpoint_writes\": 2"));
@@ -686,17 +624,17 @@ mod tests {
 
     #[test]
     fn uncheckpointed_profile_emits_no_checkpoint_rows() {
-        let run = profile_case_with_checkpoints(8, 4, 1, small_config(), None);
+        let run = profile_case(8, 4, 1, small_config(), None, false);
         assert_eq!(run.checkpoint_writes, 0);
         assert_eq!(run.checkpoint_restore_seconds, 0.0);
-        let json = bench_json(&run, 1e9, 1.0);
+        let json = bench_json(&run, 1e9, 1.0, &[], None, None);
         assert!(!json.contains("checkpoint_write\""));
         assert!(json.contains("\"checkpoint_writes\": 0"));
     }
 
     #[test]
     fn serve_fields_embed_outside_the_module_gate() {
-        let run = profile_case(8, 4, 1, small_config());
+        let run = profile_case(8, 4, 1, small_config(), None, false);
         let serve = crate::serve_load::serve_load(crate::serve_load::ServeLoadConfig {
             requests: 2,
             slots: 2,
@@ -705,7 +643,7 @@ mod tests {
             nk: 3,
             streaming: true,
         });
-        let json = bench_json_full(&run, 1e9, 1.0, &[], Some(&serve));
+        let json = bench_json(&run, 1e9, 1.0, &[], Some(&serve), None);
         assert!(json.contains("\"serve\": {\"requests\": 2"));
         assert_eq!(obs::regression::schema_version(&json), Ok(2));
         let report =
@@ -713,7 +651,7 @@ mod tests {
         assert!(report.is_clean(), "{}", report.render());
         // The serve object is top-level, like weak_scaling: adding it
         // must not perturb the per-module regression gate.
-        let without = bench_json(&run, 1e9, 1.0);
+        let without = bench_json(&run, 1e9, 1.0, &[], None, None);
         let report =
             obs::compare_runs(&without, &json, &obs::RegressionPolicy::default()).unwrap();
         assert!(report.is_clean(), "serve fields leaked into the gate: {}", report.render());
@@ -743,7 +681,7 @@ mod tests {
             metrics_jsonl: String::new(),
             events_jsonl: String::new(),
         });
-        let json_ov = bench_json_full(&run, 1e9, 1.0, &[], Some(&serve));
+        let json_ov = bench_json(&run, 1e9, 1.0, &[], Some(&serve), None);
         assert!(json_ov.contains("\"overload\": {\"offered\": 17"));
         assert!(json_ov.contains("\"shed_rate\": "));
         assert!(json_ov.contains("\"goodput_rps\": 3.2"));
@@ -758,9 +696,9 @@ mod tests {
 
     #[test]
     fn tuned_profile_fuses_kernels_and_embeds_the_gated_ablation() {
-        let baseline = profile_case_full(8, 6, 2, small_config(), None, false);
+        let baseline = profile_case(8, 6, 2, small_config(), None, false);
         assert!(baseline.tune.is_none());
-        let tuned = profile_case_full(8, 6, 2, small_config(), None, true);
+        let tuned = profile_case(8, 6, 2, small_config(), None, true);
         let report = tuned.tune.as_ref().expect("tuned run carries its report");
         assert!(
             report.kernels_after < report.kernels_before,
@@ -777,7 +715,7 @@ mod tests {
         assert!(ab.baseline_tracer_seconds > 0.0);
         assert!(tuned_ablation(&baseline, &baseline).is_none());
 
-        let json = bench_json_complete(&baseline, 1e9, 1.0, &[], None, Some(&ab));
+        let json = bench_json(&baseline, 1e9, 1.0, &[], None, Some(&ab));
         assert!(json.contains("\"tuned\": {\"case\""));
         assert!(json.contains("\"kernel_seconds\""));
         assert!(json.contains("\"module\": \"tuned_kernels\""));
@@ -787,7 +725,7 @@ mod tests {
         // its absence elsewhere does not perturb the other module rows.
         let cmp = obs::compare_runs(&json, &json, &obs::RegressionPolicy::default()).unwrap();
         assert!(cmp.is_clean(), "{}", cmp.render());
-        let without = bench_json(&baseline, 1e9, 1.0);
+        let without = bench_json(&baseline, 1e9, 1.0, &[], None, None);
         let cmp =
             obs::compare_runs(&without, &json, &obs::RegressionPolicy::default()).unwrap();
         assert!(cmp.is_clean(), "tuned object leaked into the gate: {}", cmp.render());
@@ -795,8 +733,8 @@ mod tests {
 
     #[test]
     fn module_rows_carry_modeled_flops() {
-        let run = profile_case(8, 4, 1, small_config());
-        let json = bench_json(&run, 1e9, 1.0);
+        let run = profile_case(8, 4, 1, small_config(), None, false);
+        let json = bench_json(&run, 1e9, 1.0, &[], None, None);
         // Kernel modules model real arithmetic; the flops land in the
         // module rows so the dual-ceiling roofline can rank them.
         let tracer = run.rollup.iter().find(|m| m.module == "tracer").unwrap();
@@ -806,7 +744,7 @@ mod tests {
 
     #[test]
     fn health_stream_has_one_clean_sample_per_step() {
-        let run = profile_case(8, 4, 3, small_config());
+        let run = profile_case(8, 4, 3, small_config(), None, false);
         assert_eq!(run.monitor.samples().len(), 3);
         assert!(run.monitor.all_healthy());
         assert_eq!(run.monitor.to_jsonl().lines().count(), 3);

@@ -9,7 +9,7 @@
 //!
 //! The c48 point's overlap numbers are exported into `BENCH_dycore.json`
 //! as *top-level* fields (never module rows, so the per-module >15%
-//! regression gate ignores them) by [`crate::profile::bench_json_with_scaling`].
+//! regression gate ignores them) by [`crate::profile::bench_json`].
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;

@@ -6,9 +6,9 @@
 //! and refuses to clobber a newer-schema summary.
 
 use bench::profile::{bench_json, profile_case};
-use dataflow::profile::TraceEvent;
 use fv3::dyn_core::DycoreConfig;
-use obs::{compare_runs, RegressionPolicy};
+use obs::tracing::parse_chrome_trace;
+use obs::{compare_runs, RegressionPolicy, TraceEvent};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -29,7 +29,7 @@ fn contained(inner: &TraceEvent, outer: &TraceEvent) -> bool {
 #[test]
 fn unified_trace_nests_run_step_module_kernel() {
     let steps = 2;
-    let run = profile_case(8, 4, steps, config());
+    let run = profile_case(8, 4, steps, config(), None, false);
     let events = run.tracer.finished();
     let of = |cat: &str| events.iter().filter(|e| e.cat == cat).collect::<Vec<_>>();
 
@@ -60,7 +60,7 @@ fn unified_trace_nests_run_step_module_kernel() {
     }
 
     // The unified trace round-trips through the chrome-trace parser.
-    let parsed = dataflow::profile::parse_chrome_trace(&run.tracer.to_chrome_trace()).unwrap();
+    let parsed = parse_chrome_trace(&run.tracer.to_chrome_trace()).unwrap();
     assert_eq!(parsed.len(), events.len());
 
     // Health: one clean sample per timestep.
@@ -74,8 +74,8 @@ fn unified_trace_nests_run_step_module_kernel() {
 
 #[test]
 fn consecutive_runs_produce_comparable_schema_v2_summaries() {
-    let a = bench_json(&profile_case(8, 4, 2, config()), 1e9, 1.0);
-    let b = bench_json(&profile_case(8, 4, 2, config()), 1e9, 1.0);
+    let a = bench_json(&profile_case(8, 4, 2, config(), None, false), 1e9, 1.0, &[], None, None);
+    let b = bench_json(&profile_case(8, 4, 2, config(), None, false), 1e9, 1.0, &[], None, None);
     assert_eq!(obs::regression::schema_version(&a), Ok(2));
     assert_eq!(obs::regression::schema_version(&b), Ok(2));
 
@@ -139,7 +139,7 @@ fn bin_emits_all_artifacts_and_diffs_second_run() {
     assert!(health.lines().count() >= 4);
     assert!(!health.contains("blowup"));
     let trace = std::fs::read_to_string(dir.join("BENCH_dycore_trace.json")).unwrap();
-    assert!(!dataflow::profile::parse_chrome_trace(&trace).unwrap().is_empty());
+    assert!(!parse_chrome_trace(&trace).unwrap().is_empty());
 
     // Second run in the same directory diffs against the first.
     let out2 = Command::new(bin).current_dir(&dir).output().unwrap();

@@ -675,7 +675,7 @@ impl DistributedDycore {
     /// Record one health sample per rank into `monitor` (the driver-level
     /// analog of FV3's `fv_diagnostics` call after each dycore step).
     /// Returns true when every rank's sample this step is healthy.
-    pub fn sample_health(&self, monitor: &mut obs::HealthMonitor, step: u64) -> bool {
+    pub fn sample_health(&self, monitor: &mut fv3::health::HealthMonitor, step: u64) -> bool {
         let before = monitor.samples().len();
         for (state, grid) in self.states.iter().zip(self.grids.iter()) {
             monitor.sample(&fv3::health::health_input(
@@ -781,7 +781,7 @@ mod tests {
     #[test]
     fn health_sampling_covers_every_rank_and_stays_clean() {
         let mut d = small();
-        let mut monitor = fv3::health::default_monitor();
+        let mut monitor = fv3::health::HealthMonitor::new();
         for step in 0..2u64 {
             d.step();
             assert!(

@@ -23,11 +23,9 @@ pub mod driver;
 pub mod experiments;
 pub mod parallel;
 pub mod pipeline;
-pub mod profiling;
 
 pub use bounds::{bounds_report, BoundsRow};
 pub use checkpoint::{Checkpoint, CheckpointBasis};
 pub use driver::{DistributedDycore, DriverConfig};
 pub use parallel::{CompiledSubstep, RankSchedule};
 pub use pipeline::{run_pipeline, PipelineReport, PipelineStage};
-pub use profiling::{profile_pipeline_stages, StageProfile};

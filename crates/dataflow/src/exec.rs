@@ -14,13 +14,13 @@ use crate::bytecode::{self, LaneCtx, Program, VmCtx, LANE_WIDTH};
 use crate::expr::{DataId, Offset3};
 use crate::graph::{ControlNode, DataflowNode, Sdfg};
 use crate::kernel::{Domain, KOrder, Kernel, LValue};
-use crate::profile::Profiler;
 use crate::storage::{Array3, Axis, Layout};
 use machine::Pool;
+use obs::Tracer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Runtime storage: one array per SDFG container.
@@ -211,7 +211,7 @@ pub enum VmMode {
 /// Counters from one kernel launch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KernelRunStats {
-    /// Statement-points executed (the figure [`run_kernel`] returns).
+    /// Statement-points executed.
     pub points: u64,
     /// Points that went through the vectorized lane VM.
     pub lanes_vector: u64,
@@ -299,7 +299,7 @@ impl KernelFingerprint {
 
 /// Everything about a kernel that is invariant across launches: the slot
 /// table, compiled statement programs, resolved bounds, and the iteration
-/// hull. Building one is the per-launch work [`run_kernel`] used to redo
+/// hull. Building one is the per-launch work the executor used to redo
 /// every invocation; the executor caches them per `(state, node)`.
 pub struct CompiledKernel {
     ids: Vec<DataId>,
@@ -848,12 +848,6 @@ pub fn run_kernel_with(
     run_compiled(&compile_kernel(kernel), store, params, pool, mode)
 }
 
-/// Execute one kernel over the store. `params` are the SDFG's scalar
-/// parameter values. Returns the number of points executed.
-pub fn run_kernel(kernel: &Kernel, store: &mut DataStore, params: &[f64], pool: &Pool) -> u64 {
-    run_kernel_with(kernel, store, params, pool, VmMode::default()).points
-}
-
 /// Compiled kernels held by an [`Executor`], keyed by `(state index,
 /// node index)` and namespaced by the source graph's `(uid, generation)`.
 ///
@@ -867,7 +861,15 @@ pub fn run_kernel(kernel: &Kernel, store: &mut DataStore, params: &[f64], pool: 
 struct KernelCache {
     sdfg_uid: u64,
     generation: u64,
-    entries: HashMap<(usize, usize), Arc<CompiledKernel>>,
+    entries: HashMap<(usize, usize), Arc<CacheEntry>>,
+}
+
+struct CacheEntry {
+    compiled: CompiledKernel,
+    /// Modeled per-invocation `(bytes, flops)` from the kernel's access
+    /// set, filled on the first *profiled* launch so kernels inside
+    /// timestep loops are profiled structurally only once.
+    modeled: OnceLock<(u64, u64)>,
 }
 
 /// Executes SDFGs with a worker pool, a compiled-kernel cache, and hooks.
@@ -909,7 +911,7 @@ impl Executor {
         sdfg: &Sdfg,
         key: (usize, usize),
         kernel: &Kernel,
-    ) -> (Arc<CompiledKernel>, bool) {
+    ) -> (Arc<CacheEntry>, bool) {
         let mut cache = self.cache.lock();
         if cache.sdfg_uid != sdfg.uid() || cache.generation != sdfg.generation() {
             cache.entries.clear();
@@ -917,13 +919,16 @@ impl Executor {
             cache.generation = sdfg.generation();
         }
         if let Some(e) = cache.entries.get(&key) {
-            if e.fingerprint == KernelFingerprint::of(kernel) {
+            if e.compiled.fingerprint == KernelFingerprint::of(kernel) {
                 return (Arc::clone(e), true);
             }
         }
-        let ck = Arc::new(compile_kernel(kernel));
-        cache.entries.insert(key, Arc::clone(&ck));
-        (ck, false)
+        let entry = Arc::new(CacheEntry {
+            compiled: compile_kernel(kernel),
+            modeled: OnceLock::new(),
+        });
+        cache.entries.insert(key, Arc::clone(&entry));
+        (entry, false)
     }
 
     /// Run the whole program. `params` maps [`crate::expr::ParamId`]
@@ -935,23 +940,25 @@ impl Executor {
         params: &[f64],
         hooks: &mut dyn ExecHooks,
     ) -> ExecReport {
-        self.run_inner(sdfg, store, params, hooks, &mut None)
+        self.run_inner(sdfg, store, params, hooks, None)
     }
 
     /// Run the whole program with observability: every executed node is
-    /// recorded as a span in `profiler`, kernels annotated with points and
-    /// modeled bytes from their access sets. Numerical results are
-    /// identical to [`Executor::run`] — the profiler never touches the
-    /// data plane.
+    /// recorded as a `kernel` / `copy` / `halo` / `callback` span in
+    /// `tracer`, kernels annotated with points and modeled bytes/flops
+    /// from their access sets. The spans share the tracer's clock and the
+    /// calling thread's span stack, so they nest inside whatever run/step
+    /// span the caller holds open. Numerical results are identical to
+    /// [`Executor::run`] — profiling never touches the data plane.
     pub fn run_profiled(
         &self,
         sdfg: &Sdfg,
         store: &mut DataStore,
         params: &[f64],
         hooks: &mut dyn ExecHooks,
-        profiler: &mut Profiler,
+        tracer: &Tracer,
     ) -> ExecReport {
-        self.run_inner(sdfg, store, params, hooks, &mut Some(profiler))
+        self.run_inner(sdfg, store, params, hooks, Some(tracer))
     }
 
     fn run_inner(
@@ -960,7 +967,7 @@ impl Executor {
         store: &mut DataStore,
         params: &[f64],
         hooks: &mut dyn ExecHooks,
-        prof: &mut Option<&mut Profiler>,
+        prof: Option<&Tracer>,
     ) -> ExecReport {
         assert!(
             params.len() >= sdfg.params.len(),
@@ -982,7 +989,7 @@ impl Executor {
         params: &[f64],
         hooks: &mut dyn ExecHooks,
         report: &mut ExecReport,
-        prof: &mut Option<&mut Profiler>,
+        prof: Option<&Tracer>,
     ) {
         for node in nodes {
             match node {
@@ -1007,17 +1014,18 @@ impl Executor {
         params: &[f64],
         hooks: &mut dyn ExecHooks,
         report: &mut ExecReport,
-        prof: &mut Option<&mut Profiler>,
+        prof: Option<&Tracer>,
     ) {
         let state = &sdfg.states[state_idx];
         for (node_idx, node) in state.nodes.iter().enumerate() {
             match node {
                 DataflowNode::Kernel(k) => {
                     debug_assert!(validate_kernel(k).is_ok(), "{:?}", validate_kernel(k));
-                    let ts = prof.as_ref().map(|p| p.now_us());
+                    let span = prof.map(|t| t.span("kernel", &k.name));
                     let t0 = Instant::now();
-                    let (ck, hit) = self.compiled_for(sdfg, (state_idx, node_idx), k);
-                    let stats = run_compiled(&ck, store, params, &self.pool, self.mode);
+                    let (entry, hit) = self.compiled_for(sdfg, (state_idx, node_idx), k);
+                    let stats =
+                        run_compiled(&entry.compiled, store, params, &self.pool, self.mode);
                     report.record(&k.name, stats.points, t0.elapsed().as_secs_f64());
                     if hit {
                         report.cache_hits += 1;
@@ -1026,9 +1034,14 @@ impl Executor {
                     }
                     report.lanes_vector += stats.lanes_vector;
                     report.lanes_scalar += stats.lanes_scalar;
-                    if let Some(p) = prof.as_mut() {
-                        let (bytes, flops) = p.modeled_cost((state_idx, node_idx), k, sdfg);
-                        p.record_span("kernel", &k.name, ts.unwrap(), stats.points, bytes, flops);
+                    if let Some(mut span) = span {
+                        let (bytes, flops) = *entry.modeled.get_or_init(|| {
+                            let p = k.profile(&sdfg.layout_fn());
+                            (p.bytes_total(), p.flops)
+                        });
+                        span.set_points(stats.points);
+                        span.set_bytes(bytes);
+                        span.set_flops(flops);
                     }
                 }
                 DataflowNode::Library(l) => {
@@ -1038,22 +1051,22 @@ impl Executor {
                     );
                 }
                 DataflowNode::Copy { src, dst } => {
-                    let ts = prof.as_ref().map(|p| p.now_us());
+                    let span = prof.map(|t| t.span("copy", "copy"));
                     let (s, d) = (*src, *dst);
                     let src_arr = store.get(s).clone();
                     store.get_mut(d).copy_from(&src_arr);
-                    if let Some(p) = prof.as_mut() {
+                    if let Some(mut span) = span {
                         // Copy traffic: every stored element read + written.
                         let points = src_arr.raw().len() as u64;
-                        let bytes = 2 * 8 * points;
-                        p.record_span("copy", "copy", ts.unwrap(), points, bytes, 0);
+                        span.set_points(points);
+                        span.set_bytes(2 * 8 * points);
                     }
                 }
                 DataflowNode::HaloExchange { fields } => {
-                    let ts = prof.as_ref().map(|p| p.now_us());
+                    let span = prof.map(|t| t.span("halo", "halo"));
                     hooks.halo_exchange(fields, store);
                     report.halo_exchanges += 1;
-                    if let Some(p) = prof.as_mut() {
+                    if let Some(mut span) = span {
                         // Rind traffic: each exchanged field's halo shell is
                         // packed (read) and unpacked (written) once.
                         let mut points = 0u64;
@@ -1062,14 +1075,15 @@ impl Executor {
                             let interior = sdfg.layout_of(*f).domain_len() as u64;
                             points += total.saturating_sub(interior);
                         }
-                        p.record_span("halo", "halo", ts.unwrap(), points, 2 * 8 * points, 0);
+                        span.set_points(points);
+                        span.set_bytes(2 * 8 * points);
                     }
                 }
                 DataflowNode::Callback { name, reads, writes } => {
-                    let ts = prof.as_ref().map(|p| p.now_us());
+                    let span = prof.map(|t| t.span("callback", name));
                     hooks.callback(name, store);
                     report.callbacks += 1;
-                    if let Some(p) = prof.as_mut() {
+                    if let Some(mut span) = span {
                         // Attribute the callback's declared access set: every
                         // read field streamed in, every written field out.
                         let points: u64 = writes
@@ -1080,26 +1094,13 @@ impl Executor {
                             .iter()
                             .map(|f| sdfg.layout_of(*f).domain_len() as u64)
                             .sum();
-                        let bytes = 8 * (read_elems + points);
-                        p.record_span("callback", name, ts.unwrap(), points, bytes, 0);
+                        span.set_points(points);
+                        span.set_bytes(8 * (read_elems + points));
                     }
                 }
             }
         }
     }
-}
-
-/// Convenience: run a single kernel on a store with no hooks, serially.
-pub fn run_kernel_serial(kernel: &Kernel, store: &mut DataStore, params: &[f64]) -> u64 {
-    run_kernel(kernel, store, params, &Pool::new(1))
-}
-
-/// Aggregate executed kernel stats by name sorted by total wall time
-/// descending (the Fig. 10 ranking).
-pub fn rank_by_wall_time(report: &ExecReport) -> Vec<&KernelStat> {
-    let mut v: Vec<&KernelStat> = report.kernels.iter().collect();
-    v.sort_by(|a, b| b.wall_seconds.partial_cmp(&a.wall_seconds).unwrap());
-    v
 }
 
 #[cfg(test)]
@@ -1422,6 +1423,63 @@ mod tests {
         let report = Executor::serial().run(&g, &mut store, &[], &mut NoHooks);
         assert_eq!(report.launches, 5);
         assert_eq!(store.get(ids[0]).get(2, 2, 2), 5.0);
+    }
+
+    /// The single spine: spans recorded by `run_profiled` land in the
+    /// caller's tracer on the caller's thread, so they sit inside the
+    /// span the caller holds open with no timeline re-basing, and the
+    /// modeled cost rides in the compiled-kernel cache entry (profiled
+    /// structurally once, however many loop trips launch the kernel).
+    #[test]
+    fn profiled_spans_nest_in_the_callers_open_span() {
+        let (mut g, ids) = sdfg_with(4, 0, &["a", "out"]);
+        let mut k = Kernel::new(
+            "k#0",
+            Domain::from_shape([4, 4, 4]),
+            KOrder::Parallel,
+            Schedule::gpu_horizontal(),
+        );
+        k.stmts
+            .push(Stmt::full(LValue::Field(ids[1]), Expr::load(ids[0], 0, 0, 0)));
+        let mut s = State::new("s");
+        s.nodes.push(DataflowNode::Kernel(k));
+        s.nodes.push(DataflowNode::Copy {
+            src: ids[1],
+            dst: ids[0],
+        });
+        g.add_state(s);
+        g.control = vec![ControlNode::Loop {
+            trips: 7,
+            body: vec![ControlNode::State(0)],
+        }];
+
+        let tracer = Tracer::new();
+        let exec = Executor::serial();
+        let mut store = DataStore::for_sdfg(&g);
+        {
+            let _step = tracer.span("step", "timestep0");
+            exec.run_profiled(&g, &mut store, &[], &mut NoHooks, &tracer);
+        }
+        let events = tracer.finished();
+        let step = events.iter().find(|e| e.cat == "step").expect("outer span");
+        let inner: Vec<_> = events.iter().filter(|e| e.cat != "step").collect();
+        assert_eq!(inner.len(), 14);
+        for e in &inner {
+            assert_eq!(e.tid, step.tid, "{} recorded on another thread id", e.name);
+            assert!(
+                step.ts_us <= e.ts_us && e.ts_us + e.dur_us <= step.ts_us + step.dur_us,
+                "{} escapes the open step span",
+                e.name
+            );
+        }
+        let report = crate::ProfileReport::from_events(&events);
+        assert_eq!(report.launches, 7);
+        assert_eq!(report.copy.invocations, 7);
+        // 4*4*4 elements read + written per launch.
+        assert_eq!(report.kernels[0].modeled_bytes, 7 * 2 * 64 * 8);
+        let cache = exec.cache.lock();
+        assert_eq!(cache.entries.len(), 1, "one cache entry for the looped kernel");
+        assert!(cache.entries[&(0, 0)].modeled.get().is_some());
     }
 
     #[test]

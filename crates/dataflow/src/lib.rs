@@ -36,5 +36,5 @@ pub use kernel::{
 };
 pub use model::{CostModel, KernelModel, ModelReport};
 pub use overlap::{split_for_overlap, SplitPrograms};
-pub use profile::{KernelProfileStat, ProfileReport, Profiler, TraceEvent};
+pub use profile::{KernelProfileStat, ProfileReport};
 pub use storage::{Array3, Axis, Layout, StorageOrder};

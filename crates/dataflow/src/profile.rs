@@ -1,50 +1,25 @@
-//! Runtime observability for the executor: per-kernel wall time,
-//! iteration counts, and modeled bytes moved.
+//! Aggregation of executor spans: per-kernel wall time, iteration
+//! counts, and modeled bytes moved.
 //!
 //! The paper's optimization cycle (Fig. 7) is measurement-driven: the
 //! authors rank stencils "by summarized runtimes grouped by kernel type"
 //! (Section VI-C) and compare achieved against bandwidth-bound runtimes
-//! (Fig. 10) to decide where to tune next. [`Profiler`] is the capture
-//! side of that loop for our host executor: threaded through
-//! [`Executor::run_profiled`](crate::exec::Executor::run_profiled), it
-//! records one [`TraceEvent`] per executed node and derives modeled byte
-//! volumes from the kernel access sets
-//! ([`Kernel::profile`](crate::kernel::Kernel::profile)), so achieved
-//! bandwidth and %-of-roofline fall out of a single run. Export is both
-//! aggregated ([`ProfileReport`], rendered by
-//! [`report::roofline_table`](crate::report::roofline_table)) and raw
-//! (chrome-trace JSON, loadable in `about://tracing` / Perfetto).
+//! (Fig. 10) to decide where to tune next.
+//! [`Executor::run_profiled`](crate::exec::Executor::run_profiled)
+//! records one [`TraceEvent`] per executed node straight into an
+//! [`obs::Tracer`] — the recorder, clock and chrome-trace codec all live
+//! in `obs` — with modeled byte/flop volumes from the kernel access sets
+//! ([`Kernel::profile`](crate::kernel::Kernel::profile)).
+//! [`ProfileReport::from_events`] folds those events into the aggregated
+//! view rendered by [`report::roofline_table`](crate::report::roofline_table),
+//! so achieved bandwidth and %-of-roofline fall out of a single run.
 //!
-//! Instrumentation must never perturb results: the profiler only reads
-//! clocks and the (immutable) kernel structure, never the data plane. The
-//! differential transform tests in `tests/transform_diff.rs` run every
-//! comparison with profiling enabled to pin that property down.
+//! Instrumentation must never perturb results: the profiled path only
+//! reads clocks and the (immutable) kernel structure, never the data
+//! plane. The differential transform tests in `tests/transform_diff.rs`
+//! run every comparison with profiling enabled to pin that property down.
 
-use crate::graph::Sdfg;
-use crate::kernel::Kernel;
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// One executed span, chrome-trace style (`ph: "X"` complete events).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Node label (kernel name, callback name, `"copy"`, `"halo"`).
-    pub name: String,
-    /// Event category: `"kernel"`, `"copy"`, `"halo"` or `"callback"`.
-    pub cat: String,
-    /// Start time in microseconds since the profiler's epoch.
-    pub ts_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-    /// Points executed (kernel events; 0 otherwise).
-    pub points: u64,
-    /// Modeled unique bytes moved (access-set size x 8; 0 when unknown).
-    pub bytes: u64,
-    /// Modeled floating-point operations (kernel access-set flops; 0 when
-    /// unknown).
-    pub flops: u64,
-}
+use obs::TraceEvent;
 
 /// Aggregated statistics for one kernel name across all its launches.
 #[derive(Debug, Clone, Default)]
@@ -148,6 +123,42 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
+    /// Aggregate the executor's `kernel` / `copy` / `halo` / `callback`
+    /// events; every other category (enclosing run/step/module spans of
+    /// the same tracer) is ignored.
+    pub fn from_events(events: &[TraceEvent]) -> ProfileReport {
+        let mut r = ProfileReport::default();
+        for e in events {
+            match e.cat.as_str() {
+                "kernel" => {
+                    let secs = e.dur_us * 1e-6;
+                    r.launches += 1;
+                    r.kernel_seconds += secs;
+                    let k = match r.kernels.iter().position(|k| k.name == e.name) {
+                        Some(i) => &mut r.kernels[i],
+                        None => {
+                            r.kernels.push(KernelProfileStat {
+                                name: e.name.clone(),
+                                ..Default::default()
+                            });
+                            r.kernels.last_mut().expect("just pushed")
+                        }
+                    };
+                    k.invocations += 1;
+                    k.points += e.points;
+                    k.wall_seconds += secs;
+                    k.modeled_bytes += e.bytes;
+                    k.modeled_flops += e.flops;
+                }
+                "copy" => accumulate(&mut r.copy_seconds, &mut r.copy, e),
+                "halo" => accumulate(&mut r.halo_seconds, &mut r.halo, e),
+                "callback" => accumulate(&mut r.callback_seconds, &mut r.callback, e),
+                _ => {}
+            }
+        }
+        r
+    }
+
     /// Kernels sorted by total wall time descending (the Fig. 10 ranking).
     pub fn ranked(&self) -> Vec<&KernelProfileStat> {
         let mut v: Vec<&KernelProfileStat> = self.kernels.iter().collect();
@@ -190,453 +201,20 @@ impl ProfileReport {
 }
 
 /// Fold one non-kernel event into its category attribution.
-fn accumulate(stat: &mut CategoryStat, e: &TraceEvent) {
+fn accumulate(seconds: &mut f64, stat: &mut CategoryStat, e: &TraceEvent) {
+    *seconds += e.dur_us * 1e-6;
     stat.invocations += 1;
     stat.points += e.points;
     stat.modeled_bytes += e.bytes;
     stat.modeled_flops += e.flops;
 }
 
-/// Records execution spans and modeled data movement for one or more
-/// [`Executor`](crate::exec::Executor) runs.
-#[derive(Debug)]
-pub struct Profiler {
-    epoch: Instant,
-    events: Vec<TraceEvent>,
-    /// Per-invocation modeled (bytes, flops) cached by `(state, node)` so
-    /// kernels inside timestep loops are profiled structurally only once.
-    modeled: HashMap<(usize, usize), (u64, u64)>,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Profiler {
-    /// A profiler whose epoch is now.
-    pub fn new() -> Self {
-        Profiler {
-            epoch: Instant::now(),
-            events: Vec::new(),
-            modeled: HashMap::new(),
-        }
-    }
-
-    /// Microseconds elapsed since the epoch.
-    pub fn now_us(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64() * 1e6
-    }
-
-    /// Record a completed span that started at `ts_us` and ends now.
-    pub fn record_span(
-        &mut self,
-        cat: &str,
-        name: &str,
-        ts_us: f64,
-        points: u64,
-        bytes: u64,
-        flops: u64,
-    ) {
-        let dur_us = (self.now_us() - ts_us).max(0.0);
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            ts_us,
-            dur_us,
-            points,
-            bytes,
-            flops,
-        });
-    }
-
-    /// Modeled per-invocation (bytes, flops) of `kernel` at `(state, node)`,
-    /// derived from its access set and cached across invocations.
-    pub fn modeled_cost(
-        &mut self,
-        key: (usize, usize),
-        kernel: &Kernel,
-        sdfg: &Sdfg,
-    ) -> (u64, u64) {
-        *self.modeled.entry(key).or_insert_with(|| {
-            let p = kernel.profile(&sdfg.layout_fn());
-            (p.bytes_total(), p.flops)
-        })
-    }
-
-    /// Every recorded event, in record order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Drop all recorded events (the modeled-cost cache is kept).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Aggregate events into a [`ProfileReport`].
-    pub fn report(&self) -> ProfileReport {
-        let mut r = ProfileReport::default();
-        for e in &self.events {
-            let secs = e.dur_us * 1e-6;
-            match e.cat.as_str() {
-                "kernel" => {
-                    r.launches += 1;
-                    r.kernel_seconds += secs;
-                    if let Some(k) = r.kernels.iter_mut().find(|k| k.name == e.name) {
-                        k.invocations += 1;
-                        k.points += e.points;
-                        k.wall_seconds += secs;
-                        k.modeled_bytes += e.bytes;
-                        k.modeled_flops += e.flops;
-                    } else {
-                        r.kernels.push(KernelProfileStat {
-                            name: e.name.clone(),
-                            invocations: 1,
-                            points: e.points,
-                            wall_seconds: secs,
-                            modeled_bytes: e.bytes,
-                            modeled_flops: e.flops,
-                        });
-                    }
-                }
-                "copy" => {
-                    r.copy_seconds += secs;
-                    accumulate(&mut r.copy, e);
-                }
-                "halo" => {
-                    r.halo_seconds += secs;
-                    accumulate(&mut r.halo, e);
-                }
-                _ => {
-                    r.callback_seconds += secs;
-                    accumulate(&mut r.callback, e);
-                }
-            }
-        }
-        r
-    }
-
-    /// Serialize all events as chrome-trace JSON (the "Trace Event
-    /// Format"), loadable in `about://tracing` or Perfetto.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":0,\"tid\":0,\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"points\":{},\"bytes\":{},\"flops\":{}}}}}",
-                json_string(&e.name),
-                json_string(&e.cat),
-                format_f64(e.ts_us),
-                format_f64(e.dur_us),
-                e.points,
-                e.bytes,
-                e.flops
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Escape a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format an f64 so it parses back to the identical value (Rust's float
-/// `Display` is shortest-round-trip).
-fn format_f64(v: f64) -> String {
-    format!("{v}")
-}
-
-// ---------------------------------------------------------------------------
-// Minimal chrome-trace parser (round-trip testing and external tooling).
-
-/// A parsed JSON value — just enough of the grammar to read traces back.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek()? == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found '{}'",
-                c as char, self.pos, self.bytes[self.pos] as char
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("expected '{word}' at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                c => return Err(format!("expected ',' or '}}', found '{}'", c as char)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                c => return Err(format!("expected ',' or ']', found '{}'", c as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self
-                .bytes
-                .get(self.pos)
-                .ok_or("unterminated string".to_string())?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape '\\{}'", e as char)),
-                    }
-                }
-                _ => {
-                    // Re-sync on UTF-8: collect the full multi-byte char.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end]).map_err(|e| e.to_string())?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
-}
-
-/// Parse chrome-trace JSON produced by [`Profiler::to_chrome_trace`] back
-/// into events. Round-trips exactly (floats via Rust's shortest-repr
-/// formatting).
-pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut p = JsonParser::new(text);
-    let root = p.value()?;
-    let events = root
-        .get("traceEvents")
-        .ok_or("missing traceEvents".to_string())?;
-    let Json::Arr(items) = events else {
-        return Err("traceEvents is not an array".to_string());
-    };
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let field_f = |k: &str| {
-            item.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("event missing numeric '{k}'"))
-        };
-        let field_s = |k: &str| {
-            item.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("event missing string '{k}'"))
-        };
-        let args = item.get("args").ok_or("event missing args".to_string())?;
-        let arg_u = |k: &str| {
-            args.get(k)
-                .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("args missing '{k}'"))
-        };
-        out.push(TraceEvent {
-            name: field_s("name")?,
-            cat: field_s("cat")?,
-            ts_us: field_f("ts")?,
-            dur_us: field_f("dur")?,
-            points: arg_u("points")?,
-            bytes: arg_u("bytes")?,
-            // Traces written before flop attribution existed lack the arg;
-            // treat it as 0 so old artifacts stay loadable.
-            flops: arg_u("flops").unwrap_or(0),
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{DataStore, Executor, NoHooks};
-    use crate::graph::{DataflowNode, State};
-    use crate::kernel::{Domain, KOrder, LValue, Schedule, Stmt};
+    use crate::graph::{DataflowNode, Sdfg, State};
+    use crate::kernel::{Domain, KOrder, Kernel, LValue, Schedule, Stmt};
     use crate::storage::{Layout, StorageOrder};
     use crate::Expr;
 
@@ -644,6 +222,7 @@ mod tests {
         TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
+            tid: 0,
             ts_us: ts,
             dur_us: dur,
             points,
@@ -654,12 +233,13 @@ mod tests {
 
     #[test]
     fn report_aggregates_by_kernel_name() {
-        let mut p = Profiler::new();
-        p.events.push(event("a#0", "kernel", 0.0, 10.0, 100, 800));
-        p.events.push(event("a#0", "kernel", 10.0, 30.0, 100, 800));
-        p.events.push(event("b#0", "kernel", 40.0, 5.0, 50, 400));
-        p.events.push(event("halo", "halo", 45.0, 2.0, 0, 0));
-        let r = p.report();
+        let r = ProfileReport::from_events(&[
+            event("timestep0", "step", 0.0, 50.0, 0, 0),
+            event("a#0", "kernel", 0.0, 10.0, 100, 800),
+            event("a#0", "kernel", 10.0, 30.0, 100, 800),
+            event("b#0", "kernel", 40.0, 5.0, 50, 400),
+            event("halo", "halo", 45.0, 2.0, 0, 0),
+        ]);
         assert_eq!(r.launches, 3);
         assert_eq!(r.kernels.len(), 2);
         let a = &r.kernels[0];
@@ -671,6 +251,8 @@ mod tests {
         assert!((r.kernel_seconds - 45e-6).abs() < 1e-12);
         assert!((r.halo_seconds - 2e-6).abs() < 1e-12);
         assert_eq!(r.halo.invocations, 1);
+        // The enclosing step span is not an executor category.
+        assert!((r.total_seconds() - 47e-6).abs() < 1e-12);
         assert_eq!(r.ranked()[0].name, "a#0");
     }
 
@@ -713,32 +295,6 @@ mod tests {
         assert_eq!(s.roofline_fraction(1.0), 1.0);
     }
 
-    #[test]
-    fn chrome_trace_round_trips() {
-        let mut p = Profiler::new();
-        p.events.push(event("c_sw#0", "kernel", 0.125, 10.5, 64, 4096));
-        p.events.push(event("copy", "copy", 11.0, 1.0, 0, 2048));
-        p.events
-            .push(event("weird \"name\"\\x", "callback", 12.75, 0.0625, 0, 0));
-        let text = p.to_chrome_trace();
-        let parsed = parse_chrome_trace(&text).expect("parse");
-        assert_eq!(parsed, p.events);
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("ab"), "\"ab\"");
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_string("a\nb"), "\"a\\nb\"");
-        let parsed = parse_chrome_trace(
-            "{\"traceEvents\":[{\"name\":\"\\u0041\",\"cat\":\"kernel\",\"ph\":\"X\",\
-             \"ts\":0,\"dur\":1,\"args\":{\"points\":0,\"bytes\":0}}]}",
-        )
-        .unwrap();
-        assert_eq!(parsed[0].name, "A");
-    }
-
     /// One-kernel program over `[n, n, nk]` fields with halo `h`.
     fn single_kernel_sdfg(
         n: usize,
@@ -765,10 +321,11 @@ mod tests {
 
     fn profiled_kernel_bytes(g: &Sdfg) -> u64 {
         let mut store = DataStore::for_sdfg(g);
-        let mut prof = Profiler::new();
-        Executor::serial().run_profiled(g, &mut store, &[], &mut NoHooks, &mut prof);
-        let evs: Vec<&TraceEvent> = prof.events().iter().filter(|e| e.cat == "kernel").collect();
+        let tracer = obs::Tracer::new();
+        Executor::serial().run_profiled(g, &mut store, &[], &mut NoHooks, &tracer);
+        let evs = tracer.finished();
         assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].cat, "kernel");
         evs[0].bytes
     }
 
@@ -815,41 +372,5 @@ mod tests {
         });
         // read: 640 * 8 * (1 + 0.15) = 5120 * 1.15 = 5888; write: 4096.
         assert_eq!(profiled_kernel_bytes(&g), 5888 + 4096);
-    }
-
-    #[test]
-    fn modeled_cost_is_cached_across_loop_trips() {
-        let mut g = single_kernel_sdfg(4, 4, [0, 0, 0], |a, out| {
-            vec![Stmt::full(LValue::Field(out), Expr::load(a, 0, 0, 0))]
-        });
-        g.control = vec![crate::graph::ControlNode::Loop {
-            trips: 7,
-            body: vec![crate::graph::ControlNode::State(0)],
-        }];
-        let mut store = DataStore::for_sdfg(&g);
-        let mut prof = Profiler::new();
-        Executor::serial().run_profiled(&g, &mut store, &[], &mut NoHooks, &mut prof);
-        let r = prof.report();
-        assert_eq!(r.launches, 7);
-        assert_eq!(prof.modeled.len(), 1, "one cache entry for the looped kernel");
-        let k = &r.kernels[0];
-        assert_eq!(k.invocations, 7);
-        // 4*4*4 elements read + written, 7 times.
-        assert_eq!(k.modeled_bytes, 7 * 2 * 64 * 8);
-    }
-
-    #[test]
-    fn spans_are_monotonic_and_positive() {
-        let mut p = Profiler::new();
-        for i in 0..5 {
-            let t0 = p.now_us();
-            std::hint::black_box((0..100).sum::<u64>());
-            p.record_span("kernel", &format!("k{i}"), t0, 1, 8, 2);
-        }
-        for w in p.events().windows(2) {
-            assert!(w[1].ts_us >= w[0].ts_us, "timestamps must be monotonic");
-            assert!(w[0].ts_us + w[0].dur_us <= w[1].ts_us + 1e-9, "spans must not overlap");
-        }
-        assert!(p.events().iter().all(|e| e.dur_us >= 0.0));
     }
 }

@@ -207,12 +207,11 @@ mod tests {
     #[test]
     fn roofline_table_renders_measured_profile() {
         use crate::exec::{DataStore, Executor, NoHooks};
-        use crate::profile::Profiler;
         let g = sample();
         let mut store = DataStore::for_sdfg(&g);
-        let mut prof = Profiler::new();
-        Executor::serial().run_profiled(&g, &mut store, &[], &mut NoHooks, &mut prof);
-        let t = roofline_table(&prof.report(), 40.0e9, 10);
+        let tracer = obs::Tracer::new();
+        Executor::serial().run_profiled(&g, &mut store, &[], &mut NoHooks, &tracer);
+        let t = roofline_table(&ProfileReport::from_events(&tracer.finished()), 40.0e9, 10);
         assert!(t.contains("k0"));
         assert!(t.contains("%bound"));
         assert!(t.contains("achieved"));

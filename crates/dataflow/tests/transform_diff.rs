@@ -168,9 +168,10 @@ fn run(g: &Sdfg, input: DataId, outs: &[DataId], seed: u64, profiled: bool) -> V
     let params = vec![1.25; g.params.len()];
     let exec = Executor::serial();
     if profiled {
-        let mut prof = dataflow::Profiler::new();
-        exec.run_profiled(g, &mut store, &params, &mut NoHooks, &mut prof);
-        assert!(prof.report().launches > 0, "profiler saw no kernels");
+        let tracer = obs::Tracer::new();
+        exec.run_profiled(g, &mut store, &params, &mut NoHooks, &tracer);
+        let report = dataflow::ProfileReport::from_events(&tracer.finished());
+        assert!(report.launches > 0, "profiler saw no kernels");
     } else {
         exec.run(g, &mut store, &params, &mut NoHooks);
     }

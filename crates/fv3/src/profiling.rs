@@ -4,19 +4,15 @@
 //! module they came from ("sort by summarized runtimes grouped by kernel
 //! type", Section VI-C) — that is the granularity at which tuning
 //! decisions are made (Fig. 7's "model-driven fine tuning"). This module
-//! maps the kernel-level [`ProfileReport`] of
+//! maps the kernel-level [`ProfileReport`] and [`TraceEvent`]s of
 //! [`Executor::run_profiled`](dataflow::exec::Executor::run_profiled)
 //! back onto dycore modules (`c_sw`, `riem_solver_c`, `d_sw`, the tracer
-//! transport, …), and provides [`ModuleTimer`] — a [`StateRecorder`] that
-//! times the *baseline* step's modules at its savepoints, so the FORTRAN
-//! analog and the orchestrated program are measured on the same axis.
+//! transport, …).
 
 use crate::dyn_core::{remap_callback, DycoreIds, REMAP_CALLBACK};
-use crate::recorder::StateRecorder;
 use dataflow::exec::{DataStore, ExecHooks};
-use dataflow::profile::{ProfileReport, TraceEvent};
-use dataflow::Array3;
-use std::time::Instant;
+use dataflow::profile::ProfileReport;
+use obs::TraceEvent;
 
 /// The dycore module a kernel name belongs to.
 ///
@@ -106,8 +102,8 @@ pub fn rollup_modules(report: &ProfileReport) -> Vec<ModuleRollup> {
 /// run, points/bytes summed).
 ///
 /// The orchestrated executor lives below `fv3` and cannot emit module
-/// spans itself; absorbing its profiler events *and* these synthesized
-/// spans into an `obs::Tracer` (same epoch offset) yields the unified
+/// spans itself; appending these synthesized spans to the tracer that
+/// recorded `events` ([`obs::Tracer::absorb_events`]) yields the unified
 /// run → module → kernel nesting in one chrome trace.
 pub fn module_spans(events: &[TraceEvent]) -> Vec<TraceEvent> {
     fn module_for(e: &TraceEvent) -> &str {
@@ -132,6 +128,7 @@ pub fn module_spans(events: &[TraceEvent]) -> Vec<TraceEvent> {
             _ => out.push(TraceEvent {
                 name: module.to_string(),
                 cat: "module".to_string(),
+                tid: e.tid,
                 ts_us: e.ts_us,
                 dur_us: e.dur_us,
                 points: e.points,
@@ -156,70 +153,16 @@ impl ExecHooks for RemapHooks<'_> {
     }
 }
 
-/// A [`StateRecorder`] that rolls wall time between consecutive
-/// savepoints up by module — timing the *baseline* step through the same
-/// instrumentation points `crates/validate` uses for golden capture.
-///
-/// Each `record("k{ks}.s{ns}.{module}", ..)` call attributes the time
-/// since the previous savepoint (or construction) to `{module}`.
-#[derive(Debug)]
-pub struct ModuleTimer {
-    last: Instant,
-    totals: Vec<(String, f64)>,
-}
-
-impl Default for ModuleTimer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ModuleTimer {
-    /// Start timing now.
-    pub fn new() -> Self {
-        ModuleTimer {
-            last: Instant::now(),
-            totals: Vec::new(),
-        }
-    }
-
-    /// Accumulated seconds per module, insertion-ordered.
-    pub fn totals(&self) -> &[(String, f64)] {
-        &self.totals
-    }
-
-    /// Total timed seconds across all modules.
-    pub fn total_seconds(&self) -> f64 {
-        self.totals.iter().map(|(_, s)| s).sum()
-    }
-}
-
-impl StateRecorder for ModuleTimer {
-    fn record(&mut self, label: &str, _fields: &[(&str, &Array3)]) {
-        let secs = self.last.elapsed().as_secs_f64();
-        self.last = Instant::now();
-        let module = label.rsplit('.').next().unwrap_or(label);
-        if let Some(e) = self.totals.iter_mut().find(|(m, _)| m == module) {
-            e.1 += secs;
-        } else {
-            self.totals.push((module.to_string(), secs));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dyn_core::{
-        baseline_step_recorded, build_dycore_program, load_state, BaselineScratch, DycoreConfig,
-    };
+    use crate::dyn_core::{build_dycore_program, load_state, DycoreConfig};
     use crate::grid::Grid;
     use crate::init::{init_baroclinic, BaroclinicConfig};
     use crate::state::DycoreState;
     use comm::CubeGeometry;
     use dataflow::exec::Executor;
     use dataflow::graph::ExpansionAttrs;
-    use dataflow::profile::Profiler;
 
     #[test]
     fn module_of_maps_stencil_names() {
@@ -260,10 +203,10 @@ mod tests {
         let mut store = DataStore::for_sdfg(&g);
         load_state(&mut store, &prog.ids, &state0, &grid);
         let mut hooks = RemapHooks { ids: &prog.ids };
-        let mut prof = Profiler::new();
-        Executor::serial().run_profiled(&g, &mut store, &prog.params, &mut hooks, &mut prof);
+        let tracer = obs::Tracer::new();
+        Executor::serial().run_profiled(&g, &mut store, &prog.params, &mut hooks, &tracer);
 
-        let report = prof.report();
+        let report = ProfileReport::from_events(&tracer.finished());
         let rollup = rollup_modules(&report);
         for want in [
             "c_sw",
@@ -302,6 +245,7 @@ mod tests {
         let ev = |name: &str, cat: &str, ts: f64, dur: f64| TraceEvent {
             name: name.into(),
             cat: cat.into(),
+            tid: 0,
             ts_us: ts,
             dur_us: dur,
             points: 10,
@@ -329,22 +273,5 @@ mod tests {
             assert!(spans.iter().any(|s| s.ts_us <= e.ts_us
                 && e.ts_us + e.dur_us <= s.ts_us + s.dur_us));
         }
-    }
-
-    #[test]
-    fn module_timer_attributes_baseline_savepoints() {
-        let (n, nk) = (8, 6);
-        let (mut state, grid) = setup(n, nk);
-        let config = c8l6_config();
-        let mut scratch = BaselineScratch::for_state(&state);
-        let mut timer = ModuleTimer::new();
-        baseline_step_recorded(&mut state, &grid, &mut scratch, &config, &mut |_| {}, &mut timer);
-
-        let modules: Vec<&str> = timer.totals().iter().map(|(m, _)| m.as_str()).collect();
-        for want in ["c_sw", "riem_solver_c", "d_sw", "transport", "remap"] {
-            assert!(modules.contains(&want), "module '{want}' missing: {modules:?}");
-        }
-        assert!(timer.totals().iter().all(|(_, s)| s.is_finite() && *s >= 0.0));
-        assert!(timer.total_seconds() > 0.0);
     }
 }

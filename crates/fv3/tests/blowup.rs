@@ -9,7 +9,7 @@
 use comm::CubeGeometry;
 use fv3::dyn_core::{baseline_step, BaselineScratch, DycoreConfig};
 use fv3::grid::Grid;
-use fv3::health::{default_monitor, health_input};
+use fv3::health::{health_input, HealthMonitor};
 use fv3::init::{init_baroclinic, BaroclinicConfig};
 use fv3::state::DycoreState;
 
@@ -31,7 +31,7 @@ fn poisoned_delp_is_reported_with_field_coords_and_span() {
 
     let tracer = obs::Tracer::new();
     obs::tracing::install_global(&tracer);
-    let mut monitor = default_monitor().with_tracer(&tracer);
+    let mut monitor = HealthMonitor::new().with_tracer(&tracer);
 
     // Two healthy steps.
     for step in 0..2u64 {

@@ -5,7 +5,10 @@
 //! These live in their own test binary (process) because the fault
 //! registry is process-global: any pool region anywhere in the process
 //! can trip an armed site. Within this binary, `faults::arm`'s guard
-//! serializes the tests.
+//! serializes the tests — so every region, including the follow-up ones
+//! that prove the team recovered, runs while the test's own guard is
+//! alive (its once-spec has retired by then); a region outside any guard
+//! would consume the spec a sibling test thread has just armed.
 
 use machine::faults::{self, FaultAction, FaultSpec, SITE_WORKER_DEATH, SITE_WORKER_PANIC};
 use machine::Pool;
@@ -41,19 +44,17 @@ fn wait_alive(pool: &Pool, want: usize) {
 #[test]
 fn injected_worker_panic_propagates_and_team_survives() {
     let pool = Pool::new(4);
-    {
-        let _g = faults::arm(
-            1,
-            vec![FaultSpec::new(SITE_WORKER_PANIC, FaultAction::PanicWorker)],
-        );
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.for_each_chunk(1000, |_| {});
-        }));
-        assert!(caught.is_err(), "injected worker panic must propagate");
-        assert_eq!(faults::fired_count(SITE_WORKER_PANIC), 1);
-        // The panic was caught inside the worker: no thread died.
-        assert_eq!(pool.alive_workers(), 3);
-    }
+    let _g = faults::arm(
+        1,
+        vec![FaultSpec::new(SITE_WORKER_PANIC, FaultAction::PanicWorker)],
+    );
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        pool.for_each_chunk(1000, |_| {});
+    }));
+    assert!(caught.is_err(), "injected worker panic must propagate");
+    assert_eq!(faults::fired_count(SITE_WORKER_PANIC), 1);
+    // The panic was caught inside the worker: no thread died.
+    assert_eq!(pool.alive_workers(), 3);
     // Team reusable, no rebuild was needed.
     checked_sum(&pool, 1000);
     assert_eq!(pool.rebuilds(), 0);
@@ -62,17 +63,15 @@ fn injected_worker_panic_propagates_and_team_survives() {
 #[test]
 fn killed_worker_is_rebuilt_on_next_region() {
     let pool = Pool::new(4);
-    {
-        let _g = faults::arm(
-            1,
-            vec![FaultSpec::new(SITE_WORKER_DEATH, FaultAction::KillWorker)],
-        );
-        // The region completes despite losing a worker mid-flight: the
-        // shared cursor lets the rest of the team absorb its chunks.
-        checked_sum(&pool, 10_000);
-        assert_eq!(faults::fired_count(SITE_WORKER_DEATH), 1);
-        wait_alive(&pool, 2);
-    }
+    let _g = faults::arm(
+        1,
+        vec![FaultSpec::new(SITE_WORKER_DEATH, FaultAction::KillWorker)],
+    );
+    // The region completes despite losing a worker mid-flight: the
+    // shared cursor lets the rest of the team absorb its chunks.
+    checked_sum(&pool, 10_000);
+    assert_eq!(faults::fired_count(SITE_WORKER_DEATH), 1);
+    wait_alive(&pool, 2);
     // Regression (reuse-after-death): the next region must rebuild the
     // team and complete — never hang on a check-in from a dead worker.
     checked_sum(&pool, 10_000);

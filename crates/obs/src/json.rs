@@ -1,9 +1,33 @@
-//! A minimal JSON reader — just enough grammar for the observability
-//! artifacts this crate produces and consumes (`BENCH_dycore.json`,
-//! `RUN_health.jsonl`, metric lines). Writing stays hand-rolled at each
-//! emitter (with `dataflow::profile::json_string` for escaping); this is
-//! the read side for [`regression::compare_runs`](crate::regression)
-//! and for tests that assert on emitted lines.
+//! The workspace's one JSON codec — just enough grammar for the
+//! observability artifacts (`BENCH_dycore.json`, chrome traces,
+//! `RUN_*.jsonl`, metric lines). Emitters format their own objects and
+//! escape every string through [`string`]; [`parse`] is the read side for
+//! [`regression::compare_runs`](crate::regression),
+//! [`tracing::parse_chrome_trace`](crate::tracing::parse_chrome_trace),
+//! and tests that assert on emitted lines.
+
+use std::fmt::Write as _;
+
+/// Escape `s` as a JSON string literal (quotes included).
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,5 +304,8 @@ mod tests {
     fn round_trips_escaped_strings() {
         let v = parse(r#"{"k": "a\"b\\cA"}"#).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("a\"b\\cA"));
+        let raw = "q\"b\\s\n\t\r\u{1}é";
+        assert_eq!(string("a\u{1}\"b"), "\"a\\u0001\\\"b\"");
+        assert_eq!(parse(&string(raw)).unwrap().as_str(), Some(raw));
     }
 }

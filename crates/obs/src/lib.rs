@@ -1,23 +1,20 @@
-//! Whole-run observability: span tracing, metrics, and model health.
+//! The observability spine: one span recorder, one trace record, one
+//! JSON codec, plus metrics and the live event stream.
 //!
-//! PR 2's `dataflow::profile` observes individual kernels; this crate
-//! observes everything *above* the kernel — the structure the paper's
-//! optimization loop (Fig. 7) navigates when deciding where to look
-//! next: timesteps, acoustic substeps, dycore modules, remap phases, and
-//! halo exchanges — plus whether the model stays physically sane while
-//! transformations mutate schedules and layouts (the role FORTRAN FV3's
-//! `range_check` / `fv_diagnostics` play).
+//! A leaf crate (std only) that every other crate may depend on, so each
+//! layer — executor kernels (`dataflow::Executor::run_profiled`), dycore
+//! modules, halo exchanges, timesteps, served requests — reports into the
+//! same measurement view, the structure the paper's optimization loop
+//! (Fig. 7) navigates when deciding where to look next. Domain-specific
+//! observers build on it from above (model health lives in
+//! `fv3::health`).
 //!
-//! * [`tracing`] — a lightweight hierarchical span recorder
-//!   ([`SpanGuard`] RAII over a thread-safe registry). Spans serialize
-//!   into the same chrome-trace JSON `dataflow::profile` emits, so one
-//!   file opens in Perfetto showing run → module → kernel.
+//! * [`tracing`] — the hierarchical span recorder ([`SpanGuard`] RAII
+//!   over a thread-safe [`Tracer`]), the span record ([`TraceEvent`])
+//!   and its chrome-trace codec, so one file opens in Perfetto showing
+//!   run → module → kernel.
 //! * [`metrics`] — labeled counters / gauges / histograms with
 //!   per-timestep JSONL emission ([`emit_jsonl`]).
-//! * [`health`] — [`HealthMonitor`]: per-step CFL estimate, max wind,
-//!   surface-pressure bounds, mass/energy drift, and a blowup detector
-//!   that names the field, logical `(i, j, k)`, timestep, and enclosing
-//!   span stack of the first non-finite value.
 //! * [`stream`] — the live telemetry plane: a bounded, drop-oldest
 //!   broadcast [`EventBus`] carrying typed [`RunEvent`]s (per-step
 //!   completion, health verdicts, supervisor retries, engine ticks) so a
@@ -25,14 +22,13 @@
 //!   reports at the end. Zero-cost when no sink is installed.
 //! * [`regression`] — [`regression::compare_runs`] diffs two
 //!   `BENCH_dycore.json` files and flags per-module slowdowns.
-//! * [`json`] — the minimal JSON reader the above share.
+//! * [`json`] — the one JSON codec: string escaper and reader.
 //!
-//! The tracing and metrics layers are dependency-free (std only) and can
-//! be globally installed ([`tracing::install_global`],
-//! [`metrics::install_global`]) so library crates instrument
-//! unconditionally at zero cost when nothing is listening.
+//! The tracer and metrics registry can be globally installed
+//! ([`tracing::install_global`], [`metrics::install_global`]) so library
+//! crates instrument unconditionally at zero cost when nothing is
+//! listening.
 
-pub mod health;
 pub mod json;
 pub mod metrics;
 pub mod overlap;
@@ -40,9 +36,8 @@ pub mod regression;
 pub mod stream;
 pub mod tracing;
 
-pub use health::{BlowupReport, HealthMonitor, HealthSample, HealthThresholds};
 pub use metrics::{emit_jsonl, nearest_rank, HistogramData, MetricsRegistry};
 pub use overlap::OverlapStats;
 pub use regression::{compare_runs, RegressionPolicy, RegressionReport, BENCH_SCHEMA_VERSION};
 pub use stream::{Event, EventBus, EventSink, EventStream, RunEvent, StreamProgress};
-pub use tracing::{SpanGuard, Tracer};
+pub use tracing::{SpanGuard, TraceEvent, Tracer};

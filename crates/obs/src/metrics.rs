@@ -20,7 +20,7 @@
 //! updater, the driver) records unconditionally at near-zero cost when
 //! nothing is listening.
 
-use dataflow::profile::json_string;
+use crate::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -185,7 +185,7 @@ fn write_labels(out: &mut String, labels: &[(String, String)]) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", json_string(k), json_string(v));
+        let _ = write!(out, "{}:{}", json::string(k), json::string(v));
     }
     out.push('}');
 }
@@ -202,7 +202,7 @@ pub fn emit_jsonl(registry: &MetricsRegistry, step: u64) -> String {
         let _ = write!(
             l,
             "{{\"step\":{step},\"kind\":\"{kind}\",\"name\":{},\"labels\":",
-            json_string(name)
+            json::string(name)
         );
         write_labels(&mut l, labels);
         let _ = write!(l, ",\"value\":{value}}}");
@@ -265,7 +265,6 @@ pub fn global() -> Option<MetricsRegistry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn counters_accumulate_per_label_set() {

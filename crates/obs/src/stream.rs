@@ -25,7 +25,7 @@
 //! Events serialize one-per-line via [`Event::to_json`] (the
 //! `RUN_events.jsonl` channel) and parse back with [`Event::parse`].
 
-use dataflow::profile::json_string;
+use crate::json;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -128,7 +128,7 @@ impl Event {
         let mut s = String::with_capacity(96);
         let _ = write!(s, "{{\"seq\":{},\"t_us\":{}", self.seq, self.t_us);
         if let Some(r) = &self.request {
-            let _ = write!(s, ",\"request\":{}", json_string(r));
+            let _ = write!(s, ",\"request\":{}", json::string(r));
         }
         let _ = write!(s, ",\"event\":\"{}\"", self.body.kind());
         match &self.body {
@@ -140,7 +140,7 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"label\":{},\"steps\":{steps},\"queue_depth\":{queue_depth}",
-                    json_string(label)
+                    json::string(label)
                 );
             }
             RunEvent::RequestStarted { queued_seconds } => {
@@ -150,13 +150,13 @@ impl Event {
                 let _ = write!(s, ",\"steps\":{steps},\"run_seconds\":{run_seconds}");
             }
             RunEvent::RequestFailed { step, detail } => {
-                let _ = write!(s, ",\"step\":{step},\"detail\":{}", json_string(detail));
+                let _ = write!(s, ",\"step\":{step},\"detail\":{}", json::string(detail));
             }
             RunEvent::RequestCancelled { cause, steps_done } => {
                 let _ = write!(
                     s,
                     ",\"cause\":{},\"steps_done\":{steps_done}",
-                    json_string(cause)
+                    json::string(cause)
                 );
             }
             RunEvent::RequestEvicted {
@@ -165,7 +165,7 @@ impl Event {
                 let _ = write!(s, ",\"past_deadline_seconds\":{past_deadline_seconds}");
             }
             RunEvent::RequestShed { lane } => {
-                let _ = write!(s, ",\"lane\":{}", json_string(lane));
+                let _ = write!(s, ",\"lane\":{}", json::string(lane));
             }
             RunEvent::StepCompleted { step, wall_seconds } => {
                 let _ = write!(s, ",\"step\":{step},\"wall_seconds\":{wall_seconds}");
@@ -191,7 +191,7 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"step\":{step},\"kind\":{},\"retry\":{retry},\"backed_off\":{backed_off},\"rolled_back_to\":{rolled_back_to}",
-                    json_string(kind)
+                    json::string(kind)
                 );
             }
             RunEvent::CheckpointWritten { step, bytes } => {
@@ -219,7 +219,7 @@ impl Event {
 
     /// Parse one `RUN_events.jsonl` line back into an [`Event`].
     pub fn parse(line: &str) -> Result<Event, String> {
-        let v = crate::json::parse(line)?;
+        let v = json::parse(line)?;
         let seq = v
             .get("seq")
             .and_then(|x| x.as_u64())

@@ -1,10 +1,12 @@
 //! Hierarchical span tracing: RAII guards over a thread-safe registry.
 //!
-//! A [`Tracer`] collects closed spans as
-//! [`TraceEvent`](dataflow::profile::TraceEvent)s — the exact record
-//! `dataflow::profile::Profiler` uses for kernels — so whole-run spans
-//! (timesteps, acoustic substeps, dycore modules, halo exchanges) and
-//! kernel-level events merge into one chrome-trace JSON that opens in
+//! A [`Tracer`] collects closed spans as [`TraceEvent`]s — the one span
+//! record of the workspace. Whole-run spans (timesteps, acoustic
+//! substeps, dycore modules, halo exchanges) and the executor's
+//! kernel-level spans (`dataflow::Executor::run_profiled`) are recorded
+//! by the same tracer on the same clock and per-thread stack, so they
+//! nest by construction and serialize through one chrome-trace codec
+//! ([`Tracer::to_chrome_trace`] / [`parse_chrome_trace`]) that opens in
 //! Perfetto as run → module → kernel. Spans open with [`Tracer::span`]
 //! and close when the returned [`SpanGuard`] drops (including on panic
 //! unwind), so attribution survives early returns and `?`.
@@ -15,13 +17,35 @@
 //! halo updater, and the optimization pipeline carry their
 //! instrumentation points unconditionally.
 
-use dataflow::profile::{json_string, TraceEvent};
+use crate::json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::ThreadId;
 use std::time::Instant;
+
+/// One closed span, chrome-trace style (`ph: "X"` complete events).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceEvent {
+    /// Span label (kernel name, callback name, `"timestep3"`, …).
+    pub name: String,
+    /// Event category: `"run"`, `"step"`, `"module"`, `"kernel"`,
+    /// `"copy"`, `"halo"`, `"callback"`, …
+    pub cat: String,
+    /// Chrome-trace thread id: small, stable per recording thread.
+    pub tid: u64,
+    /// Start time in microseconds since the tracer's epoch.
+    pub ts_us: f64,
+    /// Duration in microseconds.
+    pub dur_us: f64,
+    /// Points executed (kernel events) or items moved; 0 when unknown.
+    pub points: u64,
+    /// Bytes moved (modeled for kernels, actual for halos); 0 when unknown.
+    pub bytes: u64,
+    /// Modeled floating-point operations; 0 when unknown.
+    pub flops: u64,
+}
 
 /// An open (not yet closed) span on some thread's stack.
 #[derive(Debug)]
@@ -56,8 +80,8 @@ impl ThreadTable {
 struct Inner {
     epoch: Instant,
     next_id: AtomicU64,
-    /// Closed spans with the chrome-trace thread id they closed under.
-    finished: Mutex<Vec<(u64, TraceEvent)>>,
+    /// Closed spans, in close order.
+    finished: Mutex<Vec<TraceEvent>>,
     threads: Mutex<ThreadTable>,
 }
 
@@ -122,33 +146,35 @@ impl Tracer {
             cat: cat.to_string(),
             points: 0,
             bytes: 0,
+            flops: 0,
         }
     }
 
-    /// Close span `id` opened on `thread`: remove it from that thread's
-    /// stack (wherever it sits, so misordered drops cannot corrupt the
-    /// stack) and record the completed event.
-    fn end(&self, thread: ThreadId, id: u64, cat: &str, points: u64, bytes: u64) {
+    /// Close the span behind `guard`: remove it from its thread's stack
+    /// (wherever it sits, so misordered drops cannot corrupt the stack)
+    /// and record the completed event.
+    fn end(&self, guard: &mut SpanGuard) {
         let end_us = self.now_us();
         let (open, tid) = {
             let mut tt = lock(&self.inner.threads);
-            let tid = tt.tid(thread);
-            let stack = tt.stacks.entry(thread).or_default();
-            match stack.iter().position(|o| o.id == id) {
+            let tid = tt.tid(guard.thread);
+            let stack = tt.stacks.entry(guard.thread).or_default();
+            match stack.iter().position(|o| o.id == guard.id) {
                 Some(pos) => (stack.remove(pos), tid),
                 None => return, // already closed (double drop cannot happen, but stay safe)
             }
         };
         let event = TraceEvent {
             name: open.name,
-            cat: cat.to_string(),
+            cat: std::mem::take(&mut guard.cat),
+            tid,
             ts_us: open.start_us,
             dur_us: (end_us - open.start_us).max(0.0),
-            points,
-            bytes,
-            flops: 0,
+            points: guard.points,
+            bytes: guard.bytes,
+            flops: guard.flops,
         };
-        lock(&self.inner.finished).push((tid, event));
+        lock(&self.inner.finished).push(event);
     }
 
     /// Names of the current thread's open spans, outermost first — the
@@ -164,10 +190,7 @@ impl Tracer {
 
     /// All closed spans, in close order.
     pub fn finished(&self) -> Vec<TraceEvent> {
-        lock(&self.inner.finished)
-            .iter()
-            .map(|(_, e)| e.clone())
-            .collect()
+        lock(&self.inner.finished).clone()
     }
 
     /// Number of closed spans.
@@ -185,70 +208,44 @@ impl Tracer {
         lock(&self.inner.finished).clear();
     }
 
-    /// Absorb externally recorded events (e.g. kernel spans from
-    /// `dataflow::profile::Profiler`) onto the current thread's
-    /// timeline, shifting their timestamps by `offset_us` — the value of
-    /// [`Tracer::now_us`] captured at the external recorder's epoch —
-    /// so both clocks share this tracer's epoch.
-    pub fn absorb_events(&self, events: impl IntoIterator<Item = TraceEvent>, offset_us: f64) {
-        let thread = std::thread::current().id();
-        let tid = lock(&self.inner.threads).tid(thread);
-        let mut fin = lock(&self.inner.finished);
-        for mut e in events {
-            e.ts_us += offset_us;
-            fin.push((tid, e));
-        }
-    }
-
-    /// Merge every closed span of `other` into this tracer, shifting
-    /// timestamps so both registries share this tracer's epoch.
-    pub fn merge_from(&self, other: &Tracer) {
-        let offset_us = if other.inner.epoch >= self.inner.epoch {
-            other
-                .inner
-                .epoch
-                .duration_since(self.inner.epoch)
-                .as_secs_f64()
-                * 1e6
-        } else {
-            -(self
-                .inner
-                .epoch
-                .duration_since(other.inner.epoch)
-                .as_secs_f64()
-                * 1e6)
-        };
-        self.absorb_events(other.finished(), offset_us);
+    /// Append events derived from already-recorded ones (e.g. module
+    /// spans grouped over this tracer's kernel events); they are taken
+    /// as-is, so they must already be on this tracer's clock and `tid`s.
+    pub fn absorb_events(&self, events: impl IntoIterator<Item = TraceEvent>) {
+        lock(&self.inner.finished).extend(events);
     }
 
     /// Serialize all closed spans as chrome-trace JSON ("Trace Event
-    /// Format" `ph: "X"` complete events), sorted by start time with
-    /// longer (enclosing) spans first so viewers nest them naturally.
-    /// The schema matches `dataflow::profile::Profiler::to_chrome_trace`
-    /// and round-trips through `dataflow::profile::parse_chrome_trace`.
+    /// Format" `ph: "X"` complete events, loadable in `about://tracing` /
+    /// Perfetto), sorted per thread by start time with longer (enclosing)
+    /// spans first so viewers nest them naturally. Floats print
+    /// shortest-round-trip, so [`parse_chrome_trace`] reads back the
+    /// identical values.
     pub fn to_chrome_trace(&self) -> String {
-        let mut events = lock(&self.inner.finished).clone();
-        events.sort_by(|(ta, a), (tb, b)| {
-            ta.cmp(tb)
-                .then(a.ts_us.partial_cmp(&b.ts_us).unwrap_or(std::cmp::Ordering::Equal))
-                .then(b.dur_us.partial_cmp(&a.dur_us).unwrap_or(std::cmp::Ordering::Equal))
+        let mut events = self.finished();
+        events.sort_by(|a, b| {
+            a.tid
+                .cmp(&b.tid)
+                .then(a.ts_us.total_cmp(&b.ts_us))
+                .then(b.dur_us.total_cmp(&a.dur_us))
         });
         let mut out = String::from("{\"traceEvents\":[");
-        for (i, (tid, e)) in events.iter().enumerate() {
+        for (i, e) in events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(
                 out,
                 "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":0,\"tid\":{},\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"points\":{},\"bytes\":{}}}}}",
-                json_string(&e.name),
-                json_string(&e.cat),
-                tid,
+                 \"ts\":{},\"dur\":{},\"args\":{{\"points\":{},\"bytes\":{},\"flops\":{}}}}}",
+                json::string(&e.name),
+                json::string(&e.cat),
+                e.tid,
                 e.ts_us,
                 e.dur_us,
                 e.points,
-                e.bytes
+                e.bytes,
+                e.flops
             );
         }
         out.push_str("]}");
@@ -256,11 +253,56 @@ impl Tracer {
     }
 }
 
+/// Parse chrome-trace JSON written by [`Tracer::to_chrome_trace`] back into
+/// events (in file order). Traces written before flop attribution
+/// existed lack `args.flops`; it loads as 0 so old artifacts stay readable.
+pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
+    let root = json::parse(text)?;
+    let items = root
+        .get("traceEvents")
+        .ok_or("missing traceEvents")?
+        .as_array()
+        .ok_or("traceEvents is not an array")?;
+    items
+        .iter()
+        .map(|item| {
+            let num = |k: &str| {
+                item.get(k)
+                    .and_then(json::Value::as_f64)
+                    .ok_or_else(|| format!("event missing numeric '{k}'"))
+            };
+            let text = |k: &str| {
+                item.get(k)
+                    .and_then(json::Value::as_str)
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("event missing string '{k}'"))
+            };
+            let args = item.get("args").ok_or("event missing args")?;
+            let arg = |k: &str| {
+                args.get(k)
+                    .and_then(json::Value::as_u64)
+                    .ok_or_else(|| format!("args missing '{k}'"))
+            };
+            Ok(TraceEvent {
+                name: text("name")?,
+                cat: text("cat")?,
+                tid: num("tid")? as u64,
+                ts_us: num("ts")?,
+                dur_us: num("dur")?,
+                points: arg("points")?,
+                bytes: arg("bytes")?,
+                flops: arg("flops").unwrap_or(0),
+            })
+        })
+        .collect()
+}
+
 /// RAII handle for one open span; the span closes when this drops —
 /// including during panic unwinding, so traces stay well-formed across
 /// failures. [`SpanGuard::set_bytes`] / [`set_points`](SpanGuard::set_points)
-/// tag the span with payload sizes known only at completion (e.g. halo
-/// bytes from `ExchangeStats`).
+/// / [`set_flops`](SpanGuard::set_flops) tag the span with payload sizes
+/// known only at completion (e.g. halo bytes from `ExchangeStats`, a
+/// kernel's executed points).
 #[derive(Debug)]
 #[must_use = "a span closes when its guard drops; binding to _ closes it immediately"]
 pub struct SpanGuard {
@@ -270,6 +312,7 @@ pub struct SpanGuard {
     cat: String,
     points: u64,
     bytes: u64,
+    flops: u64,
 }
 
 impl SpanGuard {
@@ -282,6 +325,7 @@ impl SpanGuard {
             cat: String::new(),
             points: 0,
             bytes: 0,
+            flops: 0,
         }
     }
 
@@ -299,12 +343,17 @@ impl SpanGuard {
     pub fn set_points(&mut self, points: u64) {
         self.points = points;
     }
+
+    /// Tag the span with a modeled flop count (recorded at close).
+    pub fn set_flops(&mut self, flops: u64) {
+        self.flops = flops;
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(t) = self.tracer.take() {
-            t.end(self.thread, self.id, &self.cat, self.points, self.bytes);
+            t.end(self);
         }
     }
 }
@@ -354,7 +403,6 @@ pub fn global_span(cat: &str, name: &str) -> SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow::profile::parse_chrome_trace;
 
     /// Serialize global-tracer tests (the global is process-wide state).
     static TEST_GLOBAL: Mutex<()> = Mutex::new(());
@@ -428,92 +476,59 @@ mod tests {
         names.sort();
         assert_eq!(names, vec!["w0", "w1", "w2", "w3"]);
         // Distinct threads got distinct chrome tids.
+        let mut tids: Vec<u64> = t.finished().iter().map(|e| e.tid).collect();
+        tids.sort_unstable();
+        tids.dedup();
+        assert_eq!(tids.len(), 4, "one tid per worker thread");
+    }
+
+    /// The one codec: every field of every event survives
+    /// `to_chrome_trace` → `parse_chrome_trace`, across threads, through
+    /// the escapes JSON requires, and for legacy traces without `flops`.
+    #[test]
+    fn chrome_trace_codec_round_trips() {
+        let t = Tracer::new();
+        {
+            let _run = t.span("run", "the \"run\"\\1");
+            let mut kernel = t.span("kernel", "line\nbreak\ttab\u{1}ctl é");
+            kernel.set_points(7);
+            kernel.set_bytes(4096);
+            kernel.set_flops(21);
+        }
+        let worker = t.clone();
+        std::thread::spawn(move || drop(worker.span("rank", "worker")))
+            .join()
+            .unwrap();
+
         let text = t.to_chrome_trace();
-        let mut tids: Vec<u64> = Vec::new();
-        for part in text.split("\"tid\":").skip(1) {
-            let n: u64 = part
-                .split(',')
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .expect("tid parses");
-            if !tids.contains(&n) {
-                tids.push(n);
-            }
-        }
-        assert_eq!(tids.len(), 4, "one tid per worker thread: {text}");
-    }
-
-    #[test]
-    fn two_tracers_merge_onto_one_epoch() {
-        let a = Tracer::new();
-        {
-            let _g = a.span("x", "from_a");
-        }
-        let b = Tracer::new();
-        {
-            let _g = b.span("x", "from_b");
-        }
-        a.merge_from(&b);
-        let names: Vec<_> = a.finished().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["from_a", "from_b"]);
-        // b's epoch is later than a's: the shifted event cannot start
-        // before a's epoch.
-        assert!(a.finished()[1].ts_us >= 0.0);
-    }
-
-    #[test]
-    fn chrome_trace_round_trips_through_existing_parser() {
-        let t = Tracer::new();
-        {
-            let _run = t.span("run", "the \"run\"");
-            let mut halo = t.span("halo", "exchange\\1");
-            halo.set_bytes(4096);
-            halo.set_points(7);
-        }
-        let parsed = parse_chrome_trace(&t.to_chrome_trace()).expect("parses");
-        assert_eq!(parsed.len(), 2);
-        // Serialization sorts parents first; finished() is close-ordered.
+        let parsed = parse_chrome_trace(&text).expect("parses");
+        // Serialization orders by (tid, start, longest first); finished()
+        // is close-ordered. Same multiset, bit-identical fields.
+        let mut want = t.finished();
+        want.sort_by(|a, b| {
+            a.tid
+                .cmp(&b.tid)
+                .then(a.ts_us.total_cmp(&b.ts_us))
+                .then(b.dur_us.total_cmp(&a.dur_us))
+        });
+        assert_eq!(parsed, want);
+        let kernel = parsed.iter().find(|e| e.cat == "kernel").unwrap();
+        assert_eq!((kernel.points, kernel.bytes, kernel.flops), (7, 4096, 21));
         let run = parsed.iter().find(|e| e.cat == "run").unwrap();
-        let halo = parsed.iter().find(|e| e.cat == "halo").unwrap();
-        assert_eq!(run.name, "the \"run\"");
-        assert_eq!(halo.name, "exchange\\1");
-        assert_eq!(halo.bytes, 4096);
-        assert_eq!(halo.points, 7);
-        let mut close_ordered = t.finished();
-        close_ordered.sort_by(|a, b| a.ts_us.partial_cmp(&b.ts_us).unwrap());
-        for (p, f) in [run, halo].iter().zip(close_ordered.iter()) {
-            assert_eq!(p.ts_us, f.ts_us);
-            assert_eq!(p.dur_us, f.dur_us);
-        }
-    }
+        let rank = parsed.iter().find(|e| e.cat == "rank").unwrap();
+        assert_eq!(run.tid, kernel.tid);
+        assert_ne!(run.tid, rank.tid, "one tid per recording thread");
+        // Control characters never reach the file raw.
+        assert!(text.contains("\\u0001") && !text.contains('\u{1}'));
 
-    #[test]
-    fn absorbed_events_share_the_timeline() {
-        let t = Tracer::new();
-        // An external recorder with its own epoch (0-based timestamps).
-        let external = vec![TraceEvent {
-            name: "k#0".into(),
-            cat: "kernel".into(),
-            ts_us: 1.0,
-            dur_us: 2.0,
-            points: 8,
-            bytes: 64,
-            flops: 0,
-        }];
-        let offset;
-        {
-            let _run = t.span("run", "run");
-            // Captured right where the external recorder would start.
-            offset = t.now_us();
-            t.absorb_events(external, offset);
-        }
-        let ev = t.finished();
-        let kernel = ev.iter().find(|e| e.cat == "kernel").unwrap();
-        let run = ev.iter().find(|e| e.cat == "run").unwrap();
-        assert!(kernel.ts_us >= run.ts_us, "absorbed event is on the run timeline");
-        assert_eq!(kernel.ts_us, 1.0 + offset);
+        let legacy = parse_chrome_trace(
+            "{\"traceEvents\":[{\"name\":\"\\u0041\",\"cat\":\"kernel\",\"ph\":\"X\",\
+             \"pid\":0,\"tid\":3,\"ts\":0.5,\"dur\":1,\"args\":{\"points\":2,\"bytes\":16}}]}",
+        )
+        .expect("legacy trace loads");
+        assert_eq!(legacy[0].name, "A");
+        assert_eq!((legacy[0].tid, legacy[0].bytes, legacy[0].flops), (3, 16, 0));
+        assert!(parse_chrome_trace("{\"traceEvents\":[{\"name\":\"x\"}]}").is_err());
     }
 
     #[test]

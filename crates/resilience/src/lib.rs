@@ -14,7 +14,7 @@
 //!   rollback-and-retry loop (halved `dt`, doubled acoustic substeps)
 //!   that turns a mid-run NaN or worker panic into a recovered forecast
 //!   instead of a dead job — or, past the retry budget, into a
-//!   [`SupervisedError`] carrying the [`obs::BlowupReport`] and span
+//!   [`SupervisedError`] carrying the [`fv3::health::BlowupReport`] and span
 //!   stack a post-mortem needs.
 //!
 //! With no plan armed and checkpointing off, a supervised run is

@@ -21,11 +21,12 @@
 //! (`machine::pool`), so a panicked or killed worker costs one rollback,
 //! not the job.
 
+use fv3::health::{BlowupReport, HealthMonitor};
 use fv3core::checkpoint::{step_path, Checkpoint};
 use fv3core::DistributedDycore;
 use machine::cancel::{CancelCause, CancelToken};
 use machine::faults;
-use obs::{BlowupReport, HealthMonitor, MetricsRegistry};
+use obs::MetricsRegistry;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -250,7 +251,7 @@ impl Supervisor {
     pub fn new(policy: SupervisorPolicy) -> Self {
         Supervisor {
             policy,
-            monitor: fv3::health::default_monitor(),
+            monitor: HealthMonitor::new(),
             metrics: MetricsRegistry::new(),
             sink: obs::EventSink::default(),
             cancel: CancelToken::default(),
@@ -494,7 +495,7 @@ impl Supervisor {
             halo_stalls: stalls,
             faults_injected: injected,
             events,
-            monitor: std::mem::replace(&mut self.monitor, fv3::health::default_monitor()),
+            monitor: std::mem::take(&mut self.monitor),
         })
     }
 

@@ -4,6 +4,11 @@
 //! mid-step at an acoustic-substep boundary (via the token the
 //! supervisor installs on the dycore), and before a rollback-retry (a
 //! recovery cycle must not blow through a deadline it already missed).
+//!
+//! The fault registry is process-global and the last test arms a
+//! repeating NaN, so the unfaulted tests run under [`unfaulted`]'s empty
+//! `ArmGuard`: a step outside any guard would consume the sibling's spec.
+//! (Stopgap; ROADMAP item 1 scopes the plan to the run.)
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
@@ -27,8 +32,14 @@ fn dycore() -> DistributedDycore {
     DistributedDycore::new(cfg, &ExpansionAttrs::tuned())
 }
 
+/// Hold the process-wide arm lock with an empty plan.
+fn unfaulted() -> machine::faults::ArmGuard {
+    machine::faults::arm(0, Vec::new())
+}
+
 #[test]
 fn pre_fired_token_stops_before_any_step() {
+    let _quiet = unfaulted();
     let mut d = dycore();
     let token = CancelToken::new();
     token.cancel();
@@ -44,6 +55,7 @@ fn pre_fired_token_stops_before_any_step() {
 
 #[test]
 fn expired_deadline_reports_deadline_cause() {
+    let _quiet = unfaulted();
     let mut d = dycore();
     let mut sup = Supervisor::new(SupervisorPolicy::default());
     sup.set_cancel_token(CancelToken::with_budget(Duration::ZERO));
@@ -54,6 +66,7 @@ fn expired_deadline_reports_deadline_cause() {
 
 #[test]
 fn armed_unfired_token_completes_full_budget() {
+    let _quiet = unfaulted();
     let mut d = dycore();
     let mut sup = Supervisor::new(SupervisorPolicy::default());
     sup.set_cancel_token(CancelToken::with_budget(Duration::from_secs(3600)));
@@ -66,6 +79,7 @@ fn armed_unfired_token_completes_full_budget() {
 
 #[test]
 fn mid_run_cancel_from_another_thread_stops_promptly() {
+    let _quiet = unfaulted();
     let token = CancelToken::new();
     let remote = token.clone();
     let handle = std::thread::spawn(move || {

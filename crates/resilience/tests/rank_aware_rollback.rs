@@ -122,6 +122,11 @@ fn parallel_soft_stall_is_counted_per_waiting_rank() {
 fn restore_from_foreign_checkpoint_rewrites_every_rank() {
     // A checkpoint loaded from another driver instance has no usable
     // basis: the conservative path restores all ranks.
+    //
+    // Unfaulted, but the fault registry is process-global: hold the arm
+    // lock with an empty plan so these steps cannot consume the spec a
+    // sibling test has armed (stopgap; ROADMAP item 1).
+    let _quiet = machine::faults::arm(0, Vec::new());
     let mut a = dycore();
     a.step();
     let ck = fv3core::Checkpoint::capture(&a);

@@ -6,13 +6,12 @@
 //! closes the loop by *measuring* the candidates where the model is
 //! suspect. [`StateScorer`] abstracts over the two: [`ModelScorer`] sums
 //! modeled kernel costs (the original behavior, bit-for-bit), and
-//! [`MeasuredScorer`] actually executes the state's cutout under the
-//! profiler and scores it by measured kernel seconds.
+//! [`MeasuredScorer`] actually executes the state's cutout and scores it
+//! by measured kernel seconds.
 
 use dataflow::exec::{DataStore, Executor, NoHooks};
 use dataflow::graph::ControlNode;
 use dataflow::model::CostModel;
-use dataflow::profile::Profiler;
 use dataflow::{Array3, Sdfg};
 
 /// Scores one state of a program; lower is better. Tuning only compares
@@ -37,7 +36,7 @@ impl StateScorer for ModelScorer<'_> {
 }
 
 /// The measured scorer: execute the state as a standalone cutout on the
-/// serial host executor and score it by profiled kernel seconds
+/// serial host executor and score it by the executor's kernel seconds
 /// (minimum over `repeats` runs, to reject scheduling noise).
 ///
 /// Inputs are filled deterministically (same values for every candidate,
@@ -114,9 +113,8 @@ impl StateScorer for MeasuredScorer {
                         Array3::from_fn(cut.layout_of(id), |i, j, k| fill_value(c, i, j, k));
                 }
             }
-            let mut prof = Profiler::new();
-            exec.run_profiled(&cut, &mut store, &self.params, &mut NoHooks, &mut prof);
-            best = best.min(prof.report().kernel_seconds);
+            let report = exec.run(&cut, &mut store, &self.params, &mut NoHooks);
+            best = best.min(report.wall_seconds);
         }
         best
     }

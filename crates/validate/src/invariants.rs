@@ -250,7 +250,7 @@ mod tests {
         // as the validation invariants, or the two subsystems would
         // disagree about whether a run is conserving.
         let (state, grid) = seed_case();
-        let mut mon = fv3::health::default_monitor();
+        let mut mon = fv3::health::HealthMonitor::new();
         let s = mon.sample(&fv3::health::health_input(&state, &grid, 0, 5.0));
         assert_eq!(s.energy, total_energy(&state, &grid));
         assert_eq!(s.air_mass, state.air_mass(&grid.area));

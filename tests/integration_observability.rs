@@ -35,7 +35,7 @@ fn driver_step_records_spans_metrics_and_health() {
     let metrics = obs::MetricsRegistry::new();
     obs::tracing::install_global(&tracer);
     obs::metrics::install_global(&metrics);
-    let mut monitor = fv3::health::default_monitor().with_tracer(&tracer);
+    let mut monitor = fv3::health::HealthMonitor::new().with_tracer(&tracer);
 
     d.step();
     assert!(d.sample_health(&mut monitor, 0));
@@ -88,8 +88,8 @@ fn driver_step_records_spans_metrics_and_health() {
     let jsonl = obs::emit_jsonl(&metrics, 0);
     assert!(jsonl.lines().count() >= 4);
 
-    // The chrome trace round-trips through the dataflow parser.
-    let parsed = dataflow::profile::parse_chrome_trace(&tracer.to_chrome_trace()).unwrap();
+    // The chrome trace round-trips through the parser.
+    let parsed = obs::tracing::parse_chrome_trace(&tracer.to_chrome_trace()).unwrap();
     assert_eq!(parsed.len(), events.len());
 
     // Phase 2: the parallel schedule. Halo traffic moves to per-channel
