@@ -3,14 +3,14 @@
 //!
 //! * `scalar_vm`      — per-column scalar VM, compiled on every launch
 //!   (the engine before this work),
-//! * `vectorized_vm`  — lane VM over the interior with scalar rind,
-//!   still compiled on every launch (isolates the lane VM win),
-//! * `vectorized_cached` — lane VM executing a pre-compiled kernel
+//! * `vectorized_vm`  — tile VM, still compiled (and lowered) on every
+//!   launch (isolates the tile VM win),
+//! * `vectorized_cached` — tile VM executing a pre-compiled kernel
 //!   (isolates the compile-cache win; the steady-state configuration).
 //!
 //! The kernel mirrors d_sw's flux/vorticity shape: 9-point horizontal
-//! neighborhoods, a per-column local, an upwind select, and a region
-//! rind so the scalar-fallback path is also exercised.
+//! neighborhoods, a per-column local, an upwind select, and a one-column
+//! region statement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dataflow::exec::{compile_kernel, run_compiled, run_kernel_with, DataStore, VmMode};

@@ -102,9 +102,11 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "lane VM: {} vector points / {} scalar (rind) points",
+        "tile VM: {} points ({} on the scalar reference VM), {} dispatches over {} lanes",
         run.metrics.counter_value("vm_lanes_vector", &[]),
-        run.metrics.counter_value("vm_lanes_scalar", &[])
+        run.metrics.counter_value("vm_lanes_scalar", &[]),
+        run.metrics.counter_value("vm_dispatches", &[]),
+        run.metrics.counter_value("vm_lane_ops", &[])
     );
 
     // Tuned-vs-baseline ablation (ISSUE 9's Table III analogue). Run at

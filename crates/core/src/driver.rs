@@ -77,7 +77,7 @@ pub struct DistributedDycore {
     updater: HaloUpdater,
     /// Driver steps completed since construction or the last restore.
     step_index: u64,
-    /// Worker pool for rank execution; `None` runs serially. The lane VM
+    /// Worker pool for rank execution; `None` runs serially. The tile VM
     /// is bit-identical across pool widths (`parallel_pool_matches_serial`
     /// in `dataflow::exec`), so this changes wall time only.
     pool: Option<Pool>,

@@ -102,10 +102,11 @@ pub fn tune_from_env() -> bool {
 }
 
 /// The cost model the build-time autotune pipeline scores against: the
-/// interpreter-honest lane-VM spec, calibrated from this repo's own
-/// dycore profile. A datasheet model (e.g. the paper's Haswell) prices
+/// interpreter-honest `CpuSpec::lane_vm()`, calibrated from a dycore
+/// profile of the executor this repo had before the tile VM (see the
+/// note on its constants). A datasheet model (e.g. the paper's Haswell) prices
 /// on-the-fly recomputation as free against an AVX2 flop ceiling and
-/// accepts fusions that are measurably slower on the lane VM; the
+/// accepts fusions that are measurably slower on the host executor; the
 /// honest spec prices recompute at the measured dispatch rate. Purely a
 /// *ranking* model — every applied transform is bit-exact, so a
 /// mis-ranked host changes speed, never answers.

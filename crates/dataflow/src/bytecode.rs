@@ -6,9 +6,16 @@
 //! per-grid-point inner loop (the ablation bench `transforms` measures the
 //! difference) and gives strength-reduction transformations a concrete
 //! instruction to lower to ([`Instr::PowI`]).
+//!
+//! Two VMs execute it. [`run`] evaluates a [`Program`] one point at a
+//! time and is the reference every bit-identity test compares against.
+//! Production runs the [`TileProgram`] that [`lower`] derives from it —
+//! leaves as operands, common subexpressions computed once, a register
+//! file sized by tree depth — over 2-D tiles of points ([`run_tile`]).
 
-use crate::expr::{apply_bin, apply_cmp, apply_un, BinOp, CmpOp, Expr, Offset3, UnOp};
+use crate::expr::{apply_bin, apply_cmp, apply_powi, apply_un, BinOp, CmpOp, Expr, Offset3, UnOp};
 use crate::storage::Axis;
+use std::collections::HashMap;
 
 /// One VM instruction. Registers are `u16` indices into a per-thread
 /// register file of `f64`s.
@@ -204,138 +211,318 @@ pub fn run<C: VmCtx>(program: &Program, ctx: &C, regs: &mut [f64]) -> f64 {
                 }
             }
             Instr::Index { dst, axis } => regs[dst as usize] = ctx.index(axis) as f64,
-            Instr::PowI { dst, a, n } => {
-                let x = regs[a as usize];
-                let mut acc = 1.0f64;
-                for _ in 0..n.unsigned_abs() {
-                    acc *= x;
-                }
-                regs[dst as usize] = if n < 0 { 1.0 / acc } else { acc };
-            }
+            Instr::PowI { dst, a, n } => regs[dst as usize] = apply_powi(regs[a as usize], n),
         }
     }
     regs[program.result as usize]
 }
 
-/// Lane capacity of the vectorized VM: each register holds up to this
-/// many consecutive i-points. 64 lanes (one 4 KiB register file per
-/// ~8 registers) keeps the whole file in L1 while amortizing dispatch
-/// over enough points to matter.
-pub const LANE_WIDTH: usize = 64;
+/// Lanes per tile register: a tile is up to this many points, laid out as
+/// consecutive j-rows of consecutive i-lanes. 256 lanes (2 KiB) keeps a
+/// dozen registers in L1 while one opcode dispatch covers ~10 rows of a
+/// 24-wide hull.
+pub const TILE_LANES: usize = 256;
 
-/// Execution context for the lane VM: a contiguous run of `w` i-points
-/// starting at some `(i0, j, k)`, lanes advancing along I only.
-pub trait LaneCtx {
-    /// Fill `out[l]` with field `slot` at `(i0 + l + off.i, j + off.j,
-    /// k + off.k)` for `l in 0..out.len()`.
-    fn load_lanes(&self, slot: u16, off: Offset3, out: &mut [f64]);
-    /// Fill `out[l]` with per-column local `l` for each lane's column.
-    fn local_lanes(&self, l: u16, out: &mut [f64]);
-    /// Scalar parameter `p` (uniform across lanes).
-    fn param(&self, p: u16) -> f64;
-    /// Global index of lane 0 along `axis` (lanes add `l` along I only).
-    fn index_lane0(&self, axis: Axis) -> i64;
+/// Scratch registers the tile VM needs beyond `TileProgram::n_regs`: one
+/// splat row per operand of the widest instruction.
+pub const TILE_SCRATCH: usize = 3;
+
+/// Operand of a tile instruction. Leaves are operands, not instructions:
+/// the VM reads field rows, locals and scalars where they live.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Src {
+    Reg(u16),
+    Const(f64),
+    Param(u16),
+    Field { slot: u16, off: Offset3 },
+    Local(u16),
 }
 
-/// Execute a compiled program over `w` lanes at once.
+/// An operation over operands of type `T` (value numbers while lowering,
+/// [`Src`] in a lowered program).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Op<T> {
+    /// Copy (a statement whose whole right-hand side is a leaf).
+    Mov(T),
+    Un(UnOp, T),
+    Bin(BinOp, T, T),
+    Cmp(CmpOp, T, T),
+    /// `c != 0 ? a : b`
+    Select(T, T, T),
+    PowI(T, i32),
+    Index(Axis),
+}
+
+impl<T: Copy> Op<T> {
+    fn map<U>(self, mut f: impl FnMut(T) -> U) -> Op<U> {
+        match self {
+            Op::Mov(a) => Op::Mov(f(a)),
+            Op::Un(op, a) => Op::Un(op, f(a)),
+            Op::Bin(op, a, b) => Op::Bin(op, f(a), f(b)),
+            Op::Cmp(op, a, b) => Op::Cmp(op, f(a), f(b)),
+            Op::Select(c, a, b) => Op::Select(f(c), f(a), f(b)),
+            Op::PowI(a, n) => Op::PowI(f(a), n),
+            Op::Index(ax) => Op::Index(ax),
+        }
+    }
+}
+
+/// `r[dst] = op(..)` over every lane of a tile.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TileInstr {
+    pub dst: u16,
+    pub op: Op<Src>,
+}
+
+/// A statement lowered for the tile VM. The last instruction computes the
+/// statement's value; the VM writes it to the caller's destination view
+/// instead of a register, so its `dst` is unused.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TileProgram {
+    pub instrs: Vec<TileInstr>,
+    pub n_regs: u16,
+}
+
+/// Identity of a value within one statement: two values with equal keys
+/// are bit-identical at every point, so the second is never computed.
+/// Constants compare by bit pattern (`0.0` and `-0.0` stay distinct).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    Const(u64),
+    Param(u16),
+    Field(u16, Offset3),
+    Local(u16),
+    Op(Op<u32>),
+}
+
+/// Lower a statement's register program to operand form: value-number the
+/// instruction stream (statement-level CSE — no reassociation, so results
+/// stay bit-exact), then assign registers by a linear scan that frees a
+/// value's register at its last use. Scope is one statement: a later
+/// statement may have overwritten the fields an earlier one read.
+pub fn lower(p: &Program) -> TileProgram {
+    let mut numbered: HashMap<Key, u32> = HashMap::new();
+    let mut keys: Vec<Key> = Vec::new();
+    let mut vn = vec![0u32; p.n_regs as usize];
+    for ins in &p.instrs {
+        let v = |r: u16| vn[r as usize];
+        let (dst, key) = match *ins {
+            Instr::Const { dst, val } => (dst, Key::Const(val.to_bits())),
+            Instr::Param { dst, p } => (dst, Key::Param(p)),
+            Instr::Load { dst, slot, off } => (dst, Key::Field(slot, off)),
+            Instr::LoadLocal { dst, l } => (dst, Key::Local(l)),
+            Instr::Un { op, dst, a } => (dst, Key::Op(Op::Un(op, v(a)))),
+            Instr::Bin { op, dst, a, b } => (dst, Key::Op(Op::Bin(op, v(a), v(b)))),
+            Instr::Cmp { op, dst, a, b } => (dst, Key::Op(Op::Cmp(op, v(a), v(b)))),
+            Instr::Select { dst, c, a, b } => (dst, Key::Op(Op::Select(v(c), v(a), v(b)))),
+            Instr::Index { dst, axis } => (dst, Key::Op(Op::Index(axis))),
+            Instr::PowI { dst, a, n } => (dst, Key::Op(Op::PowI(v(a), n))),
+        };
+        let fresh = keys.len() as u32;
+        vn[dst as usize] = *numbered.entry(key).or_insert_with(|| {
+            keys.push(key);
+            fresh
+        });
+    }
+    // The program is an expression tree in post-order, so its root is the
+    // one value nothing else uses and was numbered last.
+    debug_assert_eq!(vn[p.result as usize] as usize, keys.len() - 1);
+
+    let mut last_use = vec![0usize; keys.len()];
+    for (n, key) in keys.iter().enumerate() {
+        if let Key::Op(op) = key {
+            op.map(|v| last_use[v as usize] = n);
+        }
+    }
+    let mut srcs: Vec<Src> = Vec::with_capacity(keys.len());
+    let mut instrs = Vec::new();
+    let (mut free, mut n_regs) = (Vec::<u16>::new(), 0u16);
+    for (n, key) in keys.iter().enumerate() {
+        let src = match *key {
+            Key::Const(bits) => Src::Const(f64::from_bits(bits)),
+            Key::Param(p) => Src::Param(p),
+            Key::Field(slot, off) => Src::Field { slot, off },
+            Key::Local(l) => Src::Local(l),
+            Key::Op(op) => {
+                // Allocate before freeing: `dst` never names an operand.
+                let dst = if n + 1 == keys.len() {
+                    u16::MAX
+                } else {
+                    free.pop().unwrap_or_else(|| {
+                        n_regs += 1;
+                        n_regs - 1
+                    })
+                };
+                instrs.push(TileInstr {
+                    dst,
+                    op: op.map(|v| srcs[v as usize]),
+                });
+                op.map(|v| match srcs[v as usize] {
+                    Src::Reg(r) if last_use[v as usize] == n && !free.contains(&r) => free.push(r),
+                    _ => {}
+                });
+                Src::Reg(dst)
+            }
+        };
+        srcs.push(src);
+    }
+    if instrs.is_empty() {
+        instrs.push(TileInstr {
+            dst: u16::MAX,
+            op: Op::Mov(srcs[keys.len() - 1]),
+        });
+    }
+    TileProgram { instrs, n_regs }
+}
+
+/// `rows` rows `stride` elements apart, each `w` lanes `lane` elements
+/// apart: a register (`stride == w`, packed), a field's rows or the
+/// block's locals read and written in place (`lane != 1` when i is not the
+/// storage order's unit stride), or one splatted row shared by every row
+/// (`stride == 0`).
+#[derive(Clone, Copy)]
+pub struct View {
+    pub ptr: *mut f64,
+    pub stride: usize,
+    pub lane: usize,
+}
+
+/// `dst[r][l] = f(src[..][r][l])` over a tile. Monomorphic in `f`, so the
+/// caller's opcode `match` stays outside both loops. Raw pointers, not
+/// slices: an in-place statement's destination *is* one of its operands,
+/// which is fine lane by lane (each lane reads before it writes) but may
+/// not be expressed as `&mut` beside `&`.
+#[inline(always)]
+unsafe fn map<const N: usize>(
+    dst: View,
+    mut rows: usize,
+    mut w: usize,
+    src: [View; N],
+    f: impl Fn([f64; N]) -> f64,
+) {
+    if dst.lane != 1 || src.iter().any(|s| s.lane != 1) {
+        return map_strided(dst, rows, w, src, f);
+    }
+    // All-register operands are one packed run: drop the row loop.
+    if dst.stride == w && src.iter().all(|s| s.stride == w) {
+        (rows, w) = (1, rows * w);
+    }
+    for r in 0..rows {
+        let d = dst.ptr.add(r * dst.stride);
+        let s: [*mut f64; N] = std::array::from_fn(|n| src[n].ptr.add(r * src[n].stride));
+        for l in 0..w {
+            *d.add(l) = f(std::array::from_fn(|n| *s[n].add(l)));
+        }
+    }
+}
+
+/// [`map`] for storage orders whose unit stride is not i: same lanes, same
+/// order, a lane stride on every access. Kept out of line so the
+/// unit-stride loops stay small.
+#[inline(never)]
+unsafe fn map_strided<const N: usize>(
+    dst: View,
+    rows: usize,
+    w: usize,
+    src: [View; N],
+    f: impl Fn([f64; N]) -> f64,
+) {
+    let at = |v: View, r: usize, l: usize| v.ptr.add(r * v.stride + l * v.lane);
+    for r in 0..rows {
+        for l in 0..w {
+            *at(dst, r, l) = f(std::array::from_fn(|n| *at(src[n], r, l)));
+        }
+    }
+}
+
+/// Expand `$body` once per listed variant of `$op` with `OP` bound to that
+/// variant as a `const`, so each arm instantiates its own lane loop.
+macro_rules! per_op {
+    ($op:expr, $t:ty: $($v:path)|+ => $body:expr) => {
+        match $op {
+            $($v => {
+                const OP: $t = $v;
+                $body
+            })+
+        }
+    };
+}
+
+/// Execute a tile program over `rows × w` points.
 ///
-/// `regs` is a flat lane register file of at least `program.n_regs *
-/// LANE_WIDTH` entries; register `r` occupies
-/// `regs[r * LANE_WIDTH .. r * LANE_WIDTH + w]`. On return the result
-/// lanes sit at `program.result * LANE_WIDTH ..+ w`.
+/// Register `r` is `regs[r * TILE_LANES ..][.. rows * w]`, row-major;
+/// `resolve` turns a `Field`/`Local` operand into a [`View`], `index0` is
+/// the global `(i, j, k)` of row 0 lane 0, and the last instruction's
+/// value lands in `out`. Every lane applies the same `apply_un` /
+/// `apply_bin` / `apply_cmp` as [`run`], on the same operands in the same
+/// order, so each point gets bit for bit what the scalar VM gives it.
 ///
-/// Bit-identical to running [`run`] per point: every arithmetic lane op
-/// goes through the same `apply_un`/`apply_bin`/`apply_cmp` scalar
-/// kernels, in the same order, on the same operands. Compilation is
-/// SSA-like (operand registers are always allocated before their
-/// consumer), so `dst > a, b, c` holds and `split_at_mut` cleanly
-/// separates the destination lanes from the operand lanes.
-#[inline]
-pub fn run_lanes<C: LaneCtx>(program: &Program, ctx: &C, regs: &mut [f64], w: usize) {
-    debug_assert!(w <= LANE_WIDTH);
-    debug_assert!(regs.len() >= program.n_regs as usize * LANE_WIDTH);
-    for ins in &program.instrs {
-        match *ins {
-            Instr::Const { dst, val } => {
-                regs[dst as usize * LANE_WIDTH..][..w].fill(val);
+/// # Safety
+/// `p` comes from [`lower`], `params` covers its `Param`s and
+/// `rows * w <= TILE_LANES`. `regs` is private to the caller and valid for
+/// `n_regs + TILE_SCRATCH` registers of `TILE_LANES` elements. `out` and
+/// every view `resolve` returns are valid for `rows` rows of `w` lanes and
+/// lie outside `regs`; `out` overlaps an operand view only exactly (same
+/// pointer, same strides).
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn run_tile(
+    p: &TileProgram,
+    regs: *mut f64,
+    rows: usize,
+    w: usize,
+    out: View,
+    index0: [i64; 3],
+    params: &[f64],
+    resolve: impl Fn(Src) -> View,
+) {
+    debug_assert!(rows * w <= TILE_LANES);
+    let reg = |r: usize| View { ptr: regs.add(r * TILE_LANES), stride: w, lane: 1 };
+    // A scalar becomes one `w`-lane scratch row that every tile row shares.
+    let splat = |v: f64, scratch: usize| {
+        let row = View { stride: 0, ..reg(p.n_regs as usize + scratch) };
+        std::slice::from_raw_parts_mut(row.ptr, w).fill(v);
+        row
+    };
+    let view = |src: Src, scratch: usize| match src {
+        Src::Reg(r) => reg(r as usize),
+        Src::Const(v) => splat(v, scratch),
+        Src::Param(p) => splat(params[p as usize], scratch),
+        other => resolve(other),
+    };
+    let last = p.instrs.len() - 1;
+    for (n, ins) in p.instrs.iter().enumerate() {
+        let dst = if n == last { out } else { reg(ins.dst as usize) };
+        match ins.op {
+            Op::Mov(a) => map(dst, rows, w, [view(a, 0)], |[x]| x),
+            Op::Un(op, a) => {
+                let a = [view(a, 0)];
+                per_op!(op, UnOp: UnOp::Neg | UnOp::Abs | UnOp::Sqrt | UnOp::Exp | UnOp::Log
+                    | UnOp::Sin | UnOp::Cos | UnOp::Floor | UnOp::Sign
+                    => map(dst, rows, w, a, |[x]| apply_un(OP, x)))
             }
-            Instr::Param { dst, p } => {
-                regs[dst as usize * LANE_WIDTH..][..w].fill(ctx.param(p));
+            Op::Bin(op, a, b) => {
+                let ab = [view(a, 0), view(b, 1)];
+                per_op!(op, BinOp: BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div
+                    | BinOp::Min | BinOp::Max | BinOp::Pow
+                    => map(dst, rows, w, ab, |[x, y]| apply_bin(OP, x, y)))
             }
-            Instr::Load { dst, slot, off } => {
-                ctx.load_lanes(slot, off, &mut regs[dst as usize * LANE_WIDTH..][..w]);
+            Op::Cmp(op, a, b) => {
+                let ab = [view(a, 0), view(b, 1)];
+                per_op!(op, CmpOp: CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge
+                    | CmpOp::Eq | CmpOp::Ne
+                    => map(dst, rows, w, ab, |[x, y]| if apply_cmp(OP, x, y) { 1.0 } else { 0.0 }))
             }
-            Instr::LoadLocal { dst, l } => {
-                ctx.local_lanes(l, &mut regs[dst as usize * LANE_WIDTH..][..w]);
+            Op::Select(c, a, b) => {
+                let cab = [view(c, 0), view(a, 1), view(b, 2)];
+                map(dst, rows, w, cab, |[c, x, y]| if c != 0.0 { x } else { y })
             }
-            Instr::Un { op, dst, a } => {
-                debug_assert!(a < dst);
-                let (lo, hi) = regs.split_at_mut(dst as usize * LANE_WIDTH);
-                let src = &lo[a as usize * LANE_WIDTH..][..w];
-                for (d, s) in hi[..w].iter_mut().zip(src) {
-                    *d = apply_un(op, *s);
-                }
-            }
-            Instr::Bin { op, dst, a, b } => {
-                debug_assert!(a < dst && b < dst);
-                let (lo, hi) = regs.split_at_mut(dst as usize * LANE_WIDTH);
-                for l in 0..w {
-                    hi[l] = apply_bin(
-                        op,
-                        lo[a as usize * LANE_WIDTH + l],
-                        lo[b as usize * LANE_WIDTH + l],
-                    );
-                }
-            }
-            Instr::Cmp { op, dst, a, b } => {
-                debug_assert!(a < dst && b < dst);
-                let (lo, hi) = regs.split_at_mut(dst as usize * LANE_WIDTH);
-                for l in 0..w {
-                    hi[l] = if apply_cmp(
-                        op,
-                        lo[a as usize * LANE_WIDTH + l],
-                        lo[b as usize * LANE_WIDTH + l],
-                    ) {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                }
-            }
-            Instr::Select { dst, c, a, b } => {
-                debug_assert!(a < dst && b < dst && c < dst);
-                let (lo, hi) = regs.split_at_mut(dst as usize * LANE_WIDTH);
-                for l in 0..w {
-                    hi[l] = if lo[c as usize * LANE_WIDTH + l] != 0.0 {
-                        lo[a as usize * LANE_WIDTH + l]
-                    } else {
-                        lo[b as usize * LANE_WIDTH + l]
-                    };
-                }
-            }
-            Instr::Index { dst, axis } => {
-                let base = ctx.index_lane0(axis);
-                let out = &mut regs[dst as usize * LANE_WIDTH..][..w];
-                match axis {
-                    Axis::I => {
-                        for (l, d) in out.iter_mut().enumerate() {
-                            *d = (base + l as i64) as f64;
-                        }
+            Op::PowI(a, n) => map(dst, rows, w, [view(a, 0)], |[x]| apply_powi(x, n)),
+            Op::Index(axis) => {
+                for r in 0..rows {
+                    for l in 0..w {
+                        let at = [l, r, 0][axis.idx()] as i64;
+                        *dst.ptr.add(r * dst.stride + l * dst.lane) = (index0[axis.idx()] + at) as f64;
                     }
-                    _ => out.fill(base as f64),
-                }
-            }
-            Instr::PowI { dst, a, n } => {
-                debug_assert!(a < dst);
-                let (lo, hi) = regs.split_at_mut(dst as usize * LANE_WIDTH);
-                let src = &lo[a as usize * LANE_WIDTH..][..w];
-                for (d, s) in hi[..w].iter_mut().zip(src) {
-                    let x = *s;
-                    let mut acc = 1.0f64;
-                    for _ in 0..n.unsigned_abs() {
-                        acc *= x;
-                    }
-                    *d = if n < 0 { 1.0 / acc } else { acc };
                 }
             }
         }
@@ -483,8 +670,8 @@ mod tests {
     }
 
     /// Deterministic point-dependent test world shared by the scalar and
-    /// lane contexts below: field/local values vary with the absolute
-    /// i-index so lane mismatches cannot hide behind uniform data.
+    /// tile runs below: field/local values vary with the absolute index
+    /// so lane mismatches cannot hide behind uniform data.
     fn world_field(slot: u16, off: Offset3, i: i64, j: i64, k: i64) -> f64 {
         0.25 + ((slot as i64 * 37
             + (i + off.i as i64) * 7
@@ -520,62 +707,101 @@ mod tests {
         }
     }
 
-    struct LaneWorld {
-        params: Vec<f64>,
-        i0: i64,
-        j: i64,
-        k: i64,
-    }
-
-    impl LaneCtx for LaneWorld {
-        fn load_lanes(&self, slot: u16, off: Offset3, out: &mut [f64]) {
-            for (l, d) in out.iter_mut().enumerate() {
-                *d = world_field(slot, off, self.i0 + l as i64, self.j, self.k);
-            }
+    /// Run `p` lowered over a `rows × w` tile of the test world and check
+    /// every point against the scalar VM.
+    fn check_tile(p: &Program, params: &[f64], origin: (i64, i64, i64), rows: usize, w: usize) {
+        let (i0, j0, k) = origin;
+        let tile = lower(p);
+        let mut regs = vec![0.0; (tile.n_regs as usize + TILE_SCRATCH) * TILE_LANES];
+        let mut out = vec![0.0; rows * w];
+        let at = |n: usize| (i0 + (n % w) as i64, j0 + (n / w) as i64);
+        // Every leaf the program reads, materialised as a packed tile.
+        let mut leaves: Vec<(Src, Vec<f64>)> = Vec::new();
+        for ins in &tile.instrs {
+            ins.op.map(|src| {
+                let value = |n: usize| match (src, at(n)) {
+                    (Src::Field { slot, off }, (i, j)) => world_field(slot, off, i, j, k),
+                    (Src::Local(l), (i, _)) => world_local(l, i),
+                    _ => 0.0,
+                };
+                leaves.push((src, (0..rows * w).map(value).collect()));
+            });
         }
-        fn local_lanes(&self, l: u16, out: &mut [f64]) {
-            for (lane, d) in out.iter_mut().enumerate() {
-                *d = world_local(l, self.i0 + lane as i64);
-            }
+        unsafe {
+            let dst = View { ptr: out.as_mut_ptr(), stride: w, lane: 1 };
+            run_tile(&tile, regs.as_mut_ptr(), rows, w, dst, [i0, j0, k], params, |src| {
+                let leaf = leaves.iter().find(|(s, _)| *s == src).expect("a leaf of the program");
+                View { ptr: leaf.1.as_ptr() as *mut f64, stride: w, lane: 1 }
+            });
         }
-        fn param(&self, p: u16) -> f64 {
-            self.params[p as usize]
-        }
-        fn index_lane0(&self, axis: Axis) -> i64 {
-            [self.i0, self.j, self.k][axis.idx()]
+        let mut scalar_regs = vec![0.0; p.n_regs as usize];
+        for (n, tiled) in out.iter().enumerate() {
+            let (i, j) = at(n);
+            let pt = PointWorld { params: params.to_vec(), i, j, k };
+            let scalar = run(p, &pt, &mut scalar_regs);
+            assert_eq!(scalar.to_bits(), tiled.to_bits(), "rows={rows} w={w} point={n}: {p:?}");
         }
     }
 
     #[test]
-    fn lane_vm_bit_identical_to_scalar_vm_per_lane() {
+    fn tile_vm_bit_identical_to_scalar_vm_per_point() {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x1a9e5 ^ 0xff);
-        for case in 0..200 {
+        for _ in 0..200 {
             let e = random_expr(&mut rng, 4);
             let p = compile(&e, &|d| d.0 as u16);
             let params: Vec<f64> = (0..4).map(|_| rng.gen_range(0.1..2.0)).collect();
-            let (i0, j, k) = (rng.gen_range(-3..10), rng.gen_range(-2..6), rng.gen_range(0..5));
-            for w in [1usize, 3, 17, LANE_WIDTH] {
-                let lane_ctx = LaneWorld { params: params.clone(), i0, j, k };
-                let mut lane_regs = vec![0.0; p.n_regs as usize * LANE_WIDTH];
-                run_lanes(&p, &lane_ctx, &mut lane_regs, w);
-                let mut regs = vec![0.0; p.n_regs as usize];
-                for lane in 0..w {
-                    let pt = PointWorld {
-                        params: params.clone(),
-                        i: i0 + lane as i64,
-                        j,
-                        k,
-                    };
-                    let scalar = run(&p, &pt, &mut regs);
-                    let vector = lane_regs[p.result as usize * LANE_WIDTH + lane];
-                    assert_eq!(
-                        scalar.to_bits(),
-                        vector.to_bits(),
-                        "case {case} w={w} lane={lane}: scalar={scalar} vector={vector} expr={e:?}"
-                    );
-                }
+            let origin = (rng.gen_range(-3..10), rng.gen_range(-2..6), rng.gen_range(0..5));
+            for (rows, w) in [(1, 1), (1, 3), (5, 17), (10, 24), (1, TILE_LANES)] {
+                check_tile(&p, &params, origin, rows, w);
             }
         }
+    }
+
+    fn load(slot: usize, i: i32) -> Expr {
+        Expr::Load(DataId(slot), Offset3::new(i, 0, 0))
+    }
+
+    #[test]
+    fn leaves_lower_to_operands_and_a_pure_leaf_to_one_move() {
+        let t = lower(&compile(&load(0, 1), &|d| d.0 as u16));
+        let leaf = Src::Field { slot: 0, off: Offset3::new(1, 0, 0) };
+        assert_eq!(t.instrs, vec![TileInstr { dst: u16::MAX, op: Op::Mov(leaf) }]);
+        assert_eq!(t.n_regs, 0);
+
+        let e = (load(0, 0) + Expr::c(2.0)) * Expr::Param(ParamId(1));
+        let t = lower(&compile(&e, &|d| d.0 as u16));
+        assert_eq!(t.instrs.len(), 2, "five register instructions, two of them arithmetic");
+        assert_eq!(t.n_regs, 1, "the root writes the destination, not a register");
+    }
+
+    #[test]
+    fn cse_computes_a_repeated_subtree_once_and_keeps_signed_zeros_apart() {
+        let sum = || load(0, -1) + load(0, 1);
+        let p = compile(&(sum() * sum() + sum()), &|d| d.0 as u16);
+        assert_eq!(p.instrs.len(), 11);
+        let t = lower(&p);
+        assert_eq!(t.instrs.len(), 3, "{t:?}");
+        check_tile(&p, &[], (0, 0, 0), 3, 7);
+
+        // `x * 0.0` and `x * -0.0` differ in the sign of the result.
+        let e = load(0, 0) * Expr::c(0.0) + load(0, 0) * Expr::c(-0.0);
+        assert_eq!(lower(&compile(&e, &|d| d.0 as u16)).instrs.len(), 3);
+    }
+
+    #[test]
+    fn registers_follow_tree_depth_not_node_count() {
+        // A 40-term left-leaning sum of products: 79 arithmetic nodes.
+        let term = |n: i32| load(0, n) * load(1, -n);
+        let e = (1..40).fold(term(0), |acc, n| acc + term(n) * Expr::c(n as f64));
+        let p = compile(&e, &|d| d.0 as u16);
+        assert!(p.n_regs > 150);
+        let t = lower(&p);
+        assert!(t.n_regs <= 3, "{} registers", t.n_regs);
+        // No instruction overwrites a register it reads.
+        for ins in &t.instrs {
+            ins.op.map(|s| assert_ne!(s, Src::Reg(ins.dst)));
+        }
+        check_tile(&p, &[], (2, 1, 0), 4, 9);
     }
 
     #[test]

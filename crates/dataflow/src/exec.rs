@@ -1,16 +1,18 @@
 //! The runtime executor: runs an expanded SDFG numerically on the host.
 //!
-//! Execution is column-oriented: every kernel iterates its `(i, j)` columns
-//! (in parallel chunks through [`machine::Pool`]) and marches K upward,
-//! downward, or in arbitrary order per its [`KOrder`]. Statement bodies run
-//! through the bytecode VM. The executor enforces the same parallel-model
-//! restriction GT4Py does: within one kernel, no statement may read — at a
-//! nonzero horizontal offset — a field written by the same kernel
-//! (cross-thread dependencies must be broken into separate kernels or
+//! Execution is column-oriented: every column of a kernel's `(i, j)` hull
+//! sees its statements in program order while K marches upward, downward,
+//! or in arbitrary order per its [`KOrder`]. Columns are grouped into
+//! blocks of j-rows (parallel chunks through [`machine::Pool`]) whose
+//! statements run as tile programs on the bytecode VM; the per-column
+//! scalar VM is kept as the reference. The executor enforces the same
+//! parallel-model restriction GT4Py does: within one kernel, no statement
+//! may read — at a nonzero horizontal offset — a field written by the same
+//! kernel (cross-thread dependencies must be broken into separate kernels or
 //! fused by recomputation; Section IV-D "some synchronization points were
 //! pre-determined and had to be worked around by splitting stencils").
 
-use crate::bytecode::{self, LaneCtx, Program, VmCtx, LANE_WIDTH};
+use crate::bytecode::{self, Program, Src, TileProgram, View, VmCtx, TILE_LANES, TILE_SCRATCH};
 use crate::expr::{DataId, Offset3};
 use crate::graph::{ControlNode, DataflowNode, Sdfg};
 use crate::kernel::{Domain, KOrder, Kernel, LValue};
@@ -49,6 +51,20 @@ impl DataStore {
     /// Mutable access to a container's array.
     pub fn get_mut(&mut self, d: DataId) -> &mut Array3 {
         &mut self.arrays[d.0]
+    }
+
+    /// Copy every element of `src` into `dst` (same layout; `src == dst`
+    /// is a no-op).
+    pub fn copy(&mut self, src: DataId, dst: DataId) {
+        if src == dst {
+            return;
+        }
+        let (lo, hi) = self.arrays.split_at_mut(src.0.max(dst.0));
+        if src.0 < dst.0 {
+            hi[0].copy_from(&lo[src.0]);
+        } else {
+            lo[dst.0].copy_from(&hi[0]);
+        }
     }
 
     /// Number of containers.
@@ -106,11 +122,15 @@ pub struct ExecReport {
     pub cache_hits: u64,
     /// Kernel launches that had to (re)compile.
     pub cache_misses: u64,
-    /// Points executed through the vectorized lane VM.
+    /// Points executed through the tile VM.
     pub lanes_vector: u64,
-    /// Points executed through the scalar VM (boundary rind, narrow
-    /// hulls, or `VmMode::Scalar`).
+    /// Points executed through the scalar reference VM
+    /// (`VmMode::Scalar` only).
     pub lanes_scalar: u64,
+    /// Tile instructions dispatched (one opcode `match` each).
+    pub vm_dispatches: u64,
+    /// Lanes those dispatches covered.
+    pub vm_lane_ops: u64,
 }
 
 impl ExecReport {
@@ -202,8 +222,8 @@ pub fn validate_sdfg(sdfg: &Sdfg) -> Result<(), String> {
 pub enum VmMode {
     /// Point-at-a-time scalar VM everywhere (the reference path).
     Scalar,
-    /// Lane VM over contiguous i-runs in the interior, scalar VM on the
-    /// boundary rind. Bit-identical to [`VmMode::Scalar`].
+    /// Tile programs over blocks of j-rows × i-lanes, every hull width.
+    /// Bit-identical to [`VmMode::Scalar`].
     #[default]
     Lanes,
 }
@@ -213,10 +233,14 @@ pub enum VmMode {
 pub struct KernelRunStats {
     /// Statement-points executed.
     pub points: u64,
-    /// Points that went through the vectorized lane VM.
+    /// Points that went through the tile VM.
     pub lanes_vector: u64,
-    /// Points that went through the scalar VM.
+    /// Points that went through the scalar reference VM.
     pub lanes_scalar: u64,
+    /// Tile instructions dispatched.
+    pub vm_dispatches: u64,
+    /// Lanes those dispatches covered.
+    pub vm_lane_ops: u64,
 }
 
 /// Raw view of one container used inside the kernel loop. Columns write
@@ -265,6 +289,7 @@ struct StmtBounds {
 
 struct CompiledStmt {
     program: Program,
+    tile: TileProgram,
     bounds: StmtBounds,
     lvalue: CompiledLValue,
 }
@@ -306,12 +331,22 @@ pub struct CompiledKernel {
     stmts: Vec<CompiledStmt>,
     hull: StmtBounds,
     max_regs: usize,
+    tile_regs: usize,
     n_locals: usize,
     points: u64,
     k_desc: bool,
     k_parallel: bool,
     empty: bool,
     fingerprint: KernelFingerprint,
+}
+
+impl CompiledKernel {
+    /// Size of the lowered tile programs: instructions summed over the
+    /// statements, and the register file of the widest one.
+    pub fn tile_shape(&self) -> (usize, usize) {
+        let instrs = self.stmts.iter().map(|c| c.tile.instrs.len()).sum();
+        (instrs, self.tile_regs)
+    }
 }
 
 /// Compile a kernel: build the slot table (one hash-map pass — the old
@@ -331,6 +366,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
             kh: 0,
         },
         max_regs: 0,
+        tile_regs: 0,
         n_locals: 0,
         points: 0,
         k_desc: false,
@@ -397,6 +433,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
             LValue::Local(l) => CompiledLValue::Local(l.0 as u16),
         };
         stmts.push(CompiledStmt {
+            tile: bytecode::lower(&program),
             program,
             bounds: b,
             lvalue,
@@ -407,6 +444,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
     }
 
     let max_regs = stmts.iter().map(|c| c.program.n_regs).max().unwrap_or(0) as usize;
+    let tile_regs = stmts.iter().map(|c| c.tile.n_regs).max().unwrap_or(0) as usize;
     // Locals referenced anywhere (declared, written, or read) size the
     // per-column local file.
     let n_locals = kernel
@@ -438,6 +476,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
         stmts,
         hull,
         max_regs,
+        tile_regs,
         n_locals,
         points,
         k_desc: kernel.k_order == KOrder::Backward,
@@ -488,112 +527,6 @@ impl VmCtx for PointCtx<'_> {
     }
 }
 
-/// Scalar VM context for the boundary rind of the vectorized path: like
-/// [`PointCtx`] but locals live in a per-row file laid out
-/// `[local][i-column]`, so each column's running locals persist across
-/// the row's K march exactly as the per-column scalar path's do.
-struct RowPointCtx<'a> {
-    slots: &'a [FieldSlot],
-    row_locals: &'a [f64],
-    ni: usize,
-    col: usize,
-    params: &'a [f64],
-    i: i64,
-    j: i64,
-    k: i64,
-}
-
-impl VmCtx for RowPointCtx<'_> {
-    #[inline]
-    fn load(&self, slot: u16, off: Offset3) -> f64 {
-        unsafe {
-            self.slots[slot as usize].read(
-                self.i + off.i as i64,
-                self.j + off.j as i64,
-                self.k + off.k as i64,
-            )
-        }
-    }
-
-    #[inline]
-    fn local(&self, l: u16) -> f64 {
-        self.row_locals[l as usize * self.ni + self.col]
-    }
-
-    #[inline]
-    fn param(&self, p: u16) -> f64 {
-        self.params[p as usize]
-    }
-
-    #[inline]
-    fn index(&self, axis: Axis) -> i64 {
-        match axis {
-            Axis::I => self.i,
-            Axis::J => self.j,
-            Axis::K => self.k,
-        }
-    }
-}
-
-/// Lane VM context: a run of `w` consecutive i-points at `(i0.., j, k)`.
-struct LaneRowCtx<'a> {
-    slots: &'a [FieldSlot],
-    row_locals: &'a [f64],
-    ni: usize,
-    lane0: usize,
-    params: &'a [f64],
-    i0: i64,
-    j: i64,
-    k: i64,
-}
-
-impl LaneCtx for LaneRowCtx<'_> {
-    #[inline]
-    fn load_lanes(&self, slot: u16, off: Offset3, out: &mut [f64]) {
-        let s = &self.slots[slot as usize];
-        let base = s.offset(
-            self.i0 + off.i as i64,
-            self.j + off.j as i64,
-            self.k + off.k as i64,
-        );
-        let istride = s.strides[0];
-        unsafe {
-            if istride == 1 {
-                // Unit i-stride: the lane load is one contiguous copy.
-                std::ptr::copy_nonoverlapping(s.ptr.add(base), out.as_mut_ptr(), out.len());
-            } else {
-                for (l, d) in out.iter_mut().enumerate() {
-                    *d = *s.ptr.add(base + l * istride);
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn local_lanes(&self, l: u16, out: &mut [f64]) {
-        let off = l as usize * self.ni + self.lane0;
-        out.copy_from_slice(&self.row_locals[off..off + out.len()]);
-    }
-
-    #[inline]
-    fn param(&self, p: u16) -> f64 {
-        self.params[p as usize]
-    }
-
-    #[inline]
-    fn index_lane0(&self, axis: Axis) -> i64 {
-        match axis {
-            Axis::I => self.i0,
-            Axis::J => self.j,
-            Axis::K => self.k,
-        }
-    }
-}
-
-/// Minimum lane count worth dispatching to the lane VM; narrower runs
-/// (region rinds, 1-wide hulls) use the scalar VM.
-const VECTOR_MIN: usize = 4;
-
 fn field_slots(ids: &[DataId], store: &mut DataStore) -> Vec<FieldSlot> {
     ids.iter()
         .map(|d| {
@@ -624,12 +557,12 @@ pub fn run_compiled(
     let slots = field_slots(&ck.ids, store);
     match mode {
         VmMode::Scalar => run_scalar(ck, &slots, params, pool),
-        VmMode::Lanes => run_lanes_rows(ck, &slots, params, pool),
+        VmMode::Lanes => run_tiles(ck, &slots, params, pool),
     }
 }
 
-/// The reference executor: per-column scalar VM (the pre-vectorization
-/// inner loop, kept verbatim as the bit-identity oracle and rind body).
+/// The reference executor: per-column scalar VM, kept as the bit-identity
+/// oracle the tile VM is tested against.
 fn run_scalar(ck: &CompiledKernel, slots: &[FieldSlot], params: &[f64], pool: &Pool) -> KernelRunStats {
     let hull = ck.hull;
     let ni = (hull.ih - hull.il) as usize;
@@ -680,28 +613,72 @@ fn run_scalar(ck: &CompiledKernel, slots: &[FieldSlot], params: &[f64], pool: &P
 
     KernelRunStats {
         points: ck.points,
-        lanes_vector: 0,
         lanes_scalar: ck.points,
+        ..Default::default()
     }
 }
 
-/// The vectorized executor: rows of consecutive i-points per `(j, k)`.
+/// One statement's part of a j-block: `rows × w` points from
+/// `origin = (i, j, k)`, and where its operands live.
+struct Tile<'a> {
+    slots: &'a [FieldSlot],
+    params: &'a [f64],
+    /// Local 0 at `origin`; the block's locals are laid out
+    /// `[local][block row][hull column]`.
+    locals: *mut f64,
+    /// Elements per local, and per row of one.
+    local_len: usize,
+    ni: usize,
+    origin: [i64; 3],
+    rows: usize,
+    w: usize,
+}
+
+impl Tile<'_> {
+    /// Run one statement over the tile; `regs` is the chunk's register
+    /// file. Sound under the conditions spelled out in [`run_tiles`].
+    unsafe fn run(&self, cs: &CompiledStmt, regs: *mut f64) {
+        let local = |l: u16| View {
+            ptr: self.locals.add(l as usize * self.local_len),
+            stride: self.ni,
+            lane: 1,
+        };
+        // Field rows are read and written where they are, whatever the
+        // storage order: the i-stride becomes the view's lane stride.
+        let field = |slot: u16, off: Offset3| {
+            let (s, [i, j, k]) = (&self.slots[slot as usize], self.origin);
+            let at = s.offset(i + off.i as i64, j + off.j as i64, k + off.k as i64);
+            View { ptr: s.ptr.add(at), stride: s.strides[1], lane: s.strides[0] }
+        };
+        let out = match cs.lvalue {
+            CompiledLValue::Local(l) => local(l),
+            CompiledLValue::Field(slot) => field(slot, Offset3::ZERO),
+        };
+        let resolve = |src| match src {
+            Src::Local(l) => local(l),
+            Src::Field { slot, off } => field(slot, off),
+            _ => unreachable!("registers and scalars are resolved by run_tile"),
+        };
+        bytecode::run_tile(&cs.tile, regs, self.rows, self.w, out, self.origin, self.params, resolve);
+    }
+}
+
+/// The production executor: tile programs over blocks of consecutive
+/// j-rows × i-lanes.
 ///
-/// Work decomposition: one parallel work item per j-row (per `(j, k)`
-/// plane-row for `Parallel` kernels with no locals, which exposes more
-/// parallelism). Within a row, K marches in the kernel's order and
-/// statements run in program order, so each column sees exactly the
-/// `(k, statement)` sequence the scalar path gives it — columns are
-/// independent by [`validate_kernel`], making the row-major regrouping
-/// bit-identical.
+/// Work decomposition: the hull's j-rows are cut into blocks of `h` rows.
+/// A work item is one block (K marches inside it in the kernel's order,
+/// per-block locals zeroed first) or, for `Parallel` kernels without
+/// locals, one `(block, k)` pair. Within an item statements run in program
+/// order, each over the part of its bounds inside the block, so every
+/// column sees exactly the `(k, statement)` sequence the scalar path gives
+/// it — columns are independent by [`validate_kernel`], making the
+/// regrouping bit-identical.
 ///
-/// Each statement's i-range is cut into runs of at most [`LANE_WIDTH`]:
-/// runs of at least [`VECTOR_MIN`] lanes execute on the lane VM (the
-/// *interior*), narrower runs — region rinds, 1-wide hulls, remainders
-/// under `VECTOR_MIN` — fall back to the scalar VM (the *rind*). Both
-/// VMs apply the same scalar arithmetic kernels in the same order, so
-/// the split never changes a single bit of output.
-fn run_lanes_rows(
+/// `h` is as many rows as fit [`TILE_LANES`] lanes of the hull width,
+/// evened out over the blocks; kernels that march K get at least one block
+/// per pool worker, because blocks are their only parallel axis.
+fn run_tiles(
     ck: &CompiledKernel,
     slots: &[FieldSlot],
     params: &[f64],
@@ -711,127 +688,94 @@ fn run_lanes_rows(
     let ni = (hull.ih - hull.il) as usize;
     let nj = (hull.jh - hull.jl) as usize;
     let nk = (hull.kh - hull.kl) as usize;
-    let n_locals = ck.n_locals;
-    let k_desc = ck.k_desc;
-    // Parallel K with no locals: every (j, k) row is independent.
-    let jk_rows = ck.k_parallel && n_locals == 0;
-    let rows = if jk_rows { nj * nk } else { nj };
-    let max_regs = ck.max_regs;
-    let compiled = &ck.stmts;
-    let vec_pts = AtomicU64::new(0);
-    let scalar_pts = AtomicU64::new(0);
+    let marching = !(ck.k_parallel && ck.n_locals == 0);
+    let mut blocks = nj.div_ceil((TILE_LANES / ni).max(1));
+    if marching {
+        blocks = blocks.max(pool.workers().min(nj));
+    }
+    let h = nj.div_ceil(blocks);
+    let blocks = nj.div_ceil(h);
+    let items = if marching { blocks } else { blocks * nk };
+    let dispatches = AtomicU64::new(0);
+    let lane_ops = AtomicU64::new(0);
 
-    pool.for_each_chunk(rows, |range| {
-        let mut regs = vec![0.0f64; max_regs * LANE_WIDTH];
-        let mut row_locals = vec![0.0f64; n_locals * ni];
-        let mut lv = 0u64;
-        let mut ls = 0u64;
-        for row in range {
-            let j = hull.jl + (if jk_rows { row % nj } else { row }) as i64;
-            if n_locals > 0 {
-                row_locals.fill(0.0);
-            }
-            let (mut k, k_last) = if jk_rows {
-                let k = hull.kl + (row / nj) as i64;
-                (k, k)
-            } else if k_desc {
-                (hull.kh - 1, hull.kl)
+    pool.for_each_chunk(items, |range| {
+        let mut regs = vec![0.0f64; (ck.tile_regs + TILE_SCRATCH) * TILE_LANES];
+        let mut locals = vec![0.0f64; ck.n_locals * h * ni];
+        let (mut nd, mut nl) = (0u64, 0u64);
+        for item in range {
+            let j0 = hull.jl + ((item % blocks) * h) as i64;
+            let j1 = (j0 + h as i64).min(hull.jh);
+            let (mut k, k_last, dk) = if !marching {
+                let k = hull.kl + (item / blocks) as i64;
+                (k, k, 1)
+            } else if ck.k_desc {
+                (hull.kh - 1, hull.kl, -1)
             } else {
-                (hull.kl, hull.kh - 1)
+                (hull.kl, hull.kh - 1, 1)
             };
+            locals.fill(0.0);
             loop {
-                for cs in compiled {
+                for cs in &ck.stmts {
                     let b = &cs.bounds;
-                    if j < b.jl || j >= b.jh || k < b.kl || k >= b.kh || b.ih <= b.il {
+                    let (j, j_end) = (b.jl.max(j0), b.jh.min(j1));
+                    if j >= j_end || k < b.kl || k >= b.kh {
                         continue;
                     }
-                    let mut i0 = b.il;
-                    while i0 < b.ih {
-                        let w = ((b.ih - i0) as usize).min(LANE_WIDTH);
-                        let lane0 = (i0 - hull.il) as usize;
-                        if w >= VECTOR_MIN {
-                            {
-                                let ctx = LaneRowCtx {
-                                    slots,
-                                    row_locals: &row_locals,
-                                    ni,
-                                    lane0,
-                                    params,
-                                    i0,
-                                    j,
-                                    k,
-                                };
-                                bytecode::run_lanes(&cs.program, &ctx, &mut regs, w);
-                            }
-                            let res = cs.program.result as usize * LANE_WIDTH;
-                            match cs.lvalue {
-                                CompiledLValue::Field(slot) => unsafe {
-                                    let s = &slots[slot as usize];
-                                    let base = s.offset(i0, j, k);
-                                    let istride = s.strides[0];
-                                    if istride == 1 {
-                                        std::ptr::copy_nonoverlapping(
-                                            regs.as_ptr().add(res),
-                                            s.ptr.add(base),
-                                            w,
-                                        );
-                                    } else {
-                                        for l in 0..w {
-                                            *s.ptr.add(base + l * istride) = regs[res + l];
-                                        }
-                                    }
-                                },
-                                CompiledLValue::Local(lid) => {
-                                    let off = lid as usize * ni + lane0;
-                                    row_locals[off..off + w]
-                                        .copy_from_slice(&regs[res..res + w]);
-                                }
-                            }
-                            lv += w as u64;
-                        } else {
-                            for l in 0..w {
-                                let i = i0 + l as i64;
-                                let v = {
-                                    let ctx = RowPointCtx {
-                                        slots,
-                                        row_locals: &row_locals,
-                                        ni,
-                                        col: lane0 + l,
-                                        params,
-                                        i,
-                                        j,
-                                        k,
-                                    };
-                                    bytecode::run(&cs.program, &ctx, &mut regs)
-                                };
-                                match cs.lvalue {
-                                    CompiledLValue::Field(slot) => unsafe {
-                                        slots[slot as usize].write(i, j, k, v);
-                                    },
-                                    CompiledLValue::Local(lid) => {
-                                        row_locals[lid as usize * ni + lane0 + l] = v;
-                                    }
-                                }
-                            }
-                            ls += w as u64;
-                        }
-                        i0 += w as i64;
+                    let rows = (j_end - j) as usize;
+                    let mut i = b.il;
+                    while i < b.ih {
+                        let w = ((b.ih - i) as usize).min(TILE_LANES / rows);
+                        let first = (j - j0) as usize * ni + (i - hull.il) as usize;
+                        let tile = Tile {
+                            slots,
+                            params,
+                            // Never dereferenced when the kernel has no locals.
+                            locals: locals.as_mut_ptr().wrapping_add(first),
+                            local_len: h * ni,
+                            ni,
+                            origin: [i, j, k],
+                            rows,
+                            w,
+                        };
+                        // SAFETY — the one argument for every raw view of the
+                        // tile VM (DESIGN §10.1). (1) Registers, scratch and
+                        // locals are this chunk's own buffers, sized above:
+                        // `rows * w <= TILE_LANES` because `rows <= h <=
+                        // TILE_LANES / ni` (or `h == 1`), and the tile lies in
+                        // the `h × ni` block. (2) A field view covers the
+                        // statement's bounds shifted by a stencil offset,
+                        // inside the container's domain + halo: the points the
+                        // scalar VM reads one by one. (3) Work items cover
+                        // disjoint `(j-block[, k])` sets and `validate_kernel`
+                        // lets a kernel read a field it writes only at zero
+                        // horizontal offset (zero offset at all for `(block,
+                        // k)` items), so no item touches what another writes.
+                        // (4) Hence a destination overlaps an operand only as
+                        // the same rows of the same field or local, which the
+                        // lane loops read before they write.
+                        unsafe { tile.run(cs, regs.as_mut_ptr()) };
+                        nd += cs.tile.instrs.len() as u64;
+                        nl += (cs.tile.instrs.len() * rows * w) as u64;
+                        i += w as i64;
                     }
                 }
                 if k == k_last {
                     break;
                 }
-                k += if k_desc { -1 } else { 1 };
+                k += dk;
             }
         }
-        vec_pts.fetch_add(lv, Ordering::Relaxed);
-        scalar_pts.fetch_add(ls, Ordering::Relaxed);
+        dispatches.fetch_add(nd, Ordering::Relaxed);
+        lane_ops.fetch_add(nl, Ordering::Relaxed);
     });
 
     KernelRunStats {
         points: ck.points,
-        lanes_vector: vec_pts.load(Ordering::Relaxed),
-        lanes_scalar: scalar_pts.load(Ordering::Relaxed),
+        lanes_vector: ck.points,
+        lanes_scalar: 0,
+        vm_dispatches: dispatches.load(Ordering::Relaxed),
+        vm_lane_ops: lane_ops.load(Ordering::Relaxed),
     }
 }
 
@@ -880,7 +824,7 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor backed by `pool` (vectorized lane VM).
+    /// An executor backed by `pool` (tile VM).
     pub fn new(pool: Pool) -> Self {
         Executor::with_mode(pool, VmMode::default())
     }
@@ -1034,6 +978,8 @@ impl Executor {
                     }
                     report.lanes_vector += stats.lanes_vector;
                     report.lanes_scalar += stats.lanes_scalar;
+                    report.vm_dispatches += stats.vm_dispatches;
+                    report.vm_lane_ops += stats.vm_lane_ops;
                     if let Some(mut span) = span {
                         let (bytes, flops) = *entry.modeled.get_or_init(|| {
                             let p = k.profile(&sdfg.layout_fn());
@@ -1052,12 +998,10 @@ impl Executor {
                 }
                 DataflowNode::Copy { src, dst } => {
                     let span = prof.map(|t| t.span("copy", "copy"));
-                    let (s, d) = (*src, *dst);
-                    let src_arr = store.get(s).clone();
-                    store.get_mut(d).copy_from(&src_arr);
+                    store.copy(*src, *dst);
                     if let Some(mut span) = span {
                         // Copy traffic: every stored element read + written.
-                        let points = src_arr.raw().len() as u64;
+                        let points = store.get(*src).raw().len() as u64;
                         span.set_points(points);
                         span.set_bytes(2 * 8 * points);
                     }
@@ -1565,9 +1509,8 @@ mod tests {
         assert!(validate_kernel(&k4).is_err());
     }
 
-    /// A kernel with a bit of everything: multi-statement, region rind,
-    /// locals carried through a forward K march, and an i-hull wide
-    /// enough to engage the lane VM.
+    /// A kernel with a bit of everything: multi-statement, a one-column
+    /// region, locals carried through a forward K march, and `Index(I)`.
     fn mixed_kernel_sdfg(n: usize) -> (Sdfg, Vec<DataId>) {
         let (mut g, ids) = sdfg_with(n, 1, &["a", "b", "out"]);
         let mut k = Kernel::new(
@@ -1618,9 +1561,10 @@ mod tests {
         let mut s2 = filled_store(&g, &ids);
         let r1 = Executor::serial_scalar().run(&g, &mut s1, &[], &mut NoHooks);
         let r2 = Executor::serial().run(&g, &mut s2, &[], &mut NoHooks);
-        assert_eq!(r1.lanes_vector, 0);
-        assert!(r2.lanes_vector > 0, "lane VM never engaged");
-        assert!(r2.lanes_scalar > 0, "region rind should fall back to scalar");
+        assert_eq!((r1.lanes_vector, r1.vm_dispatches), (0, 0));
+        assert_eq!(r2.lanes_vector, r1.lanes_scalar, "every point runs on the tile VM");
+        assert_eq!(r2.lanes_scalar, 0);
+        assert!(r2.vm_lane_ops > r2.vm_dispatches);
         for d in &ids {
             let (a, b) = (s1.get(*d), s2.get(*d));
             for (x, y) in a.raw().iter().zip(b.raw()) {
@@ -1666,30 +1610,36 @@ mod tests {
         assert_eq!(r.cache_hits, 0);
     }
 
+    /// Hulls 1–3 wide (and a 1-wide region column inside a wider hull)
+    /// have no fallback: the tile VM runs them, bit for bit.
     #[test]
-    fn narrow_hull_runs_entirely_on_scalar_rind() {
-        let (mut g, ids) = sdfg_with(2, 0, &["a", "b"]);
-        let mut k = Kernel::new(
-            "narrow",
-            Domain::from_shape([2, 2, 4]),
-            KOrder::Parallel,
-            Schedule::gpu_horizontal(),
-        );
-        k.stmts.push(Stmt::full(
-            LValue::Field(ids[1]),
-            Expr::load(ids[0], 0, 0, 0) * Expr::c(2.0),
-        ));
-        let mut s = State::new("s");
-        s.nodes.push(DataflowNode::Kernel(k));
-        g.add_state(s);
+    fn narrow_hulls_are_bit_identical_on_the_tile_vm() {
+        for n in 1..=3 {
+            let (g, ids) = mixed_kernel_sdfg(n);
+            let mut s1 = filled_store(&g, &ids);
+            let mut s2 = filled_store(&g, &ids);
+            let r1 = Executor::serial_scalar().run(&g, &mut s1, &[], &mut NoHooks);
+            let r2 = Executor::serial().run(&g, &mut s2, &[], &mut NoHooks);
+            assert_eq!((r2.lanes_vector, r2.lanes_scalar), (r1.lanes_scalar, 0));
+            for d in &ids {
+                for (x, y) in s1.get(*d).raw().iter().zip(s2.get(*d).raw()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn store_copy_works_in_both_directions_and_onto_itself() {
+        let (g, ids) = sdfg_with(4, 1, &["a", "b", "c"]);
         let mut store = filled_store(&g, &ids);
-        let r = Executor::serial().run(&g, &mut store, &[], &mut NoHooks);
-        assert_eq!(r.lanes_vector, 0);
-        assert_eq!(r.lanes_scalar, 16);
-        assert_eq!(
-            store.get(ids[1]).get(1, 1, 1),
-            store.get(ids[0]).get(1, 1, 1) * 2.0
-        );
+        let (a, c) = (store.get(ids[0]).clone(), store.get(ids[2]).clone());
+        store.copy(ids[0], ids[1]);
+        assert_eq!(store.get(ids[1]), &a);
+        store.copy(ids[2], ids[0]);
+        assert_eq!(store.get(ids[0]), &c);
+        store.copy(ids[2], ids[2]);
+        assert_eq!(store.get(ids[2]), &c);
     }
 
     #[test]

@@ -326,18 +326,7 @@ impl Expr {
                     b.eval(ctx)
                 }
             }
-            Expr::Powi(a, n) => {
-                let x = a.eval(ctx);
-                let mut acc = 1.0;
-                for _ in 0..n.unsigned_abs() {
-                    acc *= x;
-                }
-                if *n < 0 {
-                    1.0 / acc
-                } else {
-                    acc
-                }
-            }
+            Expr::Powi(a, n) => apply_powi(a.eval(ctx), *n),
         }
     }
 }
@@ -377,6 +366,21 @@ pub fn apply_bin(op: BinOp, x: f64, y: f64) -> f64 {
         BinOp::Min => x.min(y),
         BinOp::Max => x.max(y),
         BinOp::Pow => x.powf(y),
+    }
+}
+
+/// `x^n` by repeated multiplication (strength-reduced pow) — the one
+/// definition the tree interpreter and both VMs share.
+#[inline]
+pub fn apply_powi(x: f64, n: i32) -> f64 {
+    let mut acc = 1.0f64;
+    for _ in 0..n.unsigned_abs() {
+        acc *= x;
+    }
+    if n < 0 {
+        1.0 / acc
+    } else {
+        acc
     }
 }
 

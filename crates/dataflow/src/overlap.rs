@@ -12,8 +12,8 @@
 //!   exchange has been unpacked.
 //!
 //! Running `interior` then `rind` on one store is **bit-identical** to
-//! running the original program, because the scalar/lane VMs iterate
-//! per-column with statements in program order and
+//! running the original program, because both VMs give every
+//! column its statements in program order and
 //! [`validate_kernel`](crate::exec::validate_kernel) guarantees no kernel
 //! reads a field it writes at a horizontal offset — so any column
 //! partition that (a) keeps each column's statements in one program and

@@ -1,0 +1,82 @@
+//! Deterministic executor counters on the expanded c24L8 tile graph (the
+//! repo benchmark's main case). A silent fall-back to one-row tiles, to
+//! leaf instructions or to programs without CSE fails a count here, not a
+//! timing somewhere else.
+
+use comm::CubeGeometry;
+use dataflow::bytecode::{self, Instr};
+use dataflow::exec::{compile_kernel, DataStore, Executor};
+use dataflow::graph::ExpansionAttrs;
+use dataflow::{DataflowNode, Sdfg};
+use fv3::dyn_core::{build_dycore_program, load_state, DycoreConfig, DycoreProgram};
+use fv3::grid::Grid;
+use fv3::init::{init_baroclinic, BaroclinicConfig};
+use fv3::profiling::RemapHooks;
+use fv3::state::{DycoreState, HALO};
+
+const N: usize = 24;
+const NK: usize = 8;
+
+fn tile_graph() -> (DycoreProgram, Sdfg) {
+    let config = DycoreConfig {
+        n_split: 1,
+        k_split: 1,
+        dt: 30.0,
+        dddmp: 0.02,
+        nord4_damp: None,
+    };
+    let prog = build_dycore_program(N, NK, config);
+    let mut g = prog.sdfg.clone();
+    g.expand_libraries(&ExpansionAttrs::tuned());
+    (prog, g)
+}
+
+#[test]
+fn tile_step_dispatches_are_pinned_and_cover_wide_tiles() {
+    let (prog, g) = tile_graph();
+    let geom = CubeGeometry::new(N);
+    let grid = Grid::compute(&geom.faces[1], N, 0, 0, N, HALO, NK);
+    let mut state = DycoreState::zeros(N, NK);
+    init_baroclinic(&mut state, &grid, &BaroclinicConfig::default());
+    let mut store = DataStore::for_sdfg(&g);
+    load_state(&mut store, &prog.ids, &state, &grid);
+    let mut hooks = RemapHooks { ids: &prog.ids };
+    let exec = Executor::serial();
+    for step in 0..2 {
+        let rep = exec.run(&g, &mut store, &prog.params, &mut hooks);
+        assert_eq!(rep.launches, 25, "step {step}");
+        assert_eq!(rep.lanes_scalar, 0, "step {step}");
+        assert_eq!(rep.vm_dispatches, 6127, "step {step}");
+        assert_eq!(rep.vm_lane_ops, 1_224_584, "step {step}");
+        assert!(rep.vm_lane_ops / rep.vm_dispatches >= 128);
+    }
+}
+
+#[test]
+fn expanded_dycore_lowers_to_few_instructions_in_few_registers() {
+    let (_, g) = tile_graph();
+    let (mut register_form, mut operators, mut lowered, mut regs) = (0, 0, 0, 0);
+    for node in g.states.iter().flat_map(|s| &s.nodes) {
+        if let DataflowNode::Kernel(k) = node {
+            for s in &k.stmts {
+                let p = bytecode::compile(&s.expr, &|_| 0);
+                let leaf = |i: &&Instr| {
+                    use Instr::*;
+                    matches!(i, Const { .. } | Param { .. } | Load { .. } | LoadLocal { .. })
+                };
+                register_form += p.instrs.len();
+                // Leaves as operands: one instruction per operator, one
+                // move for a statement that is a single leaf.
+                operators += (p.instrs.len() - p.instrs.iter().filter(leaf).count()).max(1);
+            }
+            let (instrs, r) = compile_kernel(k).tile_shape();
+            lowered += instrs;
+            regs = regs.max(r);
+        }
+    }
+    // 625 register instructions, 293 of them operators; value numbering
+    // removes 30 more. The register program of `fv_tp_2d#3` alone needs 82
+    // registers; CSE'd live ranges included, no tile program needs over 8.
+    assert_eq!((register_form, operators, lowered), (625, 293, 263));
+    assert!(regs <= 12, "{regs} registers");
+}

@@ -160,26 +160,28 @@ impl CpuSpec {
 }
 
 impl CpuSpec {
-    /// The host this repo's lane-VM executor actually runs on — an
-    /// *interpreter-honest* spec for ranking tuning candidates, not a
-    /// hardware datasheet.
+    /// An *interpreter-honest* spec for ranking tuning candidates on the
+    /// host executor, not a hardware datasheet.
     ///
-    /// The lane VM dispatches every expression op per point, so achieved
-    /// rates sit orders of magnitude below any real CPU: the c8L6 dycore
-    /// profile measures ~1.3 GiB/s effective bandwidth, ~0.25 Gop/s
-    /// effective arithmetic throughput, and ~20us per kernel launch
-    /// (BENCH_dycore.json). Two consequences for candidate ranking:
+    /// STALE CONSTANTS, kept on purpose: every number below was fit to the
+    /// row-at-a-time lane VM that `dataflow`'s tile VM replaced (c8L6
+    /// profile of that interpreter: ~1.3 GiB/s effective bandwidth,
+    /// ~0.25 Gop/s arithmetic, ~8us fixed cost per launch). The tile VM
+    /// runs the same kernels roughly 4x faster with a much smaller
+    /// per-launch share, so these rates no longer describe the machine the
+    /// tuner's candidates run on. Refitting them changes which fusions the
+    /// model ranks first (`tuning.kernels_after` in the repo benchmark) and
+    /// is its own change — ROADMAP item 4d.
     ///
-    /// 1. `peak_flops` is the *measured* dispatch rate, so on-the-fly
+    /// What the shape of the spec still encodes:
+    ///
+    /// 1. `peak_flops` is a *measured* dispatch rate, so on-the-fly
     ///    recomputation (inlined producer expressions re-evaluated per
-    ///    read site) is priced at its true interpreter cost instead of
-    ///    vanishing against an AVX2 FMA ceiling. Expression-heavy kernels
-    ///    classify compute-bound, which is what the profile shows (~3% of
-    ///    the STREAM roofline).
+    ///    read site) is priced at interpreter cost instead of vanishing
+    ///    against an AVX2 FMA ceiling.
     /// 2. Cache blocking and column stride are neutralized (cache
-    ///    bandwidth == DRAM, penalty 1.0): per-point dispatch cost, not
-    ///    the memory hierarchy, dominates, so working-set effects are
-    ///    noise at this scale.
+    ///    bandwidth == DRAM, penalty 1.0): dispatch cost, not the memory
+    ///    hierarchy, dominated the interpreter these were fit to.
     pub fn lane_vm() -> Self {
         CpuSpec {
             name: "lane-vm interpreter host".to_string(),
@@ -192,9 +194,8 @@ impl CpuSpec {
             peak_flops: 0.3e9,
             transcendental_rate: 5.0e7,
             // Per-launch fixed cost: compile-cache lookup, buffer
-            // binding, loop setup. The slope-intercept fit of wall time
-            // vs per-kernel work across the c8L6 profile pins this near
-            // 8us (the 20us/launch average includes body time).
+            // binding, loop setup, from a slope-intercept fit of wall
+            // time vs per-kernel work across the old VM's c8L6 profile.
             loop_overhead: 8.0e-6,
             column_stride_penalty: 1.0,
         }

@@ -1,7 +1,7 @@
 //! Golden replay guard for the vectorized execution engine (ISSUE 4).
 //!
 //! Runs the c8L6 seed case through the tuned dycore SDFG twice — once
-//! under the scalar reference VM and once under the lane VM — and
+//! under the scalar reference VM and once under the tile VM — and
 //! demands bit identity, with the savepoint comparator producing a
 //! first-divergence report (step, field, index) on any mismatch. A
 //! second test anchors the executed path to the checked-in golden
@@ -19,7 +19,7 @@ fn vectorized_path_is_bit_identical_to_scalar_on_seed_case() {
     let lanes = capture_executed(&state0, &grid, seed_config(), SEED_STEPS, VmMode::Lanes);
     assert_eq!(scalar.savepoints.len(), SEED_STEPS);
     assert_eq!(scalar.savepoints[0].label, "t0.state");
-    // Bit identity, not approximate: the lane VM reorders nothing and
+    // Bit identity, not approximate: the tile VM reorders nothing and
     // computes with the same scalar kernels, so 0 ULPs is the bar.
     compare_capture(&scalar, &lanes, &Tolerances::exact()).unwrap_or_else(|d| {
         panic!("vectorized VM diverged from scalar VM on the seed case: {d}")
