@@ -127,12 +127,85 @@ pub enum CornerPolicy {
     Fold,
 }
 
+/// One non-corner halo cell of a rank and the interior cell it is
+/// gathered from.
+#[derive(Debug, Clone, Copy)]
+struct HaloTap {
+    i: i64,
+    j: i64,
+    src: usize,
+    si: i64,
+    sj: i64,
+    /// Frame transform for vector pairs, on cells that cross a tile seam.
+    transform: Option<[[i64; 2]; 2]>,
+}
+
+/// One cube-corner fold: copy `(fi, fj)` (an exchanged edge-halo cell)
+/// into the cube-corner halo cell `(ci, cj)` of the same array.
+#[derive(Debug, Clone, Copy)]
+pub struct FoldCell {
+    pub ci: i64,
+    pub cj: i64,
+    pub fi: i64,
+    pub fj: i64,
+}
+
+/// Rank `r`'s cube-corner folds for halo width `w`: each takes the
+/// edge-halo value sharing the larger offset (deterministic pick).
+pub(crate) fn corner_folds(part: &Partition, r: usize, w: i64) -> Vec<FoldCell> {
+    let s = part.sub_n as i64;
+    let mut folds = Vec::new();
+    for di in 1..=w {
+        for dj in 1..=w {
+            for (ci, cj) in [
+                (-di, -dj),
+                (s - 1 + di, -dj),
+                (-di, s - 1 + dj),
+                (s - 1 + di, s - 1 + dj),
+            ] {
+                if part.halo_source(RankId(r), ci, cj) == HaloSource::CubeCorner {
+                    let (fi, fj) = if di >= dj {
+                        (ci, cj.clamp(0, s - 1))
+                    } else {
+                        (ci.clamp(0, s - 1), cj)
+                    };
+                    folds.push(FoldCell { ci, cj, fi, fj });
+                }
+            }
+        }
+    }
+    folds
+}
+
+/// Fill `arr`'s cube-corner halo cells from its (already exchanged)
+/// edge-halo cells, `nk` levels each.
+pub(crate) fn fold_corners(folds: &[FoldCell], nk: usize, arr: &mut Array3) {
+    for f in folds {
+        let (from, fk) = arr.column(f.fi, f.fj);
+        let (to, tk) = arr.column(f.ci, f.cj);
+        let raw = arr.raw_mut();
+        for k in 0..nk {
+            raw[to + k * tk] = raw[from + k * fk];
+        }
+    }
+}
+
 /// A reusable halo updater for a fixed partition and width.
+///
+/// Everything an exchange needs of the cube geometry is worked out once,
+/// here: an exchange itself only gathers and scatters.
 #[derive(Debug, Clone)]
 pub struct HaloUpdater {
     part: Partition,
     width: usize,
     corner: CornerPolicy,
+    /// Per rank, its halo cells in [`halo_cells`] order (cube corners,
+    /// which have no source, left out).
+    taps: Vec<Vec<HaloTap>>,
+    /// Per rank, its cube-corner folds.
+    folds: Vec<Vec<FoldCell>>,
+    /// Statistics of exchanging one level of one field.
+    level_stats: ExchangeStats,
     /// Watchdog: an exchange taking longer than this is counted as a
     /// stall (clones share the counter, not the deadline).
     stall_deadline: Option<Duration>,
@@ -148,10 +221,58 @@ impl HaloUpdater {
             width,
             part.sub_n
         );
+        let s = part.sub_n as i64;
+        let w = width as i64;
+        let cells = halo_cells(s, w);
+        let mut taps = Vec::with_capacity(part.ranks());
+        let mut msgs = vec![std::collections::BTreeSet::new(); part.ranks()];
+        let mut bytes = vec![0u64; part.ranks()];
+        let mut by_orientation = [0u64; 5];
+        for r in 0..part.ranks() {
+            let (tile, _, _) = part.coords(RankId(r));
+            let mut rank_taps = Vec::with_capacity(cells.len());
+            for &(i, j) in &cells {
+                let (src, si, sj, transform) = match part.halo_source(RankId(r), i, j) {
+                    HaloSource::Intra { rank, i, j } => (rank.0, i, j, None),
+                    HaloSource::Inter {
+                        rank,
+                        i,
+                        j,
+                        from_tile,
+                    } => (rank.0, i, j, Some(part.geom.vector_transform(tile, from_tile))),
+                    HaloSource::CubeCorner => continue, // filled by the corner policy
+                };
+                msgs[src].insert(r);
+                bytes[src] += 8;
+                by_orientation[Orientation::classify(i, j, s).idx()] += 8;
+                rank_taps.push(HaloTap {
+                    i,
+                    j,
+                    src,
+                    si,
+                    sj,
+                    transform,
+                });
+            }
+            taps.push(rank_taps);
+        }
+        let level_stats = ExchangeStats {
+            messages_per_rank: msgs.iter().map(|m| m.len() as u64).max().unwrap_or(0),
+            bytes_per_rank: bytes.iter().copied().max().unwrap_or(0),
+            total_messages: msgs.iter().map(|m| m.len() as u64).sum(),
+            total_bytes: bytes.iter().sum(),
+            bytes_by_orientation: by_orientation,
+        };
+        let folds = (0..part.ranks())
+            .map(|r| corner_folds(&part, r, w))
+            .collect();
         HaloUpdater {
             part,
             width,
             corner,
+            taps,
+            folds,
+            level_stats,
             stall_deadline: None,
             stalls: Arc::new(AtomicU64::new(0)),
         }
@@ -181,7 +302,7 @@ impl HaloUpdater {
     /// Exchange a scalar field: `arrays[r]` is rank r's array. Returns
     /// per-rank message statistics.
     pub fn exchange_scalar(&self, arrays: &mut [Array3]) -> ExchangeStats {
-        self.exchange(arrays, None)
+        self.exchange_impl(arrays, None)
     }
 
     /// Exchange a vector component pair `(u, v)`: orientation transforms
@@ -189,31 +310,9 @@ impl HaloUpdater {
     pub fn exchange_vector(&self, u: &mut [Array3], v: &mut [Array3]) -> ExchangeStats {
         // Pack u with v as the partner so cross-tile cells can blend the
         // two components through the 2x2 transform.
-        let stats = self.exchange_vector_component(u, v, 0);
-        self.exchange_vector_component_into(v, u, 1);
+        let stats = self.exchange_impl(u, Some((v, 0)));
+        self.exchange_impl(v, Some((u, 1)));
         stats
-    }
-
-    fn exchange_vector_component(
-        &self,
-        primary: &mut [Array3],
-        partner: &[Array3],
-        row: usize,
-    ) -> ExchangeStats {
-        self.exchange_impl(primary, Some((partner, row)))
-    }
-
-    fn exchange_vector_component_into(
-        &self,
-        primary: &mut [Array3],
-        partner: &[Array3],
-        row: usize,
-    ) {
-        self.exchange_impl(primary, Some((partner, row)));
-    }
-
-    fn exchange(&self, arrays: &mut [Array3], partner: Option<(&[Array3], usize)>) -> ExchangeStats {
-        self.exchange_impl(arrays, partner)
     }
 
     fn exchange_impl(
@@ -223,9 +322,7 @@ impl HaloUpdater {
     ) -> ExchangeStats {
         let p = &self.part;
         assert_eq!(arrays.len(), p.ranks(), "one array per rank");
-        let s = p.sub_n as i64;
-        let w = self.width as i64;
-        let nk = arrays[0].layout().domain[2] as i64;
+        let nk = arrays[0].layout().domain[2];
         let mut span = obs::tracing::global_span("halo", "halo_exchange");
         let t0 = Instant::now();
 
@@ -238,74 +335,29 @@ impl HaloUpdater {
         }
 
         // Phase 1 (pack + "send"): gather every halo value into a staging
-        // list. This mirrors nonblocking sends: all reads happen against
-        // the pre-exchange state.
-        struct Patch {
-            rank: usize,
-            i: i64,
-            j: i64,
-            k: i64,
-            v: f64,
-        }
-        let mut patches: Vec<Patch> = Vec::new();
-        let mut msgs = vec![std::collections::BTreeSet::new(); p.ranks()];
-        let mut bytes = vec![0u64; p.ranks()];
-        let mut by_orientation = [0u64; 5];
-
-        for r in 0..p.ranks() {
-            let (tile, _, _) = p.coords(RankId(r));
-            for (i, j) in halo_cells(s, w) {
-                let cell_bytes = nk as u64 * 8;
-                let orient = Orientation::classify(i, j, s).idx();
-                match p.halo_source(RankId(r), i, j) {
-                    HaloSource::Intra { rank, i: si, j: sj } => {
+        // list, rank by rank in tap order, K innermost. This mirrors
+        // nonblocking sends: all reads happen against the pre-exchange
+        // state.
+        let cells: usize = self.taps.iter().map(Vec::len).sum();
+        let mut staged: Vec<f64> = Vec::with_capacity(cells * nk);
+        for taps in &self.taps {
+            for t in taps {
+                let (at, sk) = arrays[t.src].column(t.si, t.sj);
+                let a = arrays[t.src].raw();
+                match (partner, t.transform) {
+                    (Some((other, row)), Some(m)) => {
+                        // primary is component `row` of (u, v) in the
+                        // receiving frame.
+                        let (mu, mv) = (m[row][0], m[row][1]);
+                        let (bt, bk) = other[t.src].column(t.si, t.sj);
+                        let b = other[t.src].raw();
                         for k in 0..nk {
-                            patches.push(Patch {
-                                rank: r,
-                                i,
-                                j,
-                                k,
-                                v: arrays[rank.0].get(si, sj, k),
-                            });
+                            let (a, b) = (a[at + k * sk], b[bt + k * bk]);
+                            let (gu, gv) = if row == 0 { (a, b) } else { (b, a) };
+                            staged.push(mu as f64 * gu + mv as f64 * gv);
                         }
-                        msgs[rank.0].insert(r);
-                        bytes[rank.0] += cell_bytes;
-                        by_orientation[orient] += cell_bytes;
                     }
-                    HaloSource::Inter {
-                        rank,
-                        i: si,
-                        j: sj,
-                        from_tile,
-                    } => {
-                        // Orientation transform for vector components.
-                        let m = p.geom.vector_transform(tile, from_tile);
-                        for k in 0..nk {
-                            let v = match partner {
-                                None => arrays[rank.0].get(si, sj, k),
-                                Some((other, row)) => {
-                                    let a = arrays[rank.0].get(si, sj, k);
-                                    let b = other[rank.0].get(si, sj, k);
-                                    // primary is component `row` of (u, v)
-                                    // in the receiving frame.
-                                    let (mu, mv) = (m[row][0], m[row][1]);
-                                    let (gu, gv) = if row == 0 { (a, b) } else { (b, a) };
-                                    mu as f64 * gu + mv as f64 * gv
-                                }
-                            };
-                            patches.push(Patch {
-                                rank: r,
-                                i,
-                                j,
-                                k,
-                                v,
-                            });
-                        }
-                        msgs[rank.0].insert(r);
-                        bytes[rank.0] += cell_bytes;
-                        by_orientation[orient] += cell_bytes;
-                    }
-                    HaloSource::CubeCorner => {} // handled below
+                    _ => staged.extend((0..nk).map(|k| a[at + k * sk])),
                 }
             }
         }
@@ -313,67 +365,51 @@ impl HaloUpdater {
         // Fault window: the packed staging list is "the wire" — corrupt
         // or drop here and the receiver sees exactly what a flipped bit
         // or lost message would produce.
+        let mut dropped = None;
         if faults::enabled() {
             if let Some(spec) = faults::fire(SITE_HALO_CORRUPT, FireCtx::default()) {
-                if !patches.is_empty() {
-                    let victim = faults::det_index(0x1a10, patches.len());
-                    let p = &mut patches[victim];
-                    p.v = match spec.action {
-                        FaultAction::CorruptFactor(f) => p.v * f,
+                if !staged.is_empty() {
+                    let victim = faults::det_index(0x1a10, staged.len());
+                    let v = &mut staged[victim];
+                    *v = match spec.action {
+                        FaultAction::CorruptFactor(f) => *v * f,
                         _ => f64::NAN,
                     };
                 }
             }
             if let Some(spec) = faults::fire(SITE_HALO_DROP, FireCtx::default()) {
-                let target = spec
-                    .rank
-                    .unwrap_or_else(|| faults::det_index(0xd209, p.ranks()));
-                patches.retain(|pt| pt.rank != target);
+                dropped = Some(
+                    spec.rank
+                        .unwrap_or_else(|| faults::det_index(0xd209, p.ranks())),
+                );
             }
         }
 
         // Phase 2 ("recv" + unpack).
-        for patch in patches {
-            arrays[patch.rank].set(patch.i, patch.j, patch.k, patch.v);
-        }
-
-        // Phase 3: corner policy.
-        if self.corner == CornerPolicy::Fold {
-            for (r, arr) in arrays.iter_mut().enumerate() {
-                for di in 1..=w {
-                    for dj in 1..=w {
-                        for (ci, cj) in [
-                            (-di, -dj),
-                            (s - 1 + di, -dj),
-                            (-di, s - 1 + dj),
-                            (s - 1 + di, s - 1 + dj),
-                        ] {
-                            if p.halo_source(RankId(r), ci, cj) == HaloSource::CubeCorner {
-                                // Fold: take the edge-halo value sharing
-                                // the larger offset (deterministic pick).
-                                let (fi, fj) = if di >= dj {
-                                    (ci, cj.clamp(0, s - 1))
-                                } else {
-                                    (ci.clamp(0, s - 1), cj)
-                                };
-                                for k in 0..nk {
-                                    let v = arr.get(fi, fj, k);
-                                    arr.set(ci, cj, k, v);
-                                }
-                            }
-                        }
-                    }
+        let mut next = 0;
+        for (r, taps) in self.taps.iter().enumerate() {
+            for t in taps {
+                let column = &staged[next..next + nk];
+                next += nk;
+                if dropped == Some(r) {
+                    continue;
+                }
+                let (at, sk) = arrays[r].column(t.i, t.j);
+                let raw = arrays[r].raw_mut();
+                for (k, v) in column.iter().enumerate() {
+                    raw[at + k * sk] = *v;
                 }
             }
         }
 
-        let stats = ExchangeStats {
-            messages_per_rank: msgs.iter().map(|m| m.len() as u64).max().unwrap_or(0),
-            bytes_per_rank: bytes.iter().copied().max().unwrap_or(0),
-            total_messages: msgs.iter().map(|m| m.len() as u64).sum(),
-            total_bytes: bytes.iter().sum(),
-            bytes_by_orientation: by_orientation,
-        };
+        // Phase 3: corner policy.
+        if self.corner == CornerPolicy::Fold {
+            for (arr, folds) in arrays.iter_mut().zip(&self.folds) {
+                fold_corners(folds, nk, arr);
+            }
+        }
+
+        let stats = self.exact_stats(nk);
         span.set_bytes(stats.total_bytes);
         span.set_points(stats.total_messages);
         let stalled = self
@@ -398,38 +434,18 @@ impl HaloUpdater {
         stats
     }
 
-    /// The statistics [`exchange_scalar`](Self::exchange_scalar) would
-    /// report for an `nk`-level field, computed analytically (same halo
-    /// enumeration, no data touched). Unlike
+    /// The statistics [`exchange_scalar`](Self::exchange_scalar) reports
+    /// for an `nk`-level field, without touching data. Unlike
     /// [`bytes_per_rank`](Self::bytes_per_rank) — an interior-rank upper
     /// bound — this accounts for cube corners, which carry no traffic.
     pub fn exact_stats(&self, nk: usize) -> ExchangeStats {
-        let p = &self.part;
-        let s = p.sub_n as i64;
-        let w = self.width as i64;
-        let mut msgs = vec![std::collections::BTreeSet::new(); p.ranks()];
-        let mut bytes = vec![0u64; p.ranks()];
-        let mut by_orientation = [0u64; 5];
-        for r in 0..p.ranks() {
-            for (i, j) in halo_cells(s, w) {
-                let cell_bytes = nk as u64 * 8;
-                let orient = Orientation::classify(i, j, s).idx();
-                match p.halo_source(RankId(r), i, j) {
-                    HaloSource::Intra { rank, .. } | HaloSource::Inter { rank, .. } => {
-                        msgs[rank.0].insert(r);
-                        bytes[rank.0] += cell_bytes;
-                        by_orientation[orient] += cell_bytes;
-                    }
-                    HaloSource::CubeCorner => {}
-                }
-            }
-        }
+        let nk = nk as u64;
+        let one = &self.level_stats;
         ExchangeStats {
-            messages_per_rank: msgs.iter().map(|m| m.len() as u64).max().unwrap_or(0),
-            bytes_per_rank: bytes.iter().copied().max().unwrap_or(0),
-            total_messages: msgs.iter().map(|m| m.len() as u64).sum(),
-            total_bytes: bytes.iter().sum(),
-            bytes_by_orientation: by_orientation,
+            bytes_per_rank: one.bytes_per_rank * nk,
+            total_bytes: one.total_bytes * nk,
+            bytes_by_orientation: one.bytes_by_orientation.map(|b| b * nk),
+            ..*one
         }
     }
 

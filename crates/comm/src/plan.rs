@@ -25,7 +25,8 @@
 //! slot so its neighbours unwind instead of hanging — the supervised
 //! rollback path depends on that.
 
-use crate::halo::{halo_cells, ExchangeStats, Orientation};
+pub use crate::halo::FoldCell;
+use crate::halo::{corner_folds, fold_corners, halo_cells, ExchangeStats, Orientation};
 use crate::partition::{HaloSource, Partition, RankId};
 use dataflow::Array3;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -51,16 +52,6 @@ pub struct Channel {
     pub src: RankId,
     pub dst: RankId,
     pub cells: Vec<CellTap>,
-}
-
-/// One cube-corner fold: copy `(fi, fj)` (an exchanged edge-halo cell)
-/// into the cube-corner halo cell `(ci, cj)` of the same array.
-#[derive(Debug, Clone, Copy)]
-pub struct FoldCell {
-    pub ci: i64,
-    pub cj: i64,
-    pub fi: i64,
-    pub fj: i64,
 }
 
 /// What a channel packs for one field slot.
@@ -143,28 +134,7 @@ impl ExchangePlan {
                     transform,
                 });
             }
-            // Cube-corner folds, in the sequential updater's enumeration
-            // order (reads only edge-halo cells, so order is immaterial to
-            // the values — kept identical anyway).
-            for di in 1..=w {
-                for dj in 1..=w {
-                    for (ci, cj) in [
-                        (-di, -dj),
-                        (s - 1 + di, -dj),
-                        (-di, s - 1 + dj),
-                        (s - 1 + di, s - 1 + dj),
-                    ] {
-                        if part.halo_source(RankId(r), ci, cj) == HaloSource::CubeCorner {
-                            let (fi, fj) = if di >= dj {
-                                (ci, cj.clamp(0, s - 1))
-                            } else {
-                                (ci.clamp(0, s - 1), cj)
-                            };
-                            folds[r].push(FoldCell { ci, cj, fi, fj });
-                        }
-                    }
-                }
-            }
+            folds[r] = corner_folds(part, r, w);
         }
         let mut sends = vec![Vec::new(); nranks];
         let mut recvs = vec![Vec::new(); nranks];
@@ -279,12 +249,7 @@ impl ExchangePlan {
     /// Apply rank `r`'s cube-corner folds to `arr` (after all of its
     /// channels have been unpacked into `arr`).
     pub fn apply_folds(&self, r: usize, nk: i64, arr: &mut Array3) {
-        for f in &self.folds[r] {
-            for k in 0..nk {
-                let v = arr.get(f.fi, f.fj, k);
-                arr.set(f.ci, f.cj, k, v);
-            }
-        }
+        fold_corners(&self.folds[r], nk as usize, arr);
     }
 
     /// The statistics one single-field exchange over this plan produces —

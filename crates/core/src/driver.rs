@@ -24,8 +24,10 @@ use fv3::state::{DycoreState, HALO};
 use machine::cancel::CancelToken;
 use machine::faults::{self, FireCtx};
 use machine::pool::Pool;
+use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Fault site: poison one interior cell of a prognostic field right
@@ -100,6 +102,9 @@ pub struct DistributedDycore {
     pub(crate) exec_cache_hits: u64,
     /// Compiled-kernel cache misses (compilations) across all runs.
     pub(crate) exec_cache_misses: u64,
+    /// Scratch stores built since construction (rank threads count
+    /// their own).
+    pub(crate) scratch_built: AtomicU64,
     /// Monotonic epoch tag for parallel mailbox exchanges.
     pub(crate) halo_epoch: u64,
     /// Hard deadline for parallel halo receives (a missing message panics
@@ -144,19 +149,64 @@ pub struct DistributedDycore {
 
 pub(crate) struct RankHooks<'a> {
     pub(crate) ids: &'a DycoreIds,
-    /// Deferred halo requests: the actual exchange happens between rank
-    /// sweeps (ranks run one state-machine step at a time in lock-step).
-    pub(crate) pending: Vec<Vec<DataId>>,
+    /// Halo markers met. The exchange itself happens between rank sweeps
+    /// (ranks run one state-machine step at a time in lock-step).
+    pub(crate) halo_markers: u32,
 }
 
 impl ExecHooks for RankHooks<'_> {
-    fn halo_exchange(&mut self, fields: &[DataId], _store: &mut DataStore) {
-        self.pending.push(fields.to_vec());
+    fn halo_exchange(&mut self, _fields: &[DataId], _store: &mut DataStore) {
+        self.halo_markers += 1;
     }
     fn callback(&mut self, name: &str, store: &mut DataStore) {
         assert_eq!(name, REMAP_CALLBACK);
         remap_callback(store, self.ids);
     }
+}
+
+/// Names acoustic substep `ns` of remapping step `ks` in spans and fault
+/// contexts. Formatted by whoever reads it: with no tracer installed and
+/// no fault plan armed the step path builds no strings.
+#[derive(Clone, Copy)]
+pub(crate) struct Substep {
+    ks: u32,
+    ns: u32,
+    /// The step's final substep: nothing runs on its stores afterwards.
+    pub(crate) last: bool,
+}
+
+impl fmt::Display for Substep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "k{}.s{}", self.ks, self.ns)
+    }
+}
+
+/// The store one rank-substep runs on. The first use of `slot` builds and
+/// counts it; later uses — the next rank, the next substep — take it as
+/// the last run left it, re-zeroing only the `clear` containers (see
+/// [`dataflow::reuse`]; every input is overwritten by `load_state`).
+pub(crate) fn scratch_store<'a>(
+    slot: &'a mut Option<DataStore>,
+    built: &AtomicU64,
+    sdfg: &Sdfg,
+    clear: &[DataId],
+) -> &'a mut DataStore {
+    if let Some(store) = slot.as_mut() {
+        for d in clear {
+            store.get_mut(*d).raw_mut().fill(0.0);
+        }
+    }
+    slot.get_or_insert_with(|| {
+        built.fetch_add(1, Ordering::Relaxed);
+        let store = DataStore::for_sdfg(sdfg);
+        if let Some(m) = obs::metrics::global() {
+            let bytes: usize = (0..store.len())
+                .map(|i| store.get(DataId(i)).layout().len * 8)
+                .sum();
+            m.gauge_high_water("store_bytes", &[], bytes as f64);
+        }
+        store
+    })
 }
 
 impl DistributedDycore {
@@ -226,6 +276,7 @@ impl DistributedDycore {
             shared_substep: None,
             exec_cache_hits: 0,
             exec_cache_misses: 0,
+            scratch_built: AtomicU64::new(0),
             halo_epoch: 0,
             recv_timeout: crate::parallel::recv_timeout_from_env(),
             soft_stall: None,
@@ -385,6 +436,13 @@ impl DistributedDycore {
         (self.exec_cache_hits, self.exec_cache_misses)
     }
 
+    /// Scratch stores ([`DataStore::for_sdfg`]) built since construction.
+    /// A step builds one under the sequential schedule and one per rank
+    /// under the parallel one, however many substeps it has.
+    pub fn scratch_stores_built(&self) -> u64 {
+        self.scratch_built.load(Ordering::Relaxed)
+    }
+
     /// Fold one execution report's kernel-cache traffic into the driver
     /// counters and the global metrics registry, if one is installed.
     pub(crate) fn note_kernel_cache(&mut self, hits: u64, misses: u64) {
@@ -512,38 +570,35 @@ impl DistributedDycore {
             self.mark_rank_mutated(r, clock);
         }
         // u and v exchange as a vector pair; everything else as scalars.
+        // The arrays are moved out of the states and back; a panic in
+        // between leaves ranks that are already marked for restore.
         let vector_pair = names.contains(&"u") && names.contains(&"v");
         if vector_pair {
-            let mut us: Vec<Array3> = self.states.iter().map(|s| s.u.clone()).collect();
-            let mut vs: Vec<Array3> = self.states.iter().map(|s| s.v.clone()).collect();
+            let (mut us, mut vs) = (self.take_field("u"), self.take_field("v"));
             self.updater.exchange_vector(&mut us, &mut vs);
-            for (r, (u, v)) in us.into_iter().zip(vs).enumerate() {
-                self.states[r].u = u;
-                self.states[r].v = v;
-            }
+            self.put_field("u", us);
+            self.put_field("v", vs);
         }
         for name in names {
             if vector_pair && (*name == "u" || *name == "v") {
                 continue;
             }
-            let mut arrays: Vec<Array3> = self
-                .states
-                .iter()
-                .map(|s| match *name {
-                    "delp" => s.delp.clone(),
-                    "pt" => s.pt.clone(),
-                    "u" => s.u.clone(),
-                    "v" => s.v.clone(),
-                    "w" => s.w.clone(),
-                    "delz" => s.delz.clone(),
-                    "q" => s.q.clone(),
-                    other => panic!("unknown exchange field {other}"),
-                })
-                .collect();
+            let mut arrays = self.take_field(name);
             self.updater.exchange_scalar(&mut arrays);
-            for (r, a) in arrays.into_iter().enumerate() {
-                self.states[r].field_mut(name).copy_from(&a);
-            }
+            self.put_field(name, arrays);
+        }
+    }
+
+    fn take_field(&mut self, name: &str) -> Vec<Array3> {
+        self.states
+            .iter_mut()
+            .map(|s| std::mem::take(s.field_mut(name)))
+            .collect()
+    }
+
+    fn put_field(&mut self, name: &str, arrays: Vec<Array3>) {
+        for (s, a) in self.states.iter_mut().zip(arrays) {
+            *s.field_mut(name) = a;
         }
     }
 
@@ -572,6 +627,18 @@ impl DistributedDycore {
             cache.boxes.reset();
         }
         self.step_interrupted = false;
+        // The scratch stores of this step: built by the first
+        // rank-substep that needs one, reused by every later one, dropped
+        // when the step returns or unwinds — a cancelled or failed step
+        // leaves nothing behind, and no store adds to the footprint of
+        // an instance that is not stepping.
+        let mut seq_store: Option<DataStore> = None;
+        let rank_stores: Vec<Mutex<Option<DataStore>>> = match self.schedule {
+            RankSchedule::Sequential => Vec::new(),
+            RankSchedule::Parallel => (0..self.partition.ranks())
+                .map(|_| Mutex::new(None))
+                .collect(),
+        };
         'substeps: for ks in 0..config.k_split {
             for ns in 0..config.n_split {
                 // Cancellation point: between substeps the states are
@@ -583,11 +650,18 @@ impl DistributedDycore {
                     self.step_interrupted = true;
                     break 'substeps;
                 }
-                let module = format!("k{ks}.s{ns}");
-                let _acoustic_span = obs::tracing::global_span("acoustic", &module);
+                let module = Substep {
+                    ks,
+                    ns,
+                    last: (ks + 1, ns + 1) == (config.k_split, config.n_split),
+                };
+                let _acoustic_span =
+                    obs::tracing::global_span_args("acoustic", format_args!("{module}"));
                 match self.schedule {
-                    RankSchedule::Sequential => self.sequential_substep(&cache, &module),
-                    RankSchedule::Parallel => self.parallel_substep(&cache, &module),
+                    RankSchedule::Sequential => {
+                        self.sequential_substep(&cache, module, &mut seq_store)
+                    }
+                    RankSchedule::Parallel => self.parallel_substep(&cache, module, &rank_stores),
                 }
             }
             // Remap runs inside each rank's program already (k_split = 1
@@ -610,47 +684,51 @@ impl DistributedDycore {
     }
 
     /// One acoustic substep under the sequential rank schedule: exchange
-    /// halos, then run every rank in turn on the calling thread.
-    pub(crate) fn sequential_substep(&mut self, cache: &StepCache, module: &str) {
+    /// halos, then run every rank in turn on the calling thread, all on
+    /// the step's one scratch store.
+    pub(crate) fn sequential_substep(
+        &mut self,
+        cache: &StepCache,
+        module: Substep,
+        scratch: &mut Option<DataStore>,
+    ) {
         self.exchange(&["u", "v", "w", "delp", "pt", "q"]);
         if faults::enabled() {
             if let Some((rank, field)) = self.plan_poison(module) {
                 self.apply_poison(rank, &field);
             }
         }
+        let sub = &cache.sub;
         for r in 0..self.partition.ranks() {
-            let _rank_span = obs::tracing::global_span("rank", &format!("rank{r}"));
-            let sub = &cache.sub;
-            let mut store = DataStore::for_sdfg(&sub.sub_expanded);
+            let _rank_span = obs::tracing::global_span_args("rank", format_args!("rank{r}"));
+            let store =
+                scratch_store(scratch, &self.scratch_built, &sub.sub_expanded, &sub.clear_seq);
             if let Some(m) = obs::metrics::global() {
-                let bytes: usize = (0..store.len())
-                    .map(|i| store.get(DataId(i)).layout().len * 8)
-                    .sum();
-                m.gauge_high_water("store_bytes", &[], bytes as f64);
                 m.counter_add("rank_runs", &[], 1);
             }
-            load_state(&mut store, &sub.sub_prog.ids, &self.states[r], &self.grids[r]);
+            load_state(store, &sub.sub_prog.ids, &self.states[r], &self.grids[r]);
             let mut hooks = RankHooks {
                 ids: &sub.sub_prog.ids,
-                pending: Vec::new(),
+                halo_markers: 0,
             };
-            let rep =
-                sub.exec_seq
-                    .run(&sub.sub_expanded, &mut store, &sub.sub_prog.params, &mut hooks);
+            let rep = sub
+                .exec_seq
+                .run(&sub.sub_expanded, store, &sub.sub_prog.params, &mut hooks);
             // The per-substep program embeds exactly one halo marker,
             // satisfied by the exchange above.
-            debug_assert_eq!(hooks.pending.len(), 1);
-            extract_state(&store, &sub.sub_prog.ids, &mut self.states[r]);
+            debug_assert_eq!(hooks.halo_markers, 1);
+            extract_state(store, &sub.sub_prog.ids, &mut self.states[r]);
             self.note_kernel_cache(rep.cache_hits, rep.cache_misses);
         }
     }
 
     /// [`SITE_POISON`]: decide whether (and where) to poison one interior
     /// cell of a prognostic field this substep.
-    pub(crate) fn plan_poison(&self, module: &str) -> Option<(usize, String)> {
+    pub(crate) fn plan_poison(&self, module: Substep) -> Option<(usize, String)> {
+        let module = module.to_string();
         let ctx = FireCtx {
             step: Some(self.step_index),
-            module: Some(module),
+            module: Some(&module),
         };
         faults::fire(SITE_POISON, ctx).map(|spec| {
             let rank = spec

@@ -1,0 +1,299 @@
+//! One scratch store per step, checked against fresh stores.
+//!
+//! `step()` builds a `DataStore` at its first rank-substep and runs every
+//! later rank and substep of the step on it. `CompiledSubstep::build`
+//! proves that safe per graph (`dataflow::reuse`); this file is the
+//! dynamic side of that proof, with no wall clock in any assertion:
+//!
+//! * **the poison oracle** — learn which cells a rank-substep writes (run
+//!   it on scratch filled with a pattern it cannot compute), then rerun it
+//!   on a store whose written cells are all NaN and whose clear-list
+//!   containers are zeroed: every container must come out with the bits
+//!   a fresh store gives;
+//! * **the driver** — `step()` with several substeps, under both rank
+//!   schedules, against a reference that allocates a fresh store for
+//!   every rank of every substep, the way the driver used to;
+//! * **aborted steps** — after a step cut short by a `CancelToken`, or
+//!   failed by a mid-step NaN and rolled back by the supervisor, the run
+//!   continues bit for bit like an instance that never saw either.
+
+use comm::{CornerPolicy, HaloUpdater};
+use dataflow::exec::{DataStore, Executor};
+use dataflow::graph::ExpansionAttrs;
+use dataflow::{Array3, DataId, Sdfg};
+use fv3::dyn_core::{extract_state, load_state, DycoreConfig, DycoreProgram};
+use fv3::grid::Grid;
+use fv3::profiling::RemapHooks;
+use fv3::state::{DycoreState, HALO};
+use fv3core::{Checkpoint, CompiledSubstep, DistributedDycore, DriverConfig, RankSchedule};
+use machine::cancel::CancelToken;
+use machine::faults::ArmGuard;
+use resilience::{FaultPlan, Supervisor, SupervisorPolicy};
+
+const SCHEDULES: [RankSchedule; 2] = [RankSchedule::Sequential, RankSchedule::Parallel];
+const SIZES: [(usize, usize); 3] = [(8, 3), (12, 4), (24, 8)];
+
+fn config(n: usize, nk: usize, n_split: u32, k_split: u32) -> DriverConfig {
+    DriverConfig::six_rank(
+        n,
+        nk,
+        DycoreConfig {
+            n_split,
+            k_split,
+            dt: 4.0,
+            dddmp: 0.02,
+            nord4_damp: None,
+        },
+    )
+}
+
+fn dycore(cfg: DriverConfig, schedule: RankSchedule, tuned: bool) -> DistributedDycore {
+    let mut d = DistributedDycore::new(cfg, &ExpansionAttrs::tuned());
+    d.set_rank_schedule(schedule);
+    d.set_tuned(tuned);
+    d
+}
+
+/// The fault registry is process-global: every step in this file runs
+/// under an `ArmGuard`, an empty one where no fault is wanted.
+fn unfaulted() -> ArmGuard {
+    machine::faults::arm(0, Vec::new())
+}
+
+fn assert_states_bit_identical(a: &[DycoreState], b: &[DycoreState], what: &str) {
+    for (r, (sa, sb)) in a.iter().zip(b).enumerate() {
+        for ((name, fa), (_, fb)) in sa.fields().iter().zip(sb.fields().iter()) {
+            for (n, (x, y)) in fa.raw().iter().zip(fb.raw()).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{what}: rank {r} field {name} element {n}: {x} vs {y}"
+                );
+            }
+        }
+    }
+}
+
+/// One rank-substep: load, run the schedule's graphs back to back, as the
+/// driver does.
+fn run_rank(
+    graphs: &[&Sdfg],
+    prog: &DycoreProgram,
+    store: &mut DataStore,
+    state: &DycoreState,
+    grid: &Grid,
+) {
+    load_state(store, &prog.ids, state, grid);
+    let mut hooks = RemapHooks { ids: &prog.ids };
+    for g in graphs {
+        Executor::serial().run(g, store, &prog.params, &mut hooks);
+    }
+}
+
+/// Bit pattern no computation produces: marks cells a run left alone.
+const UNTOUCHED: u64 = 0x7ff8_dead_beef_0001;
+
+#[test]
+fn poisoned_store_reruns_to_the_bits_of_a_fresh_one() {
+    let _quiet = unfaulted();
+    for (n, nk) in SIZES {
+        // Realistic inputs with exchanged halos: rank states one step in.
+        let mut d = dycore(config(n, nk, 1, 1), RankSchedule::Sequential, false);
+        d.step();
+        // The measured veto makes a tuned build slow in the dev profile;
+        // the two smaller sizes exercise the same transforms.
+        for tuned in [false, true].into_iter().filter(|t| !t || n < 24) {
+            let sub = CompiledSubstep::build_with_tune(&d.config, None, tuned);
+            for schedule in SCHEDULES {
+                let what = format!("c{n}L{nk} tuned={tuned} {schedule:?}");
+                let graphs = sub.run_graphs(schedule);
+                let prog = sub.program();
+                let scratch: Vec<DataId> = (0..graphs[0].containers.len())
+                    .map(DataId)
+                    .filter(|c| !prog.ids.loaded().contains(c))
+                    .collect();
+                let (state, grid) = (&d.states[1], &d.grids[1]);
+
+                let mut fresh = DataStore::for_sdfg(graphs[0]);
+                run_rank(&graphs, prog, &mut fresh, state, grid);
+                let mut out = state.clone();
+                extract_state(&fresh, &prog.ids, &mut out);
+                assert!(!out.has_nonfinite(), "{what}: NaN would hide the poison");
+
+                let mut probe = DataStore::for_sdfg(graphs[0]);
+                for c in &scratch {
+                    probe.get_mut(*c).raw_mut().fill(f64::from_bits(UNTOUCHED));
+                }
+                run_rank(&graphs, prog, &mut probe, state, grid);
+
+                let mut used = DataStore::for_sdfg(graphs[0]);
+                let mut poisoned = 0usize;
+                for c in scratch
+                    .iter()
+                    .filter(|c| !sub.clear_list(schedule).contains(c))
+                {
+                    for (v, p) in used
+                        .get_mut(*c)
+                        .raw_mut()
+                        .iter_mut()
+                        .zip(probe.get(*c).raw())
+                    {
+                        if p.to_bits() != UNTOUCHED {
+                            *v = f64::NAN;
+                            poisoned += 1;
+                        }
+                    }
+                }
+                assert!(
+                    poisoned > 10 * n * n * nk,
+                    "{what}: only {poisoned} cells written"
+                );
+                // Another rank's inputs last time round, as in the driver.
+                run_rank(&graphs, prog, &mut used, state, grid);
+
+                for c in (0..fresh.len()).map(DataId) {
+                    let name = &graphs[0].containers[c.0].name;
+                    for (i, (x, y)) in fresh.get(c).raw().iter().zip(used.get(c).raw()).enumerate()
+                    {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{what}: container {name} element {i}: fresh {x}, reused {y}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The driver as it was before stores were reused, from public parts: the
+/// central exchange, then a fresh zeroed store for every rank.
+fn fresh_store_substep(
+    states: &mut [DycoreState],
+    grids: &[Grid],
+    updater: &HaloUpdater,
+    sub: &CompiledSubstep,
+) {
+    let field = |states: &[DycoreState], name: &str| -> Vec<Array3> {
+        states
+            .iter()
+            .map(|s| {
+                s.fields()
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .expect("prognostic")
+                    .1
+                    .clone()
+            })
+            .collect()
+    };
+    let (mut us, mut vs) = (field(states, "u"), field(states, "v"));
+    updater.exchange_vector(&mut us, &mut vs);
+    for (s, (u, v)) in states.iter_mut().zip(us.into_iter().zip(vs)) {
+        (s.u, s.v) = (u, v);
+    }
+    for name in ["w", "delp", "pt", "q"] {
+        let mut arrays = field(states, name);
+        updater.exchange_scalar(&mut arrays);
+        for (s, a) in states.iter_mut().zip(arrays) {
+            *s.field_mut(name) = a;
+        }
+    }
+    let graphs = sub.run_graphs(RankSchedule::Sequential);
+    for (state, grid) in states.iter_mut().zip(grids) {
+        let mut store = DataStore::for_sdfg(graphs[0]);
+        run_rank(&graphs, sub.program(), &mut store, state, grid);
+        extract_state(&store, &sub.program().ids, state);
+    }
+}
+
+#[test]
+fn multi_substep_steps_match_a_fresh_store_per_rank_substep() {
+    let _quiet = unfaulted();
+    let (n_split, k_split, steps) = (2, 2, 2);
+    for (n, nk) in SIZES {
+        let cfg = config(n, nk, n_split, k_split);
+        let reference = {
+            let d = dycore(cfg, RankSchedule::Sequential, false);
+            let updater = HaloUpdater::new(d.partition.clone(), HALO, CornerPolicy::Fold);
+            let sub = CompiledSubstep::build_with_tune(&cfg, None, false);
+            let mut states = d.states.clone();
+            for _ in 0..steps * n_split * k_split {
+                fresh_store_substep(&mut states, &d.grids, &updater, &sub);
+            }
+            states
+        };
+        for schedule in SCHEDULES {
+            for tuned in [false, true].into_iter().filter(|t| !t || n == 8) {
+                let mut d = dycore(cfg, schedule, tuned);
+                for _ in 0..steps {
+                    d.step();
+                }
+                let what = format!("c{n}L{nk} {schedule:?} tuned={tuned}");
+                assert_states_bit_identical(&d.states, &reference, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_step_after_a_cancelled_one_matches_an_instance_that_never_stopped() {
+    let _quiet = unfaulted();
+    for schedule in SCHEDULES {
+        let cfg = config(8, 3, 2, 2);
+        let mut d = dycore(cfg, schedule, false);
+        let token = CancelToken::new();
+        d.set_cancel_token(token.clone());
+        let (go, gone) = std::sync::mpsc::channel::<()>();
+        let canceller = std::thread::spawn(move || {
+            gone.recv().expect("main thread is stepping");
+            token.cancel();
+        });
+        // Wherever the cancel lands — between two substeps or between two
+        // steps — the step it stops is thrown away with its stores.
+        go.send(()).expect("canceller is waiting");
+        let mut last_good = Checkpoint::capture(&d);
+        while !d.step_interrupted() {
+            last_good = Checkpoint::capture(&d);
+            d.step();
+        }
+        canceller.join().expect("canceller exits");
+
+        d.restore(&last_good);
+        d.set_cancel_token(CancelToken::inert());
+        d.step();
+        assert!(!d.step_interrupted());
+
+        let mut never_stopped = dycore(cfg, schedule, false);
+        while never_stopped.step_index() < d.step_index() {
+            never_stopped.step();
+        }
+        assert_states_bit_identical(&d.states, &never_stopped.states, &format!("{schedule:?}"));
+    }
+}
+
+#[test]
+fn a_rolled_back_step_leaves_nothing_in_the_next_one() {
+    for schedule in SCHEDULES {
+        let cfg = config(8, 3, 2, 2);
+        // NaN lands in `pt` at the second substep of the second step, so
+        // the failed step has run ranks on a store full of NaN-derived
+        // scratch before the supervisor rolls it back.
+        let faulted = {
+            let plan = FaultPlan::parse("seed=3;nan@step=1,module=k0.s1,field=pt").unwrap();
+            let _guard = plan.arm();
+            let mut d = dycore(cfg, schedule, false);
+            let mut sup = Supervisor::new(SupervisorPolicy::default());
+            let report = sup.run(&mut d, 3).expect("the blowup is recovered");
+            assert_eq!((report.retries, d.step_index()), (1, 3));
+            d
+        };
+        let _quiet = unfaulted();
+        let mut clean = dycore(cfg, schedule, false);
+        for _ in 0..3 {
+            clean.step();
+        }
+        assert_states_bit_identical(&faulted.states, &clean.states, &format!("{schedule:?}"));
+    }
+}

@@ -53,6 +53,14 @@ impl DataStore {
         &mut self.arrays[d.0]
     }
 
+    /// Mutable access to several containers at once (a host callback that
+    /// updates fields in place). Panics when two ids name one container.
+    pub fn get_disjoint_mut<const N: usize>(&mut self, ids: [DataId; N]) -> [&mut Array3; N] {
+        self.arrays
+            .get_disjoint_mut(ids.map(|d| d.0))
+            .expect("distinct containers of this store")
+    }
+
     /// Copy every element of `src` into `dst` (same layout; `src == dst`
     /// is a no-op).
     pub fn copy(&mut self, src: DataId, dst: DataId) {
@@ -402,16 +410,10 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
     };
     let mut points = 0u64;
     for s in &kernel.stmts {
-        let grown = s.extent.grow(&dom);
-        let (il, ih, jl, jh) = match &s.region {
-            Some(r) => {
-                let (il, ih) = r.i.resolve(dom.start[0], dom.end[0]);
-                let (jl, jh) = r.j.resolve(dom.start[1], dom.end[1]);
-                (il, ih, jl, jh)
-            }
-            None => (grown.start[0], grown.end[0], grown.start[1], grown.end[1]),
-        };
-        let (kl, kh) = s.k_range.resolve(dom.start[2], dom.end[2]);
+        let Domain {
+            start: [il, jl, kl],
+            end: [ih, jh, kh],
+        } = s.bounds(&dom);
         let b = StmtBounds {
             il,
             ih,

@@ -268,6 +268,26 @@ impl Stmt {
         }
     }
 
+    /// The box of points this statement executes over in a kernel with
+    /// the given compute domain: a region resolves against the domain
+    /// itself, anything else runs on the extent-grown domain.
+    pub fn bounds(&self, domain: &Domain) -> Domain {
+        let grown = self.extent.grow(domain);
+        let (il, ih, jl, jh) = match &self.region {
+            Some(r) => {
+                let (il, ih) = r.i.resolve(domain.start[0], domain.end[0]);
+                let (jl, jh) = r.j.resolve(domain.start[1], domain.end[1]);
+                (il, ih, jl, jh)
+            }
+            None => (grown.start[0], grown.end[0], grown.start[1], grown.end[1]),
+        };
+        let (kl, kh) = self.k_range.resolve(domain.start[2], domain.end[2]);
+        Domain {
+            start: [il, jl, kl],
+            end: [ih, jh, kh],
+        }
+    }
+
     /// Number of points this statement executes over.
     pub fn points(&self, domain: &Domain) -> u64 {
         let grown = self.extent.grow(domain);

@@ -19,6 +19,7 @@ pub mod overlap;
 pub mod passes;
 pub mod profile;
 pub mod report;
+pub mod reuse;
 pub mod snapshot;
 pub mod storage;
 pub mod transforms;

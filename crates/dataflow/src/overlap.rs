@@ -90,19 +90,10 @@ fn read_radius(k: &Kernel) -> i64 {
     r
 }
 
-/// Resolve a statement's horizontal bounds exactly as
-/// `exec::compile_kernel` does.
+/// A statement's horizontal bounds, as `exec::compile_kernel` runs it.
 fn stmt_bounds(k: &Kernel, s: &Stmt) -> (i64, i64, i64, i64) {
-    let dom = k.domain;
-    let grown = s.extent.grow(&dom);
-    match &s.region {
-        Some(r) => {
-            let (il, ih) = r.i.resolve(dom.start[0], dom.end[0]);
-            let (jl, jh) = r.j.resolve(dom.start[1], dom.end[1]);
-            (il, ih, jl, jh)
-        }
-        None => (grown.start[0], grown.end[0], grown.start[1], grown.end[1]),
-    }
+    let b = s.bounds(&k.domain);
+    (b.start[0], b.end[0], b.start[1], b.end[1])
 }
 
 /// An absolute horizontal rectangle `[il, ih) × [jl, jh)`.

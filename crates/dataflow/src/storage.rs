@@ -165,6 +165,29 @@ pub struct Array3 {
     layout: Layout,
 }
 
+/// The empty array (no elements, nothing allocated): what
+/// `std::mem::take` leaves behind while a field is lent out.
+impl Default for Array3 {
+    fn default() -> Self {
+        Array3::zeros(Layout::new([0; 3], [0; 3], StorageOrder::IContiguous, 1))
+    }
+}
+
+/// One compute-domain row of an [`Array3`], whatever its storage order.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    data: &'a [f64],
+    stride: usize,
+}
+
+impl Row<'_> {
+    /// Element `i` of the row (`0 <= i < ni`).
+    #[inline]
+    pub fn at(&self, i: usize) -> f64 {
+        self.data[i * self.stride]
+    }
+}
+
 impl Array3 {
     /// Allocate a zero-filled array with the given layout.
     pub fn zeros(layout: Layout) -> Self {
@@ -214,6 +237,30 @@ impl Array3 {
     pub fn set(&mut self, i: i64, j: i64, k: i64, v: f64) {
         let off = self.layout.offset(i, j, k);
         self.data[off] = v;
+    }
+
+    /// The compute-domain row `(0..ni, j, k)`, for loops that would
+    /// otherwise resolve the layout once per element in
+    /// [`get`](Self::get).
+    #[inline]
+    pub fn row(&self, j: i64, k: i64) -> Row<'_> {
+        let stride = self.layout.strides[0];
+        let start = self.layout.offset(0, j, k);
+        let len = match self.layout.domain[0] {
+            0 => 0,
+            ni => (ni - 1) * stride + 1,
+        };
+        Row {
+            data: &self.data[start..start + len],
+            stride,
+        }
+    }
+
+    /// Where the column `(i, j, 0..nk)` sits in [`raw`](Self::raw)
+    /// storage: the flat index of its level 0 and the K stride.
+    #[inline]
+    pub fn column(&self, i: i64, j: i64) -> (usize, usize) {
+        (self.layout.offset(i, j, 0), self.layout.strides[2])
     }
 
     /// Raw storage (including halo and padding).

@@ -6,11 +6,16 @@
 //! block, region and K-interval statements that cover part of a block,
 //! `Index(J)` inside a tile, locals carried through vertical solvers,
 //! in-place updates, and parallel pools (which change the block height).
+//!
+//! The same generator drives a dynamic oracle for `dataflow::reuse`: a
+//! store that ran a random program, with every cell the program writes
+//! poisoned, must rerun it to the bits of a fresh store once the
+//! containers on the clear-list are zeroed.
 
 use dataflow::bytecode::TILE_LANES;
-use dataflow::exec::{run_kernel_with, validate_kernel, DataStore, VmMode};
+use dataflow::exec::{run_kernel_with, validate_kernel, DataStore, Executor, NoHooks, VmMode};
 use dataflow::expr::{BinOp, CmpOp, LocalId, ParamId};
-use dataflow::graph::Sdfg;
+use dataflow::graph::{DataflowNode, Sdfg, State};
 use dataflow::kernel::{
     Anchor, AxisInterval, Domain, Extent2, KOrder, Kernel, LValue, Region2, Schedule, Stmt,
 };
@@ -182,7 +187,7 @@ fn assert_stores_bit_identical(a: &DataStore, b: &DataStore, ids: &[DataId], lab
             assert_eq!(
                 p.to_bits(),
                 q.to_bits(),
-                "{label}: container {d:?} flat index {n}: scalar={p} lanes={q}"
+                "{label}: container {d:?} flat index {n}: {p} vs {q}"
             );
         }
     }
@@ -238,8 +243,89 @@ fn check_case(
     assert_stores_bit_identical(&scalar_store, &par_store, &ids, "parallel lanes");
 }
 
+/// Bit pattern no computation produces: marks cells a run left alone.
+const UNTOUCHED: u64 = 0x7ff8_dead_beef_0001;
+
+/// Run a random multi-kernel program (later kernels read what earlier
+/// ones wrote, a whole-container copy in between) on a fresh store and on
+/// a used one prepared as `reuse::clear_list` prescribes.
+fn check_reuse(ni: usize, nj: usize, nk: usize, korders: [KOrder; 3], n_stmts: usize, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut g = Sdfg::new("reuse_diff");
+    let shape = [ni, nj, nk];
+    let ids: Vec<DataId> = (0..N_INPUTS + N_OUTPUTS)
+        .map(|n| {
+            // Inputs alternate padded and unpadded; the outputs copy into
+            // each other and share one (padded) layout.
+            let align = if n % 2 == 0 || n >= N_INPUTS { 8 } else { 1 };
+            let layout = Layout::new(shape, HALO, StorageOrder::IContiguous, align);
+            g.add_container(format!("f{n}"), layout, false)
+        })
+        .collect();
+    let (inputs, outputs) = ids.split_at(N_INPUTS);
+    let mut state = State::new("s");
+    for korder in korders {
+        let kernel = random_kernel(&mut rng, &ids, Domain::from_shape(shape), korder, n_stmts);
+        if validate_kernel(&kernel).is_ok() {
+            state.nodes.push(DataflowNode::Kernel(kernel));
+        }
+        if rng.gen_bool(0.2) {
+            let (src, dst) = if rng.gen_bool(0.5) { (0, 1) } else { (1, 0) };
+            state.nodes.push(DataflowNode::Copy { src: outputs[src], dst: outputs[dst] });
+        }
+    }
+    g.add_state(state);
+    let params: Vec<f64> = (0..N_PARAMS).map(|_| rng.gen_range(0.2..1.7)).collect();
+    let run = |store: &mut DataStore| {
+        fill_store(&g, inputs, store);
+        Executor::serial().run(&g, store, &params, &mut NoHooks);
+    };
+
+    let mut fresh = DataStore::for_sdfg(&g);
+    run(&mut fresh);
+
+    // Which cells does the program write? Whatever a run changes in
+    // outputs filled with a pattern it cannot compute. (`x = x + y` on an
+    // untouched cell keeps the NaN payload and goes unseen; that cell is
+    // then zeroed below instead of poisoned, which is what a store holds
+    // where nothing was ever written.)
+    let mut probe = DataStore::for_sdfg(&g);
+    for d in outputs {
+        probe.get_mut(*d).raw_mut().fill(f64::from_bits(UNTOUCHED));
+    }
+    run(&mut probe);
+
+    let clear = dataflow::reuse::clear_list(&[&g], inputs);
+    let mut used = DataStore::for_sdfg(&g);
+    for d in outputs.iter().filter(|d| !clear.contains(d)) {
+        for (v, p) in used.get_mut(*d).raw_mut().iter_mut().zip(probe.get(*d).raw()) {
+            if p.to_bits() != UNTOUCHED {
+                *v = f64::NAN;
+            }
+        }
+    }
+    run(&mut used);
+    assert_stores_bit_identical(&fresh, &used, &ids, &format!("clear-list {clear:?}"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The region check never leaves out a container the rerun needs
+    /// zeroed: regions, K intervals, extents, solver self-reads and
+    /// in-place updates all make reads that earlier writes only partly
+    /// cover.
+    #[test]
+    fn clear_list_is_enough_to_reuse_a_store(
+        ni in 1usize..12,
+        nj in 1usize..12,
+        nk in 1usize..5,
+        korders in (arb_korder(), arb_korder(), arb_korder()),
+        n_stmts in 1usize..5,
+        seed in 0u64..1u64 << 48,
+    ) {
+        check_reuse(ni, nj, nk, [korders.0, korders.1, korders.2], n_stmts, seed);
+    }
 
     /// The headline property: arbitrary domains (several j-row blocks,
     /// the last one short), storage orders, K orders, and statement

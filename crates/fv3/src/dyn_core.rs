@@ -258,21 +258,28 @@ pub fn build_dycore_program(n: usize, nk: usize, config: DycoreConfig) -> Dycore
     }
 }
 
+impl DycoreIds {
+    /// The containers [`load_state`] overwrites in full before every run
+    /// of the program, in the order it fills them. Everything else in a
+    /// store is scratch the program itself must write before it reads
+    /// (`dataflow::reuse`).
+    pub fn loaded(&self) -> [DataId; 13] {
+        [
+            self.delp, self.pt, self.u, self.v, self.w, self.delz, self.q, self.rdx, self.rdy,
+            self.area, self.rarea, self.cosa, self.sina,
+        ]
+    }
+}
+
 /// Load a rank's state and grid into the program's data store.
 pub fn load_state(store: &mut DataStore, ids: &DycoreIds, state: &DycoreState, grid: &Grid) {
-    store.get_mut(ids.delp).copy_from(&state.delp);
-    store.get_mut(ids.pt).copy_from(&state.pt);
-    store.get_mut(ids.u).copy_from(&state.u);
-    store.get_mut(ids.v).copy_from(&state.v);
-    store.get_mut(ids.w).copy_from(&state.w);
-    store.get_mut(ids.delz).copy_from(&state.delz);
-    store.get_mut(ids.q).copy_from(&state.q);
-    store.get_mut(ids.rdx).copy_from(&grid.rdx);
-    store.get_mut(ids.rdy).copy_from(&grid.rdy);
-    store.get_mut(ids.area).copy_from(&grid.area);
-    store.get_mut(ids.rarea).copy_from(&grid.rarea);
-    store.get_mut(ids.cosa).copy_from(&grid.cosa);
-    store.get_mut(ids.sina).copy_from(&grid.sina);
+    let sources = [
+        &state.delp, &state.pt, &state.u, &state.v, &state.w, &state.delz, &state.q, &grid.rdx,
+        &grid.rdy, &grid.area, &grid.rarea, &grid.cosa, &grid.sina,
+    ];
+    for (id, src) in ids.loaded().into_iter().zip(sources) {
+        store.get_mut(id).copy_from(src);
+    }
 }
 
 /// Read the prognostics back out of the data store.
@@ -289,19 +296,9 @@ pub fn extract_state(store: &DataStore, ids: &DycoreIds, state: &mut DycoreState
 /// Apply the vertical-remap callback on the store (what the driver's
 /// `ExecHooks::callback` does).
 pub fn remap_callback(store: &mut DataStore, ids: &DycoreIds) {
-    let mut delp = store.get(ids.delp).clone();
-    let mut pt = store.get(ids.pt).clone();
-    let mut w = store.get(ids.w).clone();
-    let mut q = store.get(ids.q).clone();
-    let mut u = store.get(ids.u).clone();
-    let mut v = store.get(ids.v).clone();
-    remap_state(&mut delp, &mut [&mut pt, &mut w, &mut q, &mut u, &mut v]);
-    store.get_mut(ids.delp).copy_from(&delp);
-    store.get_mut(ids.pt).copy_from(&pt);
-    store.get_mut(ids.w).copy_from(&w);
-    store.get_mut(ids.q).copy_from(&q);
-    store.get_mut(ids.u).copy_from(&u);
-    store.get_mut(ids.v).copy_from(&v);
+    let [delp, pt, w, q, u, v] =
+        store.get_disjoint_mut([ids.delp, ids.pt, ids.w, ids.q, ids.u, ids.v]);
+    remap_state(delp, &mut [pt, w, q, u, v]);
 }
 
 /// Scratch arrays for the baseline step.

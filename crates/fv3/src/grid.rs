@@ -207,13 +207,24 @@ impl Grid {
 /// Reference vertical coordinate: hybrid-like pressure levels from the
 /// model top to the surface, `nk + 1` interfaces.
 pub fn reference_pressures(nk: usize, p_top: f64, p_surf: f64) -> Vec<f64> {
-    // Quadratic spacing: thin layers aloft, thick near the surface.
     (0..=nk)
-        .map(|k| {
-            let x = k as f64 / nk as f64;
-            p_top + (p_surf - p_top) * x * x * (3.0 - 2.0 * x).max(0.2)
-        })
+        .map(|k| reference_pressure(p_top, p_surf, reference_level(k, nk)))
         .collect()
+}
+
+/// Interface `k` of `nk` layers as `(x, shape)`: the part of
+/// [`reference_pressure`] that does not depend on the column, so the
+/// remap computes it once per call rather than once per column.
+pub fn reference_level(k: usize, nk: usize) -> (f64, f64) {
+    let x = k as f64 / nk as f64;
+    (x, (3.0 - 2.0 * x).max(0.2))
+}
+
+/// Pressure of one interface: quadratic spacing, thin layers aloft, thick
+/// near the surface. The product is evaluated left to right.
+#[inline]
+pub fn reference_pressure(p_top: f64, p_surf: f64, (x, shape): (f64, f64)) -> f64 {
+    p_top + (p_surf - p_top) * x * x * shape
 }
 
 #[cfg(test)]

@@ -272,12 +272,13 @@ pub fn check_fields(
         let [ni, nj, nk] = a.layout().domain;
         for k in 0..nk as i64 {
             for j in 0..nj as i64 {
-                for i in 0..ni as i64 {
-                    let v = a.get(i, j, k);
+                let row = a.row(j, k);
+                for i in 0..ni {
+                    let v = row.at(i);
                     if !v.is_finite() {
                         return Some(BlowupReport {
                             field: name.to_string(),
-                            i,
+                            i: i as i64,
                             j,
                             k,
                             value: v,
@@ -340,36 +341,43 @@ impl HealthMonitor {
         let mut tracer_mass = 0.0f64;
         let mut energy = 0.0f64;
         // k-outer / j / i summation order matches DycoreState::air_mass
-        // and validate::invariants::total_energy bit-for-bit.
+        // and validate::invariants::total_energy bit-for-bit; rows only
+        // take the layout arithmetic out of the innermost loop.
         for k in 0..nk as i64 {
             for j in 0..nj as i64 {
-                for i in 0..ni as i64 {
-                    let u = input.u.get(i, j, k);
-                    let v = input.v.get(i, j, k);
-                    let w = input.w.get(i, j, k);
-                    let delp = input.delp.get(i, j, k);
-                    let area = input.area.get(i, j, 0);
+                let (us, vs, ws) = (input.u.row(j, k), input.v.row(j, k), input.w.row(j, k));
+                let (delps, pts, qs) = (input.delp.row(j, k), input.pt.row(j, k), input.q.row(j, k));
+                let (areas, rdxs, rdys) = (input.area.row(j, 0), input.rdx.row(j, 0), input.rdy.row(j, 0));
+                for i in 0..ni {
+                    let (u, v, w) = (us.at(i), vs.at(i), ws.at(i));
+                    let delp = delps.at(i);
+                    let area = areas.at(i);
                     max_wind = max_wind.max((u * u + v * v + w * w).sqrt());
-                    max_courant = max_courant
-                        .max(u.abs() * input.rdx.get(i, j, 0) + v.abs() * input.rdy.get(i, j, 0));
+                    max_courant = max_courant.max(u.abs() * rdxs.at(i) + v.abs() * rdys.at(i));
                     air_mass += delp * area;
-                    tracer_mass += input.q.get(i, j, k) * delp * area;
+                    tracer_mass += qs.at(i) * delp * area;
                     energy += delp / input.grav
                         * area
-                        * (input.cp * input.pt.get(i, j, k) + 0.5 * (u * u + v * v + w * w));
+                        * (input.cp * pts.at(i) + 0.5 * (u * u + v * v + w * w));
                 }
             }
         }
         let cfl = input.dt * max_courant;
 
+        // Per column `ptop + delp[0] + delp[1] + ...`, a row of columns
+        // at a time.
         let mut ps_min = f64::INFINITY;
         let mut ps_max = f64::NEG_INFINITY;
+        let mut ps_row = vec![0.0f64; ni];
         for j in 0..nj as i64 {
-            for i in 0..ni as i64 {
-                let mut ps = input.ptop;
-                for k in 0..nk as i64 {
-                    ps += input.delp.get(i, j, k);
+            ps_row.fill(input.ptop);
+            for k in 0..nk as i64 {
+                let delps = input.delp.row(j, k);
+                for (i, ps) in ps_row.iter_mut().enumerate() {
+                    *ps += delps.at(i);
                 }
+            }
+            for &ps in &ps_row {
                 ps_min = ps_min.min(ps);
                 ps_max = ps_max.max(ps);
             }

@@ -14,9 +14,70 @@
 //! conservation exact and monotonicity trivial — higher-order PPM remap
 //! is listed as future work in DESIGN.md.
 
-use crate::grid::reference_pressures;
+use crate::grid::{reference_level, reference_pressure};
 use crate::init::constants::{P0, PTOP};
 use dataflow::Array3;
+
+/// How one column's source layers overlap its target layers: for every
+/// target layer the `(mass taken, source layer)` pairs in the order the
+/// walk meets them. The walk reads thicknesses only, so one overlap
+/// serves every field of the column.
+#[derive(Default)]
+struct Overlap {
+    /// All target layers' pairs back to back.
+    takes: Vec<(f64, usize)>,
+    /// Where each target layer's run of `takes` ends.
+    ends: Vec<usize>,
+}
+
+impl Overlap {
+    /// Walk the source layers once for the given target thicknesses.
+    /// Source and target must span the same total within round-off; a
+    /// tail the source no longer covers takes the last layer's value.
+    fn build(&mut self, src_dp: &[f64], dst_dp: &[f64]) {
+        self.takes.clear();
+        self.ends.clear();
+        let last = src_dp.len().saturating_sub(1);
+        let mut k_src = 0usize;
+        // Mass remaining in the current source layer.
+        let mut avail = src_dp.first().copied().unwrap_or(0.0);
+        for &need_total in dst_dp {
+            let mut need = need_total;
+            while need > 0.0 {
+                if k_src >= src_dp.len() {
+                    self.takes.push((need, last));
+                    break;
+                }
+                let take = need.min(avail);
+                self.takes.push((take, k_src));
+                need -= take;
+                avail -= take;
+                if avail <= 1e-30 {
+                    k_src += 1;
+                    avail = src_dp.get(k_src).copied().unwrap_or(0.0);
+                }
+                if take <= 0.0 && avail <= 0.0 && k_src >= src_dp.len() {
+                    break;
+                }
+            }
+            self.ends.push(self.takes.len());
+        }
+    }
+
+    /// Target mean values of one field: `put(k, mean)` per target layer.
+    /// An empty source column reads as zero.
+    fn apply(&self, src_val: &[f64], dst_dp: &[f64], mut put: impl FnMut(usize, f64)) {
+        let mut start = 0;
+        for (k, (&end, &need_total)) in self.ends.iter().zip(dst_dp).enumerate() {
+            let mut acc = 0.0;
+            for &(take, s) in &self.takes[start..end] {
+                acc += take * src_val.get(s).copied().unwrap_or(0.0);
+            }
+            start = end;
+            put(k, if need_total > 0.0 { acc / need_total } else { 0.0 });
+        }
+    }
+}
 
 /// Conservatively remap one column from source layers to target layers.
 ///
@@ -26,72 +87,82 @@ use dataflow::Array3;
 /// target mean values.
 pub fn remap_column(src_dp: &[f64], src_val: &[f64], dst_dp: &[f64]) -> Vec<f64> {
     assert_eq!(src_dp.len(), src_val.len());
-    let mut out = Vec::with_capacity(dst_dp.len());
-    let mut k_src = 0usize;
-    // Mass remaining in the current source layer.
-    let mut avail = src_dp.first().copied().unwrap_or(0.0);
-    for &need_total in dst_dp {
-        let mut need = need_total;
-        let mut acc = 0.0;
-        while need > 0.0 {
-            if k_src >= src_dp.len() {
-                // Round-off tail: extend the last layer's value.
-                acc += need * src_val.last().copied().unwrap_or(0.0);
-                break;
-            }
-            let take = need.min(avail);
-            acc += take * src_val[k_src];
-            need -= take;
-            avail -= take;
-            if avail <= 1e-30 {
-                k_src += 1;
-                avail = src_dp.get(k_src).copied().unwrap_or(0.0);
-            }
-            if take <= 0.0 && avail <= 0.0 && k_src >= src_dp.len() {
-                break;
-            }
-        }
-        out.push(if need_total > 0.0 { acc / need_total } else { 0.0 });
-    }
+    let mut overlap = Overlap::default();
+    overlap.build(src_dp, dst_dp);
+    let mut out = vec![0.0; dst_dp.len()];
+    overlap.apply(src_val, dst_dp, |k, v| out[k] = v);
     out
+}
+
+/// The reference coordinate of `nk` layers, rescaled per column.
+struct Targets {
+    /// [`reference_level`] of the `nk + 1` interfaces.
+    levels: Vec<(f64, f64)>,
+    p_ref: Vec<f64>,
+}
+
+impl Targets {
+    fn new(nk: usize) -> Self {
+        Targets {
+            levels: (0..=nk).map(|k| reference_level(k, nk)).collect(),
+            p_ref: vec![0.0; nk + 1],
+        }
+    }
+
+    /// Fill `out` with the reference thicknesses of a column holding
+    /// `column_mass`, rescaled so they sum exactly to it.
+    fn fill(&mut self, p_top: f64, column_mass: f64, out: &mut [f64]) {
+        let p_surf = p_top + column_mass * (P0 - PTOP) / (P0 - PTOP);
+        for (p, &level) in self.p_ref.iter_mut().zip(&self.levels) {
+            *p = reference_pressure(p_top, p_surf, level);
+        }
+        let total: f64 = self.p_ref.windows(2).map(|w| w[1] - w[0]).sum();
+        for (d, w) in out.iter_mut().zip(self.p_ref.windows(2)) {
+            *d = (w[1] - w[0]) * column_mass / total;
+        }
+    }
 }
 
 /// Target layer thicknesses for a column with surface pressure
 /// `p_surf`: the reference distribution rescaled to the column's mass.
 pub fn target_thicknesses(nk: usize, p_top: f64, column_mass: f64) -> Vec<f64> {
-    let p_ref = reference_pressures(nk, p_top, p_top + column_mass * (P0 - PTOP) / (P0 - PTOP));
-    // Rescale so the thicknesses sum exactly to column_mass.
-    let total: f64 = (0..nk).map(|k| p_ref[k + 1] - p_ref[k]).sum();
-    (0..nk)
-        .map(|k| (p_ref[k + 1] - p_ref[k]) * column_mass / total)
-        .collect()
+    let mut out = vec![0.0; nk];
+    Targets::new(nk).fill(p_top, column_mass, &mut out);
+    out
 }
 
 /// Remap every column of the given fields back to the reference
 /// coordinate. `delp` is both input (Lagrangian thicknesses) and output
-/// (reference thicknesses); `fields` are remapped in place.
+/// (reference thicknesses); `fields` are remapped in place. Nothing is
+/// allocated per column: the overlap of a column is found once and
+/// applied to every field.
 pub fn remap_state(delp: &mut Array3, fields: &mut [&mut Array3]) {
     let [ni, nj, nk] = delp.layout().domain;
+    let mut targets = Targets::new(nk);
+    let mut overlap = Overlap::default();
     let mut src_dp = vec![0.0f64; nk];
+    let mut dst_dp = vec![0.0f64; nk];
     let mut src_val = vec![0.0f64; nk];
     for j in 0..nj as i64 {
         for i in 0..ni as i64 {
+            let (at, sk) = delp.column(i, j);
+            let raw = delp.raw_mut();
             for (k, v) in src_dp.iter_mut().enumerate() {
-                *v = delp.get(i, j, k as i64);
+                *v = raw[at + k * sk];
             }
             let mass: f64 = src_dp.iter().sum();
-            let dst_dp = target_thicknesses(nk, PTOP, mass);
-            for f in fields.iter_mut() {
-                for (k, v) in src_val.iter_mut().enumerate() {
-                    *v = f.get(i, j, k as i64);
-                }
-                let new = remap_column(&src_dp, &src_val, &dst_dp);
-                for (k, v) in new.iter().enumerate() {
-                    f.set(i, j, k as i64, *v);
-                }
-            }
+            targets.fill(PTOP, mass, &mut dst_dp);
             for (k, v) in dst_dp.iter().enumerate() {
-                delp.set(i, j, k as i64, *v);
+                raw[at + k * sk] = *v;
+            }
+            overlap.build(&src_dp, &dst_dp);
+            for f in fields.iter_mut() {
+                let (at, sk) = f.column(i, j);
+                let raw = f.raw_mut();
+                for (k, v) in src_val.iter_mut().enumerate() {
+                    *v = raw[at + k * sk];
+                }
+                overlap.apply(&src_val, &dst_dp, |k, v| raw[at + k * sk] = v);
             }
         }
     }

@@ -400,6 +400,15 @@ pub fn global_span(cat: &str, name: &str) -> SpanGuard {
     }
 }
 
+/// [`global_span`] for a name that has to be formatted (`rank3`,
+/// `k0.s1`): the string is built only when a tracer is installed.
+pub fn global_span_args(cat: &str, name: std::fmt::Arguments<'_>) -> SpanGuard {
+    match global() {
+        Some(t) => t.span(cat, &name.to_string()),
+        None => SpanGuard::noop(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
