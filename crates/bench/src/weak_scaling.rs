@@ -43,6 +43,12 @@ pub struct OverlapPoint {
     pub halo_bytes: u64,
     /// Measured messages posted by the parallel schedule.
     pub halo_messages: u64,
+    /// Threads the parallel run's rank team may use (`Pool::host` sizing:
+    /// no pool is installed here).
+    pub workers: usize,
+    /// Scratch stores the parallel run built over all its steps: one per
+    /// team worker, never one per rank or per step.
+    pub scratch_stores_built: u64,
 }
 
 /// The three standard study points: same-shape subdomains from 6 to 96
@@ -101,6 +107,8 @@ pub fn measure_point(tile_n: usize, rt: usize, nk: usize, steps: usize) -> Overl
         overlap_efficiency: stats.efficiency(),
         halo_bytes,
         halo_messages,
+        workers: machine::Pool::host_workers(),
+        scratch_stores_built: par.scratch_stores_built(),
     }
 }
 
@@ -123,7 +131,8 @@ pub fn study_json(points: &[OverlapPoint]) -> String {
                 "    {{\"case\": \"{}\", \"ranks\": {}, \"sub_n\": {}, \"steps\": {}, \
                  \"seq_step_seconds\": {}, \"par_step_seconds\": {}, \
                  \"interior_seconds\": {}, \"halo_wait_seconds\": {}, \
-                 \"overlap_efficiency\": {}, \"halo_bytes\": {}, \"halo_messages\": {}}}",
+                 \"overlap_efficiency\": {}, \"halo_bytes\": {}, \"halo_messages\": {}, \
+                 \"workers\": {}, \"scratch_stores_built\": {}}}",
                 p.case,
                 p.ranks,
                 p.sub_n,
@@ -134,7 +143,9 @@ pub fn study_json(points: &[OverlapPoint]) -> String {
                 p.halo_wait_seconds,
                 p.overlap_efficiency,
                 p.halo_bytes,
-                p.halo_messages
+                p.halo_messages,
+                p.workers,
+                p.scratch_stores_built
             )
         })
         .collect();
@@ -179,6 +190,7 @@ mod tests {
         assert!(p.seq_step_seconds > 0.0 && p.par_step_seconds > 0.0);
         assert!(p.halo_bytes > 0 && p.halo_messages > 0);
         assert!(p.overlap_efficiency >= 0.0 && p.overlap_efficiency <= 1.0);
+        assert_eq!(p.scratch_stores_built, p.workers.min(6) as u64);
     }
 
     #[test]

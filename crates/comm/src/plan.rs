@@ -191,35 +191,50 @@ impl ExchangePlan {
     /// Reads only source-rank interior cells, so packing is valid against
     /// any pre-exchange state.
     pub fn pack(&self, ch: usize, nk: i64, fields: &[PackField]) -> Vec<f64> {
+        let mut buf = Vec::new();
+        self.pack_into(ch, nk, fields, &mut buf);
+        buf
+    }
+
+    /// [`pack`](Self::pack) into `buf`, replacing what it held: a sender
+    /// that gets its buffers back ([`HaloMailboxes::spare`]) packs without
+    /// allocating.
+    pub fn pack_into(&self, ch: usize, nk: i64, fields: &[PackField], buf: &mut Vec<f64>) {
         let cells = &self.channels[ch].cells;
-        let mut buf = Vec::with_capacity(fields.len() * cells.len() * nk as usize);
+        let nk = nk as usize;
+        buf.clear();
+        buf.reserve(fields.len() * cells.len() * nk);
+        let copy = |buf: &mut Vec<f64>, a: &Array3, t: &CellTap| {
+            let (at, sk) = a.column(t.si, t.sj);
+            let a = a.raw();
+            buf.extend((0..nk).map(|k| a[at + k * sk]));
+        };
         for f in fields {
-            for t in cells {
-                for k in 0..nk {
-                    let v = match f {
-                        PackField::Scalar(a) => a.get(t.si, t.sj, k),
-                        PackField::Vector {
-                            primary,
-                            partner,
-                            row,
-                        } => {
-                            let a = primary.get(t.si, t.sj, k);
-                            match t.transform {
-                                None => a,
-                                Some(m) => {
-                                    let b = partner.get(t.si, t.sj, k);
-                                    let (mu, mv) = (m[*row][0], m[*row][1]);
-                                    let (gu, gv) = if *row == 0 { (a, b) } else { (b, a) };
-                                    mu as f64 * gu + mv as f64 * gv
-                                }
-                            }
-                        }
-                    };
-                    buf.push(v);
+            match *f {
+                PackField::Scalar(a) => cells.iter().for_each(|t| copy(buf, a, t)),
+                PackField::Vector {
+                    primary,
+                    partner,
+                    row,
+                } => {
+                    for t in cells {
+                        let Some(m) = t.transform else {
+                            copy(buf, primary, t);
+                            continue;
+                        };
+                        let (mu, mv) = (m[row][0], m[row][1]);
+                        let (at, ak) = primary.column(t.si, t.sj);
+                        let (bt, bk) = partner.column(t.si, t.sj);
+                        let (a, b) = (primary.raw(), partner.raw());
+                        buf.extend((0..nk).map(|k| {
+                            let (a, b) = (a[at + k * ak], b[bt + k * bk]);
+                            let (gu, gv) = if row == 0 { (a, b) } else { (b, a) };
+                            mu as f64 * gu + mv as f64 * gv
+                        }));
+                    }
                 }
             }
         }
-        buf
     }
 
     /// Unpack field slot `field_idx` (of `n_fields` packed) from a
@@ -236,12 +251,15 @@ impl ExchangePlan {
         arr: &mut Array3,
     ) {
         let cells = &self.channels[ch].cells;
-        let per_field = cells.len() * nk as usize;
+        let nk = nk as usize;
+        let per_field = cells.len() * nk;
         assert_eq!(buf.len(), n_fields * per_field, "channel buffer size");
-        let base = field_idx * per_field;
+        let field = &buf[field_idx * per_field..][..per_field];
         for (c, t) in cells.iter().enumerate() {
-            for k in 0..nk {
-                arr.set(t.di, t.dj, k, buf[base + c * nk as usize + k as usize]);
+            let (at, sk) = arr.column(t.di, t.dj);
+            let raw = arr.raw_mut();
+            for (k, v) in field[c * nk..][..nk].iter().enumerate() {
+                raw[at + k * sk] = *v;
             }
         }
     }
@@ -302,6 +320,9 @@ impl std::fmt::Display for RecvError {
 struct Slot {
     entries: Mutex<VecDeque<(u64, Vec<f64>)>>,
     cv: Condvar,
+    /// The last buffer the receiver was done with, for the sender's next
+    /// pack.
+    spare: Mutex<Vec<f64>>,
 }
 
 /// Thread-safe, epoch-tagged mailboxes: one slot per plan channel.
@@ -318,6 +339,7 @@ impl HaloMailboxes {
                 .map(|_| Slot {
                     entries: Mutex::new(VecDeque::new()),
                     cv: Condvar::new(),
+                    spare: Mutex::new(Vec::new()),
                 })
                 .collect(),
             poisoned: std::sync::atomic::AtomicBool::new(false),
@@ -369,6 +391,17 @@ impl HaloMailboxes {
                 .unwrap_or_else(|e| e.into_inner());
             q = guard;
         }
+    }
+
+    /// Hand an unpacked buffer of channel `ch` back to its sender.
+    pub fn recycle(&self, ch: usize, buf: Vec<f64>) {
+        *self.slots[ch].spare.lock().unwrap_or_else(|e| e.into_inner()) = buf;
+    }
+
+    /// The buffer last [`recycle`](Self::recycle)d on channel `ch`, for
+    /// [`ExchangePlan::pack_into`]; empty when none came back.
+    pub fn spare(&self, ch: usize) -> Vec<f64> {
+        std::mem::take(&mut *self.slots[ch].spare.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Mark the mailboxes failed and wake every waiter (call from a

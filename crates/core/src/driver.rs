@@ -27,7 +27,7 @@ use machine::pool::Pool;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Fault site: poison one interior cell of a prognostic field right
@@ -102,9 +102,12 @@ pub struct DistributedDycore {
     pub(crate) exec_cache_hits: u64,
     /// Compiled-kernel cache misses (compilations) across all runs.
     pub(crate) exec_cache_misses: u64,
-    /// Scratch stores built since construction (rank threads count
+    /// Scratch stores built since construction (rank workers count
     /// their own).
     pub(crate) scratch_built: AtomicU64,
+    /// Rank-team workers launched by the parallel schedule since
+    /// construction.
+    pub(crate) rank_workers_launched: u64,
     /// Monotonic epoch tag for parallel mailbox exchanges.
     pub(crate) halo_epoch: u64,
     /// Hard deadline for parallel halo receives (a missing message panics
@@ -171,8 +174,6 @@ impl ExecHooks for RankHooks<'_> {
 pub(crate) struct Substep {
     ks: u32,
     ns: u32,
-    /// The step's final substep: nothing runs on its stores afterwards.
-    pub(crate) last: bool,
 }
 
 impl fmt::Display for Substep {
@@ -277,6 +278,7 @@ impl DistributedDycore {
             exec_cache_hits: 0,
             exec_cache_misses: 0,
             scratch_built: AtomicU64::new(0),
+            rank_workers_launched: 0,
             halo_epoch: 0,
             recv_timeout: crate::parallel::recv_timeout_from_env(),
             soft_stall: None,
@@ -381,8 +383,10 @@ impl DistributedDycore {
 
     /// Run rank programs on a worker pool (bit-identical to serial; see
     /// the `pool` field note). `None` reverts to serial execution.
-    /// Under [`RankSchedule::Parallel`] the pool instead sizes the rank
-    /// thread scope. Invalidates the step cache.
+    /// Under [`RankSchedule::Parallel`] the pool's size instead bounds
+    /// the rank team (`min(ranks, workers)`; with no pool, what
+    /// [`Pool::host`] would pick). Invalidates the step cache, and with
+    /// it the team's scratch stores.
     pub fn set_pool(&mut self, pool: Option<Pool>) {
         self.pool = pool;
         self.cache = None;
@@ -437,10 +441,43 @@ impl DistributedDycore {
     }
 
     /// Scratch stores ([`DataStore::for_sdfg`]) built since construction.
-    /// A step builds one under the sequential schedule and one per rank
-    /// under the parallel one, however many substeps it has.
+    /// Every sequential step builds one and drops it; the parallel
+    /// schedule builds one per rank-team worker and keeps them with the
+    /// step cache, however many steps and substeps run on them.
     pub fn scratch_stores_built(&self) -> u64 {
         self.scratch_built.load(Ordering::Relaxed)
+    }
+
+    /// Scratch stores this instance holds right now: the rank team's,
+    /// between parallel steps; none under the sequential schedule.
+    pub fn live_scratch_stores(&self) -> usize {
+        self.cache
+            .as_ref()
+            .map_or(0, |c| c.stores.iter().flatten().count())
+    }
+
+    /// The rank team's kept stores, for reuse oracles: nothing a caller
+    /// writes into them may change what the next step computes
+    /// (`tests/scratch_reuse_diff.rs` fills them with NaN).
+    pub fn scratch_stores_mut(&mut self) -> impl Iterator<Item = &mut DataStore> {
+        self.cache
+            .iter_mut()
+            .flat_map(|c| c.stores.iter_mut().flatten())
+    }
+
+    /// Drop the rank team's scratch stores; the next parallel step
+    /// builds them again. For an instance that will sit idle (the
+    /// serving engine parks warm tenants without them).
+    pub fn release_scratch_stores(&mut self) {
+        if let Some(c) = &mut self.cache {
+            c.stores.fill_with(|| None);
+        }
+    }
+
+    /// Rank-team workers the parallel schedule has launched since
+    /// construction: `min(ranks, workers)` per acoustic substep.
+    pub fn rank_workers_launched(&self) -> u64 {
+        self.rank_workers_launched
     }
 
     /// Fold one execution report's kernel-cache traffic into the driver
@@ -495,8 +532,12 @@ impl DistributedDycore {
     }
 
     /// Select the rank schedule (sequential lock-step vs threaded with
-    /// compute/comm overlap). Both produce bit-identical states.
+    /// compute/comm overlap). Both produce bit-identical states. A
+    /// change of schedule releases the rank team's scratch stores.
     pub fn set_rank_schedule(&mut self, schedule: RankSchedule) {
+        if schedule != self.schedule {
+            self.release_scratch_stores();
+        }
         self.schedule = schedule;
     }
 
@@ -622,23 +663,17 @@ impl DistributedDycore {
         // per-substep program, its expansion/split, and the executors are
         // cached across steps (`crate::parallel::StepCache`).
         self.ensure_step_cache();
-        let cache = self.cache.take().expect("step cache built");
+        let mut cache = self.cache.take().expect("step cache built");
         if self.schedule == RankSchedule::Parallel {
             cache.boxes.reset();
         }
         self.step_interrupted = false;
-        // The scratch stores of this step: built by the first
-        // rank-substep that needs one, reused by every later one, dropped
-        // when the step returns or unwinds — a cancelled or failed step
-        // leaves nothing behind, and no store adds to the footprint of
-        // an instance that is not stepping.
+        // The sequential schedule's scratch store: built by the step's
+        // first rank-substep, reused by every later one, dropped when the
+        // step returns or unwinds (kept across steps it read +15.6 % of
+        // `dycore_seq/peak_rss_mib`). The parallel schedule's stores live
+        // in the cache, which an unwinding step drops whole.
         let mut seq_store: Option<DataStore> = None;
-        let rank_stores: Vec<Mutex<Option<DataStore>>> = match self.schedule {
-            RankSchedule::Sequential => Vec::new(),
-            RankSchedule::Parallel => (0..self.partition.ranks())
-                .map(|_| Mutex::new(None))
-                .collect(),
-        };
         'substeps: for ks in 0..config.k_split {
             for ns in 0..config.n_split {
                 // Cancellation point: between substeps the states are
@@ -650,18 +685,14 @@ impl DistributedDycore {
                     self.step_interrupted = true;
                     break 'substeps;
                 }
-                let module = Substep {
-                    ks,
-                    ns,
-                    last: (ks + 1, ns + 1) == (config.k_split, config.n_split),
-                };
+                let module = Substep { ks, ns };
                 let _acoustic_span =
                     obs::tracing::global_span_args("acoustic", format_args!("{module}"));
                 match self.schedule {
                     RankSchedule::Sequential => {
                         self.sequential_substep(&cache, module, &mut seq_store)
                     }
-                    RankSchedule::Parallel => self.parallel_substep(&cache, module, &rank_stores),
+                    RankSchedule::Parallel => self.parallel_substep(&mut cache, module),
                 }
             }
             // Remap runs inside each rank's program already (k_split = 1

@@ -1,13 +1,17 @@
 //! True parallel rank execution with compute/communication overlap.
 //!
 //! The sequential driver runs ranks one after another with a pull-style
-//! halo gather between rounds. This module runs every rank on its own
-//! thread ([`machine::Pool::rank_scope`]) and decomposes each acoustic
+//! halo gather between rounds. This module runs them on a **rank team**
+//! sized to the host — `min(ranks, workers)` threads through
+//! [`machine::Pool::rank_scope`], worker `w` owning ranks `w, w + W, …`
+//! and one scratch store kept across steps — and decomposes each acoustic
 //! substep into the message-passing schedule a real MPI dycore uses:
 //!
-//! 1. **pack + post** — each rank packs its own pre-substep interiors
-//!    for its neighbours ([`comm::ExchangePlan`]) and posts the buffers
-//!    into epoch-tagged mailboxes ([`comm::HaloMailboxes`]);
+//! 1. **pack + post** — a worker packs the pre-substep interiors of *all*
+//!    its ranks for their neighbours ([`comm::ExchangePlan`]) and posts
+//!    the buffers into epoch-tagged mailboxes ([`comm::HaloMailboxes`])
+//!    before it receives anything, so no receive can wait on a worker
+//!    that is itself blocked; then, rank by rank:
 //! 2. **interior compute** — while the wires drain, the rank runs the
 //!    interior program derived by [`dataflow::split_for_overlap`]: the
 //!    leading kernel chain clipped to columns that provably never read a
@@ -28,10 +32,11 @@
 //! parallel_schedule_diff.rs` asserts the end-to-end equality.
 //!
 //! **Failure containment.** A rank that panics (recv timeout after a
-//! dropped message, poisoned mailbox, kernel panic) poisons every
-//! mailbox slot so blocked peers unwind instead of hanging; the panic
-//! propagates to the caller after all rank threads have joined, where
-//! the supervisor rolls back. Per-rank mutation tracking
+//! dropped message, poisoned mailbox, kernel panic) fails alone: its
+//! worker runs its remaining ranks, then poisons every mailbox slot so
+//! peers still blocked unwind instead of hanging; the panic propagates
+//! to the caller after the whole team has joined, where the supervisor
+//! rolls back. Per-rank mutation tracking
 //! ([`DistributedDycore::restore`]) keeps that rollback rank-aware:
 //! ranks that never reached their state extraction are not rewritten.
 
@@ -61,9 +66,10 @@ pub enum RankSchedule {
     /// gather between rounds (the original driver schedule).
     #[default]
     Sequential,
-    /// Every rank on its own thread, push-style mailbox exchange with
-    /// the halo latency hidden behind interior compute. Bit-identical to
-    /// [`RankSchedule::Sequential`].
+    /// The ranks dealt round-robin to a team of `min(ranks, workers)`
+    /// threads, push-style mailbox exchange with the halo latency hidden
+    /// behind interior compute. Bit-identical to
+    /// [`RankSchedule::Sequential`] for every team size.
     Parallel,
 }
 
@@ -169,8 +175,8 @@ pub struct CompiledSubstep {
     tune: Option<tuning::AutotuneReport>,
     /// Sequential-path executor (worker-pool backed when one is set).
     pub(crate) exec_seq: Executor,
-    /// Rank-thread executors run inline (`Pool::new(1)`): the ranks
-    /// themselves are the parallelism. One executor per graph keeps the
+    /// Rank-team executors run inline (`Pool::new(1)`): the team's
+    /// workers are the parallelism. One executor per graph keeps the
     /// per-`(uid, generation)` kernel caches from evicting each other.
     pub(crate) exec_full: Executor,
     pub(crate) exec_interior: Executor,
@@ -181,7 +187,7 @@ pub struct CompiledSubstep {
     /// before running it again ([`dataflow::reuse::clear_list`], proven
     /// once here). Empty for every dycore graph built so far.
     pub(crate) clear_seq: Vec<DataId>,
-    /// The same for a rank thread's store, whose run is `interior` then
+    /// The same for a rank-team worker's store, whose run is `interior` then
     /// `rind` (or `sub_expanded` when there is no split).
     pub(crate) clear_par: Vec<DataId>,
 }
@@ -326,6 +332,14 @@ pub(crate) struct StepCache {
     pub(crate) sub: Arc<CompiledSubstep>,
     pub(crate) plan: Arc<ExchangePlan>,
     pub(crate) boxes: Arc<HaloMailboxes>,
+    /// The rank team's scratch stores, one slot per worker: `min(ranks,
+    /// workers)` of them, `workers` being the installed pool's size or
+    /// what [`Pool::host`] would pick. Built by a worker's first
+    /// rank-substep and kept across substeps *and steps* — a store that
+    /// is built, first-touched and freed every step costs more than the
+    /// step's halo exchange (DESIGN §17.1). Only the parallel schedule
+    /// fills them.
+    pub(crate) stores: Vec<Option<DataStore>>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -356,18 +370,213 @@ impl StepKey {
 
 /// One rank's substep timings and flags, reported back to the driver.
 struct RankOutcome {
-    pack: Duration,
+    sent: Posted,
     interior: Duration,
     wait: Duration,
     rind: Duration,
     stalled: bool,
     had_interior: bool,
-    /// Wire traffic this rank actually posted (all packed fields).
-    bytes_posted: u64,
-    messages_posted: u64,
     /// Compiled-kernel cache traffic from this rank's program runs.
     cache_hits: u64,
     cache_misses: u64,
+}
+
+/// What one rank's pack-and-post phase cost and actually put on the wire
+/// (all packed fields).
+struct Posted {
+    pack: Duration,
+    bytes: u64,
+    messages: u64,
+}
+
+/// One worker of the rank team for one substep: the ranks it owns, in
+/// rank order, and the scratch store it runs them all on.
+struct Seat<'a> {
+    ranks: Vec<(usize, &'a mut DycoreState)>,
+    store: &'a mut Option<DataStore>,
+}
+
+/// What every worker of the rank team shares during one substep.
+///
+/// The protocol ([`run_worker`](Self::run_worker)): a worker packs and
+/// posts the sends of *all* its ranks, then runs them one after another
+/// on its one scratch store. Every send of the substep is thus posted
+/// before its worker receives anything, so no receive waits on a worker
+/// that is itself blocked: no deadlock for any team size, one included.
+struct Team<'a> {
+    plan: &'a ExchangePlan,
+    boxes: &'a HaloMailboxes,
+    sub: &'a CompiledSubstep,
+    grids: &'a [fv3::grid::Grid],
+    faults: FaultPlan,
+    epoch: u64,
+    nk: i64,
+    recv_timeout: Duration,
+    soft_stall: Option<Duration>,
+    scratch_built: &'a AtomicU64,
+    /// Per rank, set just before the rank starts writing its state back:
+    /// a panic mid-extract still marks it dirty for the rollback.
+    mutating: Vec<AtomicBool>,
+    /// Per rank, filled by the worker that completed it.
+    outcomes: Vec<Mutex<Option<RankOutcome>>>,
+}
+
+impl Team<'_> {
+    fn run_worker(&self, seat: Seat) {
+        let Seat { mut ranks, store } = seat;
+        let posted = catch_unwind(AssertUnwindSafe(|| {
+            let post = |(r, state): &(usize, &mut DycoreState)| self.post_sends(*r, state);
+            ranks.iter().map(post).collect::<Vec<Posted>>()
+        }));
+        let mut failure = None;
+        match posted {
+            // A failure is its rank's own: the worker's other ranks still
+            // run (their messages are all posted), so which ranks a
+            // failed substep leaves mutated does not depend on the team
+            // size.
+            Ok(sent) => {
+                for ((r, state), sent) in ranks.iter_mut().zip(sent) {
+                    match catch_unwind(AssertUnwindSafe(|| self.run_rank(*r, state, store, sent))) {
+                        Ok(out) => {
+                            *self.outcomes[*r].lock().unwrap_or_else(|e| e.into_inner()) = Some(out)
+                        }
+                        Err(p) => failure = failure.or(Some(p)),
+                    }
+                }
+            }
+            Err(p) => failure = Some(p),
+        }
+        if let Some(p) = failure {
+            // Wake every peer still blocked on this worker's sends, then
+            // let the panic propagate through the rank scope.
+            self.boxes.poison();
+            resume_unwind(p);
+        }
+    }
+
+    /// 1. Pack rank `r`'s pre-substep interiors, post them to every
+    ///    outbound channel.
+    fn post_sends(&self, r: usize, state: &DycoreState) -> Posted {
+        let (plan, boxes, faults) = (self.plan, self.boxes, &self.faults);
+        let t0 = Instant::now();
+        if let Some((_, ms)) = faults.stall.filter(|(sr, _)| *sr == r) {
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        let dropped = |ch: usize| faults.drop_dst == Some(plan.channel(ch).dst.0);
+        let (mut bytes, mut messages) = (0u64, 0u64);
+        let mut post = |ch: usize, buf: Vec<f64>| {
+            bytes += buf.len() as u64 * 8;
+            messages += 1;
+            boxes.post(ch, self.epoch, buf);
+        };
+        match faults.prepacked.as_ref().filter(|(pr, _)| *pr == r) {
+            Some((_, bufs)) => {
+                for (ch, buf) in bufs.iter().filter(|(ch, _)| !dropped(*ch)) {
+                    post(*ch, buf.clone());
+                }
+            }
+            None => {
+                for &ch in plan.sends(r).iter().filter(|ch| !dropped(**ch)) {
+                    // The buffer this channel's receiver unpacked last
+                    // substep, if it came back.
+                    let mut buf = boxes.spare(ch);
+                    plan.pack_into(ch, self.nk, &pack_fields(state), &mut buf);
+                    if let Some((cch, f)) = faults.corrupt {
+                        if cch == ch && !buf.is_empty() {
+                            let v = faults::det_index(0x1a11, buf.len());
+                            buf[v] = if f.is_nan() { f64::NAN } else { buf[v] * f };
+                        }
+                    }
+                    post(ch, buf);
+                }
+            }
+        }
+        Posted {
+            pack: t0.elapsed(),
+            bytes,
+            messages,
+        }
+    }
+
+    /// 2–4. Rank `r`'s substep on its worker's store.
+    fn run_rank(
+        &self,
+        r: usize,
+        state: &mut DycoreState,
+        slot: &mut Option<DataStore>,
+        sent: Posted,
+    ) -> RankOutcome {
+        let (plan, boxes, sub, nk) = (self.plan, self.boxes, self.sub, self.nk);
+        let (ids, params) = (&sub.sub_prog.ids, &sub.sub_prog.params[..]);
+        let split = sub.split.as_ref();
+        // Span parity with the sequential schedule: the tracer is
+        // thread-safe, so rank spans land in the same registry from
+        // whichever worker runs the rank.
+        let _rank_span = obs::tracing::global_span_args("rank", format_args!("rank{r}"));
+
+        // 2. Interior compute while the wires drain.
+        let store = scratch_store(slot, self.scratch_built, &sub.sub_expanded, &sub.clear_par);
+        load_state(store, ids, state, &self.grids[r]);
+        if let Some(m) = obs::metrics::global() {
+            m.counter_add("rank_runs", &[], 1);
+        }
+        let mut hooks = RankHooks {
+            ids,
+            halo_markers: 0,
+        };
+        let t1 = Instant::now();
+        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
+        if let Some(sp) = split {
+            let rep = sub
+                .exec_interior
+                .run(&sp.interior, store, params, &mut hooks);
+            cache_hits += rep.cache_hits;
+            cache_misses += rep.cache_misses;
+        }
+        let interior = t1.elapsed();
+
+        // 3. Receive, unpack into the store's halos, fold corners.
+        let t2 = Instant::now();
+        let exch = exchanged_ids(ids);
+        for &ch in plan.recvs(r) {
+            match boxes.recv(ch, self.epoch, self.recv_timeout) {
+                Ok(buf) => {
+                    for (fi, id) in exch.iter().enumerate() {
+                        plan.unpack_field(ch, &buf, fi, exch.len(), nk, store.get_mut(*id));
+                    }
+                    boxes.recycle(ch, buf);
+                }
+                Err(e) => panic!("rank {r}: halo recv on channel {ch} failed: {e}"),
+            }
+        }
+        for id in exch {
+            plan.apply_folds(r, nk, store.get_mut(id));
+        }
+        let wait = t2.elapsed();
+
+        // 4. Rind compute (boundary strips + suffix), extract.
+        let t3 = Instant::now();
+        let rep = match split {
+            Some(sp) => sub.exec_rind.run(&sp.rind, store, params, &mut hooks),
+            None => sub
+                .exec_full
+                .run(&sub.sub_expanded, store, params, &mut hooks),
+        };
+        cache_hits += rep.cache_hits;
+        cache_misses += rep.cache_misses;
+        self.mutating[r].store(true, Ordering::Release);
+        extract_state(store, ids, state);
+        RankOutcome {
+            sent,
+            interior,
+            wait,
+            rind: t3.elapsed(),
+            stalled: self.soft_stall.is_some_and(|d| wait > d),
+            had_interior: split.is_some_and(|s| s.has_interior()),
+            cache_hits,
+            cache_misses,
+        }
+    }
 }
 
 /// The six exchanged prognostics, in pack order (u/v as a vector pair).
@@ -442,12 +651,19 @@ impl DistributedDycore {
         };
         let plan = Arc::new(ExchangePlan::new(&self.partition, HALO));
         let boxes = Arc::new(HaloMailboxes::for_plan(&plan));
-        self.cache = Some(StepCache { sub, plan, boxes });
+        let workers = self.pool().map_or_else(Pool::host_workers, Pool::workers);
+        let team = self.partition.ranks().min(workers);
+        self.cache = Some(StepCache {
+            sub,
+            plan,
+            boxes,
+            stores: (0..team).map(|_| None).collect(),
+        });
     }
 
     /// Fire this substep's halo/poison faults on the main thread and
     /// translate them into the parallel schedule's terms.
-    fn plan_faults(&mut self, cache: &StepCache, module: Substep) -> FaultPlan {
+    fn plan_faults(&mut self, plan: &ExchangePlan, module: Substep) -> FaultPlan {
         let mut fp = FaultPlan::default();
         if !faults::enabled() {
             return fp;
@@ -471,7 +687,7 @@ impl DistributedDycore {
             fp.drop_dst = Some(t);
         }
         if let Some(spec) = faults::fire(SITE_HALO_CORRUPT, FireCtx::default()) {
-            let ch = faults::det_index(0x1a10, cache.plan.n_channels());
+            let ch = faults::det_index(0x1a10, plan.n_channels());
             let f = match spec.action {
                 FaultAction::CorruptFactor(f) => f,
                 _ => f64::NAN,
@@ -482,11 +698,10 @@ impl DistributedDycore {
             // Pack the victim's sends *before* poisoning, so neighbours
             // see pre-poison interiors exactly as under the sequential
             // exchange-then-poison ordering.
-            let bufs = cache
-                .plan
+            let bufs = plan
                 .sends(rank)
                 .iter()
-                .map(|&ch| (ch, cache.plan.pack(ch, nk, &pack_fields(&self.states[rank]))))
+                .map(|&ch| (ch, plan.pack(ch, nk, &pack_fields(&self.states[rank]))))
                 .collect();
             fp.prepacked = Some((rank, bufs));
             self.apply_poison(rank, &field);
@@ -494,200 +709,67 @@ impl DistributedDycore {
         fp
     }
 
-    /// One acoustic substep under the parallel rank schedule.
-    /// Bit-identical to the sequential substep; panics (after poisoning
-    /// the mailboxes and joining all rank threads) on lost messages or
-    /// rank failures, leaving per-rank mutation flags accurate for a
-    /// rank-aware rollback.
-    pub(crate) fn parallel_substep(
-        &mut self,
-        cache: &StepCache,
-        module: Substep,
-        stores: &[Mutex<Option<DataStore>>],
-    ) {
+    /// One acoustic substep under the parallel rank schedule, run by the
+    /// cache's rank team ([`Team`]). Bit-identical to the sequential
+    /// substep; panics (after poisoning the mailboxes and joining the
+    /// team) on lost messages or rank failures, leaving per-rank mutation
+    /// flags accurate for a rank-aware rollback.
+    pub(crate) fn parallel_substep(&mut self, cache: &mut StepCache, module: Substep) {
         let ranks = self.partition.ranks();
-        let nk = self.config.nk as i64;
         self.halo_epoch += 1;
-        let epoch = self.halo_epoch;
         self.mut_clock += 1;
         let clock = self.mut_clock;
-        let fplan = self.plan_faults(cache, module);
-
-        let plan = &*cache.plan;
-        let boxes = &*cache.boxes;
-        let ids = &cache.sub.sub_prog.ids;
-        let params = &cache.sub.sub_prog.params[..];
-        let sub_expanded = &cache.sub.sub_expanded;
-        let split = cache.sub.split.as_ref();
-        let recv_timeout = self.recv_timeout;
-        let soft_stall = self.soft_stall;
-        let grids = &self.grids;
-        let scratch_built = &self.scratch_built;
-
+        let faults = self.plan_faults(&cache.plan, module);
         let rank_pool = self.pool().cloned().unwrap_or_else(|| Pool::new(1));
-        let cells: Vec<Mutex<&mut DycoreState>> =
-            self.states.iter_mut().map(Mutex::new).collect();
-        let outcomes: Vec<Mutex<Option<RankOutcome>>> =
-            (0..ranks).map(|_| Mutex::new(None)).collect();
-        // Set just before a rank starts writing its state back: a panic
-        // mid-extract still marks the rank dirty for the rollback.
-        let mutating: Vec<AtomicBool> = (0..ranks).map(|_| AtomicBool::new(false)).collect();
 
-        let body = |r: usize| {
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                // Span parity with the sequential schedule: the tracer is
-                // thread-safe, so rank spans land in the same registry
-                // even though each rank runs on its own worker thread.
-                let _rank_span = obs::tracing::global_span_args("rank", format_args!("rank{r}"));
-                let t0 = Instant::now();
-                if let Some((sr, ms)) = fplan.stall {
-                    if sr == r {
-                        std::thread::sleep(Duration::from_millis(ms));
-                    }
-                }
-                let mut state = cells[r].lock().unwrap_or_else(|e| e.into_inner());
-
-                // 1. Pack own interiors, post to every outbound channel.
-                let prepacked = fplan
-                    .prepacked
-                    .as_ref()
-                    .filter(|(pr, _)| *pr == r)
-                    .map(|(_, bufs)| bufs);
-                let (mut bytes_posted, mut messages_posted) = (0u64, 0u64);
-                match prepacked {
-                    Some(bufs) => {
-                        for (ch, buf) in bufs {
-                            if fplan.drop_dst == Some(plan.channel(*ch).dst.0) {
-                                continue;
-                            }
-                            bytes_posted += buf.len() as u64 * 8;
-                            messages_posted += 1;
-                            boxes.post(*ch, epoch, buf.clone());
-                        }
-                    }
-                    None => {
-                        for &ch in plan.sends(r) {
-                            if fplan.drop_dst == Some(plan.channel(ch).dst.0) {
-                                continue;
-                            }
-                            let mut buf = plan.pack(ch, nk, &pack_fields(&state));
-                            if let Some((cch, f)) = fplan.corrupt {
-                                if cch == ch && !buf.is_empty() {
-                                    let v = faults::det_index(0x1a11, buf.len());
-                                    buf[v] = if f.is_nan() { f64::NAN } else { buf[v] * f };
-                                }
-                            }
-                            bytes_posted += buf.len() as u64 * 8;
-                            messages_posted += 1;
-                            boxes.post(ch, epoch, buf);
-                        }
-                    }
-                }
-                let t_pack = t0.elapsed();
-
-                // 2. Interior compute while the wires drain, on this
-                //    rank's scratch store of the step.
-                let mut slot = stores[r].lock().unwrap_or_else(|e| e.into_inner());
-                let store =
-                    scratch_store(&mut slot, scratch_built, sub_expanded, &cache.sub.clear_par);
-                load_state(store, ids, &state, &grids[r]);
-                if let Some(m) = obs::metrics::global() {
-                    m.counter_add("rank_runs", &[], 1);
-                }
-                let mut hooks = RankHooks {
-                    ids,
-                    halo_markers: 0,
-                };
-                let t1 = Instant::now();
-                let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-                if let Some(sp) = split {
-                    let rep = cache
-                        .sub
-                        .exec_interior
-                        .run(&sp.interior, store, params, &mut hooks);
-                    cache_hits += rep.cache_hits;
-                    cache_misses += rep.cache_misses;
-                }
-                let t_interior = t1.elapsed();
-
-                // 3. Receive, unpack into the store's halos, fold corners.
-                let t2 = Instant::now();
-                let exch = exchanged_ids(ids);
-                for &ch in plan.recvs(r) {
-                    match boxes.recv(ch, epoch, recv_timeout) {
-                        Ok(buf) => {
-                            for (fi, id) in exch.iter().enumerate() {
-                                plan.unpack_field(ch, &buf, fi, exch.len(), nk, store.get_mut(*id));
-                            }
-                        }
-                        Err(e) => {
-                            boxes.poison();
-                            panic!("rank {r}: halo recv on channel {ch} failed: {e}");
-                        }
-                    }
-                }
-                for id in exch {
-                    plan.apply_folds(r, nk, store.get_mut(id));
-                }
-                let t_wait = t2.elapsed();
-                let stalled = soft_stall.is_some_and(|d| t_wait > d);
-
-                // 4. Rind compute (boundary strips + suffix), extract.
-                let t3 = Instant::now();
-                let rep = match split {
-                    Some(sp) => cache.sub.exec_rind.run(&sp.rind, store, params, &mut hooks),
-                    None => cache
-                        .sub
-                        .exec_full
-                        .run(sub_expanded, store, params, &mut hooks),
-                };
-                cache_hits += rep.cache_hits;
-                cache_misses += rep.cache_misses;
-                mutating[r].store(true, Ordering::Release);
-                extract_state(store, ids, &mut state);
-                if module.last {
-                    // Freed here rather than when `step()` returns: six
-                    // stores released by the main thread into the arenas
-                    // of exited rank threads read +2.4 MiB (+5.7 %) of
-                    // `peak_rss_mib` on `dycore_par`.
-                    *slot = None;
-                }
-                let t_rind = t3.elapsed();
-                RankOutcome {
-                    pack: t_pack,
-                    interior: t_interior,
-                    wait: t_wait,
-                    rind: t_rind,
-                    stalled,
-                    had_interior: split.is_some_and(|s| s.has_interior()),
-                    bytes_posted,
-                    messages_posted,
-                    cache_hits,
-                    cache_misses,
-                }
-            }));
-            match run {
-                Ok(out) => {
-                    *outcomes[r].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                }
-                Err(p) => {
-                    // Wake every peer blocked on this rank, then let the
-                    // panic propagate through the rank scope.
-                    boxes.poison();
-                    resume_unwind(p);
-                }
-            }
+        let team = Team {
+            plan: &cache.plan,
+            boxes: &cache.boxes,
+            sub: &cache.sub,
+            grids: &self.grids,
+            faults,
+            epoch: self.halo_epoch,
+            nk: self.config.nk as i64,
+            recv_timeout: self.recv_timeout,
+            soft_stall: self.soft_stall,
+            scratch_built: &self.scratch_built,
+            mutating: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
+            outcomes: (0..ranks).map(|_| Mutex::new(None)).collect(),
         };
+        // Deal the ranks round-robin: worker `w` of `W` owns `w, w + W, …`.
+        let workers = cache.stores.len();
+        let mut seats: Vec<Seat> = cache
+            .stores
+            .iter_mut()
+            .map(|store| Seat {
+                ranks: Vec::with_capacity(ranks.div_ceil(workers)),
+                store,
+            })
+            .collect();
+        for (r, state) in self.states.iter_mut().enumerate() {
+            seats[r % workers].ranks.push((r, state));
+        }
+        let seats: Vec<Mutex<Option<Seat>>> =
+            seats.into_iter().map(|s| Mutex::new(Some(s))).collect();
 
-        let scope = catch_unwind(AssertUnwindSafe(|| rank_pool.rank_scope(ranks, body)));
+        let scope = catch_unwind(AssertUnwindSafe(|| {
+            rank_pool.rank_scope(workers, |w| {
+                let seat = seats[w].lock().unwrap_or_else(|e| e.into_inner()).take();
+                team.run_worker(seat.expect("one worker per seat"));
+            })
+        }));
 
         // Merge per-rank results (also on the failure path, so mutation
         // flags and stall counters stay accurate for the rollback).
-        for r in 0..ranks {
-            if mutating[r].load(Ordering::Acquire) {
+        let Team {
+            mutating, outcomes, ..
+        } = team;
+        self.rank_workers_launched += workers as u64;
+        for (r, (mutated, outcome)) in mutating.into_iter().zip(outcomes).enumerate() {
+            if mutated.into_inner() {
                 self.mark_rank_mutated(r, clock);
             }
-            if let Some(o) = outcomes[r].lock().unwrap_or_else(|e| e.into_inner()).take() {
+            if let Some(o) = outcome.into_inner().unwrap_or_else(|e| e.into_inner()) {
                 if o.stalled {
                     self.rank_stalls[r] += 1;
                     self.parallel_stalls += 1;
@@ -695,10 +777,11 @@ impl DistributedDycore {
                         m.counter_add("halo_stalls", &[], 1);
                     }
                 }
+                let pack = o.sent.pack;
                 self.overlap
-                    .record_substep(o.pack, o.interior, o.wait, o.rind, o.had_interior);
-                self.halo_bytes_posted += o.bytes_posted;
-                self.halo_messages_posted += o.messages_posted;
+                    .record_substep(pack, o.interior, o.wait, o.rind, o.had_interior);
+                self.halo_bytes_posted += o.sent.bytes;
+                self.halo_messages_posted += o.sent.messages;
                 self.note_kernel_cache(o.cache_hits, o.cache_misses);
             }
         }

@@ -1,9 +1,11 @@
 //! Proptest fuzz over rank interleavings (ISSUE 6 satellite): the
 //! threaded rank schedule must be bit-identical to the sequential one —
 //! or recover to it through a clean supervised rollback — for every
-//! combination of worker-pool width (1..8), rank refinement (rt = 1, 2),
+//! combination of worker-pool width (1..8, so rank teams of one worker
+//! for 24 ranks up to a thread per rank), rank refinement (rt = 1, 2),
 //! vertical extent, and injected `halo.stall` / `halo.drop` fault, and
-//! it must never hang (receives carry a hard deadline) or silently
+//! it must never hang (a team posts every send before it receives
+//! anything, and receives carry a hard deadline) or silently
 //! diverge (the final state is always compared against an unfaulted
 //! sequential run of the same configuration).
 //!
@@ -173,9 +175,23 @@ fn pinned_drop_on_refined_partition_with_wide_pool() {
 
 #[test]
 fn pinned_stall_on_single_worker_pool() {
-    // One worker serializes kernel execution under the rank threads; the
-    // stalled exchange still may not perturb the numbers.
+    // A team of one runs all six ranks on the calling thread: the
+    // sleeper delays every post, no receive ever waits, and the stalled
+    // exchange still may not perturb the numbers.
     check_case(1, 1, 3, Fault::Stall, 0x5eed_57a1);
+}
+
+#[test]
+fn pinned_drop_with_one_worker_for_24_ranks() {
+    // The starved rank times out alone in the middle of its worker's
+    // queue; the 23 others finish behind it and the step rolls back.
+    check_case(1, 2, 2, Fault::Drop, 0x5eed_d20c);
+}
+
+#[test]
+fn pinned_drop_with_an_uneven_team() {
+    // Six ranks over four workers: two own two ranks, two own one.
+    check_case(4, 1, 3, Fault::Drop, 0x5eed_d20d);
 }
 
 #[test]

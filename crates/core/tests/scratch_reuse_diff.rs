@@ -1,7 +1,8 @@
-//! One scratch store per step, checked against fresh stores.
+//! Reused scratch stores, checked against fresh ones.
 //!
-//! `step()` builds a `DataStore` at its first rank-substep and runs every
-//! later rank and substep of the step on it. `CompiledSubstep::build`
+//! A sequential `step()` builds a `DataStore` at its first rank-substep
+//! and runs every later rank and substep of the step on it; a rank-team
+//! worker does the same with a store it keeps for the next step too. `CompiledSubstep::build`
 //! proves that safe per graph (`dataflow::reuse`); this file is the
 //! dynamic side of that proof, with no wall clock in any assertion:
 //!
@@ -13,9 +14,14 @@
 //! * **the driver** — `step()` with several substeps, under both rank
 //!   schedules, against a reference that allocates a fresh store for
 //!   every rank of every substep, the way the driver used to;
-//! * **aborted steps** — after a step cut short by a `CancelToken`, or
-//!   failed by a mid-step NaN and rolled back by the supervisor, the run
-//!   continues bit for bit like an instance that never saw either.
+//! * **kept stores** — a rank team keeps its stores from step to step:
+//!   between two steps every value they hold is turned into NaN, and the
+//!   run continues to the bits of one that was left alone;
+//! * **aborted steps** — after a step cut short by a `CancelToken`,
+//!   failed by a mid-step NaN and rolled back by the supervisor, or
+//!   failed by a rank that starved mid-substep on a store its worker went
+//!   on using, the run continues bit for bit like an instance that never
+//!   saw any of it.
 
 use comm::{CornerPolicy, HaloUpdater};
 use dataflow::exec::{DataStore, Executor};
@@ -28,6 +34,7 @@ use fv3::state::{DycoreState, HALO};
 use fv3core::{Checkpoint, CompiledSubstep, DistributedDycore, DriverConfig, RankSchedule};
 use machine::cancel::CancelToken;
 use machine::faults::ArmGuard;
+use machine::Pool;
 use resilience::{FaultPlan, Supervisor, SupervisorPolicy};
 
 const SCHEDULES: [RankSchedule; 2] = [RankSchedule::Sequential, RankSchedule::Parallel];
@@ -295,5 +302,81 @@ fn a_rolled_back_step_leaves_nothing_in_the_next_one() {
             clean.step();
         }
         assert_states_bit_identical(&faulted.states, &clean.states, &format!("{schedule:?}"));
+    }
+}
+
+/// A parallel instance whose rank team has `workers` members.
+fn team_dycore(cfg: DriverConfig, workers: usize) -> DistributedDycore {
+    let mut d = dycore(cfg, RankSchedule::Parallel, false);
+    d.set_pool(Some(Pool::new(workers)));
+    d
+}
+
+#[test]
+fn kept_stores_full_of_nan_step_to_the_same_bits() {
+    let _quiet = unfaulted();
+    for ((n, nk), workers) in SIZES.into_iter().zip([1, 2, 3]) {
+        let cfg = config(n, nk, 2, 1);
+        let mut left_alone = team_dycore(cfg, workers);
+        let mut poisoned = team_dycore(cfg, workers);
+        for step in 0..3 {
+            left_alone.step();
+            poisoned.step();
+            // Every value the team's stores hold: all of it was written
+            // by the steps so far (a fresh store is all zero bits), and
+            // the next step must overwrite it before reading it.
+            let mut cells = 0usize;
+            for store in poisoned.scratch_stores_mut() {
+                for c in (0..store.len()).map(DataId) {
+                    for v in store.get_mut(c).raw_mut() {
+                        if v.to_bits() != 0 {
+                            *v = f64::NAN;
+                            cells += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                cells > workers * 10 * n * n * nk,
+                "c{n}L{nk} step {step}: only {cells} cells poisoned"
+            );
+            assert_eq!(poisoned.live_scratch_stores(), workers);
+        }
+        assert!(!left_alone.any_nonfinite());
+        let what = format!("c{n}L{nk} team of {workers}");
+        assert_states_bit_identical(&poisoned.states, &left_alone.states, &what);
+        assert_eq!(poisoned.scratch_stores_built(), workers as u64, "{what}");
+    }
+}
+
+#[test]
+fn a_rank_starved_mid_substep_fails_alone_and_leaves_nothing_behind() {
+    // c24 leaves interior work: the starved rank has run its interior on
+    // its worker's store when its receive times out, and the worker runs
+    // its other ranks on that store afterwards.
+    let cfg = config(24, 2, 2, 1);
+    let clean = {
+        let _quiet = unfaulted();
+        let mut d = dycore(cfg, RankSchedule::Sequential, false);
+        for _ in 0..2 {
+            d.step();
+        }
+        d
+    };
+    for workers in [1, 2, 3, 6] {
+        let plan = FaultPlan::parse("seed=11;drop").unwrap();
+        let _guard = plan.arm();
+        let mut d = team_dycore(cfg, workers);
+        d.set_halo_recv_timeout(std::time::Duration::from_millis(250));
+        let mut sup = Supervisor::new(SupervisorPolicy::default());
+        let report = sup.run(&mut d, 2).expect("the lost message is recovered");
+        let what = format!("team of {workers}");
+        assert_eq!((report.retries, d.step_index()), (1, 2), "{what}");
+        // Whatever the team, only the starved rank never wrote its state
+        // back: the rollback rewrites the other five.
+        assert_eq!(report.ranks_restored, 5, "{what}");
+        // The failed step took the step cache with it, stores included.
+        assert_eq!(d.scratch_stores_built(), 2 * workers as u64, "{what}");
+        assert_states_bit_identical(&d.states, &clean.states, &what);
     }
 }

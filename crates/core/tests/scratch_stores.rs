@@ -1,12 +1,13 @@
-//! Deterministic counters of the step path's scratch stores (the style of
-//! `fv3/tests/tile_program.rs`: counts, not clocks). A driver that falls
-//! back to a store per rank-substep, or a dycore graph whose stores need
-//! re-zeroing between runs, fails a count here, not a timing somewhere
-//! else.
+//! Deterministic counters of the step path's scratch stores and rank
+//! team (the style of `fv3/tests/tile_program.rs`: counts, not clocks). A
+//! driver that falls back to a store per rank-substep or a thread per
+//! rank, or a dycore graph whose stores need re-zeroing between runs,
+//! fails a count here, not a timing somewhere else.
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{CompiledSubstep, DistributedDycore, DriverConfig, RankSchedule};
+use machine::Pool;
 
 fn config(
     n: usize,
@@ -28,27 +29,101 @@ fn config(
     )
 }
 
+/// `(pool size, rank team)` for a six-rank run: one worker, even deals,
+/// an uneven one (4: two workers own two ranks, two own one), a thread per
+/// rank, more workers than ranks.
+const TEAMS: [(usize, u64); 6] = [(1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (8, 6)];
+
+fn dycore(cfg: DriverConfig, schedule: RankSchedule, workers: usize) -> DistributedDycore {
+    let mut d = DistributedDycore::new(cfg, &ExpansionAttrs::tuned());
+    d.set_rank_schedule(schedule);
+    d.set_tuned(false);
+    d.set_pool(Some(Pool::new(workers)));
+    d
+}
+
 #[test]
-fn a_step_builds_one_store_or_one_per_rank_whatever_its_substeps() {
+fn a_sequential_step_builds_one_store_and_keeps_none() {
     // Unfaulted steps must not consume a sibling test's armed fault.
     let _quiet = machine::faults::arm(0, Vec::new());
     for (n_split, k_split) in [(1, 1), (3, 1), (2, 2)] {
-        for (schedule, per_step) in [(RankSchedule::Sequential, 1), (RankSchedule::Parallel, 6)] {
-            let cfg = config(8, 3, n_split, k_split, None);
-            let mut d = DistributedDycore::new(cfg, &ExpansionAttrs::tuned());
-            d.set_rank_schedule(schedule);
-            d.set_tuned(false);
-            assert_eq!(d.scratch_stores_built(), 0);
-            for step in 1..=3 {
+        let mut d = dycore(config(8, 3, n_split, k_split, None), RankSchedule::Sequential, 1);
+        assert_eq!(d.scratch_stores_built(), 0);
+        for step in 1..=3 {
+            d.step();
+            let what = format!("n_split={n_split} k_split={k_split} step {step}");
+            assert_eq!(d.scratch_stores_built(), step, "{what}");
+            assert_eq!(d.live_scratch_stores(), 0, "{what}");
+            assert_eq!(d.rank_workers_launched(), 0, "{what}");
+        }
+    }
+}
+
+#[test]
+fn a_rank_team_builds_one_store_per_worker_and_keeps_them_across_steps() {
+    let _quiet = machine::faults::arm(0, Vec::new());
+    for (n_split, k_split) in [(1, 1), (2, 2)] {
+        for (workers, team) in TEAMS {
+            let mut d = dycore(config(8, 3, n_split, k_split, None), RankSchedule::Parallel, workers);
+            let what = format!("workers={workers} n_split={n_split} k_split={k_split}");
+            for step in 1..=5u64 {
                 d.step();
+                if [1, 3, 5].contains(&step) {
+                    assert_eq!(d.scratch_stores_built(), team, "{what} step {step}");
+                    assert_eq!(d.live_scratch_stores() as u64, team, "{what} step {step}");
+                }
+                // One worker body per team member per acoustic substep,
+                // never one per rank.
                 assert_eq!(
-                    d.scratch_stores_built(),
-                    step * per_step,
-                    "{schedule:?} n_split={n_split} k_split={k_split} step {step}"
+                    d.rank_workers_launched(),
+                    step * (n_split * k_split) as u64 * team,
+                    "{what} step {step}"
                 );
             }
         }
     }
+}
+
+#[test]
+fn stores_go_with_the_cache_the_schedule_or_on_request() {
+    let _quiet = machine::faults::arm(0, Vec::new());
+    let mut d = dycore(config(8, 3, 1, 1, None), RankSchedule::Parallel, 2);
+    d.step();
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (2, 2));
+
+    // Parked: nothing held; the next step builds the team's stores again.
+    d.release_scratch_stores();
+    assert_eq!(d.live_scratch_stores(), 0);
+    d.step();
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (4, 2));
+
+    // A sequential instance holds no team stores.
+    d.set_rank_schedule(RankSchedule::Sequential);
+    assert_eq!(d.live_scratch_stores(), 0);
+    d.step();
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (5, 0));
+
+    // A new pool is a new team.
+    d.set_rank_schedule(RankSchedule::Parallel);
+    d.step();
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (7, 2));
+    d.set_pool(Some(Pool::new(3)));
+    assert_eq!(d.live_scratch_stores(), 0);
+    d.step();
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (10, 3));
+}
+
+#[test]
+fn without_a_pool_the_team_is_what_the_host_pool_would_be() {
+    let _quiet = machine::faults::arm(0, Vec::new());
+    let mut d = DistributedDycore::new(config(8, 3, 1, 1, None), &ExpansionAttrs::tuned());
+    d.set_rank_schedule(RankSchedule::Parallel);
+    d.set_tuned(false);
+    d.set_pool(None);
+    d.step();
+    let team = Pool::host_workers().min(6) as u64;
+    assert_eq!(d.scratch_stores_built(), team);
+    assert_eq!(d.rank_workers_launched(), team);
 }
 
 #[test]

@@ -338,6 +338,9 @@ pub struct CompiledKernel {
     ids: Vec<DataId>,
     stmts: Vec<CompiledStmt>,
     hull: StmtBounds,
+    /// Width of the statement rectangle with the most horizontal points:
+    /// the rows of a j-block are sized to fill a tile at this width.
+    block_w: usize,
     max_regs: usize,
     tile_regs: usize,
     n_locals: usize,
@@ -373,6 +376,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
             kl: 0,
             kh: 0,
         },
+        block_w: 0,
         max_regs: 0,
         tile_regs: 0,
         n_locals: 0,
@@ -409,6 +413,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
         kh: i64::MIN,
     };
     let mut points = 0u64;
+    let (mut block_w, mut most_points) = (0usize, 0i64);
     for s in &kernel.stmts {
         let Domain {
             start: [il, jl, kl],
@@ -429,6 +434,10 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
         hull.kl = hull.kl.min(b.kl);
         hull.kh = hull.kh.max(b.kh);
         points += ((ih - il).max(0) * (jh - jl).max(0) * (kh - kl).max(0)) as u64;
+        let horizontal = (ih - il).max(0) * (jh - jl).max(0);
+        if horizontal > most_points {
+            (block_w, most_points) = ((ih - il) as usize, horizontal);
+        }
         let program = bytecode::compile(&s.expr, &slot_of);
         let lvalue = match s.lvalue {
             LValue::Field(d) => CompiledLValue::Field(slot_of(d)),
@@ -477,6 +486,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
         ids,
         stmts,
         hull,
+        block_w,
         max_regs,
         tile_regs,
         n_locals,
@@ -677,9 +687,12 @@ impl Tile<'_> {
 /// it — columns are independent by [`validate_kernel`], making the
 /// regrouping bit-identical.
 ///
-/// `h` is as many rows as fit [`TILE_LANES`] lanes of the hull width,
-/// evened out over the blocks; kernels that march K get at least one block
-/// per pool worker, because blocks are their only parallel axis.
+/// `h` is as many rows as fit [`TILE_LANES`] lanes at the width of the
+/// kernel's largest statement rectangle, evened out over the blocks: a
+/// kernel of narrow strips in a wide hull (the rind's W/E columns) runs
+/// each strip as one tall tile instead of one sliver per hull-sized block.
+/// Kernels that march K get at least one block per pool worker, because
+/// blocks are their only parallel axis.
 fn run_tiles(
     ck: &CompiledKernel,
     slots: &[FieldSlot],
@@ -691,7 +704,7 @@ fn run_tiles(
     let nj = (hull.jh - hull.jl) as usize;
     let nk = (hull.kh - hull.kl) as usize;
     let marching = !(ck.k_parallel && ck.n_locals == 0);
-    let mut blocks = nj.div_ceil((TILE_LANES / ni).max(1));
+    let mut blocks = nj.div_ceil((TILE_LANES / ck.block_w.max(1)).max(1));
     if marching {
         blocks = blocks.max(pool.workers().min(nj));
     }
@@ -743,8 +756,8 @@ fn run_tiles(
                         // SAFETY — the one argument for every raw view of the
                         // tile VM (DESIGN §10.1). (1) Registers, scratch and
                         // locals are this chunk's own buffers, sized above:
-                        // `rows * w <= TILE_LANES` because `rows <= h <=
-                        // TILE_LANES / ni` (or `h == 1`), and the tile lies in
+                        // `rows * w <= TILE_LANES` because `w <= TILE_LANES /
+                        // rows` and `rows <= h <= TILE_LANES`, and the tile lies in
                         // the `h × ni` block. (2) A field view covers the
                         // statement's bounds shifted by a stencil offset,
                         // inside the container's domain + halo: the points the

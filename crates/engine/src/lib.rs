@@ -1620,6 +1620,9 @@ fn release(inner: &EngineInner, key: CaseKey, mut d: DistributedDycore) {
     // Never park another tenant's sink: the next tenant installs its
     // own, and a parked instance must not retain a subscriber tag.
     d.set_event_sink(EventSink::default());
+    // Nor a rank team's scratch stores: an idle tenant would hold
+    // megabytes per worker that its next step rebuilds in under one.
+    d.release_scratch_stores();
     let mut cases = lock(&inner.cases);
     if let Some(cc) = cases.get_mut(&key) {
         if cc.reset.is_some() && cc.warm.len() < inner.warm_cap {
@@ -1729,6 +1732,36 @@ mod tests {
             let out = engine.wait(id);
             assert!(out.result.is_completed());
         }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn parked_tenant_holds_no_scratch_stores() {
+        let engine = small_engine(1);
+        let inner = &engine.inner;
+        let req = small_request(1);
+        let key = CaseKey::of(&req);
+        let _quiet = machine::faults::arm(0, Vec::new());
+        let (mut d, warm) = acquire(inner, key, &req);
+        assert!(!warm);
+        // The engine takes its schedule from the environment; a tenant
+        // on the parallel one comes off its run holding its team's stores.
+        d.set_rank_schedule(fv3core::RankSchedule::Parallel);
+        d.step();
+        assert_eq!(d.live_scratch_stores(), 1, "a one-worker pool is a team of one");
+        release(inner, key, d);
+        let parked: Vec<usize> = lock(&inner.cases)[&key]
+            .warm
+            .iter()
+            .map(|d| d.live_scratch_stores())
+            .collect();
+        assert_eq!(parked, [0]);
+        // The next tenant gets the instance back and builds them again.
+        let (mut d, warm) = acquire(inner, key, &req);
+        assert!(warm);
+        d.step();
+        assert_eq!((d.live_scratch_stores(), d.scratch_stores_built()), (1, 2));
+        drop(d);
         engine.shutdown();
     }
 

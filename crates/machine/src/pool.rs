@@ -27,10 +27,6 @@ use std::sync::Arc;
 /// integer; invalid or zero values are ignored).
 pub const WORKERS_ENV: &str = "FV3_WORKERS";
 
-/// Process-wide count of rank-level leases served (see
-/// [`Pool::rank_scope`]).
-static RANK_LEASES: AtomicU64 = AtomicU64::new(0);
-
 /// A type-erased parallel region: a borrowed `Fn(Range<usize>) + Sync`
 /// body plus the trampoline that downcasts and calls it.
 ///
@@ -269,17 +265,21 @@ impl Pool {
     /// [`WORKERS_ENV`] (`FV3_WORKERS`) override when set to a positive
     /// integer.
     pub fn host() -> Self {
+        Pool::new(Self::host_workers())
+    }
+
+    /// The size [`host`](Self::host) would pick, without building a pool.
+    pub fn host_workers() -> usize {
         if let Ok(s) = std::env::var(WORKERS_ENV) {
             if let Ok(n) = s.trim().parse::<usize>() {
                 if n >= 1 {
-                    return Pool::new(n);
+                    return n;
                 }
             }
         }
-        let n = std::thread::available_parallelism()
+        std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1);
-        Pool::new(n)
+            .unwrap_or(1)
     }
 
     /// Number of worker threads (including the submitting thread).
@@ -385,16 +385,17 @@ impl Pool {
         }
     }
 
-    /// Run `body(r)` for every rank in `0..ranks`, each on its own
-    /// dedicated OS thread (a *rank-level lease*, as opposed to the
-    /// region-level chunks of [`for_each_chunk`](Self::for_each_chunk)).
+    /// Run `body(r)` for every `r` in `0..ranks`, each on its own
+    /// dedicated OS thread (as opposed to the region-level chunks of
+    /// [`for_each_chunk`](Self::for_each_chunk)). The driver's rank team
+    /// passes its worker count here, one body per worker.
     ///
-    /// Rank bodies block on each other (halo mailbox receives), so they
-    /// must not share the bounded worker team — `ranks` may exceed
+    /// Bodies block on each other (halo mailbox receives), so they must
+    /// not share the bounded worker team — `ranks` may exceed
     /// `workers()`, and a worker waiting on a peer that cannot be
     /// scheduled would deadlock. Dedicated scoped threads sidestep that:
-    /// every rank is always runnable. Kernel-level parallelism inside a
-    /// rank body still goes through this pool's region protocol.
+    /// every body is always runnable. Kernel-level parallelism inside a
+    /// body still goes through this pool's region protocol.
     ///
     /// If any rank body panics, the first panic payload is re-raised on
     /// the caller after *all* rank threads have exited (bodies must
@@ -404,7 +405,6 @@ impl Pool {
     where
         F: Fn(usize) + Sync,
     {
-        RANK_LEASES.fetch_add(ranks as u64, Ordering::Relaxed);
         if ranks <= 1 {
             if ranks == 1 {
                 body(0);
@@ -416,7 +416,7 @@ impl Pool {
                 .map(|r| {
                     let b = &body;
                     std::thread::Builder::new()
-                        .name(format!("fv3-rank-{r}"))
+                        .name(format!("fv3-rank-worker-{r}"))
                         .spawn_scoped(s, move || b(r))
                         .expect("failed to spawn rank thread")
                 })
@@ -431,12 +431,6 @@ impl Pool {
                 resume_unwind(p);
             }
         });
-    }
-
-    /// Total rank-level leases served by [`rank_scope`](Self::rank_scope)
-    /// across all pools since process start.
-    pub fn rank_leases() -> u64 {
-        RANK_LEASES.load(Ordering::Relaxed)
     }
 
     /// Map-reduce over `0..len`: each chunk produces a partial value via
@@ -583,7 +577,6 @@ mod tests {
     #[test]
     fn rank_scope_runs_every_rank_on_its_own_thread() {
         let pool = Pool::new(2);
-        let before = Pool::rank_leases();
         let ids = Mutex::new(std::collections::HashSet::new());
         let hits: Vec<AtomicU64> = (0..12).map(|_| AtomicU64::new(0)).collect();
         pool.rank_scope(12, |r| {
@@ -595,7 +588,6 @@ mod tests {
         }
         // More ranks than workers, all genuinely concurrent threads.
         assert_eq!(ids.lock().len(), 12);
-        assert_eq!(Pool::rank_leases() - before, 12);
     }
 
     #[test]

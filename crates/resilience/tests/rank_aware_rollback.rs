@@ -87,6 +87,10 @@ fn parallel_soft_stall_is_counted_per_waiting_rank() {
 
     let mut d = dycore();
     d.set_rank_schedule(RankSchedule::Parallel);
+    // A receive can only wait on a sender that runs beside it: give every
+    // rank its own worker, whatever the host (a team of one posts all its
+    // sends, sleeper included, before it receives anything).
+    d.set_pool(Some(machine::Pool::new(6)));
     let policy = SupervisorPolicy {
         stall_deadline: Some(Duration::from_millis(15)),
         ..SupervisorPolicy::default()
