@@ -17,7 +17,7 @@ use dataflow::exec::{compile_kernel, run_compiled, run_kernel_with, DataStore, V
 use dataflow::expr::LocalId;
 use dataflow::kernel::{AxisInterval, Domain, KOrder, Kernel, LValue, Region2, Schedule, Stmt};
 use dataflow::{Array3, BinOp, CmpOp, DataId, Expr, Sdfg};
-use machine::Pool;
+use machine::{Faults, Pool};
 
 const N: usize = 64;
 const NK: usize = 16;
@@ -109,7 +109,7 @@ fn bench_vm_ablation(c: &mut Criterion) {
     });
     let compiled = compile_kernel(&kernel);
     group.bench_function("vectorized_cached", |b| {
-        b.iter(|| run_compiled(&compiled, &mut store, &params, &pool, VmMode::Lanes))
+        b.iter(|| run_compiled(&compiled, &mut store, &params, &pool, VmMode::Lanes, &Faults::inert()))
     });
     group.finish();
 }

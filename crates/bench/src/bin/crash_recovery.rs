@@ -11,8 +11,8 @@
 //!   propagates, the team is rebuilt, and the step is retried.
 //!
 //! `FV3_FAULT_PLAN` replaces the built-in scenarios with a single
-//! custom one (the supervisor policy still comes from the environment:
-//! `FV3_CHECKPOINT_DIR`, `FV3_MAX_RETRIES`, ...).
+//! custom one; `FV3_CHECKPOINT_DIR` persists the rollback basis. Both
+//! are read once, as [`RunConfig`] fields.
 //!
 //! Emits `RUN_health.jsonl` (health samples interleaved with
 //! `{"type":"recovery",...}` and `{"type":"fault_injection",...}`
@@ -22,7 +22,7 @@
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{DistributedDycore, DriverConfig};
-use machine::Pool;
+use machine::{Pool, RunConfig, RunContext};
 use obs::json;
 use resilience::{FaultPlan, Supervisor, SupervisorPolicy};
 use std::fmt::Write as _;
@@ -38,7 +38,7 @@ struct Scenario {
     workers: usize,
 }
 
-fn dycore() -> DistributedDycore {
+fn dycore(run: &RunConfig) -> DistributedDycore {
     let cfg = DriverConfig::six_rank(
         N,
         NK,
@@ -50,17 +50,22 @@ fn dycore() -> DistributedDycore {
             nord4_damp: None,
         },
     );
-    DistributedDycore::new(cfg, &ExpansionAttrs::tuned())
+    DistributedDycore::new_with_grids(cfg, &ExpansionAttrs::tuned(), None, run)
 }
 
 fn main() -> ExitCode {
-    let scenarios = match std::env::var("FV3_FAULT_PLAN") {
-        Ok(plan) if !plan.trim().is_empty() => vec![Scenario {
+    let run = RunConfig::from_env();
+    let policy = SupervisorPolicy {
+        checkpoint_dir: run.checkpoint_dir.clone(),
+        ..SupervisorPolicy::default()
+    };
+    let scenarios = match &run.fault_plan {
+        Some(plan) => vec![Scenario {
             name: "custom",
-            plan,
+            plan: plan.clone(),
             workers: 3,
         }],
-        _ => vec![
+        None => vec![
             Scenario {
                 name: "nan-blowup",
                 plan: "seed=11;nan@step=1,field=pt".to_string(),
@@ -88,19 +93,21 @@ fn main() -> ExitCode {
         };
         let expect_faults = !plan.specs.is_empty();
         println!("scenario {}: plan \"{}\"", sc.name, sc.plan);
-        let guard = plan.arm();
+        let faults = plan.arm();
 
-        let mut d = dycore();
+        let mut d = dycore(&run);
+        d.set_run(RunContext {
+            faults: faults.clone(),
+            ..RunContext::default()
+        });
         let pool = (sc.workers > 0).then(|| Pool::new(sc.workers));
         if let Some(p) = &pool {
             d.set_pool(Some(p.clone()));
         }
-        let mut sup = Supervisor::new(SupervisorPolicy::from_env());
+        let mut sup = Supervisor::new(policy.clone());
         let outcome = sup.run(&mut d, STEPS);
-        drop(guard);
 
-        let injections = machine::faults::injection_log();
-        for ev in &injections {
+        for ev in &faults.log() {
             writeln!(
                 health,
                 "{{\"type\": \"fault_injection\", \"scenario\": \"{}\", \"site\": {}, \

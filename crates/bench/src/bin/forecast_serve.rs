@@ -49,6 +49,24 @@ use std::time::Duration;
 /// Some requests degraded (cancelled/evicted/shed) but none failed.
 const EXIT_DEGRADED: u8 = 2;
 
+/// Engine defaults under this process's environment, read here and
+/// nowhere below: `FV3_CHECKPOINT_DIR` persists every request's rollback
+/// basis, `FV3_FAULT_PLAN` arms a plan for the engine's lifetime.
+fn engine_defaults() -> EngineConfig {
+    let run = machine::RunConfig::from_env();
+    EngineConfig {
+        policy: resilience::SupervisorPolicy {
+            checkpoint_dir: run.checkpoint_dir,
+            ..Default::default()
+        },
+        faults: run.fault_plan.map(|text| {
+            resilience::FaultPlan::parse(&text)
+                .unwrap_or_else(|e| panic!("invalid FV3_FAULT_PLAN: {e}"))
+        }),
+        ..EngineConfig::default()
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: forecast_serve <init|submit|run|watch|status|cancel|overload> \
@@ -127,7 +145,7 @@ fn verdict(failed: u64, degraded: u64) -> ExitCode {
 fn cmd_init(cfg: CliConfig) -> ExitCode {
     let engine = ForecastEngine::start(EngineConfig {
         slots: cfg.load.slots,
-        ..EngineConfig::from_env()
+        ..engine_defaults()
     });
     let id = engine.submit(cfg.load.request().with_label("init"));
     let out = engine.wait(id);
@@ -163,7 +181,7 @@ fn cmd_submit(cfg: CliConfig) -> ExitCode {
         slots: cfg.load.slots,
         queue_cap: cfg.load.requests.max(1),
         tenant_cap: cfg.tenant_cap,
-        ..EngineConfig::from_env()
+        ..engine_defaults()
     });
     let ids: Vec<_> = (0..cfg.load.requests)
         .map(|i| {
@@ -322,7 +340,7 @@ fn cmd_cancel(cfg: CliConfig) -> ExitCode {
     let engine = ForecastEngine::start(EngineConfig {
         slots: cfg.load.slots,
         tenant_cap: cfg.tenant_cap,
-        ..EngineConfig::from_env()
+        ..engine_defaults()
     });
     let id = engine.submit_with(
         cfg.load.request_with_steps(100_000).with_label("cancel-me"),
@@ -428,7 +446,7 @@ fn cmd_watch(cfg: CliConfig) -> ExitCode {
         streaming: true,
         stream_buffer: 4096,
         tick_every: Some(Duration::from_millis(250)),
-        ..EngineConfig::from_env()
+        ..engine_defaults()
     });
     let stream = engine.subscribe_all().expect("streaming engine has a bus");
     let ids: Vec<_> = (0..cfg.requests)
@@ -479,7 +497,7 @@ fn cmd_status(cfg: CliConfig) -> ExitCode {
         slots: cfg.slots,
         queue_cap: cfg.requests.max(1),
         streaming: cfg.streaming,
-        ..EngineConfig::from_env()
+        ..engine_defaults()
     });
     let ids: Vec<_> = (0..cfg.requests)
         .map(|i| engine.submit(cfg.request().with_label(&format!("status-{i}"))))

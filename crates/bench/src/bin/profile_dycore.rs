@@ -28,7 +28,6 @@ use bench::weak_scaling::{study_table, weak_scaling_study};
 use dataflow::report::roofline_table;
 use fv3::dyn_core::DycoreConfig;
 use obs::{compare_runs, RegressionPolicy, BENCH_SCHEMA_VERSION};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 const N: usize = 8;
@@ -60,10 +59,10 @@ fn main() -> ExitCode {
         dddmp: 0.02,
         nord4_damp: None,
     };
-    // The two environment knobs this bin honours, read once, here.
-    let env_tuned = fv3core::parallel::tune_from_env();
-    let checkpoint_dir = std::env::var_os("FV3_CHECKPOINT_DIR").map(PathBuf::from);
-    let run = profile_case(N, NK, STEPS, config, checkpoint_dir.as_deref(), env_tuned);
+    // The environment, read once: this bin honours `tune` and
+    // `checkpoint_dir`.
+    let env = machine::RunConfig::from_env();
+    let run = profile_case(N, NK, STEPS, config, env.checkpoint_dir.as_deref(), env.tune);
     let report = &run.report;
 
     // Roofline denominator: measured host STREAM copy bandwidth.
@@ -299,7 +298,7 @@ fn main() -> ExitCode {
             ablation.summary
         ));
     }
-    if env_tuned {
+    if env.tune {
         // The tuned-profile CI job runs with FV3_TUNE=1. The vetted
         // fusion wins on this host (riem/d_sw pointwise chains) are
         // ~1-2% of total kernel seconds — the same order as the

@@ -75,15 +75,18 @@ fn study_config(tile_n: usize, rt: usize, nk: usize) -> DriverConfig {
 /// traffic taken from the parallel run.
 pub fn measure_point(tile_n: usize, rt: usize, nk: usize, steps: usize) -> OverlapPoint {
     let attrs = ExpansionAttrs::tuned();
+    let run = machine::RunConfig::from_env();
+    let build =
+        || DistributedDycore::new_with_grids(study_config(tile_n, rt, nk), &attrs, None, &run);
 
-    let mut seq = DistributedDycore::new(study_config(tile_n, rt, nk), &attrs);
+    let mut seq = build();
     let t0 = Instant::now();
     for _ in 0..steps {
         seq.step();
     }
     let seq_step_seconds = t0.elapsed().as_secs_f64() / steps as f64;
 
-    let mut par = DistributedDycore::new(study_config(tile_n, rt, nk), &attrs);
+    let mut par = build();
     par.set_rank_schedule(RankSchedule::Parallel);
     let t1 = Instant::now();
     for _ in 0..steps {
@@ -107,7 +110,7 @@ pub fn measure_point(tile_n: usize, rt: usize, nk: usize, steps: usize) -> Overl
         overlap_efficiency: stats.efficiency(),
         halo_bytes,
         halo_messages,
-        workers: machine::Pool::host_workers(),
+        workers: run.host_workers(),
         scratch_stores_built: par.scratch_stores_built(),
     }
 }

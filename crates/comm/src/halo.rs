@@ -10,7 +10,8 @@
 
 use crate::partition::{HaloSource, Partition, RankId};
 use dataflow::Array3;
-use machine::faults::{self, FaultAction, FireCtx};
+use machine::faults::{FaultAction, FireCtx};
+use machine::RunContext;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -210,6 +211,9 @@ pub struct HaloUpdater {
     /// stall (clones share the counter, not the deadline).
     stall_deadline: Option<Duration>,
     stalls: Arc<AtomicU64>,
+    /// The run this updater exchanges for: its fault plan, tracer and
+    /// metrics registry (all inert by default).
+    run: RunContext,
 }
 
 impl HaloUpdater {
@@ -275,7 +279,15 @@ impl HaloUpdater {
             level_stats,
             stall_deadline: None,
             stalls: Arc::new(AtomicU64::new(0)),
+            run: RunContext::default(),
         }
+    }
+
+    /// Attach the updater to a run: exchanges fire that run's fault plan
+    /// at the three halo sites and record their `halo` span and the
+    /// `halo_*` counters into its tracer and registry.
+    pub fn set_run(&mut self, run: RunContext) {
+        self.run = run;
     }
 
     /// Arm (or disarm, with `None`) the stall watchdog: exchanges whose
@@ -323,14 +335,13 @@ impl HaloUpdater {
         let p = &self.part;
         assert_eq!(arrays.len(), p.ranks(), "one array per rank");
         let nk = arrays[0].layout().domain[2];
-        let mut span = obs::tracing::global_span("halo", "halo_exchange");
+        let faults = &self.run.faults;
+        let mut span = self.run.span("halo", "halo_exchange");
         let t0 = Instant::now();
 
-        if faults::enabled() {
-            if let Some(spec) = faults::fire(SITE_HALO_STALL, FireCtx::default()) {
-                if let FaultAction::StallMs(ms) = spec.action {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
+        if let Some(spec) = faults.fire(SITE_HALO_STALL, FireCtx::default()) {
+            if let FaultAction::StallMs(ms) = spec.action {
+                std::thread::sleep(Duration::from_millis(ms));
             }
         }
 
@@ -366,10 +377,10 @@ impl HaloUpdater {
         // or drop here and the receiver sees exactly what a flipped bit
         // or lost message would produce.
         let mut dropped = None;
-        if faults::enabled() {
-            if let Some(spec) = faults::fire(SITE_HALO_CORRUPT, FireCtx::default()) {
+        if faults.is_armed() {
+            if let Some(spec) = faults.fire(SITE_HALO_CORRUPT, FireCtx::default()) {
                 if !staged.is_empty() {
-                    let victim = faults::det_index(0x1a10, staged.len());
+                    let victim = faults.det_index(0x1a10, staged.len());
                     let v = &mut staged[victim];
                     *v = match spec.action {
                         FaultAction::CorruptFactor(f) => *v * f,
@@ -377,10 +388,10 @@ impl HaloUpdater {
                     };
                 }
             }
-            if let Some(spec) = faults::fire(SITE_HALO_DROP, FireCtx::default()) {
+            if let Some(spec) = faults.fire(SITE_HALO_DROP, FireCtx::default()) {
                 dropped = Some(
                     spec.rank
-                        .unwrap_or_else(|| faults::det_index(0xd209, p.ranks())),
+                        .unwrap_or_else(|| faults.det_index(0xd209, p.ranks())),
                 );
             }
         }
@@ -418,7 +429,7 @@ impl HaloUpdater {
         if stalled {
             self.stalls.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(m) = obs::metrics::global() {
+        if let Some(m) = &self.run.metrics {
             if stalled {
                 m.counter_add("halo_stalls", &[], 1);
             }

@@ -1,25 +1,24 @@
 //! Reachability tests for the halo fault sites (ISSUE 5).
 //!
-//! These live in their own test binary: the fault registry is
-//! process-global, so armed sections must not share a process with
-//! unrelated tests that run exchanges. Inside this binary, *every*
-//! exchange — including the clean reference ones — runs while the test's
-//! own `ArmGuard` is alive (its once-spec has already retired by then):
-//! an exchange outside any guard would consume the spec a sibling test
-//! thread has just armed. That is a stopgap; the design fix (a fault
-//! plan owned by the run, not the process) is ROADMAP item 1.
+//! Each test arms its own plan and attaches it to the updater under
+//! test; the clean reference updaters carry no plan at all.
 
 use comm::halo::{
     rank_arrays, CornerPolicy, HaloUpdater, FAULT_SITES, SITE_HALO_CORRUPT, SITE_HALO_DROP,
     SITE_HALO_STALL,
 };
 use comm::partition::Partition;
-use machine::faults::{self, FaultAction, FaultSpec};
+use machine::faults::{FaultAction, FaultSpec, Faults};
+use machine::RunContext;
 use std::time::Duration;
 
-fn updater(width: usize) -> (HaloUpdater, Vec<dataflow::Array3>) {
+fn updater(width: usize, faults: &Faults) -> (HaloUpdater, Vec<dataflow::Array3>) {
     let part = Partition::new(6, 1);
-    let up = HaloUpdater::new(part.clone(), width, CornerPolicy::Leave);
+    let mut up = HaloUpdater::new(part.clone(), width, CornerPolicy::Leave);
+    up.set_run(RunContext {
+        faults: faults.clone(),
+        ..RunContext::default()
+    });
     let mut arrays = rank_arrays(&part, 2, width);
     for (r, arr) in arrays.iter_mut().enumerate() {
         for k in 0..2 {
@@ -35,13 +34,13 @@ fn updater(width: usize) -> (HaloUpdater, Vec<dataflow::Array3>) {
 
 #[test]
 fn corrupt_site_poisons_exactly_one_halo_value() {
-    let _g = faults::arm(
+    let faults = Faults::arm(
         7,
         vec![FaultSpec::new(SITE_HALO_CORRUPT, FaultAction::PoisonNan)],
     );
-    let (up, mut arrays) = updater(2);
+    let (up, mut arrays) = updater(2, &faults);
     up.exchange_scalar(&mut arrays);
-    assert_eq!(faults::fired_count(SITE_HALO_CORRUPT), 1);
+    assert_eq!(faults.fired_count(SITE_HALO_CORRUPT), 1);
     let nans: usize = arrays
         .iter()
         .map(|a| {
@@ -63,24 +62,23 @@ fn corrupt_site_poisons_exactly_one_halo_value() {
     // A second exchange heals it: the once-spec has retired and the
     // poisoned cell is a halo cell, overwritten from clean interiors.
     up.exchange_scalar(&mut arrays);
-    assert_eq!(faults::fired_count(SITE_HALO_CORRUPT), 1);
+    assert_eq!(faults.fired_count(SITE_HALO_CORRUPT), 1);
 }
 
 #[test]
 fn corrupt_factor_is_silent_data_corruption() {
-    let _g = faults::arm(
+    let faults = Faults::arm(
         7,
         vec![FaultSpec::new(
             SITE_HALO_CORRUPT,
             FaultAction::CorruptFactor(1000.0),
         )],
     );
-    let (up, mut arrays) = updater(1);
-    let (up2, mut clean) = updater(1);
+    let (up, mut arrays) = updater(1, &faults);
+    let (up2, mut clean) = updater(1, &Faults::inert());
     up.exchange_scalar(&mut arrays);
-    // The once-spec has retired: this reference exchange is clean.
     up2.exchange_scalar(&mut clean);
-    assert_eq!(faults::fired_count(SITE_HALO_CORRUPT), 1);
+    assert_eq!(faults.fired_count(SITE_HALO_CORRUPT), 1);
     let mut diffs = 0;
     for (a, c) in arrays.iter().zip(clean.iter()) {
         for k in 0..2 {
@@ -101,17 +99,16 @@ fn corrupt_factor_is_silent_data_corruption() {
 
 #[test]
 fn drop_site_leaves_target_rank_halo_stale() {
-    let _g = faults::arm(
+    let faults = Faults::arm(
         7,
         vec![FaultSpec::new(SITE_HALO_DROP, FaultAction::DropMessage).on_rank(3)],
     );
-    let (up, mut arrays) = updater(2);
-    let (up2, mut clean) = updater(2);
+    let (up, mut arrays) = updater(2, &faults);
+    let (up2, mut clean) = updater(2, &Faults::inert());
     let before3 = arrays[3].clone();
     up.exchange_scalar(&mut arrays);
-    // The once-spec has retired: this reference exchange is clean.
     up2.exchange_scalar(&mut clean);
-    assert_eq!(faults::fired_count(SITE_HALO_DROP), 1);
+    assert_eq!(faults.fired_count(SITE_HALO_DROP), 1);
     // Rank 3's halo kept its pre-exchange (stale) values...
     let s = 6i64;
     let mut stale = 0;
@@ -152,15 +149,15 @@ fn drop_site_leaves_target_rank_halo_stale() {
 
 #[test]
 fn stall_site_trips_the_watchdog() {
-    let _g = faults::arm(
+    let faults = Faults::arm(
         7,
         vec![FaultSpec::new(SITE_HALO_STALL, FaultAction::StallMs(50))],
     );
-    let (mut up, mut arrays) = updater(1);
+    let (mut up, mut arrays) = updater(1, &faults);
     up.set_stall_deadline(Some(Duration::from_millis(10)));
     assert_eq!(up.stall_count(), 0);
     up.exchange_scalar(&mut arrays);
-    assert_eq!(faults::fired_count(SITE_HALO_STALL), 1);
+    assert_eq!(faults.fired_count(SITE_HALO_STALL), 1);
     assert_eq!(up.stall_count(), 1, "watchdog noticed the stall");
     // Once-spec retired: the next exchange is fast and clean.
     up.exchange_scalar(&mut arrays);
@@ -169,14 +166,14 @@ fn stall_site_trips_the_watchdog() {
 
 #[test]
 fn watchdog_disarmed_counts_nothing() {
-    let _g = faults::arm(
+    let faults = Faults::arm(
         7,
         vec![FaultSpec::new(SITE_HALO_STALL, FaultAction::StallMs(30))],
     );
-    let (up, mut arrays) = updater(1);
+    let (up, mut arrays) = updater(1, &faults);
     // No deadline set: the stall happens but is not counted.
     up.exchange_scalar(&mut arrays);
-    assert_eq!(faults::fired_count(SITE_HALO_STALL), 1);
+    assert_eq!(faults.fired_count(SITE_HALO_STALL), 1);
     assert_eq!(up.stall_count(), 0);
 }
 

@@ -1,24 +1,23 @@
-//! Halo-exchange observability: span + metrics recording.
-//!
-//! Lives in its own test binary (own process) because it installs the
-//! process-global tracer and metrics registry — unit tests running
-//! exchanges concurrently would pollute the counters.
+//! Halo-exchange observability: span + metrics recording into the
+//! tracer and registry of the run the updater is attached to.
 
 use comm::{rank_arrays, CornerPolicy, HaloUpdater, Orientation};
 use comm::partition::Partition;
+use machine::RunContext;
 
 #[test]
-fn exchange_records_spans_and_metrics_when_installed() {
+fn exchange_records_spans_and_metrics_of_its_run() {
     let tracer = obs::Tracer::new();
     let metrics = obs::MetricsRegistry::new();
-    obs::tracing::install_global(&tracer);
-    obs::metrics::install_global(&metrics);
     let part = Partition::new(8, 2);
-    let up = HaloUpdater::new(part.clone(), 2, CornerPolicy::Leave);
+    let mut up = HaloUpdater::new(part.clone(), 2, CornerPolicy::Leave);
+    up.set_run(RunContext {
+        tracer: Some(tracer.clone()),
+        metrics: Some(metrics.clone()),
+        ..RunContext::default()
+    });
     let mut arrays = rank_arrays(&part, 4, 2);
     let stats = up.exchange_scalar(&mut arrays);
-    obs::tracing::uninstall_global();
-    obs::metrics::uninstall_global();
 
     let spans = tracer.finished();
     let halo: Vec<_> = spans.iter().filter(|e| e.cat == "halo").collect();
@@ -34,8 +33,10 @@ fn exchange_records_spans_and_metrics_when_installed() {
     assert_eq!(metrics.counter_value("halo_exchanges", &[]), 1);
     assert_eq!(metrics.counter_value("halo_messages", &[]), stats.total_messages);
 
-    // Uninstalled again: further exchanges leave no trace.
+    // Detached again: further exchanges leave no trace.
     let before = tracer.len();
+    up.set_run(RunContext::default());
     up.exchange_scalar(&mut arrays);
     assert_eq!(tracer.len(), before);
+    assert_eq!(metrics.counter_value("halo_exchanges", &[]), 1);
 }

@@ -21,9 +21,9 @@ use fv3::dyn_core::{
 use fv3::grid::Grid;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
 use fv3::state::{DycoreState, HALO};
-use machine::cancel::CancelToken;
-use machine::faults::{self, FireCtx};
+use machine::faults::FireCtx;
 use machine::pool::Pool;
+use machine::{RunConfig, RunContext};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,10 +85,12 @@ pub struct DistributedDycore {
     pool: Option<Pool>,
     /// How ranks are scheduled within a substep (bit-identical either way).
     pub(crate) schedule: RankSchedule,
-    /// Whole-program tuning override: `Some` pins the decision, `None`
-    /// defers to `FV3_TUNE` at each cache (re)build. Tuned programs are
+    /// Whole-program tuning at each cache (re)build. Tuned programs are
     /// bit-identical to untuned ones, so this changes speed only.
-    pub(crate) tuned: Option<bool>,
+    pub(crate) tuned: bool,
+    /// Rank-team size bound when no pool is installed
+    /// ([`RunConfig::host_workers`] at construction).
+    pub(crate) host_workers: usize,
     /// Cached per-substep machinery: programs, pinned executors, exchange
     /// plan, mailboxes. Invalidated on config/pool changes.
     pub(crate) cache: Option<StepCache>,
@@ -133,16 +135,13 @@ pub struct DistributedDycore {
     pub(crate) halo_bytes_posted: u64,
     /// Measured messages posted under the parallel schedule.
     pub(crate) halo_messages_posted: u64,
-    /// Live telemetry sink ([`obs::stream`]): publishes a
-    /// `StepCompleted` event per driver step when installed. The default
-    /// sink is off — one `Option` check on the hot path, no events, no
-    /// timestamps, no allocations.
-    sink: obs::EventSink,
-    /// Cooperative cancellation ([`machine::cancel`]): polled between
-    /// acoustic substeps. The default token is inert — one `Option`
-    /// check per substep, and an un-cancellable run is bit-identical to
-    /// one with no token at all (the poll reads no model state).
-    cancel: CancelToken,
+    /// The run this instance is stepping for ([`set_run`](Self::set_run)):
+    /// cancel token, event sink, fault plan, tracer, metrics. The default
+    /// is inert throughout — one `Option` check per site on the hot path,
+    /// no events, no timestamps, no allocations — and a run under it is
+    /// bit-identical to one under any other context whose faults stay
+    /// unfired (no site reads model state).
+    pub(crate) run: RunContext,
     /// True when the last [`step`](Self::step) call aborted at a substep
     /// boundary because the token fired: the step counter was not
     /// advanced and the states are mid-step — the instance must be
@@ -168,8 +167,8 @@ impl ExecHooks for RankHooks<'_> {
 }
 
 /// Names acoustic substep `ns` of remapping step `ks` in spans and fault
-/// contexts. Formatted by whoever reads it: with no tracer installed and
-/// no fault plan armed the step path builds no strings.
+/// contexts. Formatted by whoever reads it: under a context with no
+/// tracer and no fault plan the step path builds no strings.
 #[derive(Clone, Copy)]
 pub(crate) struct Substep {
     ks: u32,
@@ -191,6 +190,7 @@ pub(crate) fn scratch_store<'a>(
     built: &AtomicU64,
     sdfg: &Sdfg,
     clear: &[DataId],
+    metrics: Option<&obs::MetricsRegistry>,
 ) -> &'a mut DataStore {
     if let Some(store) = slot.as_mut() {
         for d in clear {
@@ -200,7 +200,7 @@ pub(crate) fn scratch_store<'a>(
     slot.get_or_insert_with(|| {
         built.fetch_add(1, Ordering::Relaxed);
         let store = DataStore::for_sdfg(sdfg);
-        if let Some(m) = obs::metrics::global() {
+        if let Some(m) = metrics {
             let bytes: usize = (0..store.len())
                 .map(|i| store.get(DataId(i)).layout().len * 8)
                 .sum();
@@ -212,20 +212,26 @@ pub(crate) fn scratch_store<'a>(
 
 impl DistributedDycore {
     /// Set up the partition, grids, initial states, and the expanded
-    /// program under the given expansion attributes.
+    /// program under the given expansion attributes. Rank schedule,
+    /// tuning and team size come from the environment
+    /// ([`RunConfig::from_env`], read here once); see
+    /// [`new_with_grids`](Self::new_with_grids) to pass them in.
     pub fn new(config: DriverConfig, attrs: &ExpansionAttrs) -> Self {
-        Self::new_with_grids(config, attrs, None)
+        Self::new_with_grids(config, attrs, None, &RunConfig::from_env())
     }
 
     /// Like [`new`](Self::new), but adopting `shared_grids` instead of
     /// recomputing grid metadata when a compatible set is supplied — the
     /// serving engine passes one `Arc` per (scenario, config) case so
     /// all tenants read the same grids. An incompatible set (wrong rank
-    /// count) is ignored and grids are computed fresh.
+    /// count) is ignored and grids are computed fresh. `run` supplies the
+    /// initial rank schedule, tuning decision and team size; the instance
+    /// never looks at the environment itself.
     pub fn new_with_grids(
         config: DriverConfig,
         attrs: &ExpansionAttrs,
         shared_grids: Option<Arc<Vec<Grid>>>,
+        run: &RunConfig,
     ) -> Self {
         let partition = Partition::new(config.tile_n, config.rt);
         let sub_n = partition.sub_n;
@@ -271,8 +277,9 @@ impl DistributedDycore {
             updater,
             step_index: 0,
             pool: None,
-            schedule: RankSchedule::from_env(),
-            tuned: None,
+            schedule: run.rank_schedule,
+            tuned: run.tune,
+            host_workers: run.host_workers(),
             cache: None,
             shared_substep: None,
             exec_cache_hits: 0,
@@ -280,7 +287,7 @@ impl DistributedDycore {
             scratch_built: AtomicU64::new(0),
             rank_workers_launched: 0,
             halo_epoch: 0,
-            recv_timeout: crate::parallel::recv_timeout_from_env(),
+            recv_timeout: crate::parallel::DEFAULT_RECV_TIMEOUT,
             soft_stall: None,
             instance_id: crate::parallel::next_instance_id(),
             mut_clock: 0,
@@ -290,8 +297,7 @@ impl DistributedDycore {
             overlap: obs::OverlapStats::default(),
             halo_bytes_posted: 0,
             halo_messages_posted: 0,
-            sink: obs::EventSink::default(),
-            cancel: CancelToken::default(),
+            run: RunContext::default(),
             step_interrupted: false,
         }
     }
@@ -384,9 +390,9 @@ impl DistributedDycore {
     /// Run rank programs on a worker pool (bit-identical to serial; see
     /// the `pool` field note). `None` reverts to serial execution.
     /// Under [`RankSchedule::Parallel`] the pool's size instead bounds
-    /// the rank team (`min(ranks, workers)`; with no pool, what
-    /// [`Pool::host`] would pick). Invalidates the step cache, and with
-    /// it the team's scratch stores.
+    /// the rank team (`min(ranks, workers)`; with no pool, the
+    /// construction-time [`RunConfig::host_workers`]). Invalidates the
+    /// step cache, and with it the team's scratch stores.
     pub fn set_pool(&mut self, pool: Option<Pool>) {
         self.pool = pool;
         self.cache = None;
@@ -412,18 +418,12 @@ impl DistributedDycore {
         self.shared_substep.as_ref()
     }
 
-    /// Pin the whole-program tuning decision for this driver instead of
-    /// reading `FV3_TUNE` at each cache build (tests use this to run a
-    /// tuned driver without touching process-global environment).
-    /// Invalidates the step cache so the next step compiles accordingly.
+    /// Set the whole-program tuning decision (initially
+    /// [`RunConfig::tune`]). Invalidates the step cache so the next step
+    /// compiles accordingly.
     pub fn set_tuned(&mut self, tuned: bool) {
-        self.tuned = Some(tuned);
+        self.tuned = tuned;
         self.cache = None;
-    }
-
-    /// The tuning decision the next cache build will use.
-    pub fn effective_tuned(&self) -> bool {
-        self.tuned.unwrap_or_else(crate::parallel::tune_from_env)
     }
 
     /// The autotune report of the substep bundle currently in use
@@ -481,47 +481,42 @@ impl DistributedDycore {
     }
 
     /// Fold one execution report's kernel-cache traffic into the driver
-    /// counters and the global metrics registry, if one is installed.
+    /// counters and the run's metrics registry, if it has one.
     pub(crate) fn note_kernel_cache(&mut self, hits: u64, misses: u64) {
         self.exec_cache_hits += hits;
         self.exec_cache_misses += misses;
-        if let Some(m) = obs::metrics::global() {
+        if let Some(m) = &self.run.metrics {
             m.counter_add("kernel_cache_hits", &[], hits);
             m.counter_add("kernel_cache_misses", &[], misses);
         }
     }
 
-    /// Install a live telemetry sink (see [`obs::stream`]): every
-    /// completed driver step publishes a `StepCompleted` event carrying
-    /// the step index and wall time, tagged with the sink's request id.
-    /// Events carry copies, never borrows into live state, so a streamed
-    /// run is bit-identical to a non-streamed run (`tests/stream_diff.rs`
-    /// proves 0 ULP). Install [`obs::EventSink::default`] to turn
-    /// streaming back off.
-    pub fn set_event_sink(&mut self, sink: obs::EventSink) {
-        self.sink = sink;
+    /// Attach this instance to a run (see [`RunContext`]); the halo
+    /// updater and, each substep, the rank team get the same context.
+    ///
+    /// * `sink` — every completed driver step publishes a `StepCompleted`
+    ///   event carrying the step index and wall time. Events carry copies,
+    ///   never borrows into live state, so a streamed run is bit-identical
+    ///   to a non-streamed one (`tests/stream_diff.rs` proves 0 ULP).
+    /// * `cancel` — [`step`](Self::step) polls it between acoustic
+    ///   substeps and, once it fires, returns early *without* advancing
+    ///   the step counter — [`step_interrupted`](Self::step_interrupted)
+    ///   then reports true and the states must be treated as mid-step
+    ///   (discard or restore them).
+    /// * `faults` — the plan the driver, halo and pool-worker sites fire.
+    /// * `tracer`, `metrics` — `driver_step` / `acoustic` / `rank` /
+    ///   `halo` / `kernel` spans, and the driver's counters and gauges.
+    ///
+    /// Install [`RunContext::default`] to detach (a serving engine does
+    /// before parking a warm tenant).
+    pub fn set_run(&mut self, run: RunContext) {
+        self.updater.set_run(run.clone());
+        self.run = run;
     }
 
-    /// The installed telemetry sink (off by default).
-    pub fn event_sink(&self) -> &obs::EventSink {
-        &self.sink
-    }
-
-    /// Install a cooperative cancellation token (see [`machine::cancel`]):
-    /// [`step`](Self::step) polls it between acoustic substeps and, once
-    /// it fires, returns early *without* advancing the step counter —
-    /// [`step_interrupted`](Self::step_interrupted) then reports true and
-    /// the states must be treated as mid-step (discard or restore them).
-    /// Install [`CancelToken::inert`] to make the driver un-cancellable
-    /// again; the inert poll is one `Option` check and touches no model
-    /// state, so runs are bit-identical with or without a token.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    /// The installed cancellation token (inert by default).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
+    /// The run this instance is attached to (inert by default).
+    pub fn run_context(&self) -> &RunContext {
+        &self.run
     }
 
     /// True when the last [`step`](Self::step) aborted at a substep
@@ -655,10 +650,10 @@ impl DistributedDycore {
     /// single-exchange-per-acoustic-substep structure of the program.
     pub fn step(&mut self) {
         let config = self.config.dycore;
-        let _step_span = obs::tracing::global_span("step", "driver_step");
-        // Timestamp only when a telemetry sink is installed: streaming
+        let _step_span = self.run.span("step", "driver_step");
+        // Timestamp only when the run has a telemetry sink: streaming
         // off means zero events and zero extra work on the hot path.
-        let stream_t0 = self.sink.is_active().then(std::time::Instant::now);
+        let stream_t0 = self.run.sink.is_active().then(std::time::Instant::now);
         // One acoustic substep at a time, so halos stay current. The
         // per-substep program, its expansion/split, and the executors are
         // cached across steps (`crate::parallel::StepCache`).
@@ -681,13 +676,12 @@ impl DistributedDycore {
                 // nothing is mid-write — the safe place to stop. The
                 // step counter stays un-advanced; the caller must treat
                 // the states as partial (`step_interrupted`).
-                if self.cancel.fired() {
+                if self.run.cancel.fired() {
                     self.step_interrupted = true;
                     break 'substeps;
                 }
                 let module = Substep { ks, ns };
-                let _acoustic_span =
-                    obs::tracing::global_span_args("acoustic", format_args!("{module}"));
+                let _acoustic_span = self.run.span("acoustic", format_args!("{module}"));
                 match self.schedule {
                     RankSchedule::Sequential => {
                         self.sequential_substep(&cache, module, &mut seq_store)
@@ -706,10 +700,11 @@ impl DistributedDycore {
         }
         self.step_index += 1;
         if let Some(t0) = stream_t0 {
-            self.sink
+            self.run
+                .sink
                 .step_completed(self.step_index, t0.elapsed().as_secs_f64());
         }
-        if let Some(m) = obs::metrics::global() {
+        if let Some(m) = &self.run.metrics {
             m.counter_add("driver_steps", &[], 1);
         }
     }
@@ -724,17 +719,23 @@ impl DistributedDycore {
         scratch: &mut Option<DataStore>,
     ) {
         self.exchange(&["u", "v", "w", "delp", "pt", "q"]);
-        if faults::enabled() {
+        if self.run.faults.is_armed() {
             if let Some((rank, field)) = self.plan_poison(module) {
                 self.apply_poison(rank, &field);
             }
         }
         let sub = &cache.sub;
         for r in 0..self.partition.ranks() {
-            let _rank_span = obs::tracing::global_span_args("rank", format_args!("rank{r}"));
-            let store =
-                scratch_store(scratch, &self.scratch_built, &sub.sub_expanded, &sub.clear_seq);
-            if let Some(m) = obs::metrics::global() {
+            let _rank_span = self.run.span("rank", format_args!("rank{r}"));
+            let metrics = self.run.metrics.as_ref();
+            let store = scratch_store(
+                scratch,
+                &self.scratch_built,
+                &sub.sub_expanded,
+                &sub.clear_seq,
+                metrics,
+            );
+            if let Some(m) = metrics {
                 m.counter_add("rank_runs", &[], 1);
             }
             load_state(store, &sub.sub_prog.ids, &self.states[r], &self.grids[r]);
@@ -742,9 +743,13 @@ impl DistributedDycore {
                 ids: &sub.sub_prog.ids,
                 halo_markers: 0,
             };
-            let rep = sub
-                .exec_seq
-                .run(&sub.sub_expanded, store, &sub.sub_prog.params, &mut hooks);
+            let rep = sub.exec_seq.run_in(
+                &sub.sub_expanded,
+                store,
+                &sub.sub_prog.params,
+                &mut hooks,
+                &self.run,
+            );
             // The per-substep program embeds exactly one halo marker,
             // satisfied by the exchange above.
             debug_assert_eq!(hooks.halo_markers, 1);
@@ -761,10 +766,11 @@ impl DistributedDycore {
             step: Some(self.step_index),
             module: Some(&module),
         };
-        faults::fire(SITE_POISON, ctx).map(|spec| {
+        let faults = &self.run.faults;
+        faults.fire(SITE_POISON, ctx).map(|spec| {
             let rank = spec
                 .rank
-                .unwrap_or_else(|| faults::det_index(0xf1e1d, self.partition.ranks()))
+                .unwrap_or_else(|| faults.det_index(0xf1e1d, self.partition.ranks()))
                 .min(self.partition.ranks() - 1);
             let field = spec.field.unwrap_or_else(|| "pt".to_string());
             (rank, field)
@@ -834,6 +840,7 @@ impl DistributedDycore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use machine::CancelToken;
 
     fn small() -> DistributedDycore {
         let cfg = DriverConfig::six_rank(
@@ -917,7 +924,10 @@ mod tests {
     fn fired_token_stops_step_at_substep_boundary() {
         let mut d = small();
         let t = CancelToken::new();
-        d.set_cancel_token(t.clone());
+        d.set_run(RunContext {
+            cancel: t.clone(),
+            ..RunContext::default()
+        });
         d.step();
         assert_eq!(d.step_index(), 1);
         assert!(!d.step_interrupted());
@@ -925,8 +935,8 @@ mod tests {
         d.step();
         assert!(d.step_interrupted(), "fired token must interrupt the step");
         assert_eq!(d.step_index(), 1, "interrupted step must not count");
-        // An inert token makes the driver un-cancellable again.
-        d.set_cancel_token(CancelToken::inert());
+        // The default context makes the driver un-cancellable again.
+        d.set_run(RunContext::default());
         d.step();
         assert!(!d.step_interrupted());
         assert_eq!(d.step_index(), 2);
@@ -936,7 +946,10 @@ mod tests {
     fn armed_but_unfired_token_is_bit_identical_to_none() {
         let mut plain = small();
         let mut tokened = small();
-        tokened.set_cancel_token(CancelToken::new());
+        tokened.set_run(RunContext {
+            cancel: CancelToken::new(),
+            ..RunContext::default()
+        });
         for _ in 0..2 {
             plain.step();
             tokened.step();

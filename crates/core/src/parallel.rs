@@ -52,61 +52,17 @@ use fv3::dyn_core::{
     build_dycore_program, extract_state, load_state, DycoreConfig, DycoreIds, DycoreProgram,
 };
 use fv3::state::{DycoreState, HALO};
-use machine::faults::{self, FaultAction, FireCtx};
+use machine::faults::{FaultAction, FireCtx};
 use machine::pool::Pool;
+pub use machine::run::RankSchedule;
+use machine::RunContext;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How the driver runs its ranks within one acoustic substep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RankSchedule {
-    /// One rank after another on the calling thread, pull-style halo
-    /// gather between rounds (the original driver schedule).
-    #[default]
-    Sequential,
-    /// The ranks dealt round-robin to a team of `min(ranks, workers)`
-    /// threads, push-style mailbox exchange with the halo latency hidden
-    /// behind interior compute. Bit-identical to
-    /// [`RankSchedule::Sequential`] for every team size.
-    Parallel,
-}
-
-/// Environment toggle consulted by [`RankSchedule::from_env`].
-pub const RANK_SCHEDULE_ENV: &str = "FV3_RANK_SCHEDULE";
-/// Environment toggle for whole-program tuning at substep-compile time
-/// (`1` / `true` / `on` enable [`tuning::autotune`] in
-/// [`CompiledSubstep::build`]).
-pub const TUNE_ENV: &str = "FV3_TUNE";
-/// Environment override for the hard halo-receive deadline, in ms.
-pub const HALO_RECV_TIMEOUT_ENV: &str = "FV3_HALO_RECV_TIMEOUT_MS";
-/// Default hard halo-receive deadline.
+/// Hard halo-receive deadline (`set_halo_recv_timeout` overrides it).
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
-
-impl RankSchedule {
-    /// Read the schedule from [`RANK_SCHEDULE_ENV`] (`parallel` /
-    /// `threads` select [`RankSchedule::Parallel`]; anything else, or
-    /// unset, stays sequential).
-    pub fn from_env() -> Self {
-        match std::env::var(RANK_SCHEDULE_ENV) {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "parallel" | "threads" | "threaded" => RankSchedule::Parallel,
-                _ => RankSchedule::Sequential,
-            },
-            Err(_) => RankSchedule::Sequential,
-        }
-    }
-}
-
-/// Whether [`TUNE_ENV`] asks for whole-program tuning (`1` / `true` /
-/// `on`; anything else, or unset, stays untuned).
-pub fn tune_from_env() -> bool {
-    match std::env::var(TUNE_ENV) {
-        Ok(v) => matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"),
-        Err(_) => false,
-    }
-}
 
 /// The cost model the build-time autotune pipeline scores against: the
 /// interpreter-honest `CpuSpec::lane_vm()`, calibrated from a dycore
@@ -139,15 +95,6 @@ pub const TUNE_VET_REPEATS: usize = 5;
 /// way across builds, which is safe because every candidate is bit-exact
 /// — the committed *set* is a performance detail, never an answer.
 pub const TUNE_VET_MARGIN: f64 = 0.01;
-
-/// The hard receive deadline: env override or the default.
-pub(crate) fn recv_timeout_from_env() -> Duration {
-    std::env::var(HALO_RECV_TIMEOUT_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_RECV_TIMEOUT)
-}
 
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
@@ -195,14 +142,7 @@ pub struct CompiledSubstep {
 impl CompiledSubstep {
     /// Build the substep bundle for `config`, pinning the sequential-path
     /// executor to `pool`. Kernel compilation itself is lazy: the first
-    /// run through each executor populates its cache. Whole-program
-    /// tuning is read from [`TUNE_ENV`]; see
-    /// [`build_with_tune`](Self::build_with_tune).
-    pub fn build(config: &DriverConfig, pool: Option<&Pool>) -> Self {
-        Self::build_with_tune(config, pool, tune_from_env())
-    }
-
-    /// [`build`](Self::build) with the tuning decision made explicitly.
+    /// run through each executor populates its cache.
     /// When `tuned`, the expanded substep program is run through
     /// [`tuning::autotune_vetted`] (cross-module fusion, then cutout
     /// search + pattern transfer over every state, each committed step
@@ -408,6 +348,9 @@ struct Team<'a> {
     boxes: &'a HaloMailboxes,
     sub: &'a CompiledSubstep,
     grids: &'a [fv3::grid::Grid],
+    /// The run's context: rank spans, counters, the wire-corruption
+    /// victim pick.
+    run: &'a RunContext,
     faults: FaultPlan,
     epoch: u64,
     nk: i64,
@@ -483,7 +426,7 @@ impl Team<'_> {
                     plan.pack_into(ch, self.nk, &pack_fields(state), &mut buf);
                     if let Some((cch, f)) = faults.corrupt {
                         if cch == ch && !buf.is_empty() {
-                            let v = faults::det_index(0x1a11, buf.len());
+                            let v = self.run.faults.det_index(0x1a11, buf.len());
                             buf[v] = if f.is_nan() { f64::NAN } else { buf[v] * f };
                         }
                     }
@@ -510,14 +453,21 @@ impl Team<'_> {
         let (ids, params) = (&sub.sub_prog.ids, &sub.sub_prog.params[..]);
         let split = sub.split.as_ref();
         // Span parity with the sequential schedule: the tracer is
-        // thread-safe, so rank spans land in the same registry from
+        // thread-safe, so rank spans land in the run's registry from
         // whichever worker runs the rank.
-        let _rank_span = obs::tracing::global_span_args("rank", format_args!("rank{r}"));
+        let _rank_span = self.run.span("rank", format_args!("rank{r}"));
+        let metrics = self.run.metrics.as_ref();
 
         // 2. Interior compute while the wires drain.
-        let store = scratch_store(slot, self.scratch_built, &sub.sub_expanded, &sub.clear_par);
+        let store = scratch_store(
+            slot,
+            self.scratch_built,
+            &sub.sub_expanded,
+            &sub.clear_par,
+            metrics,
+        );
         load_state(store, ids, state, &self.grids[r]);
-        if let Some(m) = obs::metrics::global() {
+        if let Some(m) = metrics {
             m.counter_add("rank_runs", &[], 1);
         }
         let mut hooks = RankHooks {
@@ -529,7 +479,7 @@ impl Team<'_> {
         if let Some(sp) = split {
             let rep = sub
                 .exec_interior
-                .run(&sp.interior, store, params, &mut hooks);
+                .run_in(&sp.interior, store, params, &mut hooks, self.run);
             cache_hits += rep.cache_hits;
             cache_misses += rep.cache_misses;
         }
@@ -557,10 +507,12 @@ impl Team<'_> {
         // 4. Rind compute (boundary strips + suffix), extract.
         let t3 = Instant::now();
         let rep = match split {
-            Some(sp) => sub.exec_rind.run(&sp.rind, store, params, &mut hooks),
+            Some(sp) => sub
+                .exec_rind
+                .run_in(&sp.rind, store, params, &mut hooks, self.run),
             None => sub
                 .exec_full
-                .run(&sub.sub_expanded, store, params, &mut hooks),
+                .run_in(&sub.sub_expanded, store, params, &mut hooks, self.run),
         };
         cache_hits += rep.cache_hits;
         cache_misses += rep.cache_misses;
@@ -632,7 +584,7 @@ impl DistributedDycore {
     /// off `dt` changes the [`StepKey`] and falls back to a private
     /// bundle, so backed-off tenants never pollute the shared cache.
     pub(crate) fn ensure_step_cache(&mut self) {
-        let tuned = self.effective_tuned();
+        let tuned = self.tuned;
         let key = StepKey::of_config(&self.config, tuned);
         if self
             .cache
@@ -651,7 +603,7 @@ impl DistributedDycore {
         };
         let plan = Arc::new(ExchangePlan::new(&self.partition, HALO));
         let boxes = Arc::new(HaloMailboxes::for_plan(&plan));
-        let workers = self.pool().map_or_else(Pool::host_workers, Pool::workers);
+        let workers = self.pool().map_or(self.host_workers, Pool::workers);
         let team = self.partition.ranks().min(workers);
         self.cache = Some(StepCache {
             sub,
@@ -665,29 +617,30 @@ impl DistributedDycore {
     /// translate them into the parallel schedule's terms.
     fn plan_faults(&mut self, plan: &ExchangePlan, module: Substep) -> FaultPlan {
         let mut fp = FaultPlan::default();
-        if !faults::enabled() {
+        if !self.run.faults.is_armed() {
             return fp;
         }
+        let faults = self.run.faults.clone();
         let ranks = self.partition.ranks();
         let nk = self.config.nk as i64;
-        if let Some(spec) = faults::fire(SITE_HALO_STALL, FireCtx::default()) {
+        if let Some(spec) = faults.fire(SITE_HALO_STALL, FireCtx::default()) {
             if let FaultAction::StallMs(ms) = spec.action {
                 let r = spec
                     .rank
-                    .unwrap_or_else(|| faults::det_index(0x57a11, ranks))
+                    .unwrap_or_else(|| faults.det_index(0x57a11, ranks))
                     .min(ranks - 1);
                 fp.stall = Some((r, ms));
             }
         }
-        if let Some(spec) = faults::fire(SITE_HALO_DROP, FireCtx::default()) {
+        if let Some(spec) = faults.fire(SITE_HALO_DROP, FireCtx::default()) {
             let t = spec
                 .rank
-                .unwrap_or_else(|| faults::det_index(0xd209, ranks))
+                .unwrap_or_else(|| faults.det_index(0xd209, ranks))
                 .min(ranks - 1);
             fp.drop_dst = Some(t);
         }
-        if let Some(spec) = faults::fire(SITE_HALO_CORRUPT, FireCtx::default()) {
-            let ch = faults::det_index(0x1a10, plan.n_channels());
+        if let Some(spec) = faults.fire(SITE_HALO_CORRUPT, FireCtx::default()) {
+            let ch = faults.det_index(0x1a10, plan.n_channels());
             let f = match spec.action {
                 FaultAction::CorruptFactor(f) => f,
                 _ => f64::NAN,
@@ -727,6 +680,7 @@ impl DistributedDycore {
             boxes: &cache.boxes,
             sub: &cache.sub,
             grids: &self.grids,
+            run: &self.run,
             faults,
             epoch: self.halo_epoch,
             nk: self.config.nk as i64,
@@ -773,7 +727,7 @@ impl DistributedDycore {
                 if o.stalled {
                     self.rank_stalls[r] += 1;
                     self.parallel_stalls += 1;
-                    if let Some(m) = obs::metrics::global() {
+                    if let Some(m) = &self.run.metrics {
                         m.counter_add("halo_stalls", &[], 1);
                     }
                 }
@@ -785,8 +739,8 @@ impl DistributedDycore {
                 self.note_kernel_cache(o.cache_hits, o.cache_misses);
             }
         }
-        self.overlap.publish();
-        if let Some(m) = obs::metrics::global() {
+        if let Some(m) = &self.run.metrics {
+            self.overlap.publish(m);
             m.counter_add("parallel_substeps", &[], 1);
         }
         if let Err(p) = scope {

@@ -123,7 +123,6 @@ pub fn run_pipeline(
     let mut stages = Vec::new();
 
     // Stage: Default (naive expansion).
-    let span = obs::tracing::global_span("stage", PipelineStage::Default.label());
     let mut g = program.clone();
     g.expand_libraries(&ExpansionAttrs::naive());
     let record = |g: &Sdfg, stage: PipelineStage, applied: usize, out: &mut Vec<StageResult>| {
@@ -136,7 +135,6 @@ pub fn run_pipeline(
         });
     };
     record(&g, PipelineStage::Default, 0, &mut stages);
-    drop(span);
     if through == PipelineStage::Default {
         return PipelineReport {
             stages,
@@ -146,12 +144,10 @@ pub fn run_pipeline(
 
     // Stage: schedule heuristics — re-expand with the tuned attributes
     // (fusion strategy + the VI-A4 schedules) and assign en masse.
-    let span = obs::tracing::global_span("stage", PipelineStage::ScheduleHeuristics.label());
     g = program.clone();
     g.expand_libraries(&ExpansionAttrs::tuned());
     let n = schedule::assign_schedules(&mut g, &Schedule::gpu_horizontal(), &Schedule::gpu_vertical());
     record(&g, PipelineStage::ScheduleHeuristics, n, &mut stages);
-    drop(span);
     if through == PipelineStage::ScheduleHeuristics {
         return PipelineReport {
             stages,
@@ -160,11 +156,9 @@ pub fn run_pipeline(
     }
 
     // Stage: local caching.
-    let span = obs::tracing::global_span("stage", PipelineStage::LocalCaching.label());
     let mut applied = local_storage::cache_registers_everywhere(&mut g).len();
     applied += local_storage::demote_transients_to_locals(&mut g).len();
     record(&g, PipelineStage::LocalCaching, applied, &mut stages);
-    drop(span);
     if through == PipelineStage::LocalCaching {
         return PipelineReport {
             stages,
@@ -173,10 +167,8 @@ pub fn run_pipeline(
     }
 
     // Stage: power operator.
-    let span = obs::tracing::global_span("stage", PipelineStage::PowerOperator.label());
     let applied = power::optimize_powers(&mut g).len();
     record(&g, PipelineStage::PowerOperator, applied, &mut stages);
-    drop(span);
     if through == PipelineStage::PowerOperator {
         return PipelineReport {
             stages,
@@ -185,10 +177,8 @@ pub fn run_pipeline(
     }
 
     // Stage: split regions.
-    let span = obs::tracing::global_span("stage", PipelineStage::SplitRegions.label());
     let applied = schedule::split_regions(&mut g).len();
     record(&g, PipelineStage::SplitRegions, applied, &mut stages);
-    drop(span);
     if through == PipelineStage::SplitRegions {
         return PipelineReport {
             stages,
@@ -197,12 +187,10 @@ pub fn run_pipeline(
     }
 
     // Stage: cleanup (cycle 2 fine tuning).
-    let span = obs::tracing::global_span("stage", PipelineStage::Cleanup.label());
     let mut applied = passes::eliminate_redundant_copies(&mut g);
     applied += passes::eliminate_dead_writes(&mut g);
     applied += passes::fold_constants(&mut g);
     record(&g, PipelineStage::Cleanup, applied, &mut stages);
-    drop(span);
     if through == PipelineStage::Cleanup {
         return PipelineReport {
             stages,
@@ -213,10 +201,8 @@ pub fn run_pipeline(
     // Stage: region pruning — in the 6-rank configuration every rank
     // holds all edges, so nothing prunes (the paper's gain comes from
     // higher rank counts); interior ranks would pass `|_| false`.
-    let span = obs::tracing::global_span("stage", PipelineStage::RegionPruning.label());
     let applied = schedule::prune_regions(&mut g, &|_| true).len();
     record(&g, PipelineStage::RegionPruning, applied, &mut stages);
-    drop(span);
     if through == PipelineStage::RegionPruning {
         return PipelineReport {
             stages,
@@ -225,7 +211,6 @@ pub fn run_pipeline(
     }
 
     // Stage: transfer tuning, seeded from the FVT (tracer) states.
-    let span = obs::tracing::global_span("stage", PipelineStage::TransferTuning.label());
     let sources = fvt_states(&g);
     let (_search, transfer) = transfer_tune(&mut g, &sources, model, 2);
     record(
@@ -234,7 +219,6 @@ pub fn run_pipeline(
         transfer.applied.len(),
         &mut stages,
     );
-    drop(span);
 
     PipelineReport {
         stages,

@@ -78,11 +78,6 @@ fn assert_bit_identical(faulted: &DistributedDycore, clean: &DistributedDycore, 
 fn check_case(workers: usize, rt: usize, nk: usize, fault: Fault, seed: u64) {
     let label = format!("workers={workers} rt={rt} nk={nk} fault={fault:?} seed={seed}");
 
-    // The fault registry is process-global, so every step in this binary
-    // runs under an `ArmGuard` — an empty plan for the unfaulted parts: a
-    // step outside any guard would consume the spec a sibling test thread
-    // has just armed. (Stopgap; ROADMAP item 1 scopes the plan to the run.)
-    let quiet = machine::faults::arm(seed, Vec::new());
     let mut clean = build(rt, nk, workers);
     for _ in 0..STEPS {
         clean.step();
@@ -108,8 +103,10 @@ fn check_case(workers: usize, rt: usize, nk: usize, fault: Fault, seed: u64) {
                 Fault::None => unreachable!(),
             };
             let plan = FaultPlan::parse(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
-            drop(quiet);
-            let guard = plan.arm();
+            d.set_run(machine::RunContext {
+                faults: plan.arm(),
+                ..Default::default()
+            });
             // Plain rollbacks only: backing off dt would change the
             // numerics and make bit-identity impossible by design.
             let policy = SupervisorPolicy {
@@ -121,7 +118,6 @@ fn check_case(workers: usize, rt: usize, nk: usize, fault: Fault, seed: u64) {
             let report = sup
                 .run(&mut d, STEPS)
                 .unwrap_or_else(|e| panic!("{label}: supervised run failed: {e}"));
-            drop(guard);
             match fault {
                 Fault::Drop => {
                     assert!(

@@ -2,7 +2,7 @@
 //!
 //! A sequential `step()` builds a `DataStore` at its first rank-substep
 //! and runs every later rank and substep of the step on it; a rank-team
-//! worker does the same with a store it keeps for the next step too. `CompiledSubstep::build`
+//! worker does the same with a store it keeps for the next step too. `CompiledSubstep::build_with_tune`
 //! proves that safe per graph (`dataflow::reuse`); this file is the
 //! dynamic side of that proof, with no wall clock in any assertion:
 //!
@@ -33,8 +33,7 @@ use fv3::profiling::RemapHooks;
 use fv3::state::{DycoreState, HALO};
 use fv3core::{Checkpoint, CompiledSubstep, DistributedDycore, DriverConfig, RankSchedule};
 use machine::cancel::CancelToken;
-use machine::faults::ArmGuard;
-use machine::Pool;
+use machine::{Pool, RunContext};
 use resilience::{FaultPlan, Supervisor, SupervisorPolicy};
 
 const SCHEDULES: [RankSchedule; 2] = [RankSchedule::Sequential, RankSchedule::Parallel];
@@ -61,10 +60,12 @@ fn dycore(cfg: DriverConfig, schedule: RankSchedule, tuned: bool) -> Distributed
     d
 }
 
-/// The fault registry is process-global: every step in this file runs
-/// under an `ArmGuard`, an empty one where no fault is wanted.
-fn unfaulted() -> ArmGuard {
-    machine::faults::arm(0, Vec::new())
+/// Attach `d` to a run that has only a fault plan.
+fn arm(d: &mut DistributedDycore, plan: &str) {
+    d.set_run(RunContext {
+        faults: FaultPlan::parse(plan).unwrap().arm(),
+        ..RunContext::default()
+    });
 }
 
 fn assert_states_bit_identical(a: &[DycoreState], b: &[DycoreState], what: &str) {
@@ -102,7 +103,6 @@ const UNTOUCHED: u64 = 0x7ff8_dead_beef_0001;
 
 #[test]
 fn poisoned_store_reruns_to_the_bits_of_a_fresh_one() {
-    let _quiet = unfaulted();
     for (n, nk) in SIZES {
         // Realistic inputs with exchanged halos: rank states one step in.
         let mut d = dycore(config(n, nk, 1, 1), RankSchedule::Sequential, false);
@@ -217,7 +217,6 @@ fn fresh_store_substep(
 
 #[test]
 fn multi_substep_steps_match_a_fresh_store_per_rank_substep() {
-    let _quiet = unfaulted();
     let (n_split, k_split, steps) = (2, 2, 2);
     for (n, nk) in SIZES {
         let cfg = config(n, nk, n_split, k_split);
@@ -246,12 +245,14 @@ fn multi_substep_steps_match_a_fresh_store_per_rank_substep() {
 
 #[test]
 fn a_step_after_a_cancelled_one_matches_an_instance_that_never_stopped() {
-    let _quiet = unfaulted();
     for schedule in SCHEDULES {
         let cfg = config(8, 3, 2, 2);
         let mut d = dycore(cfg, schedule, false);
         let token = CancelToken::new();
-        d.set_cancel_token(token.clone());
+        d.set_run(RunContext {
+            cancel: token.clone(),
+            ..RunContext::default()
+        });
         let (go, gone) = std::sync::mpsc::channel::<()>();
         let canceller = std::thread::spawn(move || {
             gone.recv().expect("main thread is stepping");
@@ -268,7 +269,7 @@ fn a_step_after_a_cancelled_one_matches_an_instance_that_never_stopped() {
         canceller.join().expect("canceller exits");
 
         d.restore(&last_good);
-        d.set_cancel_token(CancelToken::inert());
+        d.set_run(RunContext::default());
         d.step();
         assert!(!d.step_interrupted());
 
@@ -288,16 +289,14 @@ fn a_rolled_back_step_leaves_nothing_in_the_next_one() {
         // the failed step has run ranks on a store full of NaN-derived
         // scratch before the supervisor rolls it back.
         let faulted = {
-            let plan = FaultPlan::parse("seed=3;nan@step=1,module=k0.s1,field=pt").unwrap();
-            let _guard = plan.arm();
             let mut d = dycore(cfg, schedule, false);
+            arm(&mut d, "seed=3;nan@step=1,module=k0.s1,field=pt");
             let mut sup = Supervisor::new(SupervisorPolicy::default());
             let report = sup.run(&mut d, 3).expect("the blowup is recovered");
             assert_eq!((report.retries, d.step_index()), (1, 3));
             d
         };
-        let _quiet = unfaulted();
-        let mut clean = dycore(cfg, schedule, false);
+            let mut clean = dycore(cfg, schedule, false);
         for _ in 0..3 {
             clean.step();
         }
@@ -314,7 +313,6 @@ fn team_dycore(cfg: DriverConfig, workers: usize) -> DistributedDycore {
 
 #[test]
 fn kept_stores_full_of_nan_step_to_the_same_bits() {
-    let _quiet = unfaulted();
     for ((n, nk), workers) in SIZES.into_iter().zip([1, 2, 3]) {
         let cfg = config(n, nk, 2, 1);
         let mut left_alone = team_dycore(cfg, workers);
@@ -356,17 +354,15 @@ fn a_rank_starved_mid_substep_fails_alone_and_leaves_nothing_behind() {
     // its other ranks on that store afterwards.
     let cfg = config(24, 2, 2, 1);
     let clean = {
-        let _quiet = unfaulted();
-        let mut d = dycore(cfg, RankSchedule::Sequential, false);
+            let mut d = dycore(cfg, RankSchedule::Sequential, false);
         for _ in 0..2 {
             d.step();
         }
         d
     };
     for workers in [1, 2, 3, 6] {
-        let plan = FaultPlan::parse("seed=11;drop").unwrap();
-        let _guard = plan.arm();
         let mut d = team_dycore(cfg, workers);
+        arm(&mut d, "seed=11;drop");
         d.set_halo_recv_timeout(std::time::Duration::from_millis(250));
         let mut sup = Supervisor::new(SupervisorPolicy::default());
         let report = sup.run(&mut d, 2).expect("the lost message is recovered");

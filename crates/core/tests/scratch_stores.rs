@@ -44,8 +44,6 @@ fn dycore(cfg: DriverConfig, schedule: RankSchedule, workers: usize) -> Distribu
 
 #[test]
 fn a_sequential_step_builds_one_store_and_keeps_none() {
-    // Unfaulted steps must not consume a sibling test's armed fault.
-    let _quiet = machine::faults::arm(0, Vec::new());
     for (n_split, k_split) in [(1, 1), (3, 1), (2, 2)] {
         let mut d = dycore(config(8, 3, n_split, k_split, None), RankSchedule::Sequential, 1);
         assert_eq!(d.scratch_stores_built(), 0);
@@ -61,7 +59,6 @@ fn a_sequential_step_builds_one_store_and_keeps_none() {
 
 #[test]
 fn a_rank_team_builds_one_store_per_worker_and_keeps_them_across_steps() {
-    let _quiet = machine::faults::arm(0, Vec::new());
     for (n_split, k_split) in [(1, 1), (2, 2)] {
         for (workers, team) in TEAMS {
             let mut d = dycore(config(8, 3, n_split, k_split, None), RankSchedule::Parallel, workers);
@@ -86,7 +83,6 @@ fn a_rank_team_builds_one_store_per_worker_and_keeps_them_across_steps() {
 
 #[test]
 fn stores_go_with_the_cache_the_schedule_or_on_request() {
-    let _quiet = machine::faults::arm(0, Vec::new());
     let mut d = dycore(config(8, 3, 1, 1, None), RankSchedule::Parallel, 2);
     d.step();
     assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (2, 2));
@@ -115,13 +111,12 @@ fn stores_go_with_the_cache_the_schedule_or_on_request() {
 
 #[test]
 fn without_a_pool_the_team_is_what_the_host_pool_would_be() {
-    let _quiet = machine::faults::arm(0, Vec::new());
     let mut d = DistributedDycore::new(config(8, 3, 1, 1, None), &ExpansionAttrs::tuned());
     d.set_rank_schedule(RankSchedule::Parallel);
     d.set_tuned(false);
     d.set_pool(None);
     d.step();
-    let team = Pool::host_workers().min(6) as u64;
+    let team = machine::RunConfig::from_env().host_workers().min(6) as u64;
     assert_eq!(d.scratch_stores_built(), team);
     assert_eq!(d.rank_workers_launched(), team);
 }

@@ -8,6 +8,7 @@
 
 use dataflow::graph::ExpansionAttrs;
 use fv3core::DistributedDycore;
+use machine::RunContext;
 use obs::stream::{EventBus, EventSink, RunEvent};
 use validate::reference::{distributed_golden_path, distributed_seed_config, DIST_SEED_STEPS};
 use validate::{compare_capture, Capture, Savepoint, Tolerances};
@@ -17,7 +18,10 @@ use validate::{compare_capture, Capture, Savepoint, Tolerances};
 fn capture_with_sink(sink: Option<EventSink>) -> Capture {
     let mut d = DistributedDycore::new(distributed_seed_config(), &ExpansionAttrs::tuned());
     if let Some(s) = sink {
-        d.set_event_sink(s);
+        d.set_run(RunContext {
+            sink: s,
+            ..RunContext::default()
+        });
     }
     let mut capture = Capture::default();
     for step in 0..DIST_SEED_STEPS {
@@ -94,7 +98,10 @@ fn progress_only_sink_tracks_without_publishing() {
     // The engine's streaming-off mode: a progress mirror with no bus.
     let sink = EventSink::progress_only("r9");
     let mut d = DistributedDycore::new(distributed_seed_config(), &ExpansionAttrs::tuned());
-    d.set_event_sink(sink.clone());
+    d.set_run(RunContext {
+        sink: sink.clone(),
+        ..RunContext::default()
+    });
     d.step();
     d.step();
     let prog = sink.progress().expect("progress-only sink mirrors");

@@ -17,7 +17,7 @@ use crate::expr::{DataId, Offset3};
 use crate::graph::{ControlNode, DataflowNode, Sdfg};
 use crate::kernel::{Domain, KOrder, Kernel, LValue};
 use crate::storage::{Array3, Axis, Layout};
-use machine::Pool;
+use machine::{Faults, Pool, RunContext};
 use obs::Tracer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -553,29 +553,37 @@ fn field_slots(ids: &[DataId], store: &mut DataStore) -> Vec<FieldSlot> {
         .collect()
 }
 
-/// Run a pre-compiled kernel. Array pointers are re-resolved from `store`
-/// on every launch (arrays may have been reallocated between launches);
-/// everything else comes from the cache-friendly [`CompiledKernel`].
+/// Run a pre-compiled kernel, as a pool region of the run that holds
+/// `faults`. Array pointers are re-resolved from `store` on every launch
+/// (arrays may have been reallocated between launches); everything else
+/// comes from the cache-friendly [`CompiledKernel`].
 pub fn run_compiled(
     ck: &CompiledKernel,
     store: &mut DataStore,
     params: &[f64],
     pool: &Pool,
     mode: VmMode,
+    faults: &Faults,
 ) -> KernelRunStats {
     if ck.empty {
         return KernelRunStats::default();
     }
     let slots = field_slots(&ck.ids, store);
     match mode {
-        VmMode::Scalar => run_scalar(ck, &slots, params, pool),
-        VmMode::Lanes => run_tiles(ck, &slots, params, pool),
+        VmMode::Scalar => run_scalar(ck, &slots, params, pool, faults),
+        VmMode::Lanes => run_tiles(ck, &slots, params, pool, faults),
     }
 }
 
 /// The reference executor: per-column scalar VM, kept as the bit-identity
 /// oracle the tile VM is tested against.
-fn run_scalar(ck: &CompiledKernel, slots: &[FieldSlot], params: &[f64], pool: &Pool) -> KernelRunStats {
+fn run_scalar(
+    ck: &CompiledKernel,
+    slots: &[FieldSlot],
+    params: &[f64],
+    pool: &Pool,
+    faults: &Faults,
+) -> KernelRunStats {
     let hull = ck.hull;
     let ni = (hull.ih - hull.il) as usize;
     let nj = (hull.jh - hull.jl) as usize;
@@ -585,7 +593,7 @@ fn run_scalar(ck: &CompiledKernel, slots: &[FieldSlot], params: &[f64], pool: &P
     let max_regs = ck.max_regs;
     let compiled = &ck.stmts;
 
-    pool.for_each_chunk(columns, |range| {
+    pool.for_each_chunk_in(faults, columns, |range| {
         let mut regs = vec![0.0f64; max_regs];
         let mut locals = vec![0.0f64; n_locals];
         for col in range {
@@ -698,6 +706,7 @@ fn run_tiles(
     slots: &[FieldSlot],
     params: &[f64],
     pool: &Pool,
+    faults: &Faults,
 ) -> KernelRunStats {
     let hull = ck.hull;
     let ni = (hull.ih - hull.il) as usize;
@@ -714,7 +723,7 @@ fn run_tiles(
     let dispatches = AtomicU64::new(0);
     let lane_ops = AtomicU64::new(0);
 
-    pool.for_each_chunk(items, |range| {
+    pool.for_each_chunk_in(faults, items, |range| {
         let mut regs = vec![0.0f64; (ck.tile_regs + TILE_SCRATCH) * TILE_LANES];
         let mut locals = vec![0.0f64; ck.n_locals * h * ni];
         let (mut nd, mut nl) = (0u64, 0u64);
@@ -804,7 +813,7 @@ pub fn run_kernel_with(
     mode: VmMode,
 ) -> KernelRunStats {
     debug_assert!(validate_kernel(kernel).is_ok(), "{:?}", validate_kernel(kernel));
-    run_compiled(&compile_kernel(kernel), store, params, pool, mode)
+    run_compiled(&compile_kernel(kernel), store, params, pool, mode, &Faults::inert())
 }
 
 /// Compiled kernels held by an [`Executor`], keyed by `(state index,
@@ -899,7 +908,7 @@ impl Executor {
         params: &[f64],
         hooks: &mut dyn ExecHooks,
     ) -> ExecReport {
-        self.run_inner(sdfg, store, params, hooks, None)
+        self.run_in(sdfg, store, params, hooks, &RunContext::default())
     }
 
     /// Run the whole program with observability: every executed node is
@@ -917,16 +926,25 @@ impl Executor {
         hooks: &mut dyn ExecHooks,
         tracer: &Tracer,
     ) -> ExecReport {
-        self.run_inner(sdfg, store, params, hooks, Some(tracer))
+        let ctx = RunContext {
+            tracer: Some(tracer.clone()),
+            ..RunContext::default()
+        };
+        self.run_in(sdfg, store, params, hooks, &ctx)
     }
 
-    fn run_inner(
+    /// Run the whole program as part of the run that carries `ctx`:
+    /// profiled into the context's tracer when it has one (see
+    /// [`run_profiled`](Self::run_profiled)), every kernel a pool region
+    /// under the context's fault plan. An executor is shared between
+    /// runs — the context comes with the call.
+    pub fn run_in(
         &self,
         sdfg: &Sdfg,
         store: &mut DataStore,
         params: &[f64],
         hooks: &mut dyn ExecHooks,
-        prof: Option<&Tracer>,
+        ctx: &RunContext,
     ) -> ExecReport {
         assert!(
             params.len() >= sdfg.params.len(),
@@ -935,7 +953,7 @@ impl Executor {
             params.len()
         );
         let mut report = ExecReport::default();
-        self.run_control(&sdfg.control, sdfg, store, params, hooks, &mut report, prof);
+        self.run_control(&sdfg.control, sdfg, store, params, hooks, &mut report, ctx);
         report
     }
 
@@ -948,16 +966,16 @@ impl Executor {
         params: &[f64],
         hooks: &mut dyn ExecHooks,
         report: &mut ExecReport,
-        prof: Option<&Tracer>,
+        ctx: &RunContext,
     ) {
         for node in nodes {
             match node {
                 ControlNode::State(s) => {
-                    self.run_state(*s, sdfg, store, params, hooks, report, prof)
+                    self.run_state(*s, sdfg, store, params, hooks, report, ctx)
                 }
                 ControlNode::Loop { trips, body } => {
                     for _ in 0..*trips {
-                        self.run_control(body, sdfg, store, params, hooks, report, prof);
+                        self.run_control(body, sdfg, store, params, hooks, report, ctx);
                     }
                 }
             }
@@ -973,8 +991,9 @@ impl Executor {
         params: &[f64],
         hooks: &mut dyn ExecHooks,
         report: &mut ExecReport,
-        prof: Option<&Tracer>,
+        ctx: &RunContext,
     ) {
+        let (prof, faults) = (ctx.tracer.as_ref(), &ctx.faults);
         let state = &sdfg.states[state_idx];
         for (node_idx, node) in state.nodes.iter().enumerate() {
             match node {
@@ -984,7 +1003,7 @@ impl Executor {
                     let t0 = Instant::now();
                     let (entry, hit) = self.compiled_for(sdfg, (state_idx, node_idx), k);
                     let stats =
-                        run_compiled(&entry.compiled, store, params, &self.pool, self.mode);
+                        run_compiled(&entry.compiled, store, params, &self.pool, self.mode, faults);
                     report.record(&k.name, stats.points, t0.elapsed().as_secs_f64());
                     if hit {
                         report.cache_hits += 1;

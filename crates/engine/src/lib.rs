@@ -36,18 +36,20 @@
 //! **Observability.** The engine owns a [`MetricsRegistry`]: aggregate
 //! counters (`requests_{submitted,started,completed,failed}`,
 //! `kernel_cache_{hits,misses}`, `warm_acquires`, `cold_builds`) plus
-//! per-request series labelled `request="rN"`. Each request also opens a
-//! `request` span on the globally-installed tracer (when one is
-//! installed) and returns its full per-step health history and final
-//! field snapshot in the [`ForecastReport`].
+//! per-request series labelled `request="rN"`. Each request runs under
+//! its own [`RunContext`] — request id, cancel token, event sink, its
+//! scope of [`EngineConfig::faults`], [`EngineConfig::tracer`] — so its
+//! `request` span encloses its own `driver_step` / `rank` / `kernel`
+//! spans and nobody else's, and it returns its full per-step health
+//! history and final field snapshot in the [`ForecastReport`].
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3::state::DycoreState;
 use fv3core::{Checkpoint, CompiledSubstep, DistributedDycore, DriverConfig};
 use machine::cancel::{CancelCause, CancelToken};
-use machine::faults::ArmGuard;
 use machine::pool::Pool;
+use machine::{Faults, RunConfig, RunContext};
 use obs::stream::{EventBus, EventSink, EventStream, RunEvent};
 use obs::MetricsRegistry;
 use resilience::{FaultPlan, RunReport, SupervisedError, Supervisor, SupervisorPolicy};
@@ -285,8 +287,8 @@ pub struct EngineConfig {
     /// [`ForecastEngine::try_submit`] refuses beyond it (admission
     /// control at the front door).
     pub queue_cap: usize,
-    /// Shared kernel worker team (`None`: [`Pool::host`], which honours
-    /// `FV3_WORKERS`).
+    /// Shared kernel worker team (`None`: sized by `FV3_WORKERS`, else
+    /// the core count — [`RunConfig::host_workers`]).
     pub pool: Option<Pool>,
     /// Per-request supervision policy.
     pub policy: SupervisorPolicy,
@@ -310,6 +312,14 @@ pub struct EngineConfig {
     /// [`Rejected::QuotaExceeded`] (blocking submits wait) — one
     /// saturating tenant can no longer starve the queue.
     pub tenant_cap: Option<usize>,
+    /// A fault plan armed for the engine's lifetime (chaos testing of the
+    /// serving layer): every request fires the one plan through a scope
+    /// of its own, so a `once` spec poisons exactly one tenant and only
+    /// that tenant's report counts the injection.
+    pub faults: Option<FaultPlan>,
+    /// Span recorder handed to every request's context: `request` →
+    /// `driver_step` → `rank` → `kernel` for each request id.
+    pub tracer: Option<obs::Tracer>,
 }
 
 impl Default for EngineConfig {
@@ -324,18 +334,8 @@ impl Default for EngineConfig {
             stream_buffer: 1024,
             tick_every: None,
             tenant_cap: None,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Defaults with the supervision policy read from the environment
-    /// (`FV3_CHECKPOINT_DIR`, `FV3_MAX_RETRIES`, ... — see
-    /// [`SupervisorPolicy::from_env`]).
-    pub fn from_env() -> Self {
-        EngineConfig {
-            policy: SupervisorPolicy::from_env(),
-            ..EngineConfig::default()
+            faults: None,
+            tracer: None,
         }
     }
 }
@@ -688,6 +688,12 @@ struct EngineInner {
     tenant_cap: Option<usize>,
     policy: SupervisorPolicy,
     pool: Pool,
+    /// Rank schedule, tuning and team size of every instance this engine
+    /// builds: the environment as it was when the engine started.
+    run: RunConfig,
+    /// [`EngineConfig::faults`], armed (inert without one).
+    faults: Faults,
+    tracer: Option<obs::Tracer>,
     queue: Mutex<QueueState>,
     work_cv: Condvar,
     space_cv: Condvar,
@@ -763,19 +769,17 @@ pub struct ForecastEngine {
     /// Periodic [`RunEvent::EngineTick`] emitter (only when
     /// `tick_every` is set and streaming is on).
     ticker: Option<JoinHandle<()>>,
-    /// Keeps an `FV3_FAULT_PLAN` armed for the engine's lifetime (chaos
-    /// testing of the serving layer, `tests/fault_isolation.rs`).
-    _faults: Option<ArmGuard>,
 }
 
 impl ForecastEngine {
-    /// Start the engine: spawn the run slots and, when `FV3_FAULT_PLAN`
-    /// is set, arm the fault plan for the engine's lifetime.
+    /// Start the engine: read the environment once
+    /// ([`RunConfig::from_env`] — no request re-reads it), arm
+    /// [`EngineConfig::faults`], spawn the run slots.
     pub fn start(cfg: EngineConfig) -> Self {
-        let faults = FaultPlan::from_env()
-            .unwrap_or_else(|e| panic!("invalid FV3_FAULT_PLAN: {e}"))
-            .map(|p| p.arm());
-        let pool = cfg.pool.unwrap_or_else(Pool::host);
+        let run = RunConfig::from_env();
+        let pool = cfg
+            .pool
+            .unwrap_or_else(|| Pool::new(run.host_workers()));
         let slots_n = cfg.slots.max(1);
         let inner = Arc::new(EngineInner {
             queue_cap: cfg.queue_cap.max(1),
@@ -783,6 +787,9 @@ impl ForecastEngine {
             tenant_cap: cfg.tenant_cap,
             policy: cfg.policy,
             pool,
+            run,
+            faults: cfg.faults.map_or_else(Faults::inert, |p| p.arm()),
+            tracer: cfg.tracer,
             queue: Mutex::new(QueueState {
                 lanes: Default::default(),
                 open: true,
@@ -863,7 +870,6 @@ impl ForecastEngine {
             inner,
             slots,
             ticker,
-            _faults: faults,
         }
     }
 
@@ -1416,9 +1422,6 @@ fn run_request(inner: &Arc<EngineInner>, p: Pending) -> ForecastOutcome {
     let rid = id.to_string();
     let queued = p.submitted.elapsed().as_secs_f64();
     let m = &inner.metrics;
-    // Request-scoped span on the global tracer, when one is installed
-    // (the serve bin installs one; tests usually do not).
-    let _span = obs::tracing::global_span("request", &rid);
     m.counter_add("requests_started", &[], 1);
     m.observe("request_queued_seconds", &[], queued);
     // Per-request telemetry sink: streams to the bus when the engine has
@@ -1440,10 +1443,23 @@ fn run_request(inner: &Arc<EngineInner>, p: Pending) -> ForecastOutcome {
         queued_seconds: queued,
     });
     inner.emit_tick();
+    // Everything below the front door reads this request's context and
+    // nothing process-wide: its token stops this run at its next
+    // boundary, its scope of the engine's fault plan logs only what
+    // fires in it, its spans land under its own `request` span.
+    let ctx = RunContext {
+        request: Some(rid.as_str().into()),
+        cancel: p.token.clone(),
+        sink: sink.clone(),
+        faults: inner.faults.scoped(),
+        tracer: inner.tracer.clone(),
+        metrics: None,
+    };
+    let _span = ctx.span("request", &rid);
     let t0 = Instant::now();
     // A panic escaping the supervised region (an engine bug, not a model
     // blowup) fails this request only — never the slot.
-    let result = match catch_unwind(AssertUnwindSafe(|| execute(inner, &p, &rid, &sink))) {
+    let result = match catch_unwind(AssertUnwindSafe(|| execute(inner, &p, ctx))) {
         Ok(res) => res,
         Err(payload) => ForecastResult::Failed(EngineFailure::Panic(panic_text(&*payload))),
     };
@@ -1491,28 +1507,24 @@ fn run_request(inner: &Arc<EngineInner>, p: Pending) -> ForecastOutcome {
     }
 }
 
-fn execute(inner: &Arc<EngineInner>, p: &Pending, rid: &str, sink: &EventSink) -> ForecastResult {
+fn execute(inner: &Arc<EngineInner>, p: &Pending, ctx: RunContext) -> ForecastResult {
     let key = CaseKey::of(&p.req);
     let (mut d, warm_start) = acquire(inner, key, &p.req);
-    // Install this request's sink on both the dycore (per-step
-    // completions) and the supervisor (health, retries, checkpoints) for
-    // the duration of the run; release() clears it before parking.
-    d.set_event_sink(sink.clone());
+    let rid = ctx.request.clone().expect("a served run has a request id");
+    // The instance (and, through it, the supervisor) runs under this
+    // request's context for the duration of the run; release() detaches
+    // it before parking.
+    d.set_run(ctx);
     let (h0, m0) = d.exec_cache_counters();
     let mut sup = Supervisor::new(inner.policy.clone());
-    sup.set_event_sink(sink.clone());
-    // Thread the request's token through the supervisor (and from there
-    // into the driver's substep loop): `cancel(id)` or deadline expiry
-    // stops this run at its next boundary.
-    sup.set_cancel_token(p.token.clone());
     let res = sup.run(&mut d, p.req.steps);
     let (h1, m1) = d.exec_cache_counters();
     let (hits, misses) = (h1 - h0, m1 - m0);
     let m = &inner.metrics;
     m.counter_add("kernel_cache_hits", &[], hits);
     m.counter_add("kernel_cache_misses", &[], misses);
-    m.counter_add("kernel_cache_hits", &[("request", rid)], hits);
-    m.counter_add("kernel_cache_misses", &[("request", rid)], misses);
+    m.counter_add("kernel_cache_hits", &[("request", &rid)], hits);
+    m.counter_add("kernel_cache_misses", &[("request", &rid)], misses);
     match res {
         Ok(run) if run.completed() => {
             let states = d.states.clone();
@@ -1582,7 +1594,11 @@ fn acquire(inner: &EngineInner, key: CaseKey, req: &ForecastRequest) -> (Distrib
                 // under the lock so racing cold tenants agree on one
                 // program instance (kernel compilation itself is lazy
                 // and deduplicated by the executors' cache locks).
-                let substep = Arc::new(CompiledSubstep::build(&req.config, Some(&inner.pool)));
+                let substep = Arc::new(CompiledSubstep::build_with_tune(
+                    &req.config,
+                    Some(&inner.pool),
+                    inner.run.tune,
+                ));
                 cases.insert(
                     key,
                     CaseCache {
@@ -1598,7 +1614,12 @@ fn acquire(inner: &EngineInner, key: CaseKey, req: &ForecastRequest) -> (Distrib
     };
     // Instance build (grids when not yet shared, initial states, halo
     // updater) happens outside the case lock: it is per-tenant work.
-    let mut d = DistributedDycore::new_with_grids(req.config, &ExpansionAttrs::tuned(), grids);
+    let mut d = DistributedDycore::new_with_grids(
+        req.config,
+        &ExpansionAttrs::tuned(),
+        grids,
+        &inner.run,
+    );
     d.set_pool(Some(inner.pool.clone()));
     d.set_shared_substep(substep);
     let reset = Arc::new(Checkpoint::capture(&d));
@@ -1617,9 +1638,10 @@ fn acquire(inner: &EngineInner, key: CaseKey, req: &ForecastRequest) -> (Distrib
 
 /// Park a healthy instance for the next tenant, up to the warm cap.
 fn release(inner: &EngineInner, key: CaseKey, mut d: DistributedDycore) {
-    // Never park another tenant's sink: the next tenant installs its
-    // own, and a parked instance must not retain a subscriber tag.
-    d.set_event_sink(EventSink::default());
+    // Never park another tenant's context: the next tenant installs its
+    // own, and a parked instance must not retain a subscriber tag, a
+    // token or a trace handle.
+    d.set_run(RunContext::default());
     // Nor a rank team's scratch stores: an idle tenant would hold
     // megabytes per worker that its next step rebuilds in under one.
     d.release_scratch_stores();
@@ -1741,7 +1763,6 @@ mod tests {
         let inner = &engine.inner;
         let req = small_request(1);
         let key = CaseKey::of(&req);
-        let _quiet = machine::faults::arm(0, Vec::new());
         let (mut d, warm) = acquire(inner, key, &req);
         assert!(!warm);
         // The engine takes its schedule from the environment; a tenant
@@ -1763,6 +1784,45 @@ mod tests {
         assert_eq!((d.live_scratch_stores(), d.scratch_stores_built()), (1, 2));
         drop(d);
         engine.shutdown();
+    }
+
+    #[test]
+    fn each_request_is_traced_under_its_own_request_span() {
+        let tracer = obs::Tracer::new();
+        let engine = ForecastEngine::start(EngineConfig {
+            slots: 2,
+            pool: Some(Pool::new(1)),
+            tracer: Some(tracer.clone()),
+            ..EngineConfig::default()
+        });
+        let ids = [engine.submit(small_request(1)), engine.submit(small_request(2))];
+        for id in ids {
+            assert!(engine.wait(id).result.is_completed());
+        }
+        engine.shutdown();
+        let events = tracer.finished();
+        for (id, steps) in ids.iter().zip([1, 2]) {
+            let rid = id.to_string();
+            let req = events
+                .iter()
+                .find(|e| e.cat == "request" && e.name == rid)
+                .unwrap_or_else(|| panic!("no request span for {rid}"));
+            // A slot runs one request at a time, so everything on its
+            // thread inside the request's interval is that request's.
+            let inside = |cat: &str| {
+                let within = |e: &&obs::TraceEvent| {
+                    e.cat == cat
+                        && e.tid == req.tid
+                        && req.ts_us <= e.ts_us
+                        && e.ts_us + e.dur_us <= req.ts_us + req.dur_us
+                };
+                events.iter().filter(within).count()
+            };
+            assert_eq!(inside("step"), steps, "{rid}: driver steps");
+            assert_eq!(inside("rank"), 6 * steps, "{rid}: rank spans");
+            assert!(inside("kernel") >= 6 * steps, "{rid}: kernel spans");
+        }
+        assert_eq!(events.iter().filter(|e| e.cat == "step").count(), 3);
     }
 
     #[test]

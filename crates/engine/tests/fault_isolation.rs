@@ -1,20 +1,18 @@
 //! ISSUE 7 satellite 2: a fault injected into one tenant must stay in
-//! that tenant. A `driver.poison_field` fault (armed through the
-//! standard `FV3_FAULT_PLAN` grammar for the engine's lifetime) poisons
-//! `pt` in whichever request reaches step 1 first; that request — run
-//! under a zero-retry supervision policy — must fail with a
-//! [`SupervisedError`] attributed to its own request id, while every
-//! neighbour finishes bit-identical to a clean fresh-process run.
-//!
-//! One test per binary: the fault plan is process-global (env var +
-//! armed registry), so this file must not share a process with tests
-//! that expect a fault-free world.
+//! that tenant. A `driver.poison_field` fault (written in the standard
+//! `FV3_FAULT_PLAN` grammar, armed for the engine's lifetime through
+//! `EngineConfig::faults`) poisons `pt` in whichever request reaches
+//! step 1 first; that request — run under a zero-retry supervision
+//! policy — must fail with a [`SupervisedError`] attributed to its own
+//! request id, while every neighbour finishes bit-identical to a clean
+//! fresh-process run and reports **zero** injected faults, even when it
+//! was running while the poison landed next door.
 
 use dataflow::graph::ExpansionAttrs;
 use engine::{EngineConfig, EngineFailure, ForecastEngine, ForecastRequest};
 use fv3::state::DycoreState;
 use fv3core::DistributedDycore;
-use resilience::{FailureKind, SupervisorPolicy};
+use resilience::{FailureKind, FaultPlan, SupervisorPolicy};
 
 const STEPS: u64 = 2;
 const TENANTS: usize = 3;
@@ -46,23 +44,21 @@ fn assert_bit_identical(got: &[DycoreState], want: &[DycoreState], label: &str) 
 #[test]
 fn poisoned_tenant_fails_alone_while_neighbours_stay_bit_identical() {
     let req = ForecastRequest::c8l6(STEPS);
-    // Clean reference computed before the plan is armed.
     let reference = reference_states(&req);
 
     // The `once` default retires the spec after its first injection, so
     // exactly one concurrent tenant is poisoned (the fire is serialized
-    // by the registry); zero retries turns that poison into an
+    // by the plan's lock); zero retries turns that poison into an
     // immediate, attributable failure instead of a silent rollback.
-    std::env::set_var("FV3_FAULT_PLAN", "seed=7;nan@step=1,field=pt");
     let engine = ForecastEngine::start(EngineConfig {
         slots: TENANTS,
         policy: SupervisorPolicy {
             max_retries: 0,
             ..SupervisorPolicy::default()
         },
+        faults: Some(FaultPlan::parse("seed=7;nan@step=1,field=pt").unwrap()),
         ..EngineConfig::default()
     });
-    std::env::remove_var("FV3_FAULT_PLAN");
 
     let ids: Vec<_> = (0..TENANTS)
         .map(|i| engine.submit(req.clone().with_label(&format!("tenant-{i}"))))
@@ -76,6 +72,11 @@ fn poisoned_tenant_fails_alone_while_neighbours_stay_bit_identical() {
             engine::ForecastResult::Completed(rep) => {
                 assert_bit_identical(&rep.states, &reference, &out.label);
                 assert!(rep.run.clean(), "{}: neighbour saw recovery events", out.label);
+                assert_eq!(
+                    rep.run.faults_injected, 0,
+                    "{}: a neighbour was charged with the poisoned tenant's injection",
+                    out.label
+                );
                 clean += 1;
             }
             engine::ForecastResult::Failed(EngineFailure::Supervised(e)) => {
@@ -85,6 +86,7 @@ fn poisoned_tenant_fails_alone_while_neighbours_stay_bit_identical() {
                     "poison must surface as a numerical failure, got {:?}",
                     e.kind
                 );
+                assert_eq!(e.faults_injected, 1, "the poison is charged to its own tenant");
                 failed.push(out.id);
             }
             engine::ForecastResult::Failed(e @ EngineFailure::Panic(_)) => {

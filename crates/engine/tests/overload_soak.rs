@@ -17,10 +17,10 @@
 //!   the still-shared compile bundle (no warm-pool contamination from
 //!   cancelled or failed tenants).
 //!
-//! The fault-plan registry is process-global, so every test in this
-//! binary serializes on one lock and this file shares a process with no
-//! other suite. Regression seeds found by the fuzzer are pinned at the
-//! bottom, following `tests/soak.rs`.
+//! Each case's fault plan belongs to its own engine
+//! (`EngineConfig::faults`), so the cases run concurrently. Regression
+//! seeds found by the fuzzer are pinned at the bottom, following
+//! `tests/soak.rs`.
 
 use dataflow::graph::ExpansionAttrs;
 use engine::{
@@ -32,7 +32,7 @@ use fv3core::DistributedDycore;
 use proptest::prelude::*;
 use resilience::{FaultPlan, SupervisorPolicy};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Hitting this means a hang, not a slow machine.
@@ -42,11 +42,7 @@ const DEADLINE: Duration = Duration::from_secs(120);
 /// every completion.
 const CHAOS_STEPS: u64 = 2;
 
-/// Serializes every test in this binary: the armed fault plan is
-/// process-global state.
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Solo fresh-process references, computed once with no plan armed.
+/// Solo fresh-process references, computed once.
 fn references() -> &'static (Vec<DycoreState>, Vec<DycoreState>) {
     static REFS: OnceLock<(Vec<DycoreState>, Vec<DycoreState>)> = OnceLock::new();
     REFS.get_or_init(|| {
@@ -101,16 +97,14 @@ impl Rng {
 /// (`nan@step=1` never touches the 1-step warmup or probe), run under a
 /// zero-retry policy so the poisoned tenant fails attributably.
 fn chaos_case(seed: u64) {
-    let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (ref1, ref2) = references();
     let label = format!("seed={seed:#x}");
     let mut rng = Rng(seed);
 
     let fault_armed = seed % 2 == 1;
-    let _guard = fault_armed.then(|| {
+    let faults = fault_armed.then(|| {
         FaultPlan::parse(&format!("seed={};nan@step=1,field=pt", seed % 97))
             .expect("chaos plan parses")
-            .arm()
     });
 
     let slots = 1 + (seed % 3) as usize;
@@ -124,6 +118,7 @@ fn chaos_case(seed: u64) {
             max_retries: 0,
             ..SupervisorPolicy::default()
         },
+        faults,
         ..EngineConfig::default()
     });
     let warm = engine.submit(ForecastRequest::c8l6(1).with_label("warmup"));

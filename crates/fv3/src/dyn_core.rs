@@ -361,14 +361,9 @@ pub fn baseline_step_recorded(
     recorder: &mut impl StateRecorder,
 ) {
     let dt2 = 0.5 * config.dt;
-    let _step_span = obs::tracing::global_span("step", "dycore_step");
     for ks in 0..config.k_split {
-        let _remap_substep_span = obs::tracing::global_span("substep", &format!("k{ks}"));
         for ns in 0..config.n_split {
-            let _acoustic_span =
-                obs::tracing::global_span("acoustic", &format!("k{ks}.s{ns}"));
             halo(state);
-            let module_span = obs::tracing::global_span("module", "c_sw");
             baseline_c_sw(
                 &state.u,
                 &state.v,
@@ -388,7 +383,6 @@ pub fn baseline_step_recorded(
                 &mut scratch.vc,
                 dt2,
             );
-            drop(module_span);
             recorder.record(
                 &format!("k{ks}.s{ns}.c_sw"),
                 &[
@@ -402,7 +396,6 @@ pub fn baseline_step_recorded(
                     ("yfx", &scratch.yfx),
                 ],
             );
-            let module_span = obs::tracing::global_span("module", "riem_solver_c");
             baseline_riem_solver_c(
                 &state.delp,
                 &state.pt,
@@ -410,9 +403,7 @@ pub fn baseline_step_recorded(
                 &mut state.w,
                 config.dt,
             );
-            drop(module_span);
             recorder.record(&format!("k{ks}.s{ns}.riem_solver_c"), &[("w", &state.w)]);
-            let module_span = obs::tracing::global_span("module", "d_sw");
             baseline_d_sw(
                 &scratch.uc,
                 &scratch.vc,
@@ -426,12 +417,10 @@ pub fn baseline_step_recorded(
                 dt2,
                 config.dddmp,
             );
-            drop(module_span);
             recorder.record(
                 &format!("k{ks}.s{ns}.d_sw"),
                 &[("u", &state.u), ("v", &state.v), ("w", &state.w)],
             );
-            let module_span = obs::tracing::global_span("module", "tracer");
             baseline_fv_tp_2d(
                 &state.q,
                 &scratch.crx,
@@ -450,7 +439,6 @@ pub fn baseline_step_recorded(
                 &scratch.yfx,
                 &grid.rarea,
             );
-            drop(module_span);
             recorder.record(
                 &format!("k{ks}.s{ns}.transport"),
                 &[
@@ -461,17 +449,14 @@ pub fn baseline_step_recorded(
                 ],
             );
             if let Some(damp) = config.nord4_damp {
-                let _delnflux_span = obs::tracing::global_span("module", "delnflux");
                 crate::delnflux::baseline_delnflux(
                     crate::delnflux::Nord::Del4,
                     &mut state.q,
                     damp,
                 );
             }
-            let _pt_span = obs::tracing::global_span("module", "pt_update");
             state.pt.copy_from(&scratch.ptc);
         }
-        let module_span = obs::tracing::global_span("module", "remap");
         remap_state(
             &mut state.delp,
             &mut [
@@ -482,7 +467,6 @@ pub fn baseline_step_recorded(
                 &mut state.v,
             ],
         );
-        drop(module_span);
         recorder.record(&format!("k{ks}.remap"), &state.fields());
     }
 }

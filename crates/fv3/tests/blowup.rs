@@ -1,5 +1,5 @@
-//! Blowup-detector regression test (own process: installs the global
-//! tracer so the report can capture the live span stack).
+//! Blowup-detector regression test: the monitor holds a handle on the
+//! run's tracer, so the report captures the live span stack.
 //!
 //! Scenario: a baroclinic c8L6 run is healthy for two steps; then one
 //! interior cell of `delp` is poisoned mid-run and the next health
@@ -30,7 +30,6 @@ fn poisoned_delp_is_reported_with_field_coords_and_span() {
     let mut scratch = BaselineScratch::for_state(&state);
 
     let tracer = obs::Tracer::new();
-    obs::tracing::install_global(&tracer);
     let mut monitor = HealthMonitor::new().with_tracer(&tracer);
 
     // Two healthy steps.
@@ -50,7 +49,6 @@ fn poisoned_delp_is_reported_with_field_coords_and_span() {
         assert!(!s.is_healthy());
         s.blowup.clone().expect("blowup detected")
     };
-    obs::tracing::uninstall_global();
 
     assert_eq!(report.field, "delp");
     assert_eq!((report.i, report.j, report.k), (3, 4, 2));

@@ -1,29 +1,27 @@
-//! Deterministic fault injection: a process-global registry of armed
-//! fault plans, fired at named *sites* compiled into the production
-//! crates (`machine::pool`, `comm::halo`, `fv3core::driver`).
+//! Deterministic fault injection: a [`Faults`] handle carries an armed
+//! plan to the named *sites* compiled into the production crates
+//! (`machine::pool`, `comm::halo`, `fv3core::driver`).
 //!
-//! Design constraints (ISSUE 5):
-//!
-//! * **Zero cost when disabled.** Every site guards its slow path behind
-//!   [`enabled`] — a single relaxed atomic load. No plan armed means no
-//!   lock, no allocation, no branch beyond that load.
+//! * **Run-scoped.** A plan is a value, not process state: a site fires
+//!   only through the handle its caller holds (its [`crate::RunContext`],
+//!   or the pool region a run submits), so a fault fires inside the run
+//!   that armed it and nowhere else. Concurrent runs and concurrent tests
+//!   need no lock between them.
+//! * **Zero cost when inert.** The default handle is `None` inside: every
+//!   site is one predictable branch — no lock, no allocation.
 //! * **Deterministic.** A plan carries a seed; any site that needs to
 //!   pick "a random victim" (which halo patch to corrupt, which message
-//!   to drop) derives the index from the seed and the per-site call
-//!   counter via [`det_index`], so a given plan injects the exact same
+//!   to drop) derives the index from the seed and a site salt via
+//!   [`Faults::det_index`], so a given plan injects the exact same
 //!   faults on every run.
-//! * **Serialized.** [`arm`] returns an [`ArmGuard`] holding a global
-//!   mutex, so concurrent tests that inject faults cannot interleave;
-//!   dropping the guard disarms the registry (the injection log stays
-//!   readable for post-mortems until the next `arm`).
 //!
-//! The registry lives in `machine` because it is the bottom of the crate
+//! The type lives in `machine` because it is the bottom of the crate
 //! stack: `comm`, `dataflow`, and `fv3core` can all reach it without
-//! dependency cycles. Higher-level concerns — parsing `FV3_FAULT_PLAN`,
-//! validating site names, rollback policy — live in `crates/resilience`.
+//! dependency cycles. Higher-level concerns — parsing the `FV3_FAULT_PLAN`
+//! grammar, validating site names, rollback policy — live in
+//! `crates/resilience`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Fault sites owned by [`crate::pool`].
 pub const SITE_WORKER_PANIC: &str = "pool.worker_panic";
@@ -152,69 +150,127 @@ struct Plan {
     seed: u64,
     /// `(spec, fired)` pairs.
     specs: Vec<(FaultSpec, bool)>,
-    /// Per-site call counters (advance on every `fire` while armed).
+    /// Per-site call counters (advance on every `fire`).
     calls: Vec<(String, u64)>,
-    log: Vec<InjectionEvent>,
+    /// `(scope, event)`: every injection, tagged with the scope of the
+    /// handle it fired through.
+    log: Vec<(u64, InjectionEvent)>,
+    /// Scopes handed out so far ([`Faults::scoped`]).
+    scopes: u64,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PLAN: Mutex<Option<Plan>> = Mutex::new(None);
-/// Serializes armed sections process-wide (held by [`ArmGuard`]).
-static ARM_LOCK: Mutex<()> = Mutex::new(());
-
-fn recover<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    // Fault tests panic on purpose; a poisoned registry lock is expected.
-    r.unwrap_or_else(PoisonError::into_inner)
+/// A handle on an armed fault plan, or nothing. Clones share the plan
+/// *and* the scope; the default handle is inert and can never fire.
+#[derive(Clone, Default)]
+pub struct Faults {
+    plan: Option<Arc<Mutex<Plan>>>,
+    /// Which slice of the plan's injection log is this handle's own.
+    scope: u64,
 }
 
-/// Holds the registry armed; dropping disarms it (the injection log
-/// remains readable until the next [`arm`]).
-pub struct ArmGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for ArmGuard {
-    fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
+impl std::fmt::Debug for Faults {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.plan {
+            None => f.write_str("Faults(inert)"),
+            Some(_) => write!(f, "Faults(armed, scope {})", self.scope),
+        }
     }
 }
 
-/// Arm a fault plan. The returned guard keeps it active; only one plan
-/// can be armed at a time process-wide (callers block here).
-pub fn arm(seed: u64, specs: Vec<FaultSpec>) -> ArmGuard {
-    let lock = recover(ARM_LOCK.lock());
-    *recover(PLAN.lock()) = Some(Plan {
-        seed,
-        specs: specs.into_iter().map(|s| (s, false)).collect(),
-        calls: Vec::new(),
-        log: Vec::new(),
-    });
-    ENABLED.store(true, Ordering::SeqCst);
-    ArmGuard { _lock: lock }
+fn lock(plan: &Mutex<Plan>) -> MutexGuard<'_, Plan> {
+    // Fault tests panic on purpose; a poisoned plan lock is expected.
+    plan.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Fast path: is any plan armed? One relaxed load.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Fire a site: returns the matching spec (marking it fired) or `None`.
-///
-/// When the registry is disabled this is a single atomic load.
-#[inline]
-pub fn fire(site: &str, ctx: FireCtx<'_>) -> Option<FaultSpec> {
-    if !enabled() {
-        return None;
+impl Faults {
+    /// The handle that never fires: one `Option` check per site.
+    pub const fn inert() -> Self {
+        Faults {
+            plan: None,
+            scope: 0,
+        }
     }
-    fire_slow(site, ctx)
+
+    /// Arm a plan. It stays armed for as long as a handle to it lives;
+    /// `once` specs retire after their first injection.
+    #[must_use = "a plan fires only through the handle returned here"]
+    pub fn arm(seed: u64, specs: Vec<FaultSpec>) -> Self {
+        Faults {
+            plan: Some(Arc::new(Mutex::new(Plan {
+                seed,
+                specs: specs.into_iter().map(|s| (s, false)).collect(),
+                calls: Vec::new(),
+                log: Vec::new(),
+                scopes: 0,
+            }))),
+            scope: 0,
+        }
+    }
+
+    /// A handle on the same plan — same specs, same once-retirement, same
+    /// call counters — whose [`log`](Self::log) holds only what fires
+    /// through it. A serving engine hands one to each request, so a
+    /// tenant's injection count is its own and never a neighbour's.
+    pub fn scoped(&self) -> Self {
+        let scope = self.plan.as_ref().map_or(0, |p| {
+            let mut p = lock(p);
+            p.scopes += 1;
+            p.scopes
+        });
+        Faults {
+            plan: self.plan.clone(),
+            scope,
+        }
+    }
+
+    /// Fast path: is a plan armed behind this handle?
+    #[inline]
+    pub fn is_armed(&self) -> bool {
+        self.plan.is_some()
+    }
+
+    /// Fire a site: returns the matching spec (marking it fired) or
+    /// `None`. On an inert handle this is a single branch.
+    #[inline]
+    pub fn fire(&self, site: &str, ctx: FireCtx<'_>) -> Option<FaultSpec> {
+        match &self.plan {
+            None => None,
+            Some(plan) => fire_slow(&mut lock(plan), self.scope, site, ctx),
+        }
+    }
+
+    /// How many injections `site` performed through this handle's scope.
+    pub fn fired_count(&self, site: &str) -> u64 {
+        self.log().iter().filter(|e| e.site == site).count() as u64
+    }
+
+    /// Every injection performed through this handle's scope, in order.
+    pub fn log(&self) -> Vec<InjectionEvent> {
+        self.plan.as_ref().map_or_else(Vec::new, |p| {
+            let p = lock(p);
+            let own = p.log.iter().filter(|(scope, _)| *scope == self.scope);
+            own.map(|(_, e)| e.clone()).collect()
+        })
+    }
+
+    /// Deterministic victim index in `0..len` derived from the plan's
+    /// seed, a site-specific salt, and nothing else. Returns 0 on an
+    /// inert handle or when `len == 0`.
+    pub fn det_index(&self, salt: u64, len: usize) -> usize {
+        if len == 0 {
+            return 0;
+        }
+        let seed = self.plan.as_ref().map_or(0, |p| lock(p).seed);
+        // splitmix64 — cheap, well-mixed, reproducible.
+        let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        (z % len as u64) as usize
+    }
 }
 
-fn fire_slow(site: &str, ctx: FireCtx<'_>) -> Option<FaultSpec> {
-    let mut guard = recover(PLAN.lock());
-    let plan = guard.as_mut()?;
+fn fire_slow(plan: &mut Plan, scope: u64, site: &str, ctx: FireCtx<'_>) -> Option<FaultSpec> {
     let call = {
         match plan.calls.iter_mut().find(|(s, _)| s == site) {
             Some((_, c)) => {
@@ -240,45 +296,17 @@ fn fire_slow(site: &str, ctx: FireCtx<'_>) -> Option<FaultSpec> {
     })?;
     hit.1 = true;
     let spec = hit.0.clone();
-    plan.log.push(InjectionEvent {
-        site: site.to_string(),
-        action: spec.action.clone(),
-        step: ctx.step,
-        module: ctx.module.map(str::to_string),
-        call,
-    });
+    plan.log.push((
+        scope,
+        InjectionEvent {
+            site: site.to_string(),
+            action: spec.action.clone(),
+            step: ctx.step,
+            module: ctx.module.map(str::to_string),
+            call,
+        },
+    ));
     Some(spec)
-}
-
-/// How many injections this site has performed under the current (or
-/// last) plan.
-pub fn fired_count(site: &str) -> u64 {
-    recover(PLAN.lock())
-        .as_ref()
-        .map_or(0, |p| p.log.iter().filter(|e| e.site == site).count() as u64)
-}
-
-/// Every injection performed under the current (or last) plan.
-pub fn injection_log() -> Vec<InjectionEvent> {
-    recover(PLAN.lock())
-        .as_ref()
-        .map_or_else(Vec::new, |p| p.log.clone())
-}
-
-/// Deterministic victim index in `0..len` derived from the armed plan's
-/// seed, a site-specific salt, and nothing else. Returns 0 when no plan
-/// is armed or `len == 0`.
-pub fn det_index(salt: u64, len: usize) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let seed = recover(PLAN.lock()).as_ref().map_or(0, |p| p.seed);
-    // splitmix64 — cheap, well-mixed, reproducible.
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % len as u64) as usize
 }
 
 #[cfg(test)]
@@ -286,14 +314,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_fires_nothing() {
-        // No guard held: must be a no-op regardless of history.
-        assert!(!enabled() || fire("nope", FireCtx::default()).is_none());
+    fn inert_handle_fires_nothing() {
+        let f = Faults::inert();
+        assert!(!f.is_armed());
+        assert!(f.fire("nope", FireCtx::default()).is_none());
+        assert!(f.log().is_empty());
+        assert!(!f.scoped().is_armed());
     }
 
     #[test]
     fn matching_and_once_semantics() {
-        let _g = arm(
+        let f = Faults::arm(
             7,
             vec![
                 FaultSpec::new("a.site", FaultAction::PoisonNan).at_step(2),
@@ -301,27 +332,28 @@ mod tests {
             ],
         );
         // Wrong step: no fire.
-        assert!(fire(
-            "a.site",
-            FireCtx {
-                step: Some(1),
-                module: None
-            }
-        )
-        .is_none());
+        assert!(f
+            .fire(
+                "a.site",
+                FireCtx {
+                    step: Some(1),
+                    module: None
+                }
+            )
+            .is_none());
         // Right step: fires exactly once.
         let ctx = FireCtx {
             step: Some(2),
             module: None,
         };
-        assert!(fire("a.site", ctx).is_some());
-        assert!(fire("a.site", ctx).is_none(), "once-spec must retire");
+        assert!(f.fire("a.site", ctx).is_some());
+        assert!(f.fire("a.site", ctx).is_none(), "once-spec must retire");
         // Repeatable spec fires every call.
-        assert!(fire("b.site", FireCtx::default()).is_some());
-        assert!(fire("b.site", FireCtx::default()).is_some());
-        assert_eq!(fired_count("a.site"), 1);
-        assert_eq!(fired_count("b.site"), 2);
-        let log = injection_log();
+        assert!(f.fire("b.site", FireCtx::default()).is_some());
+        assert!(f.fire("b.site", FireCtx::default()).is_some());
+        assert_eq!(f.fired_count("a.site"), 1);
+        assert_eq!(f.fired_count("b.site"), 2);
+        let log = f.log();
         assert_eq!(log.len(), 3);
         assert_eq!(log[0].site, "a.site");
         assert_eq!(log[0].step, Some(2));
@@ -329,61 +361,72 @@ mod tests {
 
     #[test]
     fn at_call_counts_per_site() {
-        let _g = arm(
+        let f = Faults::arm(
             0,
             vec![FaultSpec::new("c.site", FaultAction::DropMessage).at_call(2)],
         );
-        assert!(fire("c.site", FireCtx::default()).is_none()); // call 0
-        assert!(fire("c.site", FireCtx::default()).is_none()); // call 1
-        assert!(fire("c.site", FireCtx::default()).is_some()); // call 2
-        assert!(fire("c.site", FireCtx::default()).is_none());
+        assert!(f.fire("c.site", FireCtx::default()).is_none()); // call 0
+        assert!(f.fire("c.site", FireCtx::default()).is_none()); // call 1
+        assert!(f.fire("c.site", FireCtx::default()).is_some()); // call 2
+        assert!(f.fire("c.site", FireCtx::default()).is_none());
     }
 
     #[test]
     fn module_matching() {
-        let _g = arm(
+        let f = Faults::arm(
             0,
             vec![FaultSpec::new("m.site", FaultAction::PoisonNan).in_module("k0.s1")],
         );
-        assert!(fire(
-            "m.site",
-            FireCtx {
-                step: None,
-                module: Some("k0.s0")
-            }
-        )
-        .is_none());
-        assert!(fire(
-            "m.site",
-            FireCtx {
-                step: None,
-                module: Some("k0.s1")
-            }
-        )
-        .is_some());
+        assert!(f
+            .fire(
+                "m.site",
+                FireCtx {
+                    step: None,
+                    module: Some("k0.s0")
+                }
+            )
+            .is_none());
+        assert!(f
+            .fire(
+                "m.site",
+                FireCtx {
+                    step: None,
+                    module: Some("k0.s1")
+                }
+            )
+            .is_some());
     }
 
     #[test]
     fn det_index_is_stable_and_in_range() {
-        let _g = arm(42, vec![]);
-        let a = det_index(1, 100);
-        let b = det_index(1, 100);
+        let f = Faults::arm(42, vec![]);
+        let a = f.det_index(1, 100);
+        let b = f.det_index(1, 100);
         assert_eq!(a, b);
         assert!(a < 100);
-        assert_eq!(det_index(1, 0), 0);
+        assert_eq!(f.det_index(1, 0), 0);
         // Different salts decorrelate.
-        assert_ne!(det_index(1, 1 << 30), det_index(2, 1 << 30));
+        assert_ne!(f.det_index(1, 1 << 30), f.det_index(2, 1 << 30));
     }
 
     #[test]
-    fn guard_drop_disarms() {
-        {
-            let _g = arm(0, vec![FaultSpec::new("d.site", FaultAction::PoisonNan)]);
-            assert!(enabled());
-        }
-        assert!(!enabled());
-        assert!(fire("d.site", FireCtx::default()).is_none());
-        // Log survives disarm for post-mortems.
-        assert_eq!(fired_count("d.site"), 0);
+    fn two_plans_never_see_each_other() {
+        let a = Faults::arm(0, vec![FaultSpec::new("d.site", FaultAction::PoisonNan)]);
+        let b = Faults::arm(0, vec![]);
+        assert!(b.fire("d.site", FireCtx::default()).is_none());
+        assert!(a.fire("d.site", FireCtx::default()).is_some());
+        assert_eq!((a.fired_count("d.site"), b.fired_count("d.site")), (1, 0));
+    }
+
+    /// Scopes of one plan share its specs (a once-spec fires in exactly
+    /// one of them) but each logs only its own injections.
+    #[test]
+    fn scopes_share_specs_and_split_the_log() {
+        let plan = Faults::arm(0, vec![FaultSpec::new("e.site", FaultAction::PoisonNan)]);
+        let (x, y) = (plan.scoped(), plan.scoped());
+        assert!(x.clone().fire("e.site", FireCtx::default()).is_some());
+        assert!(y.fire("e.site", FireCtx::default()).is_none(), "retired for every scope");
+        assert_eq!(x.log().len(), 1, "clones share a scope");
+        assert!(y.log().is_empty() && plan.log().is_empty());
     }
 }

@@ -29,15 +29,17 @@ pub mod faults;
 pub mod gpu_model;
 pub mod network;
 pub mod pool;
+pub mod run;
 pub mod spec;
 pub mod stream;
 
 pub use cancel::{CancelCause, CancelToken};
 pub use cpu_model::CpuModel;
-pub use faults::{FaultAction, FaultSpec, FireCtx};
+pub use faults::{FaultAction, FaultSpec, Faults, FireCtx};
 pub use gpu_model::GpuModel;
 pub use network::NetworkModel;
 pub use pool::Pool;
+pub use run::{RankSchedule, RunConfig, RunContext};
 pub use spec::{CacheLevel, CpuSpec, GpuSpec, MachineSpec, NetworkSpec, Target};
 
 /// Data-movement and arithmetic counters for one kernel invocation.

@@ -16,16 +16,13 @@
 //! and `for_each_chunk` does not return until every worker has checked
 //! back in for that region, so the borrow outlives every use.
 
-use crate::faults::{self, FaultAction, FireCtx, SITE_WORKER_DEATH, SITE_WORKER_PANIC};
+use crate::faults::{FaultAction, Faults, FireCtx, SITE_WORKER_DEATH, SITE_WORKER_PANIC};
+use crate::run::RunConfig;
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Environment variable overriding [`Pool::host`] sizing (a positive
-/// integer; invalid or zero values are ignored).
-pub const WORKERS_ENV: &str = "FV3_WORKERS";
 
 /// A type-erased parallel region: a borrowed `Fn(Range<usize>) + Sync`
 /// body plus the trampoline that downcasts and calls it.
@@ -33,12 +30,15 @@ pub const WORKERS_ENV: &str = "FV3_WORKERS";
 /// Safety: `body` is only dereferenced between job publication and the
 /// submitter observing `pending == 0`, and the submitter keeps the real
 /// closure alive (and the region lock held) for that whole window.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 struct Job {
     body: *const (),
     call: unsafe fn(*const (), Range<usize>),
     len: usize,
     chunk: usize,
+    /// The submitting run's fault plan: the worker sites fire through it,
+    /// so only the run that armed a plan can lose a worker to it.
+    faults: Faults,
 }
 
 unsafe impl Send for Job {}
@@ -116,9 +116,9 @@ impl Shared {
                         return;
                     }
                     if st.epoch > last_epoch {
-                        if let Some(job) = st.job {
+                        if let Some(job) = &st.job {
                             last_epoch = st.epoch;
-                            break job;
+                            break job.clone();
                         }
                     }
                     self.work_cv.wait(&mut st);
@@ -129,24 +129,20 @@ impl Shared {
             // for the current region first (the cursor protocol lets the
             // rest of the team absorb the abandoned chunks), then fall off
             // the loop so `alive` drops and the next region rebuilds.
-            if faults::enabled() {
-                if let Some(spec) = faults::fire(SITE_WORKER_DEATH, FireCtx::default()) {
-                    if matches!(spec.action, FaultAction::KillWorker) {
-                        let mut st = self.state.lock();
-                        st.pending -= 1;
-                        if st.pending == 0 {
-                            self.done_cv.notify_all();
-                        }
-                        guard.in_flight = false;
-                        return;
+            if let Some(spec) = job.faults.fire(SITE_WORKER_DEATH, FireCtx::default()) {
+                if matches!(spec.action, FaultAction::KillWorker) {
+                    let mut st = self.state.lock();
+                    st.pending -= 1;
+                    if st.pending == 0 {
+                        self.done_cv.notify_all();
                     }
+                    guard.in_flight = false;
+                    return;
                 }
             }
             let ok = catch_unwind(AssertUnwindSafe(|| {
                 // Fault site: panic mid-kernel, as a bad stencil body would.
-                if faults::enabled()
-                    && faults::fire(SITE_WORKER_PANIC, FireCtx::default()).is_some()
-                {
+                if job.faults.fire(SITE_WORKER_PANIC, FireCtx::default()).is_some() {
                     panic!("injected fault: worker panic (site {SITE_WORKER_PANIC})");
                 }
                 drain(&self.cursor, &job);
@@ -261,25 +257,10 @@ impl Pool {
         }
     }
 
-    /// A pool sized to the host's available parallelism, or to the
-    /// [`WORKERS_ENV`] (`FV3_WORKERS`) override when set to a positive
-    /// integer.
+    /// A pool sized by the environment ([`RunConfig::host_workers`]:
+    /// `FV3_WORKERS`, else the host's available parallelism).
     pub fn host() -> Self {
-        Pool::new(Self::host_workers())
-    }
-
-    /// The size [`host`](Self::host) would pick, without building a pool.
-    pub fn host_workers() -> usize {
-        if let Ok(s) = std::env::var(WORKERS_ENV) {
-            if let Ok(n) = s.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        Pool::new(RunConfig::from_env().host_workers())
     }
 
     /// Number of worker threads (including the submitting thread).
@@ -326,6 +307,17 @@ impl Pool {
     where
         F: Fn(Range<usize>) + Sync,
     {
+        self.for_each_chunk_in(&Faults::inert(), len, body)
+    }
+
+    /// [`for_each_chunk`](Self::for_each_chunk) as a region of the run
+    /// that holds `faults`: the pool's two fault sites (worker panic,
+    /// worker death) fire through that plan for this region only. The
+    /// team is shared between runs; the plan is not.
+    pub fn for_each_chunk_in<F>(&self, faults: &Faults, len: usize, body: F)
+    where
+        F: Fn(Range<usize>) + Sync,
+    {
         if len == 0 {
             return;
         }
@@ -341,6 +333,7 @@ impl Pool {
             call: call_body::<F>,
             len,
             chunk,
+            faults: faults.clone(),
         };
         let _region = shared.region.lock();
         {
@@ -359,7 +352,7 @@ impl Pool {
                 st.alive = target;
             }
             shared.cursor.store(0, Ordering::Relaxed);
-            st.job = Some(job);
+            st.job = Some(job.clone());
             st.epoch += 1;
             st.pending = st.alive;
             st.panicked = false;
@@ -461,12 +454,6 @@ impl Pool {
             out = combine(out, p);
         }
         out
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::host()
     }
 }
 

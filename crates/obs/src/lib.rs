@@ -24,10 +24,10 @@
 //!   `BENCH_dycore.json` files and flags per-module slowdowns.
 //! * [`json`] — the one JSON codec: string escaper and reader.
 //!
-//! The tracer and metrics registry can be globally installed
-//! ([`tracing::install_global`], [`metrics::install_global`]) so library
-//! crates instrument unconditionally at zero cost when nothing is
-//! listening.
+//! Nothing here is process-global: a run's tracer, registry and sink
+//! travel in its `machine::RunContext`, so library crates instrument
+//! unconditionally, at one branch per site when the run carries none, and
+//! two runs in one process never see each other's spans or counters.
 
 pub mod json;
 pub mod metrics;

@@ -15,16 +15,14 @@
 //!
 //! [`emit_jsonl`] renders one JSON object per metric (deterministic
 //! order), stamped with the timestep — append it to `RUN_metrics.jsonl`
-//! each step and every metric becomes a time series. Like the tracer, a
-//! registry can be globally installed so library code (the halo
-//! updater, the driver) records unconditionally at near-zero cost when
-//! nothing is listening.
+//! each step and every metric becomes a time series. Library code (the
+//! halo updater, the driver) records into the registry its run carries
+//! (`machine::RunContext::metrics`) and skips the work when there is none.
 
 use crate::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Metric identity: name plus sorted label pairs.
 type Key = (String, Vec<(String, String)>);
@@ -230,36 +228,6 @@ pub fn emit_jsonl(registry: &MetricsRegistry, step: u64) -> String {
         );
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Global registry (same pattern as tracing::install_global).
-
-static INSTALLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: OnceLock<Mutex<Option<MetricsRegistry>>> = OnceLock::new();
-
-fn cell() -> &'static Mutex<Option<MetricsRegistry>> {
-    GLOBAL.get_or_init(|| Mutex::new(None))
-}
-
-/// Install the process-global metrics registry.
-pub fn install_global(registry: &MetricsRegistry) {
-    *lock(cell()) = Some(registry.clone());
-    INSTALLED.store(true, Ordering::Release);
-}
-
-/// Remove (and return) the global registry.
-pub fn uninstall_global() -> Option<MetricsRegistry> {
-    INSTALLED.store(false, Ordering::Release);
-    lock(cell()).take()
-}
-
-/// The installed global registry, if any.
-pub fn global() -> Option<MetricsRegistry> {
-    if !INSTALLED.load(Ordering::Acquire) {
-        return None;
-    }
-    lock(cell()).clone()
 }
 
 #[cfg(test)]

@@ -86,15 +86,12 @@ impl OverlapStats {
         self.pack_seconds + self.interior_seconds + self.halo_wait_seconds + self.rind_seconds
     }
 
-    /// Publish into the global metrics registry (no-op when none is
-    /// installed): `overlap_interior_seconds`, `overlap_halo_wait_seconds`,
-    /// `overlap_efficiency`.
-    pub fn publish(&self) {
-        if let Some(m) = crate::metrics::global() {
-            m.gauge_set("overlap_interior_seconds", &[], self.interior_seconds);
-            m.gauge_set("overlap_halo_wait_seconds", &[], self.halo_wait_seconds);
-            m.gauge_set("overlap_efficiency", &[], self.efficiency());
-        }
+    /// Publish into `m`: `overlap_interior_seconds`,
+    /// `overlap_halo_wait_seconds`, `overlap_efficiency`.
+    pub fn publish(&self, m: &crate::MetricsRegistry) {
+        m.gauge_set("overlap_interior_seconds", &[], self.interior_seconds);
+        m.gauge_set("overlap_halo_wait_seconds", &[], self.halo_wait_seconds);
+        m.gauge_set("overlap_efficiency", &[], self.efficiency());
     }
 }
 

@@ -11,17 +11,15 @@
 //! and close when the returned [`SpanGuard`] drops (including on panic
 //! unwind), so attribution survives early returns and `?`.
 //!
-//! Library code instruments through the *global* tracer
-//! ([`install_global`] / [`global_span`]): when none is installed the
-//! guard is a no-op behind one relaxed atomic load, so the dycore, the
-//! halo updater, and the optimization pipeline carry their
-//! instrumentation points unconditionally.
+//! Library code never looks a tracer up: it records into the one its
+//! run carries (`machine::RunContext::span`), and gets a
+//! [`SpanGuard::noop`] — one branch — from a run that carries none.
 
 use crate::json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -358,63 +356,9 @@ impl Drop for SpanGuard {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Global tracer: library instrumentation points that cost one relaxed
-// atomic load when disabled.
-
-static INSTALLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: OnceLock<Mutex<Option<Tracer>>> = OnceLock::new();
-
-fn cell() -> &'static Mutex<Option<Tracer>> {
-    GLOBAL.get_or_init(|| Mutex::new(None))
-}
-
-/// Install `tracer` as the process-global tracer; instrumented library
-/// code ([`global_span`]) records into it until [`uninstall_global`].
-pub fn install_global(tracer: &Tracer) {
-    *lock(cell()) = Some(tracer.clone());
-    INSTALLED.store(true, Ordering::Release);
-}
-
-/// Remove (and return) the global tracer; [`global_span`] becomes a
-/// no-op again.
-pub fn uninstall_global() -> Option<Tracer> {
-    INSTALLED.store(false, Ordering::Release);
-    lock(cell()).take()
-}
-
-/// The currently installed global tracer, if any.
-pub fn global() -> Option<Tracer> {
-    if !INSTALLED.load(Ordering::Acquire) {
-        return None;
-    }
-    lock(cell()).clone()
-}
-
-/// Open a span on the global tracer; a no-op guard when none is
-/// installed. This is the instrumentation-point entry: sprinkle freely.
-pub fn global_span(cat: &str, name: &str) -> SpanGuard {
-    match global() {
-        Some(t) => t.span(cat, name),
-        None => SpanGuard::noop(),
-    }
-}
-
-/// [`global_span`] for a name that has to be formatted (`rank3`,
-/// `k0.s1`): the string is built only when a tracer is installed.
-pub fn global_span_args(cat: &str, name: std::fmt::Arguments<'_>) -> SpanGuard {
-    match global() {
-        Some(t) => t.span(cat, &name.to_string()),
-        None => SpanGuard::noop(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialize global-tracer tests (the global is process-wide state).
-    static TEST_GLOBAL: Mutex<()> = Mutex::new(());
 
     #[test]
     fn spans_nest_and_close_in_drop_order() {
@@ -538,22 +482,5 @@ mod tests {
         assert_eq!(legacy[0].name, "A");
         assert_eq!((legacy[0].tid, legacy[0].bytes, legacy[0].flops), (3, 16, 0));
         assert!(parse_chrome_trace("{\"traceEvents\":[{\"name\":\"x\"}]}").is_err());
-    }
-
-    #[test]
-    fn global_span_is_noop_until_installed() {
-        let _guard = TEST_GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall_global();
-        assert!(!global_span("x", "nothing").is_active());
-        let t = Tracer::new();
-        install_global(&t);
-        {
-            let g = global_span("x", "recorded");
-            assert!(g.is_active());
-        }
-        let got = uninstall_global().expect("was installed");
-        assert_eq!(got.finished().len(), t.finished().len());
-        assert_eq!(t.finished()[0].name, "recorded");
-        assert!(!global_span("x", "after").is_active());
     }
 }

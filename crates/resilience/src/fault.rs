@@ -1,5 +1,6 @@
 //! The `FV3_FAULT_PLAN` grammar: a deterministic, seeded fault plan
-//! parsed from one environment variable.
+//! parsed from one line of text (`machine::RunConfig::fault_plan`, when
+//! it comes from the environment).
 //!
 //! ```text
 //! FV3_FAULT_PLAN = entry (';' entry)*
@@ -20,12 +21,9 @@
 //!
 //! Every entry is `once` unless `repeat=1`, so a rolled-back retry does
 //! not re-poison itself. The default seed is 0; the seed feeds
-//! [`machine::faults::det_index`] victim selection only.
+//! [`machine::Faults::det_index`] victim selection only.
 
-use machine::faults::{self, ArmGuard, FaultAction, FaultSpec};
-
-/// Environment variable holding the plan.
-pub const ENV_FAULT_PLAN: &str = "FV3_FAULT_PLAN";
+use machine::faults::{self, FaultAction, FaultSpec, Faults};
 
 /// A parsed, validated fault plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,18 +62,11 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Read and parse [`ENV_FAULT_PLAN`]; `Ok(None)` when unset or empty.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(ENV_FAULT_PLAN) {
-            Ok(s) if !s.trim().is_empty() => Self::parse(&s).map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    /// Arm the plan process-wide. The guard keeps it active; dropping it
-    /// disarms injection (the log stays readable for post-mortems).
-    pub fn arm(&self) -> ArmGuard {
-        faults::arm(self.seed, self.specs.clone())
+    /// Arm the plan: the handle to put in the [`machine::RunContext`] of
+    /// the run (or, [`scoped`](Faults::scoped), runs) it should fire in.
+    #[must_use = "a plan fires only through the handle returned here"]
+    pub fn arm(&self) -> Faults {
+        Faults::arm(self.seed, self.specs.clone())
     }
 
     /// The sites this plan will fire at (deduplicated, plan order).

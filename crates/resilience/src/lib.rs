@@ -2,13 +2,14 @@
 //! rollback-on-blowup recovery (ISSUE 5).
 //!
 //! The layers below provide the mechanisms — `machine::faults` is the
-//! process-global injection registry, `fv3core::checkpoint` the
+//! run-scoped injection plan, `fv3core::checkpoint` the
 //! crash-consistent `FV3CKPT1` restart basis, `comm::halo` the stall
 //! watchdog, `machine::pool` the self-rebuilding worker team. This crate
 //! is the policy on top:
 //!
-//! * [`FaultPlan`] parses the `FV3_FAULT_PLAN` grammar into armed
-//!   [`machine::faults::FaultSpec`]s with validated site names;
+//! * [`FaultPlan`] parses the `FV3_FAULT_PLAN` grammar into
+//!   [`machine::faults::FaultSpec`]s with validated site names, armed
+//!   as a [`machine::Faults`] handle for one run's context;
 //! * [`Supervisor`] wraps [`fv3core::DistributedDycore::step`] with
 //!   health sampling, periodic checkpoints, and a bounded
 //!   rollback-and-retry loop (halved `dt`, doubled acoustic substeps)

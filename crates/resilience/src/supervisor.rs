@@ -24,8 +24,7 @@
 use fv3::health::{BlowupReport, HealthMonitor};
 use fv3core::checkpoint::{step_path, Checkpoint};
 use fv3core::DistributedDycore;
-use machine::cancel::{CancelCause, CancelToken};
-use machine::faults;
+use machine::cancel::CancelCause;
 use obs::MetricsRegistry;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,33 +63,6 @@ impl Default for SupervisorPolicy {
             stall_deadline: None,
         }
     }
-}
-
-impl SupervisorPolicy {
-    /// Defaults overridden by `FV3_CHECKPOINT_DIR`, `FV3_CHECKPOINT_EVERY`,
-    /// `FV3_MAX_RETRIES`, and `FV3_STALL_DEADLINE_MS`.
-    pub fn from_env() -> Self {
-        let mut p = SupervisorPolicy::default();
-        if let Ok(dir) = std::env::var("FV3_CHECKPOINT_DIR") {
-            if !dir.trim().is_empty() {
-                p.checkpoint_dir = Some(PathBuf::from(dir));
-            }
-        }
-        if let Some(every) = env_u64("FV3_CHECKPOINT_EVERY") {
-            p.checkpoint_every = every;
-        }
-        if let Some(r) = env_u64("FV3_MAX_RETRIES") {
-            p.max_retries = r as u32;
-        }
-        if let Some(ms) = env_u64("FV3_STALL_DEADLINE_MS") {
-            p.stall_deadline = Some(Duration::from_millis(ms));
-        }
-        p
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Why a step was retried (or the run abandoned).
@@ -149,7 +121,7 @@ pub struct RunReport {
     /// cancelled ([`cancelled`](Self::cancelled) is then `Some` and this
     /// counts the steps that finished before the token fired).
     pub steps: u64,
-    /// `Some` when the run stopped early because its [`CancelToken`]
+    /// `Some` when the run stopped early because its cancel token
     /// fired — by explicit request or deadline expiry — rather than
     /// completing its budget. The rest of the report is the partial
     /// history up to the cancellation point. The dycore's states may be
@@ -174,7 +146,8 @@ pub struct RunReport {
     pub checkpoint_write_time: Duration,
     /// Halo exchanges that overran the stall watchdog.
     pub halo_stalls: u64,
-    /// Faults injected while this run was active.
+    /// Faults that fired in this run: the growth of the injection log of
+    /// the run's own [`machine::Faults`] handle, never a neighbour's.
     pub faults_injected: u64,
     /// Every recovery action, in order.
     pub events: Vec<RecoveryEvent>,
@@ -207,6 +180,9 @@ pub struct SupervisedError {
     pub blowup: Option<BlowupReport>,
     /// Recovery history up to the failure.
     pub events: Vec<RecoveryEvent>,
+    /// Faults that fired in this run before it gave up (counted like
+    /// [`RunReport::faults_injected`]).
+    pub faults_injected: u64,
 }
 
 impl fmt::Display for SupervisedError {
@@ -229,20 +205,25 @@ impl fmt::Display for SupervisedError {
 impl std::error::Error for SupervisedError {}
 
 /// Wraps a dycore with the recovery policy. Owns the health monitor and
-/// a metrics registry recording recovery counters.
+/// a metrics registry recording recovery counters. The run's context is
+/// the dycore's ([`DistributedDycore::set_run`]):
+///
+/// * its cancel token is polled before every step attempt and before
+///   every rollback-retry (the dycore polls the same token between
+///   acoustic substeps), so a fired token stops the run at the next
+///   boundary with `RunReport::cancelled = Some(cause)` and a recovery
+///   cycle never blows through a deadline the run already missed;
+/// * its event sink streams `HealthSample` (one aggregate verdict per
+///   step), `SupervisorRetry`, `CheckpointWritten` and `HaloStall`
+///   events as they happen;
+/// * its fault plan's log is where `faults_injected` is counted.
+///
+/// Under the default (inert) context a supervised run is bit-identical
+/// to an unsupervised loop.
 pub struct Supervisor {
     pub policy: SupervisorPolicy,
     monitor: HealthMonitor,
     metrics: MetricsRegistry,
-    /// Live telemetry sink ([`obs::stream`]): publishes per-step health
-    /// verdicts, retries/rollbacks, checkpoint writes, and halo-stall
-    /// events when installed. Off (zero-cost) by default.
-    sink: obs::EventSink,
-    /// Cooperative cancellation ([`machine::cancel`]): polled before
-    /// every step attempt and before every rollback-retry, and installed
-    /// on the dycore so a fired token also aborts a step at the next
-    /// acoustic-substep boundary. Inert (can never fire) by default.
-    cancel: CancelToken,
 }
 
 impl Supervisor {
@@ -253,27 +234,7 @@ impl Supervisor {
             policy,
             monitor: HealthMonitor::new(),
             metrics: MetricsRegistry::new(),
-            sink: obs::EventSink::default(),
-            cancel: CancelToken::default(),
         }
-    }
-
-    /// Install a cooperative cancellation token. A fired token stops the
-    /// supervised run at the next step (or acoustic-substep) boundary
-    /// with `RunReport::cancelled = Some(cause)`, and is consulted
-    /// before every rollback-retry so a recovery cycle never blows
-    /// through a deadline the run already missed. The default token is
-    /// inert; a run under an inert or unfired token is bit-identical to
-    /// an unsupervised loop.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    /// Install a live telemetry sink: the supervision loop then streams
-    /// `HealthSample` (one aggregate verdict per step), `SupervisorRetry`,
-    /// `CheckpointWritten`, and `HaloStall` events as they happen.
-    pub fn set_event_sink(&mut self, sink: obs::EventSink) {
-        self.sink = sink;
     }
 
     /// The recovery metrics recorded so far (checkpoint_bytes,
@@ -293,15 +254,13 @@ impl Supervisor {
         if self.policy.stall_deadline.is_some() {
             d.set_halo_stall_deadline(self.policy.stall_deadline);
         }
-        if !self.cancel.is_inert() {
-            // Thread the token down into the step loop: a fired token
-            // then aborts mid-step at the next acoustic-substep boundary
-            // instead of waiting out the whole step.
-            d.set_cancel_token(self.cancel.clone());
-        }
+        // One clone per supervised run (free for the inert context), so
+        // the loop below can borrow `d` mutably.
+        let run = d.run_context().clone();
         let start = d.step_index();
         let goal = start + steps;
-        let faults_before = faults::injection_log().len();
+        let faults_before = run.faults.log().len();
+        let injected = || (run.faults.log().len() - faults_before) as u64;
         let stalls_before = d.halo_stalls();
         let mut events: Vec<RecoveryEvent> = Vec::new();
         let mut retries_total = 0u32;
@@ -322,7 +281,7 @@ impl Supervisor {
             if let Some(dir) = &self.policy.checkpoint_dir {
                 let bytes = ck
                     .write_atomic(&step_path(dir, ck.step))
-                    .map_err(|e| self.io_error(d.step_index(), e, &events))?;
+                    .map_err(|e| self.io_error(d.step_index(), e, &events, injected()))?;
                 ck_writes += 1;
                 ck_bytes += bytes;
                 disk_bytes = bytes;
@@ -330,7 +289,7 @@ impl Supervisor {
                 self.metrics.counter_add("checkpoint_bytes", &[], bytes);
             }
             ck_time += t.elapsed();
-            self.sink.emit(obs::RunEvent::CheckpointWritten {
+            run.sink.emit(obs::RunEvent::CheckpointWritten {
                 step: ck.step,
                 bytes: disk_bytes,
             });
@@ -346,7 +305,7 @@ impl Supervisor {
         while d.step_index() < goal {
             // Cancellation point 1: between steps, before committing to
             // another attempt.
-            if let Some(cause) = self.cancel.cause() {
+            if let Some(cause) = run.cancel.cause() {
                 cancelled = Some(cause);
                 break;
             }
@@ -354,12 +313,12 @@ impl Supervisor {
             // success; a panic or cancellation leaves the counter
             // unchanged).
             let attempting = d.step_index() + 1;
-            let attempt = self.try_step(d);
+            let attempt = self.try_step(d, &run.sink);
             // Per-step halo-stall delta onto the event stream (the step
             // itself may have succeeded despite soft stalls).
             let stalls_now = d.halo_stalls();
             if stalls_now > stalls_seen {
-                self.sink.emit(obs::RunEvent::HaloStall {
+                run.sink.emit(obs::RunEvent::HaloStall {
                     step: attempting,
                     stalls: stalls_now - stalls_seen,
                 });
@@ -372,7 +331,7 @@ impl Supervisor {
                     // Its states are mid-step garbage; the report says so
                     // (`cancelled` is Some) and the caller must discard
                     // or restore the instance.
-                    cancelled = Some(self.cancel.cause().unwrap_or(CancelCause::Requested));
+                    cancelled = Some(run.cancel.cause().unwrap_or(CancelCause::Requested));
                     break;
                 }
                 StepAttempt::Completed => {
@@ -386,7 +345,7 @@ impl Supervisor {
                         if let Some(dir) = &self.policy.checkpoint_dir {
                             let bytes = ck
                                 .write_atomic(&step_path(dir, ck.step))
-                                .map_err(|e| self.io_error(d.step_index(), e, &events))?;
+                                .map_err(|e| self.io_error(d.step_index(), e, &events, injected()))?;
                             ck_writes += 1;
                             ck_bytes += bytes;
                             disk_bytes = bytes;
@@ -394,7 +353,7 @@ impl Supervisor {
                             self.metrics.counter_add("checkpoint_bytes", &[], bytes);
                         }
                         ck_time += t.elapsed();
-                        self.sink.emit(obs::RunEvent::CheckpointWritten {
+                        run.sink.emit(obs::RunEvent::CheckpointWritten {
                             step: ck.step,
                             bytes: disk_bytes,
                         });
@@ -411,7 +370,7 @@ impl Supervisor {
                     // evicts the failed attempt from the step counter so
                     // the partial report only counts trustworthy steps —
                     // blowups are detected post-increment.
-                    if let Some(cause) = self.cancel.cause() {
+                    if let Some(cause) = run.cancel.cause() {
                         if let Some(ck) = &basis {
                             let rewritten = d.restore(ck) as u64;
                             restores += 1;
@@ -429,6 +388,7 @@ impl Supervisor {
                             detail: format!("{detail} (checkpointing disabled: no rollback basis)"),
                             blowup,
                             events,
+                            faults_injected: injected(),
                         }));
                     };
                     if retries_this_step >= self.policy.max_retries {
@@ -438,6 +398,7 @@ impl Supervisor {
                             detail,
                             blowup,
                             events,
+                            faults_injected: injected(),
                         }));
                     }
                     retries_this_step += 1;
@@ -455,7 +416,7 @@ impl Supervisor {
                     self.metrics.counter_add("restore_count", &[], 1);
                     self.metrics
                         .counter_add("retries", &[("kind", kind.label())], 1);
-                    self.sink.emit(obs::RunEvent::SupervisorRetry {
+                    run.sink.emit(obs::RunEvent::SupervisorRetry {
                         step: failed_step,
                         kind: kind.label().to_string(),
                         retry: retries_this_step,
@@ -474,8 +435,8 @@ impl Supervisor {
             }
         }
 
-        let injected = (faults::injection_log().len() - faults_before) as u64;
-        for ev in faults::injection_log().iter().skip(faults_before) {
+        let injections = run.faults.log();
+        for ev in &injections[faults_before..] {
             self.metrics
                 .counter_add("faults_injected", &[("site", &ev.site)], 1);
         }
@@ -493,7 +454,7 @@ impl Supervisor {
             checkpoint_bytes: ck_bytes,
             checkpoint_write_time: ck_time,
             halo_stalls: stalls,
-            faults_injected: injected,
+            faults_injected: (injections.len() - faults_before) as u64,
             events,
             monitor: std::mem::take(&mut self.monitor),
         })
@@ -501,7 +462,7 @@ impl Supervisor {
 
     /// One guarded step: catch panics, then sample health. Returns how
     /// the attempt ended.
-    fn try_step(&mut self, d: &mut DistributedDycore) -> StepAttempt {
+    fn try_step(&mut self, d: &mut DistributedDycore, sink: &obs::EventSink) -> StepAttempt {
         let stepped = catch_unwind(AssertUnwindSafe(|| d.step()));
         if let Err(payload) = stepped {
             // `&*payload`: deref the box so the downcast sees the payload
@@ -518,14 +479,13 @@ impl Supervisor {
         let healthy = d.sample_health(&mut self.monitor, d.step_index());
         // Stream the per-step verdict (worst wind/CFL over ranks) while
         // the run executes; read-only aggregation, copies only.
-        if self.sink.is_active() {
+        if sink.is_active() {
             let ranks = d.partition.ranks();
             let n = self.monitor.samples().len();
             let tail = &self.monitor.samples()[n.saturating_sub(ranks)..];
             let max_wind = tail.iter().map(|s| s.max_wind).fold(0.0, f64::max);
             let cfl = tail.iter().map(|s| s.cfl).fold(0.0, f64::max);
-            self.sink
-                .health_sample(d.step_index(), healthy, max_wind, cfl);
+            sink.health_sample(d.step_index(), healthy, max_wind, cfl);
         }
         if healthy {
             return StepAttempt::Completed;
@@ -554,6 +514,7 @@ impl Supervisor {
         step: u64,
         e: std::io::Error,
         events: &[RecoveryEvent],
+        faults_injected: u64,
     ) -> Box<SupervisedError> {
         Box::new(SupervisedError {
             step,
@@ -561,6 +522,7 @@ impl Supervisor {
             detail: format!("checkpoint write failed: {e}"),
             blowup: None,
             events: events.to_vec(),
+            faults_injected,
         })
     }
 }

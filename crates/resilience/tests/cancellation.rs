@@ -1,23 +1,21 @@
 //! Cooperative cancellation through the supervisor (ISSUE 10).
 //!
 //! Three cancellation points are exercised: between steps (loop top),
-//! mid-step at an acoustic-substep boundary (via the token the
-//! supervisor installs on the dycore), and before a rollback-retry (a
-//! recovery cycle must not blow through a deadline it already missed).
-//!
-//! The fault registry is process-global and the last test arms a
-//! repeating NaN, so the unfaulted tests run under [`unfaulted`]'s empty
-//! `ArmGuard`: a step outside any guard would consume the sibling's spec.
-//! (Stopgap; ROADMAP item 1 scopes the plan to the run.)
+//! mid-step at an acoustic-substep boundary (the supervisor and the
+//! dycore poll the one token of the run's context), and before a
+//! rollback-retry (a recovery cycle must not blow through a deadline it
+//! already missed).
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{DistributedDycore, DriverConfig};
 use machine::cancel::{CancelCause, CancelToken};
+use machine::{Faults, RunContext};
 use resilience::{FaultPlan, Supervisor, SupervisorPolicy};
 use std::time::Duration;
 
-fn dycore() -> DistributedDycore {
+/// A dycore running under `cancel` (and `faults`).
+fn dycore(cancel: CancelToken, faults: Faults) -> DistributedDycore {
     let cfg = DriverConfig::six_rank(
         8,
         3,
@@ -29,22 +27,21 @@ fn dycore() -> DistributedDycore {
             nord4_damp: None,
         },
     );
-    DistributedDycore::new(cfg, &ExpansionAttrs::tuned())
-}
-
-/// Hold the process-wide arm lock with an empty plan.
-fn unfaulted() -> machine::faults::ArmGuard {
-    machine::faults::arm(0, Vec::new())
+    let mut d = DistributedDycore::new(cfg, &ExpansionAttrs::tuned());
+    d.set_run(RunContext {
+        cancel,
+        faults,
+        ..RunContext::default()
+    });
+    d
 }
 
 #[test]
 fn pre_fired_token_stops_before_any_step() {
-    let _quiet = unfaulted();
-    let mut d = dycore();
     let token = CancelToken::new();
     token.cancel();
+    let mut d = dycore(token, Faults::inert());
     let mut sup = Supervisor::new(SupervisorPolicy::default());
-    sup.set_cancel_token(token);
     let report = sup.run(&mut d, 5).expect("cancellation is not an error");
     assert_eq!(report.cancelled, Some(CancelCause::Requested));
     assert!(!report.completed());
@@ -55,10 +52,8 @@ fn pre_fired_token_stops_before_any_step() {
 
 #[test]
 fn expired_deadline_reports_deadline_cause() {
-    let _quiet = unfaulted();
-    let mut d = dycore();
+    let mut d = dycore(CancelToken::with_budget(Duration::ZERO), Faults::inert());
     let mut sup = Supervisor::new(SupervisorPolicy::default());
-    sup.set_cancel_token(CancelToken::with_budget(Duration::ZERO));
     let report = sup.run(&mut d, 5).expect("deadline expiry is not an error");
     assert_eq!(report.cancelled, Some(CancelCause::Deadline));
     assert_eq!(report.steps, 0);
@@ -66,10 +61,9 @@ fn expired_deadline_reports_deadline_cause() {
 
 #[test]
 fn armed_unfired_token_completes_full_budget() {
-    let _quiet = unfaulted();
-    let mut d = dycore();
+    let unfired = CancelToken::with_budget(Duration::from_secs(3600));
+    let mut d = dycore(unfired, Faults::inert());
     let mut sup = Supervisor::new(SupervisorPolicy::default());
-    sup.set_cancel_token(CancelToken::with_budget(Duration::from_secs(3600)));
     let report = sup.run(&mut d, 2).expect("unfired token changes nothing");
     assert_eq!(report.cancelled, None);
     assert!(report.completed());
@@ -79,13 +73,11 @@ fn armed_unfired_token_completes_full_budget() {
 
 #[test]
 fn mid_run_cancel_from_another_thread_stops_promptly() {
-    let _quiet = unfaulted();
     let token = CancelToken::new();
     let remote = token.clone();
     let handle = std::thread::spawn(move || {
-        let mut d = dycore();
+        let mut d = dycore(remote, Faults::inert());
         let mut sup = Supervisor::new(SupervisorPolicy::default());
-        sup.set_cancel_token(remote);
         let report = sup.run(&mut d, 100_000).expect("cancel is not an error");
         (report, d.step_index())
     });
@@ -110,14 +102,14 @@ fn retry_loop_yields_to_deadline_instead_of_spinning() {
     // budget the ONLY exit is a cancellation point. The deadline must
     // terminate the rollback-retry cycle.
     let plan = FaultPlan::parse("seed=9;nan@step=0,field=pt,repeat=1").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = dycore(
+        CancelToken::with_budget(Duration::from_millis(300)),
+        plan.arm(),
+    );
     let mut sup = Supervisor::new(SupervisorPolicy {
         max_retries: u32::MAX,
         ..SupervisorPolicy::default()
     });
-    sup.set_cancel_token(CancelToken::with_budget(Duration::from_millis(300)));
     let report = sup
         .run(&mut d, 5)
         .expect("deadline converts an endless retry cycle into a cancelled run");

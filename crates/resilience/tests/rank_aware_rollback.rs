@@ -26,6 +26,16 @@ fn dycore() -> DistributedDycore {
     DistributedDycore::new(cfg, &ExpansionAttrs::tuned())
 }
 
+/// A dycore attached to a run whose only content is `plan`, armed.
+fn faulted(plan: &str) -> DistributedDycore {
+    let mut d = dycore();
+    d.set_run(machine::RunContext {
+        faults: FaultPlan::parse(plan).unwrap().arm(),
+        ..Default::default()
+    });
+    d
+}
+
 fn assert_bit_identical(a: &DistributedDycore, b: &DistributedDycore) {
     assert_eq!(a.step_index(), b.step_index());
     for (r, (sa, sb)) in a.states.iter().zip(&b.states).enumerate() {
@@ -44,10 +54,7 @@ fn assert_bit_identical(a: &DistributedDycore, b: &DistributedDycore) {
 
 #[test]
 fn dropped_halo_message_rolls_back_only_completed_ranks() {
-    let plan = FaultPlan::parse("seed=11;drop").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = faulted("seed=11;drop");
     d.set_rank_schedule(RankSchedule::Parallel);
     // Short hard deadline so the starved rank fails fast instead of
     // waiting out the 10 s default.
@@ -82,10 +89,7 @@ fn dropped_halo_message_rolls_back_only_completed_ranks() {
 
 #[test]
 fn parallel_soft_stall_is_counted_per_waiting_rank() {
-    let plan = FaultPlan::parse("seed=12;stall@ms=80").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = faulted("seed=12;stall@ms=80");
     d.set_rank_schedule(RankSchedule::Parallel);
     // A receive can only wait on a sender that runs beside it: give every
     // rank its own worker, whatever the host (a team of one posts all its
@@ -126,11 +130,6 @@ fn parallel_soft_stall_is_counted_per_waiting_rank() {
 fn restore_from_foreign_checkpoint_rewrites_every_rank() {
     // A checkpoint loaded from another driver instance has no usable
     // basis: the conservative path restores all ranks.
-    //
-    // Unfaulted, but the fault registry is process-global: hold the arm
-    // lock with an empty plan so these steps cannot consume the spec a
-    // sibling test has armed (stopgap; ROADMAP item 1).
-    let _quiet = machine::faults::arm(0, Vec::new());
     let mut a = dycore();
     a.step();
     let ck = fv3core::Checkpoint::capture(&a);

@@ -3,9 +3,6 @@
 //! rollback target, and backoff — alongside per-step health verdicts
 //! and checkpoint writes, and the recovered run still matches a clean
 //! run bit for bit.
-//!
-//! Dedicated test binary: the fault registry is process-global, so the
-//! test holds its `ArmGuard` for the whole body.
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
@@ -30,17 +27,16 @@ fn dycore() -> DistributedDycore {
 
 #[test]
 fn rollback_recovery_streams_retry_health_and_checkpoint_events() {
-    let plan = FaultPlan::parse("seed=1;nan@step=1,field=pt").unwrap();
-    let _guard = plan.arm();
-
     let bus = EventBus::new(256);
     let stream = bus.subscribe_all();
-    let sink = EventSink::for_request(&bus, "r1");
 
     let mut d = dycore();
-    d.set_event_sink(sink.clone());
+    d.set_run(machine::RunContext {
+        sink: EventSink::for_request(&bus, "r1"),
+        faults: FaultPlan::parse("seed=1;nan@step=1,field=pt").unwrap().arm(),
+        ..Default::default()
+    });
     let mut sup = Supervisor::new(SupervisorPolicy::default());
-    sup.set_event_sink(sink);
     let report = sup.run(&mut d, 3).expect("supervised run recovers");
     assert_eq!(report.retries, 1);
 
@@ -96,7 +92,7 @@ fn rollback_recovery_streams_retry_health_and_checkpoint_events() {
     );
 
     // Observation did not perturb recovery: bit-identical to a clean,
-    // unstreamed run (the once-spec retired above, so this is clean).
+    // unstreamed run.
     let mut clean = dycore();
     for _ in 0..3 {
         clean.step();

@@ -1,8 +1,7 @@
 //! Supervised-run recovery under injected faults (ISSUE 5 tentpole).
 //!
-//! Dedicated test binary: the fault registry is process-global, so each
-//! test holds the `ArmGuard` for its entire body (clean comparison runs
-//! included — by then the once-specs have retired, so nothing fires).
+//! Each test arms its plan in the context of the one dycore it faults;
+//! the clean comparison runs carry no plan at all.
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
@@ -26,6 +25,16 @@ fn dycore() -> DistributedDycore {
     DistributedDycore::new(cfg, &ExpansionAttrs::tuned())
 }
 
+/// A dycore attached to a run whose only content is `plan`, armed.
+fn faulted(plan: &str) -> DistributedDycore {
+    let mut d = dycore();
+    d.set_run(machine::RunContext {
+        faults: FaultPlan::parse(plan).unwrap().arm(),
+        ..Default::default()
+    });
+    d
+}
+
 fn assert_bit_identical(a: &DistributedDycore, b: &DistributedDycore) {
     assert_eq!(a.step_index(), b.step_index());
     for (r, (sa, sb)) in a.states.iter().zip(&b.states).enumerate() {
@@ -44,10 +53,7 @@ fn assert_bit_identical(a: &DistributedDycore, b: &DistributedDycore) {
 
 #[test]
 fn nan_blowup_recovers_by_rollback_and_matches_clean_run() {
-    let plan = FaultPlan::parse("seed=1;nan@step=1,field=pt").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = faulted("seed=1;nan@step=1,field=pt");
     let mut sup = Supervisor::new(SupervisorPolicy::default());
     let report = sup.run(&mut d, 3).expect("supervised run recovers");
 
@@ -70,8 +76,7 @@ fn nan_blowup_recovers_by_rollback_and_matches_clean_run() {
         1
     );
 
-    // The recovered run is bit-identical to one that never faulted (the
-    // once-spec retired above, so this run is clean).
+    // The recovered run is bit-identical to one that never faulted.
     let mut clean = dycore();
     for _ in 0..3 {
         clean.step();
@@ -81,12 +86,12 @@ fn nan_blowup_recovers_by_rollback_and_matches_clean_run() {
 
 #[test]
 fn worker_panic_recovers_and_pool_survives() {
-    let plan = FaultPlan::parse("seed=2;panic").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = faulted("seed=2;panic");
     let pool = Pool::new(3);
     d.set_pool(Some(pool.clone()));
+    // The pool's worker sites sit under the sequential schedule's pooled
+    // executor; a rank team runs its kernels inline.
+    d.set_rank_schedule(fv3core::RankSchedule::Sequential);
     let mut sup = Supervisor::new(SupervisorPolicy::default());
     let report = sup.run(&mut d, 2).expect("panic recovered by rollback");
 
@@ -108,12 +113,12 @@ fn worker_panic_recovers_and_pool_survives() {
 
 #[test]
 fn killed_worker_is_rebuilt_and_run_completes() {
-    let plan = FaultPlan::parse("seed=3;kill").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = faulted("seed=3;kill");
     let pool = Pool::new(3);
     d.set_pool(Some(pool.clone()));
+    // The pool's worker sites sit under the sequential schedule's pooled
+    // executor; a rank team runs its kernels inline.
+    d.set_rank_schedule(fv3core::RankSchedule::Sequential);
     let mut sup = Supervisor::new(SupervisorPolicy::default());
     // A killed worker does not corrupt the job (its chunks are re-run by
     // the survivors' work-stealing or checked in by the guard), so the
@@ -129,10 +134,7 @@ fn killed_worker_is_rebuilt_and_run_completes() {
 
 #[test]
 fn stall_past_watchdog_is_detected_and_counted() {
-    let plan = FaultPlan::parse("seed=4;stall@ms=60").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = faulted("seed=4;stall@ms=60");
     let policy = SupervisorPolicy {
         stall_deadline: Some(Duration::from_millis(15)),
         ..SupervisorPolicy::default()
@@ -150,10 +152,7 @@ fn stall_past_watchdog_is_detected_and_counted() {
 fn retries_exhausted_yields_blowup_report_with_span_stack() {
     // A repeatable poison re-fires after every rollback; the supervisor
     // must give up with the full post-mortem.
-    let plan = FaultPlan::parse("seed=5;nan@repeat=1,field=u").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = faulted("seed=5;nan@repeat=1,field=u");
     let policy = SupervisorPolicy {
         max_retries: 2,
         ..SupervisorPolicy::default()
@@ -179,10 +178,7 @@ fn retries_exhausted_yields_blowup_report_with_span_stack() {
 
 #[test]
 fn checkpointing_disabled_fails_fast_without_rollback_basis() {
-    let plan = FaultPlan::parse("seed=6;nan").unwrap();
-    let _guard = plan.arm();
-
-    let mut d = dycore();
+    let mut d = faulted("seed=6;nan");
     let policy = SupervisorPolicy {
         checkpoint_every: 0,
         ..SupervisorPolicy::default()

@@ -1,12 +1,13 @@
 //! Integration: the flight recorder threaded through the distributed
-//! driver — spans from step/acoustic/rank/halo levels, halo byte
-//! counters per edge orientation, and per-rank health sampling, all in
-//! one process-global install (this test binary owns the process).
+//! driver — spans from step/acoustic/rank/halo/kernel levels, halo byte
+//! counters per edge orientation, and per-rank health sampling, all
+//! through the tracer and registry of the context the dycore runs under.
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::driver::{DistributedDycore, DriverConfig};
 use fv3core::RankSchedule;
+use machine::RunContext;
 
 #[test]
 fn driver_step_records_spans_metrics_and_health() {
@@ -33,27 +34,45 @@ fn driver_step_records_spans_metrics_and_health() {
 
     let tracer = obs::Tracer::new();
     let metrics = obs::MetricsRegistry::new();
-    obs::tracing::install_global(&tracer);
-    obs::metrics::install_global(&metrics);
+    d.set_run(RunContext {
+        tracer: Some(tracer.clone()),
+        metrics: Some(metrics.clone()),
+        ..RunContext::default()
+    });
     let mut monitor = fv3::health::HealthMonitor::new().with_tracer(&tracer);
 
     d.step();
     assert!(d.sample_health(&mut monitor, 0));
-    obs::tracing::uninstall_global();
-    obs::metrics::uninstall_global();
+    d.set_run(RunContext::default());
 
     // Span hierarchy: one driver step, n_split acoustic substeps, one
-    // rank span per rank per substep, one halo span per exchanged field
-    // set per substep (u+v vector pair = 2 exchanges, + 4 scalars).
+    // rank span per rank per substep, one halo-exchange span per
+    // exchanged field set per substep (u+v vector pair = 2 exchanges,
+    // + 4 scalars). The rank programs run under the same context, so
+    // their `kernel` spans (and the `halo` span of the marker node each
+    // program carries) sit inside the rank spans.
     let events = tracer.finished();
     let count = |cat: &str| events.iter().filter(|e| e.cat == cat).count();
+    let exchanges: Vec<_> = events
+        .iter()
+        .filter(|e| e.cat == "halo" && e.name == "halo_exchange")
+        .collect();
     assert_eq!(count("step"), 1);
     assert_eq!(count("acoustic"), 2);
     assert_eq!(count("rank"), 2 * d.partition.ranks());
-    assert_eq!(count("halo"), 2 * 6);
+    assert_eq!(exchanges.len(), 2 * 6);
+    assert_eq!(count("halo"), 2 * 6 + 2 * d.partition.ranks());
     // Every halo span is tagged with its traffic.
     for e in events.iter().filter(|e| e.cat == "halo") {
         assert!(e.bytes > 0 && e.points > 0);
+    }
+    // Every kernel span lies inside a rank span of its thread.
+    assert!(count("kernel") >= 2 * d.partition.ranks());
+    for k in events.iter().filter(|e| e.cat == "kernel") {
+        assert!(events.iter().any(|r| r.cat == "rank"
+            && r.tid == k.tid
+            && r.ts_us <= k.ts_us
+            && k.ts_us + k.dur_us <= r.ts_us + r.dur_us));
     }
     // Spans nest: every acoustic span inside the step span's interval.
     let step = events.iter().find(|e| e.cat == "step").unwrap();
@@ -66,7 +85,7 @@ fn driver_step_records_spans_metrics_and_health() {
     for o in comm::Orientation::ALL {
         oriented_total += metrics.counter_value("halo_bytes", &[("orientation", o.label())]);
     }
-    let span_total: u64 = events.iter().filter(|e| e.cat == "halo").map(|e| e.bytes).sum();
+    let span_total: u64 = exchanges.iter().map(|e| e.bytes).sum();
     assert_eq!(oriented_total, span_total);
     assert!(oriented_total > 0);
     // rt=1: corner blocks are all cube corners, so no corner traffic.
@@ -99,11 +118,12 @@ fn driver_step_records_spans_metrics_and_health() {
     d.set_rank_schedule(RankSchedule::Parallel);
     let ptracer = obs::Tracer::new();
     let pmetrics = obs::MetricsRegistry::new();
-    obs::tracing::install_global(&ptracer);
-    obs::metrics::install_global(&pmetrics);
+    d.set_run(RunContext {
+        tracer: Some(ptracer.clone()),
+        metrics: Some(pmetrics.clone()),
+        ..RunContext::default()
+    });
     d.step();
-    obs::tracing::uninstall_global();
-    obs::metrics::uninstall_global();
 
     let pevents = ptracer.finished();
     let pcount = |cat: &str| pevents.iter().filter(|e| e.cat == cat).count();
@@ -121,4 +141,7 @@ fn driver_step_records_spans_metrics_and_health() {
     assert!(pmetrics.gauge_value("overlap_efficiency", &[]).is_some());
     let (bytes_posted, messages_posted) = d.halo_traffic_posted();
     assert!(bytes_posted > 0 && messages_posted > 0);
+    // Nothing of phase 2 reached phase 1's tracer or registry.
+    assert_eq!(tracer.len(), events.len());
+    assert_eq!(metrics.counter_value("driver_steps", &[]), 1);
 }
