@@ -5,11 +5,6 @@
 //!                                         # report the compile bill
 //! forecast_serve submit   [key=value ...] # submit a batch, print one line
 //!                                         # per outcome
-//! forecast_serve run      [key=value ...] # soak: warmup + measured burst,
-//!                                         # emit RUN_metrics.jsonl /
-//!                                         # RUN_health.jsonl /
-//!                                         # RUN_events.jsonl, gate the
-//!                                         # service contract
 //! forecast_serve watch    [key=value ...] # submit a batch and tail its
 //!                                         # live event stream as JSONL,
 //!                                         # one object per line
@@ -19,10 +14,6 @@
 //! forecast_serve cancel   [key=value ...] # submit a long request, cancel
 //!                                         # it mid-run, report the partial
 //!                                         # progress it kept
-//! forecast_serve overload [key=value ...] # drive the engine to 2x
-//!                                         # saturation with mixed lanes,
-//!                                         # gate graceful degradation,
-//!                                         # emit the RUN_*.jsonl artifacts
 //! ```
 //!
 //! Keys (all optional): `requests=N slots=N steps=N tile_n=N nk=N
@@ -34,14 +25,15 @@
 //! Exit codes are the service contract: 0 when every request completed,
 //! 2 when some requests were cancelled / evicted / shed but none
 //! genuinely failed (graceful degradation is not an error), 1 when any
-//! request failed or a gate broke. The serve-soak CI job parses `run`'s
-//! `RUN_metrics.jsonl` and validates `RUN_events.jsonl` for lifecycle
-//! closure; the overload-soak job does the same for `overload`,
-//! including the `request_cancelled` / `request_evicted` /
-//! `request_shed` terminals.
+//! request failed. The serve-soak CI job validates `watch`'s stream for
+//! lifecycle closure; the overload-soak job checks `cancel`'s exit code.
 
-use bench::serve_load::{overload_study, serve_load, ServeLoadConfig};
-use engine::{EngineConfig, ForecastEngine, ForecastResult, Priority, SubmitOptions};
+use engine::{
+    EngineConfig, ForecastEngine, ForecastRequest, ForecastResult, Priority, Scenario,
+    SubmitOptions,
+};
+use fv3::dyn_core::DycoreConfig;
+use fv3core::DriverConfig;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -69,24 +61,67 @@ fn engine_defaults() -> EngineConfig {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: forecast_serve <init|submit|run|watch|status|cancel|overload> \
+        "usage: forecast_serve <init|submit|watch|status|cancel> \
          [requests=N] [slots=N] [steps=N] [tile_n=N] [nk=N] [streaming=0|1] \
          [priority=high|normal|batch] [deadline=SECONDS] [tenant=NAME] [tenant_cap=N]"
     );
     ExitCode::FAILURE
 }
 
+/// The shape of the batch a subcommand submits.
+struct Load {
+    requests: usize,
+    slots: usize,
+    /// Steps per request.
+    steps: u64,
+    tile_n: usize,
+    nk: usize,
+    /// `status` only: run the engine with the event bus installed.
+    streaming: bool,
+}
+
+impl Load {
+    /// The request every tenant submits.
+    fn request(&self) -> ForecastRequest {
+        self.request_with_steps(self.steps)
+    }
+
+    /// The same case with a different step budget (`cancel` needs one it
+    /// will never finish).
+    fn request_with_steps(&self, steps: u64) -> ForecastRequest {
+        let config = DriverConfig::six_rank(
+            self.tile_n,
+            self.nk,
+            DycoreConfig {
+                n_split: 1,
+                k_split: 1,
+                dt: 4.0,
+                dddmp: 0.02,
+                nord4_damp: None,
+            },
+        );
+        ForecastRequest::new(Scenario::BaroclinicWave, config, steps)
+    }
+}
+
 /// Everything the CLI can shape: the load, plus per-request admission
 /// options and the engine's tenant cap.
 struct CliConfig {
-    load: ServeLoadConfig,
+    load: Load,
     opts: SubmitOptions,
     tenant_cap: Option<usize>,
 }
 
 fn parse_config(args: &[String]) -> Result<CliConfig, String> {
     let mut cfg = CliConfig {
-        load: ServeLoadConfig::default(),
+        load: Load {
+            requests: 8,
+            slots: 2,
+            steps: 2,
+            tile_n: 8,
+            nk: 6,
+            streaming: true,
+        },
         opts: SubmitOptions::default(),
         tenant_cap: None,
     };
@@ -247,91 +282,6 @@ fn cmd_submit(cfg: CliConfig) -> ExitCode {
     verdict(failed, degraded)
 }
 
-/// `run`: the measured soak. Emits the JSONL channels and gates the
-/// service contract.
-fn cmd_run(cfg: CliConfig) -> ExitCode {
-    let cfg = cfg.load;
-    println!(
-        "serve soak: {} requests x {} steps over {} slots (c{}L{})",
-        cfg.requests, cfg.steps, cfg.slots, cfg.tile_n, cfg.nk
-    );
-    let rep = serve_load(cfg);
-    std::fs::write("RUN_metrics.jsonl", &rep.metrics_jsonl).expect("write RUN_metrics.jsonl");
-    std::fs::write("RUN_health.jsonl", &rep.health_jsonl).expect("write RUN_health.jsonl");
-    if cfg.streaming {
-        std::fs::write("RUN_events.jsonl", &rep.events_jsonl).expect("write RUN_events.jsonl");
-    }
-    println!(
-        "completed={}/{} failed={} warmup_misses={} steady_state_misses={} warm_acquires={}",
-        rep.completed, rep.requests, rep.failed, rep.warmup_misses, rep.steady_state_misses,
-        rep.warm_acquires
-    );
-    println!(
-        "throughput={:.2} req/s p50={:.3}s p99={:.3}s max={:.3}s over {:.3}s",
-        rep.requests_per_second,
-        rep.p50_latency_seconds,
-        rep.p99_latency_seconds,
-        rep.max_latency_seconds,
-        rep.total_seconds
-    );
-    if cfg.streaming {
-        println!(
-            "streamed: ttfs_p50={:.3}s ttfs_p99={:.3}s step_gap_p99={:.3}s jitter={:.3}s \
-             events={} dropped={}",
-            rep.ttfs_p50_seconds,
-            rep.ttfs_p99_seconds,
-            rep.step_gap_p99_seconds,
-            rep.cadence_jitter_seconds,
-            rep.events_published,
-            rep.events_dropped
-        );
-    }
-
-    let mut bad = Vec::new();
-    if rep.completed != rep.requests as u64 {
-        bad.push(format!(
-            "lost requests: completed {} of {}",
-            rep.completed, rep.requests
-        ));
-    }
-    if rep.failed > 0 {
-        bad.push(format!("{} requests failed", rep.failed));
-    }
-    if rep.warmup_misses == 0 {
-        bad.push("warmup compiled nothing (case not cold?)".to_string());
-    }
-    if rep.steady_state_misses > 0 {
-        bad.push(format!(
-            "steady state recompiled {} kernels after the warmup request",
-            rep.steady_state_misses
-        ));
-    }
-    if !(rep.requests_per_second > 0.0 && rep.p99_latency_seconds > 0.0) {
-        bad.push("degenerate throughput/latency measurement".to_string());
-    }
-    if cfg.streaming {
-        if rep.events_dropped > 0 {
-            bad.push(format!(
-                "sized stream buffer dropped {} events",
-                rep.events_dropped
-            ));
-        }
-        // partial_cmp, not `>`: a NaN p99 must fail the gate too.
-        if rep.ttfs_p99_seconds.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            bad.push("no time-to-first-step observed on the bus".to_string());
-        }
-    }
-    if bad.is_empty() {
-        println!("serve soak ok");
-        ExitCode::SUCCESS
-    } else {
-        for b in &bad {
-            eprintln!("serve soak FAILED: {b}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
 /// `cancel`: the cancellation demo — submit one request with a budget it
 /// could never finish, cancel it once it is running, and report the
 /// partial progress the engine handed back. Exits with the degraded
@@ -380,59 +330,6 @@ fn cmd_cancel(cfg: CliConfig) -> ExitCode {
         stats.submitted, stats.completed, stats.cancelled
     );
     code
-}
-
-/// `overload`: drive the service past saturation and gate graceful
-/// degradation — goodput survives, Batch sheds first, expired work is
-/// evicted, and every offered request reaches exactly one terminal.
-fn cmd_overload(cfg: CliConfig) -> ExitCode {
-    let cfg = cfg.load;
-    println!(
-        "overload study: slots={} queue~{} (c{}L{}, 2x saturation, mixed lanes)",
-        cfg.slots, cfg.requests, cfg.tile_n, cfg.nk
-    );
-    let rep = overload_study(cfg);
-    std::fs::write("RUN_metrics.jsonl", &rep.metrics_jsonl).expect("write RUN_metrics.jsonl");
-    if cfg.streaming {
-        std::fs::write("RUN_events.jsonl", &rep.events_jsonl).expect("write RUN_events.jsonl");
-    }
-    println!(
-        "offered={} admitted={} completed={} failed={} cancelled={} evicted={} shed={} \
-         rejected_queue_full={} rejected_quota={}",
-        rep.offered,
-        rep.admitted,
-        rep.completed,
-        rep.failed,
-        rep.cancelled,
-        rep.evicted,
-        rep.shed,
-        rep.rejected_queue_full,
-        rep.rejected_quota
-    );
-    println!(
-        "goodput={:.2} req/s shed_rate={:.2} p99_high={:.3}s p99_normal={:.3}s \
-         eviction_p99={:.3}s past_deadline_p99={:.3}s over {:.3}s",
-        rep.goodput_rps,
-        rep.shed_rate,
-        rep.p99_latency_high_seconds,
-        rep.p99_latency_normal_seconds,
-        rep.eviction_p99_seconds,
-        rep.eviction_past_deadline_p99_seconds,
-        rep.total_seconds
-    );
-    if cfg.streaming {
-        println!(
-            "streamed: events={} dropped={}",
-            rep.events_published, rep.events_dropped
-        );
-    }
-    if rep.is_clean() {
-        println!("overload study ok: degraded gracefully, nothing lost");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("overload study FAILED: {rep:?}");
-        ExitCode::FAILURE
-    }
 }
 
 /// `watch`: the live front door — submit the batch and tail every event
@@ -568,11 +465,9 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "init" => cmd_init(cfg),
         "submit" => cmd_submit(cfg),
-        "run" => cmd_run(cfg),
         "watch" => cmd_watch(cfg),
         "status" => cmd_status(cfg),
         "cancel" => cmd_cancel(cfg),
-        "overload" => cmd_overload(cfg),
         _ => usage(),
     }
 }

@@ -16,7 +16,7 @@ use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::{Array3, DataId};
 use fv3::dyn_core::{
     build_dycore_program, extract_state, load_state, remap_callback, DycoreConfig, DycoreIds,
-    DycoreProgram, REMAP_CALLBACK,
+    REMAP_CALLBACK,
 };
 use fv3::grid::Grid;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
@@ -61,20 +61,32 @@ impl DriverConfig {
             dycore,
         }
     }
+
+    /// The dycore configuration of the program a rank executes: one
+    /// acoustic substep (the driver runs the `k_split` x `n_split` loops
+    /// itself, exchanging halos between trips).
+    pub(crate) fn substep_dycore(&self) -> DycoreConfig {
+        DycoreConfig {
+            n_split: 1,
+            k_split: 1,
+            ..self.dycore
+        }
+    }
 }
 
 /// A running distributed dycore.
 pub struct DistributedDycore {
     pub config: DriverConfig,
     pub partition: Partition,
-    pub program: DycoreProgram,
     /// Per-rank grids. Behind an `Arc` so a serving engine can share one
     /// computed set of grid metadata across every tenant of a
     /// (scenario, config) case; grids are immutable after construction.
     pub grids: Arc<Vec<Grid>>,
     /// Per-rank prognostic states.
     pub states: Vec<DycoreState>,
-    /// Expanded program (shared by all ranks).
+    /// A rank-substep's expanded graph, for inspection only
+    /// ([`program_graph`](Self::program_graph)); stepping runs the
+    /// step cache's own build of it.
     expanded: Sdfg,
     updater: HaloUpdater,
     /// Driver steps completed since construction or the last restore.
@@ -211,10 +223,11 @@ pub(crate) fn scratch_store<'a>(
 }
 
 impl DistributedDycore {
-    /// Set up the partition, grids, initial states, and the expanded
-    /// program under the given expansion attributes. Rank schedule,
-    /// tuning and team size come from the environment
-    /// ([`RunConfig::from_env`], read here once); see
+    /// Set up the partition, grids and initial states. `attrs` shapes the
+    /// inspection graph ([`program_graph`](Self::program_graph)) only:
+    /// the substep programs that `step` executes are always expanded with
+    /// [`ExpansionAttrs::tuned`]. Rank schedule, tuning and team size come
+    /// from the environment ([`RunConfig::from_env`], read here once); see
     /// [`new_with_grids`](Self::new_with_grids) to pass them in.
     pub fn new(config: DriverConfig, attrs: &ExpansionAttrs) -> Self {
         Self::new_with_grids(config, attrs, None, &RunConfig::from_env())
@@ -235,8 +248,7 @@ impl DistributedDycore {
     ) -> Self {
         let partition = Partition::new(config.tile_n, config.rt);
         let sub_n = partition.sub_n;
-        let program = build_dycore_program(sub_n, config.nk, config.dycore);
-        let mut expanded = program.sdfg.clone();
+        let mut expanded = build_dycore_program(sub_n, config.nk, config.substep_dycore()).sdfg;
         expanded.expand_libraries(attrs);
         dataflow::exec::validate_sdfg(&expanded).expect("dycore program validates");
 
@@ -270,7 +282,6 @@ impl DistributedDycore {
         DistributedDycore {
             config,
             partition,
-            program,
             grids,
             states,
             expanded,
@@ -585,14 +596,8 @@ impl DistributedDycore {
         self.updater.stall_count() + self.parallel_stalls
     }
 
-    /// Replace the expanded program (after optimization passes). The new
-    /// program must share the original's containers/params.
-    pub fn set_program(&mut self, expanded: Sdfg) {
-        dataflow::exec::validate_sdfg(&expanded).expect("optimized program validates");
-        self.expanded = expanded;
-    }
-
-    /// The currently-installed expanded program.
+    /// One rank-substep's graph, expanded under the constructor's `attrs`
+    /// (never autotuned).
     pub fn program_graph(&self) -> &Sdfg {
         &self.expanded
     }

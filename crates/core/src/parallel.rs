@@ -48,9 +48,7 @@ use dataflow::exec::{DataStore, Executor};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::reuse::clear_list;
 use dataflow::{DataId, SplitPrograms};
-use fv3::dyn_core::{
-    build_dycore_program, extract_state, load_state, DycoreConfig, DycoreIds, DycoreProgram,
-};
+use fv3::dyn_core::{build_dycore_program, extract_state, load_state, DycoreIds, DycoreProgram};
 use fv3::state::{DycoreState, HALO};
 use machine::faults::{FaultAction, FireCtx};
 use machine::pool::Pool;
@@ -155,13 +153,8 @@ impl CompiledSubstep {
     /// cross-adopt (their kernel-cache namespaces stay disjoint).
     pub fn build_with_tune(config: &DriverConfig, pool: Option<&Pool>, tuned: bool) -> Self {
         let key = StepKey::of_config(config, tuned);
-        let sub = DycoreConfig {
-            n_split: 1,
-            k_split: 1,
-            ..config.dycore
-        };
         let sub_n = config.tile_n / config.rt;
-        let sub_prog = build_dycore_program(sub_n, config.nk, sub);
+        let sub_prog = build_dycore_program(sub_n, config.nk, config.substep_dycore());
         let mut sub_expanded = sub_prog.sdfg.clone();
         sub_expanded.expand_libraries(&ExpansionAttrs::tuned());
         let tune = tuned.then(|| {

@@ -11,8 +11,8 @@
 //! in `obs` — with modeled byte/flop volumes from the kernel access sets
 //! ([`Kernel::profile`](crate::kernel::Kernel::profile)).
 //! [`ProfileReport::from_events`] folds those events into the aggregated
-//! view rendered by [`report::roofline_table`](crate::report::roofline_table),
-//! so achieved bandwidth and %-of-roofline fall out of a single run.
+//! per-kernel view, so achieved bandwidth and %-of-roofline fall out of
+//! a single run.
 //!
 //! Instrumentation must never perturb results: the profiled path only
 //! reads clocks and the (immutable) kernel structure, never the data
@@ -85,8 +85,8 @@ impl KernelProfileStat {
 }
 
 /// Aggregated statistics for one non-kernel event category (copy, halo,
-/// callback): the attribution that used to be dropped on the floor, leaving
-/// `remap`/`pt_update`/`halo` module rows empty in BENCH_dycore.json.
+/// callback), so host glue is attributed beside the kernels instead of
+/// dropped on the floor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CategoryStat {
     /// Events recorded in this category.

@@ -4,7 +4,6 @@
 
 use crate::graph::{ControlNode, DataflowNode, Sdfg};
 use crate::model::ModelReport;
-use crate::profile::ProfileReport;
 use std::fmt::Write;
 
 /// Render the SDFG as a Graphviz digraph: one cluster per state, nodes in
@@ -95,44 +94,6 @@ pub fn model_table(report: &ModelReport, top: usize) -> String {
     out
 }
 
-/// Render a *measured* profile as a roofline table: top-N kernels by wall
-/// time with achieved bandwidth and the fraction of the bandwidth bound
-/// achieved against `attainable_bandwidth` (bytes/s). This is the
-/// measured counterpart of [`model_table`]'s Fig. 10 ranking.
-pub fn roofline_table(report: &ProfileReport, attainable_bandwidth: f64, top: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<40} {:>6} {:>12} {:>10} {:>7}",
-        "kernel", "inv", "time[us]", "GiB/s", "%bound"
-    );
-    let gib = 1024.0 * 1024.0 * 1024.0;
-    for k in report.ranked().into_iter().take(top) {
-        let _ = writeln!(
-            out,
-            "{:<40} {:>6} {:>12.2} {:>10.2} {:>6.1}%",
-            truncate(&k.name, 40),
-            k.invocations,
-            k.wall_seconds * 1e6,
-            k.achieved_bandwidth() / gib,
-            k.roofline_fraction(attainable_bandwidth) * 100.0
-        );
-    }
-    let _ = writeln!(
-        out,
-        "total kernel time: {:.3} ms over {} launches; achieved {:.2} GiB/s \
-         ({:.1}% of bound); copy {:.3} ms, halo {:.3} ms, callbacks {:.3} ms",
-        report.kernel_seconds * 1e3,
-        report.launches,
-        report.achieved_bandwidth() / gib,
-        report.roofline_fraction(attainable_bandwidth) * 100.0,
-        report.copy_seconds * 1e3,
-        report.halo_seconds * 1e3,
-        report.callback_seconds * 1e3
-    );
-    out
-}
-
 fn truncate(s: &str, n: usize) -> String {
     if s.len() <= n {
         s.to_string()
@@ -202,19 +163,6 @@ mod tests {
         assert!(t.contains("k0"));
         assert!(t.contains("%peak"));
         assert!(t.contains("total kernel time"));
-    }
-
-    #[test]
-    fn roofline_table_renders_measured_profile() {
-        use crate::exec::{DataStore, Executor, NoHooks};
-        let g = sample();
-        let mut store = DataStore::for_sdfg(&g);
-        let tracer = obs::Tracer::new();
-        Executor::serial().run_profiled(&g, &mut store, &[], &mut NoHooks, &tracer);
-        let t = roofline_table(&ProfileReport::from_events(&tracer.finished()), 40.0e9, 10);
-        assert!(t.contains("k0"));
-        assert!(t.contains("%bound"));
-        assert!(t.contains("achieved"));
     }
 
     #[test]

@@ -476,18 +476,9 @@ mod tests {
     use super::*;
     use crate::init::{init_baroclinic, BaroclinicConfig};
     use comm::CubeGeometry;
-    use dataflow::exec::{ExecHooks, Executor};
+    use crate::profiling::RemapHooks;
+    use dataflow::exec::Executor;
     use dataflow::graph::ExpansionAttrs;
-
-    struct RemapHooks<'a> {
-        ids: &'a DycoreIds,
-    }
-    impl ExecHooks for RemapHooks<'_> {
-        fn callback(&mut self, name: &str, store: &mut DataStore) {
-            assert_eq!(name, REMAP_CALLBACK);
-            remap_callback(store, self.ids);
-        }
-    }
 
     fn setup(n: usize, nk: usize) -> (DycoreState, Grid) {
         let geom = CubeGeometry::new(n);
@@ -522,13 +513,43 @@ mod tests {
         let mut store = DataStore::for_sdfg(&g);
         load_state(&mut store, &prog.ids, &state0, &grid);
         let mut hooks = RemapHooks { ids: &prog.ids };
-        let report = Executor::serial().run(&g, &mut store, &prog.params, &mut hooks);
+        // Under the profiler, which must not perturb the answer.
+        let tracer = obs::Tracer::new();
+        let report =
+            Executor::serial().run_profiled(&g, &mut store, &prog.params, &mut hooks, &tracer);
         assert!(report.launches > 0);
         assert_eq!(report.callbacks, config.k_split as u64);
         assert_eq!(
             report.halo_exchanges,
             (config.k_split * config.n_split) as u64
         );
+        // Every executed node is attributed, host glue included: the
+        // `pt_update` copy, the halo markers and the remap callback carry
+        // points and modeled bytes; every dycore module's kernels carry
+        // modeled flops as well.
+        let profile = dataflow::ProfileReport::from_events(&tracer.finished());
+        assert_eq!(profile.launches, report.launches);
+        for (cat, stat) in [
+            ("copy", profile.copy),
+            ("halo", profile.halo),
+            ("callback", profile.callback),
+        ] {
+            assert!(
+                stat.invocations > 0 && stat.points > 0 && stat.modeled_bytes > 0,
+                "{cat} spans are not attributed: {stat:?}"
+            );
+        }
+        for stem in ["c_sw", "riem_solver_c", "d_sw", "fv_tp_2d", "transport_update"] {
+            let of_module: Vec<_> = profile
+                .kernels
+                .iter()
+                .filter(|k| k.name.split('#').next() == Some(stem))
+                .collect();
+            assert!(!of_module.is_empty(), "no kernel of module '{stem}' ran");
+            assert!(of_module.iter().all(|k| k.points > 0 && k.modeled_bytes > 0));
+            let flops: u64 = of_module.iter().map(|k| k.modeled_flops).sum();
+            assert!(flops > 0, "module '{stem}' models no flops");
+        }
         let mut sd = state0.clone();
         extract_state(&store, &prog.ids, &mut sd);
 

@@ -1,10 +1,10 @@
 //! The workspace's one JSON codec — just enough grammar for the
-//! observability artifacts (`BENCH_dycore.json`, chrome traces,
-//! `RUN_*.jsonl`, metric lines). Emitters format their own objects and
-//! escape every string through [`string`]; [`parse`] is the read side for
-//! [`regression::compare_runs`](crate::regression),
+//! observability artifacts (chrome traces, `RUN_*.jsonl`, metric lines).
+//! Emitters format their own objects and escape every string through
+//! [`string`]; [`parse`] is the read side for
 //! [`tracing::parse_chrome_trace`](crate::tracing::parse_chrome_trace),
-//! and tests that assert on emitted lines.
+//! [`Event::parse`](crate::stream::Event::parse) and tests that assert
+//! on emitted lines.
 
 use std::fmt::Write as _;
 

@@ -20,8 +20,6 @@
 //!   completion, health verdicts, supervisor retries, engine ticks) so a
 //!   subscriber can tail a run *while it executes* instead of reading
 //!   reports at the end. Zero-cost when no sink is installed.
-//! * [`regression`] — [`regression::compare_runs`] diffs two
-//!   `BENCH_dycore.json` files and flags per-module slowdowns.
 //! * [`json`] — the one JSON codec: string escaper and reader.
 //!
 //! Nothing here is process-global: a run's tracer, registry and sink
@@ -32,12 +30,10 @@
 pub mod json;
 pub mod metrics;
 pub mod overlap;
-pub mod regression;
 pub mod stream;
 pub mod tracing;
 
-pub use metrics::{emit_jsonl, nearest_rank, HistogramData, MetricsRegistry};
+pub use metrics::{emit_jsonl, HistogramData, MetricsRegistry};
 pub use overlap::OverlapStats;
-pub use regression::{compare_runs, RegressionPolicy, RegressionReport, BENCH_SCHEMA_VERSION};
 pub use stream::{Event, EventBus, EventSink, EventStream, RunEvent, StreamProgress};
 pub use tracing::{SpanGuard, TraceEvent, Tracer};

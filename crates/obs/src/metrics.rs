@@ -74,23 +74,6 @@ impl HistogramData {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample slice — the
-/// estimator behind the serve p50/p99 numbers in `BENCH_dycore.json`
-/// (`bench::serve_load`) and the streamed time-to-first-step SLOs.
-///
-/// Nearest-rank semantics: the smallest sample such that at least `p`
-/// of the distribution is ≤ it (`⌈p·n⌉`, clamped to `[1, n]`). An empty
-/// slice reports 0; a single sample is every percentile of itself;
-/// duplicate-heavy inputs report an actual observed value, never an
-/// interpolation between two.
-pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 #[derive(Debug, Default)]
 struct Registry {
     counters: BTreeMap<Key, u64>,
@@ -300,37 +283,6 @@ mod tests {
             hist.get("value").unwrap().get("mean").unwrap().as_f64(),
             Some(100.0)
         );
-    }
-
-    #[test]
-    fn nearest_rank_handles_edge_distributions() {
-        // Empty: no data, report 0 (the serve report's "no samples" case).
-        assert_eq!(nearest_rank(&[], 0.0), 0.0);
-        assert_eq!(nearest_rank(&[], 0.5), 0.0);
-        assert_eq!(nearest_rank(&[], 0.99), 0.0);
-        // Single sample: every percentile is that sample.
-        for p in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(nearest_rank(&[7.5], p), 7.5);
-        }
-        // Duplicate-heavy: percentiles must be actual observed values and
-        // move through the plateau at the right ranks.
-        let dup = [1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 9.0];
-        assert_eq!(nearest_rank(&dup, 0.10), 1.0);
-        assert_eq!(nearest_rank(&dup, 0.50), 2.0);
-        assert_eq!(nearest_rank(&dup, 0.90), 2.0);
-        assert_eq!(nearest_rank(&dup, 0.99), 9.0);
-        // All-identical: any percentile is the value.
-        let flat = [3.0; 64];
-        assert_eq!(nearest_rank(&flat, 0.50), 3.0);
-        assert_eq!(nearest_rank(&flat, 0.99), 3.0);
-        // p outside [0,1] clamps to the extremes instead of panicking.
-        let v = [1.0, 2.0, 3.0];
-        assert_eq!(nearest_rank(&v, -0.5), 1.0);
-        assert_eq!(nearest_rank(&v, 1.5), 3.0);
-        // Two samples: p50 is the lower, p99 the upper (no interpolation).
-        let two = [1.0, 100.0];
-        assert_eq!(nearest_rank(&two, 0.50), 1.0);
-        assert_eq!(nearest_rank(&two, 0.99), 100.0);
     }
 
     #[test]

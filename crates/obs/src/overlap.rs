@@ -8,9 +8,7 @@
 //! 900 µs computing its interior and then only 50 µs blocked in
 //! `recv` has overlapped most of an exchange that costs the sequential
 //! schedule its full wire time. [`OverlapStats`] aggregates those
-//! timings across ranks and substeps; the driver exposes them per step
-//! and the weak-scaling study (EXPERIMENTS.md, the measured analogue of
-//! the paper's Fig. 11) records them per resolution.
+//! timings across ranks and substeps; the driver exposes them per step.
 
 use std::time::Duration;
 

@@ -1,12 +1,12 @@
 //! `obs::stream`: the live telemetry plane — a bounded, drop-oldest
 //! broadcast bus carrying typed [`RunEvent`]s while a forecast runs.
 //!
-//! The rest of the obs stack is report-at-end: `ForecastReport`,
-//! `RUN_health.jsonl`, and `BENCH_dycore.json` only materialize after a
-//! request finishes. This module is the streaming rung: producers
-//! (the dycore driver's step loop, the supervisor, the serving engine)
-//! publish events through an [`EventSink`]; consumers subscribe to an
-//! [`EventBus`] and tail the run live (`forecast_serve watch`).
+//! The rest of the obs stack is report-at-end: `ForecastReport` and
+//! `RUN_health.jsonl` only materialize after a request finishes. This
+//! module is the streaming rung: producers (the dycore driver's step
+//! loop, the supervisor, the serving engine) publish events through an
+//! [`EventSink`]; consumers subscribe to an [`EventBus`] and tail the
+//! run live (`forecast_serve watch`).
 //!
 //! Three invariants keep it safe on the hot path:
 //!

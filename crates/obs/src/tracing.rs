@@ -206,13 +206,6 @@ impl Tracer {
         lock(&self.inner.finished).clear();
     }
 
-    /// Append events derived from already-recorded ones (e.g. module
-    /// spans grouped over this tracer's kernel events); they are taken
-    /// as-is, so they must already be on this tracer's clock and `tid`s.
-    pub fn absorb_events(&self, events: impl IntoIterator<Item = TraceEvent>) {
-        lock(&self.inner.finished).extend(events);
-    }
-
     /// Serialize all closed spans as chrome-trace JSON ("Trace Event
     /// Format" `ph: "X"` complete events, loadable in `about://tracing` /
     /// Perfetto), sorted per thread by start time with longer (enclosing)

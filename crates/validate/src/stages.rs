@@ -11,30 +11,15 @@
 
 use crate::compare::{compare_savepoint, Divergence, Tolerances};
 use crate::savepoint::{Capture, Savepoint};
-use dataflow::exec::{validate_sdfg, DataStore, ExecHooks, Executor, VmMode};
+use dataflow::exec::{validate_sdfg, DataStore, Executor, VmMode};
 use dataflow::graph::ExpansionAttrs;
 use dataflow::model::CostModel;
-use fv3::dyn_core::{
-    build_dycore_program, extract_state, load_state, remap_callback, DycoreConfig, DycoreIds,
-    REMAP_CALLBACK,
-};
+use fv3::dyn_core::{build_dycore_program, extract_state, load_state, DycoreConfig};
 use fv3::grid::Grid;
+use fv3::profiling::RemapHooks;
 use fv3::state::DycoreState;
 use fv3core::pipeline::{run_pipeline, PipelineStage};
 use machine::Pool;
-
-/// The driver-side hooks a single-rank dycore execution needs: the
-/// vertical-remap callback (halo exchanges stay no-ops).
-struct RemapHooks<'a> {
-    ids: &'a DycoreIds,
-}
-
-impl ExecHooks for RemapHooks<'_> {
-    fn callback(&mut self, name: &str, store: &mut DataStore) {
-        assert_eq!(name, REMAP_CALLBACK);
-        remap_callback(store, self.ids);
-    }
-}
 
 /// Run the dycore program optimized *through* `stage` on `state0`,
 /// returning the resulting prognostic state.

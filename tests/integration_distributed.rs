@@ -43,7 +43,7 @@ fn twenty_four_rank_decomposition_matches_rank_structure() {
 }
 
 #[test]
-fn expansion_mode_does_not_change_distributed_results() {
+fn two_fresh_instances_step_bit_identically() {
     let mut a = DistributedDycore::new(config(8, 1, 4), &ExpansionAttrs::tuned());
     let mut b = DistributedDycore::new(config(8, 1, 4), &ExpansionAttrs::tuned());
     a.step();

@@ -3,22 +3,13 @@
 //! performance engineering was accomplished without modifying the
 //! user-code" means numerics must survive every transformation.
 
-use dataflow::exec::{DataStore, ExecHooks, Executor};
+use dataflow::exec::{DataStore, Executor};
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::*;
 use fv3::grid::Grid;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
+use fv3::profiling::RemapHooks;
 use fv3::state::DycoreState;
-
-struct Hooks<'a> {
-    ids: &'a DycoreIds,
-}
-impl ExecHooks for Hooks<'_> {
-    fn callback(&mut self, name: &str, store: &mut DataStore) {
-        assert_eq!(name, REMAP_CALLBACK);
-        remap_callback(store, self.ids);
-    }
-}
 
 fn setup(n: usize, nk: usize) -> (DycoreState, Grid) {
     let geom = comm::CubeGeometry::new(n);
@@ -36,7 +27,7 @@ fn run_program(
 ) -> DycoreState {
     let mut store = DataStore::for_sdfg(g);
     load_state(&mut store, &prog.ids, state0, grid);
-    let mut hooks = Hooks { ids: &prog.ids };
+    let mut hooks = RemapHooks { ids: &prog.ids };
     Executor::serial().run(g, &mut store, &prog.params, &mut hooks);
     let mut out = state0.clone();
     extract_state(&store, &prog.ids, &mut out);
