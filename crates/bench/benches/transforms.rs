@@ -1,14 +1,12 @@
-//! Ablation benchmarks for the design decisions DESIGN.md calls out:
-//! fused vs unfused kernels (real executed data movement), and the
-//! bytecode VM vs tree-walking interpretation of tasklet bodies.
+//! Ablation benchmark for a design decision DESIGN.md calls out: fused vs
+//! unfused kernels (real executed data movement). Tile programs vs
+//! tree-walking interpretation of tasklet bodies is `vm_ablation`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dataflow::bytecode;
 use dataflow::exec::{DataStore, Executor, NoHooks};
-use dataflow::expr::{DataId, EvalCtx, LocalId, Offset3, ParamId};
+use dataflow::expr::DataId;
 use dataflow::graph::{DataflowNode, Sdfg, State};
 use dataflow::kernel::{Domain, KOrder, Kernel, LValue, Schedule, Stmt};
-use dataflow::storage::Axis;
 use dataflow::transforms::fusion::greedy_subgraph_fusion;
 use dataflow::{Array3, Expr};
 
@@ -40,32 +38,6 @@ fn chain_program() -> Sdfg {
     g
 }
 
-struct TreeCtx<'a> {
-    arr: &'a Array3,
-    i: i64,
-    j: i64,
-    k: i64,
-}
-impl EvalCtx for TreeCtx<'_> {
-    fn load(&self, _d: DataId, o: Offset3) -> f64 {
-        self.arr
-            .get(self.i + o.i as i64, self.j + o.j as i64, self.k + o.k as i64)
-    }
-    fn local(&self, _l: LocalId) -> f64 {
-        0.0
-    }
-    fn param(&self, _p: ParamId) -> f64 {
-        0.0
-    }
-    fn index(&self, ax: Axis) -> i64 {
-        match ax {
-            Axis::I => self.i,
-            Axis::J => self.j,
-            Axis::K => self.k,
-        }
-    }
-}
-
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("transforms");
     group.sample_size(15);
@@ -85,69 +57,6 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Bytecode VM vs tree interpretation of one stencil expression.
-    let expr = Expr::load(DataId(0), -1, 0, 0)
-        + Expr::load(DataId(0), 1, 0, 0)
-        + Expr::load(DataId(0), 0, -1, 0)
-        + Expr::load(DataId(0), 0, 1, 0)
-        - Expr::c(4.0) * Expr::load(DataId(0), 0, 0, 0);
-    let l = dataflow::Layout::fv3_default([N, N, NK], [1, 1, 0]);
-    let arr = Array3::from_fn(l, |i, j, k| ((i * 3 + j * 5 + k) % 7) as f64);
-    let prog = bytecode::compile(&expr, &|_| 0);
-
-    struct VmView<'a> {
-        arr: &'a Array3,
-        i: i64,
-        j: i64,
-        k: i64,
-    }
-    impl bytecode::VmCtx for VmView<'_> {
-        fn load(&self, _slot: u16, o: Offset3) -> f64 {
-            self.arr
-                .get(self.i + o.i as i64, self.j + o.j as i64, self.k + o.k as i64)
-        }
-        fn local(&self, _l: u16) -> f64 {
-            0.0
-        }
-        fn param(&self, _p: u16) -> f64 {
-            0.0
-        }
-        fn index(&self, ax: Axis) -> i64 {
-            match ax {
-                Axis::I => self.i,
-                Axis::J => self.j,
-                Axis::K => self.k,
-            }
-        }
-    }
-
-    group.bench_function("tasklet_tree_interpreter", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for k in 0..NK as i64 {
-                for j in 0..N as i64 {
-                    for i in 0..N as i64 {
-                        acc += expr.eval(&TreeCtx { arr: &arr, i, j, k });
-                    }
-                }
-            }
-            acc
-        })
-    });
-    group.bench_function("tasklet_bytecode_vm", |b| {
-        b.iter(|| {
-            let mut regs = vec![0.0f64; prog.n_regs as usize];
-            let mut acc = 0.0;
-            for k in 0..NK as i64 {
-                for j in 0..N as i64 {
-                    for i in 0..N as i64 {
-                        acc += bytecode::run(&prog, &VmView { arr: &arr, i, j, k }, &mut regs);
-                    }
-                }
-            }
-            acc
-        })
-    });
     group.finish();
 }
 

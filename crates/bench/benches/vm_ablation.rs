@@ -1,8 +1,8 @@
 //! Ablation of the execution engine (ISSUE 4): the same representative
 //! d_sw-style kernel timed three ways —
 //!
-//! * `scalar_vm`      — per-column scalar VM, compiled on every launch
-//!   (the engine before this work),
+//! * `scalar_vm`      — the per-column reference (`VmMode::Scalar`, a
+//!   tree walk per point), compiled on every launch,
 //! * `vectorized_vm`  — tile VM, still compiled (and lowered) on every
 //!   launch (isolates the tile VM win),
 //! * `vectorized_cached` — tile VM executing a pre-compiled kernel

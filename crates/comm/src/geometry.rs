@@ -91,16 +91,6 @@ impl Edge {
         }
     }
 
-    /// Halo cell at depth `d` beyond this edge with edge parameter `t`.
-    pub fn halo_cell(&self, n: i64, d: i64, t: i64) -> (i64, i64) {
-        match self {
-            Edge::West => (-1 - d, t),
-            Edge::East => (n + d, t),
-            Edge::South => (t, -1 - d),
-            Edge::North => (t, n + d),
-        }
-    }
-
     /// Index 0..4.
     pub fn idx(&self) -> usize {
         match self {

@@ -142,7 +142,7 @@ impl CompiledSubstep {
     /// executor to `pool`. Kernel compilation itself is lazy: the first
     /// run through each executor populates its cache.
     /// When `tuned`, the expanded substep program is run through
-    /// [`tuning::autotune_vetted`] (cross-module fusion, then cutout
+    /// [`tuning::autotune_vetted_scored`] (cross-module fusion, then cutout
     /// search + pattern transfer over every state, each committed step
     /// confirmed by measured re-execution at this build's size) *before*
     /// the interior/rind split, so the overlapped schedule executes the

@@ -1,221 +1,22 @@
-//! Register bytecode for tasklet bodies — the "code generation" stage.
+//! Tile programs for tasklet bodies — the "code generation" stage.
 //!
 //! DaCe generates C++/CUDA from expanded SDFGs; the equivalent stage here
-//! compiles each statement's expression tree into a flat register program
-//! executed by a small VM. This removes tree-walking overhead from the
-//! per-grid-point inner loop (the ablation bench `transforms` measures the
-//! difference) and gives strength-reduction transformations a concrete
-//! instruction to lower to ([`Instr::PowI`]).
+//! lowers each statement's expression tree once, straight into the
+//! operand-form [`TileProgram`] production runs: leaves as operands,
+//! common subexpressions computed once, a register file sized by tree
+//! depth, executed over 2-D tiles of points ([`run_tile`]). This removes
+//! tree-walking overhead from the per-grid-point inner loop (the ablation
+//! bench `vm_ablation` measures the difference) and gives
+//! strength-reduction transformations a concrete instruction to lower to
+//! ([`Op::PowI`]).
 //!
-//! Two VMs execute it. [`run`] evaluates a [`Program`] one point at a
-//! time and is the reference every bit-identity test compares against.
-//! Production runs the [`TileProgram`] that [`lower`] derives from it —
-//! leaves as operands, common subexpressions computed once, a register
-//! file sized by tree depth — over 2-D tiles of points ([`run_tile`]).
+//! There is no second executable form. The reference every bit-identity
+//! test compares against is the expression itself, walked per point by
+//! [`Expr::eval`].
 
-use crate::expr::{apply_bin, apply_cmp, apply_powi, apply_un, BinOp, CmpOp, Expr, Offset3, UnOp};
+use crate::expr::{apply_bin, apply_cmp, apply_powi, apply_un, BinOp, CmpOp, DataId, Expr, Offset3, UnOp};
 use crate::storage::Axis;
 use std::collections::HashMap;
-
-/// One VM instruction. Registers are `u16` indices into a per-thread
-/// register file of `f64`s.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Instr {
-    /// `r[dst] = val`
-    Const { dst: u16, val: f64 },
-    /// `r[dst] = params[p]`
-    Param { dst: u16, p: u16 },
-    /// `r[dst] = field[slot] at current point + off`
-    Load { dst: u16, slot: u16, off: Offset3 },
-    /// `r[dst] = locals[l]`
-    LoadLocal { dst: u16, l: u16 },
-    /// `r[dst] = un(op, r[a])`
-    Un { op: UnOp, dst: u16, a: u16 },
-    /// `r[dst] = bin(op, r[a], r[b])`
-    Bin { op: BinOp, dst: u16, a: u16, b: u16 },
-    /// `r[dst] = cmp(op, r[a], r[b]) ? 1.0 : 0.0`
-    Cmp { op: CmpOp, dst: u16, a: u16, b: u16 },
-    /// `r[dst] = r[c] != 0 ? r[a] : r[b]`
-    Select { dst: u16, c: u16, a: u16, b: u16 },
-    /// `r[dst] = current index along axis`
-    Index { dst: u16, axis: Axis },
-    /// `r[dst] = r[a]^n` by repeated multiplication (strength-reduced pow)
-    PowI { dst: u16, a: u16, n: i32 },
-}
-
-/// A compiled expression: instructions leaving the result in `result`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Program {
-    pub instrs: Vec<Instr>,
-    pub result: u16,
-    pub n_regs: u16,
-}
-
-/// Compile an expression tree. `slot_of` maps a [`crate::expr::DataId`] to
-/// the kernel-local field slot used by `Instr::Load`.
-pub fn compile(expr: &Expr, slot_of: &impl Fn(crate::expr::DataId) -> u16) -> Program {
-    let mut instrs = Vec::with_capacity(expr.size());
-    let mut next = 0u16;
-    let result = emit(expr, slot_of, &mut instrs, &mut next);
-    Program {
-        instrs,
-        result,
-        n_regs: next,
-    }
-}
-
-fn alloc(next: &mut u16) -> u16 {
-    let r = *next;
-    *next = next.checked_add(1).expect("expression too large for u16 registers");
-    r
-}
-
-fn emit(
-    e: &Expr,
-    slot_of: &impl Fn(crate::expr::DataId) -> u16,
-    out: &mut Vec<Instr>,
-    next: &mut u16,
-) -> u16 {
-    match e {
-        Expr::Const(v) => {
-            let dst = alloc(next);
-            out.push(Instr::Const { dst, val: *v });
-            dst
-        }
-        Expr::Param(p) => {
-            let dst = alloc(next);
-            out.push(Instr::Param {
-                dst,
-                p: p.0 as u16,
-            });
-            dst
-        }
-        Expr::Load(d, o) => {
-            let dst = alloc(next);
-            out.push(Instr::Load {
-                dst,
-                slot: slot_of(*d),
-                off: *o,
-            });
-            dst
-        }
-        Expr::Local(l) => {
-            let dst = alloc(next);
-            out.push(Instr::LoadLocal {
-                dst,
-                l: l.0 as u16,
-            });
-            dst
-        }
-        Expr::Index(ax) => {
-            let dst = alloc(next);
-            out.push(Instr::Index { dst, axis: *ax });
-            dst
-        }
-        Expr::Un(op, a) => {
-            let ra = emit(a, slot_of, out, next);
-            let dst = alloc(next);
-            out.push(Instr::Un { op: *op, dst, a: ra });
-            dst
-        }
-        Expr::Powi(a, n) => {
-            let ra = emit(a, slot_of, out, next);
-            let dst = alloc(next);
-            out.push(Instr::PowI { dst, a: ra, n: *n });
-            dst
-        }
-        Expr::Bin(op, a, b) => {
-            // Note: integer `Bin(Pow, x, Const(n))` deliberately stays a
-            // general powf call — exactly the inefficiency the paper found
-            // in generated code. The power transformation rewrites such
-            // trees to `Expr::Powi`, which compiles to `Instr::PowI`.
-            let ra = emit(a, slot_of, out, next);
-            let rb = emit(b, slot_of, out, next);
-            let dst = alloc(next);
-            out.push(Instr::Bin {
-                op: *op,
-                dst,
-                a: ra,
-                b: rb,
-            });
-            dst
-        }
-        Expr::Cmp(op, a, b) => {
-            let ra = emit(a, slot_of, out, next);
-            let rb = emit(b, slot_of, out, next);
-            let dst = alloc(next);
-            out.push(Instr::Cmp {
-                op: *op,
-                dst,
-                a: ra,
-                b: rb,
-            });
-            dst
-        }
-        Expr::Select(c, a, b) => {
-            let rc = emit(c, slot_of, out, next);
-            let ra = emit(a, slot_of, out, next);
-            let rb = emit(b, slot_of, out, next);
-            let dst = alloc(next);
-            out.push(Instr::Select {
-                dst,
-                c: rc,
-                a: ra,
-                b: rb,
-            });
-            dst
-        }
-    }
-}
-
-/// Per-point execution context for the VM.
-pub trait VmCtx {
-    /// Read field `slot` at the current point plus `off`.
-    fn load(&self, slot: u16, off: Offset3) -> f64;
-    /// Read per-thread local `l`.
-    fn local(&self, l: u16) -> f64;
-    /// Scalar parameter `p`.
-    fn param(&self, p: u16) -> f64;
-    /// Current global index along `axis`.
-    fn index(&self, axis: Axis) -> i64;
-}
-
-/// Execute a compiled program; returns the result register value.
-///
-/// `regs` must have at least `program.n_regs` entries and is reused across
-/// points to avoid allocation in the inner loop.
-#[inline]
-pub fn run<C: VmCtx>(program: &Program, ctx: &C, regs: &mut [f64]) -> f64 {
-    for ins in &program.instrs {
-        match *ins {
-            Instr::Const { dst, val } => regs[dst as usize] = val,
-            Instr::Param { dst, p } => regs[dst as usize] = ctx.param(p),
-            Instr::Load { dst, slot, off } => regs[dst as usize] = ctx.load(slot, off),
-            Instr::LoadLocal { dst, l } => regs[dst as usize] = ctx.local(l),
-            Instr::Un { op, dst, a } => regs[dst as usize] = apply_un(op, regs[a as usize]),
-            Instr::Bin { op, dst, a, b } => {
-                regs[dst as usize] = apply_bin(op, regs[a as usize], regs[b as usize])
-            }
-            Instr::Cmp { op, dst, a, b } => {
-                regs[dst as usize] = if apply_cmp(op, regs[a as usize], regs[b as usize]) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Instr::Select { dst, c, a, b } => {
-                regs[dst as usize] = if regs[c as usize] != 0.0 {
-                    regs[a as usize]
-                } else {
-                    regs[b as usize]
-                }
-            }
-            Instr::Index { dst, axis } => regs[dst as usize] = ctx.index(axis) as f64,
-            Instr::PowI { dst, a, n } => regs[dst as usize] = apply_powi(regs[a as usize], n),
-        }
-    }
-    regs[program.result as usize]
-}
 
 /// Lanes per tile register: a tile is up to this many points, laid out as
 /// consecutive j-rows of consecutive i-lanes. 256 lanes (2 KiB) keeps a
@@ -295,38 +96,49 @@ enum Key {
     Op(Op<u32>),
 }
 
-/// Lower a statement's register program to operand form: value-number the
-/// instruction stream (statement-level CSE — no reassociation, so results
-/// stay bit-exact), then assign registers by a linear scan that frees a
-/// value's register at its last use. Scope is one statement: a later
-/// statement may have overwritten the fields an earlier one read.
-pub fn lower(p: &Program) -> TileProgram {
-    let mut numbered: HashMap<Key, u32> = HashMap::new();
+/// Number `e`'s value, operands first: `keys` lists each distinct value
+/// once, in the post-order of its first occurrence in the tree.
+fn number(
+    e: &Expr,
+    slot_of: &impl Fn(DataId) -> u16,
+    numbered: &mut HashMap<Key, u32>,
+    keys: &mut Vec<Key>,
+) -> u32 {
+    let mut v = |e: &Expr| number(e, slot_of, numbered, keys);
+    let key = match e {
+        Expr::Const(val) => Key::Const(val.to_bits()),
+        Expr::Param(p) => Key::Param(p.0 as u16),
+        Expr::Load(d, off) => Key::Field(slot_of(*d), *off),
+        Expr::Local(l) => Key::Local(l.0 as u16),
+        Expr::Index(axis) => Key::Op(Op::Index(*axis)),
+        Expr::Un(op, a) => Key::Op(Op::Un(*op, v(a))),
+        Expr::Powi(a, n) => Key::Op(Op::PowI(v(a), *n)),
+        // Integer `Bin(Pow, x, Const(n))` deliberately stays a general
+        // powf call — exactly the inefficiency the paper found in
+        // generated code. The power transformation rewrites such trees to
+        // `Expr::Powi`, which lowers to `Op::PowI`.
+        Expr::Bin(op, a, b) => Key::Op(Op::Bin(*op, v(a), v(b))),
+        Expr::Cmp(op, a, b) => Key::Op(Op::Cmp(*op, v(a), v(b))),
+        Expr::Select(c, a, b) => Key::Op(Op::Select(v(c), v(a), v(b))),
+    };
+    let fresh = keys.len() as u32;
+    *numbered.entry(key).or_insert_with(|| {
+        keys.push(key);
+        fresh
+    })
+}
+
+/// Lower a statement's expression to operand form: value-number the tree
+/// (statement-level CSE — no reassociation, so results stay bit-exact),
+/// then assign registers by a linear scan that frees a value's register at
+/// its last use. `slot_of` maps a [`DataId`] to the kernel-local field slot
+/// of a [`Src::Field`]. Scope is one statement: a later statement may have
+/// overwritten the fields an earlier one read.
+pub fn lower(expr: &Expr, slot_of: &impl Fn(DataId) -> u16) -> TileProgram {
     let mut keys: Vec<Key> = Vec::new();
-    let mut vn = vec![0u32; p.n_regs as usize];
-    for ins in &p.instrs {
-        let v = |r: u16| vn[r as usize];
-        let (dst, key) = match *ins {
-            Instr::Const { dst, val } => (dst, Key::Const(val.to_bits())),
-            Instr::Param { dst, p } => (dst, Key::Param(p)),
-            Instr::Load { dst, slot, off } => (dst, Key::Field(slot, off)),
-            Instr::LoadLocal { dst, l } => (dst, Key::Local(l)),
-            Instr::Un { op, dst, a } => (dst, Key::Op(Op::Un(op, v(a)))),
-            Instr::Bin { op, dst, a, b } => (dst, Key::Op(Op::Bin(op, v(a), v(b)))),
-            Instr::Cmp { op, dst, a, b } => (dst, Key::Op(Op::Cmp(op, v(a), v(b)))),
-            Instr::Select { dst, c, a, b } => (dst, Key::Op(Op::Select(v(c), v(a), v(b)))),
-            Instr::Index { dst, axis } => (dst, Key::Op(Op::Index(axis))),
-            Instr::PowI { dst, a, n } => (dst, Key::Op(Op::PowI(v(a), n))),
-        };
-        let fresh = keys.len() as u32;
-        vn[dst as usize] = *numbered.entry(key).or_insert_with(|| {
-            keys.push(key);
-            fresh
-        });
-    }
-    // The program is an expression tree in post-order, so its root is the
-    // one value nothing else uses and was numbered last.
-    debug_assert_eq!(vn[p.result as usize] as usize, keys.len() - 1);
+    let root = number(expr, slot_of, &mut HashMap::new(), &mut keys);
+    // The root is the one value nothing else uses, so it was numbered last.
+    debug_assert_eq!(root as usize, keys.len() - 1);
 
     let mut last_use = vec![0usize; keys.len()];
     for (n, key) in keys.iter().enumerate() {
@@ -454,8 +266,10 @@ macro_rules! per_op {
 /// `resolve` turns a `Field`/`Local` operand into a [`View`], `index0` is
 /// the global `(i, j, k)` of row 0 lane 0, and the last instruction's
 /// value lands in `out`. Every lane applies the same `apply_un` /
-/// `apply_bin` / `apply_cmp` as [`run`], on the same operands in the same
-/// order, so each point gets bit for bit what the scalar VM gives it.
+/// `apply_bin` / `apply_cmp` as [`Expr::eval`], on the same operands in
+/// the same order, so each point gets bit for bit what the tree walk gives
+/// it (an untaken `Select` branch is computed here and skipped there; its
+/// value is discarded either way).
 ///
 /// # Safety
 /// `p` comes from [`lower`], `params` covers its `Param`s and
@@ -532,63 +346,8 @@ pub unsafe fn run_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{DataId, EvalCtx, LocalId, ParamId};
+    use crate::expr::{EvalCtx, LocalId, ParamId};
     use rand::{Rng, SeedableRng};
-
-    /// Shared context implementing both the tree-walking EvalCtx and VmCtx
-    /// so we can cross-validate.
-    struct Ctx {
-        field: Vec<f64>, // value per (slot, small offset hash)
-        params: Vec<f64>,
-        locals: Vec<f64>,
-        idx: [i64; 3],
-    }
-
-    fn key(slot: u16, off: Offset3) -> usize {
-        (slot as usize) * 125
-            + ((off.i + 2) as usize) * 25
-            + ((off.j + 2) as usize) * 5
-            + (off.k + 2) as usize
-    }
-
-    impl VmCtx for Ctx {
-        fn load(&self, slot: u16, off: Offset3) -> f64 {
-            self.field[key(slot, off)]
-        }
-        fn local(&self, l: u16) -> f64 {
-            self.locals[l as usize]
-        }
-        fn param(&self, p: u16) -> f64 {
-            self.params[p as usize]
-        }
-        fn index(&self, axis: Axis) -> i64 {
-            self.idx[axis.idx()]
-        }
-    }
-
-    impl EvalCtx for Ctx {
-        fn load(&self, d: DataId, o: Offset3) -> f64 {
-            self.field[key(d.0 as u16, o)]
-        }
-        fn local(&self, l: LocalId) -> f64 {
-            self.locals[l.0]
-        }
-        fn param(&self, p: ParamId) -> f64 {
-            self.params[p.0]
-        }
-        fn index(&self, axis: Axis) -> i64 {
-            self.idx[axis.idx()]
-        }
-    }
-
-    fn ctx(rng: &mut impl Rng) -> Ctx {
-        Ctx {
-            field: (0..500).map(|_| rng.gen_range(0.1..4.0)).collect(),
-            params: (0..4).map(|_| rng.gen_range(0.1..2.0)).collect(),
-            locals: (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-            idx: [3, 4, 5],
-        }
-    }
 
     /// Random expression generator over safe domains (positive field
     /// values so log/sqrt/pow stay finite).
@@ -649,29 +408,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn vm_matches_tree_interpreter_on_random_expressions() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5eed);
-        for case in 0..200 {
-            let e = random_expr(&mut rng, 4);
-            let c = ctx(&mut rng);
-            let p = compile(&e, &|d| d.0 as u16);
-            let mut regs = vec![0.0; p.n_regs as usize];
-            let vm = run(&p, &c, &mut regs);
-            let tree = e.eval(&c);
-            let close = if vm.is_nan() && tree.is_nan() {
-                true
-            } else {
-                let denom = 1.0f64.max(tree.abs());
-                ((vm - tree) / denom).abs() < 1e-12
-            };
-            assert!(close, "case {case}: vm={vm} tree={tree} expr={e:?}");
-        }
-    }
-
-    /// Deterministic point-dependent test world shared by the scalar and
-    /// tile runs below: field/local values vary with the absolute index
-    /// so lane mismatches cannot hide behind uniform data.
+    /// Deterministic point-dependent test world shared by the tree walk
+    /// and the tile runs below: field/local values vary with the absolute
+    /// index so lane mismatches cannot hide behind uniform data.
     fn world_field(slot: u16, off: Offset3, i: i64, j: i64, k: i64) -> f64 {
         0.25 + ((slot as i64 * 37
             + (i + off.i as i64) * 7
@@ -685,33 +424,37 @@ mod tests {
         ((l as i64 * 13 + i * 11).rem_euclid(19)) as f64 * 0.05 - 0.4
     }
 
-    struct PointWorld {
-        params: Vec<f64>,
+    struct PointWorld<'a> {
+        params: &'a [f64],
         i: i64,
         j: i64,
         k: i64,
     }
 
-    impl VmCtx for PointWorld {
-        fn load(&self, slot: u16, off: Offset3) -> f64 {
-            world_field(slot, off, self.i, self.j, self.k)
+    impl EvalCtx for PointWorld<'_> {
+        fn load(&self, d: DataId, off: Offset3) -> f64 {
+            world_field(slot(d), off, self.i, self.j, self.k)
         }
-        fn local(&self, l: u16) -> f64 {
-            world_local(l, self.i)
+        fn local(&self, l: LocalId) -> f64 {
+            world_local(l.0 as u16, self.i)
         }
-        fn param(&self, p: u16) -> f64 {
-            self.params[p as usize]
+        fn param(&self, p: ParamId) -> f64 {
+            self.params[p.0]
         }
         fn index(&self, axis: Axis) -> i64 {
             [self.i, self.j, self.k][axis.idx()]
         }
     }
 
-    /// Run `p` lowered over a `rows × w` tile of the test world and check
-    /// every point against the scalar VM.
-    fn check_tile(p: &Program, params: &[f64], origin: (i64, i64, i64), rows: usize, w: usize) {
+    fn slot(d: DataId) -> u16 {
+        d.0 as u16
+    }
+
+    /// Run `e` lowered over a `rows × w` tile of the test world and check
+    /// every point against the tree walk.
+    fn check_tile(e: &Expr, params: &[f64], origin: (i64, i64, i64), rows: usize, w: usize) {
         let (i0, j0, k) = origin;
-        let tile = lower(p);
+        let tile = lower(e, &slot);
         let mut regs = vec![0.0; (tile.n_regs as usize + TILE_SCRATCH) * TILE_LANES];
         let mut out = vec![0.0; rows * w];
         let at = |n: usize| (i0 + (n % w) as i64, j0 + (n / w) as i64);
@@ -734,12 +477,10 @@ mod tests {
                 View { ptr: leaf.1.as_ptr() as *mut f64, stride: w, lane: 1 }
             });
         }
-        let mut scalar_regs = vec![0.0; p.n_regs as usize];
         for (n, tiled) in out.iter().enumerate() {
             let (i, j) = at(n);
-            let pt = PointWorld { params: params.to_vec(), i, j, k };
-            let scalar = run(p, &pt, &mut scalar_regs);
-            assert_eq!(scalar.to_bits(), tiled.to_bits(), "rows={rows} w={w} point={n}: {p:?}");
+            let tree = e.eval(&PointWorld { params, i, j, k });
+            assert_eq!(tree.to_bits(), tiled.to_bits(), "rows={rows} w={w} point={n}: {e:?}");
         }
     }
 
@@ -748,11 +489,10 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x1a9e5 ^ 0xff);
         for _ in 0..200 {
             let e = random_expr(&mut rng, 4);
-            let p = compile(&e, &|d| d.0 as u16);
             let params: Vec<f64> = (0..4).map(|_| rng.gen_range(0.1..2.0)).collect();
             let origin = (rng.gen_range(-3..10), rng.gen_range(-2..6), rng.gen_range(0..5));
             for (rows, w) in [(1, 1), (1, 3), (5, 17), (10, 24), (1, TILE_LANES)] {
-                check_tile(&p, &params, origin, rows, w);
+                check_tile(&e, &params, origin, rows, w);
             }
         }
     }
@@ -763,29 +503,29 @@ mod tests {
 
     #[test]
     fn leaves_lower_to_operands_and_a_pure_leaf_to_one_move() {
-        let t = lower(&compile(&load(0, 1), &|d| d.0 as u16));
+        let t = lower(&load(0, 1), &slot);
         let leaf = Src::Field { slot: 0, off: Offset3::new(1, 0, 0) };
         assert_eq!(t.instrs, vec![TileInstr { dst: u16::MAX, op: Op::Mov(leaf) }]);
         assert_eq!(t.n_regs, 0);
 
         let e = (load(0, 0) + Expr::c(2.0)) * Expr::Param(ParamId(1));
-        let t = lower(&compile(&e, &|d| d.0 as u16));
-        assert_eq!(t.instrs.len(), 2, "five register instructions, two of them arithmetic");
+        let t = lower(&e, &slot);
+        assert_eq!(t.instrs.len(), 2, "five tree nodes, two of them arithmetic");
         assert_eq!(t.n_regs, 1, "the root writes the destination, not a register");
     }
 
     #[test]
     fn cse_computes_a_repeated_subtree_once_and_keeps_signed_zeros_apart() {
         let sum = || load(0, -1) + load(0, 1);
-        let p = compile(&(sum() * sum() + sum()), &|d| d.0 as u16);
-        assert_eq!(p.instrs.len(), 11);
-        let t = lower(&p);
+        let e = sum() * sum() + sum();
+        assert_eq!(e.size(), 11);
+        let t = lower(&e, &slot);
         assert_eq!(t.instrs.len(), 3, "{t:?}");
-        check_tile(&p, &[], (0, 0, 0), 3, 7);
+        check_tile(&e, &[], (0, 0, 0), 3, 7);
 
         // `x * 0.0` and `x * -0.0` differ in the sign of the result.
         let e = load(0, 0) * Expr::c(0.0) + load(0, 0) * Expr::c(-0.0);
-        assert_eq!(lower(&compile(&e, &|d| d.0 as u16)).instrs.len(), 3);
+        assert_eq!(lower(&e, &slot).instrs.len(), 3);
     }
 
     #[test]
@@ -793,26 +533,24 @@ mod tests {
         // A 40-term left-leaning sum of products: 79 arithmetic nodes.
         let term = |n: i32| load(0, n) * load(1, -n);
         let e = (1..40).fold(term(0), |acc, n| acc + term(n) * Expr::c(n as f64));
-        let p = compile(&e, &|d| d.0 as u16);
-        assert!(p.n_regs > 150);
-        let t = lower(&p);
+        assert!(e.size() > 150);
+        let t = lower(&e, &slot);
         assert!(t.n_regs <= 3, "{} registers", t.n_regs);
         // No instruction overwrites a register it reads.
         for ins in &t.instrs {
             ins.op.map(|s| assert_ne!(s, Src::Reg(ins.dst)));
         }
-        check_tile(&p, &[], (2, 1, 0), 4, 9);
+        check_tile(&e, &[], (2, 1, 0), 4, 9);
+    }
+
+    fn ops(e: &Expr) -> Vec<Op<Src>> {
+        lower(e, &slot).instrs.iter().map(|i| i.op).collect()
     }
 
     #[test]
     fn powi_expression_compiles_to_powi_instr() {
-        let e = Expr::powi(Expr::Local(LocalId(0)), 2);
-        let p = compile(&e, &|_| 0);
-        assert!(p.instrs.iter().any(|i| matches!(i, Instr::PowI { n: 2, .. })));
-        assert!(!p
-            .instrs
-            .iter()
-            .any(|i| matches!(i, Instr::Bin { op: BinOp::Pow, .. })));
+        let x = Src::Local(0);
+        assert_eq!(ops(&Expr::powi(Expr::Local(LocalId(0)), 2)), [Op::PowI(x, 2)]);
     }
 
     #[test]
@@ -820,38 +558,27 @@ mod tests {
         // Matches the paper: generated code contains pow(delpc, 2.0)
         // until the power transformation rewrites it.
         let e = Expr::bin(BinOp::Pow, Expr::Local(LocalId(0)), Expr::Const(2.0));
-        let p = compile(&e, &|_| 0);
-        assert!(p
-            .instrs
-            .iter()
-            .any(|i| matches!(i, Instr::Bin { op: BinOp::Pow, .. })));
+        assert_eq!(ops(&e), [Op::Bin(BinOp::Pow, Src::Local(0), Src::Const(2.0))]);
     }
 
     #[test]
     fn non_integer_pow_stays_general() {
         let e = Expr::bin(BinOp::Pow, Expr::Local(LocalId(0)), Expr::Const(0.5));
-        let p = compile(&e, &|_| 0);
-        assert!(p
-            .instrs
-            .iter()
-            .any(|i| matches!(i, Instr::Bin { op: BinOp::Pow, .. })));
-    }
-
-    #[test]
-    fn negative_integer_pow() {
-        let e = Expr::powi(Expr::Const(2.0), -3);
-        let p = compile(&e, &|_| 0);
-        let mut regs = vec![0.0; p.n_regs as usize];
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-        let v = run(&p, &ctx(&mut rng), &mut regs);
-        assert!((v - 0.125).abs() < 1e-15);
+        assert_eq!(ops(&e), [Op::Bin(BinOp::Pow, Src::Local(0), Src::Const(0.5))]);
     }
 
     #[test]
     fn register_count_is_tight_enough() {
         let e = Expr::c(1.0) + Expr::c(2.0) + Expr::c(3.0) + Expr::c(4.0);
-        let p = compile(&e, &|_| 0);
-        assert!(p.n_regs <= 8);
-        assert_eq!(p.result as usize, p.n_regs as usize - 1);
+        let t = lower(&e, &slot);
+        assert!(t.n_regs <= 2, "{} registers for a chain of three adds", t.n_regs);
+        assert_eq!(t.instrs.last().map(|i| i.dst), Some(u16::MAX), "the root is computed last");
+    }
+
+    #[test]
+    fn negative_integer_pow() {
+        let e = Expr::powi(Expr::Const(2.0), -3);
+        assert_eq!(apply_powi(2.0, -3), 0.125);
+        check_tile(&e, &[], (0, 0, 0), 2, 3);
     }
 }

@@ -4,16 +4,17 @@
 //! sees its statements in program order while K marches upward, downward,
 //! or in arbitrary order per its [`KOrder`]. Columns are grouped into
 //! blocks of j-rows (parallel chunks through [`machine::Pool`]) whose
-//! statements run as tile programs on the bytecode VM; the per-column
-//! scalar VM is kept as the reference. The executor enforces the same
+//! statements run as tile programs on the tile VM; the reference walks
+//! each statement's expression tree per column ([`VmMode::Scalar`]). The
+//! executor enforces the same
 //! parallel-model restriction GT4Py does: within one kernel, no statement
 //! may read — at a nonzero horizontal offset — a field written by the same
 //! kernel (cross-thread dependencies must be broken into separate kernels or
 //! fused by recomputation; Section IV-D "some synchronization points were
 //! pre-determined and had to be worked around by splitting stencils").
 
-use crate::bytecode::{self, Program, Src, TileProgram, View, VmCtx, TILE_LANES, TILE_SCRATCH};
-use crate::expr::{DataId, Offset3};
+use crate::bytecode::{self, Src, TileProgram, View, TILE_LANES, TILE_SCRATCH};
+use crate::expr::{DataId, EvalCtx, Expr, LocalId, Offset3, ParamId};
 use crate::graph::{ControlNode, DataflowNode, Sdfg};
 use crate::kernel::{Domain, KOrder, Kernel, LValue};
 use crate::storage::{Array3, Axis, Layout};
@@ -132,7 +133,7 @@ pub struct ExecReport {
     pub cache_misses: u64,
     /// Points executed through the tile VM.
     pub lanes_vector: u64,
-    /// Points executed through the scalar reference VM
+    /// Points evaluated by the per-column reference tree walk
     /// (`VmMode::Scalar` only).
     pub lanes_scalar: u64,
     /// Tile instructions dispatched (one opcode `match` each).
@@ -225,10 +226,11 @@ pub fn validate_sdfg(sdfg: &Sdfg) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 // Kernel execution
 
-/// Which VM runs a kernel's statement bodies.
+/// What evaluates a kernel's statement bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VmMode {
-    /// Point-at-a-time scalar VM everywhere (the reference path).
+    /// [`Expr::eval`] on every point, column by column (the reference
+    /// path).
     Scalar,
     /// Tile programs over blocks of j-rows × i-lanes, every hull width.
     /// Bit-identical to [`VmMode::Scalar`].
@@ -243,7 +245,7 @@ pub struct KernelRunStats {
     pub points: u64,
     /// Points that went through the tile VM.
     pub lanes_vector: u64,
-    /// Points that went through the scalar reference VM.
+    /// Points that went through the reference tree walk.
     pub lanes_scalar: u64,
     /// Tile instructions dispatched.
     pub vm_dispatches: u64,
@@ -296,7 +298,8 @@ struct StmtBounds {
 }
 
 struct CompiledStmt {
-    program: Program,
+    /// The statement as written: what the reference path evaluates.
+    expr: Expr,
     tile: TileProgram,
     bounds: StmtBounds,
     lvalue: CompiledLValue,
@@ -341,7 +344,6 @@ pub struct CompiledKernel {
     /// Width of the statement rectangle with the most horizontal points:
     /// the rows of a j-block are sized to fill a tile at this width.
     block_w: usize,
-    max_regs: usize,
     tile_regs: usize,
     n_locals: usize,
     points: u64,
@@ -377,7 +379,6 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
             kh: 0,
         },
         block_w: 0,
-        max_regs: 0,
         tile_regs: 0,
         n_locals: 0,
         points: 0,
@@ -414,6 +415,9 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
     };
     let mut points = 0u64;
     let (mut block_w, mut most_points) = (0usize, 0i64);
+    // Locals referenced anywhere (declared, written, or read) size the
+    // per-column local file.
+    let mut n_locals = kernel.n_locals;
     for s in &kernel.stmts {
         let Domain {
             start: [il, jl, kl],
@@ -438,14 +442,21 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
         if horizontal > most_points {
             (block_w, most_points) = ((ih - il) as usize, horizontal);
         }
-        let program = bytecode::compile(&s.expr, &slot_of);
         let lvalue = match s.lvalue {
             LValue::Field(d) => CompiledLValue::Field(slot_of(d)),
-            LValue::Local(l) => CompiledLValue::Local(l.0 as u16),
+            LValue::Local(l) => {
+                n_locals = n_locals.max(l.0 + 1);
+                CompiledLValue::Local(l.0 as u16)
+            }
         };
+        s.expr.visit(&mut |e| {
+            if let Expr::Local(l) = e {
+                n_locals = n_locals.max(l.0 + 1);
+            }
+        });
         stmts.push(CompiledStmt {
-            tile: bytecode::lower(&program),
-            program,
+            tile: bytecode::lower(&s.expr, &slot_of),
+            expr: s.expr.clone(),
             bounds: b,
             lvalue,
         });
@@ -454,40 +465,12 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
         return empty_ck(fingerprint);
     }
 
-    let max_regs = stmts.iter().map(|c| c.program.n_regs).max().unwrap_or(0) as usize;
     let tile_regs = stmts.iter().map(|c| c.tile.n_regs).max().unwrap_or(0) as usize;
-    // Locals referenced anywhere (declared, written, or read) size the
-    // per-column local file.
-    let n_locals = kernel
-        .n_locals
-        .max(
-            stmts
-                .iter()
-                .filter_map(|c| match c.lvalue {
-                    CompiledLValue::Local(l) => Some(l as usize + 1),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0),
-        )
-        .max(
-            stmts
-                .iter()
-                .flat_map(|c| c.program.instrs.iter())
-                .filter_map(|i| match i {
-                    bytecode::Instr::LoadLocal { l, .. } => Some(*l as usize + 1),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0),
-        );
-
     CompiledKernel {
         ids,
         stmts,
         hull,
         block_w,
-        max_regs,
         tile_regs,
         n_locals,
         points,
@@ -498,7 +481,9 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
     }
 }
 
+/// One point of a kernel as the reference tree walk sees it.
 struct PointCtx<'a> {
+    ids: &'a [DataId],
     slots: &'a [FieldSlot],
     locals: &'a [f64],
     params: &'a [f64],
@@ -507,11 +492,12 @@ struct PointCtx<'a> {
     k: i64,
 }
 
-impl VmCtx for PointCtx<'_> {
+impl EvalCtx for PointCtx<'_> {
     #[inline]
-    fn load(&self, slot: u16, off: Offset3) -> f64 {
+    fn load(&self, data: DataId, off: Offset3) -> f64 {
+        let slot = self.ids.iter().position(|d| *d == data).expect("unknown field in kernel");
         unsafe {
-            self.slots[slot as usize].read(
+            self.slots[slot].read(
                 self.i + off.i as i64,
                 self.j + off.j as i64,
                 self.k + off.k as i64,
@@ -520,13 +506,13 @@ impl VmCtx for PointCtx<'_> {
     }
 
     #[inline]
-    fn local(&self, l: u16) -> f64 {
-        self.locals[l as usize]
+    fn local(&self, l: LocalId) -> f64 {
+        self.locals[l.0]
     }
 
     #[inline]
-    fn param(&self, p: u16) -> f64 {
-        self.params[p as usize]
+    fn param(&self, p: ParamId) -> f64 {
+        self.params[p.0]
     }
 
     #[inline]
@@ -575,8 +561,9 @@ pub fn run_compiled(
     }
 }
 
-/// The reference executor: per-column scalar VM, kept as the bit-identity
-/// oracle the tile VM is tested against.
+/// The reference executor: every column walks its statements' expression
+/// trees point by point — the bit-identity oracle the tile VM is tested
+/// against.
 fn run_scalar(
     ck: &CompiledKernel,
     slots: &[FieldSlot],
@@ -590,11 +577,9 @@ fn run_scalar(
     let columns = ni * nj;
     let k_desc = ck.k_desc;
     let n_locals = ck.n_locals;
-    let max_regs = ck.max_regs;
     let compiled = &ck.stmts;
 
     pool.for_each_chunk_in(faults, columns, |range| {
-        let mut regs = vec![0.0f64; max_regs];
         let mut locals = vec![0.0f64; n_locals];
         for col in range {
             let i = hull.il + (col % ni) as i64;
@@ -607,17 +592,15 @@ fn run_scalar(
                 for cs in compiled {
                     let b = &cs.bounds;
                     if i >= b.il && i < b.ih && j >= b.jl && j < b.jh && k >= b.kl && k < b.kh {
-                        let v = {
-                            let ctx = PointCtx {
-                                slots,
-                                locals: &locals,
-                                params,
-                                i,
-                                j,
-                                k,
-                            };
-                            bytecode::run(&cs.program, &ctx, &mut regs)
-                        };
+                        let v = cs.expr.eval(&PointCtx {
+                            ids: &ck.ids,
+                            slots,
+                            locals: &locals,
+                            params,
+                            i,
+                            j,
+                            k,
+                        });
                         match cs.lvalue {
                             CompiledLValue::Field(slot) => unsafe {
                                 slots[slot as usize].write(i, j, k, v);
@@ -770,7 +753,7 @@ fn run_tiles(
                         // the `h × ni` block. (2) A field view covers the
                         // statement's bounds shifted by a stencil offset,
                         // inside the container's domain + halo: the points the
-                        // scalar VM reads one by one. (3) Work items cover
+                        // reference walk reads one by one. (3) Work items cover
                         // disjoint `(j-block[, k])` sets and `validate_kernel`
                         // lets a kernel read a field it writes only at zero
                         // horizontal offset (zero offset at all for `(block,
@@ -867,7 +850,7 @@ impl Executor {
         Executor::new(Pool::new(1))
     }
 
-    /// Serial executor forced onto the scalar reference VM.
+    /// Serial executor forced onto the reference tree walk.
     pub fn serial_scalar() -> Self {
         Executor::with_mode(Pool::new(1), VmMode::Scalar)
     }
@@ -1450,11 +1433,10 @@ mod tests {
                 e.name
             );
         }
-        let report = crate::ProfileReport::from_events(&events);
-        assert_eq!(report.launches, 7);
-        assert_eq!(report.copy.invocations, 7);
+        let of = |cat: &str| inner.iter().filter(|e| e.cat == cat).collect::<Vec<_>>();
+        assert_eq!((of("kernel").len(), of("copy").len()), (7, 7));
         // 4*4*4 elements read + written per launch.
-        assert_eq!(report.kernels[0].modeled_bytes, 7 * 2 * 64 * 8);
+        assert!(of("kernel").iter().all(|e| e.bytes == 2 * 64 * 8));
         let cache = exec.cache.lock();
         assert_eq!(cache.entries.len(), 1, "one cache entry for the looped kernel");
         assert!(cache.entries[&(0, 0)].modeled.get().is_some());

@@ -7,7 +7,9 @@
 //! Everything the optimizer needs — flop counting for the performance
 //! model, offset hulls for memlet inference, and rewriting (the
 //! power-operator strength reduction of Section VI-C1) — works on this one
-//! type.
+//! type, and so do both evaluators: [`Expr::eval`] walks it (the reference)
+//! and [`crate::bytecode::lower`] turns it into the tile program
+//! production runs.
 
 use crate::storage::Axis;
 use std::fmt;
@@ -292,8 +294,11 @@ pub trait EvalCtx {
 }
 
 impl Expr {
-    /// Tree-walking evaluation (the slow reference used to validate the
-    /// bytecode VM and by the DSL's debug backend).
+    /// Tree-walking evaluation: the reference. [`VmMode::Scalar`] runs
+    /// kernels through it, and every bit-identity suite compares the tile
+    /// VM against what it returns.
+    ///
+    /// [`VmMode::Scalar`]: crate::exec::VmMode::Scalar
     pub fn eval<C: EvalCtx>(&self, ctx: &C) -> f64 {
         match self {
             Expr::Const(v) => *v,
@@ -370,7 +375,7 @@ pub fn apply_bin(op: BinOp, x: f64, y: f64) -> f64 {
 }
 
 /// `x^n` by repeated multiplication (strength-reduced pow) — the one
-/// definition the tree interpreter and both VMs share.
+/// definition the tree interpreter and the tile VM share.
 #[inline]
 pub fn apply_powi(x: f64, n: i32) -> f64 {
     let mut acc = 1.0f64;

@@ -495,13 +495,6 @@ impl Kernel {
             .fold(Extent2::ZERO, |acc, s| acc.union(&s.extent))
     }
 
-    /// True when every statement covers the full domain with no region.
-    pub fn is_uniform(&self) -> bool {
-        self.stmts
-            .iter()
-            .all(|s| s.region.is_none() && s.k_range == AxisInterval::FULL)
-    }
-
     /// Data-movement records for this kernel (the "exact ranges" query).
     pub fn memlets(&self) -> Vec<Memlet> {
         let mut out = Vec::new();
@@ -796,12 +789,27 @@ mod tests {
     fn profile_counts_bytes_and_flops() {
         let k = laplacian_kernel(16);
         let p = k.profile(&test_layout([16, 16, 4]));
-        assert!(p.bytes_read >= 18 * 18 * 4 * 8);
+        // Hand-counted: the read hull grows the domain by 1 in i and j,
+        // 18*18*4 = 1296 unique elements, re-touched at 5 distinct offsets:
+        // 1296 * 8 * (1 + 0.15*4) = 16588.8.
+        assert_eq!(p.bytes_read, 16588);
         assert_eq!(p.bytes_written, 16 * 16 * 4 * 8);
         // 5 loads -> 4 adds + 1 mul = 5 flops per point
         assert_eq!(p.flops, 16 * 16 * 4 * 5);
         assert_eq!(p.transcendentals, 0);
         assert!(p.coalescing > 0.99, "I-contiguous + I-inner = coalesced");
+
+        // out = (a[k-1] + a[k+1]) / 2 on 8x8x8: read hull 8*8*10 = 640
+        // elements at 2 offsets, 5120 * 1.15 bytes; 512 points written.
+        let mut v = Kernel::new(
+            "vavg",
+            Domain::from_shape([8, 8, 8]),
+            KOrder::Parallel,
+            Schedule::gpu_horizontal(),
+        );
+        let e = (Expr::load(DataId(0), 0, 0, -1) + Expr::load(DataId(0), 0, 0, 1)) * Expr::c(0.5);
+        v.stmts.push(Stmt::full(LValue::Field(DataId(1)), e));
+        assert_eq!(v.profile(&test_layout([8, 8, 8])).bytes_total(), 5888 + 4096);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! are state machines over dataflow states; stencil computations enter as
 //! library nodes and expand to schedulable [`kernel::Kernel`]s; data
 //! movement is queryable at exact ranges; and optimization is graph
-//! rewriting ([`transforms`]). A bytecode-compiling executor ([`exec`])
-//! runs programs numerically on the host, while [`model`] prices them on
-//! the analytic machine models of the `machine` crate.
+//! rewriting ([`transforms`]). An executor ([`exec`]) lowers each kernel
+//! statement to a tile program ([`bytecode`]) and runs programs numerically
+//! on the host, while [`model`] prices them on the analytic machine models
+//! of the `machine` crate.
 
 pub mod bytecode;
 pub mod exec;
@@ -17,8 +18,6 @@ pub mod kernel;
 pub mod model;
 pub mod overlap;
 pub mod passes;
-pub mod profile;
-pub mod report;
 pub mod reuse;
 pub mod snapshot;
 pub mod storage;
@@ -37,5 +36,4 @@ pub use kernel::{
 };
 pub use model::{CostModel, KernelModel, ModelReport};
 pub use overlap::{split_for_overlap, SplitPrograms};
-pub use profile::{KernelProfileStat, ProfileReport};
 pub use storage::{Array3, Axis, Layout, StorageOrder};

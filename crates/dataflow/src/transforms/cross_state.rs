@@ -119,20 +119,17 @@ pub fn merge_adjacent_states(sdfg: &mut Sdfg, first: usize) -> TransformResult {
 /// commits only when at least one cross-boundary fusion lands; otherwise
 /// the graph is left exactly as before (modulo a generation bump).
 ///
+/// Once a legal merge + fusion plan is found on the trial clone,
+/// `approve(before, trial, first)` decides whether to commit it (e.g. a
+/// measured veto comparing the two old states against the merged one — the
+/// dataflow layer has no cost model, so judgment is injected from above;
+/// pass `&mut |_, _, _| true` to commit every legal plan). The trial graph
+/// passed to the hook already has the merge and the fusion applied at
+/// state `first`.
+///
 /// Returns the first committed fusion (kind `"xmodule-sgf"` /
 /// `"xmodule-otf"`, labels from the fused kernels).
-pub fn fuse_across_states(sdfg: &mut Sdfg, first: usize) -> TransformResult {
-    fuse_across_states_with(sdfg, first, &mut |_, _, _| true)
-}
-
-/// [`fuse_across_states`] with an external approval hook: once a legal
-/// merge + fusion plan is found on the trial clone, `approve(before,
-/// trial, first)` decides whether to commit it (e.g. a measured veto
-/// comparing the two old states against the merged one — the dataflow
-/// layer has no cost model, so judgment is injected from above). The
-/// trial graph passed to the hook already has the merge and the fusion
-/// applied at state `first`.
-pub fn fuse_across_states_with(
+pub fn fuse_across_states(
     sdfg: &mut Sdfg,
     first: usize,
     approve: &mut dyn FnMut(&Sdfg, &Sdfg, usize) -> bool,
@@ -231,21 +228,16 @@ pub fn fuse_across_states_with(
 
 /// Greedy cross-module pass: walk every adjacent state pair and fuse
 /// across each boundary where a producer/consumer link and a legal kernel
-/// fusion exist. Returns everything applied (in application order).
-pub fn cross_module_fusion(sdfg: &mut Sdfg) -> Vec<Applied> {
-    cross_module_fusion_with(sdfg, &mut |_, _, _| true)
-}
-
-/// [`cross_module_fusion`] with an approval hook forwarded to every
-/// [`fuse_across_states_with`] attempt (see there).
-pub fn cross_module_fusion_with(
+/// fusion exist, `approve` forwarded to every [`fuse_across_states`]
+/// attempt. Returns everything applied (in application order).
+pub fn cross_module_fusion(
     sdfg: &mut Sdfg,
     approve: &mut dyn FnMut(&Sdfg, &Sdfg, usize) -> bool,
 ) -> Vec<Applied> {
     let mut applied = Vec::new();
     let mut first = 0;
     while first + 1 < sdfg.states.len() {
-        match fuse_across_states_with(sdfg, first, approve) {
+        match fuse_across_states(sdfg, first, approve) {
             Ok(a) => {
                 applied.push(a);
                 // The merged state may now link to the *next* module too;
@@ -387,7 +379,7 @@ mod tests {
     fn fuse_across_states_is_bit_exact() {
         let (mut g, a, out) = two_module_sdfg();
         let before = run_and_get(&g, a, out);
-        let applied = fuse_across_states(&mut g, 0).expect("cross-module fusion applies");
+        let applied = fuse_across_states(&mut g, 0, &mut |_, _, _| true).expect("cross-module fusion applies");
         assert!(applied.kind.starts_with("xmodule-"));
         assert_eq!(g.states.len(), 1);
         assert_eq!(g.kernel_count(), 1, "the two modules fused into one kernel");
@@ -411,7 +403,7 @@ mod tests {
         g.add_state(s0);
         g.add_state(s1);
         let before = format!("{:?}", g.states);
-        assert!(fuse_across_states(&mut g, 0).is_err());
+        assert!(fuse_across_states(&mut g, 0, &mut |_, _, _| true).is_err());
         assert_eq!(format!("{:?}", g.states), before, "graph left untouched");
     }
 
@@ -427,7 +419,7 @@ mod tests {
         if let DataflowNode::Kernel(k) = &mut g.states[1].nodes[0] {
             k.stmts[0].expr = Expr::load(t, 1, 0, 0) * Expr::c(3.0);
         }
-        assert!(fuse_across_states(&mut g, 0).is_err());
+        assert!(fuse_across_states(&mut g, 0, &mut |_, _, _| true).is_err());
         assert_eq!(g.states.len(), 2, "merge rolled back");
         assert_eq!(g.states[0].name, "produce");
     }
@@ -452,7 +444,7 @@ mod tests {
             g.add_state(s);
         }
         let before = run_and_get(&g, a, out);
-        let applied = cross_module_fusion(&mut g);
+        let applied = cross_module_fusion(&mut g, &mut |_, _, _| true);
         assert_eq!(applied.len(), 2);
         assert_eq!(g.states.len(), 1);
         assert_eq!(g.kernel_count(), 1);

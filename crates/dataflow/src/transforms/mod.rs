@@ -25,7 +25,7 @@ pub mod schedule;
 pub mod tiling;
 
 use crate::expr::DataId;
-use crate::graph::{DataflowNode, Sdfg};
+use crate::graph::Sdfg;
 
 /// Identifies a node inside an SDFG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,19 +89,11 @@ pub fn touches_between(sdfg: &Sdfg, state: usize, a: usize, b: usize, fields: &[
     })
 }
 
-/// Fetch a kernel by reference (panics if the node is not a kernel).
-pub fn kernel_at(sdfg: &Sdfg, r: NodeRef) -> &crate::kernel::Kernel {
-    match &sdfg.states[r.state].nodes[r.node] {
-        DataflowNode::Kernel(k) => k,
-        other => panic!("expected kernel at {r:?}, found {other:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::graph::State;
+    use crate::graph::{DataflowNode, State};
     use crate::kernel::{Domain, KOrder, Kernel, LValue, Schedule, Stmt};
     use crate::storage::{Layout, StorageOrder};
 

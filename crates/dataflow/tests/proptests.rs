@@ -1,8 +1,7 @@
 //! Property-based tests on the dataflow substrate's core invariants:
-//! layout bijectivity, VM/tree equivalence, constant folding, power
-//! strength reduction, and fusion semantics on randomized programs.
+//! layout bijectivity, constant folding, power strength reduction, and
+//! fusion semantics on randomized programs.
 
-use dataflow::bytecode;
 use dataflow::exec::{DataStore, Executor, NoHooks};
 use dataflow::expr::{BinOp, CmpOp, DataId, EvalCtx, LocalId, Offset3, ParamId, UnOp};
 use dataflow::graph::{DataflowNode, Sdfg, State};
@@ -95,21 +94,6 @@ impl EvalCtx for Ctx {
     }
 }
 
-impl bytecode::VmCtx for Ctx {
-    fn load(&self, slot: u16, o: Offset3) -> f64 {
-        self.vals[key(slot as usize, o) % self.vals.len()]
-    }
-    fn local(&self, l: u16) -> f64 {
-        self.locals[l as usize % self.locals.len()]
-    }
-    fn param(&self, p: u16) -> f64 {
-        self.params[p as usize % self.params.len()]
-    }
-    fn index(&self, _: Axis) -> i64 {
-        3
-    }
-}
-
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (0.1f64..4.0).prop_map(Expr::Const),
@@ -158,15 +142,6 @@ fn close(a: f64, b: f64) -> bool {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn bytecode_vm_equals_tree_interpreter(e in arb_expr(), ctx in arb_ctx()) {
-        let prog = bytecode::compile(&e, &|d| d.0 as u16);
-        let mut regs = vec![0.0; prog.n_regs as usize];
-        let vm = bytecode::run(&prog, &ctx, &mut regs);
-        let tree = e.eval(&ctx);
-        prop_assert!(close(vm, tree), "vm {} vs tree {}", vm, tree);
-    }
 
     #[test]
     fn power_reduction_preserves_value(e in arb_expr(), ctx in arb_ctx()) {

@@ -170,8 +170,8 @@ fn run(g: &Sdfg, input: DataId, outs: &[DataId], seed: u64, profiled: bool) -> V
     if profiled {
         let tracer = obs::Tracer::new();
         exec.run_profiled(g, &mut store, &params, &mut NoHooks, &tracer);
-        let report = dataflow::ProfileReport::from_events(&tracer.finished());
-        assert!(report.launches > 0, "profiler saw no kernels");
+        let kernels = tracer.finished().iter().filter(|e| e.cat == "kernel").count();
+        assert!(kernels > 0, "profiler saw no kernels");
     } else {
         exec.run(g, &mut store, &params, &mut NoHooks);
     }

@@ -79,7 +79,7 @@ fn random_expr(rng: &mut SmallRng, depth: u32, ids: &[DataId], korder: KOrder) -
         };
     }
     let sub = |rng: &mut SmallRng| random_expr(rng, depth - 1, ids, korder);
-    match rng.gen_range(0..8) {
+    match rng.gen_range(0..9) {
         0 => Expr::un(dataflow::UnOp::Abs, sub(rng)),
         1 => Expr::un(dataflow::UnOp::Sqrt, Expr::un(dataflow::UnOp::Abs, sub(rng))),
         2 => Expr::bin(BinOp::Add, sub(rng), sub(rng)),
@@ -87,6 +87,10 @@ fn random_expr(rng: &mut SmallRng, depth: u32, ids: &[DataId], korder: KOrder) -
         4 => Expr::bin(BinOp::Sub, sub(rng), sub(rng)),
         5 => Expr::powi(Expr::un(dataflow::UnOp::Abs, sub(rng)), rng.gen_range(1..4)),
         6 => Expr::cmp(CmpOp::Lt, sub(rng), sub(rng)),
+        // Unguarded: a zero divisor (a comparison, an index, a fresh
+        // local) makes ±inf/NaN, and under a `Select` the tree walk skips
+        // the untaken branch the tile VM computes.
+        7 => Expr::bin(BinOp::Div, sub(rng), sub(rng)),
         _ => Expr::select(
             Expr::cmp(CmpOp::Gt, sub(rng), Expr::c(0.5)),
             sub(rng),

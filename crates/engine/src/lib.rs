@@ -235,16 +235,6 @@ pub enum Rejected {
     },
 }
 
-impl Rejected {
-    /// The refused request, handed back.
-    pub fn into_request(self) -> ForecastRequest {
-        match self {
-            Rejected::QueueFull(r) => r,
-            Rejected::QuotaExceeded { req, .. } => req,
-        }
-    }
-}
-
 /// Everything that must agree for two requests to share one compile
 /// bundle, grid set, and warm-instance pool. Floats are keyed by bits
 /// (the same discipline as the driver's internal step key).
@@ -395,11 +385,6 @@ impl ForecastReport {
             basis: None,
         }
         .to_bytes()
-    }
-
-    /// Per-step health samples as JSONL (one line per rank per step).
-    pub fn health_jsonl(&self) -> String {
-        self.run.monitor.to_jsonl()
     }
 }
 
@@ -1329,91 +1314,115 @@ fn slot_loop(inner: &Arc<EngineInner>) {
     }
 }
 
-/// Terminal `Shed`: release the victim's tenant occupancy, account,
-/// publish, deposit. Called with the queue lock held; the victim is
-/// already popped from its lane.
+/// The one terminal path: what every finished request owes the outside
+/// besides its slot — counter, labelled counter or histogram, event and
+/// outcome — all derived from `result`. `steps_done` is how far a run that
+/// failed got. The caller deposits the outcome, and ticks unless it holds
+/// the queue lock.
+fn terminal(
+    inner: &EngineInner,
+    p: Pending,
+    queued_seconds: f64,
+    run_seconds: f64,
+    steps_done: u64,
+    result: ForecastResult,
+) -> ForecastOutcome {
+    let m = &inner.metrics;
+    let id = RequestId(p.id);
+    let rid = id.to_string();
+    let event = match &result {
+        ForecastResult::Completed(rep) => {
+            m.counter_add("requests_completed", &[], 1);
+            m.observe("request_run_seconds", &[], run_seconds);
+            m.counter_add("request_steps", &[("request", &rid)], rep.steps);
+            RunEvent::RequestCompleted {
+                steps: rep.steps,
+                run_seconds,
+            }
+        }
+        ForecastResult::Failed(e) => {
+            m.counter_add("requests_failed", &[], 1);
+            m.counter_add("request_failed", &[("request", &rid)], 1);
+            RunEvent::RequestFailed {
+                step: steps_done,
+                detail: e.to_string(),
+            }
+        }
+        ForecastResult::Cancelled(c) => {
+            m.counter_add("requests_cancelled", &[], 1);
+            m.counter_add("requests_cancelled", &[("cause", c.cause.label())], 1);
+            RunEvent::RequestCancelled {
+                cause: c.cause.label().to_string(),
+                steps_done: c.steps_done,
+            }
+        }
+        ForecastResult::Evicted {
+            past_deadline_seconds,
+        } => {
+            m.counter_add("requests_evicted", &[], 1);
+            m.observe("eviction_past_deadline_seconds", &[], *past_deadline_seconds);
+            RunEvent::RequestEvicted {
+                past_deadline_seconds: *past_deadline_seconds,
+            }
+        }
+        ForecastResult::Shed { lane } => {
+            m.counter_add("requests_shed", &[], 1);
+            m.counter_add("requests_shed", &[("lane", lane.label())], 1);
+            RunEvent::RequestShed {
+                lane: lane.label().to_string(),
+            }
+        }
+    };
+    if let Some(bus) = &inner.bus {
+        bus.publish(Some(&rid), event);
+    }
+    ForecastOutcome {
+        id,
+        label: p.label,
+        queued_seconds,
+        run_seconds,
+        result,
+    }
+}
+
+/// Terminal for a request that never started: it queued until now and ran
+/// for no time.
+fn finish_unstarted(inner: &EngineInner, victim: Pending, result: ForecastResult) {
+    let queued = victim.submitted.elapsed().as_secs_f64();
+    inner.deposit(terminal(inner, victim, queued, 0.0, 0, result));
+}
+
+/// Terminal `Shed`. Called with the queue lock held (so no tick, which
+/// reads the queue); the victim is already popped from its lane.
 fn shed_victim(inner: &EngineInner, q: &mut QueueState, victim: Pending) {
     q.tenant_release(&victim.tenant);
     let lane = victim.priority;
-    inner.metrics.counter_add("requests_shed", &[], 1);
-    inner
-        .metrics
-        .counter_add("requests_shed", &[("lane", lane.label())], 1);
-    if let Some(bus) = &inner.bus {
-        bus.publish(
-            Some(&format!("r{}", victim.id)),
-            RunEvent::RequestShed {
-                lane: lane.label().to_string(),
-            },
-        );
-    }
-    inner.deposit(ForecastOutcome {
-        id: RequestId(victim.id),
-        label: victim.label,
-        queued_seconds: victim.submitted.elapsed().as_secs_f64(),
-        run_seconds: 0.0,
-        result: ForecastResult::Shed { lane },
-    });
+    finish_unstarted(inner, victim, ForecastResult::Shed { lane });
     inner.space_cv.notify_all();
 }
 
 /// Terminal `Cancelled` for a request that never started.
 fn finish_queued_cancel(inner: &EngineInner, victim: Pending, cause: CancelCause) {
-    inner.metrics.counter_add("requests_cancelled", &[], 1);
-    inner
-        .metrics
-        .counter_add("requests_cancelled", &[("cause", cause.label())], 1);
-    if let Some(bus) = &inner.bus {
-        bus.publish(
-            Some(&format!("r{}", victim.id)),
-            RunEvent::RequestCancelled {
-                cause: cause.label().to_string(),
-                steps_done: 0,
-            },
-        );
-    }
-    inner.deposit(ForecastOutcome {
-        id: RequestId(victim.id),
-        label: victim.label,
-        queued_seconds: victim.submitted.elapsed().as_secs_f64(),
-        run_seconds: 0.0,
-        result: ForecastResult::Cancelled(CancelledRun {
-            cause,
-            steps_done: 0,
-            run: None,
-        }),
-    });
+    let run = CancelledRun {
+        cause,
+        steps_done: 0,
+        run: None,
+    };
+    finish_unstarted(inner, victim, ForecastResult::Cancelled(run));
     inner.emit_tick();
 }
 
 /// Terminal `Evicted`: the deadline expired while the request was still
 /// queued.
 fn evict_expired(inner: &EngineInner, victim: Pending) {
-    let past = victim
+    let past_deadline_seconds = victim
         .deadline
         .map(|d| Instant::now().saturating_duration_since(d).as_secs_f64())
         .unwrap_or(0.0);
-    inner.metrics.counter_add("requests_evicted", &[], 1);
-    inner
-        .metrics
-        .observe("eviction_past_deadline_seconds", &[], past);
-    if let Some(bus) = &inner.bus {
-        bus.publish(
-            Some(&format!("r{}", victim.id)),
-            RunEvent::RequestEvicted {
-                past_deadline_seconds: past,
-            },
-        );
-    }
-    inner.deposit(ForecastOutcome {
-        id: RequestId(victim.id),
-        label: victim.label,
-        queued_seconds: victim.submitted.elapsed().as_secs_f64(),
-        run_seconds: 0.0,
-        result: ForecastResult::Evicted {
-            past_deadline_seconds: past,
-        },
-    });
+    let result = ForecastResult::Evicted {
+        past_deadline_seconds,
+    };
+    finish_unstarted(inner, victim, result);
     inner.emit_tick();
 }
 
@@ -1464,47 +1473,12 @@ fn run_request(inner: &Arc<EngineInner>, p: Pending) -> ForecastOutcome {
         Err(payload) => ForecastResult::Failed(EngineFailure::Panic(panic_text(&*payload))),
     };
     let run_seconds = t0.elapsed().as_secs_f64();
-    match &result {
-        ForecastResult::Completed(rep) => {
-            m.counter_add("requests_completed", &[], 1);
-            m.observe("request_run_seconds", &[], run_seconds);
-            m.counter_add("request_steps", &[("request", &rid)], rep.steps);
-            sink.emit(RunEvent::RequestCompleted {
-                steps: rep.steps,
-                run_seconds,
-            });
-        }
-        ForecastResult::Failed(e) => {
-            m.counter_add("requests_failed", &[], 1);
-            m.counter_add("request_failed", &[("request", &rid)], 1);
-            let step = sink.progress().map(|pr| pr.steps_done).unwrap_or(0);
-            sink.emit(RunEvent::RequestFailed {
-                step,
-                detail: e.to_string(),
-            });
-        }
-        ForecastResult::Cancelled(c) => {
-            m.counter_add("requests_cancelled", &[], 1);
-            m.counter_add("requests_cancelled", &[("cause", c.cause.label())], 1);
-            sink.emit(RunEvent::RequestCancelled {
-                cause: c.cause.label().to_string(),
-                steps_done: c.steps_done,
-            });
-        }
-        ForecastResult::Evicted { .. } | ForecastResult::Shed { .. } => {
-            unreachable!("a run slot never produces evicted/shed terminals")
-        }
-    }
-    lock(&inner.active).remove(&p.id);
+    let steps_done = sink.progress().map(|pr| pr.steps_done).unwrap_or(0);
+    let outcome = terminal(inner, p, queued, run_seconds, steps_done, result);
+    lock(&inner.active).remove(&id.0);
     inner.slots_busy.fetch_sub(1, Ordering::Relaxed);
     inner.emit_tick();
-    ForecastOutcome {
-        id,
-        label: p.label,
-        queued_seconds: queued,
-        run_seconds,
-        result,
-    }
+    outcome
 }
 
 fn execute(inner: &Arc<EngineInner>, p: &Pending, ctx: RunContext) -> ForecastResult {

@@ -14,7 +14,7 @@ use crate::ppm::{edge_value, ppm_flux};
 use dataflow::expr::NumLike;
 use dataflow::kernel::{AxisInterval, Domain, KOrder};
 use dataflow::{Array3, Expr};
-use stencil::{FieldHandle, StencilBuilder, StencilDef};
+use stencil::{StencilBuilder, StencilDef};
 use std::sync::Arc;
 
 /// Inner advective half-update transverse to a sweep: first-order upwind
@@ -147,11 +147,6 @@ pub fn transport_update_stencil() -> Arc<StencilDef> {
         .expect("transport_update is valid"),
     )
 }
-
-/// The `FieldHandle` import is only used by the builder closures above;
-/// re-export for doc purposes.
-#[doc(hidden)]
-pub fn _field_handle_marker(_h: &FieldHandle) {}
 
 /// FORTRAN-style baseline for the whole transport call: identical
 /// arithmetic, k-outer loops, writing `fx`/`fy` on the `n+1` interface

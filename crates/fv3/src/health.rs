@@ -311,14 +311,6 @@ impl HealthMonitor {
         Self::default()
     }
 
-    /// Monitor with explicit thresholds.
-    pub fn with_thresholds(thresholds: HealthThresholds) -> Self {
-        HealthMonitor {
-            thresholds,
-            ..Self::default()
-        }
-    }
-
     /// Attach a tracer so blowup reports carry the live span stack.
     pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
         self.tracer = Some(tracer.clone());

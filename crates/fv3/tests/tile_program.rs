@@ -4,10 +4,9 @@
 //! timing somewhere else.
 
 use comm::CubeGeometry;
-use dataflow::bytecode::{self, Instr};
 use dataflow::exec::{compile_kernel, DataStore, Executor};
 use dataflow::graph::ExpansionAttrs;
-use dataflow::{DataflowNode, Sdfg};
+use dataflow::{DataflowNode, Expr, Sdfg};
 use fv3::dyn_core::{build_dycore_program, load_state, DycoreConfig, DycoreProgram};
 use fv3::grid::Grid;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
@@ -85,28 +84,28 @@ fn interior_and_rind_dispatches_are_pinned() {
 #[test]
 fn expanded_dycore_lowers_to_few_instructions_in_few_registers() {
     let (_, g) = tile_graph();
-    let (mut register_form, mut operators, mut lowered, mut regs) = (0, 0, 0, 0);
+    let (mut nodes, mut operators, mut lowered, mut regs) = (0, 0, 0, 0);
     for node in g.states.iter().flat_map(|s| &s.nodes) {
         if let DataflowNode::Kernel(k) = node {
             for s in &k.stmts {
-                let p = bytecode::compile(&s.expr, &|_| 0);
-                let leaf = |i: &&Instr| {
-                    use Instr::*;
-                    matches!(i, Const { .. } | Param { .. } | Load { .. } | LoadLocal { .. })
-                };
-                register_form += p.instrs.len();
+                let mut leaves = 0;
+                s.expr.visit(&mut |e| {
+                    use Expr::*;
+                    leaves += matches!(e, Const(_) | Param(_) | Load(..) | Local(_)) as usize;
+                });
+                nodes += s.expr.size();
                 // Leaves as operands: one instruction per operator, one
                 // move for a statement that is a single leaf.
-                operators += (p.instrs.len() - p.instrs.iter().filter(leaf).count()).max(1);
+                operators += (s.expr.size() - leaves).max(1);
             }
             let (instrs, r) = compile_kernel(k).tile_shape();
             lowered += instrs;
             regs = regs.max(r);
         }
     }
-    // 625 register instructions, 293 of them operators; value numbering
-    // removes 30 more. The register program of `fv_tp_2d#3` alone needs 82
-    // registers; CSE'd live ranges included, no tile program needs over 8.
-    assert_eq!((register_form, operators, lowered), (625, 293, 263));
+    // 625 expression nodes, 293 of them operators; value numbering removes
+    // 30 more. One register per node would cost `fv_tp_2d#3` alone 82;
+    // CSE'd live ranges included, no tile program needs over 8.
+    assert_eq!((nodes, operators, lowered), (625, 293, 263));
     assert!(regs <= 12, "{regs} registers");
 }

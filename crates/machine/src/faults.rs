@@ -106,12 +106,6 @@ impl FaultSpec {
         self
     }
 
-    /// Target a field by name.
-    pub fn on_field(mut self, field: &str) -> Self {
-        self.field = Some(field.to_string());
-        self
-    }
-
     /// Target a rank.
     pub fn on_rank(mut self, rank: usize) -> Self {
         self.rank = Some(rank);

@@ -145,12 +145,6 @@ impl MetricsRegistry {
         lock(&self.inner).histograms.get(&key(name, labels)).copied()
     }
 
-    /// Total number of distinct metric series.
-    pub fn series_count(&self) -> usize {
-        let r = lock(&self.inner);
-        r.counters.len() + r.gauges.len() + r.histograms.len()
-    }
-
     /// Drop every recorded metric.
     pub fn clear(&self) {
         let mut r = lock(&self.inner);

@@ -428,17 +428,21 @@ impl EventBus {
     /// Publish one event. Non-blocking: each full subscriber queue drops
     /// its oldest event and counts it.
     pub fn publish(&self, request: Option<&str>, body: RunEvent) -> Event {
+        self.inner.published.fetch_add(1, Ordering::Relaxed);
+        let request = request.map(str::to_string);
+        // With subscribers, an event is numbered and stamped under their
+        // lock, so every stream receives events in `seq` order whatever
+        // the publishers' interleaving; with none, nothing is locked.
+        let subs = (self.inner.nsubs.load(Ordering::Acquire) != 0).then(|| lock(&self.inner.subs));
         let ev = Event {
             seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
             t_us: self.now_us(),
-            request: request.map(str::to_string),
+            request,
             body,
         };
-        self.inner.published.fetch_add(1, Ordering::Relaxed);
-        if self.inner.nsubs.load(Ordering::Acquire) == 0 {
+        let Some(mut subs) = subs else {
             return ev;
-        }
-        let mut subs = lock(&self.inner.subs);
+        };
         let mut pruned = false;
         subs.retain(|w| {
             let Some(sub) = w.upgrade() else {
@@ -504,11 +508,6 @@ pub struct EventStream {
 }
 
 impl EventStream {
-    /// Next buffered event, if any (never blocks).
-    pub fn try_next(&self) -> Option<Event> {
-        lock(&self.state.queue).pop_front()
-    }
-
     /// Next event, waiting up to `timeout`. `None` on expiry or when the
     /// bus closed and the buffer is drained.
     pub fn next_timeout(&self, timeout: Duration) -> Option<Event> {
@@ -846,6 +845,24 @@ mod tests {
         t.join().unwrap();
         assert_eq!(got.len(), 3);
         assert!(got.iter().all(|e| e.request.as_deref() == Some("r9")));
+    }
+
+    /// Long enough runs that the publishers overlap (500 events are over
+    /// before the next thread starts): numbered outside the subscriber
+    /// lock, every hand-over of the lock delivered an inversion.
+    #[test]
+    fn concurrent_publishers_deliver_in_seq_order() {
+        const EACH: u64 = 20_000;
+        let bus = EventBus::new(4 * EACH as usize);
+        let sub = bus.subscribe_all();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..EACH).for_each(|n| drop(bus.publish(None, step(n)))));
+            }
+        });
+        let seqs: Vec<u64> = sub.drain().iter().map(|e| e.seq).collect();
+        assert_eq!((seqs.len() as u64, sub.dropped()), (4 * EACH, 0));
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "delivered out of seq order");
     }
 
     #[test]

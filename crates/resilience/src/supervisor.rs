@@ -226,6 +226,14 @@ pub struct Supervisor {
     metrics: MetricsRegistry,
 }
 
+/// Checkpoints one supervised run mirrored to disk.
+#[derive(Default)]
+struct DiskTally {
+    writes: u64,
+    bytes: u64,
+    time: Duration,
+}
+
 impl Supervisor {
     /// A supervisor with the given policy and the standard FV3 health
     /// thresholds.
@@ -267,32 +275,15 @@ impl Supervisor {
         let mut retries_this_step = 0u32;
         let mut restores = 0u64;
         let mut ranks_restored = 0u64;
-        let mut ck_writes = 0u64;
-        let mut ck_bytes = 0u64;
-        let mut ck_time = Duration::ZERO;
+        let mut written = DiskTally::default();
         let checkpointing = self.policy.checkpoint_every > 0;
         // The in-memory rollback basis; refreshed on the checkpoint
         // cadence. Disk persistence mirrors it when a dir is configured.
         let mut basis: Option<Checkpoint> = None;
         if checkpointing {
-            let t = Instant::now();
-            let ck = Checkpoint::capture(d);
-            let mut disk_bytes = 0;
-            if let Some(dir) = &self.policy.checkpoint_dir {
-                let bytes = ck
-                    .write_atomic(&step_path(dir, ck.step))
-                    .map_err(|e| self.io_error(d.step_index(), e, &events, injected()))?;
-                ck_writes += 1;
-                ck_bytes += bytes;
-                disk_bytes = bytes;
-                self.metrics.counter_add("checkpoint_writes", &[], 1);
-                self.metrics.counter_add("checkpoint_bytes", &[], bytes);
-            }
-            ck_time += t.elapsed();
-            run.sink.emit(obs::RunEvent::CheckpointWritten {
-                step: ck.step,
-                bytes: disk_bytes,
-            });
+            let ck = self
+                .refresh_basis(d, &run.sink, &mut written)
+                .map_err(|e| self.io_error(d.step_index(), e, &events, injected()))?;
             basis = Some(ck);
         }
         // Cumulative stall count already seen, for per-step stall deltas
@@ -339,24 +330,9 @@ impl Supervisor {
                     if checkpointing
                         && (d.step_index() - start).is_multiple_of(self.policy.checkpoint_every)
                     {
-                        let t = Instant::now();
-                        let ck = Checkpoint::capture(d);
-                        let mut disk_bytes = 0;
-                        if let Some(dir) = &self.policy.checkpoint_dir {
-                            let bytes = ck
-                                .write_atomic(&step_path(dir, ck.step))
-                                .map_err(|e| self.io_error(d.step_index(), e, &events, injected()))?;
-                            ck_writes += 1;
-                            ck_bytes += bytes;
-                            disk_bytes = bytes;
-                            self.metrics.counter_add("checkpoint_writes", &[], 1);
-                            self.metrics.counter_add("checkpoint_bytes", &[], bytes);
-                        }
-                        ck_time += t.elapsed();
-                        run.sink.emit(obs::RunEvent::CheckpointWritten {
-                            step: ck.step,
-                            bytes: disk_bytes,
-                        });
+                        let ck = self
+                            .refresh_basis(d, &run.sink, &mut written)
+                            .map_err(|e| self.io_error(d.step_index(), e, &events, injected()))?;
                         basis = Some(ck);
                     }
                 }
@@ -450,14 +426,40 @@ impl Supervisor {
             retries: retries_total,
             restores,
             ranks_restored,
-            checkpoint_writes: ck_writes,
-            checkpoint_bytes: ck_bytes,
-            checkpoint_write_time: ck_time,
+            checkpoint_writes: written.writes,
+            checkpoint_bytes: written.bytes,
+            checkpoint_write_time: written.time,
             halo_stalls: stalls,
             faults_injected: (injections.len() - faults_before) as u64,
             events,
             monitor: std::mem::take(&mut self.monitor),
         })
+    }
+
+    /// Refresh the rollback basis: capture `d`, mirror the capture to disk
+    /// when a directory is configured, account for it and announce it.
+    fn refresh_basis(
+        &self,
+        d: &DistributedDycore,
+        sink: &obs::EventSink,
+        written: &mut DiskTally,
+    ) -> std::io::Result<Checkpoint> {
+        let t = Instant::now();
+        let ck = Checkpoint::capture(d);
+        let mut bytes = 0;
+        if let Some(dir) = &self.policy.checkpoint_dir {
+            bytes = ck.write_atomic(&step_path(dir, ck.step))?;
+            written.writes += 1;
+            written.bytes += bytes;
+            self.metrics.counter_add("checkpoint_writes", &[], 1);
+            self.metrics.counter_add("checkpoint_bytes", &[], bytes);
+        }
+        written.time += t.elapsed();
+        sink.emit(obs::RunEvent::CheckpointWritten {
+            step: ck.step,
+            bytes,
+        });
+        Ok(ck)
     }
 
     /// One guarded step: catch panics, then sample health. Returns how

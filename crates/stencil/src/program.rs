@@ -87,12 +87,6 @@ impl ProgramBuilder {
         p
     }
 
-    /// Names of registered parameters in id order (for building the
-    /// runtime parameter vector).
-    pub fn param_names(&self) -> Vec<String> {
-        self.sdfg.params.clone()
-    }
-
     fn state_mut(&mut self) -> &mut State {
         if self.current_state.is_none() {
             let n = self.sdfg.states.len();

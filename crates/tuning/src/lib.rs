@@ -27,13 +27,11 @@ pub mod transfer;
 pub use cutout::{extract_cutouts, Cutout};
 pub use measure::{MeasuredScorer, ModelScorer, StateScorer, Vet};
 pub use pattern::Pattern;
-pub use search::{tune_cutouts, tune_cutouts_scored, tune_cutouts_vetted, SearchReport};
-pub use transfer::{
-    transfer_patterns, transfer_patterns_scored, transfer_patterns_vetted, TransferReport,
-};
+pub use search::{tune_cutouts, SearchReport};
+pub use transfer::{transfer_patterns, TransferReport};
 
 use dataflow::model::{model_sdfg, CostModel};
-use dataflow::transforms::cross_state::{cross_module_fusion, cross_module_fusion_with};
+use dataflow::transforms::cross_state::cross_module_fusion;
 use dataflow::transforms::Applied;
 use dataflow::Sdfg;
 
@@ -56,11 +54,6 @@ pub struct AutotuneReport {
 }
 
 impl AutotuneReport {
-    /// Total transformations applied across all phases.
-    pub fn applied_count(&self) -> usize {
-        self.cross_module.len() + self.transfer.applied.len()
-    }
-
     /// Modeled speedup factor (>= 1 when the pipeline helped).
     pub fn modeled_speedup(&self) -> f64 {
         if self.modeled_after > 0.0 {
@@ -96,27 +89,7 @@ impl AutotuneReport {
 /// Mutates `sdfg` in place (bumping its generation via the transforms'
 /// `touch` calls) and returns what happened.
 pub fn autotune(sdfg: &mut Sdfg, model: &CostModel, m_otf: usize) -> AutotuneReport {
-    let modeled_before = model_sdfg(sdfg, model, &|_| 0.0).total_time;
-    let kernels_before = sdfg.kernel_count();
-
-    // Phase 1: fuse producer/consumer kernels across module boundaries so
-    // the per-state cutout search below sees the widened states.
-    let cross_module = cross_module_fusion(sdfg);
-
-    // Phases 2+3: cutout-tune every state (empty slice = all) and
-    // re-apply the winning patterns across the whole graph.
-    let (search, transfer) = transfer_tune(sdfg, &[], model, m_otf);
-
-    let modeled_after = model_sdfg(sdfg, model, &|_| 0.0).total_time;
-    AutotuneReport {
-        cross_module,
-        search,
-        transfer,
-        kernels_before,
-        kernels_after: sdfg.kernel_count(),
-        modeled_before,
-        modeled_after,
-    }
+    tune_whole_program(sdfg, model, m_otf, None)
 }
 
 /// [`autotune`] with the Fig. 7 loop *closed by measurement*: the static
@@ -129,31 +102,13 @@ pub fn autotune(sdfg: &mut Sdfg, model: &CostModel, m_otf: usize) -> AutotuneRep
 /// executor's (j, k) row parallelism by merging parallel chains into
 /// k-serial solver kernels.
 ///
-/// `params` must supply a value per program parameter (the scorer
-/// executes the cutouts); `repeats` profiled runs are taken per score and
-/// the minimum wins; `margin` is the relative improvement a candidate
-/// must clear, filtering measurement noise so near-neutral rewrites are
-/// consistently rejected. Determinism: inputs are filled from a fixed
-/// hash, and min-of-repeats makes the veto stable in practice, though
-/// candidates within `margin` of neutral can land either way across
-/// hosts — which is exactly the set where either answer is fine.
-pub fn autotune_vetted(
-    sdfg: &mut Sdfg,
-    model: &CostModel,
-    m_otf: usize,
-    params: Vec<f64>,
-    repeats: usize,
-    margin: f64,
-) -> AutotuneReport {
-    let mut measured = MeasuredScorer::new(repeats, params);
-    autotune_vetted_scored(sdfg, model, m_otf, &mut measured, margin)
-}
-
-/// [`autotune_vetted`] with a caller-built measured scorer — the way to
-/// vet against *realistic data* instead of the synthetic fill: seed the
-/// scorer with the initialized model state
-/// ([`MeasuredScorer::with_seed`]) so the veto prices transcendental and
-/// recompute costs on the magnitudes the kernels will actually see.
+/// `measured` executes the cutouts — seed it with the initialized model
+/// state ([`MeasuredScorer::with_seed`]) so the veto prices transcendental
+/// and recompute costs on the magnitudes the kernels will actually see.
+/// `margin` is the relative improvement a candidate must clear, filtering
+/// measurement noise so near-neutral rewrites are consistently rejected:
+/// candidates within `margin` of neutral can land either way across hosts
+/// — which is exactly the set where either answer is fine.
 pub fn autotune_vetted_scored(
     sdfg: &mut Sdfg,
     model: &CostModel,
@@ -161,31 +116,37 @@ pub fn autotune_vetted_scored(
     measured: &mut dyn StateScorer,
     margin: f64,
 ) -> AutotuneReport {
+    let mut vet = Vet {
+        scorer: measured,
+        margin,
+    };
+    tune_whole_program(sdfg, model, m_otf, Some(&mut vet))
+}
+
+/// The whole-program pipeline behind [`autotune`] (no `vet`) and
+/// [`autotune_vetted_scored`]: `model` ranks, `vet` confirms each commit.
+fn tune_whole_program(
+    sdfg: &mut Sdfg,
+    model: &CostModel,
+    m_otf: usize,
+    mut vet: Option<&mut Vet>,
+) -> AutotuneReport {
     let modeled_before = model_sdfg(sdfg, model, &|_| 0.0).total_time;
     let kernels_before = sdfg.kernel_count();
 
-    // Phase 1: cross-module fusion, each merge committed only when the
-    // fused state measures faster than the two states it replaces.
-    let cross_module = {
-        let mut vet = Vet {
-            scorer: &mut *measured,
-            margin,
-        };
-        cross_module_fusion_with(sdfg, &mut |before, after, first| {
-            vet.passes_merge(before, after, first)
-        })
-    };
+    // Phase 1: fuse producer/consumer kernels across module boundaries so
+    // the per-state cutout search below sees the widened states.
+    let cross_module = cross_module_fusion(sdfg, &mut |before, after, first| {
+        vet.as_deref_mut()
+            .map_or(true, |v| v.passes_merge(before, after, first))
+    });
 
-    // Phases 2+3: model-ranked, measurement-vetted cutout hill-climb and
-    // whole-graph pattern transfer.
+    // Phases 2+3: cutout-tune every state (empty slice = all) and
+    // re-apply the winning patterns across the whole graph.
     let cutouts = extract_cutouts(sdfg, &[]);
     let mut ranker = ModelScorer { model };
-    let mut vet = Vet {
-        scorer: &mut *measured,
-        margin,
-    };
-    let search = tune_cutouts_vetted(sdfg, &cutouts, &mut ranker, Some(&mut vet), m_otf);
-    let transfer = transfer_patterns_vetted(sdfg, &search.patterns, &mut ranker, Some(&mut vet));
+    let search = tune_cutouts(sdfg, &cutouts, &mut ranker, vet.as_deref_mut(), m_otf);
+    let transfer = transfer_patterns(sdfg, &search.patterns, &mut ranker, vet);
 
     let modeled_after = model_sdfg(sdfg, model, &|_| 0.0).total_time;
     AutotuneReport {
@@ -210,39 +171,10 @@ pub fn transfer_tune(
     m_otf: usize,
 ) -> (SearchReport, TransferReport) {
     let cutouts = extract_cutouts(sdfg, source_states);
-    let search = tune_cutouts(sdfg, &cutouts, model, m_otf);
-    let transfer = transfer_patterns(sdfg, &search.patterns, model);
+    let mut ranker = ModelScorer { model };
+    let search = tune_cutouts(sdfg, &cutouts, &mut ranker, None, m_otf);
+    let transfer = transfer_patterns(sdfg, &search.patterns, &mut ranker, None);
     (search, transfer)
-}
-
-/// [`transfer_tune`] with a caller-supplied scorer — the measured-mode
-/// entry point. With a [`MeasuredScorer`], candidates are ranked by
-/// profiled cutout execution time instead of the static model (the
-/// Fig. 7 "model-driven fine tuning" closing of the loop).
-pub fn transfer_tune_scored(
-    sdfg: &mut Sdfg,
-    source_states: &[usize],
-    scorer: &mut dyn StateScorer,
-    m_otf: usize,
-) -> (SearchReport, TransferReport) {
-    let cutouts = extract_cutouts(sdfg, source_states);
-    let search = tune_cutouts_scored(sdfg, &cutouts, scorer, m_otf);
-    let transfer = transfer_patterns_scored(sdfg, &search.patterns, scorer);
-    (search, transfer)
-}
-
-/// Measured-mode transfer tuning: rank every candidate by the minimum of
-/// `repeats` profiled serial executions of its cutout. `params` must
-/// supply a value for each program parameter.
-pub fn transfer_tune_measured(
-    sdfg: &mut Sdfg,
-    source_states: &[usize],
-    params: Vec<f64>,
-    repeats: usize,
-    m_otf: usize,
-) -> (SearchReport, TransferReport) {
-    let mut scorer = MeasuredScorer::new(repeats, params);
-    transfer_tune_scored(sdfg, source_states, &mut scorer, m_otf)
 }
 
 #[cfg(test)]
@@ -416,7 +348,11 @@ mod tests {
         for _ in 0..5 {
             let mut g = motif_program(3);
             let before = run(&g);
-            let (search, _transfer) = transfer_tune_measured(&mut g, &[0], vec![], 3, 2);
+            // A measured scorer as the ranker of both phases.
+            let mut ranker = MeasuredScorer::new(3, vec![]);
+            let cutouts = extract_cutouts(&g, &[0]);
+            let search = tune_cutouts(&mut g, &cutouts, &mut ranker, None, 2);
+            transfer_patterns(&mut g, &search.patterns, &mut ranker, None);
             let after = run(&g);
             assert_eq!(before.max_abs_diff(&after), 0.0);
             if !search.patterns.is_empty() {

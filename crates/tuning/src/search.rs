@@ -11,9 +11,8 @@
 //! pointwise chains collapse into single launches.
 
 use crate::cutout::Cutout;
-use crate::measure::{ModelScorer, StateScorer, Vet};
+use crate::measure::{StateScorer, Vet};
 use crate::pattern::{Pattern, PatternKind};
-use dataflow::model::CostModel;
 use dataflow::transforms::fusion::{fuse_otf, fuse_subgraph};
 use dataflow::Sdfg;
 
@@ -26,12 +25,6 @@ pub struct SearchReport {
     pub configurations: usize,
     /// Cutouts tuned.
     pub cutouts: usize,
-}
-
-/// Modeled time of one state.
-#[cfg(test)]
-fn state_time(sdfg: &Sdfg, state: usize, model: &CostModel) -> f64 {
-    ModelScorer { model }.state_time(sdfg, state)
 }
 
 /// Labels of the kernel nodes at `a` and `b` in `state` (panics if not
@@ -51,46 +44,29 @@ enum Cand {
     Sgf(usize),
 }
 
-/// Tune the cutouts against the static machine model: hill-climb each
-/// cutout to a fixpoint (repeatedly apply the best improving candidate
-/// and re-enumerate), recording the pristine cutout's best
-/// configurations as transferable patterns.
-pub fn tune_cutouts(
-    sdfg: &mut Sdfg,
-    cutouts: &[Cutout],
-    model: &CostModel,
-    m_otf: usize,
-) -> SearchReport {
-    tune_cutouts_scored(sdfg, cutouts, &mut ModelScorer { model }, m_otf)
-}
-
-/// [`tune_cutouts`] generalized over the candidate scorer — pass a
-/// [`MeasuredScorer`](crate::measure::MeasuredScorer) to rank candidates
-/// by measured cutout time instead of the static model.
+/// Tune the cutouts: hill-climb each to a fixpoint (repeatedly apply the
+/// best improving candidate and re-enumerate), recording the pristine
+/// cutout's best configurations as transferable patterns. `ranker` scores
+/// the candidates — a [`ModelScorer`](crate::measure::ModelScorer) for the
+/// static machine model, a
+/// [`MeasuredScorer`](crate::measure::MeasuredScorer) for measured cutout
+/// time.
 ///
 /// A single application per cutout leaves chains on the table: a state
 /// of N pairwise-fusable pointwise kernels (the Riemann solver expands
 /// to 10 of them) should collapse to *one* launch, not N-1. So each
 /// cutout is hill-climbed: apply the best improving candidate, rebuild
 /// the candidate list against the transformed state, repeat until no
-/// candidate improves the modeled time. Every step is individually
+/// candidate improves the ranked time. Every step is individually
 /// legality-checked, so the fixpoint is reached only through bit-exact
 /// rewrites.
-pub fn tune_cutouts_scored(
-    sdfg: &mut Sdfg,
-    cutouts: &[Cutout],
-    scorer: &mut dyn StateScorer,
-    m_otf: usize,
-) -> SearchReport {
-    tune_cutouts_vetted(sdfg, cutouts, scorer, None, m_otf)
-}
-
-/// [`tune_cutouts_scored`] with an optional measured [`Vet`]: each
-/// hill-climb step walks the model-ranked candidates and applies the
-/// *best one the measurement confirms*, so the committed fixpoint
-/// contains only ground-truth wins. Rejected candidates are remembered
-/// (by kind and labels) and not re-measured in later rounds.
-pub fn tune_cutouts_vetted(
+///
+/// With a measured [`Vet`], each hill-climb step walks the ranked
+/// candidates and applies the *best one the measurement confirms*, so the
+/// committed fixpoint contains only ground-truth wins. Rejected candidates
+/// are remembered (by kind and labels) and not re-measured in later
+/// rounds.
+pub fn tune_cutouts(
     sdfg: &mut Sdfg,
     cutouts: &[Cutout],
     scorer: &mut dyn StateScorer,
@@ -239,6 +215,8 @@ pub fn tune_cutouts_vetted(
 mod tests {
     use super::*;
     use crate::cutout::extract_cutouts;
+    use crate::measure::ModelScorer;
+    use dataflow::model::CostModel;
     use dataflow::graph::{DataflowNode, State};
     use dataflow::kernel::{Domain, KOrder, Kernel, LValue, Schedule, Stmt};
     use dataflow::storage::{Layout, StorageOrder};
@@ -274,11 +252,12 @@ mod tests {
         let mut g = chain_state();
         let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
         let cutouts = extract_cutouts(&g, &[]);
-        let before = state_time(&g, 0, &model);
-        let report = tune_cutouts(&mut g, &cutouts, &model, 2);
+        let mut ranker = ModelScorer { model: &model };
+        let before = ranker.state_time(&g, 0);
+        let report = tune_cutouts(&mut g, &cutouts, &mut ranker, None, 2);
         assert!(report.configurations >= 2, "OTF pair + SGF pair");
         assert!(!report.patterns.is_empty());
-        let after = state_time(&g, 0, &model);
+        let after = ranker.state_time(&g, 0);
         assert!(after < before);
         assert_eq!(g.states[0].kernel_count(), 1, "pair fused in the cutout");
     }
@@ -288,7 +267,7 @@ mod tests {
         let mut g = chain_state();
         let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
         let cutouts = extract_cutouts(&g, &[]);
-        let report = tune_cutouts(&mut g, &cutouts, &model, 2);
+        let report = tune_cutouts(&mut g, &cutouts, &mut ModelScorer { model: &model }, None, 2);
         for w in report.patterns.windows(2) {
             assert!(w[0].gain >= w[1].gain);
         }
@@ -306,7 +285,7 @@ mod tests {
         }
         let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
         let cutouts = extract_cutouts(&g, &[]);
-        let report = tune_cutouts(&mut g, &cutouts, &model, 2);
+        let report = tune_cutouts(&mut g, &cutouts, &mut ModelScorer { model: &model }, None, 2);
         assert!(report.patterns.is_empty());
         assert_eq!(g.states[0].kernel_count(), 2);
     }

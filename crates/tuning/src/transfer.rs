@@ -6,10 +6,9 @@
 //! a match is committed only when it "also provide[s] a local performance
 //! improvement" under the machine model.
 
-use crate::measure::{ModelScorer, StateScorer, Vet};
+use crate::measure::{StateScorer, Vet};
 use crate::pattern::{Pattern, PatternKind};
 use dataflow::graph::DataflowNode;
-use dataflow::model::CostModel;
 use dataflow::transforms::fusion::{fuse_otf, fuse_subgraph};
 use dataflow::Sdfg;
 
@@ -32,31 +31,15 @@ pub struct TransferReport {
 }
 
 /// Apply `patterns` (already sorted most-improving first) to every
-/// state, judging local improvement against the static machine model.
+/// state, committing a match only when `scorer` sees a local improvement
+/// (the static machine model through a
+/// [`ModelScorer`](crate::measure::ModelScorer), or measured cutout time
+/// through a [`MeasuredScorer`](crate::measure::MeasuredScorer)). With a
+/// measured [`Vet`], a match that improves the score locally is still
+/// rejected unless the measurement of the rewritten state confirms it;
+/// vetoed matches are remembered per state so they aren't re-measured on
+/// later rounds.
 pub fn transfer_patterns(
-    sdfg: &mut Sdfg,
-    patterns: &[Pattern],
-    model: &CostModel,
-) -> TransferReport {
-    transfer_patterns_scored(sdfg, patterns, &mut ModelScorer { model })
-}
-
-/// [`transfer_patterns`] generalized over the match scorer — pass a
-/// [`MeasuredScorer`](crate::measure::MeasuredScorer) to commit matches
-/// by measured cutout time instead of the static model.
-pub fn transfer_patterns_scored(
-    sdfg: &mut Sdfg,
-    patterns: &[Pattern],
-    scorer: &mut dyn StateScorer,
-) -> TransferReport {
-    transfer_patterns_vetted(sdfg, patterns, scorer, None)
-}
-
-/// [`transfer_patterns_scored`] with an optional measured [`Vet`]: a
-/// match that improves the model locally is still rejected unless the
-/// measurement of the rewritten state confirms it. Vetoed matches are
-/// remembered per state so they aren't re-measured on later rounds.
-pub fn transfer_patterns_vetted(
     sdfg: &mut Sdfg,
     patterns: &[Pattern],
     scorer: &mut dyn StateScorer,
@@ -147,7 +130,9 @@ pub fn transfer_patterns_vetted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::ModelScorer;
     use dataflow::graph::State;
+    use dataflow::model::CostModel;
     use dataflow::kernel::{Domain, KOrder, Kernel, LValue, Schedule, Stmt};
     use dataflow::storage::{Layout, StorageOrder};
     use dataflow::Expr;
@@ -193,7 +178,7 @@ mod tests {
     fn pattern_transfers_to_every_matching_state() {
         let mut g = two_state_program();
         let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
-        let report = transfer_patterns(&mut g, &[sgf_pattern()], &model);
+        let report = transfer_patterns(&mut g, &[sgf_pattern()], &mut ModelScorer { model: &model }, None);
         assert_eq!(report.applied.len(), 2);
         assert_eq!(g.states[0].kernel_count(), 1);
         assert_eq!(g.states[1].kernel_count(), 1);
@@ -209,7 +194,7 @@ mod tests {
             labels: ["other#0".into(), "shift#0".into()],
             gain: 1.0,
         };
-        let report = transfer_patterns(&mut g, &[pat], &model);
+        let report = transfer_patterns(&mut g, &[pat], &mut ModelScorer { model: &model }, None);
         assert!(report.applied.is_empty());
         assert_eq!(g.states[0].kernel_count(), 2);
     }
@@ -223,7 +208,7 @@ mod tests {
             k.domain = Domain::from_shape([16, 16, 8]);
         }
         let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
-        let report = transfer_patterns(&mut g, &[sgf_pattern()], &model);
+        let report = transfer_patterns(&mut g, &[sgf_pattern()], &mut ModelScorer { model: &model }, None);
         // State 0 rejected, state 1 applied.
         assert_eq!(report.applied.len(), 1);
         assert_eq!(report.applied[0].state, 1);

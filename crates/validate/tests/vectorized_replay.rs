@@ -1,7 +1,7 @@
 //! Golden replay guard for the vectorized execution engine (ISSUE 4).
 //!
 //! Runs the c8L6 seed case through the tuned dycore SDFG twice — once
-//! under the scalar reference VM and once under the tile VM — and
+//! under the per-point reference tree walk and once under the tile VM — and
 //! demands bit identity, with the savepoint comparator producing a
 //! first-divergence report (step, field, index) on any mismatch. A
 //! second test anchors the executed path to the checked-in golden
@@ -22,7 +22,7 @@ fn vectorized_path_is_bit_identical_to_scalar_on_seed_case() {
     // Bit identity, not approximate: the tile VM reorders nothing and
     // computes with the same scalar kernels, so 0 ULPs is the bar.
     compare_capture(&scalar, &lanes, &Tolerances::exact()).unwrap_or_else(|d| {
-        panic!("vectorized VM diverged from scalar VM on the seed case: {d}")
+        panic!("tile VM diverged from the scalar reference on the seed case: {d}")
     });
     // And the run actually integrated something.
     let u0 = state0.fields()[0].1.clone();
