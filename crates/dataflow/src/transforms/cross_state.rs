@@ -26,8 +26,8 @@
 //! preserve per-point arithmetic and evaluation order.
 
 use crate::graph::{ControlNode, Sdfg};
-use crate::transforms::fusion::{fuse_otf, fuse_subgraph, TransformResult};
-use crate::transforms::Applied;
+use crate::transforms::fusion::{plan_otf, plan_subgraph, TransformResult};
+use crate::transforms::{Applied, UsageMap};
 
 /// Whether every occurrence of `first` and `first + 1` in the control tree
 /// is an adjacent `[State(first), State(first+1)]` pair in the same body.
@@ -159,71 +159,46 @@ pub fn fuse_across_states(
 
     // Search on a trial clone first so a failed match leaves the caller's
     // graph (uid, generation, structure) completely untouched; on success
-    // the same rewrite is replayed on the live graph, keeping its identity
-    // and bumping its generation through the transforms' `touch` calls.
+    // the same plan is committed to the live graph, keeping its identity
+    // and bumping its generation once per rewrite.
     let mut trial = sdfg.clone();
     let seam = trial.states[first].nodes.len();
     merge_adjacent_states(&mut trial, first)?;
 
-    enum Plan {
-        Sgf,
-        Otf(usize, usize),
-    }
-    let mut plan: Option<(Plan, Applied)> = None;
-    // SGF at the seam: the last old-first kernel against the first
-    // old-second kernel (adjacency is what SGF requires).
-    if seam > 0 {
-        if let Ok(a) = fuse_subgraph(&mut trial, first, seam - 1) {
-            plan = Some((
-                Plan::Sgf,
-                Applied {
-                    kind: "xmodule-sgf",
-                    labels: a.labels,
-                },
-            ));
-        }
-    }
-    // OTF across the seam: any old-first producer into any old-second
-    // consumer.
-    if plan.is_none() {
-        'search: for p in 0..seam {
-            let n = trial.states[first].nodes.len();
-            for c in seam..n {
-                if let Ok(a) = fuse_otf(&mut trial, first, p, c) {
-                    plan = Some((
-                        Plan::Otf(p, c),
-                        Applied {
-                            kind: "xmodule-otf",
-                            labels: a.labels,
-                        },
-                    ));
-                    break 'search;
-                }
-            }
-        }
-    }
+    // SGF at the seam (the last old-first kernel against the first
+    // old-second kernel: adjacency is what SGF requires), else OTF from any
+    // old-first producer into any old-second consumer, all planned against
+    // one usage map of the merged graph.
+    let n = trial.states[first].nodes.len();
+    let usage = UsageMap::build(&trial);
+    let sgf = seam
+        .checked_sub(1)
+        .and_then(|last| plan_subgraph(&trial, first, last).ok());
+    let plan = sgf
+        .or_else(|| {
+            (0..seam)
+                .flat_map(|p| (seam..n).map(move |c| (p, c)))
+                .find_map(|(p, c)| plan_otf(&trial, &usage, first, p, c).ok())
+        })
+        .ok_or_else(|| format!("no kernel fusion applies across the {first}/{second} boundary"))?;
 
-    match plan {
-        Some((plan, applied)) => {
-            if !approve(sdfg, &trial, first) {
-                return Err(format!(
-                    "cross-module fusion at the {first}/{second} boundary was vetoed"
-                ));
-            }
-            merge_adjacent_states(sdfg, first).expect("merge validated on the trial clone");
-            match plan {
-                Plan::Sgf => fuse_subgraph(sdfg, first, seam - 1)
-                    .expect("SGF validated on the trial clone"),
-                Plan::Otf(p, c) => {
-                    fuse_otf(sdfg, first, p, c).expect("OTF validated on the trial clone")
-                }
-            };
-            Ok(applied)
-        }
-        None => Err(format!(
-            "no kernel fusion applies across the {first}/{second} boundary"
-        )),
+    // The hook sees the rewrite applied.
+    plan.clone().commit(&mut trial);
+    if !approve(sdfg, &trial, first) {
+        return Err(format!(
+            "cross-module fusion at the {first}/{second} boundary was vetoed"
+        ));
     }
+    merge_adjacent_states(sdfg, first).expect("merge validated on the trial clone");
+    let kind = if plan.kind == "sgf" {
+        "xmodule-sgf"
+    } else {
+        "xmodule-otf"
+    };
+    Ok(Applied {
+        kind,
+        ..plan.commit(sdfg)
+    })
 }
 
 /// Greedy cross-module pass: walk every adjacent state pair and fuse

@@ -9,10 +9,16 @@
 //!   kernel by extracting common iteration spaces": adjacent kernels with
 //!   identical domains and compatible vertical orders are concatenated
 //!   into one kernel when every cross-kernel dependency is pointwise.
+//!
+//! Each fusion is a pure **plan** ([`plan_otf`], [`plan_subgraph`]: every
+//! legality check and the fused kernel, against `&Sdfg`) and a **commit**
+//! ([`FusionPlan::commit`]). A tuner prices a candidate on its
+//! [`FusionPlan::trial_state`] and never copies the program; [`fuse_otf`]
+//! / [`fuse_subgraph`] are plan + commit: one implementation of legality.
 
 use crate::exec::validate_kernel;
 use crate::expr::{DataId, Expr, LocalId};
-use crate::graph::{DataflowNode, Sdfg};
+use crate::graph::{DataflowNode, Sdfg, State};
 use crate::kernel::{KOrder, Kernel, LValue};
 use crate::transforms::{touches_between, Applied, UsageMap};
 
@@ -33,9 +39,54 @@ fn kernels_at(
     Ok((get(a)?, get(b)?))
 }
 
-/// Apply on-the-fly map fusion: inline the single-statement producer at
+/// A fusion proven legal against a graph but not yet applied to it: the
+/// fused kernel takes the place of node `keep` of `state` and node `drop`
+/// goes away. Valid until the graph it was planned on is next mutated.
+#[derive(Debug, Clone)]
+pub struct FusionPlan {
+    /// `"otf"` or `"sgf"`.
+    pub kind: &'static str,
+    /// Names of the two kernels fused, in node order.
+    pub labels: [String; 2],
+    /// The fused kernel.
+    pub kernel: Kernel,
+    state: usize,
+    keep: usize,
+    drop: usize,
+}
+
+impl FusionPlan {
+    /// The state as a commit would leave it, built beside the graph: for
+    /// scoring or executing the rewrite without applying it.
+    pub fn trial_state(&self, sdfg: &Sdfg) -> State {
+        let mut state = sdfg.states[self.state].clone();
+        state.nodes[self.keep] = DataflowNode::Kernel(self.kernel.clone());
+        state.nodes.remove(self.drop);
+        state
+    }
+
+    /// Index of the node a commit removes (later nodes shift down by one).
+    pub fn removed_node(&self) -> usize {
+        self.drop
+    }
+
+    /// Apply the plan to the graph it was made on (one generation bump).
+    pub fn commit(self, sdfg: &mut Sdfg) -> Applied {
+        sdfg.touch();
+        let nodes = &mut sdfg.states[self.state].nodes;
+        nodes[self.keep] = DataflowNode::Kernel(self.kernel);
+        nodes.remove(self.drop);
+        Applied {
+            kind: self.kind,
+            labels: self.labels.to_vec(),
+        }
+    }
+}
+
+/// Plan on-the-fly map fusion: inline the single-statement producer at
 /// `(state, producer)` into the consumer at `(state, consumer)`,
-/// re-computing the producer expression at every offset.
+/// re-computing the producer expression at every offset. `usage` is the
+/// program-wide [`UsageMap`] of `sdfg` as it stands.
 ///
 /// Preconditions (all checked):
 /// * both nodes are kernels in the same state, producer before consumer;
@@ -47,14 +98,16 @@ fn kernels_at(
 ///   inputs;
 /// * the fused kernel passes [`validate_kernel`] (e.g. the consumer must
 ///   not write the producer's inputs at conflicting offsets).
-pub fn fuse_otf(sdfg: &mut Sdfg, state: usize, producer: usize, consumer: usize) -> TransformResult {
-    // Conservative cache invalidation: even a no-op application bumps
-    // the generation (transforms run at build time, not per timestep).
-    sdfg.touch();
+pub fn plan_otf(
+    sdfg: &Sdfg,
+    usage: &UsageMap,
+    state: usize,
+    producer: usize,
+    consumer: usize,
+) -> Result<FusionPlan, String> {
     if producer >= consumer {
         return Err("producer must precede consumer".into());
     }
-    let usage = UsageMap::build(sdfg);
     let (p, c) = kernels_at(sdfg, state, producer, consumer)?;
 
     if p.k_order != KOrder::Parallel {
@@ -108,17 +161,25 @@ pub fn fuse_otf(sdfg: &mut Sdfg, state: usize, producer: usize, consumer: usize)
     fused.name = format!("{}*{}", p.name, c.name);
     validate_kernel(&fused).map_err(|e| format!("fused kernel invalid: {e}"))?;
 
-    let labels = vec![p.name.clone(), c.name.clone()];
-    // Commit: replace consumer, drop producer.
-    sdfg.states[state].nodes[consumer] = DataflowNode::Kernel(fused);
-    sdfg.states[state].nodes.remove(producer);
-    Ok(Applied {
+    // Replace the consumer, drop the producer.
+    Ok(FusionPlan {
         kind: "otf",
-        labels,
+        labels: [p.name.clone(), c.name.clone()],
+        kernel: fused,
+        state,
+        keep: consumer,
+        drop: producer,
     })
 }
 
-/// Apply subgraph fusion: merge adjacent kernels `(state, first)` and
+/// Apply on-the-fly map fusion: [`plan_otf`] against a fresh usage map,
+/// then commit. A rejected application leaves the graph untouched.
+pub fn fuse_otf(sdfg: &mut Sdfg, state: usize, producer: usize, consumer: usize) -> TransformResult {
+    let plan = plan_otf(sdfg, &UsageMap::build(sdfg), state, producer, consumer)?;
+    Ok(plan.commit(sdfg))
+}
+
+/// Plan subgraph fusion: merge adjacent kernels `(state, first)` and
 /// `(state, first + 1)` into one kernel over their common iteration space.
 ///
 /// Preconditions (all checked):
@@ -130,10 +191,7 @@ pub fn fuse_otf(sdfg: &mut Sdfg, state: usize, producer: usize, consumer: usize)
 ///   dependency between threads" condition of Section VI-A1), and at a
 ///   vertical offset compatible with the merged K order;
 /// * the merged kernel passes [`validate_kernel`].
-pub fn fuse_subgraph(sdfg: &mut Sdfg, state: usize, first: usize) -> TransformResult {
-    // Conservative cache invalidation: even a no-op application bumps
-    // the generation (transforms run at build time, not per timestep).
-    sdfg.touch();
+pub fn plan_subgraph(sdfg: &Sdfg, state: usize, first: usize) -> Result<FusionPlan, String> {
     let second = first + 1;
     let (a, b) = kernels_at(sdfg, state, first, second)?;
 
@@ -194,13 +252,19 @@ pub fn fuse_subgraph(sdfg: &mut Sdfg, state: usize, first: usize) -> TransformRe
     };
     validate_kernel(&fused).map_err(|e| format!("fused kernel invalid: {e}"))?;
 
-    let labels = vec![a.name.clone(), b.name.clone()];
-    sdfg.states[state].nodes[first] = DataflowNode::Kernel(fused);
-    sdfg.states[state].nodes.remove(second);
-    Ok(Applied {
+    Ok(FusionPlan {
         kind: "sgf",
-        labels,
+        labels: [a.name.clone(), b.name.clone()],
+        kernel: fused,
+        state,
+        keep: first,
+        drop: second,
     })
+}
+
+/// Apply subgraph fusion: [`plan_subgraph`], then commit.
+pub fn fuse_subgraph(sdfg: &mut Sdfg, state: usize, first: usize) -> TransformResult {
+    Ok(plan_subgraph(sdfg, state, first)?.commit(sdfg))
 }
 
 /// Greedily apply SGF to every adjacent kernel pair in every state until

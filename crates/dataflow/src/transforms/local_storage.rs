@@ -70,8 +70,10 @@ pub fn cache_registers_everywhere(sdfg: &mut Sdfg) -> Vec<Applied> {
 /// Applies when, program-wide, `data` is written and read *only* by this
 /// kernel, and every access is at zero offset (single-thread access). The
 /// container's traffic disappears from the kernel's memlets entirely.
+/// `usage` is the program-wide [`UsageMap`] of `sdfg` as it stands.
 pub fn demote_transient_to_local(
     sdfg: &mut Sdfg,
+    usage: &UsageMap,
     state: usize,
     node: usize,
     data: DataId,
@@ -80,7 +82,6 @@ pub fn demote_transient_to_local(
         return Err(format!("'{}' is not transient", sdfg.containers[data.0].name));
     }
     // Program-wide exclusivity.
-    let usage = UsageMap::build(sdfg);
     let kernel = match &sdfg.states[state].nodes[node] {
         DataflowNode::Kernel(k) => k,
         other => return Err(format!("not a kernel: {other:?}")),
@@ -132,11 +133,14 @@ pub fn demote_transients_to_locals(sdfg: &mut Sdfg) -> Vec<Applied> {
     sdfg.touch();
     let mut out = Vec::new();
     let n_containers = sdfg.containers.len();
+    // One usage map for the sweep, rebuilt only when a demotion lands.
+    let mut usage = UsageMap::build(sdfg);
     for state in 0..sdfg.states.len() {
         for node in 0..sdfg.states[state].nodes.len() {
             for c in 0..n_containers {
-                if let Ok(a) = demote_transient_to_local(sdfg, state, node, DataId(c)) {
+                if let Ok(a) = demote_transient_to_local(sdfg, &usage, state, node, DataId(c)) {
                     out.push(a);
+                    usage = UsageMap::build(sdfg);
                 }
             }
         }
@@ -233,7 +237,8 @@ mod tests {
             .unwrap()
             .profile(&g.layout_fn())
             .bytes_total();
-        demote_transient_to_local(&mut g, 0, 0, t).expect("demotion applies");
+        let usage = UsageMap::build(&g);
+        demote_transient_to_local(&mut g, &usage, 0, 0, t).expect("demotion applies");
         let after = run(&g);
         assert_eq!(before.max_abs_diff(&after), 0.0);
         let k = g.states[0].kernels().next().unwrap();
@@ -251,7 +256,8 @@ mod tests {
         }
         // (This kernel is itself invalid under the parallel model, but the
         // demotion must already refuse on the offset check.)
-        assert!(demote_transient_to_local(&mut g, 0, 0, t).is_err());
+        let usage = UsageMap::build(&g);
+        assert!(demote_transient_to_local(&mut g, &usage, 0, 0, t).is_err());
     }
 
     #[test]
@@ -268,13 +274,15 @@ mod tests {
         k2.stmts
             .push(Stmt::full(LValue::Field(extra_out), Expr::load(t, 0, 0, 0)));
         g.states[0].nodes.push(DataflowNode::Kernel(k2));
-        assert!(demote_transient_to_local(&mut g, 0, 0, t).is_err());
+        let usage = UsageMap::build(&g);
+        assert!(demote_transient_to_local(&mut g, &usage, 0, 0, t).is_err());
     }
 
     #[test]
     fn demotion_rejects_non_transient() {
         let (mut g, a, _, _) = demote_sdfg();
-        assert!(demote_transient_to_local(&mut g, 0, 0, a).is_err());
+        let usage = UsageMap::build(&g);
+        assert!(demote_transient_to_local(&mut g, &usage, 0, 0, a).is_err());
     }
 
     #[test]

@@ -20,11 +20,15 @@ use dataflow::graph::{ControlNode, DataflowNode, Sdfg, State};
 use dataflow::kernel::{Domain, Extent2, KOrder, Kernel, LValue, Schedule, Stmt};
 use dataflow::passes;
 use dataflow::storage::{Array3, Layout, StorageOrder};
-use dataflow::transforms::fusion::{greedy_otf_fusion, greedy_subgraph_fusion};
+use dataflow::transforms::fusion::{
+    fuse_otf, fuse_subgraph, greedy_otf_fusion, greedy_subgraph_fusion, plan_otf, plan_subgraph,
+    FusionPlan, TransformResult,
+};
 use dataflow::transforms::local_storage::{cache_registers_everywhere, demote_transients_to_locals};
 use dataflow::transforms::power::optimize_powers;
 use dataflow::transforms::schedule::{assign_schedules, split_regions};
 use dataflow::transforms::tiling::apply_tiling;
+use dataflow::transforms::UsageMap;
 use dataflow::{DataId, Expr, Offset3, ParamId, UnOp};
 use dataflow::expr::BinOp;
 use proptest::prelude::*;
@@ -297,10 +301,54 @@ fn registry() -> Vec<(&'static str, Apply, u64)> {
     ]
 }
 
+/// A plan is the fusion it stands for: for every node pair of every state,
+/// `plan_*` accepts exactly what `fuse_*` on a clone accepts, its trial
+/// state holds the kernels that fusion leaves behind, and planning leaves
+/// the graph's generation alone.
+fn assert_plans_match_fusions(g: &Sdfg) {
+    let usage = UsageMap::build(g);
+    let generation = g.generation();
+    let same = |s: usize,
+                plan: Result<FusionPlan, String>,
+                fuse: &dyn Fn(&mut Sdfg) -> TransformResult| {
+        let mut after = g.clone();
+        let fused = fuse(&mut after);
+        let verdicts = (plan.as_ref().map(|p| &p.labels), &fused);
+        assert_eq!(plan.is_ok(), fused.is_ok(), "state {s}: {verdicts:?}");
+        if let (Ok(plan), Ok(applied)) = (plan, fused) {
+            assert_eq!(
+                (plan.kind, &plan.labels[..]),
+                (applied.kind, &applied.labels[..])
+            );
+            let (planned, applied) = (plan.trial_state(g), &after.states[s]);
+            assert!(
+                planned.kernels().eq(applied.kernels()),
+                "state {s}: {:?}",
+                plan.labels
+            );
+        }
+    };
+    for (s, state) in g.states.iter().enumerate() {
+        let n = state.nodes.len();
+        for a in 0..n {
+            for b in a + 1..n {
+                same(s, plan_otf(g, &usage, s, a, b), &|t| fuse_otf(t, s, a, b));
+            }
+            same(s, plan_subgraph(g, s, a), &|t| fuse_subgraph(t, s, a));
+        }
+    }
+    assert_eq!(
+        g.generation(),
+        generation,
+        "planning must not touch the graph"
+    );
+}
+
 /// The differential check: every registered transform on one spec.
 fn check_spec(spec: &Spec) {
     let (g0, input, outs) = build_program(spec);
     validate_sdfg(&g0).expect("generated program validates");
+    assert_plans_match_fusions(&g0);
     let reference = run(&g0, input, &outs, spec.seed, false);
 
     for (name, apply, budget) in registry() {
@@ -324,6 +372,21 @@ fn check_spec(spec: &Spec) {
             "{name}: profiling perturbed results by {p_ulps} ULPs on {spec:?}"
         );
     }
+}
+
+/// The graph the tuner actually searches: the expanded c24L8 dycore, as
+/// built and again with its states widened by cross-module fusion (one
+/// state of 15 kernels, 105 OTF pairs).
+#[test]
+fn plans_match_fusions_on_the_dycore_graph() {
+    use dataflow::graph::ExpansionAttrs;
+    use dataflow::transforms::cross_state::cross_module_fusion;
+    use fv3::dyn_core::{build_dycore_program, DycoreConfig};
+    let mut g = build_dycore_program(24, 8, DycoreConfig::default()).sdfg;
+    g.expand_libraries(&ExpansionAttrs::tuned());
+    assert_plans_match_fusions(&g);
+    assert!(!cross_module_fusion(&mut g, &mut |_, _, _| true).is_empty());
+    assert_plans_match_fusions(&g);
 }
 
 // ---------------------------------------------------------------------

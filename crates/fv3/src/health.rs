@@ -394,34 +394,35 @@ impl HealthMonitor {
         let blowup = check_fields(&input.fields, input.step, &span_stack);
 
         let mut violations = Vec::new();
-        let mut check = |bad: bool, msg: String| {
+        // A healthy sample formats nothing.
+        let mut check = |bad: bool, msg: &dyn Fn() -> String| {
             if bad {
-                violations.push(msg);
+                violations.push(msg());
             }
         };
         check(
             !max_wind.is_finite() || max_wind > t.max_wind,
-            format!("max wind {max_wind:.3} m/s exceeds {}", t.max_wind),
+            &|| format!("max wind {max_wind:.3} m/s exceeds {}", t.max_wind),
         );
         check(
             !cfl.is_finite() || cfl > t.max_cfl,
-            format!("CFL {cfl:.4} exceeds {}", t.max_cfl),
+            &|| format!("CFL {cfl:.4} exceeds {}", t.max_cfl),
         );
         check(
             !ps_min.is_finite() || ps_min < t.ps_min,
-            format!("surface pressure min {ps_min:.1} Pa below {}", t.ps_min),
+            &|| format!("surface pressure min {ps_min:.1} Pa below {}", t.ps_min),
         );
         check(
             !ps_max.is_finite() || ps_max > t.ps_max,
-            format!("surface pressure max {ps_max:.1} Pa above {}", t.ps_max),
+            &|| format!("surface pressure max {ps_max:.1} Pa above {}", t.ps_max),
         );
         check(
             !mass_drift.is_finite() || mass_drift > t.max_mass_drift,
-            format!("air-mass drift {mass_drift:.2e} exceeds {}", t.max_mass_drift),
+            &|| format!("air-mass drift {mass_drift:.2e} exceeds {}", t.max_mass_drift),
         );
         check(
             !energy_drift.is_finite() || energy_drift > t.max_energy_drift,
-            format!(
+            &|| format!(
                 "total-energy drift {energy_drift:.2e} exceeds {}",
                 t.max_energy_drift
             ),

@@ -221,7 +221,10 @@ mod tests {
         let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
         let before = model_sdfg(&g, &model, &|_| 0.0).total_time;
 
+        let (uid, generation) = (g.uid(), g.generation());
         let (search, transfer) = transfer_tune(&mut g, &[0], &model, 2);
+        assert_eq!(g.uid(), uid, "transfer commits in place: same graph identity");
+        assert!(g.generation() > generation, "every commit bumps the generation");
         assert!(
             !search.patterns.is_empty(),
             "tuning the cutout must find a fusion"
@@ -301,8 +304,9 @@ mod tests {
             (store.get(out).clone(), store.get(out2).clone())
         };
         let (b1, b2) = run(&g);
-        let gen_before = g.generation();
+        let (uid, gen_before) = (g.uid(), g.generation());
         let report = autotune(&mut g, &model, 2);
+        assert_eq!(g.uid(), uid, "tuning must keep the graph's identity");
         assert!(
             !report.cross_module.is_empty(),
             "the mod_a -> mod_b producer/consumer pair must fuse across the boundary"

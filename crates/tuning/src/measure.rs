@@ -8,17 +8,21 @@
 //! modeled kernel costs (the original behavior, bit-for-bit), and
 //! [`MeasuredScorer`] actually executes the state's cutout and scores it
 //! by measured kernel seconds.
+//!
+//! A scorer is handed a [`State`], not an index: a live state, or the
+//! *trial state* of a planned fusion (`FusionPlan::trial_state`) that is in
+//! no graph — scoring a candidate costs one state, never a program copy.
 
 use dataflow::exec::{DataStore, Executor, NoHooks};
-use dataflow::graph::ControlNode;
+use dataflow::graph::State;
 use dataflow::model::CostModel;
 use dataflow::{Array3, Sdfg};
 
-/// Scores one state of a program; lower is better. Tuning only compares
-/// scores of the *same* state before/after a rewrite, so scorers need to
-/// be consistent, not calibrated.
+/// Scores `state` over `sdfg`'s containers and parameters; lower is
+/// better. Tuning only compares scores of the *same* state before/after a
+/// rewrite, so scorers need to be consistent, not calibrated.
 pub trait StateScorer {
-    fn state_time(&mut self, sdfg: &Sdfg, state: usize) -> f64;
+    fn state_time(&mut self, sdfg: &Sdfg, state: &State) -> f64;
 }
 
 /// The static scorer: modeled kernel cost summed over the state.
@@ -27,8 +31,8 @@ pub struct ModelScorer<'a> {
 }
 
 impl StateScorer for ModelScorer<'_> {
-    fn state_time(&mut self, sdfg: &Sdfg, state: usize) -> f64 {
-        sdfg.states[state]
+    fn state_time(&mut self, sdfg: &Sdfg, state: &State) -> f64 {
+        state
             .kernels()
             .map(|k| self.model.kernel_cost(k, sdfg).time)
             .sum()
@@ -86,11 +90,13 @@ fn fill_value(c: usize, i: i64, j: i64, k: i64) -> f64 {
 }
 
 impl StateScorer for MeasuredScorer {
-    fn state_time(&mut self, sdfg: &Sdfg, state: usize) -> f64 {
-        // Standalone cutout: same containers/kernels, control reduced to
-        // the one state under test.
-        let mut cut = sdfg.clone();
-        cut.control = vec![ControlNode::State(state)];
+    fn state_time(&mut self, sdfg: &Sdfg, state: &State) -> f64 {
+        // Standalone cutout: the program's containers and parameters, and
+        // the one state under test as the whole control flow.
+        let mut cut = Sdfg::new(sdfg.name.as_str());
+        cut.containers = sdfg.containers.clone();
+        cut.params = sdfg.params.clone();
+        cut.add_state(state.clone());
         assert_eq!(
             self.params.len(),
             cut.params.len(),
@@ -135,20 +141,20 @@ pub struct Vet<'a> {
 }
 
 impl Vet<'_> {
-    /// Whether rewriting `state` (same index in both graphs) from
-    /// `before` to `after` is a measured win.
-    pub fn passes(&mut self, before: &Sdfg, after: &Sdfg, state: usize) -> bool {
-        let b = self.scorer.state_time(before, state);
-        let a = self.scorer.state_time(after, state);
+    /// Whether rewriting state `before` of `sdfg` into the trial state
+    /// `after` is a measured win.
+    pub fn passes(&mut self, sdfg: &Sdfg, before: &State, after: &State) -> bool {
+        let b = self.scorer.state_time(sdfg, before);
+        let a = self.scorer.state_time(sdfg, after);
         a < b * (1.0 - self.margin)
     }
 
     /// Cross-state form: states `first` and `first + 1` of `before`
     /// merged (and fused) into state `first` of `after`.
     pub fn passes_merge(&mut self, before: &Sdfg, after: &Sdfg, first: usize) -> bool {
-        let b = self.scorer.state_time(before, first)
-            + self.scorer.state_time(before, first + 1);
-        let a = self.scorer.state_time(after, first);
+        let b = self.scorer.state_time(before, &before.states[first])
+            + self.scorer.state_time(before, &before.states[first + 1]);
+        let a = self.scorer.state_time(after, &after.states[first]);
         a < b * (1.0 - self.margin)
     }
 }
@@ -156,7 +162,7 @@ impl Vet<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow::graph::{DataflowNode, State};
+    use dataflow::graph::DataflowNode;
     use dataflow::kernel::{Domain, KOrder, Kernel, LValue, Schedule, Stmt};
     use dataflow::storage::{Layout, StorageOrder};
     use dataflow::{BinOp, Expr};
@@ -209,7 +215,7 @@ mod tests {
             .map(|k| model.kernel_cost(k, &g).time)
             .sum();
         let mut scorer = ModelScorer { model: &model };
-        assert_eq!(scorer.state_time(&g, 0), direct);
+        assert_eq!(scorer.state_time(&g, &g.states[0]), direct);
     }
 
     #[test]
@@ -217,7 +223,7 @@ mod tests {
         let mut g = Sdfg::new("m");
         copy_state(&mut g, "c", [16, 16, 4]);
         let mut scorer = MeasuredScorer::new(2, vec![]);
-        let t = scorer.state_time(&g, 0);
+        let t = scorer.state_time(&g, &g.states[0]);
         assert!(t > 0.0 && t.is_finite());
         assert_eq!(fill_value(3, 1, 2, 4), fill_value(3, 1, 2, 4));
         let v = fill_value(0, 0, 0, 0);
@@ -242,14 +248,15 @@ mod tests {
         let wrong = CostModel::Gpu(GpuModel::new(wrong_spec));
 
         let mut model_scorer = ModelScorer { model: &wrong };
-        let (ma, mb) = (model_scorer.state_time(&g, 0), model_scorer.state_time(&g, 1));
+        let (a, b) = (&g.states[0], &g.states[1]);
+        let (ma, mb) = (model_scorer.state_time(&g, a), model_scorer.state_time(&g, b));
         assert!(
             ma < mb,
             "the wrong model must misrank: pow kernel modeled cheaper ({ma} vs {mb})"
         );
 
         let mut measured = MeasuredScorer::new(3, vec![]);
-        let (ta, tb) = (measured.state_time(&g, 0), measured.state_time(&g, 1));
+        let (ta, tb) = (measured.state_time(&g, a), measured.state_time(&g, b));
         assert!(
             ta > tb,
             "measured ranking must follow ground truth: pow chain slower ({ta} vs {tb})"

@@ -2,18 +2,21 @@
 //!
 //! For each cutout, every (producer, consumer) pair is a candidate OTF
 //! configuration and every adjacent pair a candidate SGF configuration.
-//! Each candidate is applied to a *clone* of the cutout's state, scored
-//! with the machine model, and the best `M` OTF plus the single best SGF
-//! configurations per cutout become transferable patterns ("the best
-//! (M=2) configurations of each cutout for OTF and the single best for
-//! SGF"). The searched cutouts themselves are hill-climbed to a
-//! fixpoint — they are part of the program being optimized, and long
-//! pointwise chains collapse into single launches.
+//! Each candidate is *planned* against the program (legality and the fused
+//! kernel, nothing applied); a legal one is scored on its trial state —
+//! the cutout's node list with the planned kernel swapped in — and the
+//! best `M` OTF plus the single best SGF configurations per cutout become
+//! transferable patterns ("the best (M=2) configurations of each cutout
+//! for OTF and the single best for SGF"). The searched cutouts themselves
+//! are hill-climbed to a fixpoint — they are part of the program being
+//! optimized, and long pointwise chains collapse into single launches —
+//! by committing the winning plan in place.
 
 use crate::cutout::Cutout;
 use crate::measure::{StateScorer, Vet};
 use crate::pattern::{Pattern, PatternKind};
-use dataflow::transforms::fusion::{fuse_otf, fuse_subgraph};
+use dataflow::transforms::fusion::{plan_otf, plan_subgraph, FusionPlan};
+use dataflow::transforms::UsageMap;
 use dataflow::Sdfg;
 
 /// Outcome of phase one.
@@ -25,23 +28,6 @@ pub struct SearchReport {
     pub configurations: usize,
     /// Cutouts tuned.
     pub cutouts: usize,
-}
-
-/// Labels of the kernel nodes at `a` and `b` in `state` (panics if not
-/// kernels — callers pass kernel indices from cutouts).
-fn labels(sdfg: &Sdfg, state: usize, a: usize, b: usize) -> [String; 2] {
-    use dataflow::graph::DataflowNode;
-    let get = |i: usize| match &sdfg.states[state].nodes[i] {
-        DataflowNode::Kernel(k) => k.name.clone(),
-        other => panic!("not a kernel: {other:?}"),
-    };
-    [get(a), get(b)]
-}
-
-/// A candidate transformation at concrete node indices.
-enum Cand {
-    Otf(usize, usize),
-    Sgf(usize),
 }
 
 /// Tune the cutouts: hill-climb each to a fixpoint (repeatedly apply the
@@ -87,49 +73,35 @@ pub fn tune_cutouts(
         // and labels so they aren't re-measured every round.
         let mut rejected: Vec<(PatternKind, [String; 2])> = Vec::new();
         loop {
-            let base = scorer.state_time(sdfg, cutout.state);
-            let mut found: Vec<(Pattern, Cand)> = Vec::new();
+            // The graph stands still for a round: one usage map, one base
+            // score, and every plan made in it stays valid.
+            let usage = UsageMap::build(sdfg);
+            let base = scorer.state_time(sdfg, &sdfg.states[cutout.state]);
+            let mut found: Vec<(Pattern, FusionPlan)> = Vec::new();
+            let mut consider = |kind, plan: Result<FusionPlan, String>| {
+                report.configurations += 1;
+                let Ok(plan) = plan else { return };
+                let t = scorer.state_time(sdfg, &plan.trial_state(sdfg));
+                if t < base {
+                    let pattern = Pattern {
+                        kind,
+                        labels: plan.labels.clone(),
+                        gain: base - t,
+                    };
+                    found.push((pattern, plan));
+                }
+            };
 
             // OTF candidates: every ordered kernel pair.
             for (pi, &p) in members.iter().enumerate() {
                 for &c in members.iter().skip(pi + 1) {
-                    report.configurations += 1;
-                    let mut trial = sdfg.clone();
-                    if fuse_otf(&mut trial, cutout.state, p, c).is_ok() {
-                        let t = scorer.state_time(&trial, cutout.state);
-                        if t < base {
-                            found.push((
-                                Pattern {
-                                    kind: PatternKind::Otf,
-                                    labels: labels(sdfg, cutout.state, p, c),
-                                    gain: base - t,
-                                },
-                                Cand::Otf(p, c),
-                            ));
-                        }
-                    }
+                    let plan = plan_otf(sdfg, &usage, cutout.state, p, c);
+                    consider(PatternKind::Otf, plan);
                 }
             }
-            // SGF candidates: adjacent pairs.
-            for w in members.windows(2) {
-                if w[1] != w[0] + 1 {
-                    continue; // not adjacent in the state
-                }
-                report.configurations += 1;
-                let mut trial = sdfg.clone();
-                if fuse_subgraph(&mut trial, cutout.state, w[0]).is_ok() {
-                    let t = scorer.state_time(&trial, cutout.state);
-                    if t < base {
-                        found.push((
-                            Pattern {
-                                kind: PatternKind::Sgf,
-                                labels: labels(sdfg, cutout.state, w[0], w[1]),
-                                gain: base - t,
-                            },
-                            Cand::Sgf(w[0]),
-                        ));
-                    }
-                }
+            // SGF candidates: pairs adjacent in the state.
+            for w in members.windows(2).filter(|w| w[1] == w[0] + 1) {
+                consider(PatternKind::Sgf, plan_subgraph(sdfg, cutout.state, w[0]));
             }
 
             found.sort_by(|a, b| b.0.gain.partial_cmp(&a.0.gain).unwrap());
@@ -156,45 +128,29 @@ pub fn tune_cutouts(
                 }
             }
 
-            // Apply the best candidate the veto confirms (or the overall
+            // Commit the best candidate the veto confirms (or the overall
             // best when unvetted) and fix up member indices — the fused
             // pair collapses into one node; later indices shift.
             let mut chosen = None;
-            for (pat, cand) in found {
+            for (pat, plan) in found {
                 if rejected.iter().any(|r| r.0 == pat.kind && r.1 == pat.labels) {
                     continue;
                 }
                 if let Some(v) = vet.as_deref_mut() {
-                    let mut trial = sdfg.clone();
-                    let ok = match cand {
-                        Cand::Otf(p, c) => fuse_otf(&mut trial, cutout.state, p, c).is_ok(),
-                        Cand::Sgf(first) => fuse_subgraph(&mut trial, cutout.state, first).is_ok(),
-                    };
-                    if !ok || !v.passes(sdfg, &trial, cutout.state) {
+                    let live = &sdfg.states[cutout.state];
+                    if !v.passes(sdfg, live, &plan.trial_state(sdfg)) {
                         rejected.push((pat.kind, pat.labels));
                         continue;
                     }
                 }
-                chosen = Some(cand);
+                chosen = Some(plan);
                 break;
             }
-            let Some(best) = chosen else {
+            let Some(plan) = chosen else {
                 break;
             };
-            let removed = match best {
-                Cand::Otf(p, c) => {
-                    if fuse_otf(sdfg, cutout.state, p, c).is_err() {
-                        break;
-                    }
-                    p
-                }
-                Cand::Sgf(first) => {
-                    if fuse_subgraph(sdfg, cutout.state, first).is_err() {
-                        break;
-                    }
-                    first + 1
-                }
-            };
+            let removed = plan.removed_node();
+            plan.commit(sdfg);
             members.retain(|&i| i != removed);
             for i in &mut members {
                 if *i > removed {
@@ -253,11 +209,11 @@ mod tests {
         let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
         let cutouts = extract_cutouts(&g, &[]);
         let mut ranker = ModelScorer { model: &model };
-        let before = ranker.state_time(&g, 0);
+        let before = ranker.state_time(&g, &g.states[0]);
         let report = tune_cutouts(&mut g, &cutouts, &mut ranker, None, 2);
         assert!(report.configurations >= 2, "OTF pair + SGF pair");
         assert!(!report.patterns.is_empty());
-        let after = ranker.state_time(&g, 0);
+        let after = ranker.state_time(&g, &g.states[0]);
         assert!(after < before);
         assert_eq!(g.states[0].kernel_count(), 1, "pair fused in the cutout");
     }

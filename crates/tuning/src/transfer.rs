@@ -4,12 +4,16 @@
 //! the match space, "we only consider the first match for each pattern in
 //! each state, and only match the most performance-improving pattern";
 //! a match is committed only when it "also provide[s] a local performance
-//! improvement" under the machine model.
+//! improvement" under the machine model. A match is planned against the
+//! program, scored (and vetted) on its trial state, and committed in
+//! place: the caller's graph keeps its identity and gains one generation
+//! per commit.
 
 use crate::measure::{StateScorer, Vet};
 use crate::pattern::{Pattern, PatternKind};
 use dataflow::graph::DataflowNode;
-use dataflow::transforms::fusion::{fuse_otf, fuse_subgraph};
+use dataflow::transforms::fusion::{plan_otf, plan_subgraph};
+use dataflow::transforms::UsageMap;
 use dataflow::Sdfg;
 
 /// One committed transfer.
@@ -49,79 +53,67 @@ pub fn transfer_patterns(
     let mut vetoed: Vec<(usize, PatternKind, [String; 2])> = Vec::new();
     for state in 0..sdfg.states.len() {
         // Repeat until no pattern matches this state anymore; each round
-        // applies the best pattern's first match.
+        // commits the best pattern's first match. The graph stands still
+        // within a round, so its usage map and the state's score are
+        // taken once (the score only if a match asks for it).
         loop {
-            let mut committed = false;
+            let usage = UsageMap::build(sdfg);
+            let mut before = None;
+            let mut committed = None;
             'patterns: for pat in patterns {
                 // Find the first label match in this state.
-                let nodes = &sdfg.states[state].nodes;
-                let kernel_name = |i: usize| match &nodes[i] {
-                    DataflowNode::Kernel(k) => Some(k.name.clone()),
+                let live = &sdfg.states[state];
+                let kernel_name = |i: usize| match &live.nodes[i] {
+                    DataflowNode::Kernel(k) => Some(k.name.as_str()),
                     _ => None,
                 };
-                let n = nodes.len();
+                let n = live.nodes.len();
                 for a in 0..n {
                     let Some(first) = kernel_name(a) else { continue };
-                    let candidates: Vec<usize> = match pat.kind {
-                        PatternKind::Otf => (a + 1..n).collect(),
-                        PatternKind::Sgf => {
-                            if a + 1 < n {
-                                vec![a + 1]
-                            } else {
-                                vec![]
-                            }
-                        }
+                    let partners = match pat.kind {
+                        PatternKind::Otf => a + 1..n,
+                        PatternKind::Sgf => a + 1..n.min(a + 2),
                     };
-                    for b in candidates {
+                    for b in partners {
                         let Some(second) = kernel_name(b) else { continue };
-                        if !pat.matches(&first, &second) {
+                        if !pat.matches(first, second) {
                             continue;
                         }
                         report.tested += 1;
-                        let before = scorer.state_time(sdfg, state);
-                        let mut trial = sdfg.clone();
-                        let ok = match pat.kind {
-                            PatternKind::Otf => fuse_otf(&mut trial, state, a, b).is_ok(),
-                            PatternKind::Sgf => fuse_subgraph(&mut trial, state, a).is_ok(),
+                        let plan = match pat.kind {
+                            PatternKind::Otf => plan_otf(sdfg, &usage, state, a, b),
+                            PatternKind::Sgf => plan_subgraph(sdfg, state, a),
                         };
-                        if !ok {
+                        let Ok(plan) = plan else { continue };
+                        let before = *before.get_or_insert_with(|| scorer.state_time(sdfg, live));
+                        let trial = plan.trial_state(sdfg);
+                        let after = scorer.state_time(sdfg, &trial);
+                        let improves = after < before;
+                        let key = (state, pat.kind, plan.labels.clone());
+                        if !improves || vetoed.contains(&key) {
                             continue;
                         }
-                        let after = scorer.state_time(&trial, state);
-                        if after < before {
-                            if vetoed.iter().any(|v| {
-                                v.0 == state
-                                    && v.1 == pat.kind
-                                    && v.2 == [first.clone(), second.clone()]
-                            }) {
+                        if let Some(v) = vet.as_deref_mut() {
+                            if !v.passes(sdfg, live, &trial) {
+                                vetoed.push(key);
                                 continue;
                             }
-                            if let Some(v) = vet.as_deref_mut() {
-                                if !v.passes(sdfg, &trial, state) {
-                                    vetoed.push((
-                                        state,
-                                        pat.kind,
-                                        [first.clone(), second.clone()],
-                                    ));
-                                    continue;
-                                }
-                            }
-                            *sdfg = trial;
-                            report.applied.push(TransferredMatch {
-                                kind: pat.kind,
-                                state,
-                                labels: [first, second],
-                                gain: before - after,
-                            });
-                            committed = true;
-                            break 'patterns;
                         }
+                        report.applied.push(TransferredMatch {
+                            kind: pat.kind,
+                            state,
+                            labels: key.2,
+                            gain: before - after,
+                        });
+                        committed = Some(plan);
+                        break 'patterns;
                     }
                 }
             }
-            if !committed {
-                break;
-            }
+            match committed {
+                Some(plan) => plan.commit(sdfg),
+                None => break,
+            };
         }
     }
     report
