@@ -9,14 +9,13 @@
 //! orientation transforms of Section IV-C, and its statistics feed the
 //! alpha-beta network model for the scaling studies (Fig. 11).
 
-use crate::parallel::{CompiledSubstep, RankSchedule, StepCache};
+use crate::parallel::{lower_substep, CompiledSubstep, RankSchedule, StepCache};
 use comm::{CornerPolicy, HaloUpdater, Partition, RankId};
 use dataflow::exec::{DataStore, ExecHooks};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::{Array3, DataId};
 use fv3::dyn_core::{
-    build_dycore_program, extract_state, load_state, remap_callback, DycoreConfig, DycoreIds,
-    REMAP_CALLBACK,
+    build_dycore_program, lend_state, remap_callback, DycoreConfig, DycoreIds, REMAP_CALLBACK,
 };
 use fv3::grid::Grid;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
@@ -84,8 +83,8 @@ pub struct DistributedDycore {
     pub grids: Arc<Vec<Grid>>,
     /// Per-rank prognostic states.
     pub states: Vec<DycoreState>,
-    /// A rank-substep's expanded graph, for inspection only
-    /// ([`program_graph`](Self::program_graph)); stepping runs the
+    /// A rank-substep's lowered graph ([`lower_substep`]), for inspection
+    /// only ([`program_graph`](Self::program_graph)); stepping runs the
     /// step cache's own build of it.
     expanded: Sdfg,
     updater: HaloUpdater,
@@ -196,7 +195,8 @@ impl fmt::Display for Substep {
 /// The store one rank-substep runs on. The first use of `slot` builds and
 /// counts it; later uses — the next rank, the next substep — take it as
 /// the last run left it, re-zeroing only the `clear` containers (see
-/// [`dataflow::reuse`]; every input is overwritten by `load_state`).
+/// [`dataflow::reuse`]; every input is overwritten by `load_state` or
+/// replaced by `lend_state`).
 pub(crate) fn scratch_store<'a>(
     slot: &'a mut Option<DataStore>,
     built: &AtomicU64,
@@ -223,11 +223,13 @@ pub(crate) fn scratch_store<'a>(
 }
 
 impl DistributedDycore {
-    /// Set up the partition, grids and initial states. `attrs` shapes the
-    /// inspection graph ([`program_graph`](Self::program_graph)) only:
-    /// the substep programs that `step` executes are always expanded with
-    /// [`ExpansionAttrs::tuned`]. Rank schedule, tuning and team size come
-    /// from the environment ([`RunConfig::from_env`], read here once); see
+    /// Set up the partition, grids and initial states. `attrs` is not
+    /// read: the graph `step` executes and the inspection graph
+    /// ([`program_graph`](Self::program_graph)) are both what
+    /// [`lower_substep`] builds, and the parameter stays for the callers
+    /// that pass it (the repo benchmark among them). Rank
+    /// schedule, tuning and team size come from the environment
+    /// ([`RunConfig::from_env`], read here once); see
     /// [`new_with_grids`](Self::new_with_grids) to pass them in.
     pub fn new(config: DriverConfig, attrs: &ExpansionAttrs) -> Self {
         Self::new_with_grids(config, attrs, None, &RunConfig::from_env())
@@ -242,14 +244,14 @@ impl DistributedDycore {
     /// never looks at the environment itself.
     pub fn new_with_grids(
         config: DriverConfig,
-        attrs: &ExpansionAttrs,
+        _attrs: &ExpansionAttrs,
         shared_grids: Option<Arc<Vec<Grid>>>,
         run: &RunConfig,
     ) -> Self {
         let partition = Partition::new(config.tile_n, config.rt);
         let sub_n = partition.sub_n;
-        let mut expanded = build_dycore_program(sub_n, config.nk, config.substep_dycore()).sdfg;
-        expanded.expand_libraries(attrs);
+        let expanded =
+            lower_substep(&build_dycore_program(sub_n, config.nk, config.substep_dycore()));
         dataflow::exec::validate_sdfg(&expanded).expect("dycore program validates");
 
         let grids = match shared_grids.filter(|g| g.len() == partition.ranks()) {
@@ -596,8 +598,8 @@ impl DistributedDycore {
         self.updater.stall_count() + self.parallel_stalls
     }
 
-    /// One rank-substep's graph, expanded under the constructor's `attrs`
-    /// (never autotuned).
+    /// One rank-substep's graph as [`lower_substep`] builds it (never
+    /// autotuned).
     pub fn program_graph(&self) -> &Sdfg {
         &self.expanded
     }
@@ -743,22 +745,28 @@ impl DistributedDycore {
             if let Some(m) = metrics {
                 m.counter_add("rank_runs", &[], 1);
             }
-            load_state(store, &sub.sub_prog.ids, &self.states[r], &self.grids[r]);
+            // The rank's prognostics run in place, on loan to the store:
+            // no copy in, no copy out. A run that unwinds hands back a
+            // partly stepped state, which the exchange above has already
+            // marked for the rollback. The rank team keeps copying
+            // (`Team::run_rank`): a starved rank's state must stay as it
+            // was, and its copies make it this path's bit-identity oracle.
+            let mut lent = lend_state(store, &sub.sub_prog.ids, &mut self.states[r], &self.grids[r]);
             let mut hooks = RankHooks {
                 ids: &sub.sub_prog.ids,
                 halo_markers: 0,
             };
             let rep = sub.exec_seq.run_in(
                 &sub.sub_expanded,
-                store,
+                lent.store(),
                 &sub.sub_prog.params,
                 &mut hooks,
                 &self.run,
             );
+            drop(lent);
             // The per-substep program embeds exactly one halo marker,
             // satisfied by the exchange above.
             debug_assert_eq!(hooks.halo_markers, 1);
-            extract_state(store, &sub.sub_prog.ids, &mut self.states[r]);
             self.note_kernel_cache(rep.cache_hits, rep.cache_misses);
         }
     }

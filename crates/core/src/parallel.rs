@@ -47,6 +47,7 @@ use comm::{ExchangePlan, HaloMailboxes, PackField};
 use dataflow::exec::{DataStore, Executor};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::reuse::clear_list;
+use dataflow::transforms::power;
 use dataflow::{DataId, SplitPrograms};
 use fv3::dyn_core::{build_dycore_program, extract_state, load_state, DycoreIds, DycoreProgram};
 use fv3::state::{DycoreState, HALO};
@@ -62,6 +63,25 @@ use std::time::{Duration, Instant};
 /// Hard halo-receive deadline (`set_halo_recv_timeout` overrides it).
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The one lowering of the production build: the graph every schedule,
+/// tuned or not, executes (and [`DistributedDycore::program_graph`]
+/// shows) is `program`'s substep graph expanded under
+/// [`ExpansionAttrs::tuned`] and then strength-reduced by
+/// [`power::optimize_powers`] (§VI-C1: `d_sw`'s Smagorinsky term costs
+/// three `powf` per point otherwise). The second step is the repo's one
+/// *budgeted* rewrite ([`dataflow::transforms::tier`]), so the 0-ULP
+/// contracts — schedule, tenant, tuning-set and streaming invariance,
+/// tile VM ≡ `Expr::eval` — are contracts *of this graph*: every path
+/// runs the same rewritten trees. Always on; `set_tuned` still means
+/// search-driven fusion on top, and `run_pipeline` stays the
+/// stage-by-stage Table III tool.
+pub fn lower_substep(program: &DycoreProgram) -> Sdfg {
+    let mut g = program.sdfg.clone();
+    g.expand_libraries(&ExpansionAttrs::tuned());
+    power::optimize_powers(&mut g);
+    g
+}
+
 /// The cost model the build-time autotune pipeline scores against: the
 /// interpreter-honest `CpuSpec::lane_vm()`, calibrated from a dycore
 /// profile of the executor this repo had before the tile VM (see the
@@ -69,7 +89,7 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 /// on-the-fly recomputation as free against an AVX2 flop ceiling and
 /// accepts fusions that are measurably slower on the host executor; the
 /// honest spec prices recompute at the measured dispatch rate. Purely a
-/// *ranking* model — every applied transform is bit-exact, so a
+/// *ranking* model — every transform the tuner applies is bit-exact, so a
 /// mis-ranked host changes speed, never answers.
 pub fn tune_model() -> dataflow::model::CostModel {
     dataflow::model::CostModel::Cpu(machine::CpuModel::new(machine::CpuSpec::lane_vm()))
@@ -141,13 +161,14 @@ impl CompiledSubstep {
     /// Build the substep bundle for `config`, pinning the sequential-path
     /// executor to `pool`. Kernel compilation itself is lazy: the first
     /// run through each executor populates its cache.
-    /// When `tuned`, the expanded substep program is run through
+    /// The substep program is lowered by [`lower_substep`]; when `tuned`,
+    /// the lowered graph is then run through
     /// [`tuning::autotune_vetted_scored`] (cross-module fusion, then cutout
     /// search + pattern transfer over every state, each committed step
     /// confirmed by measured re-execution at this build's size) *before*
     /// the interior/rind split, so the overlapped schedule executes the
     /// fused kernels too.
-    /// All applied transforms are bit-exact, so a tuned bundle produces
+    /// Everything the tuner applies is bit-exact, so a tuned bundle produces
     /// states 0 ULP identical to an untuned one; the tuned flag still
     /// enters the [`StepKey`], so tuned and untuned shared bundles never
     /// cross-adopt (their kernel-cache namespaces stay disjoint).
@@ -155,8 +176,7 @@ impl CompiledSubstep {
         let key = StepKey::of_config(config, tuned);
         let sub_n = config.tile_n / config.rt;
         let sub_prog = build_dycore_program(sub_n, config.nk, config.substep_dycore());
-        let mut sub_expanded = sub_prog.sdfg.clone();
-        sub_expanded.expand_libraries(&ExpansionAttrs::tuned());
+        let mut sub_expanded = lower_substep(&sub_prog);
         let tune = tuned.then(|| {
             // Seed the measured veto with a representative baroclinic
             // tile at this substep's size: candidate fusions are priced

@@ -6,19 +6,23 @@
 //! schedule heuristics → local caching → power operator → region split →
 //! (cycle 2) reschedule/cleanup → region pruning → transfer tuning.
 //!
-//! Every stage also re-validates the graph, and bit identity across
-//! stages is an enforced property, not an informal claim:
+//! Every stage also re-validates the graph, and what a stage may do to
+//! the numbers is an enforced property, not an informal claim: each stage
+//! has the [`Tier`] of the transform kinds it applies
+//! ([`PipelineStage::tier`]), and
 //! `validate::stages::check_pipeline_bit_identity` executes the dycore
-//! through every [`PipelineStage`] cutoff and requires bitwise-equal
-//! prognostic output (see `tests/integration_pipeline.rs` and
-//! `crates/validate`) — "all performance engineering was accomplished
+//! through every [`PipelineStage`] cutoff and requires the prognostic
+//! output of a bit-exact stage to equal its predecessor's bitwise and that
+//! of a budgeted stage — the power operator, the only one — to stay within
+//! its ULP budget of its predecessor's (see `tests/integration_pipeline.rs`
+//! and `crates/validate`) — "all performance engineering was accomplished
 //! without modifying the user-code".
 
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::kernel::Schedule;
 use dataflow::model::{model_sdfg, CostModel};
 use dataflow::passes;
-use dataflow::transforms::{local_storage, power, schedule};
+use dataflow::transforms::{local_storage, power, schedule, tier, Tier};
 use dataflow::DataId;
 use tuning::transfer_tune;
 
@@ -71,6 +75,31 @@ impl PipelineStage {
             PipelineStage::RegionPruning => "Region pruning",
             PipelineStage::TransferTuning => "Transfer Tuning (FVT)",
         }
+    }
+
+    /// The transform kinds ([`dataflow::transforms::tier`]) this stage
+    /// adds to the ones before it.
+    fn kinds(&self) -> &'static [&'static str] {
+        match self {
+            PipelineStage::Default => &[],
+            PipelineStage::ScheduleHeuristics => &["schedule"],
+            PipelineStage::LocalCaching => &["register-cache", "local-demote"],
+            PipelineStage::PowerOperator => &["power"],
+            PipelineStage::SplitRegions => &["region-split"],
+            PipelineStage::Cleanup => &["pass"],
+            PipelineStage::RegionPruning => &["region-prune"],
+            PipelineStage::TransferTuning => &["otf", "sgf"],
+        }
+    }
+
+    /// How far this stage's output may sit from its predecessor's: the
+    /// loosest tier among its [`kinds`](Self::kinds).
+    pub fn tier(&self) -> Tier {
+        self.kinds()
+            .iter()
+            .map(|k| tier(k))
+            .max_by_key(|t| t.max_ulps())
+            .unwrap_or(Tier::BitExact)
     }
 }
 
@@ -278,6 +307,14 @@ mod tests {
     fn stages_have_labels() {
         for s in PipelineStage::ALL {
             assert!(!s.label().is_empty());
+        }
+    }
+
+    #[test]
+    fn only_the_power_stage_is_budgeted() {
+        for s in PipelineStage::ALL {
+            let budgeted = s == PipelineStage::PowerOperator;
+            assert_eq!(s.tier() != Tier::BitExact, budgeted, "{s:?}");
         }
     }
 

@@ -13,9 +13,15 @@
 //! * [`tiling`] — tile-size sweeps feeding the CPU cache model
 //!   (Section V-A's "tiling and tile sizes in each dimension").
 //!
-//! Transforms are *semantics-preserving*: each checks its preconditions
-//! and re-validates the rewritten kernel, returning `Err` (leaving the
-//! graph untouched) when the match does not apply.
+//! Each transform checks its preconditions and re-validates the rewritten
+//! kernel, returning `Err` (leaving the graph untouched) when the match
+//! does not apply. What it may do to an answer is its [`Tier`], declared
+//! per kind in [`tier`]: every kind but `power` is *bit-exact* (the same
+//! operations on the same values in the same order: 0 ULP, which
+//! `tests/transform_diff.rs` enforces); `power` is *budgeted* — it swaps
+//! libm's `pow` (a < 1 ULP approximation) for `x * x` and `sqrt`
+//! (correctly rounded), so the rewritten statement's value may move by a
+//! few ULPs and the budget bounds by how many.
 
 pub mod cross_state;
 pub mod fusion;
@@ -42,6 +48,43 @@ pub struct Applied {
     pub kind: &'static str,
     /// Labels of the kernels involved.
     pub labels: Vec<String>,
+}
+
+/// What a transform may do to the values a program computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// Bitwise-identical output on every input.
+    BitExact,
+    /// Every value the transformed program writes lies within `max_ulps`
+    /// units in the last place of the untransformed program's.
+    Budgeted { max_ulps: u64 },
+}
+
+impl Tier {
+    /// ULP distance from the untransformed program this tier allows.
+    pub fn max_ulps(self) -> u64 {
+        match self {
+            Tier::BitExact => 0,
+            Tier::Budgeted { max_ulps } => max_ulps,
+        }
+    }
+}
+
+/// The tier of every transform kind: the [`Applied::kind`] tags, plus
+/// `"schedule"` for [`schedule::assign_schedules`] and `"pass"` for the
+/// whole-graph cleanups of [`crate::passes`], which report counts. The one
+/// table both `tests/transform_diff.rs` and the Table III stage check
+/// (`validate::stages`) take their tolerance from. `region-prune` is
+/// bit-exact on the rank it prunes for: it drops regions that rank's
+/// subdomain never enters. Panics on a kind that declares none — a new
+/// transform states its tier here first.
+pub fn tier(kind: &str) -> Tier {
+    match kind {
+        "otf" | "sgf" | "state-merge" | "register-cache" | "local-demote" | "schedule"
+        | "region-split" | "region-prune" | "tile" | "pass" => Tier::BitExact,
+        "power" => Tier::Budgeted { max_ulps: 16 },
+        other => panic!("transform kind '{other}' declares no tier"),
+    }
 }
 
 /// How often each container is read/written across the whole SDFG,

@@ -10,6 +10,12 @@
 //! * `x ** 0.5` → `sqrt(x)`;
 //! * `x ** -0.5` → `1 / sqrt(x)`;
 //! * `x ** 1.0` → `x`; `x ** 0.0` → `1`.
+//!
+//! The one *budgeted* transform ([`crate::transforms::tier`]): libm's
+//! `pow` is a < 1 ULP approximation while `x * x` and `sqrt` are
+//! correctly rounded, so `pow(x, 2.0) != x * x` for about one input in a
+//! thousand (glibc 2.36; DESIGN §6b) and the rewritten value may sit a few
+//! ULPs from the original.
 
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::graph::{DataflowNode, Sdfg};

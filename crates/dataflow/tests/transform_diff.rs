@@ -2,10 +2,10 @@
 //!
 //! Every registered transform is applied to generated SDFGs and the
 //! transformed program's `DataStore` output is compared against the
-//! untransformed program, element by element, in ULPs. Semantics-
-//! preserving transforms must be *bitwise* identical (0 ULP); the power
-//! transform replaces `powf` with repeated multiplication (`Powi`), so
-//! it gets a small ULP budget instead.
+//! untransformed program, element by element, in ULPs, against the tier
+//! the transform declares in [`dataflow::transforms::tier`]: a bit-exact
+//! kind must be *bitwise* identical (0 ULP); the power transform replaces
+//! `powf` with repeated multiplication (`Powi`), so it is budgeted.
 //!
 //! Each transformed program is additionally executed under the profiler
 //! ([`Executor::run_profiled`]) and must match its unprofiled run
@@ -28,7 +28,7 @@ use dataflow::transforms::local_storage::{cache_registers_everywhere, demote_tra
 use dataflow::transforms::power::optimize_powers;
 use dataflow::transforms::schedule::{assign_schedules, split_regions};
 use dataflow::transforms::tiling::apply_tiling;
-use dataflow::transforms::UsageMap;
+use dataflow::transforms::{tier, Tier, UsageMap};
 use dataflow::{DataId, Expr, Offset3, ParamId, UnOp};
 use dataflow::expr::BinOp;
 use proptest::prelude::*;
@@ -229,34 +229,38 @@ fn max_ulps(g: &Sdfg, outs: &[DataId], a: &[Array3], b: &[Array3]) -> u64 {
 
 type Apply = Box<dyn Fn(&mut Sdfg)>;
 
-/// Every registered whole-program transform, with its ULP budget
-/// against the untransformed program. `prune_regions` is excluded (see
-/// module docs).
-fn registry() -> Vec<(&'static str, Apply, u64)> {
+/// Every registered whole-program transform, with the tier its kind
+/// declares: the ULP budget against the untransformed program.
+/// `prune_regions` is excluded (see module docs).
+fn registry() -> Vec<(&'static str, Apply, Tier)> {
     vec![
-        ("fusion/sgf", Box::new(|g: &mut Sdfg| drop(greedy_subgraph_fusion(g))), 0),
-        ("fusion/otf", Box::new(|g: &mut Sdfg| drop(greedy_otf_fusion(g))), 0),
+        ("fusion/sgf", Box::new(|g: &mut Sdfg| drop(greedy_subgraph_fusion(g))), tier("sgf")),
+        ("fusion/otf", Box::new(|g: &mut Sdfg| drop(greedy_otf_fusion(g))), tier("otf")),
         (
             "local_storage/registers",
             Box::new(|g: &mut Sdfg| drop(cache_registers_everywhere(g))),
-            0,
+            tier("register-cache"),
         ),
         (
             "local_storage/demote",
             Box::new(|g: &mut Sdfg| drop(demote_transients_to_locals(g))),
-            0,
+            tier("local-demote"),
         ),
         // Powi evaluates by repeated multiplication; powf goes through
         // libm. A few ULPs apart is expected, more is a bug.
-        ("power", Box::new(|g: &mut Sdfg| drop(optimize_powers(g))), 16),
+        ("power", Box::new(|g: &mut Sdfg| drop(optimize_powers(g))), tier("power")),
         (
             "schedule/assign",
             Box::new(|g: &mut Sdfg| {
                 assign_schedules(g, &Schedule::gpu_horizontal(), &Schedule::gpu_vertical());
             }),
-            0,
+            tier("schedule"),
         ),
-        ("schedule/split_regions", Box::new(|g: &mut Sdfg| drop(split_regions(g))), 0),
+        (
+            "schedule/split_regions",
+            Box::new(|g: &mut Sdfg| drop(split_regions(g))),
+            tier("region-split"),
+        ),
         (
             "tiling",
             Box::new(|g: &mut Sdfg| {
@@ -268,35 +272,35 @@ fn registry() -> Vec<(&'static str, Apply, u64)> {
                     }
                 }
             }),
-            0,
+            tier("tile"),
         ),
         (
             "passes/fold_constants",
             Box::new(|g: &mut Sdfg| {
                 passes::fold_constants(g);
             }),
-            0,
+            tier("pass"),
         ),
         (
             "passes/dead_writes",
             Box::new(|g: &mut Sdfg| {
                 passes::eliminate_dead_writes(g);
             }),
-            0,
+            tier("pass"),
         ),
         (
             "passes/redundant_copies",
             Box::new(|g: &mut Sdfg| {
                 passes::eliminate_redundant_copies(g);
             }),
-            0,
+            tier("pass"),
         ),
         (
             "passes/unroll_loops",
             Box::new(|g: &mut Sdfg| {
                 passes::unroll_loops(g);
             }),
-            0,
+            tier("pass"),
         ),
     ]
 }
@@ -351,7 +355,8 @@ fn check_spec(spec: &Spec) {
     assert_plans_match_fusions(&g0);
     let reference = run(&g0, input, &outs, spec.seed, false);
 
-    for (name, apply, budget) in registry() {
+    for (name, apply, declared) in registry() {
+        let budget = declared.max_ulps();
         let mut gt = g0.clone();
         apply(&mut gt);
         validate_sdfg(&gt).unwrap_or_else(|e| panic!("{name}: transformed program invalid: {e}"));

@@ -56,7 +56,7 @@ use resilience::{FaultPlan, RunReport, SupervisedError, Supervisor, SupervisorPo
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -621,6 +621,11 @@ impl QueueState {
         self.lanes.iter().map(VecDeque::len).sum()
     }
 
+    /// Queue depth per lane, scheduling order.
+    fn lane_depths(&self) -> [u64; 3] {
+        self.lanes.each_ref().map(|l| l.len() as u64)
+    }
+
     /// Pop the next request in scheduling order.
     fn pop_next(&mut self) -> Option<Pending> {
         self.lanes.iter_mut().find_map(VecDeque::pop_front)
@@ -694,10 +699,12 @@ struct EngineInner {
     /// The live telemetry bus (`None`: streaming disabled — nothing is
     /// ever published and runs pay zero event cost).
     bus: Option<EventBus>,
-    /// Total run slots / slots currently executing a request.
+    /// Total run slots.
     slots_n: usize,
-    slots_busy: AtomicUsize,
-    /// Requests currently executing, for [`ForecastEngine::status`].
+    /// Requests currently executing, one per busy slot: what
+    /// [`ForecastEngine::status`] lists as running *and* counts as busy,
+    /// so the two cannot disagree. A request enters when its slot starts
+    /// it and leaves before its terminal is counted.
     active: Mutex<HashMap<u64, ActiveRequest>>,
     /// Set on shutdown so the tick thread exits promptly.
     stopping: AtomicBool,
@@ -711,6 +718,11 @@ impl EngineInner {
         lock(&self.cases).values().map(|c| c.warm.len()).sum()
     }
 
+    /// Run slots executing a request right now.
+    fn slots_busy(&self) -> usize {
+        lock(&self.active).len()
+    }
+
     /// Publish one engine-wide tick snapshot (no-op when streaming is
     /// off). Called on request transitions and by the tick thread.
     fn emit_tick(&self) {
@@ -721,7 +733,7 @@ impl EngineInner {
             RunEvent::EngineTick {
                 queue_depth,
                 slots: self.slots_n as u64,
-                slots_busy: self.slots_busy.load(Ordering::Relaxed) as u64,
+                slots_busy: self.slots_busy() as u64,
                 warm_pool: self.warm_pool_size() as u64,
                 events_dropped: bus.events_dropped(),
             },
@@ -790,7 +802,6 @@ impl ForecastEngine {
             next_id: AtomicU64::new(1),
             bus: cfg.streaming.then(|| EventBus::new(cfg.stream_buffer)),
             slots_n,
-            slots_busy: AtomicUsize::new(0),
             active: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
             tick_cv: Condvar::new(),
@@ -1095,20 +1106,23 @@ impl ForecastEngine {
     }
 
     /// Aggregate counters so far, plus point-in-time occupancy (queue
-    /// depth, busy slots, warm-pool size).
+    /// depth, busy slots, warm-pool size). Read against the flow of a
+    /// request — terminal counters, then busy slots, then the queue — so
+    /// that a request moving queue → slot → done while the snapshot is
+    /// taken is seen in at most one of the three, never two.
     pub fn stats(&self) -> EngineStats {
+        let mut stats = self.terminal_counters();
+        stats.slots_busy = self.inner.slots_busy() as u64;
+        let q = lock(&self.inner.queue);
+        stats.lane_depths = q.lane_depths();
+        stats.queue_depth = q.len() as u64;
+        stats
+    }
+
+    /// The counter part of [`EngineStats`]: everything but the occupancy
+    /// of queue and slots.
+    fn terminal_counters(&self) -> EngineStats {
         let m = &self.inner.metrics;
-        let (queue_depth, lane_depths) = {
-            let q = lock(&self.inner.queue);
-            (
-                q.len() as u64,
-                [
-                    q.lanes[0].len() as u64,
-                    q.lanes[1].len() as u64,
-                    q.lanes[2].len() as u64,
-                ],
-            )
-        };
         EngineStats {
             submitted: m.counter_value("requests_submitted", &[]),
             completed: m.counter_value("requests_completed", &[]),
@@ -1121,11 +1135,9 @@ impl ForecastEngine {
             cold_builds: m.counter_value("cold_builds", &[]),
             cache_hits: m.counter_value("kernel_cache_hits", &[]),
             cache_misses: m.counter_value("kernel_cache_misses", &[]),
-            queue_depth,
-            lane_depths,
-            slots_busy: self.inner.slots_busy.load(Ordering::Relaxed) as u64,
             slots: self.inner.slots_n as u64,
             warm_pool: self.inner.warm_pool_size() as u64,
+            ..EngineStats::default()
         }
     }
 
@@ -1152,20 +1164,14 @@ impl ForecastEngine {
     /// last step wall time, last health verdict), slot and warm-pool
     /// occupancy, and bus health. Works with streaming on or off — the
     /// progress mirror is maintained either way.
+    ///
+    /// One consistent view: `slots_busy` is the length of `running`,
+    /// `stats` repeats this snapshot's own occupancy, and the three places
+    /// a request can be are read against its flow (see
+    /// [`stats`](Self::stats)), so `queued + running + done` never exceeds
+    /// what was submitted.
     pub fn status(&self) -> EngineStatus {
-        let (queued, tenants) = {
-            let q = lock(&self.inner.queue);
-            let queued: Vec<(RequestId, String)> = q
-                .lanes
-                .iter()
-                .flatten()
-                .map(|p| (RequestId(p.id), p.label.clone()))
-                .collect();
-            let mut tenants: Vec<(String, usize)> =
-                q.tenants.iter().map(|(t, &n)| (t.clone(), n)).collect();
-            tenants.sort();
-            (queued, tenants)
-        };
+        let mut stats = self.terminal_counters();
         let mut running: Vec<RequestProgress> = lock(&self.inner.active)
             .iter()
             .map(|(&id, a)| {
@@ -1181,6 +1187,22 @@ impl ForecastEngine {
             })
             .collect();
         running.sort_by_key(|r| r.id);
+        let (queued, tenants) = {
+            let q = lock(&self.inner.queue);
+            let queued: Vec<(RequestId, String)> = q
+                .lanes
+                .iter()
+                .flatten()
+                .map(|p| (RequestId(p.id), p.label.clone()))
+                .collect();
+            let mut tenants: Vec<(String, usize)> =
+                q.tenants.iter().map(|(t, &n)| (t.clone(), n)).collect();
+            tenants.sort();
+            stats.lane_depths = q.lane_depths();
+            (queued, tenants)
+        };
+        stats.queue_depth = queued.len() as u64;
+        stats.slots_busy = running.len() as u64;
         let (events_published, events_dropped) = self
             .inner
             .bus
@@ -1190,13 +1212,13 @@ impl ForecastEngine {
         EngineStatus {
             queued,
             tenants,
-            running,
             slots: self.inner.slots_n,
-            slots_busy: self.inner.slots_busy.load(Ordering::Relaxed),
-            warm_pool: self.inner.warm_pool_size(),
+            slots_busy: running.len(),
+            running,
+            warm_pool: stats.warm_pool as usize,
             events_published,
             events_dropped,
-            stats: self.stats(),
+            stats,
         }
     }
 
@@ -1439,7 +1461,6 @@ fn run_request(inner: &Arc<EngineInner>, p: Pending) -> ForecastOutcome {
         Some(bus) => EventSink::for_request(bus, &rid),
         None => EventSink::progress_only(&rid),
     };
-    inner.slots_busy.fetch_add(1, Ordering::Relaxed);
     lock(&inner.active).insert(
         p.id,
         ActiveRequest {
@@ -1474,9 +1495,10 @@ fn run_request(inner: &Arc<EngineInner>, p: Pending) -> ForecastOutcome {
     };
     let run_seconds = t0.elapsed().as_secs_f64();
     let steps_done = sink.progress().map(|pr| pr.steps_done).unwrap_or(0);
-    let outcome = terminal(inner, p, queued, run_seconds, steps_done, result);
+    // Off the running set before the terminal is counted: no snapshot
+    // sees this request both running and done.
     lock(&inner.active).remove(&id.0);
-    inner.slots_busy.fetch_sub(1, Ordering::Relaxed);
+    let outcome = terminal(inner, p, queued, run_seconds, steps_done, result);
     inner.emit_tick();
     outcome
 }

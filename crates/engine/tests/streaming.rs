@@ -123,6 +123,10 @@ fn assert_status_invariants(st: &EngineStatus, total: u64) {
     for r in &st.running {
         assert!(r.steps_done <= r.steps_budget);
     }
+    // The aggregate occupancy is this snapshot's, not a later re-read.
+    assert_eq!(st.stats.slots_busy, st.slots_busy as u64);
+    assert_eq!(st.stats.queue_depth, st.queue_depth() as u64);
+    assert_eq!(st.stats.lane_depths.iter().sum::<u64>(), st.stats.queue_depth);
 }
 
 #[test]
@@ -170,6 +174,53 @@ fn status_tracks_occupancy_under_concurrent_submit_burst() {
     assert_eq!(stats.slots_busy, 0);
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.warm_pool, st.warm_pool as u64);
+    e.shutdown();
+}
+
+/// Two threads snapshot as fast as they can while 40 requests drain over
+/// two slots: every snapshot is one consistent view. A `slots_busy`
+/// counter read apart from the running set, or a terminal counted before
+/// its request left the set, fails an invariant within a few thousand
+/// snapshots; a request read as queued and, later in the same snapshot,
+/// as done breaks conservation.
+#[test]
+fn status_is_one_consistent_view_under_a_two_thread_hammer() {
+    let total = 40u64;
+    let e = engine(EngineConfig {
+        slots: 2,
+        queue_cap: total as usize,
+        ..EngineConfig::default()
+    });
+    let snapshots = std::thread::scope(|s| {
+        let hammers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut n = 0u64;
+                    loop {
+                        let st = e.status();
+                        assert_status_invariants(&st, total);
+                        n += 1;
+                        if st.stats.completed + st.stats.failed >= total {
+                            return n;
+                        }
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        let ids: Vec<_> = (0..total).map(|_| e.submit(small_request(1))).collect();
+        for id in ids {
+            assert!(e.wait(id).result.is_completed());
+        }
+        hammers
+            .into_iter()
+            .map(|h| h.join().expect("a snapshot broke an invariant"))
+            .sum::<u64>()
+    });
+    assert!(snapshots >= total, "{snapshots} snapshots of a {total}-request burst");
+    let st = e.status();
+    assert_eq!((st.queue_depth(), st.slots_busy, st.running.len()), (0, 0, 0));
+    assert_eq!(st.stats.completed, total);
     e.shutdown();
 }
 

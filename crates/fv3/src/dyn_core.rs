@@ -260,7 +260,8 @@ pub fn build_dycore_program(n: usize, nk: usize, config: DycoreConfig) -> Dycore
 
 impl DycoreIds {
     /// The containers [`load_state`] overwrites in full before every run
-    /// of the program, in the order it fills them. Everything else in a
+    /// of the program, in the order it fills them: the seven prognostics,
+    /// then the six grid metrics. Everything else in a
     /// store is scratch the program itself must write before it reads
     /// (`dataflow::reuse`).
     pub fn loaded(&self) -> [DataId; 13] {
@@ -291,6 +292,63 @@ pub fn extract_state(store: &DataStore, ids: &DycoreIds, state: &mut DycoreState
     state.w.copy_from(store.get(ids.w));
     state.delz.copy_from(store.get(ids.delz));
     state.q.copy_from(store.get(ids.q));
+}
+
+/// A rank's prognostics on loan to a store ([`lend_state`]): the program
+/// runs on [`store`](Self::store), and dropping the loan — at the end of
+/// the run or while it unwinds — hands the arrays back to the state.
+pub struct LentState<'a> {
+    store: &'a mut DataStore,
+    ids: &'a DycoreIds,
+    state: &'a mut DycoreState,
+}
+
+impl LentState<'_> {
+    /// The store holding the state's arrays.
+    pub fn store(&mut self) -> &mut DataStore {
+        self.store
+    }
+}
+
+impl Drop for LentState<'_> {
+    fn drop(&mut self) {
+        swap_prognostics(self.store, self.ids, self.state);
+    }
+}
+
+/// Exchange the seven prognostic arrays of `state` with the store's.
+fn swap_prognostics(store: &mut DataStore, ids: &DycoreIds, state: &mut DycoreState) {
+    let DycoreState { delp, pt, u, v, w, delz, q, .. } = state;
+    for (id, field) in ids.loaded().into_iter().zip([delp, pt, u, v, w, delz, q]) {
+        std::mem::swap(store.get_mut(id), field);
+    }
+}
+
+/// [`load_state`] without the seven prognostic copies, and
+/// [`extract_state`] without any: the state's arrays are swapped into the
+/// store (layouts asserted equal; grid metrics still copied) and swapped
+/// back, with whatever the program wrote, when the returned loan drops.
+/// Meanwhile `state` holds the store's spare arrays, so a run that unwinds
+/// returns a *partly stepped* state where the copying pair would have left
+/// it untouched: only for a caller whose rollback already rewrites this
+/// rank (the sequential schedule, after its exchange marked every rank).
+pub fn lend_state<'a>(
+    store: &'a mut DataStore,
+    ids: &'a DycoreIds,
+    state: &'a mut DycoreState,
+    grid: &Grid,
+) -> LentState<'a> {
+    // `loaded()` lists the seven prognostics first, then the metrics.
+    let loaded = ids.loaded();
+    for ((_, field), id) in state.fields().into_iter().zip(loaded) {
+        assert_eq!(field.layout(), store.get(id).layout(), "layout mismatch in lend_state");
+    }
+    let metrics = [&grid.rdx, &grid.rdy, &grid.area, &grid.rarea, &grid.cosa, &grid.sina];
+    for (id, src) in loaded[7..].iter().zip(metrics) {
+        store.get_mut(*id).copy_from(src);
+    }
+    swap_prognostics(store, ids, state);
+    LentState { store, ids, state }
 }
 
 /// Apply the vertical-remap callback on the store (what the driver's

@@ -188,3 +188,68 @@ fn checkpointing_disabled_fails_fast_without_rollback_basis() {
     assert!(err.detail.contains("no rollback basis"), "{}", err.detail);
     assert!(err.events.is_empty());
 }
+
+/// A pool worker panics `call` fault-site calls into a run, i.e. some way
+/// into one rank's kernels: the sequential schedule runs that rank on its
+/// own prognostic arrays, lent to the scratch store.
+fn panics_mid_rank(call: u64) -> DistributedDycore {
+    let mut d = faulted(&format!("seed=7;panic@call={call}"));
+    d.set_pool(Some(Pool::new(3)));
+    d.set_rank_schedule(fv3core::RankSchedule::Sequential);
+    d
+}
+
+/// Site calls into the step at which the panic lands: past the first
+/// ranks' kernels, before the last's.
+const MID_STEP_CALL: u64 = 130;
+
+#[test]
+fn a_panic_mid_rank_hands_every_lent_array_back() {
+    let mut clean = dycore();
+    let layout = clean.states[0].layout();
+    clean.step();
+
+    let mut d = panics_mid_rank(MID_STEP_CALL);
+    let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.step()));
+    assert!(stepped.is_err(), "the injected panic must escape step()");
+    assert_eq!(d.run_context().faults.fired_count(machine::faults::SITE_WORKER_PANIC), 1);
+    // The loan's guard ran on the unwind: every field of every rank is a
+    // full-size array of the state's own layout again, not a spare of the
+    // scratch store (same layout today, but asserted rather than assumed).
+    for (r, s) in d.states.iter().enumerate() {
+        for (name, f) in s.fields() {
+            assert_eq!(f.layout(), &layout, "rank {r} field {name}");
+            assert_eq!(f.raw().len(), layout.len, "rank {r} field {name}");
+        }
+    }
+    // Mid-step: the ranks before the victim finished their substep in
+    // place, the ones after it have not started theirs.
+    let same = |a: &fv3::state::DycoreState, b: &fv3::state::DycoreState| {
+        let pairs = a.fields().into_iter().zip(b.fields());
+        pairs.into_iter().all(|((_, x), (_, y))| x.raw() == y.raw())
+    };
+    let done: Vec<bool> = d.states.iter().zip(&clean.states).map(|(a, b)| same(a, b)).collect();
+    assert!(done[0] && !done[5], "panic did not land mid-step: {done:?}");
+}
+
+#[test]
+fn a_panic_mid_rank_rolls_back_all_six_ranks_bit_identically() {
+    let mut d = panics_mid_rank(MID_STEP_CALL);
+    let mut sup = Supervisor::new(SupervisorPolicy::default());
+    let report = sup.run(&mut d, 2).expect("panic recovered by rollback");
+    assert_eq!(d.step_index(), 2);
+    assert_eq!((report.retries, report.restores), (1, 1));
+    assert_eq!(report.events[0].kind, FailureKind::Panic);
+    // The exchange marked every rank before the first one ran, so the
+    // partly stepped victim — and everyone else — is rewritten.
+    assert_eq!(report.ranks_restored, 6);
+    // One store per step attempt (two steps and the one that unwound),
+    // none kept: lending builds nothing of its own.
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (3, 0));
+
+    let mut clean = dycore();
+    for _ in 0..2 {
+        clean.step();
+    }
+    assert_bit_identical(&d, &clean);
+}

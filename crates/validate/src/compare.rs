@@ -160,6 +160,19 @@ impl fmt::Display for Divergence {
     }
 }
 
+/// Largest [`ulp_distance`] between two savepoints' values, per field in
+/// capture order: the observed figure a budgeted comparison is held to.
+pub fn max_ulps_per_field(expected: &Savepoint, actual: &Savepoint) -> Vec<(String, u64)> {
+    assert_eq!(expected.fields.len(), actual.fields.len(), "field count mismatch");
+    let worst = |e: &FieldSnapshot, a: &FieldSnapshot| {
+        assert_eq!((&e.name, e.values.len()), (&a.name, a.values.len()));
+        let pairs = e.values.iter().zip(&a.values);
+        pairs.map(|(&x, &y)| ulp_distance(x, y)).max().unwrap_or(0)
+    };
+    let pairs = expected.fields.iter().zip(&actual.fields);
+    pairs.map(|(e, a)| (e.name.clone(), worst(e, a))).collect()
+}
+
 /// Compare one field snapshot pair. On failure, reports the worst
 /// (largest ULP distance, ties broken by relative error) failing element.
 pub fn compare_field(

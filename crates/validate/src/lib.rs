@@ -16,9 +16,9 @@
 //!   error magnitude.
 //! * [`invariants`] — flux-corrected air-mass and tracer-mass
 //!   conservation and an energy-drift bound across acoustic substeps.
-//! * [`stages`] — pipeline bit-identity enforcement: every
+//! * [`stages`] — pipeline tier enforcement: every bit-exact
 //!   `fv3core::pipeline::PipelineStage` must produce bit-identical
-//!   dycore state.
+//!   dycore state, the budgeted one state within its ULP budget.
 //! * [`reference`] — the fixed seed case and the deterministic golden
 //!   generator behind `cargo run -p validate --bin capture_golden`.
 //!
@@ -31,11 +31,12 @@ pub mod savepoint;
 pub mod stages;
 
 pub use compare::{
-    compare_capture, compare_field, compare_savepoint, rel_error, ulp_distance, Divergence,
-    Tolerance, Tolerances,
+    compare_capture, compare_field, compare_savepoint, max_ulps_per_field, rel_error,
+    ulp_distance, Divergence, Tolerance, Tolerances,
 };
 pub use invariants::{check_finite, check_invariants, ConservationLedger, InvariantReport};
 pub use savepoint::{Capture, CaptureRecorder, FieldSnapshot, Savepoint};
 pub use stages::{
     capture_executed, capture_executed_distributed, check_pipeline_bit_identity, run_stage_on,
+    StageOutcome,
 };

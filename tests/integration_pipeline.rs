@@ -79,9 +79,10 @@ fn table2_full_shape() {
 
 #[test]
 fn pipeline_stages_preserve_bit_identity_end_to_end() {
-    // The module doc's bit-identity claim, enforced: every stage cutoff
-    // executes the dycore to bitwise-equal prognostics (the harness
-    // lives in crates/validate; see its README for the methodology).
+    // The module doc's tier claim, enforced: every bit-exact stage cutoff
+    // executes the dycore to prognostics bitwise equal to the stage
+    // before it, the budgeted power stage to within its ULP budget (the
+    // harness lives in crates/validate; see its README).
     use validate::reference::{seed_case, seed_config};
     let (state0, grid) = seed_case();
     let stages =
