@@ -35,6 +35,8 @@ use fv3::state::{DycoreState, PROGNOSTICS};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// 8-byte magic prefix of the checkpoint format.
 pub const MAGIC: &[u8; 8] = b"FV3CKPT1";
@@ -60,30 +62,39 @@ pub struct Checkpoint {
     pub step: u64,
     /// Configuration of the run that wrote it.
     pub config: DriverConfig,
-    /// One prognostic state per rank, in rank order.
-    pub states: Vec<DycoreState>,
+    /// One prognostic state per rank, in rank order. Immutable once
+    /// captured and behind an `Arc`: a clone — or the same states under
+    /// another instance's [`basis`](Self::basis) — is a handle, not a copy.
+    pub states: Arc<[DycoreState]>,
     /// In-memory capture provenance (see [`CheckpointBasis`]); `None`
     /// for checkpoints read back from disk or built by hand.
     pub basis: Option<CheckpointBasis>,
 }
 
 impl Checkpoint {
-    /// Snapshot a running dycore.
+    /// Snapshot a running dycore: one copy of every rank's state.
     pub fn capture(d: &DistributedDycore) -> Self {
+        d.state_copies.fetch_add(d.states.len() as u64, Ordering::Relaxed);
         Checkpoint {
             step: d.step_index(),
             config: d.config,
-            states: d.states.clone(),
+            states: d.states.iter().cloned().collect(),
             basis: Some(d.mutation_basis()),
         }
     }
 
     /// Serialize to the `FV3CKPT1` wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let c = &self.config;
+        Checkpoint::encode(self.step, &self.config, &self.states)
+    }
+
+    /// The `FV3CKPT1` stream of `states` at `step` under `config`, encoded
+    /// from a borrow: what [`to_bytes`](Self::to_bytes) writes for a
+    /// checkpoint holding them.
+    pub fn encode(step: u64, c: &DriverConfig, states: &[DycoreState]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        put_u64(&mut out, self.step);
+        put_u64(&mut out, step);
         put_u32(&mut out, c.tile_n as u32);
         put_u32(&mut out, c.rt as u32);
         put_u32(&mut out, c.nk as u32);
@@ -101,8 +112,8 @@ impl Checkpoint {
                 put_f64(&mut out, 0.0);
             }
         }
-        put_u32(&mut out, self.states.len() as u32);
-        for state in &self.states {
+        put_u32(&mut out, states.len() as u32);
+        for state in states {
             let fields = state.fields();
             put_u32(&mut out, fields.len() as u32);
             for (name, arr) in fields {
@@ -215,7 +226,7 @@ impl Checkpoint {
         Ok(Checkpoint {
             step,
             config,
-            states,
+            states: states.into(),
             basis: None,
         })
     }
@@ -331,7 +342,7 @@ mod tests {
         assert_eq!(back.step, ck.step);
         assert_eq!(back.config.tile_n, ck.config.tile_n);
         assert_eq!(back.config.dycore.nord4_damp, Some(0.5));
-        for (a, b) in ck.states.iter().zip(&back.states) {
+        for (a, b) in ck.states.iter().zip(back.states.iter()) {
             for ((_, fa), (_, fb)) in a.fields().iter().zip(b.fields().iter()) {
                 let (va, vb) = (fa.export_logical(), fb.export_logical());
                 assert_eq!(va.len(), vb.len());

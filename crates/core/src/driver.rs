@@ -118,6 +118,9 @@ pub struct DistributedDycore {
     /// Scratch stores built since construction (rank workers count
     /// their own).
     pub(crate) scratch_built: AtomicU64,
+    /// Whole rank states duplicated since the last
+    /// [`take_state_copies`](Self::take_state_copies).
+    pub(crate) state_copies: AtomicU64,
     /// Rank-team workers launched by the parallel schedule since
     /// construction.
     pub(crate) rank_workers_launched: u64,
@@ -298,6 +301,7 @@ impl DistributedDycore {
             exec_cache_hits: 0,
             exec_cache_misses: 0,
             scratch_built: AtomicU64::new(0),
+            state_copies: AtomicU64::new(0),
             rank_workers_launched: 0,
             halo_epoch: 0,
             recv_timeout: crate::parallel::DEFAULT_RECV_TIMEOUT,
@@ -349,7 +353,10 @@ impl DistributedDycore {
     /// ranks mutated since that basis are rewritten — one rank's stall
     /// does not roll back its neighbours' untouched states. Checkpoints
     /// from disk or another instance restore every rank. Returns the
-    /// number of ranks actually restored.
+    /// number of ranks actually restored. A restored rank is copied into
+    /// the arrays it already owns; only an instance whose states were
+    /// taken (`std::mem::take(&mut d.states)`, as the serving engine's
+    /// report does) allocates.
     pub fn restore(&mut self, ck: &crate::checkpoint::Checkpoint) -> usize {
         assert_eq!(
             (ck.config.tile_n, ck.config.rt, ck.config.nk),
@@ -361,17 +368,24 @@ impl DistributedDycore {
             self.partition.ranks(),
             "checkpoint rank count does not cover this partition"
         );
+        let taken = self.states.is_empty();
         let known = ck
             .basis
-            .filter(|b| b.instance == self.instance_id && b.clock <= self.mut_clock);
+            .filter(|b| !taken && b.instance == self.instance_id && b.clock <= self.mut_clock);
         let mut restored = 0;
-        for r in 0..self.partition.ranks() {
-            let clean = known.is_some_and(|b| self.mutated_at[r] <= b.clock);
-            if !clean {
-                self.states[r] = ck.states[r].clone();
-                restored += 1;
+        if taken {
+            self.states = ck.states.to_vec();
+            restored = self.states.len();
+        } else {
+            for r in 0..self.partition.ranks() {
+                let clean = known.is_some_and(|b| self.mutated_at[r] <= b.clock);
+                if !clean {
+                    self.states[r].copy_from(&ck.states[r]);
+                    restored += 1;
+                }
             }
         }
+        *self.state_copies.get_mut() += restored as u64;
         if let Some(b) = known {
             for m in &mut self.mutated_at {
                 *m = (*m).min(b.clock);
@@ -459,6 +473,12 @@ impl DistributedDycore {
     /// step cache, however many steps and substeps run on them.
     pub fn scratch_stores_built(&self) -> u64 {
         self.scratch_built.load(Ordering::Relaxed)
+    }
+
+    /// Whole rank states captured into a checkpoint or rewritten from one
+    /// since the last call: the serving engine's per-request `state_copies`.
+    pub fn take_state_copies(&mut self) -> u64 {
+        std::mem::take(self.state_copies.get_mut())
     }
 
     /// Scratch stores this instance holds right now: the rank team's,

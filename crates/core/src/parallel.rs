@@ -479,7 +479,7 @@ impl Team<'_> {
             &sub.clear_par,
             metrics,
         );
-        load_state(store, ids, state, &self.grids[r]);
+        let copied_in = load_state(store, ids, state, &self.grids[r]);
         if let Some(m) = metrics {
             m.counter_add("rank_runs", &[], 1);
         }
@@ -530,7 +530,10 @@ impl Team<'_> {
         cache_hits += rep.cache_hits;
         cache_misses += rep.cache_misses;
         self.mutating[r].store(true, Ordering::Release);
-        extract_state(store, ids, state);
+        let copied_out = extract_state(store, ids, state);
+        if let Some(m) = metrics {
+            m.counter_add("array_copies", &[], (copied_in + copied_out) as u64);
+        }
         RankOutcome {
             sent,
             interior,

@@ -117,7 +117,8 @@ fn poisoned_store_reruns_to_the_bits_of_a_fresh_one() {
                 let prog = sub.program();
                 let scratch: Vec<DataId> = (0..graphs[0].containers.len())
                     .map(DataId)
-                    .filter(|c| !prog.ids.loaded().contains(c))
+                    // Constants are the grid's arrays on loan, not the store's.
+                    .filter(|c| !prog.ids.loaded().contains(c) && !graphs[0].containers[c.0].constant)
                     .collect();
                 let (state, grid) = (&d.states[1], &d.grids[1]);
 
@@ -324,8 +325,13 @@ fn kept_stores_full_of_nan_step_to_the_same_bits() {
             // by the steps so far (a fresh store is all zero bits), and
             // the next step must overwrite it before reading it.
             let mut cells = 0usize;
+            // Except the constants: those are the grid's arrays on loan.
+            let owned: Vec<DataId> = (0..poisoned.program_graph().containers.len())
+                .filter(|c| !poisoned.program_graph().containers[*c].constant)
+                .map(DataId)
+                .collect();
             for store in poisoned.scratch_stores_mut() {
-                for c in (0..store.len()).map(DataId) {
+                for &c in &owned {
                     for v in store.get_mut(c).raw_mut() {
                         if v.to_bits() != 0 {
                             *v = f64::NAN;

@@ -140,3 +140,30 @@ fn no_dycore_graph_needs_a_container_cleared() {
         }
     }
 }
+
+/// Whole-array copies between a rank's state, its grid and the store,
+/// per rank-substep (`array_copies` over `rank_runs`). The sequential
+/// schedule lends everything — prognostics swapped in and out, grid
+/// metrics by reference (6 when the metrics were copied). The rank team
+/// copies the seven prognostics in and out, which is what keeps a starved
+/// rank's state untouched, and lends the metrics (20 when it copied them).
+#[test]
+fn whole_array_copies_per_rank_substep() {
+    for (schedule, per_rank_substep) in [(RankSchedule::Sequential, 0), (RankSchedule::Parallel, 14)] {
+        let metrics = obs::MetricsRegistry::new();
+        let mut d = dycore(config(8, 3, 2, 1, None), schedule, 2);
+        d.set_run(machine::RunContext {
+            metrics: Some(metrics.clone()),
+            ..Default::default()
+        });
+        d.step();
+        d.step();
+        let rank_substeps = metrics.counter_value("rank_runs", &[]);
+        assert_eq!(rank_substeps, 2 * 2 * 6, "{schedule:?}");
+        assert_eq!(
+            metrics.counter_value("array_copies", &[]),
+            per_rank_substep * rank_substeps,
+            "{schedule:?}"
+        );
+    }
+}

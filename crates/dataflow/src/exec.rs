@@ -26,32 +26,68 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Runtime storage: one array per SDFG container.
+/// Runtime storage: one array per SDFG container. A
+/// [`constant`](crate::graph::Container::constant) container's slot holds
+/// no array of its own: the caller lends one by reference
+/// ([`lend_constant`](Self::lend_constant)) and every store it is lent to
+/// reads the same allocation.
 #[derive(Debug, Clone)]
 pub struct DataStore {
-    arrays: Vec<Array3>,
+    arrays: Vec<Slot>,
+}
+
+#[derive(Debug, Clone)]
+enum Slot {
+    Owned(Array3),
+    /// A constant's slot: the layout the program declared, and the array
+    /// once one has been lent.
+    Constant(Layout, Option<Arc<Array3>>),
+}
+
+impl Slot {
+    fn array(&self) -> Option<&Array3> {
+        match self {
+            Slot::Owned(a) => Some(a),
+            Slot::Constant(_, lent) => lent.as_deref(),
+        }
+    }
+
+    fn owned_mut(&mut self) -> &mut Array3 {
+        match self {
+            Slot::Owned(a) => a,
+            Slot::Constant(..) => panic!("write access to a constant container"),
+        }
+    }
 }
 
 impl DataStore {
-    /// Allocate zeroed arrays for every container of `sdfg`.
+    /// Allocate zeroed arrays for every container of `sdfg` that is not
+    /// constant.
     pub fn for_sdfg(sdfg: &Sdfg) -> Self {
         DataStore {
             arrays: sdfg
                 .containers
                 .iter()
-                .map(|c| Array3::zeros(c.layout.clone()))
+                .map(|c| match c.constant {
+                    true => Slot::Constant(c.layout.clone(), None),
+                    false => Slot::Owned(Array3::zeros(c.layout.clone())),
+                })
                 .collect(),
         }
     }
 
-    /// Immutable access to a container's array.
+    /// Immutable access to a container's array. A constant nobody has
+    /// lent yet reads as the empty array.
     pub fn get(&self, d: DataId) -> &Array3 {
-        &self.arrays[d.0]
+        static UNLENT: OnceLock<Array3> = OnceLock::new();
+        self.arrays[d.0]
+            .array()
+            .unwrap_or_else(|| UNLENT.get_or_init(Array3::default))
     }
 
-    /// Mutable access to a container's array.
+    /// Mutable access to a container's array. Panics for a constant.
     pub fn get_mut(&mut self, d: DataId) -> &mut Array3 {
-        &mut self.arrays[d.0]
+        self.arrays[d.0].owned_mut()
     }
 
     /// Mutable access to several containers at once (a host callback that
@@ -60,6 +96,18 @@ impl DataStore {
         self.arrays
             .get_disjoint_mut(ids.map(|d| d.0))
             .expect("distinct containers of this store")
+            .map(Slot::owned_mut)
+    }
+
+    /// Put `array` in constant container `d`'s slot: a pointer bump, no
+    /// copy. Panics when `d` was not declared constant or the layouts
+    /// differ.
+    pub fn lend_constant(&mut self, d: DataId, array: &Arc<Array3>) {
+        let Slot::Constant(layout, lent) = &mut self.arrays[d.0] else {
+            panic!("container {} is not constant", d.0)
+        };
+        assert_eq!(layout, array.layout(), "layout mismatch in lend_constant");
+        *lent = Some(Arc::clone(array));
     }
 
     /// Copy every element of `src` into `dst` (same layout; `src == dst`
@@ -68,12 +116,12 @@ impl DataStore {
         if src == dst {
             return;
         }
-        let (lo, hi) = self.arrays.split_at_mut(src.0.max(dst.0));
-        if src.0 < dst.0 {
-            hi[0].copy_from(&lo[src.0]);
-        } else {
-            lo[dst.0].copy_from(&hi[0]);
-        }
+        let [s, d] = self
+            .arrays
+            .get_disjoint_mut([src.0, dst.0])
+            .expect("two containers of this store");
+        d.owned_mut()
+            .copy_from(s.array().expect("copy from a constant nobody lent"));
     }
 
     /// Number of containers.
@@ -255,7 +303,8 @@ pub struct KernelRunStats {
 
 /// Raw view of one container used inside the kernel loop. Columns write
 /// disjoint points (guaranteed by [`validate_kernel`]), so sharing the
-/// pointer across worker threads is sound.
+/// pointer across worker threads is sound; a slot the kernel does not
+/// write is only read through (see [`field_slots`]).
 #[derive(Clone, Copy)]
 struct FieldSlot {
     ptr: *mut f64,
@@ -339,6 +388,10 @@ impl KernelFingerprint {
 /// every invocation; the executor caches them per `(state, node)`.
 pub struct CompiledKernel {
     ids: Vec<DataId>,
+    /// Per entry of `ids`: whether a statement writes it. A launch takes
+    /// write access to these slots only, so a store may hold the others
+    /// by shared reference.
+    written: Vec<bool>,
     stmts: Vec<CompiledStmt>,
     hull: StmtBounds,
     /// Width of the statement rectangle with the most horizontal points:
@@ -369,6 +422,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
     let fingerprint = KernelFingerprint::of(kernel);
     let empty_ck = |fingerprint| CompiledKernel {
         ids: Vec::new(),
+        written: Vec::new(),
         stmts: Vec::new(),
         hull: StmtBounds {
             il: 0,
@@ -394,12 +448,14 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
     // Field slot table: stable order over reads + writes, interned once.
     let mut ids: Vec<DataId> = Vec::new();
     let mut slot_map: HashMap<DataId, u16> = HashMap::new();
-    for d in kernel.reads().into_iter().map(|(d, _)| d).chain(kernel.writes()) {
+    let writes = kernel.writes();
+    for d in kernel.reads().into_iter().map(|(d, _)| d).chain(writes.iter().copied()) {
         slot_map.entry(d).or_insert_with(|| {
             ids.push(d);
             (ids.len() - 1) as u16
         });
     }
+    let written = ids.iter().map(|d| writes.contains(d)).collect();
     let slot_of = |d: DataId| -> u16 { *slot_map.get(&d).expect("unknown field in kernel") };
 
     // Compile statements and resolve bounds.
@@ -468,6 +524,7 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
     let tile_regs = stmts.iter().map(|c| c.tile.n_regs).max().unwrap_or(0) as usize;
     CompiledKernel {
         ids,
+        written,
         stmts,
         hull,
         block_w,
@@ -525,13 +582,26 @@ impl EvalCtx for PointCtx<'_> {
     }
 }
 
-fn field_slots(ids: &[DataId], store: &mut DataStore) -> Vec<FieldSlot> {
-    ids.iter()
-        .map(|d| {
-            let a = store.get_mut(*d);
-            let layout: Layout = a.layout().clone();
+/// Resolve a kernel's slot table against `store`: write access for the
+/// slots the kernel writes, read access for the rest — those pointers are
+/// only ever read through, so an array the store shares with other stores
+/// (a lent constant) is never aliased mutably.
+fn field_slots(ck: &CompiledKernel, store: &mut DataStore) -> Vec<FieldSlot> {
+    ck.ids
+        .iter()
+        .zip(&ck.written)
+        .map(|(d, written)| {
+            let (ptr, layout) = if *written {
+                let a = store.get_mut(*d);
+                (a.raw_mut().as_mut_ptr(), a.layout())
+            } else {
+                let a = store.arrays[d.0]
+                    .array()
+                    .unwrap_or_else(|| panic!("constant container {} was never lent to this store", d.0));
+                (a.raw().as_ptr().cast_mut(), a.layout())
+            };
             FieldSlot {
-                ptr: a.raw_mut().as_mut_ptr(),
+                ptr,
                 base: layout.base,
                 strides: layout.strides,
             }
@@ -554,7 +624,7 @@ pub fn run_compiled(
     if ck.empty {
         return KernelRunStats::default();
     }
-    let slots = field_slots(&ck.ids, store);
+    let slots = field_slots(ck, store);
     match mode {
         VmMode::Scalar => run_scalar(ck, &slots, params, pool, faults),
         VmMode::Lanes => run_tiles(ck, &slots, params, pool, faults),
@@ -873,6 +943,12 @@ impl Executor {
             if e.compiled.fingerprint == KernelFingerprint::of(kernel) {
                 return (Arc::clone(e), true);
             }
+        }
+        if let Some(d) = kernel.writes().into_iter().find(|d| sdfg.containers[d.0].constant) {
+            panic!(
+                "kernel '{}' writes constant container '{}'",
+                kernel.name, sdfg.containers[d.0].name
+            );
         }
         let entry = Arc::new(CacheEntry {
             compiled: compile_kernel(kernel),
@@ -1667,5 +1743,67 @@ mod tests {
             Executor::serial().run(&g, store, &[], &mut NoHooks);
         }));
         assert!(result.is_err());
+    }
+
+    /// `out = metric * 2` over a constant `metric`, or — `backwards` — the
+    /// kernel that writes it.
+    fn constant_program(backwards: bool) -> (Sdfg, DataId, DataId) {
+        let mut g = Sdfg::new("t");
+        let l = Layout::new([4, 4, 2], [1, 1, 0], StorageOrder::IContiguous, 1);
+        let metric = g.add_container("metric", l.clone(), false);
+        g.containers[metric.0].constant = true;
+        let out = g.add_container("out", l, false);
+        let (dst, src) = if backwards { (metric, out) } else { (out, metric) };
+        let mut k = Kernel::new(
+            "scale",
+            Domain::from_shape([4, 4, 2]),
+            KOrder::Parallel,
+            Schedule::gpu_horizontal(),
+        );
+        k.stmts.push(Stmt::full(LValue::Field(dst), Expr::load(src, 0, 0, 0) * Expr::c(2.0)));
+        let mut s = State::new("s");
+        s.nodes.push(DataflowNode::Kernel(k));
+        g.add_state(s);
+        (g, metric, out)
+    }
+
+    #[test]
+    fn a_constant_is_lent_to_every_store_not_copied() {
+        let (g, metric, out) = constant_program(false);
+        let lent = Arc::new(Array3::from_fn(g.layout_of(metric), |i, j, k| (i + 4 * j + 16 * k) as f64));
+        let mut stores = [DataStore::for_sdfg(&g), DataStore::for_sdfg(&g)];
+        // Nothing is allocated for the slot; unlent it reads as empty.
+        assert!(stores[0].get(metric).raw().is_empty());
+        for store in &mut stores {
+            store.lend_constant(metric, &lent);
+            store.lend_constant(metric, &lent);
+            Executor::serial().run(&g, store, &[], &mut NoHooks);
+            assert!(std::ptr::eq(store.get(metric), &*lent));
+            assert_eq!(store.get(out).get(3, 2, 1), 2.0 * lent.get(3, 2, 1));
+        }
+        assert_eq!(Arc::strong_count(&lent), 3, "one handle per store, one here");
+        let clone = stores[0].clone();
+        assert!(std::ptr::eq(clone.get(metric), &*lent));
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel 'scale' writes constant container 'metric'")]
+    fn a_kernel_that_writes_a_constant_is_refused_at_compile() {
+        let (g, _, _) = constant_program(true);
+        Executor::serial().run(&g, &mut DataStore::for_sdfg(&g), &[], &mut NoHooks);
+    }
+
+    #[test]
+    #[should_panic(expected = "was never lent")]
+    fn a_launch_over_an_unlent_constant_panics_instead_of_reading() {
+        let (g, _, _) = constant_program(false);
+        Executor::serial().run(&g, &mut DataStore::for_sdfg(&g), &[], &mut NoHooks);
+    }
+
+    #[test]
+    #[should_panic(expected = "write access to a constant")]
+    fn a_constant_slot_hands_out_no_write_access() {
+        let (g, metric, _) = constant_program(false);
+        DataStore::for_sdfg(&g).get_mut(metric);
     }
 }

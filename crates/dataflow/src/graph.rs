@@ -22,6 +22,13 @@ pub struct Container {
     /// shrink, or replace with registers ("information on removable
     /// (transient) containers is indicated on the graph").
     pub transient: bool,
+    /// Never written by any node of the program: its array belongs to
+    /// whoever lends it to a store ([`crate::DataStore::lend_constant`]),
+    /// the executor takes read access only and refuses to compile a
+    /// kernel that writes it, and [`crate::reuse`] never asks for it to
+    /// be cleared.
+    /// Set by the program builder, never by the caller of a built program.
+    pub constant: bool,
 }
 
 /// Attributes controlling how a library node expands to kernels
@@ -285,6 +292,7 @@ impl Sdfg {
             name: name.into(),
             layout,
             transient,
+            constant: false,
         });
         DataId(self.containers.len() - 1)
     }

@@ -9,7 +9,8 @@
 //! * *written earlier in this run* (loaded containers count as written in
 //!   full before the first node), or
 //! * *never written by the program at all* — then it is zero in both
-//!   stores, forever.
+//!   stores, forever (or, for a `constant` container, whatever array the
+//!   caller lent to both).
 //!
 //! By induction over node order every read then sees the value a fresh
 //! store would have shown it, so every write stores the same bits.
@@ -183,7 +184,10 @@ impl Walk {
 /// of containers, executed back to back on one store — runs again on a
 /// store that already ran it. `loaded` are the containers the caller
 /// overwrites in full (padding included) before every run; they are
-/// never listed. Empty means the store can be reused as it is.
+/// never listed. Nor is a `constant` container, whether or not it is in
+/// `loaded`: no node writes it, so every read of it is provable, and the
+/// caller lends it whole before each run. Empty means the store can be
+/// reused as it is.
 pub fn clear_list(run: &[&Sdfg], loaded: &[DataId]) -> Vec<DataId> {
     let Some(first) = run.first() else {
         return Vec::new();

@@ -24,6 +24,7 @@ use dataflow::{DataId, Expr};
 use machine::Pool;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::sync::Arc;
 
 const HALO: [usize; 3] = [2, 2, 1];
 /// Input containers readable at offsets; outputs are written (and only
@@ -175,12 +176,17 @@ fn random_kernel(
     k
 }
 
-/// Deterministic nonzero fill covering compute domain and halo.
+/// Deterministic nonzero fill of container `n` covering compute domain
+/// and halo.
+fn fill_array(layout: Layout, n: usize) -> Array3 {
+    Array3::from_fn(layout, |i, j, k| {
+        0.2 + ((n as i64 * 41 + i * 17 + j * 13 + k * 7).rem_euclid(29)) as f64 * 0.13
+    })
+}
+
 fn fill_store(g: &Sdfg, ids: &[DataId], store: &mut DataStore) {
     for (n, d) in ids.iter().enumerate() {
-        *store.get_mut(*d) = Array3::from_fn(g.layout_of(*d), |i, j, k| {
-            0.2 + ((n as i64 * 41 + i * 17 + j * 13 + k * 7).rem_euclid(29)) as f64 * 0.13
-        });
+        *store.get_mut(*d) = fill_array(g.layout_of(*d), n);
     }
 }
 
@@ -245,6 +251,29 @@ fn check_case(
     let par = Pool::new(3);
     run_kernel_with(&kernel, &mut par_store, &params, &par, VmMode::Lanes);
     assert_stores_bit_identical(&scalar_store, &par_store, &ids, "parallel lanes");
+
+    // The same program with its inputs declared constant: two stores that
+    // share one lent set of input arrays run to the bits of the store
+    // that owns its own.
+    let mut shared = Sdfg::new("vm_diff_shared");
+    for (n, d) in ids.iter().enumerate() {
+        let c = shared.add_container(format!("f{n}"), g.layout_of(*d), false);
+        shared.containers[c.0].constant = n < N_INPUTS;
+    }
+    let lent: Vec<Arc<Array3>> = (0..N_INPUTS)
+        .map(|n| Arc::new(fill_array(g.layout_of(ids[n]), n)))
+        .collect();
+    for (pool, label) in [(&serial, "shared, serial"), (&par, "shared, parallel")] {
+        let mut store = DataStore::for_sdfg(&shared);
+        for (d, a) in ids.iter().zip(&lent) {
+            store.lend_constant(*d, a);
+        }
+        for (n, d) in ids.iter().enumerate().skip(N_INPUTS) {
+            *store.get_mut(*d) = fill_array(g.layout_of(*d), n);
+        }
+        run_kernel_with(&kernel, &mut store, &params, pool, VmMode::Lanes);
+        assert_stores_bit_identical(&scalar_store, &store, &ids, label);
+    }
 }
 
 /// Bit pattern no computation produces: marks cells a run left alone.

@@ -378,13 +378,7 @@ impl ForecastReport {
     /// out" channel of the serving API, decodable with
     /// [`Checkpoint::from_bytes`].
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        Checkpoint {
-            step: self.steps,
-            config: self.config,
-            states: self.states.clone(),
-            basis: None,
-        }
-        .to_bytes()
+        Checkpoint::encode(self.steps, &self.config, &self.states)
     }
 }
 
@@ -668,7 +662,7 @@ struct CaseCache {
     grids: Option<Arc<Vec<fv3::grid::Grid>>>,
     /// Step-0 template; rewinding a warm instance through it is
     /// bit-identical to a fresh build.
-    reset: Option<Arc<Checkpoint>>,
+    reset: Option<Checkpoint>,
     warm: Vec<DistributedDycore>,
 }
 
@@ -1505,7 +1499,7 @@ fn run_request(inner: &Arc<EngineInner>, p: Pending) -> ForecastOutcome {
 
 fn execute(inner: &Arc<EngineInner>, p: &Pending, ctx: RunContext) -> ForecastResult {
     let key = CaseKey::of(&p.req);
-    let (mut d, warm_start) = acquire(inner, key, &p.req);
+    let (mut d, basis, warm_start) = acquire(inner, key, &p.req);
     let rid = ctx.request.clone().expect("a served run has a request id");
     // The instance (and, through it, the supervisor) runs under this
     // request's context for the duration of the run; release() detaches
@@ -1513,7 +1507,9 @@ fn execute(inner: &Arc<EngineInner>, p: &Pending, ctx: RunContext) -> ForecastRe
     d.set_run(ctx);
     let (h0, m0) = d.exec_cache_counters();
     let mut sup = Supervisor::new(inner.policy.clone());
-    let res = sup.run(&mut d, p.req.steps);
+    // The template the instance was just built into or rewound through
+    // *is* its step-0 state: the supervisor starts from it, no capture.
+    let res = sup.run_from(&mut d, p.req.steps, Some(basis));
     let (h1, m1) = d.exec_cache_counters();
     let (hits, misses) = (h1 - h0, m1 - m0);
     let m = &inner.metrics;
@@ -1521,9 +1517,13 @@ fn execute(inner: &Arc<EngineInner>, p: &Pending, ctx: RunContext) -> ForecastRe
     m.counter_add("kernel_cache_misses", &[], misses);
     m.counter_add("kernel_cache_hits", &[("request", &rid)], hits);
     m.counter_add("kernel_cache_misses", &[("request", &rid)], misses);
+    m.counter_add("state_copies", &[("request", &rid)], d.take_state_copies());
     match res {
         Ok(run) if run.completed() => {
-            let states = d.states.clone();
+            // The report takes the states; the instance is parked without
+            // any, and its next tenant's restore allocates them anew from
+            // the template.
+            let states = std::mem::take(&mut d.states);
             let config = d.config;
             release(inner, key, d);
             ForecastResult::Completed(ForecastReport {
@@ -1563,16 +1563,20 @@ fn execute(inner: &Arc<EngineInner>, p: &Pending, ctx: RunContext) -> ForecastRe
 }
 
 /// Check a warm instance out of the case pool, or build a cold one
-/// against the case's shared compile bundle and grid set.
-fn acquire(inner: &EngineInner, key: CaseKey, req: &ForecastRequest) -> (DistributedDycore, bool) {
+/// against the case's shared compile bundle and grid set. Returns the
+/// instance at step 0, the step-0 template stamped as *its* rollback
+/// basis (a handle on the case's one copy), and whether it was warm.
+fn acquire(
+    inner: &EngineInner,
+    key: CaseKey,
+    req: &ForecastRequest,
+) -> (DistributedDycore, Checkpoint, bool) {
     let (substep, grids) = {
         let mut cases = lock(&inner.cases);
         match cases.get_mut(&key) {
             Some(cc) => {
                 if let Some(mut d) = cc.warm.pop() {
-                    let reset = Arc::clone(
-                        cc.reset.as_ref().expect("parked instance implies reset template"),
-                    );
+                    let reset = cc.reset.clone().expect("parked instance implies reset template");
                     drop(cases);
                     // Undo any supervisor backoff a previous tenant
                     // applied, then rewrite every rank from the step-0
@@ -1581,7 +1585,11 @@ fn acquire(inner: &EngineInner, key: CaseKey, req: &ForecastRequest) -> (Distrib
                     d.config = req.config;
                     d.restore(&reset);
                     inner.metrics.counter_add("warm_acquires", &[], 1);
-                    return (d, true);
+                    let basis = Checkpoint {
+                        basis: Some(d.mutation_basis()),
+                        ..reset
+                    };
+                    return (d, basis, true);
                 }
                 (Arc::clone(&cc.substep), cc.grids.clone())
             }
@@ -1618,18 +1626,18 @@ fn acquire(inner: &EngineInner, key: CaseKey, req: &ForecastRequest) -> (Distrib
     );
     d.set_pool(Some(inner.pool.clone()));
     d.set_shared_substep(substep);
-    let reset = Arc::new(Checkpoint::capture(&d));
+    let basis = Checkpoint::capture(&d);
     {
         let mut cases = lock(&inner.cases);
         if let Some(cc) = cases.get_mut(&key) {
             if cc.grids.is_none() {
                 cc.grids = Some(Arc::clone(&d.grids));
             }
-            cc.reset.get_or_insert(reset);
+            cc.reset.get_or_insert_with(|| basis.clone());
         }
     }
     inner.metrics.counter_add("cold_builds", &[], 1);
-    (d, false)
+    (d, basis, false)
 }
 
 /// Park a healthy instance for the next tenant, up to the warm cap.
@@ -1759,7 +1767,7 @@ mod tests {
         let inner = &engine.inner;
         let req = small_request(1);
         let key = CaseKey::of(&req);
-        let (mut d, warm) = acquire(inner, key, &req);
+        let (mut d, _, warm) = acquire(inner, key, &req);
         assert!(!warm);
         // The engine takes its schedule from the environment; a tenant
         // on the parallel one comes off its run holding its team's stores.
@@ -1774,7 +1782,7 @@ mod tests {
             .collect();
         assert_eq!(parked, [0]);
         // The next tenant gets the instance back and builds them again.
-        let (mut d, warm) = acquire(inner, key, &req);
+        let (mut d, _, warm) = acquire(inner, key, &req);
         assert!(warm);
         d.step();
         assert_eq!((d.live_scratch_stores(), d.scratch_stores_built()), (1, 2));

@@ -10,9 +10,11 @@
 //! executor cache locks), and every request after the first pays zero.
 
 use dataflow::graph::ExpansionAttrs;
-use engine::{EngineConfig, ForecastEngine, ForecastRequest};
+use engine::{EngineConfig, ForecastEngine, ForecastReport, ForecastRequest, ForecastResult};
 use fv3::state::DycoreState;
 use fv3core::DistributedDycore;
+use resilience::{FaultPlan, SupervisorPolicy};
+use std::time::{Duration, Instant};
 
 const STEPS: u64 = 2;
 const TENANTS: usize = 6;
@@ -112,4 +114,68 @@ fn concurrent_tenants_are_bit_identical_and_share_one_compile() {
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.cache_misses, wave1_misses, "steady-state misses stay zero");
     assert!(stats.warm_acquires > 0);
+}
+
+/// A completed request's report takes the instance's states and the
+/// instance parks without any: the next tenant's rewind must rebuild them
+/// from the template alone, and must not reach into a report a client
+/// still holds.
+#[test]
+fn an_instance_parked_without_states_rewinds_bit_identically() {
+    let req = ForecastRequest::c8l6(STEPS);
+    let reference = reference_states(&req);
+    // One slot: the tenants below are back to back on one warm instance.
+    // The plan poisons only a run that reaches step 3, and zero retries
+    // makes that a failure.
+    let engine = ForecastEngine::start(EngineConfig {
+        slots: 1,
+        policy: SupervisorPolicy {
+            max_retries: 0,
+            ..SupervisorPolicy::default()
+        },
+        faults: Some(FaultPlan::parse("seed=3;nan@step=3,field=pt").unwrap()),
+        ..EngineConfig::default()
+    });
+    let discarded = || engine.metrics().counter_value("instances_discarded", &[]);
+
+    // Every report stays alive across the runs of the tenants after it.
+    let mut held: Vec<ForecastReport> = Vec::new();
+    for i in 0..3 {
+        let id = engine.submit(req.clone().with_label(&format!("tenant-{i}")));
+        let rep = engine.wait(id).result.expect("clean tenant");
+        assert_eq!(rep.warm_start, i > 0, "tenant-{i}");
+        assert_eq!(engine.status().warm_pool, 1, "tenant-{i} parked its instance");
+        held.push(rep);
+    }
+    for (i, rep) in held.iter().enumerate() {
+        assert_bit_identical(&rep.states, &reference, &format!("tenant-{i}, held"));
+    }
+
+    // A failed request's instance is discarded, not parked.
+    let id = engine.submit(ForecastRequest::c8l6(5).with_label("poisoned"));
+    assert!(matches!(engine.wait(id).result, ForecastResult::Failed(_)));
+    assert_eq!((discarded(), engine.status().warm_pool), (1, 0));
+
+    // So is a cancelled one's (the tenant before it was a cold build that
+    // parked again).
+    let id = engine.submit(req.clone().with_label("refill"));
+    let refill = engine.wait(id).result.expect("clean tenant");
+    assert!(!refill.warm_start);
+    let id = engine.submit(ForecastRequest::c8l6(2).with_label("warm"));
+    assert!(engine.wait(id).result.expect("clean tenant").warm_start);
+    let plug = engine.submit(ForecastRequest::c8l6(100_000).with_label("plug"));
+    let t0 = Instant::now();
+    while !engine.status().running.iter().any(|r| r.id == plug) {
+        assert!(t0.elapsed() < Duration::from_secs(120), "the plug never took the slot");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(engine.cancel(plug));
+    assert!(matches!(engine.wait(plug).result, ForecastResult::Cancelled(_)));
+    assert_eq!((discarded(), engine.status().warm_pool), (2, 0));
+
+    let id = engine.submit(req.with_label("after"));
+    let after = engine.wait(id).result.expect("clean tenant");
+    assert_bit_identical(&after.states, &reference, "after");
+    assert_bit_identical(&refill.states, &reference, "refill, held");
+    engine.shutdown();
 }

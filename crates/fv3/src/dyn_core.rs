@@ -114,12 +114,12 @@ pub fn build_dycore_program(n: usize, nk: usize, config: DycoreConfig) -> Dycore
         vc: b.field("vc"),
         fx: b.field("fx"),
         fy: b.field("fy"),
-        rdx: b.field("rdx"),
-        rdy: b.field("rdy"),
-        area: b.field("area"),
-        rarea: b.field("rarea"),
-        cosa: b.field("cosa"),
-        sina: b.field("sina"),
+        rdx: b.constant("rdx"),
+        rdy: b.constant("rdy"),
+        area: b.constant("area"),
+        rarea: b.constant("rarea"),
+        cosa: b.constant("cosa"),
+        sina: b.constant("sina"),
     };
     // Parameters in registration order: dt2, dt, dddmp[, delndamp].
     b.param("dt2");
@@ -260,38 +260,54 @@ pub fn build_dycore_program(n: usize, nk: usize, config: DycoreConfig) -> Dycore
 
 impl DycoreIds {
     /// The containers [`load_state`] overwrites in full before every run
-    /// of the program, in the order it fills them: the seven prognostics,
-    /// then the six grid metrics. Everything else in a
-    /// store is scratch the program itself must write before it reads
-    /// (`dataflow::reuse`).
-    pub fn loaded(&self) -> [DataId; 13] {
-        [
-            self.delp, self.pt, self.u, self.v, self.w, self.delz, self.q, self.rdx, self.rdy,
-            self.area, self.rarea, self.cosa, self.sina,
-        ]
+    /// of the program: the seven prognostics, in [`PROGNOSTICS`] order.
+    /// The six grid metrics are `constant` containers, lent by reference.
+    /// Everything else in a store is scratch the program itself must
+    /// write before it reads (`dataflow::reuse`).
+    ///
+    /// [`PROGNOSTICS`]: crate::state::PROGNOSTICS
+    pub fn loaded(&self) -> [DataId; 7] {
+        [self.delp, self.pt, self.u, self.v, self.w, self.delz, self.q]
     }
 }
 
-/// Load a rank's state and grid into the program's data store.
-pub fn load_state(store: &mut DataStore, ids: &DycoreIds, state: &DycoreState, grid: &Grid) {
-    let sources = [
-        &state.delp, &state.pt, &state.u, &state.v, &state.w, &state.delz, &state.q, &grid.rdx,
-        &grid.rdy, &grid.area, &grid.rarea, &grid.cosa, &grid.sina,
+/// Lend `grid`'s six metric arrays to the store's constant slots: six
+/// pointer bumps.
+fn lend_metrics(store: &mut DataStore, ids: &DycoreIds, grid: &Grid) {
+    let metrics = [
+        (ids.rdx, &grid.rdx),
+        (ids.rdy, &grid.rdy),
+        (ids.area, &grid.area),
+        (ids.rarea, &grid.rarea),
+        (ids.cosa, &grid.cosa),
+        (ids.sina, &grid.sina),
     ];
-    for (id, src) in ids.loaded().into_iter().zip(sources) {
+    for (id, metric) in metrics {
+        store.lend_constant(id, metric);
+    }
+}
+
+/// Load a rank's state and grid into the program's data store: the seven
+/// prognostics are copied, the grid metrics lent. Returns the number of
+/// whole arrays copied.
+pub fn load_state(store: &mut DataStore, ids: &DycoreIds, state: &DycoreState, grid: &Grid) -> usize {
+    lend_metrics(store, ids, grid);
+    let loaded = ids.loaded();
+    for (id, (_, src)) in loaded.into_iter().zip(state.fields()) {
         store.get_mut(id).copy_from(src);
     }
+    loaded.len()
 }
 
-/// Read the prognostics back out of the data store.
-pub fn extract_state(store: &DataStore, ids: &DycoreIds, state: &mut DycoreState) {
-    state.delp.copy_from(store.get(ids.delp));
-    state.pt.copy_from(store.get(ids.pt));
-    state.u.copy_from(store.get(ids.u));
-    state.v.copy_from(store.get(ids.v));
-    state.w.copy_from(store.get(ids.w));
-    state.delz.copy_from(store.get(ids.delz));
-    state.q.copy_from(store.get(ids.q));
+/// Read the prognostics back out of the data store. Returns the number
+/// of whole arrays copied.
+pub fn extract_state(store: &DataStore, ids: &DycoreIds, state: &mut DycoreState) -> usize {
+    let loaded = ids.loaded();
+    let DycoreState { delp, pt, u, v, w, delz, q, .. } = state;
+    for (id, field) in loaded.into_iter().zip([delp, pt, u, v, w, delz, q]) {
+        field.copy_from(store.get(id));
+    }
+    loaded.len()
 }
 
 /// A rank's prognostics on loan to a store ([`lend_state`]): the program
@@ -324,10 +340,10 @@ fn swap_prognostics(store: &mut DataStore, ids: &DycoreIds, state: &mut DycoreSt
     }
 }
 
-/// [`load_state`] without the seven prognostic copies, and
-/// [`extract_state`] without any: the state's arrays are swapped into the
-/// store (layouts asserted equal; grid metrics still copied) and swapped
-/// back, with whatever the program wrote, when the returned loan drops.
+/// [`load_state`] and [`extract_state`] without a copy: the grid metrics
+/// are lent, the state's arrays are swapped into the store (layouts
+/// asserted equal) and swapped back, with whatever the program wrote, when
+/// the returned loan drops.
 /// Meanwhile `state` holds the store's spare arrays, so a run that unwinds
 /// returns a *partly stepped* state where the copying pair would have left
 /// it untouched: only for a caller whose rollback already rewrites this
@@ -338,15 +354,10 @@ pub fn lend_state<'a>(
     state: &'a mut DycoreState,
     grid: &Grid,
 ) -> LentState<'a> {
-    // `loaded()` lists the seven prognostics first, then the metrics.
-    let loaded = ids.loaded();
-    for ((_, field), id) in state.fields().into_iter().zip(loaded) {
+    for ((_, field), id) in state.fields().into_iter().zip(ids.loaded()) {
         assert_eq!(field.layout(), store.get(id).layout(), "layout mismatch in lend_state");
     }
-    let metrics = [&grid.rdx, &grid.rdy, &grid.area, &grid.rarea, &grid.cosa, &grid.sina];
-    for (id, src) in loaded[7..].iter().zip(metrics) {
-        store.get_mut(*id).copy_from(src);
-    }
+    lend_metrics(store, ids, grid);
     swap_prognostics(store, ids, state);
     LentState { store, ids, state }
 }
@@ -606,6 +617,29 @@ mod tests {
         let diff = sb.max_abs_diff(&sd);
         assert!(diff < 1e-9, "orchestrated vs baseline diff {diff}");
         assert!(!sd.has_nonfinite());
+    }
+
+    #[test]
+    fn metrics_are_lent_and_a_lent_state_is_swapped_never_copied() {
+        let (mut state, grid) = setup(6, 3);
+        let prog = build_dycore_program(6, 3, DycoreConfig::default());
+        let ids = &prog.ids;
+        let mut store = DataStore::for_sdfg(&prog.sdfg);
+        let delp = state.delp.raw().as_ptr();
+        {
+            let mut lent = lend_state(&mut store, ids, &mut state, &grid);
+            assert!(std::ptr::eq(lent.store().get(ids.rdx), &*grid.rdx));
+            assert_eq!(lent.store().get(ids.delp).raw().as_ptr(), delp);
+        }
+        assert_eq!(state.delp.raw().as_ptr(), delp, "the loan hands the array back");
+
+        assert_eq!(load_state(&mut store, ids, &state, &grid), 7);
+        assert_ne!(store.get(ids.delp).raw().as_ptr(), delp, "prognostics are copied in");
+        for (id, metric) in [(ids.area, &grid.area), (ids.sina, &grid.sina)] {
+            assert!(std::ptr::eq(store.get(id), &**metric));
+            assert_eq!(std::sync::Arc::strong_count(metric), 2, "one handle, however often lent");
+        }
+        assert_eq!(extract_state(&store, ids, &mut state), 7);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use comm::geometry::FaceFrame;
 use dataflow::{Array3, Layout};
+use std::sync::Arc;
 
 /// Earth radius [m] — metric terms are in SI so Courant numbers come out
 /// dimensionless for m/s winds.
@@ -67,7 +68,10 @@ fn scale_v(a: [f64; 3], s: f64) -> [f64; 3] {
 /// All fields are stored as full 3-D arrays with the vertical extent
 /// replicated, so they bind directly to DSL stencil inputs (GT4Py
 /// storages are 3-D; the paper's model does the same for 2-D metric
-/// fields).
+/// fields). The six the dycore program reads (`area`, `rarea`, `rdx`,
+/// `rdy`, `cosa`, `sina`) are its `constant` containers and sit behind an
+/// `Arc`, so every store of every tenant of a case reads the one
+/// allocation ([`crate::dyn_core::load_state`] lends, never copies).
 #[derive(Debug, Clone)]
 pub struct Grid {
     /// Cells per subdomain edge.
@@ -75,20 +79,20 @@ pub struct Grid {
     /// Vertical levels (metric fields are replicated over k).
     pub nk: usize,
     /// Cell areas [m^2].
-    pub area: Array3,
+    pub area: Arc<Array3>,
     /// Inverse cell areas.
-    pub rarea: Array3,
+    pub rarea: Arc<Array3>,
     /// Cell widths along i (great-circle, at cell centres).
     pub dx: Array3,
     /// Cell widths along j.
     pub dy: Array3,
     /// Inverse widths.
-    pub rdx: Array3,
-    pub rdy: Array3,
+    pub rdx: Arc<Array3>,
+    pub rdy: Arc<Array3>,
     /// Cosine of the angle between grid lines (0 for orthogonal would be
     /// sin; FV3 convention: cosa = cos(angle), sina = sin(angle)).
-    pub cosa: Array3,
-    pub sina: Array3,
+    pub cosa: Arc<Array3>,
+    pub sina: Arc<Array3>,
     /// Latitude (radians) of each cell centre — used by initial
     /// conditions and diagnostics.
     pub lat: Array3,
@@ -179,14 +183,14 @@ impl Grid {
         Grid {
             n,
             nk,
-            area,
-            rarea,
+            area: Arc::new(area),
+            rarea: Arc::new(rarea),
             dx,
             dy,
-            rdx,
-            rdy,
-            cosa,
-            sina,
+            rdx: Arc::new(rdx),
+            rdy: Arc::new(rdy),
+            cosa: Arc::new(cosa),
+            sina: Arc::new(sina),
             lat,
             lon,
         }

@@ -90,6 +90,20 @@ impl DycoreState {
         }
     }
 
+    /// Overwrite every prognostic with `src`'s, into the arrays this state
+    /// already owns. A field whose array is not of `src`'s layout — moved
+    /// out by a halo exchange that unwound — is reallocated instead.
+    pub fn copy_from(&mut self, src: &DycoreState) {
+        for (name, from) in src.fields() {
+            let to = self.field_mut(name);
+            if to.layout() == from.layout() {
+                to.copy_from(from);
+            } else {
+                *to = from.clone();
+            }
+        }
+    }
+
     /// Total tracer mass `sum(q * delp * area)` — conserved by transport.
     pub fn tracer_mass(&self, area: &Array3) -> f64 {
         let mut s = 0.0;

@@ -76,7 +76,8 @@ pub enum RunEvent {
         backed_off: bool,
         rolled_back_to: u64,
     },
-    /// A checkpoint basis was captured (bytes > 0 when persisted to disk).
+    /// A rollback basis for `step` is in place: captured, or handed to the
+    /// supervisor by its caller (bytes > 0 when persisted to disk).
     CheckpointWritten { step: u64, bytes: u64 },
     /// Halo exchanges overran the stall deadline during this step.
     HaloStall { step: u64, stalls: u64 },

@@ -259,6 +259,24 @@ impl Supervisor {
         d: &mut DistributedDycore,
         steps: u64,
     ) -> Result<RunReport, Box<SupervisedError>> {
+        self.run_from(d, steps, None)
+    }
+
+    /// [`run`](Self::run) from a rollback basis the caller already holds:
+    /// `basis` must be `d` as it stands — its step, its states bit for
+    /// bit, and `d`'s own [`mutation_basis`] so the rollback stays
+    /// rank-aware (the serving engine passes the template it has just
+    /// rewound the instance through). The run then opens without a
+    /// capture; it still makes one when mirroring to a
+    /// [`checkpoint_dir`](SupervisorPolicy::checkpoint_dir).
+    ///
+    /// [`mutation_basis`]: DistributedDycore::mutation_basis
+    pub fn run_from(
+        &mut self,
+        d: &mut DistributedDycore,
+        steps: u64,
+        basis: Option<Checkpoint>,
+    ) -> Result<RunReport, Box<SupervisedError>> {
         if self.policy.stall_deadline.is_some() {
             d.set_halo_stall_deadline(self.policy.stall_deadline);
         }
@@ -277,10 +295,15 @@ impl Supervisor {
         let mut ranks_restored = 0u64;
         let mut written = DiskTally::default();
         let checkpointing = self.policy.checkpoint_every > 0;
+        let mirrored = self.policy.checkpoint_dir.is_some();
         // The in-memory rollback basis; refreshed on the checkpoint
         // cadence. Disk persistence mirrors it when a dir is configured.
-        let mut basis: Option<Checkpoint> = None;
-        if checkpointing {
+        let mut basis = basis.filter(|_| checkpointing && !mirrored);
+        if let Some(ck) = &basis {
+            assert_eq!(ck.step, start, "the given basis is not where the run starts");
+            let (step, bytes) = (start, 0);
+            run.sink.emit(obs::RunEvent::CheckpointWritten { step, bytes });
+        } else if checkpointing {
             let ck = self
                 .refresh_basis(d, &run.sink, &mut written)
                 .map_err(|e| self.io_error(d.step_index(), e, &events, injected()))?;
@@ -327,8 +350,12 @@ impl Supervisor {
                 }
                 StepAttempt::Completed => {
                     retries_this_step = 0;
+                    // Nothing can roll back to the state after the last
+                    // step: only a mirrored run still captures it, for
+                    // the file.
                     if checkpointing
                         && (d.step_index() - start).is_multiple_of(self.policy.checkpoint_every)
+                        && (d.step_index() < goal || mirrored)
                     {
                         let ck = self
                             .refresh_basis(d, &run.sink, &mut written)

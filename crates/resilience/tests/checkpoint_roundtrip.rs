@@ -118,7 +118,7 @@ fn dycore_checkpoint_roundtrip_after_steps() {
     let back = Checkpoint::from_bytes(&ck.to_bytes()).expect("decode");
     assert_eq!(back.step, 2);
     assert_eq!(back.states.len(), 6);
-    for (a, b) in ck.states.iter().zip(&back.states) {
+    for (a, b) in ck.states.iter().zip(back.states.iter()) {
         for ((na, fa), (nb, fb)) in a.fields().iter().zip(b.fields().iter()) {
             assert_eq!(na, nb);
             let (va, vb) = (fa.export_logical(), fb.export_logical());

@@ -77,6 +77,15 @@ impl ProgramBuilder {
         d
     }
 
+    /// Register (or look up) a model field no stencil of the program
+    /// writes (a grid metric): a `constant` container, lent to the store
+    /// by reference instead of copied into it.
+    pub fn constant(&mut self, name: &str) -> DataId {
+        let d = self.field(name);
+        self.sdfg.containers[d.0].constant = true;
+        d
+    }
+
     /// Register (or look up) a scalar parameter.
     pub fn param(&mut self, name: &str) -> ParamId {
         if let Some(p) = self.params.get(name) {

@@ -17,6 +17,7 @@ use dataflow::exec::{DataStore, Executor, NoHooks};
 use dataflow::graph::State;
 use dataflow::model::CostModel;
 use dataflow::{Array3, Sdfg};
+use std::sync::Arc;
 
 /// Scores `state` over `sdfg`'s containers and parameters; lower is
 /// better. Tuning only compares scores of the *same* state before/after a
@@ -115,8 +116,11 @@ impl StateScorer for MeasuredScorer {
                         continue;
                     }
                     let id = dataflow::DataId(c);
-                    *store.get_mut(id) =
-                        Array3::from_fn(cut.layout_of(id), |i, j, k| fill_value(c, i, j, k));
+                    let fill = Array3::from_fn(cut.layout_of(id), |i, j, k| fill_value(c, i, j, k));
+                    match cont.constant {
+                        true => store.lend_constant(id, &Arc::new(fill)),
+                        false => *store.get_mut(id) = fill,
+                    }
                 }
             }
             let report = exec.run(&cut, &mut store, &self.params, &mut NoHooks);
