@@ -186,8 +186,12 @@ pub struct ExecReport {
     pub lanes_scalar: u64,
     /// Tile instructions dispatched (one opcode `match` each).
     pub vm_dispatches: u64,
-    /// Lanes those dispatches covered.
+    /// Lanes × dispatches: the lanes the VM's passes walked. A tree
+    /// instruction is one pass however many operators it holds.
     pub vm_lane_ops: u64,
+    /// Lanes × operators: what the statements compute, however the
+    /// lowering groups operators into instructions.
+    pub vm_operator_lanes: u64,
 }
 
 impl ExecReport {
@@ -297,8 +301,10 @@ pub struct KernelRunStats {
     pub lanes_scalar: u64,
     /// Tile instructions dispatched.
     pub vm_dispatches: u64,
-    /// Lanes those dispatches covered.
+    /// Lanes × dispatches (passes).
     pub vm_lane_ops: u64,
+    /// Lanes × operators.
+    pub vm_operator_lanes: u64,
 }
 
 /// Raw view of one container used inside the kernel loop. Columns write
@@ -350,6 +356,8 @@ struct CompiledStmt {
     /// The statement as written: what the reference path evaluates.
     expr: Expr,
     tile: TileProgram,
+    /// Operators of `tile`, summed over its instructions.
+    operators: usize,
     bounds: StmtBounds,
     lvalue: CompiledLValue,
 }
@@ -412,6 +420,12 @@ impl CompiledKernel {
     pub fn tile_shape(&self) -> (usize, usize) {
         let instrs = self.stmts.iter().map(|c| c.tile.instrs.len()).sum();
         (instrs, self.tile_regs)
+    }
+
+    /// Operators the tile programs apply, summed over the statements: what
+    /// [`Self::tile_shape`]'s instruction count was before trees folded.
+    pub fn tile_operators(&self) -> usize {
+        self.stmts.iter().map(|c| c.operators).sum()
     }
 }
 
@@ -510,8 +524,10 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
                 n_locals = n_locals.max(l.0 + 1);
             }
         });
+        let tile = bytecode::lower(&s.expr, &slot_of);
         stmts.push(CompiledStmt {
-            tile: bytecode::lower(&s.expr, &slot_of),
+            operators: tile.instrs.iter().map(|i| i.op.operators()).sum(),
+            tile,
             expr: s.expr.clone(),
             bounds: b,
             lvalue,
@@ -775,11 +791,12 @@ fn run_tiles(
     let items = if marching { blocks } else { blocks * nk };
     let dispatches = AtomicU64::new(0);
     let lane_ops = AtomicU64::new(0);
+    let operator_lanes = AtomicU64::new(0);
 
     pool.for_each_chunk_in(faults, items, |range| {
         let mut regs = vec![0.0f64; (ck.tile_regs + TILE_SCRATCH) * TILE_LANES];
         let mut locals = vec![0.0f64; ck.n_locals * h * ni];
-        let (mut nd, mut nl) = (0u64, 0u64);
+        let (mut nd, mut nl, mut no) = (0u64, 0u64, 0u64);
         for item in range {
             let j0 = hull.jl + ((item % blocks) * h) as i64;
             let j1 = (j0 + h as i64).min(hull.jh);
@@ -834,6 +851,7 @@ fn run_tiles(
                         unsafe { tile.run(cs, regs.as_mut_ptr()) };
                         nd += cs.tile.instrs.len() as u64;
                         nl += (cs.tile.instrs.len() * rows * w) as u64;
+                        no += (cs.operators * rows * w) as u64;
                         i += w as i64;
                     }
                 }
@@ -845,6 +863,7 @@ fn run_tiles(
         }
         dispatches.fetch_add(nd, Ordering::Relaxed);
         lane_ops.fetch_add(nl, Ordering::Relaxed);
+        operator_lanes.fetch_add(no, Ordering::Relaxed);
     });
 
     KernelRunStats {
@@ -853,6 +872,7 @@ fn run_tiles(
         lanes_scalar: 0,
         vm_dispatches: dispatches.load(Ordering::Relaxed),
         vm_lane_ops: lane_ops.load(Ordering::Relaxed),
+        vm_operator_lanes: operator_lanes.load(Ordering::Relaxed),
     }
 }
 
@@ -1073,6 +1093,7 @@ impl Executor {
                     report.lanes_scalar += stats.lanes_scalar;
                     report.vm_dispatches += stats.vm_dispatches;
                     report.vm_lane_ops += stats.vm_lane_ops;
+                    report.vm_operator_lanes += stats.vm_operator_lanes;
                     if let Some(mut span) = span {
                         let (bytes, flops) = *entry.modeled.get_or_init(|| {
                             let p = k.profile(&sdfg.layout_fn());

@@ -5,7 +5,8 @@
 //! to wider than a tile register, j-extents that leave a short last
 //! block, region and K-interval statements that cover part of a block,
 //! `Index(J)` inside a tile, locals carried through vertical solvers,
-//! in-place updates, and parallel pools (which change the block height).
+//! in-place updates, add / sub / mul chains that lower to tree
+//! instructions, and parallel pools (which change the block height).
 //!
 //! The same generator drives a dynamic oracle for `dataflow::reuse`: a
 //! store that ran a random program, with every cell the program writes
@@ -80,6 +81,29 @@ fn random_expr(rng: &mut SmallRng, depth: u32, ids: &[DataId], korder: KOrder) -
         };
     }
     let sub = |rng: &mut SmallRng| random_expr(rng, depth - 1, ids, korder);
+    if rng.gen_range(0..4) == 0 {
+        // A long add / sub / mul chain, operators the lowering does not
+        // fold between its links: tree instructions of every shape, fed
+        // by fields, locals, scalars and registers.
+        let links = rng.gen_range(2..8);
+        return (0..links).fold(sub(rng), |acc, _| {
+            let x = sub(rng);
+            let (l, r) = if rng.gen_bool(0.5) { (acc, x) } else { (x, acc) };
+            match rng.gen_range(0..9) {
+                // The negated operand is finite: a negated NaN differs
+                // in sign from the default NaN a `0 / 0` elsewhere makes,
+                // and where two NaNs of different bits meet, the one
+                // handed on is the compiler's choice per call site.
+                0 => l + Expr::un(dataflow::UnOp::Neg, Expr::Param(ParamId(rng.gen_range(0..N_PARAMS)))) * r,
+                1 => Expr::bin(BinOp::Min, l, r),
+                2 => Expr::bin(BinOp::Max, l, r),
+                3 => l / (r.clone() * r + Expr::c(0.5)),
+                4 | 5 => l * r,
+                6 => l + r,
+                _ => l - r,
+            }
+        });
+    }
     match rng.gen_range(0..9) {
         0 => Expr::un(dataflow::UnOp::Abs, sub(rng)),
         1 => Expr::un(dataflow::UnOp::Sqrt, Expr::un(dataflow::UnOp::Abs, sub(rng))),
@@ -131,13 +155,18 @@ fn random_kernel(
         let depth = rng.gen_range(1..4);
         let mut expr = random_expr(rng, depth, ids, korder);
         if rng.gen_bool(0.3) {
-            // In place: `x = x ∘ y`, the destination is also an operand.
+            // In place: `x = x ∘ y` or `x = y ∘ x`, the destination is
+            // also an operand (of a tree instruction when `y` folds).
             let own = match lvalue {
                 LValue::Local(l) => Expr::Local(l),
                 LValue::Field(d) => Expr::load(d, 0, 0, 0),
             };
             let op = [BinOp::Add, BinOp::Mul, BinOp::Max][rng.gen_range(0..3)];
-            expr = Expr::bin(op, own, expr);
+            expr = if rng.gen_bool(0.5) {
+                Expr::bin(op, own, expr)
+            } else {
+                Expr::bin(op, expr, own)
+            };
         }
         let (region, extent) = if rng.gen_bool(0.3) {
             (

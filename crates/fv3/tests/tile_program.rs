@@ -1,7 +1,9 @@
 //! Deterministic executor counters on the expanded c24L8 tile graph (the
 //! repo benchmark's main case). A silent fall-back to one-row tiles, to
-//! leaf instructions or to programs without CSE fails a count here, not a
-//! timing somewhere else.
+//! leaf instructions, to programs without CSE or to one pass per operator
+//! fails a count here, not a timing somewhere else; the operator-lanes
+//! stand where they stood before trees folded, so no operator was dropped
+//! or run twice.
 
 use comm::CubeGeometry;
 use dataflow::exec::{compile_kernel, DataStore, Executor};
@@ -45,8 +47,9 @@ fn tile_step_dispatches_are_pinned_and_cover_wide_tiles() {
         let rep = exec.run(&g, &mut store, &prog.params, &mut hooks);
         assert_eq!(rep.launches, 25, "step {step}");
         assert_eq!(rep.lanes_scalar, 0, "step {step}");
-        assert_eq!(rep.vm_dispatches, 6127, "step {step}");
-        assert_eq!(rep.vm_lane_ops, 1_224_584, "step {step}");
+        assert_eq!(rep.vm_dispatches, 3917, "step {step}");
+        assert_eq!(rep.vm_lane_ops, 780_336, "step {step}");
+        assert_eq!(rep.vm_operator_lanes, 1_224_584, "step {step}");
         assert!(rep.vm_lane_ops / rep.vm_dispatches >= 128);
     }
 }
@@ -71,20 +74,17 @@ fn interior_and_rind_dispatches_are_pinned() {
     let interior = exec.run(&split.interior, &mut store, &prog.params, &mut hooks);
     let rind = exec.run(&split.rind, &mut store, &prog.params, &mut hooks);
     assert_eq!(interior.lanes_scalar + rind.lanes_scalar, 0);
-    assert_eq!(
-        (interior.launches, interior.vm_dispatches, interior.vm_lane_ops),
-        (20, 1922, 330_676)
-    );
-    assert_eq!(
-        (rind.launches, rind.vm_dispatches, rind.vm_lane_ops),
-        (25, 8340, 893_908)
-    );
+    let counts = |r: &dataflow::exec::ExecReport| {
+        (r.launches, r.vm_dispatches, r.vm_lane_ops, r.vm_operator_lanes)
+    };
+    assert_eq!(counts(&interior), (20, 1222, 210_140, 330_676));
+    assert_eq!(counts(&rind), (25, 5340, 570_196, 893_908));
 }
 
 #[test]
 fn expanded_dycore_lowers_to_few_instructions_in_few_registers() {
     let (_, g) = tile_graph();
-    let (mut nodes, mut operators, mut lowered, mut regs) = (0, 0, 0, 0);
+    let (mut nodes, mut operators, mut lowered, mut applied, mut regs) = (0, 0, 0, 0, 0);
     for node in g.states.iter().flat_map(|s| &s.nodes) {
         if let DataflowNode::Kernel(k) = node {
             for s in &k.stmts {
@@ -98,14 +98,17 @@ fn expanded_dycore_lowers_to_few_instructions_in_few_registers() {
                 // move for a statement that is a single leaf.
                 operators += (s.expr.size() - leaves).max(1);
             }
-            let (instrs, r) = compile_kernel(k).tile_shape();
+            let ck = compile_kernel(k);
+            let (instrs, r) = ck.tile_shape();
             lowered += instrs;
+            applied += ck.tile_operators();
             regs = regs.max(r);
         }
     }
     // 625 expression nodes, 293 of them operators; value numbering removes
-    // 30 more. One register per node would cost `fv_tp_2d#3` alone 82;
-    // CSE'd live ranges included, no tile program needs over 8.
-    assert_eq!((nodes, operators, lowered), (625, 293, 263));
+    // 30 more, and the 263 left run as 170 instructions once add / sub /
+    // mul trees fold. One register per node would cost `fv_tp_2d#3` alone
+    // 82; CSE'd live ranges included, no tile program needs over 8.
+    assert_eq!((nodes, operators, applied, lowered), (625, 293, 263, 170));
     assert!(regs <= 12, "{regs} registers");
 }
