@@ -1,13 +1,10 @@
-//! Admission control and graceful degradation (ISSUE 10): cooperative
-//! cancellation, deadlines, priority lanes, tenant quotas, and overload
-//! shedding — each path pinned deterministically by plugging the
-//! engine's single run slot with a request that can never finish, so
-//! queue-side behaviour is observed at leisure, then releasing it with
-//! `cancel`.
-//!
-//! No fault plan is armed here; the chaos mix lives in
-//! `tests/overload_soak.rs` (its own binary, because the injection
-//! registry is process-global).
+//! The admission shell, threaded: each semantic wired end to end through
+//! real slots, counters and the event stream. The rules themselves —
+//! lanes, quotas, shedding, deadlines, cancel, one terminal each — are
+//! enumerated exhaustively in `src/admission.rs`; here a single run slot
+//! is plugged with a request that never finishes, so what queues behind
+//! it is observed at leisure, and released with `cancel`. Every wait is
+//! on an event or an outcome, never on a sleep.
 
 use engine::{
     EngineConfig, ForecastEngine, ForecastRequest, ForecastResult, Priority, Rejected, RequestId,
@@ -15,7 +12,7 @@ use engine::{
 };
 use machine::cancel::CancelCause;
 use obs::stream::RunEvent;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Hitting this means a hang, not a slow machine.
 const DEADLINE: Duration = Duration::from_secs(120);
@@ -23,40 +20,58 @@ const DEADLINE: Duration = Duration::from_secs(120);
 /// A step budget no test machine finishes before the test cancels it.
 const FOREVER: u64 = 100_000;
 
+/// One slot, warmed up: the case's compile bill is paid, so cancellation
+/// below interrupts stepping, not compilation.
 fn engine(cfg: EngineConfig) -> ForecastEngine {
-    let engine = ForecastEngine::start(cfg);
-    // Warmup: pay the case's compile bill so cancellation timing below
-    // measures stepping, not compilation.
+    let engine = ForecastEngine::start(EngineConfig { slots: 1, ..cfg });
     let warm = engine.submit(ForecastRequest::c8l6(1).with_label("warmup"));
     engine.wait(warm).result.expect("warmup");
     engine
 }
 
-fn wait_until_running(engine: &ForecastEngine, id: RequestId) {
-    let t0 = Instant::now();
-    while !engine.status().running.iter().any(|r| r.id == id) {
-        assert!(t0.elapsed() < DEADLINE, "request {id} never took a slot");
-        std::thread::sleep(Duration::from_millis(2));
+fn req(label: &str) -> ForecastRequest {
+    ForecastRequest::c8l6(1).with_label(label)
+}
+
+/// Submit and return once a slot has started the request.
+fn start(engine: &ForecastEngine, req: ForecastRequest, opts: SubmitOptions) -> RequestId {
+    let events = engine.subscribe_all().expect("streaming engine has a bus");
+    let id = engine.submit_with(req, opts);
+    loop {
+        let ev = events
+            .next_timeout(DEADLINE)
+            .unwrap_or_else(|| panic!("{id} never took a slot"));
+        if ev.request == Some(id.to_string()) && matches!(ev.body, RunEvent::RequestStarted { .. })
+        {
+            return id;
+        }
     }
 }
 
-/// Plug the engine's only slot with a request that runs until cancelled.
+/// Occupy the only slot until cancelled.
 fn plug(engine: &ForecastEngine) -> RequestId {
-    let id = engine.submit(ForecastRequest::c8l6(FOREVER).with_label("plug"));
-    wait_until_running(engine, id);
-    id
+    let forever = ForecastRequest::c8l6(FOREVER).with_label("plug");
+    start(engine, forever, SubmitOptions::default())
+}
+
+fn unplug(engine: &ForecastEngine, plug: RequestId) {
+    assert!(engine.cancel(plug), "the plug is running");
+    engine.wait(plug);
+}
+
+fn shed_lane(engine: &ForecastEngine, id: RequestId) -> Priority {
+    match engine.wait(id).result {
+        ForecastResult::Shed { lane } => lane,
+        other => panic!("expected shed, got '{}'", other.terminal()),
+    }
 }
 
 #[test]
 fn cancel_running_request_releases_slot_and_keeps_partial_progress() {
-    let engine = engine(EngineConfig {
-        slots: 1,
-        ..EngineConfig::default()
-    });
+    let engine = engine(EngineConfig::default());
     let id = plug(&engine);
     assert!(engine.cancel(id), "a running request has a live token");
-    let out = engine.wait(id);
-    let c = match out.result {
+    let c = match engine.wait(id).result {
         ForecastResult::Cancelled(c) => c,
         other => panic!("expected cancelled, got '{}'", other.terminal()),
     };
@@ -90,19 +105,14 @@ fn cancel_running_request_releases_slot_and_keeps_partial_progress() {
 
 #[test]
 fn cancel_queued_request_finalizes_without_waiting_for_a_slot() {
-    let engine = engine(EngineConfig {
-        slots: 1,
-        ..EngineConfig::default()
-    });
+    let engine = engine(EngineConfig::default());
     let plug_id = plug(&engine);
-    let victim = engine.submit(ForecastRequest::c8l6(2).with_label("victim"));
+    let victim = engine.submit(req("victim"));
     assert_eq!(engine.queue_depth(), 1);
     assert!(engine.cancel(victim));
-    // The outcome resolves while the plug still owns the only slot — a
-    // queued cancel never waits for service.
     let out = engine
-        .wait_timeout(victim, Duration::from_secs(10))
-        .expect("queued cancel finalizes immediately");
+        .wait_timeout(victim, DEADLINE)
+        .expect("resolved while the plug holds the slot");
     match out.result {
         ForecastResult::Cancelled(c) => {
             assert_eq!(c.cause, CancelCause::Requested);
@@ -117,35 +127,23 @@ fn cancel_queued_request_finalizes_without_waiting_for_a_slot() {
         "the plug kept its slot throughout"
     );
     assert_eq!(engine.queue_depth(), 0);
-    engine.cancel(plug_id);
-    engine.wait(plug_id);
-    let stats = engine.shutdown();
-    assert_eq!(stats.cancelled, 2);
+    unplug(&engine, plug_id);
+    assert_eq!(engine.shutdown().cancelled, 2);
 }
 
 #[test]
 fn expired_deadline_evicts_queued_request_without_starting_it() {
-    let engine = engine(EngineConfig {
-        slots: 1,
-        ..EngineConfig::default()
-    });
+    let engine = engine(EngineConfig::default());
     let plug_id = plug(&engine);
-    let id = engine.submit_with(
-        ForecastRequest::c8l6(2).with_label("expiring"),
-        SubmitOptions::default().deadline(Duration::from_millis(20)),
-    );
-    // Let the deadline lapse while the request is stuck in the queue,
-    // then free the slot so a slot loop finds the corpse.
-    std::thread::sleep(Duration::from_millis(50));
-    assert!(engine.cancel(plug_id));
+    // A zero budget has lapsed by the time any slot looks at it.
+    let expiring = SubmitOptions::default().deadline(Duration::ZERO);
+    let id = engine.submit_with(req("expiring"), expiring);
+    unplug(&engine, plug_id);
     let out = engine.wait(id);
     match out.result {
         ForecastResult::Evicted {
             past_deadline_seconds,
-        } => assert!(
-            past_deadline_seconds > 0.0,
-            "eviction reports how late the request was"
-        ),
+        } => assert!(past_deadline_seconds > 0.0, "eviction reports how late"),
         other => panic!("expected evicted, got '{}'", other.terminal()),
     }
     assert_eq!(out.run_seconds, 0.0, "an evicted request never ran");
@@ -156,16 +154,12 @@ fn expired_deadline_evicts_queued_request_without_starting_it() {
 
 #[test]
 fn deadline_cancels_running_request_at_a_step_boundary() {
-    let engine = engine(EngineConfig {
-        slots: 1,
-        ..EngineConfig::default()
-    });
+    let engine = engine(EngineConfig::default());
     let id = engine.submit_with(
         ForecastRequest::c8l6(FOREVER).with_label("budgeted"),
         SubmitOptions::default().deadline(Duration::from_millis(300)),
     );
-    let out = engine.wait(id);
-    match out.result {
+    match engine.wait(id).result {
         ForecastResult::Cancelled(c) => {
             assert_eq!(c.cause, CancelCause::Deadline);
             assert!(c.steps_done < FOREVER);
@@ -184,37 +178,29 @@ fn deadline_cancels_running_request_at_a_step_boundary() {
 #[test]
 fn high_lane_overtakes_normal_and_batch() {
     let engine = engine(EngineConfig {
-        slots: 1,
-        streaming: true,
         stream_buffer: 4096,
         ..EngineConfig::default()
     });
     let stream = engine.subscribe_all().expect("streaming engine has a bus");
     let plug_id = plug(&engine);
     // Arrival order is the inverse of lane order.
-    let batch = engine.submit_with(
-        ForecastRequest::c8l6(1).with_label("batch"),
-        SubmitOptions::default().priority(Priority::Batch),
+    let lane = |p| SubmitOptions::default().priority(p);
+    let batch = engine.submit_with(req("batch"), lane(Priority::Batch));
+    let normal = engine.submit(req("normal"));
+    let high = engine.submit_with(req("high"), lane(Priority::High));
+    let st = engine.status();
+    assert_eq!((st.stats.lane_depths, st.stats.queue_depth), ([1, 1, 1], 3));
+    let queued: Vec<RequestId> = st.queued.iter().map(|(id, _)| *id).collect();
+    assert_eq!(
+        queued,
+        [high, normal, batch],
+        "status lists scheduling order"
     );
-    let normal = engine.submit(ForecastRequest::c8l6(1).with_label("normal"));
-    let high = engine.submit_with(
-        ForecastRequest::c8l6(1).with_label("high"),
-        SubmitOptions::default().priority(Priority::High),
-    );
-    let stats = engine.stats();
-    assert_eq!(stats.lane_depths, [1, 1, 1]);
-    assert_eq!(stats.queue_depth, 3);
-    // Status lists the queue in scheduling order, not arrival order.
-    let queued: Vec<RequestId> = engine.status().queued.iter().map(|(id, _)| *id).collect();
-    assert_eq!(queued, vec![high, normal, batch]);
 
-    assert!(engine.cancel(plug_id));
-    // All three complete; only the service order below matters.
+    unplug(&engine, plug_id);
     for id in [batch, normal, high] {
         engine.wait(id).result.expect("drained request");
     }
-    // The event stream pins the service order: plug first (it held the
-    // slot), then High before Normal before Batch.
     let started: Vec<String> = stream
         .drain()
         .into_iter()
@@ -226,126 +212,84 @@ fn high_lane_overtakes_normal_and_batch() {
         .map(|id| id.to_string())
         .collect();
     assert_eq!(started, expect, "lanes must be served High > Normal > Batch");
-    engine.wait(plug_id);
     engine.shutdown();
 }
 
 #[test]
 fn tenant_quota_caps_inflight_plus_queued_and_releases_on_terminal() {
     let engine = engine(EngineConfig {
-        slots: 1,
         tenant_cap: Some(2),
         ..EngineConfig::default()
     });
-    // The plug itself is tenant-tagged: running work counts against the
-    // cap, not just queued work.
-    let plug_id = engine.submit_with(
+    let acme = || SubmitOptions::default().tenant("acme");
+    // Running work counts against the cap, not just queued work.
+    let plug_id = start(
+        &engine,
         ForecastRequest::c8l6(FOREVER).with_label("acme-plug"),
-        SubmitOptions::default().tenant("acme"),
+        acme(),
     );
-    wait_until_running(&engine, plug_id);
-    let queued = engine.submit_with(
-        ForecastRequest::c8l6(1).with_label("acme-queued"),
-        SubmitOptions::default().tenant("acme"),
-    );
-    // acme is now at its cap of 2 (one running + one queued).
-    match engine.try_submit_with(
-        ForecastRequest::c8l6(1).with_label("acme-over"),
-        SubmitOptions::default().tenant("acme"),
-    ) {
+    let queued = engine.submit_with(req("acme-queued"), acme());
+    match engine.try_submit_with(req("acme-over"), acme()) {
         Err(Rejected::QuotaExceeded { tenant, req }) => {
             assert_eq!(tenant, "acme");
             assert_eq!(req.label, "acme-over", "the refused request is handed back");
         }
         other => panic!("expected QuotaExceeded, got {other:?}"),
     }
-    // Other tenants (and untagged requests) are unaffected.
+    let rival = SubmitOptions::default().tenant("rival");
     let other = engine
-        .try_submit_with(
-            ForecastRequest::c8l6(1).with_label("rival"),
-            SubmitOptions::default().tenant("rival"),
-        )
-        .expect("a different tenant is under its own cap");
-    assert_eq!(
-        engine.status().tenants,
-        vec![("acme".to_string(), 2), ("rival".to_string(), 1)]
-    );
+        .try_submit_with(req("rival"), rival)
+        .expect("rival has its own cap");
+    let tenants = engine.status().tenants;
+    assert_eq!(tenants, [("acme".to_string(), 2), ("rival".to_string(), 1)]);
 
-    // A terminal releases occupancy: cancel the plug and resubmit.
-    assert!(engine.cancel(plug_id));
-    engine.wait(plug_id);
+    // A terminal releases occupancy.
+    unplug(&engine, plug_id);
     let retry = engine
-        .try_submit_with(
-            ForecastRequest::c8l6(1).with_label("acme-retry"),
-            SubmitOptions::default().tenant("acme"),
-        )
-        .expect("the cancelled plug released its quota slot");
+        .try_submit_with(req("acme-retry"), acme())
+        .expect("quota released");
     for id in [queued, other, retry] {
         engine.wait(id).result.expect("admitted request completes");
     }
     assert!(engine.status().tenants.is_empty(), "all occupancy released");
-    let stats = engine.shutdown();
-    assert_eq!(stats.rejected, 1);
+    assert_eq!(engine.shutdown().rejected, 1);
 }
 
 #[test]
 fn overload_sheds_newest_batch_first_and_never_sheds_own_lane() {
     let engine = engine(EngineConfig {
-        slots: 1,
         queue_cap: 2,
         ..EngineConfig::default()
     });
     let plug_id = plug(&engine);
-    let opts_batch = || SubmitOptions::default().priority(Priority::Batch);
-    let b0 = engine.submit_with(ForecastRequest::c8l6(1).with_label("b0"), opts_batch());
-    let b1 = engine.submit_with(ForecastRequest::c8l6(1).with_label("b1"), opts_batch());
-    assert_eq!(engine.stats().lane_depths, [0, 0, 2], "queue full of Batch");
-
-    // A Normal submission to the full queue sheds the NEWEST Batch
-    // request (b1) and takes its place.
+    let lane = |p| SubmitOptions::default().priority(p);
+    let b0 = engine.submit_with(req("b0"), lane(Priority::Batch));
+    let b1 = engine.submit_with(req("b1"), lane(Priority::Batch));
+    // Normal into the full queue sheds the newest Batch, then the older.
     let n0 = engine
-        .try_submit_with(ForecastRequest::c8l6(1).with_label("n0"), SubmitOptions::default())
+        .try_submit_with(req("n0"), lane(Priority::Normal))
         .expect("admitted by shedding");
-    match engine.wait(b1).result {
-        ForecastResult::Shed { lane } => assert_eq!(lane, Priority::Batch),
-        other => panic!("expected shed, got '{}'", other.terminal()),
-    }
+    assert_eq!(shed_lane(&engine, b1), Priority::Batch);
     let n1 = engine
-        .try_submit_with(ForecastRequest::c8l6(1).with_label("n1"), SubmitOptions::default())
-        .expect("admitted by shedding the older batch request");
-    match engine.wait(b0).result {
-        ForecastResult::Shed { lane } => assert_eq!(lane, Priority::Batch),
-        other => panic!("expected shed, got '{}'", other.terminal()),
-    }
-
-    // The queue is now full of Normal work: a Normal submission cannot
-    // shed its own lane, and Batch has nothing below it at all.
-    match engine.try_submit_with(ForecastRequest::c8l6(1).with_label("n2"), SubmitOptions::default())
-    {
-        Err(Rejected::QueueFull(req)) => assert_eq!(req.label, "n2"),
-        other => panic!("expected QueueFull, got {other:?}"),
-    }
-    match engine.try_submit_with(ForecastRequest::c8l6(1).with_label("b2"), opts_batch()) {
-        Err(Rejected::QueueFull(_)) => {}
-        other => panic!("expected QueueFull, got {other:?}"),
+        .try_submit_with(req("n1"), lane(Priority::Normal))
+        .expect("admitted by shedding");
+    assert_eq!(shed_lane(&engine, b0), Priority::Batch);
+    // Full of Normal: Normal cannot shed its own lane, Batch has nothing below.
+    for (label, p) in [("n2", Priority::Normal), ("b2", Priority::Batch)] {
+        match engine.try_submit_with(req(label), lane(p)) {
+            Err(Rejected::QueueFull(req)) => assert_eq!(req.label, label),
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
     }
     // High still gets in: it sheds the newest Normal.
     let h0 = engine
-        .try_submit_with(
-            ForecastRequest::c8l6(1).with_label("h0"),
-            SubmitOptions::default().priority(Priority::High),
-        )
-        .expect("High sheds Normal under pressure");
-    match engine.wait(n1).result {
-        ForecastResult::Shed { lane } => assert_eq!(lane, Priority::Normal),
-        other => panic!("expected shed, got '{}'", other.terminal()),
-    }
+        .try_submit_with(req("h0"), lane(Priority::High))
+        .expect("High sheds Normal");
+    assert_eq!(shed_lane(&engine, n1), Priority::Normal);
 
-    assert!(engine.cancel(plug_id));
-    engine.wait(plug_id);
+    unplug(&engine, plug_id);
     engine.wait(n0).result.expect("surviving normal request");
     engine.wait(h0).result.expect("high request");
-
     let m = engine.metrics();
     assert_eq!(m.counter_value("requests_shed", &[]), 3);
     assert_eq!(m.counter_value("requests_shed", &[("lane", "batch")]), 2);
@@ -358,138 +302,91 @@ fn overload_sheds_newest_batch_first_and_never_sheds_own_lane() {
 
 #[test]
 fn submit_guard_drop_cancels_but_wait_and_detach_disarm() {
-    let engine = engine(EngineConfig {
-        slots: 1,
-        ..EngineConfig::default()
-    });
+    let engine = engine(EngineConfig::default());
     let plug_id = plug(&engine);
-
     // Dropping the guard abandons the queued request.
-    let abandoned = {
-        let guard = engine.submit_guarded(
-            ForecastRequest::c8l6(1).with_label("abandoned"),
-            SubmitOptions::default(),
-        );
-        guard.id()
-    };
+    let abandoned = engine
+        .submit_guarded(req("abandoned"), SubmitOptions::default())
+        .id();
     let out = engine
-        .wait_timeout(abandoned, Duration::from_secs(10))
-        .expect("a dropped guard cancels immediately");
+        .wait_timeout(abandoned, DEADLINE)
+        .expect("resolved while the plug holds the slot");
     assert!(
         matches!(out.result, ForecastResult::Cancelled(_)),
         "expected cancelled, got '{}'",
         out.result.terminal()
     );
-
-    // detach() leaves the request running unguarded.
+    // detach() leaves the request to run unguarded.
     let detached = engine
-        .submit_guarded(
-            ForecastRequest::c8l6(1).with_label("detached"),
-            SubmitOptions::default(),
-        )
+        .submit_guarded(req("detached"), SubmitOptions::default())
         .detach();
-    assert!(engine.cancel(plug_id));
-    engine.wait(plug_id);
+    unplug(&engine, plug_id);
     engine
         .wait(detached)
         .result
         .expect("a detached request runs to completion");
-
     // wait() consumes the guard and the outcome.
-    let rep = engine
-        .submit_guarded(
-            ForecastRequest::c8l6(1).with_label("waited"),
-            SubmitOptions::default(),
-        )
-        .wait()
-        .result
-        .expect("a waited guard completes");
+    let guard = engine.submit_guarded(req("waited"), SubmitOptions::default());
+    let rep = guard.wait().result.expect("a waited guard completes");
     assert_eq!(rep.steps, 1);
     engine.shutdown();
 }
 
-/// ISSUE 10 satellite: an expired `wait_timeout` must leave the outcome
-/// claimable — the next `wait` returns it, and only one wait ever does.
+/// An expired `wait_timeout` leaves the outcome claimable; once claimed,
+/// a further wait finds nothing, at once.
 #[test]
 fn expired_wait_timeout_leaves_the_outcome_claimable() {
-    let engine = engine(EngineConfig {
-        slots: 1,
-        ..EngineConfig::default()
-    });
+    let engine = engine(EngineConfig::default());
     let plug_id = plug(&engine);
-    let id = engine.submit(ForecastRequest::c8l6(1).with_label("slow"));
-    // The request is stuck behind the plug: this wait must expire.
+    let id = engine.submit(req("slow"));
     assert!(
         engine.wait_timeout(id, Duration::from_millis(30)).is_none(),
         "the request cannot finish while the slot is plugged"
     );
-    assert!(engine.cancel(plug_id));
-    engine.wait(plug_id);
-    // The expired wait consumed nothing: the outcome is still claimable.
+    unplug(&engine, plug_id);
     let out = engine
         .wait_timeout(id, DEADLINE)
         .expect("outcome claimable after an expired wait");
     out.result.expect("request completes once the plug is gone");
-    // Exactly-once: the outcome was claimed, a third wait finds nothing.
-    assert!(engine.wait_timeout(id, Duration::from_millis(10)).is_none());
+    assert!(engine.wait_timeout(id, DEADLINE).is_none(), "taken exactly once");
     engine.shutdown();
 }
 
-/// ISSUE 10 satellite: `requests_rejected` increments exactly once per
-/// refusal, in both the aggregate stats and the pre-registered counter
-/// series (unlabeled total + per-reason breakdown).
+/// `requests_rejected` counts each refusal once, in the stats and in the
+/// pre-registered series (total and per reason).
 #[test]
 fn rejections_count_exactly_once_per_refusal() {
     let engine = engine(EngineConfig {
-        slots: 1,
         queue_cap: 1,
         tenant_cap: Some(1),
         ..EngineConfig::default()
     });
     // Pre-registered at zero before any refusal.
-    assert_eq!(engine.metrics().counter_value("requests_rejected", &[]), 0);
-    assert_eq!(engine.stats().rejected, 0);
-
-    let plug_id = engine.submit_with(
-        ForecastRequest::c8l6(FOREVER).with_label("t-plug"),
-        SubmitOptions::default().tenant("t"),
-    );
-    wait_until_running(&engine, plug_id);
-
-    // Refusal 1: tenant quota (checked before queue capacity).
-    assert!(matches!(
-        engine.try_submit_with(
-            ForecastRequest::c8l6(1).with_label("t-over"),
-            SubmitOptions::default().tenant("t"),
-        ),
-        Err(Rejected::QuotaExceeded { .. })
-    ));
-    assert_eq!(engine.stats().rejected, 1);
-
-    // Refusal 2: queue full with nothing sheddable below Batch.
-    let filler = engine.submit_with(
-        ForecastRequest::c8l6(1).with_label("filler"),
-        SubmitOptions::default().priority(Priority::Batch),
-    );
-    assert!(matches!(
-        engine.try_submit_with(
-            ForecastRequest::c8l6(1).with_label("refused"),
-            SubmitOptions::default().priority(Priority::Batch),
-        ),
-        Err(Rejected::QueueFull(_))
-    ));
-
     let m = engine.metrics();
+    assert_eq!(m.counter_value("requests_rejected", &[]), 0);
+    assert_eq!(engine.stats().rejected, 0);
+    let t = || SubmitOptions::default().tenant("t");
+    let plug_id = start(
+        &engine,
+        ForecastRequest::c8l6(FOREVER).with_label("t-plug"),
+        t(),
+    );
+    // Quota is checked before queue capacity.
+    let over = engine.try_submit_with(req("t-over"), t());
+    assert!(matches!(over, Err(Rejected::QuotaExceeded { .. })));
+    assert_eq!(engine.stats().rejected, 1);
+    let batch = || SubmitOptions::default().priority(Priority::Batch);
+    let filler = engine.submit_with(req("filler"), batch());
+    let full = engine.try_submit_with(req("refused"), batch());
+    assert!(matches!(full, Err(Rejected::QueueFull(_))));
     assert_eq!(m.counter_value("requests_rejected", &[]), 2);
     assert_eq!(m.counter_value("requests_rejected", &[("reason", "quota")]), 1);
     assert_eq!(
         m.counter_value("requests_rejected", &[("reason", "queue_full")]),
         1
     );
-    assert_eq!(engine.stats().rejected, 2);
 
-    assert!(engine.cancel(plug_id));
-    engine.wait(plug_id);
+    unplug(&engine, plug_id);
     engine.wait(filler).result.expect("admitted filler completes");
     let stats = engine.shutdown();
     assert_eq!(stats.rejected, 2, "refusals never double-count");

@@ -1,8 +1,10 @@
-//! ISSUE 10 chaos soak: the terminal-exactly-once guarantee under a
+//! One pinned chaos seed: the terminal-exactly-once guarantee under a
 //! seeded mix of cancellation, deadlines, quotas, overload shedding,
-//! and injected faults, all at once.
+//! and an injected fault, all at once, on real slots. The admission rules
+//! alone are enumerated in `src/admission.rs`; this is the threaded check
+//! that the shell keeps them with runs, faults and the stream in play.
 //!
-//! For every seed the soak must show:
+//! The seed must show:
 //!
 //! * every admitted request reaches exactly ONE of the five terminals
 //!   (completed / failed / cancelled / evicted / shed) within a hard
@@ -17,10 +19,8 @@
 //!   the still-shared compile bundle (no warm-pool contamination from
 //!   cancelled or failed tenants).
 //!
-//! Each case's fault plan belongs to its own engine
-//! (`EngineConfig::faults`), so the cases run concurrently. Regression
-//! seeds found by the fuzzer are pinned at the bottom, following
-//! `tests/soak.rs`.
+//! The fault plan belongs to the engine (`EngineConfig::faults`), so
+//! nothing here is process-global.
 
 use dataflow::graph::ExpansionAttrs;
 use engine::{
@@ -29,11 +29,10 @@ use engine::{
 };
 use fv3::state::DycoreState;
 use fv3core::DistributedDycore;
-use proptest::prelude::*;
 use resilience::{FaultPlan, SupervisorPolicy};
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Hitting this means a hang, not a slow machine.
 const DEADLINE: Duration = Duration::from_secs(120);
@@ -205,16 +204,11 @@ fn chaos_case(seed: u64) {
     assert_bit_identical(&rep.states, ref1, &format!("{label}: probe"));
     assert_eq!(rep.cache_misses, 0, "{label}: probe recompiled a warm case");
 
-    let t0 = Instant::now();
-    loop {
-        let st = engine.status();
-        if st.slots_busy == 0 && st.queued.is_empty() && st.running.is_empty() {
-            assert!(st.tenants.is_empty(), "{label}: leaked tenant occupancy");
-            break;
-        }
-        assert!(t0.elapsed() < DEADLINE, "{label}: a slot never released");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    // Every admitted request has been taken: a slot leaves the running
+    // set under the same lock that deposits its outcome.
+    let st = engine.status();
+    assert_eq!((st.slots_busy, st.queued.len()), (0, 0), "{label}: a slot never released");
+    assert!(st.tenants.is_empty(), "{label}: leaked tenant occupancy");
 
     // The stream closed every admitted lifecycle with exactly one
     // terminal event, and the sized buffer dropped nothing.
@@ -235,6 +229,22 @@ fn chaos_case(seed: u64) {
     }
     assert_eq!(engine.status().events_dropped, 0, "{label}: sized buffer dropped events");
 
+    // Two sources count admissions and terminals — the stats, from the
+    // admission machine's tally, and the unlabeled `requests_<terminal>`
+    // counters the shell adds to — and they agree.
+    let (m, s) = (engine.metrics(), engine.stats());
+    for (name, n) in [
+        ("submitted", s.submitted),
+        ("completed", s.completed),
+        ("failed", s.failed),
+        ("cancelled", s.cancelled),
+        ("evicted", s.evicted),
+        ("shed", s.shed),
+    ] {
+        let counted = m.counter_value(&format!("requests_{name}"), &[]);
+        assert_eq!(counted, n, "{label}: requests_{name} counter vs stats");
+    }
+
     let stats = engine.shutdown();
     assert_eq!(
         stats.submitted,
@@ -254,32 +264,7 @@ fn chaos_case(seed: u64) {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn chaos_soak_conserves_every_request(seed in 0u64..u64::MAX) {
-        chaos_case(seed);
-    }
-}
-
-// Pinned chaos seeds. Odd seeds arm the NaN fault; together they cover
-// cancellation + deadline + quota + shed + fault in one run each.
-
-/// Fault armed, single slot: maximal queueing, poison races cancels.
-#[test]
-fn pinned_chaos_fault_single_slot() {
-    chaos_case(3);
-}
-
-/// No fault, single slot: pure admission chaos (quota + shed + cancel).
-#[test]
-fn pinned_chaos_clean_single_slot() {
-    chaos_case(42);
-}
-
-/// Fault armed, wide mix: every lane and both refusal types observed
-/// during development of this suite.
+/// Fault armed, wide mix: every lane and both refusal types.
 #[test]
 fn pinned_chaos_fault_wide_mix() {
     chaos_case(0x5EED);

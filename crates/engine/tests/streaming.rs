@@ -113,13 +113,16 @@ fn subscribe_by_id_sees_only_that_request() {
 fn assert_status_invariants(st: &EngineStatus, total: u64) {
     assert!(st.slots_busy <= st.slots);
     assert_eq!(st.running.len(), st.slots_busy, "running set matches busy slots");
-    let done = st.stats.completed + st.stats.failed;
-    assert!(
-        st.queue_depth() as u64 + st.running.len() as u64 + done <= total,
-        "conservation: queued {} + running {} + done {done} > submitted {total}",
+    let s = &st.stats;
+    let done = s.completed + s.failed + s.cancelled + s.evicted + s.shed;
+    assert_eq!(
+        st.queue_depth() as u64 + st.running.len() as u64 + done,
+        s.submitted,
+        "conservation: queued {} + running {} + done {done} != submitted",
         st.queue_depth(),
         st.running.len()
     );
+    assert!(s.submitted <= total);
     for r in &st.running {
         assert!(r.steps_done <= r.steps_budget);
     }
