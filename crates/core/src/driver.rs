@@ -3,8 +3,8 @@
 //! exchanges in between.
 //!
 //! Ranks run either sequentially within one process (the DESIGN.md
-//! substitution) or on real threads with compute/communication overlap
-//! ([`RankSchedule::Parallel`], see [`crate::parallel`]); both schedules
+//! substitution) or on a team of threads exchanging halos through
+//! mailboxes ([`RankSchedule::Parallel`], see [`crate::parallel`]); both schedules
 //! are bit-identical. The halo updater performs the actual packing and
 //! orientation transforms of Section IV-C, and its statistics feed the
 //! alpha-beta network model for the scaling studies (Fig. 11).
@@ -143,7 +143,7 @@ pub struct DistributedDycore {
     pub(crate) rank_stalls: Vec<u64>,
     /// Total soft stalls under the parallel schedule.
     pub(crate) parallel_stalls: u64,
-    /// Accumulated compute/comm overlap timings (parallel schedule only).
+    /// Accumulated rank-team substep timings (parallel schedule only).
     pub(crate) overlap: obs::OverlapStats,
     /// Measured wire bytes posted under the parallel schedule.
     pub(crate) halo_bytes_posted: u64,
@@ -559,8 +559,8 @@ impl DistributedDycore {
         self.step_interrupted
     }
 
-    /// Select the rank schedule (sequential lock-step vs threaded with
-    /// compute/comm overlap). Both produce bit-identical states. A
+    /// Select the rank schedule (sequential lock-step vs a threaded rank
+    /// team). Both produce bit-identical states. A
     /// change of schedule releases the rank team's scratch stores.
     pub fn set_rank_schedule(&mut self, schedule: RankSchedule) {
         if schedule != self.schedule {
@@ -580,12 +580,13 @@ impl DistributedDycore {
         self.recv_timeout = deadline;
     }
 
-    /// Accumulated compute/comm overlap timings (parallel schedule).
+    /// Accumulated rank-team substep timings: pack, wait, run (parallel
+    /// schedule).
     pub fn overlap_stats(&self) -> obs::OverlapStats {
         self.overlap
     }
 
-    /// Take and reset the accumulated overlap timings.
+    /// Take and reset the accumulated rank-team timings.
     pub fn take_overlap_stats(&mut self) -> obs::OverlapStats {
         std::mem::take(&mut self.overlap)
     }
@@ -682,8 +683,8 @@ impl DistributedDycore {
         // off means zero events and zero extra work on the hot path.
         let stream_t0 = self.run.sink.is_active().then(std::time::Instant::now);
         // One acoustic substep at a time, so halos stay current. The
-        // per-substep program, its expansion/split, and the executors are
-        // cached across steps (`crate::parallel::StepCache`).
+        // per-substep program, its lowering, and the executors are cached
+        // across steps (`crate::parallel::StepCache`).
         self.ensure_step_cache();
         let mut cache = self.cache.take().expect("step cache built");
         if self.schedule == RankSchedule::Parallel {
@@ -759,7 +760,7 @@ impl DistributedDycore {
                 scratch,
                 &self.scratch_built,
                 &sub.sub_expanded,
-                &sub.clear_seq,
+                &sub.clear,
                 metrics,
             );
             if let Some(m) = metrics {

@@ -13,9 +13,10 @@
 //!   (Tables I–III, Figs. 10–11, the bandwidth study, JUWELS);
 //! * [`checkpoint`] — crash-consistent `FV3CKPT1` checkpoint/restart
 //!   (ISSUE 5; supervision policy lives in `crates/resilience`);
-//! * [`parallel`] — true parallel rank execution with compute/comm
-//!   overlap (ISSUE 6): interior/rind split, epoch-tagged mailboxes,
-//!   bit-identical to the sequential schedule.
+//! * [`parallel`] — true parallel rank execution: a rank team that posts
+//!   every halo send into epoch-tagged mailboxes before it receives, then
+//!   runs each rank's substep graph, bit-identical to the sequential
+//!   schedule.
 
 pub mod bounds;
 pub mod checkpoint;

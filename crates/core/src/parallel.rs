@@ -1,35 +1,37 @@
-//! True parallel rank execution with compute/communication overlap.
+//! True parallel rank execution with message-passing halo exchange.
 //!
 //! The sequential driver runs ranks one after another with a pull-style
 //! halo gather between rounds. This module runs them on a **rank team**
 //! sized to the host — `min(ranks, workers)` threads through
 //! [`machine::Pool::rank_scope`], worker `w` owning ranks `w, w + W, …`
-//! and one scratch store kept across steps — and decomposes each acoustic
-//! substep into the message-passing schedule a real MPI dycore uses:
+//! and one scratch store kept across steps — and gives each acoustic
+//! substep the message-passing schedule a real MPI dycore uses:
 //!
 //! 1. **pack + post** — a worker packs the pre-substep interiors of *all*
 //!    its ranks for their neighbours ([`comm::ExchangePlan`]) and posts
 //!    the buffers into epoch-tagged mailboxes ([`comm::HaloMailboxes`])
 //!    before it receives anything, so no receive can wait on a worker
 //!    that is itself blocked; then, rank by rank:
-//! 2. **interior compute** — while the wires drain, the rank runs the
-//!    interior program derived by [`dataflow::split_for_overlap`]: the
-//!    leading kernel chain clipped to columns that provably never read a
-//!    halo cell;
+//! 2. **load** — copy the rank's state into the worker's store;
 //! 3. **wait + unpack + fold** — receive every inbound channel (hard
 //!    deadline; a missing message panics the rank instead of hanging),
 //!    unpack into the store's halo cells, apply cube-corner folds;
-//! 4. **rind compute** — run the boundary strips plus the original
-//!    suffix (copies, vertical remap callback), then extract the state.
+//! 4. **run** — the substep graph the sequential schedule runs, once;
+//! 5. **extract** — write the state back.
+//!
+//! The latency a receive could wait for is the peers' packing, and the
+//! team's order hides it: every send is posted before its worker's first
+//! receive. Computing an interior ahead of the wait would hide no more
+//! than that, at the cost of a second walk over a store larger than L2
+//! (DESIGN §12.1).
 //!
 //! **Bit-identity.** The parallel schedule produces bit-identical states
 //! to the sequential one, step for step: packing reads only pre-substep
 //! interiors (so the exchanged values equal the sequential exchange's —
-//! `comm::plan` holds this to 0 ULP), the interior program never touches
-//! a halo cell (`dataflow::overlap` tests), and unpack/fold land before
-//! any rind statement reads a halo — the same value ends up in every
-//! cell in the same per-column statement order. `core/tests/
-//! parallel_schedule_diff.rs` asserts the end-to-end equality.
+//! `comm::plan` holds this to 0 ULP), unpack/fold land before any
+//! statement runs, and the statements are the sequential schedule's own
+//! graph. `core/tests/parallel_schedule_diff.rs` asserts the end-to-end
+//! equality.
 //!
 //! **Failure containment.** A rank that panics (recv timeout after a
 //! dropped message, poisoned mailbox, kernel panic) fails alone: its
@@ -48,7 +50,7 @@ use dataflow::exec::{DataStore, Executor};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::reuse::clear_list;
 use dataflow::transforms::power;
-use dataflow::{DataId, SplitPrograms};
+use dataflow::DataId;
 use fv3::dyn_core::{build_dycore_program, extract_state, load_state, DycoreIds, DycoreProgram};
 use fv3::state::{DycoreState, HALO};
 use machine::faults::{FaultAction, FireCtx};
@@ -124,8 +126,8 @@ pub(crate) fn next_instance_id() -> u64 {
 /// Everything about a substep that is invariant across steps *and across
 /// driver instances* for a fixed configuration: the per-substep program
 /// (one `Sdfg` instance, so one `(uid, generation)` cache namespace), its
-/// expansion, the interior/rind split, and pinned executors whose
-/// compiled-kernel caches stay warm. The executors are `Sync` (kernel
+/// lowering, and pinned executors whose compiled-kernel caches stay
+/// warm. The executors are `Sync` (kernel
 /// compilation happens under their internal cache lock), so one bundle
 /// can be shared by many concurrently-running tenants — this is the
 /// compile-once/run-many substrate the serving engine (`crates/engine`)
@@ -133,28 +135,22 @@ pub(crate) fn next_instance_id() -> u64 {
 pub struct CompiledSubstep {
     key: StepKey,
     pub(crate) sub_prog: DycoreProgram,
+    /// The graph every rank-substep runs, under either schedule.
     pub(crate) sub_expanded: Sdfg,
-    pub(crate) split: Option<SplitPrograms>,
     /// What the build-time autotune pipeline did to `sub_expanded`
     /// (`None` when the bundle was built untuned).
     tune: Option<tuning::AutotuneReport>,
     /// Sequential-path executor (worker-pool backed when one is set).
     pub(crate) exec_seq: Executor,
-    /// Rank-team executors run inline (`Pool::new(1)`): the team's
-    /// workers are the parallelism. One executor per graph keeps the
-    /// per-`(uid, generation)` kernel caches from evicting each other.
-    pub(crate) exec_full: Executor,
-    pub(crate) exec_interior: Executor,
-    pub(crate) exec_rind: Executor,
+    /// Rank-team executor, run inline (`Pool::new(1)`): the team's
+    /// workers are the parallelism.
+    pub(crate) exec_team: Executor,
     /// Worker team `exec_seq` is pinned to (`None`: inline serial).
     pool: Option<Pool>,
     /// Containers a store that already ran `sub_expanded` must re-zero
     /// before running it again ([`dataflow::reuse::clear_list`], proven
     /// once here). Empty for every dycore graph built so far.
-    pub(crate) clear_seq: Vec<DataId>,
-    /// The same for a rank-team worker's store, whose run is `interior` then
-    /// `rind` (or `sub_expanded` when there is no split).
-    pub(crate) clear_par: Vec<DataId>,
+    pub(crate) clear: Vec<DataId>,
 }
 
 impl CompiledSubstep {
@@ -165,9 +161,7 @@ impl CompiledSubstep {
     /// the lowered graph is then run through
     /// [`tuning::autotune_vetted_scored`] (cross-module fusion, then cutout
     /// search + pattern transfer over every state, each committed step
-    /// confirmed by measured re-execution at this build's size) *before*
-    /// the interior/rind split, so the overlapped schedule executes the
-    /// fused kernels too.
+    /// confirmed by measured re-execution at this build's size).
     /// Everything the tuner applies is bit-exact, so a tuned bundle produces
     /// states 0 ULP identical to an untuned one; the tuned flag still
     /// enters the [`StepKey`], so tuned and untuned shared bundles never
@@ -201,13 +195,7 @@ impl CompiledSubstep {
                 TUNE_VET_MARGIN,
             )
         });
-        let split = dataflow::split_for_overlap(&sub_expanded, sub_n);
-        let loaded = sub_prog.ids.loaded();
-        let clear_seq = clear_list(&[&sub_expanded], &loaded);
-        let clear_par = match &split {
-            Some(sp) => clear_list(&[&sp.interior, &sp.rind], &loaded),
-            None => clear_seq.clone(),
-        };
+        let clear = clear_list(&[&sub_expanded], &sub_prog.ids.loaded());
         let exec_seq = match pool {
             Some(p) => Executor::new(p.clone()),
             None => Executor::serial(),
@@ -216,15 +204,11 @@ impl CompiledSubstep {
             key,
             sub_prog,
             sub_expanded,
-            split,
             tune,
             exec_seq,
-            exec_full: Executor::serial(),
-            exec_interior: Executor::serial(),
-            exec_rind: Executor::serial(),
+            exec_team: Executor::serial(),
             pool: pool.cloned(),
-            clear_seq,
-            clear_par,
+            clear,
         }
     }
 
@@ -239,23 +223,17 @@ impl CompiledSubstep {
         &self.sub_prog
     }
 
-    /// The graphs one rank-substep runs back to back on one store under
-    /// `schedule`: the expanded substep program, or its interior and rind
-    /// parts where the parallel schedule overlaps the exchange.
-    pub fn run_graphs(&self, schedule: RankSchedule) -> Vec<&Sdfg> {
-        match (schedule, &self.split) {
-            (RankSchedule::Parallel, Some(sp)) => vec![&sp.interior, &sp.rind],
-            _ => vec![&self.sub_expanded],
-        }
+    /// The graph one rank-substep runs, under either schedule: the
+    /// substep program as [`lower_substep`] (and the tuner, for a tuned
+    /// bundle) left it.
+    pub fn graph(&self) -> &Sdfg {
+        &self.sub_expanded
     }
 
     /// The containers a scratch store re-zeroes between two runs of
-    /// [`run_graphs`](Self::run_graphs) (see [`dataflow::reuse`]).
-    pub fn clear_list(&self, schedule: RankSchedule) -> &[DataId] {
-        match schedule {
-            RankSchedule::Sequential => &self.clear_seq,
-            RankSchedule::Parallel => &self.clear_par,
-        }
+    /// [`graph`](Self::graph) (see [`dataflow::reuse`]).
+    pub fn clear_list(&self) -> &[DataId] {
+        &self.clear
     }
 
     /// Whether this bundle was built through the autotune pipeline.
@@ -324,12 +302,10 @@ impl StepKey {
 /// One rank's substep timings and flags, reported back to the driver.
 struct RankOutcome {
     sent: Posted,
-    interior: Duration,
     wait: Duration,
-    rind: Duration,
+    run: Duration,
     stalled: bool,
-    had_interior: bool,
-    /// Compiled-kernel cache traffic from this rank's program runs.
+    /// Compiled-kernel cache traffic from this rank's program run.
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -454,7 +430,7 @@ impl Team<'_> {
         }
     }
 
-    /// 2–4. Rank `r`'s substep on its worker's store.
+    /// 2–5. Rank `r`'s substep on its worker's store.
     fn run_rank(
         &self,
         r: usize,
@@ -464,42 +440,27 @@ impl Team<'_> {
     ) -> RankOutcome {
         let (plan, boxes, sub, nk) = (self.plan, self.boxes, self.sub, self.nk);
         let (ids, params) = (&sub.sub_prog.ids, &sub.sub_prog.params[..]);
-        let split = sub.split.as_ref();
         // Span parity with the sequential schedule: the tracer is
         // thread-safe, so rank spans land in the run's registry from
         // whichever worker runs the rank.
         let _rank_span = self.run.span("rank", format_args!("rank{r}"));
         let metrics = self.run.metrics.as_ref();
 
-        // 2. Interior compute while the wires drain.
+        // 2. Load the state into the worker's store.
         let store = scratch_store(
             slot,
             self.scratch_built,
             &sub.sub_expanded,
-            &sub.clear_par,
+            &sub.clear,
             metrics,
         );
         let copied_in = load_state(store, ids, state, &self.grids[r]);
         if let Some(m) = metrics {
             m.counter_add("rank_runs", &[], 1);
         }
-        let mut hooks = RankHooks {
-            ids,
-            halo_markers: 0,
-        };
-        let t1 = Instant::now();
-        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-        if let Some(sp) = split {
-            let rep = sub
-                .exec_interior
-                .run_in(&sp.interior, store, params, &mut hooks, self.run);
-            cache_hits += rep.cache_hits;
-            cache_misses += rep.cache_misses;
-        }
-        let interior = t1.elapsed();
 
         // 3. Receive, unpack into the store's halos, fold corners.
-        let t2 = Instant::now();
+        let t0 = Instant::now();
         let exch = exchanged_ids(ids);
         for &ch in plan.recvs(r) {
             match boxes.recv(ch, self.epoch, self.recv_timeout) {
@@ -515,20 +476,20 @@ impl Team<'_> {
         for id in exch {
             plan.apply_folds(r, nk, store.get_mut(id));
         }
-        let wait = t2.elapsed();
+        let wait = t0.elapsed();
 
-        // 4. Rind compute (boundary strips + suffix), extract.
-        let t3 = Instant::now();
-        let rep = match split {
-            Some(sp) => sub
-                .exec_rind
-                .run_in(&sp.rind, store, params, &mut hooks, self.run),
-            None => sub
-                .exec_full
-                .run_in(&sub.sub_expanded, store, params, &mut hooks, self.run),
+        // 4. Run the substep graph.
+        let mut hooks = RankHooks {
+            ids,
+            halo_markers: 0,
         };
-        cache_hits += rep.cache_hits;
-        cache_misses += rep.cache_misses;
+        let t1 = Instant::now();
+        let rep = sub
+            .exec_team
+            .run_in(&sub.sub_expanded, store, params, &mut hooks, self.run);
+        let run = t1.elapsed();
+
+        // 5. Extract.
         self.mutating[r].store(true, Ordering::Release);
         let copied_out = extract_state(store, ids, state);
         if let Some(m) = metrics {
@@ -536,13 +497,11 @@ impl Team<'_> {
         }
         RankOutcome {
             sent,
-            interior,
             wait,
-            rind: t3.elapsed(),
+            run,
             stalled: self.soft_stall.is_some_and(|d| wait > d),
-            had_interior: split.is_some_and(|s| s.has_interior()),
-            cache_hits,
-            cache_misses,
+            cache_hits: rep.cache_hits,
+            cache_misses: rep.cache_misses,
         }
     }
 }
@@ -747,9 +706,7 @@ impl DistributedDycore {
                         m.counter_add("halo_stalls", &[], 1);
                     }
                 }
-                let pack = o.sent.pack;
-                self.overlap
-                    .record_substep(pack, o.interior, o.wait, o.rind, o.had_interior);
+                self.overlap.record_substep(o.sent.pack, o.wait, o.run);
                 self.halo_bytes_posted += o.sent.bytes;
                 self.halo_messages_posted += o.sent.messages;
                 self.note_kernel_cache(o.cache_hits, o.cache_misses);

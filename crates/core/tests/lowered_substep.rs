@@ -1,6 +1,6 @@
 //! Counts, not clocks, on the graph the production build executes
 //! (`fv3core::parallel::lower_substep`): §VI-C1's power reduction reaches
-//! every bundle — sequential, interior, rind, tuned, untuned — and costs
+//! every bundle — tuned and untuned, run by either schedule — and costs
 //! the tile VM nothing (a `Pow` becomes a `Powi` or a `Sqrt`, one
 //! instruction each), so `fv3/tests/tile_program.rs`'s pins describe the
 //! lowered graph as well as the hand-expanded one.
@@ -15,7 +15,7 @@ use fv3::init::{init_baroclinic, BaroclinicConfig};
 use fv3::profiling::RemapHooks;
 use fv3::state::{DycoreState, HALO};
 use fv3core::parallel::lower_substep;
-use fv3core::{CompiledSubstep, DriverConfig, RankSchedule};
+use fv3core::{CompiledSubstep, DriverConfig};
 
 fn dycore(dt: f64) -> DycoreConfig {
     DycoreConfig {
@@ -63,16 +63,11 @@ fn no_bundle_executes_a_general_pow() {
         let cfg = DriverConfig::six_rank(n, nk, dycore(4.0));
         for tuned in [false, true] {
             let sub = CompiledSubstep::build_with_tune(&cfg, None, tuned);
-            for schedule in [RankSchedule::Sequential, RankSchedule::Parallel] {
-                for g in sub.run_graphs(schedule) {
-                    assert_eq!(
-                        transcendental_stmts(g),
-                        [],
-                        "c{n}L{nk} tuned={tuned} {schedule:?} '{}'",
-                        g.name
-                    );
-                }
-            }
+            assert_eq!(
+                transcendental_stmts(sub.graph()),
+                [],
+                "c{n}L{nk} tuned={tuned}"
+            );
         }
     }
 }
@@ -105,7 +100,10 @@ fn the_reduced_tile_substep_costs_the_vm_what_the_unreduced_one_did() {
     let cfg = DriverConfig::six_rank(n, nk, dycore(30.0));
     let sub = CompiledSubstep::build_with_tune(&cfg, None, false);
     let prog = sub.program();
-    let lowered = run_tile(sub.run_graphs(RankSchedule::Sequential)[0], prog, n, nk);
+    // The graph a rank-substep runs under either schedule: a team rank
+    // dispatches these 3 917 tiles, not the 1 222 + 5 340 of an interior
+    // graph and a rind graph.
+    let lowered = run_tile(sub.graph(), prog, n, nk);
     let unreduced = run_tile(&hand_expanded(prog), prog, n, nk);
     let counts = |r: &ExecReport| {
         let vm = (r.vm_dispatches, r.vm_lane_ops, r.vm_operator_lanes);

@@ -192,7 +192,7 @@ fn pinned_drop_with_an_uneven_team() {
 
 #[test]
 fn pinned_unfaulted_refined_partition() {
-    // rt=2 makes sub_n equal the halo width (4): every cell is rind, the
-    // degenerate no-interior path.
+    // rt=2 makes sub_n equal the halo width (4): a rank's whole subdomain
+    // is what its neighbours receive.
     check_case(3, 2, 3, Fault::None, 0x5eed_0000);
 }

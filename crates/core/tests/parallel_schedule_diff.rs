@@ -1,10 +1,12 @@
 //! Schedule-equivalence suite (ISSUE 6): the threaded rank schedule with
-//! compute/comm overlap must be bit-identical — 0 ULPs, every prognostic
+//! mailbox exchange must be bit-identical — 0 ULPs, every prognostic
 //! field, every rank, every step — to the sequential lock-step schedule,
 //! and both must reproduce the checked-in distributed golden capture.
 
+use comm::{ExchangePlan, Partition};
 use dataflow::graph::ExpansionAttrs;
-use fv3::dyn_core::{build_dycore_program, DycoreConfig};
+use fv3::dyn_core::DycoreConfig;
+use fv3::state::HALO;
 use fv3core::{DistributedDycore, DriverConfig, RankSchedule};
 use machine::Pool;
 use validate::reference::{
@@ -53,9 +55,7 @@ fn parallel_replay_matches_checked_in_distributed_golden() {
     });
 }
 
-/// A configuration whose subdomain is large enough that the interior/rind
-/// split leaves real interior work (the overlap path, not the all-rind
-/// degenerate fallback).
+/// A six-rank c24 configuration: one 24-cell subdomain per tile.
 fn wide_config() -> DriverConfig {
     DriverConfig::six_rank(
         24,
@@ -71,27 +71,8 @@ fn wide_config() -> DriverConfig {
 }
 
 #[test]
-fn wide_subdomains_take_the_overlap_path_and_stay_bit_identical() {
-    // Prove the split actually has interior work at this size, so the
-    // equality below exercises the overlapped schedule rather than the
-    // full-program fallback.
+fn wide_subdomains_stay_bit_identical() {
     let cfg = wide_config();
-    let sub = DycoreConfig {
-        n_split: 1,
-        k_split: 1,
-        ..cfg.dycore
-    };
-    let prog = build_dycore_program(cfg.tile_n, cfg.nk, sub);
-    let mut g = prog.sdfg.clone();
-    g.expand_libraries(&ExpansionAttrs::tuned());
-    let split = dataflow::split_for_overlap(&g, cfg.tile_n).expect("substep program splits");
-    assert!(
-        split.has_interior(),
-        "c{} subdomain should leave interior work (margins {:?})",
-        cfg.tile_n,
-        split.margins
-    );
-
     let seq = capture_executed_distributed(cfg, 2, RankSchedule::Sequential);
     let par = capture_executed_distributed(cfg, 2, RankSchedule::Parallel);
     compare_capture(&seq, &par, &Tolerances::exact()).unwrap_or_else(|d| {
@@ -101,23 +82,26 @@ fn wide_subdomains_take_the_overlap_path_and_stay_bit_identical() {
 
 #[test]
 fn overlap_metrics_are_recorded_under_the_parallel_schedule() {
-    // Satellite 3 assertion: the parallel run reports its overlap — the
-    // interior ran (interior_seconds > 0) ahead of the wait, and the
-    // efficiency is a positive fraction of the halo latency hidden.
-    let mut d = DistributedDycore::new(wide_config(), &ExpansionAttrs::tuned());
+    // What the protocol guarantees: one record per rank-substep, each with
+    // a receive phase and a run; no compute ahead of the receive; and
+    // every packed field posted over every channel.
+    let cfg = wide_config();
+    let mut d = DistributedDycore::new(cfg, &ExpansionAttrs::tuned());
     d.set_rank_schedule(RankSchedule::Parallel);
     d.step();
     let stats = d.overlap_stats();
     assert_eq!(stats.substeps, 6, "one substep per rank");
-    assert_eq!(stats.substeps_with_interior, 6);
+    assert_eq!(stats.interior_seconds, 0.0, "{stats:?}");
+    assert_eq!(stats.efficiency(), 0.0, "{stats:?}");
     assert!(
-        stats.interior_seconds > 0.0,
-        "no interior compute recorded: {stats:?}"
+        stats.halo_wait_seconds > 0.0 && stats.run_seconds > 0.0,
+        "{stats:?}"
     );
-    assert!(
-        stats.efficiency() > 0.0 && stats.efficiency() <= 1.0,
-        "overlap efficiency out of range: {}",
-        stats.efficiency()
+    let wire = ExchangePlan::new(&Partition::new(cfg.tile_n, cfg.rt), HALO).stats(cfg.nk);
+    assert_eq!(
+        d.halo_traffic_posted(),
+        (6 * wire.total_bytes, wire.total_messages),
+        "six packed fields over every channel"
     );
     // take() drains the accumulator.
     let taken = d.take_overlap_stats();

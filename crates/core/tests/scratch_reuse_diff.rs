@@ -82,10 +82,9 @@ fn assert_states_bit_identical(a: &[DycoreState], b: &[DycoreState], what: &str)
     }
 }
 
-/// One rank-substep: load, run the schedule's graphs back to back, as the
-/// driver does.
+/// One rank-substep: load, run the substep graph, as the driver does.
 fn run_rank(
-    graphs: &[&Sdfg],
+    g: &Sdfg,
     prog: &DycoreProgram,
     store: &mut DataStore,
     state: &DycoreState,
@@ -93,9 +92,7 @@ fn run_rank(
 ) {
     load_state(store, &prog.ids, state, grid);
     let mut hooks = RemapHooks { ids: &prog.ids };
-    for g in graphs {
-        Executor::serial().run(g, store, &prog.params, &mut hooks);
-    }
+    Executor::serial().run(g, store, &prog.params, &mut hooks);
 }
 
 /// Bit pattern no computation produces: marks cells a run left alone.
@@ -111,64 +108,57 @@ fn poisoned_store_reruns_to_the_bits_of_a_fresh_one() {
         // the two smaller sizes exercise the same transforms.
         for tuned in [false, true].into_iter().filter(|t| !t || n < 24) {
             let sub = CompiledSubstep::build_with_tune(&d.config, None, tuned);
-            for schedule in SCHEDULES {
-                let what = format!("c{n}L{nk} tuned={tuned} {schedule:?}");
-                let graphs = sub.run_graphs(schedule);
-                let prog = sub.program();
-                let scratch: Vec<DataId> = (0..graphs[0].containers.len())
-                    .map(DataId)
-                    // Constants are the grid's arrays on loan, not the store's.
-                    .filter(|c| !prog.ids.loaded().contains(c) && !graphs[0].containers[c.0].constant)
-                    .collect();
-                let (state, grid) = (&d.states[1], &d.grids[1]);
+            let what = format!("c{n}L{nk} tuned={tuned}");
+            let (g, prog) = (sub.graph(), sub.program());
+            let scratch: Vec<DataId> = (0..g.containers.len())
+                .map(DataId)
+                // Constants are the grid's arrays on loan, not the store's.
+                .filter(|c| !prog.ids.loaded().contains(c) && !g.containers[c.0].constant)
+                .collect();
+            let (state, grid) = (&d.states[1], &d.grids[1]);
 
-                let mut fresh = DataStore::for_sdfg(graphs[0]);
-                run_rank(&graphs, prog, &mut fresh, state, grid);
-                let mut out = state.clone();
-                extract_state(&fresh, &prog.ids, &mut out);
-                assert!(!out.has_nonfinite(), "{what}: NaN would hide the poison");
+            let mut fresh = DataStore::for_sdfg(g);
+            run_rank(g, prog, &mut fresh, state, grid);
+            let mut out = state.clone();
+            extract_state(&fresh, &prog.ids, &mut out);
+            assert!(!out.has_nonfinite(), "{what}: NaN would hide the poison");
 
-                let mut probe = DataStore::for_sdfg(graphs[0]);
-                for c in &scratch {
-                    probe.get_mut(*c).raw_mut().fill(f64::from_bits(UNTOUCHED));
-                }
-                run_rank(&graphs, prog, &mut probe, state, grid);
+            let mut probe = DataStore::for_sdfg(g);
+            for c in &scratch {
+                probe.get_mut(*c).raw_mut().fill(f64::from_bits(UNTOUCHED));
+            }
+            run_rank(g, prog, &mut probe, state, grid);
 
-                let mut used = DataStore::for_sdfg(graphs[0]);
-                let mut poisoned = 0usize;
-                for c in scratch
-                    .iter()
-                    .filter(|c| !sub.clear_list(schedule).contains(c))
+            let mut used = DataStore::for_sdfg(g);
+            let mut poisoned = 0usize;
+            for c in scratch.iter().filter(|c| !sub.clear_list().contains(c)) {
+                for (v, p) in used
+                    .get_mut(*c)
+                    .raw_mut()
+                    .iter_mut()
+                    .zip(probe.get(*c).raw())
                 {
-                    for (v, p) in used
-                        .get_mut(*c)
-                        .raw_mut()
-                        .iter_mut()
-                        .zip(probe.get(*c).raw())
-                    {
-                        if p.to_bits() != UNTOUCHED {
-                            *v = f64::NAN;
-                            poisoned += 1;
-                        }
+                    if p.to_bits() != UNTOUCHED {
+                        *v = f64::NAN;
+                        poisoned += 1;
                     }
                 }
-                assert!(
-                    poisoned > 10 * n * n * nk,
-                    "{what}: only {poisoned} cells written"
-                );
-                // Another rank's inputs last time round, as in the driver.
-                run_rank(&graphs, prog, &mut used, state, grid);
+            }
+            assert!(
+                poisoned > 10 * n * n * nk,
+                "{what}: only {poisoned} cells written"
+            );
+            // Another rank's inputs last time round, as in the driver.
+            run_rank(g, prog, &mut used, state, grid);
 
-                for c in (0..fresh.len()).map(DataId) {
-                    let name = &graphs[0].containers[c.0].name;
-                    for (i, (x, y)) in fresh.get(c).raw().iter().zip(used.get(c).raw()).enumerate()
-                    {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "{what}: container {name} element {i}: fresh {x}, reused {y}"
-                        );
-                    }
+            for c in (0..fresh.len()).map(DataId) {
+                let name = &g.containers[c.0].name;
+                for (i, (x, y)) in fresh.get(c).raw().iter().zip(used.get(c).raw()).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{what}: container {name} element {i}: fresh {x}, reused {y}"
+                    );
                 }
             }
         }
@@ -208,10 +198,9 @@ fn fresh_store_substep(
             *s.field_mut(name) = a;
         }
     }
-    let graphs = sub.run_graphs(RankSchedule::Sequential);
     for (state, grid) in states.iter_mut().zip(grids) {
-        let mut store = DataStore::for_sdfg(graphs[0]);
-        run_rank(&graphs, sub.program(), &mut store, state, grid);
+        let mut store = DataStore::for_sdfg(sub.graph());
+        run_rank(sub.graph(), sub.program(), &mut store, state, grid);
         extract_state(&store, &sub.program().ids, state);
     }
 }
@@ -355,9 +344,9 @@ fn kept_stores_full_of_nan_step_to_the_same_bits() {
 
 #[test]
 fn a_rank_starved_mid_substep_fails_alone_and_leaves_nothing_behind() {
-    // c24 leaves interior work: the starved rank has run its interior on
-    // its worker's store when its receive times out, and the worker runs
-    // its other ranks on that store afterwards.
+    // The starved rank has loaded its state into its worker's store when
+    // its receive times out, and the worker runs its other ranks on that
+    // store afterwards.
     let cfg = config(24, 2, 2, 1);
     let clean = {
             let mut d = dycore(cfg, RankSchedule::Sequential, false);

@@ -131,13 +131,33 @@ fn no_dycore_graph_needs_a_container_cleared() {
     for (what, cfg, tuned) in builds {
         let sub = CompiledSubstep::build_with_tune(&cfg, None, tuned);
         assert_eq!(sub.is_tuned(), tuned);
-        // The whole program on the sequential store; interior then rind
-        // on a rank thread's.
-        assert_eq!(sub.run_graphs(RankSchedule::Sequential).len(), 1, "{what}");
-        assert_eq!(sub.run_graphs(RankSchedule::Parallel).len(), 2, "{what}");
-        for schedule in [RankSchedule::Sequential, RankSchedule::Parallel] {
-            assert_eq!(sub.clear_list(schedule), &[], "{what} {schedule:?}");
-        }
+        assert_eq!(sub.clear_list(), &[], "{what}");
+    }
+}
+
+/// Compiled-kernel cache traffic of c24L8 steps: the first step compiles
+/// the substep graph's 25 kernels once, whichever schedule and team runs
+/// it, and a steady step launches them once per rank (6 × 25 hits) —
+/// a team rank-substep runs the sequential schedule's one graph (45
+/// compiled and 270 hits while it ran an interior graph and a rind graph).
+#[test]
+fn a_team_compiles_and_launches_what_the_sequential_schedule_does() {
+    let cfg = config(24, 8, 1, 1, None);
+    let runs = [(RankSchedule::Sequential, 1), (RankSchedule::Parallel, 1)];
+    let teams = [2, 3, 6].map(|w| (RankSchedule::Parallel, w));
+    for (schedule, workers) in runs.into_iter().chain(teams) {
+        let mut d = dycore(cfg, schedule, workers);
+        let what = format!("{schedule:?} workers={workers}");
+        d.step();
+        let (hits, misses) = d.exec_cache_counters();
+        assert_eq!((hits, misses), (6 * 25 - 25, 25), "{what}: first step");
+        d.step();
+        let (steady_hits, steady_misses) = d.exec_cache_counters();
+        assert_eq!(
+            (steady_hits - hits, steady_misses - misses),
+            (150, 0),
+            "{what}: steady step"
+        );
     }
 }
 

@@ -766,8 +766,9 @@ impl Tile<'_> {
 ///
 /// `h` is as many rows as fit [`TILE_LANES`] lanes at the width of the
 /// kernel's largest statement rectangle, evened out over the blocks: a
-/// kernel of narrow strips in a wide hull (the rind's W/E columns) runs
-/// each strip as one tall tile instead of one sliver per hull-sized block.
+/// kernel of narrow strips in a wide hull (the edge regions a region
+/// split carves out) runs each strip as one tall tile instead of one
+/// sliver per hull-sized block.
 /// Kernels that march K get at least one block per pool worker, because
 /// blocks are their only parallel axis.
 fn run_tiles(

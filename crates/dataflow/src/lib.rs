@@ -16,7 +16,6 @@ pub mod expr;
 pub mod graph;
 pub mod kernel;
 pub mod model;
-pub mod overlap;
 pub mod passes;
 pub mod reuse;
 pub mod snapshot;
@@ -35,5 +34,4 @@ pub use kernel::{
     RegionStrategy, Schedule, Stmt,
 };
 pub use model::{CostModel, KernelModel, ModelReport};
-pub use overlap::{split_for_overlap, SplitPrograms};
 pub use storage::{Array3, Axis, Layout, StorageOrder};

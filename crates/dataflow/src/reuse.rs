@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn later_graphs_of_a_run_build_on_earlier_ones() {
-        // Interior then rind: the second graph reads what the first wrote.
+        // Two graphs on one store: the second reads what the first wrote.
         let (mut first, ids) = graph(&["a", "tmp", "out"]);
         let (a, tmp, out) = (ids[0], ids[1], ids[2]);
         run_of(

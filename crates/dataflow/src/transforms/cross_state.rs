@@ -11,8 +11,7 @@
 //!    states in the control tree is an adjacent `first, first+1` pair inside
 //!    the same loop body: execution then interleaves nothing between them,
 //!    and the flattened node order (hence program semantics, bit for bit)
-//!    is unchanged. The interior/rind split in `overlap` classifies nodes
-//!    by flattened schedule order, so a merged program splits identically.
+//!    is unchanged.
 //! 2. [`fuse_across_states`] — merges a state pair that has a
 //!    producer→consumer link (a container written by the first and read by
 //!    the second) and then applies the ordinary access-set-checked OTF/SGF

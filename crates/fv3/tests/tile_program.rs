@@ -55,33 +55,6 @@ fn tile_step_dispatches_are_pinned_and_cover_wide_tiles() {
 }
 
 #[test]
-fn interior_and_rind_dispatches_are_pinned() {
-    // The parallel schedule runs the same step as two graphs. The rind's
-    // W/E strips are a few columns wide in a hull as wide as the domain:
-    // blocks sized to the hull cut each into slivers (15 224 dispatches
-    // for the rind alone, 59 lanes each), blocks sized to the largest
-    // statement rectangle run each strip as one tile.
-    let (prog, g) = tile_graph();
-    let split = dataflow::split_for_overlap(&g, N).expect("substep program splits");
-    let geom = CubeGeometry::new(N);
-    let grid = Grid::compute(&geom.faces[1], N, 0, 0, N, HALO, NK);
-    let mut state = DycoreState::zeros(N, NK);
-    init_baroclinic(&mut state, &grid, &BaroclinicConfig::default());
-    let mut store = DataStore::for_sdfg(&g);
-    load_state(&mut store, &prog.ids, &state, &grid);
-    let mut hooks = RemapHooks { ids: &prog.ids };
-    let exec = Executor::serial();
-    let interior = exec.run(&split.interior, &mut store, &prog.params, &mut hooks);
-    let rind = exec.run(&split.rind, &mut store, &prog.params, &mut hooks);
-    assert_eq!(interior.lanes_scalar + rind.lanes_scalar, 0);
-    let counts = |r: &dataflow::exec::ExecReport| {
-        (r.launches, r.vm_dispatches, r.vm_lane_ops, r.vm_operator_lanes)
-    };
-    assert_eq!(counts(&interior), (20, 1222, 210_140, 330_676));
-    assert_eq!(counts(&rind), (25, 5340, 570_196, 893_908));
-}
-
-#[test]
 fn expanded_dycore_lowers_to_few_instructions_in_few_registers() {
     let (_, g) = tile_graph();
     let (mut nodes, mut operators, mut lowered, mut applied, mut regs) = (0, 0, 0, 0, 0);

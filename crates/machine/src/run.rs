@@ -34,8 +34,8 @@ pub enum RankSchedule {
     #[default]
     Sequential,
     /// The ranks dealt round-robin to a team of `min(ranks, workers)`
-    /// threads, push-style mailbox exchange with the halo latency hidden
-    /// behind interior compute. Bit-identical to
+    /// threads, push-style mailbox exchange with every send posted before
+    /// the first receive. Bit-identical to
     /// [`RankSchedule::Sequential`] for every team size.
     Parallel,
 }

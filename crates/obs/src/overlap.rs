@@ -1,38 +1,33 @@
-//! Compute/communication overlap accounting for the parallel rank
-//! schedule.
+//! Substep timing accounting for the parallel rank schedule.
 //!
-//! When the driver runs ranks on real threads it splits each acoustic
-//! substep into *interior* compute (independent of the halo) and *rind*
-//! compute (waits for the exchange). The interesting number is how much
-//! of the halo latency the interior work hides: a rank that spends
-//! 900 µs computing its interior and then only 50 µs blocked in
-//! `recv` has overlapped most of an exchange that costs the sequential
-//! schedule its full wire time. [`OverlapStats`] aggregates those
-//! timings across ranks and substeps; the driver exposes them per step.
+//! A rank-team worker posts every send of its ranks, then, rank by rank,
+//! waits for (and unpacks) the rank's inbound halos and runs its substep
+//! graph. [`OverlapStats`] sums those phases across ranks and substeps;
+//! the driver exposes them per step. A wait that is long next to the run
+//! is latency the team's order did not hide.
 
 use std::time::Duration;
 
-/// Aggregated overlap timings for one or more parallel steps.
+/// Aggregated rank-team timings for one or more parallel steps.
 ///
 /// All fields are *sums across ranks* (rank-seconds): with `R` ranks on
 /// real threads, one wall-clock second of fully-busy execution adds `R`
-/// seconds here. Ratios of these sums are therefore fleet-wide averages
-/// weighted by actual time, which is what the efficiency metric wants.
+/// seconds here.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OverlapStats {
-    /// Time spent packing + posting sends (before interior compute).
+    /// Time spent packing + posting sends.
     pub pack_seconds: f64,
-    /// Time spent in interior compute while the exchange was in flight.
+    /// Compute run ahead of the halo wait. Every rank receives before it
+    /// computes, so nothing records any: 0 unless set by hand. Kept with
+    /// [`efficiency`](Self::efficiency) for the benchmark rows that read
+    /// them.
     pub interior_seconds: f64,
-    /// Time spent blocked in `recv` *after* interior compute finished —
-    /// the unhidden remainder of the halo latency.
+    /// Time spent receiving, unpacking and folding the halos.
     pub halo_wait_seconds: f64,
-    /// Time spent unpacking, folding corners, and running rind compute.
-    pub rind_seconds: f64,
+    /// Time spent running the substep graph.
+    pub run_seconds: f64,
     /// Number of substeps aggregated (sum over ranks).
     pub substeps: u64,
-    /// Substeps whose split had a nonempty interior program.
-    pub substeps_with_interior: u64,
 }
 
 impl OverlapStats {
@@ -41,35 +36,21 @@ impl OverlapStats {
         self.pack_seconds += other.pack_seconds;
         self.interior_seconds += other.interior_seconds;
         self.halo_wait_seconds += other.halo_wait_seconds;
-        self.rind_seconds += other.rind_seconds;
+        self.run_seconds += other.run_seconds;
         self.substeps += other.substeps;
-        self.substeps_with_interior += other.substeps_with_interior;
     }
 
     /// Record one rank's substep from raw durations.
-    pub fn record_substep(
-        &mut self,
-        pack: Duration,
-        interior: Duration,
-        halo_wait: Duration,
-        rind: Duration,
-        had_interior: bool,
-    ) {
+    pub fn record_substep(&mut self, pack: Duration, halo_wait: Duration, run: Duration) {
         self.pack_seconds += pack.as_secs_f64();
-        self.interior_seconds += interior.as_secs_f64();
         self.halo_wait_seconds += halo_wait.as_secs_f64();
-        self.rind_seconds += rind.as_secs_f64();
+        self.run_seconds += run.as_secs_f64();
         self.substeps += 1;
-        if had_interior {
-            self.substeps_with_interior += 1;
-        }
     }
 
     /// Fraction of the halo latency hidden behind interior compute:
-    /// `interior / (interior + halo_wait)`. 1.0 means the exchange was
-    /// fully drained by the time the interior finished; 0.0 means no
-    /// compute ran ahead of the wait (the sequential schedule's shape).
-    /// Returns 0.0 when no time was recorded at all.
+    /// `interior / (interior + halo_wait)`, 0.0 when no time was recorded
+    /// at all — and for every recorded substep, which runs no interior.
     pub fn efficiency(&self) -> f64 {
         let denom = self.interior_seconds + self.halo_wait_seconds;
         if denom <= 0.0 {
@@ -81,7 +62,7 @@ impl OverlapStats {
 
     /// Total accounted rank-seconds.
     pub fn total_seconds(&self) -> f64 {
-        self.pack_seconds + self.interior_seconds + self.halo_wait_seconds + self.rind_seconds
+        self.pack_seconds + self.interior_seconds + self.halo_wait_seconds + self.run_seconds
     }
 
     /// Publish into `m`: `overlap_interior_seconds`,
@@ -99,17 +80,20 @@ mod tests {
 
     #[test]
     fn efficiency_is_hidden_fraction() {
-        let mut s = OverlapStats::default();
-        s.record_substep(
+        let s = OverlapStats {
+            interior_seconds: 0.030,
+            halo_wait_seconds: 0.010,
+            ..OverlapStats::default()
+        };
+        assert!((s.efficiency() - 0.75).abs() < 1e-12);
+        // A recorded substep runs no interior: nothing is hidden.
+        let mut r = OverlapStats::default();
+        r.record_substep(
             Duration::from_millis(1),
-            Duration::from_millis(30),
             Duration::from_millis(10),
             Duration::from_millis(5),
-            true,
         );
-        assert!((s.efficiency() - 0.75).abs() < 1e-12);
-        assert_eq!(s.substeps, 1);
-        assert_eq!(s.substeps_with_interior, 1);
+        assert_eq!((r.interior_seconds, r.efficiency(), r.substeps), (0.0, 0.0, 1));
     }
 
     #[test]
@@ -125,21 +109,17 @@ mod tests {
         a.record_substep(
             Duration::ZERO,
             Duration::from_millis(10),
-            Duration::from_millis(10),
-            Duration::ZERO,
-            true,
+            Duration::from_millis(20),
         );
         let mut b = OverlapStats::default();
         b.record_substep(
-            Duration::ZERO,
-            Duration::from_millis(30),
+            Duration::from_millis(5),
             Duration::from_millis(10),
-            Duration::ZERO,
-            false,
+            Duration::from_millis(30),
         );
         a.merge(&b);
         assert_eq!(a.substeps, 2);
-        assert_eq!(a.substeps_with_interior, 1);
-        assert!((a.efficiency() - 40.0 / 60.0).abs() < 1e-12);
+        assert!((a.total_seconds() - 0.075).abs() < 1e-12);
+        assert!((a.run_seconds - 0.050).abs() < 1e-12);
     }
 }
