@@ -18,7 +18,4 @@ pub mod plan;
 pub use geometry::{CubeGeometry, Edge, EdgeLink, FaceFrame};
 pub use halo::{rank_arrays, CornerPolicy, ExchangeStats, HaloUpdater, Orientation};
 pub use partition::{HaloSource, Partition, RankId};
-pub use plan::{
-    threaded_exchange_scalar, CellTap, Channel, ExchangePlan, FoldCell, HaloMailboxes, PackField,
-    RecvError,
-};
+pub use plan::{CellTap, Channel, ExchangePlan, FoldCell, HaloMailboxes, PackField, RecvError};

@@ -434,89 +434,6 @@ impl HaloMailboxes {
     }
 }
 
-/// Run one plan-driven scalar exchange with every rank on its own thread
-/// (the measured "parallel schedule" counterpart of
-/// [`HaloUpdater::exchange_scalar`](crate::HaloUpdater::exchange_scalar)):
-/// each rank packs and posts its sends, then receives, unpacks, and
-/// folds. Returns the measured per-rank statistics, which match
-/// [`ExchangePlan::stats`] and therefore `exact_stats` exactly.
-pub fn threaded_exchange_scalar(
-    plan: &ExchangePlan,
-    boxes: &HaloMailboxes,
-    arrays: &mut [Array3],
-    epoch: u64,
-    deadline: Duration,
-) -> ExchangeStats {
-    let nranks = plan.partition().ranks();
-    assert_eq!(arrays.len(), nranks, "one array per rank");
-    let nk = arrays[0].layout().domain[2] as i64;
-    let s = plan.partition().sub_n as i64;
-    let sent_bytes: Vec<std::sync::atomic::AtomicU64> =
-        (0..nranks).map(|_| Default::default()).collect();
-    let by_orientation: [std::sync::atomic::AtomicU64; 5] = Default::default();
-    let cells: Mutex<Vec<Array3>> = Mutex::new(arrays.to_vec());
-    std::thread::scope(|scope| {
-        let plan = &plan;
-        let boxes = &boxes;
-        let cells = &cells;
-        let sent_bytes = &sent_bytes;
-        let by_orientation = &by_orientation;
-        for r in 0..nranks {
-            scope.spawn(move || {
-                use std::sync::atomic::Ordering;
-                // Pack + post against the pre-exchange snapshot.
-                for &c in plan.sends(r) {
-                    let buf = {
-                        let arrs = cells.lock().unwrap_or_else(|e| e.into_inner());
-                        plan.pack(c, nk, &[PackField::Scalar(&arrs[plan.channel(c).src.0])])
-                    };
-                    sent_bytes[r].fetch_add(buf.len() as u64 * 8, Ordering::Relaxed);
-                    boxes.post(c, epoch, buf);
-                }
-                // Recv + unpack + fold.
-                for &c in plan.recvs(r) {
-                    let buf = boxes
-                        .recv(c, epoch, deadline)
-                        .unwrap_or_else(|e| panic!("rank {r} channel {c}: {e}"));
-                    for t in &plan.channel(c).cells {
-                        by_orientation[Orientation::classify(t.di, t.dj, s).idx()]
-                            .fetch_add(nk as u64 * 8, Ordering::Relaxed);
-                    }
-                    let mut arrs = cells.lock().unwrap_or_else(|e| e.into_inner());
-                    plan.unpack_field(c, &buf, 0, 1, nk, &mut arrs[r]);
-                }
-                let mut arrs = cells.lock().unwrap_or_else(|e| e.into_inner());
-                plan.apply_folds(r, nk, &mut arrs[r]);
-            });
-        }
-    });
-    let out = cells.into_inner().unwrap_or_else(|e| e.into_inner());
-    for (dst, src) in arrays.iter_mut().zip(out) {
-        *dst = src;
-    }
-    let msgs_per_rank = (0..nranks).map(|r| plan.sends(r).len() as u64).max();
-    ExchangeStats {
-        messages_per_rank: msgs_per_rank.unwrap_or(0),
-        bytes_per_rank: sent_bytes
-            .iter()
-            .map(|b| b.load(std::sync::atomic::Ordering::Relaxed))
-            .max()
-            .unwrap_or(0),
-        total_messages: (0..nranks).map(|r| plan.sends(r).len() as u64).sum(),
-        total_bytes: sent_bytes
-            .iter()
-            .map(|b| b.load(std::sync::atomic::Ordering::Relaxed))
-            .sum(),
-        bytes_by_orientation: [
-            by_orientation[0].load(std::sync::atomic::Ordering::Relaxed),
-            by_orientation[1].load(std::sync::atomic::Ordering::Relaxed),
-            by_orientation[2].load(std::sync::atomic::Ordering::Relaxed),
-            by_orientation[3].load(std::sync::atomic::Ordering::Relaxed),
-            by_orientation[4].load(std::sync::atomic::Ordering::Relaxed),
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,8 +479,18 @@ mod tests {
             fill(&part, &mut seq, 0.25);
             let mut par = seq.clone();
             up.exchange_scalar(&mut seq);
-            let boxes = HaloMailboxes::for_plan(&plan);
-            threaded_exchange_scalar(&plan, &boxes, &mut par, 1, Duration::from_secs(10));
+            // Plan path: pack every channel from the pre-exchange state,
+            // then unpack and fold, all on one thread.
+            let nk = nk as i64;
+            let bufs: Vec<Vec<f64>> = (0..plan.n_channels())
+                .map(|c| plan.pack(c, nk, &[PackField::Scalar(&par[plan.channel(c).src.0])]))
+                .collect();
+            for (c, buf) in bufs.iter().enumerate() {
+                plan.unpack_field(c, buf, 0, 1, nk, &mut par[plan.channel(c).dst.0]);
+            }
+            for (r, arr) in par.iter_mut().enumerate() {
+                plan.apply_folds(r, nk, arr);
+            }
             assert_bitwise_eq(&seq, &par, &format!("c{tile_n} rt={rt} w={w}"));
         }
     }
@@ -632,19 +559,6 @@ mod tests {
                 "c{tile_n} rt={rt} w={w} nk={nk}"
             );
         }
-    }
-
-    #[test]
-    fn threaded_exchange_reports_exact_stats() {
-        let part = Partition::new(48, 2);
-        let w = 4;
-        let up = HaloUpdater::new(part.clone(), w, CornerPolicy::Fold);
-        let plan = ExchangePlan::new(&part, w);
-        let mut arrays = rank_arrays(&part, 2, w);
-        fill(&part, &mut arrays, 0.5);
-        let boxes = HaloMailboxes::for_plan(&plan);
-        let measured = threaded_exchange_scalar(&plan, &boxes, &mut arrays, 1, Duration::from_secs(10));
-        assert_eq!(measured, up.exact_stats(2));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Shared experiment harnesses behind the evaluation binaries.
+//! Shared experiment harnesses behind the `reproduce` binary.
 //!
 //! All "FORTRAN" vs "GT4Py+DaCe" comparisons price the *same* dycore
 //! modules on the two machine models (Haswell node, k-blocked CPU
 //! schedule vs P100, tuned GPU schedule) — the substitution documented in
 //! DESIGN.md. Wall-clock execution of the host executor is measured
-//! separately by the Criterion benches.
+//! separately by the repository benchmark (`crates/bench/src/bin/perf`).
 
 use crate::pipeline::{run_pipeline, PipelineStage};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
@@ -39,7 +39,7 @@ pub enum Module {
 }
 
 /// Build a single-module program on an `n`×`n`×80 domain.
-pub fn module_program(module: Module, n: usize, nk: usize) -> Sdfg {
+fn module_program(module: Module, n: usize, nk: usize) -> Sdfg {
     let h = fv3::state::HALO;
     let mut b = ProgramBuilder::new("module", [n, n, nk], [h, h, 0]);
     match module {

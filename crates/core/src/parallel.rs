@@ -195,7 +195,7 @@ impl CompiledSubstep {
                 TUNE_VET_MARGIN,
             )
         });
-        let clear = clear_list(&[&sub_expanded], &sub_prog.ids.loaded());
+        let clear = clear_list(&sub_expanded, &sub_prog.ids.loaded());
         let exec_seq = match pool {
             Some(p) => Executor::new(p.clone()),
             None => Executor::serial(),

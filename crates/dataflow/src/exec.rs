@@ -353,8 +353,6 @@ struct StmtBounds {
 }
 
 struct CompiledStmt {
-    /// The statement as written: what the reference path evaluates.
-    expr: Expr,
     tile: TileProgram,
     /// Operators of `tile`, summed over its instructions.
     operators: usize,
@@ -528,7 +526,6 @@ pub fn compile_kernel(kernel: &Kernel) -> CompiledKernel {
         stmts.push(CompiledStmt {
             operators: tile.instrs.iter().map(|i| i.op.operators()).sum(),
             tile,
-            expr: s.expr.clone(),
             bounds: b,
             lvalue,
         });
@@ -625,11 +622,13 @@ fn field_slots(ck: &CompiledKernel, store: &mut DataStore) -> Vec<FieldSlot> {
         .collect()
 }
 
-/// Run a pre-compiled kernel, as a pool region of the run that holds
+/// Run `kernel`, compiled as `ck`, as a pool region of the run that holds
 /// `faults`. Array pointers are re-resolved from `store` on every launch
 /// (arrays may have been reallocated between launches); everything else
-/// comes from the cache-friendly [`CompiledKernel`].
-pub fn run_compiled(
+/// comes from the cache-friendly [`CompiledKernel`], except the statements
+/// the reference walk evaluates, which it reads from `kernel` in place.
+fn run_compiled(
+    kernel: &Kernel,
     ck: &CompiledKernel,
     store: &mut DataStore,
     params: &[f64],
@@ -642,7 +641,7 @@ pub fn run_compiled(
     }
     let slots = field_slots(ck, store);
     match mode {
-        VmMode::Scalar => run_scalar(ck, &slots, params, pool, faults),
+        VmMode::Scalar => run_scalar(kernel, ck, &slots, params, pool, faults),
         VmMode::Lanes => run_tiles(ck, &slots, params, pool, faults),
     }
 }
@@ -651,6 +650,7 @@ pub fn run_compiled(
 /// trees point by point — the bit-identity oracle the tile VM is tested
 /// against.
 fn run_scalar(
+    kernel: &Kernel,
     ck: &CompiledKernel,
     slots: &[FieldSlot],
     params: &[f64],
@@ -663,7 +663,6 @@ fn run_scalar(
     let columns = ni * nj;
     let k_desc = ck.k_desc;
     let n_locals = ck.n_locals;
-    let compiled = &ck.stmts;
 
     pool.for_each_chunk_in(faults, columns, |range| {
         let mut locals = vec![0.0f64; n_locals];
@@ -675,10 +674,10 @@ fn run_scalar(
             }
             let mut k = if k_desc { hull.kh - 1 } else { hull.kl };
             while k >= hull.kl && k < hull.kh {
-                for cs in compiled {
+                for (s, cs) in kernel.stmts.iter().zip(&ck.stmts) {
                     let b = &cs.bounds;
                     if i >= b.il && i < b.ih && j >= b.jl && j < b.jh && k >= b.kl && k < b.kh {
-                        let v = cs.expr.eval(&PointCtx {
+                        let v = s.expr.eval(&PointCtx {
                             ids: &ck.ids,
                             slots,
                             locals: &locals,
@@ -878,7 +877,7 @@ fn run_tiles(
 }
 
 /// Compile and run one kernel with an explicit [`VmMode`] (used by the
-/// differential tests and the ablation bench).
+/// differential tests).
 pub fn run_kernel_with(
     kernel: &Kernel,
     store: &mut DataStore,
@@ -887,7 +886,7 @@ pub fn run_kernel_with(
     mode: VmMode,
 ) -> KernelRunStats {
     debug_assert!(validate_kernel(kernel).is_ok(), "{:?}", validate_kernel(kernel));
-    run_compiled(&compile_kernel(kernel), store, params, pool, mode, &Faults::inert())
+    run_compiled(kernel, &compile_kernel(kernel), store, params, pool, mode, &Faults::inert())
 }
 
 /// Compiled kernels held by an [`Executor`], keyed by `(state index,
@@ -1082,8 +1081,15 @@ impl Executor {
                     let span = prof.map(|t| t.span("kernel", &k.name));
                     let t0 = Instant::now();
                     let (entry, hit) = self.compiled_for(sdfg, (state_idx, node_idx), k);
-                    let stats =
-                        run_compiled(&entry.compiled, store, params, &self.pool, self.mode, faults);
+                    let stats = run_compiled(
+                        k,
+                        &entry.compiled,
+                        store,
+                        params,
+                        &self.pool,
+                        self.mode,
+                        faults,
+                    );
                     report.record(&k.name, stats.points, t0.elapsed().as_secs_f64());
                     if hit {
                         report.cache_hits += 1;

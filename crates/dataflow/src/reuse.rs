@@ -180,19 +180,15 @@ impl Walk {
     }
 }
 
-/// The containers that must be zeroed before `run` — graphs over one set
-/// of containers, executed back to back on one store — runs again on a
+/// The containers that must be zeroed before `sdfg` runs again on a
 /// store that already ran it. `loaded` are the containers the caller
 /// overwrites in full (padding included) before every run; they are
 /// never listed. Nor is a `constant` container, whether or not it is in
 /// `loaded`: no node writes it, so every read of it is provable, and the
 /// caller lends it whole before each run. Empty means the store can be
 /// reused as it is.
-pub fn clear_list(run: &[&Sdfg], loaded: &[DataId]) -> Vec<DataId> {
-    let Some(first) = run.first() else {
-        return Vec::new();
-    };
-    let whole: Vec<Domain> = first
+pub fn clear_list(sdfg: &Sdfg, loaded: &[DataId]) -> Vec<DataId> {
+    let whole: Vec<Domain> = sdfg
         .containers
         .iter()
         .map(|c| {
@@ -203,7 +199,7 @@ pub fn clear_list(run: &[&Sdfg], loaded: &[DataId]) -> Vec<DataId> {
             }
         })
         .collect();
-    let nodes: Vec<&DataflowNode> = run.iter().flat_map(|g| nodes_in_order(g)).collect();
+    let nodes = nodes_in_order(sdfg);
 
     let mut cells = vec![Cells::default(); whole.len()];
     for node in &nodes {
@@ -352,7 +348,7 @@ mod tests {
                 },
             ],
         );
-        assert!(clear_list(&[&g], &[a]).is_empty());
+        assert!(clear_list(&g, &[a]).is_empty());
     }
 
     #[test]
@@ -381,11 +377,11 @@ mod tests {
             ]
         };
         run_of(&mut g, nodes(wider));
-        assert_eq!(clear_list(&[&g], &[a]), vec![tmp]);
+        assert_eq!(clear_list(&g, &[a]), vec![tmp]);
         // Without the late write the outer cell is zero forever.
         let (mut g, _) = graph(&["a", "tmp", "out"]);
         run_of(&mut g, nodes(wide.clone()));
-        assert!(clear_list(&[&g], &[a]).is_empty());
+        assert!(clear_list(&g, &[a]).is_empty());
     }
 
     #[test]
@@ -403,7 +399,7 @@ mod tests {
             );
             sweep.k_range = above0;
             run_of(&mut g, vec![kernel(order, vec![seed, sweep])]);
-            clear_list(&[&g], &[a])
+            clear_list(&g, &[a])
         };
         // x[k] = x[k-1] + a[k] marching up: k-1 was written on the way.
         assert!(solver(KOrder::Forward, -1).is_empty());
@@ -439,35 +435,11 @@ mod tests {
         // `seen` is written on the compute domain only; the callback may
         // read its halo, which nothing ever writes — provable. `acc`
         // accumulates onto itself across runs.
-        assert_eq!(clear_list(&[&g], &[a]), vec![acc]);
+        assert_eq!(clear_list(&g, &[a]), vec![acc]);
         // A callback that may also write `seen` makes its halo stale.
         if let DataflowNode::Callback { writes, .. } = &mut g.states[0].nodes[2] {
             writes.push(seen);
         }
-        assert_eq!(clear_list(&[&g], &[a]), vec![acc, seen]);
-    }
-
-    #[test]
-    fn later_graphs_of_a_run_build_on_earlier_ones() {
-        // Two graphs on one store: the second reads what the first wrote.
-        let (mut first, ids) = graph(&["a", "tmp", "out"]);
-        let (a, tmp, out) = (ids[0], ids[1], ids[2]);
-        run_of(
-            &mut first,
-            vec![kernel(
-                KOrder::Parallel,
-                vec![Stmt::full(LValue::Field(tmp), Expr::load(a, 0, 0, 0))],
-            )],
-        );
-        let (mut second, _) = graph(&["a", "tmp", "out"]);
-        run_of(
-            &mut second,
-            vec![kernel(
-                KOrder::Parallel,
-                vec![Stmt::full(LValue::Field(out), Expr::load(tmp, 0, 0, 0))],
-            )],
-        );
-        assert!(clear_list(&[&first, &second], &[a]).is_empty());
-        assert_eq!(clear_list(&[&second, &first], &[a]), vec![tmp]);
+        assert_eq!(clear_list(&g, &[a]), vec![acc, seen]);
     }
 }

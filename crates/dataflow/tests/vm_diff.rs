@@ -357,7 +357,7 @@ fn check_reuse(ni: usize, nj: usize, nk: usize, korders: [KOrder; 3], n_stmts: u
     }
     run(&mut probe);
 
-    let clear = dataflow::reuse::clear_list(&[&g], inputs);
+    let clear = dataflow::reuse::clear_list(&g, inputs);
     let mut used = DataStore::for_sdfg(&g);
     for d in outputs.iter().filter(|d| !clear.contains(d)) {
         for (v, p) in used.get_mut(*d).raw_mut().iter_mut().zip(probe.get(*d).raw()) {

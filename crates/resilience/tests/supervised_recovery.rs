@@ -134,9 +134,13 @@ fn killed_worker_is_rebuilt_and_run_completes() {
 
 #[test]
 fn stall_past_watchdog_is_detected_and_counted() {
-    let mut d = faulted("seed=4;stall@ms=60");
+    // The watchdog reads the wall clock and this test counts exactly one
+    // stall, so an unstalled exchange must stay under the deadline even on
+    // a loaded host: the deadline is far above an exchange (microseconds
+    // at c8) and far below the injected stall.
+    let mut d = faulted("seed=4;stall@ms=300");
     let policy = SupervisorPolicy {
-        stall_deadline: Some(Duration::from_millis(15)),
+        stall_deadline: Some(Duration::from_millis(100)),
         ..SupervisorPolicy::default()
     };
     let mut sup = Supervisor::new(policy);

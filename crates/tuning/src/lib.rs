@@ -138,7 +138,7 @@ fn tune_whole_program(
     // the per-state cutout search below sees the widened states.
     let cross_module = cross_module_fusion(sdfg, &mut |before, after, first| {
         vet.as_deref_mut()
-            .map_or(true, |v| v.passes_merge(before, after, first))
+            .is_none_or(|v| v.passes_merge(before, after, first))
     });
 
     // Phases 2+3: cutout-tune every state (empty slice = all) and
