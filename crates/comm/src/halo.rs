@@ -1,27 +1,25 @@
-//! The halo updater: pack / exchange / unpack over simulated ranks.
+//! The halo updater: a central pull-style gather over simulated ranks,
+//! kept as the oracle of the message-passing exchange.
 //!
 //! This is the paper's "halo updater object [...] that takes care of
 //! nonblocking communication, data packing, and transformation based on
-//! the pair of ranks" (Section IV-C). Ranks live in one process here —
-//! each owns its arrays — so the wire is a buffer copy, but the packing,
-//! per-pair orientation transforms and corner policy are the real logic a
-//! distributed run needs, and message/byte counts feed the network model
-//! of `machine` for the scaling studies.
+//! the pair of ranks" (Section IV-C), written the simplest way: one
+//! thread walks every rank's halo and reads the source interiors
+//! directly. The driver exchanges through [`crate::plan`] instead; the
+//! crate tests hold the two to 0 ULP, and the repo benchmark times this
+//! one. The halo cell enumeration, corner folds, orientation classes and
+//! the fault-site names the driver's rank team fires live here too.
 
 use crate::partition::{HaloSource, Partition, RankId};
 use dataflow::Array3;
-use machine::faults::{FaultAction, FireCtx};
-use machine::RunContext;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Fault site: silently corrupt one packed halo value before unpack.
+/// Fault site: silently corrupt one packed value on one channel before
+/// it is posted.
 pub const SITE_HALO_CORRUPT: &str = "halo.corrupt";
-/// Fault site: drop every packed value destined for one receiving rank
-/// (the receiver keeps stale halo data, as after a lost message).
+/// Fault site: drop every message destined for one receiving rank (its
+/// receives time out and the rank fails, as after a lost message).
 pub const SITE_HALO_DROP: &str = "halo.drop";
-/// Fault site: stall the exchange (sleep) past the watchdog deadline.
+/// Fault site: stall one rank (sleep) before it posts its sends.
 pub const SITE_HALO_STALL: &str = "halo.stall";
 /// Every fault site compiled into this crate.
 pub const FAULT_SITES: [&str; 3] = [SITE_HALO_CORRUPT, SITE_HALO_DROP, SITE_HALO_STALL];
@@ -198,7 +196,6 @@ pub(crate) fn fold_corners(folds: &[FoldCell], nk: usize, arr: &mut Array3) {
 #[derive(Debug, Clone)]
 pub struct HaloUpdater {
     part: Partition,
-    width: usize,
     corner: CornerPolicy,
     /// Per rank, its halo cells in [`halo_cells`] order (cube corners,
     /// which have no source, left out).
@@ -207,13 +204,6 @@ pub struct HaloUpdater {
     folds: Vec<Vec<FoldCell>>,
     /// Statistics of exchanging one level of one field.
     level_stats: ExchangeStats,
-    /// Watchdog: an exchange taking longer than this is counted as a
-    /// stall (clones share the counter, not the deadline).
-    stall_deadline: Option<Duration>,
-    stalls: Arc<AtomicU64>,
-    /// The run this updater exchanges for: its fault plan, tracer and
-    /// metrics registry (all inert by default).
-    run: RunContext,
 }
 
 impl HaloUpdater {
@@ -272,38 +262,11 @@ impl HaloUpdater {
             .collect();
         HaloUpdater {
             part,
-            width,
             corner,
             taps,
             folds,
             level_stats,
-            stall_deadline: None,
-            stalls: Arc::new(AtomicU64::new(0)),
-            run: RunContext::default(),
         }
-    }
-
-    /// Attach the updater to a run: exchanges fire that run's fault plan
-    /// at the three halo sites and record their `halo` span and the
-    /// `halo_*` counters into its tracer and registry.
-    pub fn set_run(&mut self, run: RunContext) {
-        self.run = run;
-    }
-
-    /// Arm (or disarm, with `None`) the stall watchdog: exchanges whose
-    /// wall time exceeds the deadline increment [`stall_count`]
-    /// (Self::stall_count) and the `halo_stalls` metric. Detection is
-    /// after the fact — the exchange still completes — which is the best
-    /// a single-process simulation of nonblocking comms can do, and is
-    /// enough for a supervisor to notice a wedged neighbour.
-    pub fn set_stall_deadline(&mut self, deadline: Option<Duration>) {
-        self.stall_deadline = deadline;
-    }
-
-    /// Exchanges that overran the stall deadline since construction
-    /// (shared across clones of this updater).
-    pub fn stall_count(&self) -> u64 {
-        self.stalls.load(Ordering::Relaxed)
     }
 
     /// The partition.
@@ -332,18 +295,8 @@ impl HaloUpdater {
         arrays: &mut [Array3],
         partner: Option<(&[Array3], usize)>,
     ) -> ExchangeStats {
-        let p = &self.part;
-        assert_eq!(arrays.len(), p.ranks(), "one array per rank");
+        assert_eq!(arrays.len(), self.part.ranks(), "one array per rank");
         let nk = arrays[0].layout().domain[2];
-        let faults = &self.run.faults;
-        let mut span = self.run.span("halo", "halo_exchange");
-        let t0 = Instant::now();
-
-        if let Some(spec) = faults.fire(SITE_HALO_STALL, FireCtx::default()) {
-            if let FaultAction::StallMs(ms) = spec.action {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-        }
 
         // Phase 1 (pack + "send"): gather every halo value into a staging
         // list, rank by rank in tap order, K innermost. This mirrors
@@ -373,38 +326,12 @@ impl HaloUpdater {
             }
         }
 
-        // Fault window: the packed staging list is "the wire" — corrupt
-        // or drop here and the receiver sees exactly what a flipped bit
-        // or lost message would produce.
-        let mut dropped = None;
-        if faults.is_armed() {
-            if let Some(spec) = faults.fire(SITE_HALO_CORRUPT, FireCtx::default()) {
-                if !staged.is_empty() {
-                    let victim = faults.det_index(0x1a10, staged.len());
-                    let v = &mut staged[victim];
-                    *v = match spec.action {
-                        FaultAction::CorruptFactor(f) => *v * f,
-                        _ => f64::NAN,
-                    };
-                }
-            }
-            if let Some(spec) = faults.fire(SITE_HALO_DROP, FireCtx::default()) {
-                dropped = Some(
-                    spec.rank
-                        .unwrap_or_else(|| faults.det_index(0xd209, p.ranks())),
-                );
-            }
-        }
-
         // Phase 2 ("recv" + unpack).
         let mut next = 0;
         for (r, taps) in self.taps.iter().enumerate() {
             for t in taps {
                 let column = &staged[next..next + nk];
                 next += nk;
-                if dropped == Some(r) {
-                    continue;
-                }
                 let (at, sk) = arrays[r].column(t.i, t.j);
                 let raw = arrays[r].raw_mut();
                 for (k, v) in column.iter().enumerate() {
@@ -420,35 +347,12 @@ impl HaloUpdater {
             }
         }
 
-        let stats = self.exact_stats(nk);
-        span.set_bytes(stats.total_bytes);
-        span.set_points(stats.total_messages);
-        let stalled = self
-            .stall_deadline
-            .is_some_and(|deadline| t0.elapsed() > deadline);
-        if stalled {
-            self.stalls.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(m) = &self.run.metrics {
-            if stalled {
-                m.counter_add("halo_stalls", &[], 1);
-            }
-            for o in Orientation::ALL {
-                let b = stats.bytes_for(o);
-                if b > 0 {
-                    m.counter_add("halo_bytes", &[("orientation", o.label())], b);
-                }
-            }
-            m.counter_add("halo_messages", &[], stats.total_messages);
-            m.counter_add("halo_exchanges", &[], 1);
-        }
-        stats
+        self.exact_stats(nk)
     }
 
     /// The statistics [`exchange_scalar`](Self::exchange_scalar) reports
-    /// for an `nk`-level field, without touching data. Unlike
-    /// [`bytes_per_rank`](Self::bytes_per_rank) — an interior-rank upper
-    /// bound — this accounts for cube corners, which carry no traffic.
+    /// for an `nk`-level field, without touching data (cube corners carry
+    /// no traffic).
     pub fn exact_stats(&self, nk: usize) -> ExchangeStats {
         let nk = nk as u64;
         let one = &self.level_stats;
@@ -458,21 +362,6 @@ impl HaloUpdater {
             bytes_by_orientation: one.bytes_by_orientation.map(|b| b * nk),
             ..*one
         }
-    }
-
-    /// Halo bytes one rank sends in one exchange of `fields` 3-D fields
-    /// (for the network model, without running an exchange).
-    pub fn bytes_per_rank(&self, nk: usize, fields: usize) -> u64 {
-        // Four edges of width w, plus corners.
-        let s = self.part.sub_n as u64;
-        let w = self.width as u64;
-        (4 * s * w + 4 * w * w) * nk as u64 * 8 * fields as u64
-    }
-
-    /// Point-to-point messages per rank per exchange (8 neighbours for an
-    /// interior rank).
-    pub fn messages_per_rank(&self) -> u64 {
-        8
     }
 }
 
@@ -647,11 +536,6 @@ mod tests {
         let stats = up.exchange_scalar(&mut arrays);
         assert!(stats.messages_per_rank >= 4);
         assert!(stats.bytes_per_rank > 0);
-        // Analytic estimate in the same ballpark as measured.
-        let est = up.bytes_per_rank(4, 1);
-        let meas = stats.bytes_per_rank;
-        let ratio = est as f64 / meas as f64;
-        assert!((0.3..3.0).contains(&ratio), "est {est} meas {meas}");
     }
 
     #[test]
@@ -732,10 +616,10 @@ mod tests {
         // interior-rank closed form is attained exactly.
         let (measured, exact) = measure(12, 3, 2, 4);
         assert_eq!(measured, exact);
-        let part = Partition::new(12, 3);
-        let up = HaloUpdater::new(part, 2, CornerPolicy::Leave);
-        assert_eq!(measured.bytes_per_rank, up.bytes_per_rank(4, 1));
-        assert_eq!(measured.messages_per_rank, up.messages_per_rank());
+        // Four edges of width w plus four w×w corner blocks, 8 neighbours.
+        let (s, w, nk) = (4, 2, 4);
+        assert_eq!(measured.bytes_per_rank, (4 * s * w + 4 * w * w) * nk * 8);
+        assert_eq!(measured.messages_per_rank, 8);
     }
 
     #[test]

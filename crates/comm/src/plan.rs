@@ -420,14 +420,14 @@ impl HaloMailboxes {
         self.poisoned.load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Clear all entries and the poison flag (between supervised step
-    /// attempts; must not be called while rank threads are live).
+    /// Free every buffer the mailboxes hold — queued entries and recycled
+    /// spares — and clear the poison flag: the driver's team of one keeps
+    /// no halo buffer past its substep. Must not be called while rank
+    /// threads are live.
     pub fn reset(&self) {
         for slot in &self.slots {
-            slot.entries
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clear();
+            *slot.entries.lock().unwrap_or_else(|e| e.into_inner()) = VecDeque::new();
+            *slot.spare.lock().unwrap_or_else(|e| e.into_inner()) = Vec::new();
         }
         self.poisoned
             .store(false, std::sync::atomic::Ordering::Release);
@@ -596,10 +596,16 @@ mod tests {
         // Asking for epoch 2 discards the stale epoch-1 entry.
         let got = boxes.recv(3, 2, Duration::from_millis(50)).unwrap();
         assert_eq!(got, vec![2.0]);
+        boxes.recycle(3, got);
         boxes.reset();
         assert_eq!(
             boxes.recv(3, 2, Duration::from_millis(10)).unwrap_err(),
             RecvError::Timeout
         );
+        // Reset frees the recycled spare too.
+        assert!(boxes.spare(3).is_empty());
+        // A zero deadline still takes what has already been posted.
+        boxes.post(3, 3, vec![3.0]);
+        assert_eq!(boxes.recv(3, 3, Duration::ZERO).unwrap(), vec![3.0]);
     }
 }

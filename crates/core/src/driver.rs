@@ -2,20 +2,21 @@
 //! sphere, each executing the orchestrated program, with real halo
 //! exchanges in between.
 //!
-//! Ranks run either sequentially within one process (the DESIGN.md
-//! substitution) or on a team of threads exchanging halos through
-//! mailboxes ([`RankSchedule::Parallel`], see [`crate::parallel`]); both schedules
-//! are bit-identical. The halo updater performs the actual packing and
-//! orientation transforms of Section IV-C, and its statistics feed the
-//! alpha-beta network model for the scaling studies (Fig. 11).
+//! Ranks live in one process (the DESIGN.md substitution). Every
+//! acoustic substep is run by a rank team that packs, posts, receives
+//! and unpacks halos through mailboxes — the packing and orientation
+//! transforms of Section IV-C — whatever the [`RankSchedule`]: the
+//! schedule only picks a team of one on the calling thread or a team of
+//! threads (see [`crate::parallel`]), and every team size is
+//! bit-identical.
 
 use crate::parallel::{lower_substep, CompiledSubstep, RankSchedule, StepCache};
-use comm::{CornerPolicy, HaloUpdater, Partition, RankId};
+use comm::{Partition, RankId};
 use dataflow::exec::{DataStore, ExecHooks};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
-use dataflow::{Array3, DataId};
+use dataflow::DataId;
 use fv3::dyn_core::{
-    build_dycore_program, lend_state, remap_callback, DycoreConfig, DycoreIds, REMAP_CALLBACK,
+    build_dycore_program, remap_callback, DycoreConfig, DycoreIds, REMAP_CALLBACK,
 };
 use fv3::grid::Grid;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
@@ -30,7 +31,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Fault site: poison one interior cell of a prognostic field right
-/// after the halo exchange of an acoustic substep — the classic
+/// after the halo sends of an acoustic substep — the classic
 /// "NaN appears mid-physics" blowup a supervisor must recover from.
 pub const SITE_POISON: &str = "driver.poison_field";
 /// Every fault site compiled into this crate.
@@ -87,14 +88,14 @@ pub struct DistributedDycore {
     /// only ([`program_graph`](Self::program_graph)); stepping runs the
     /// step cache's own build of it.
     expanded: Sdfg,
-    updater: HaloUpdater,
     /// Driver steps completed since construction or the last restore.
     step_index: u64,
-    /// Worker pool for rank execution; `None` runs serially. The tile VM
-    /// is bit-identical across pool widths (`parallel_pool_matches_serial`
+    /// Worker pool: the team of one's kernels run on it, and it sizes a
+    /// team of rank threads; `None` runs serially. The tile VM is
+    /// bit-identical across pool widths (`parallel_pool_matches_serial`
     /// in `dataflow::exec`), so this changes wall time only.
     pool: Option<Pool>,
-    /// How ranks are scheduled within a substep (bit-identical either way).
+    /// Which rank team runs a substep (bit-identical either way).
     pub(crate) schedule: RankSchedule,
     /// Whole-program tuning at each cache (re)build. Tuned programs are
     /// bit-identical to untuned ones, so this changes speed only.
@@ -103,7 +104,8 @@ pub struct DistributedDycore {
     /// ([`RunConfig::host_workers`] at construction).
     pub(crate) host_workers: usize,
     /// Cached per-substep machinery: programs, pinned executors, exchange
-    /// plan, mailboxes. Invalidated on config/pool changes.
+    /// plan, mailboxes, the rank threads' stores. Invalidated on
+    /// config/pool changes.
     pub(crate) cache: Option<StepCache>,
     /// Shared compile bundle installed by a serving engine
     /// ([`set_shared_substep`](Self::set_shared_substep)): adopted by
@@ -121,16 +123,16 @@ pub struct DistributedDycore {
     /// Whole rank states duplicated since the last
     /// [`take_state_copies`](Self::take_state_copies).
     pub(crate) state_copies: AtomicU64,
-    /// Rank-team workers launched by the parallel schedule since
-    /// construction.
+    /// Rank threads launched by the parallel schedule since construction.
     pub(crate) rank_workers_launched: u64,
-    /// Monotonic epoch tag for parallel mailbox exchanges.
+    /// Monotonic epoch tag for mailbox exchanges.
     pub(crate) halo_epoch: u64,
-    /// Hard deadline for parallel halo receives (a missing message panics
-    /// the rank instead of hanging it).
+    /// Hard deadline for halo receives (a missing message panics the
+    /// rank instead of hanging it).
     pub(crate) recv_timeout: Duration,
-    /// Soft stall deadline mirrored from the watchdog: parallel receives
-    /// slower than this count as stalls without failing the step.
+    /// Soft stall deadline (the watchdog's): a rank whose post plus
+    /// receive wait takes longer counts as stalled without failing the
+    /// step.
     pub(crate) soft_stall: Option<Duration>,
     /// Process-unique id anchoring [`crate::CheckpointBasis`] lineage.
     pub(crate) instance_id: u64,
@@ -139,15 +141,15 @@ pub struct DistributedDycore {
     /// Per-rank clock value of the last state mutation (for rank-aware
     /// rollback: ranks untouched since a checkpoint's basis skip restore).
     pub(crate) mutated_at: Vec<u64>,
-    /// Per-rank soft halo stalls under the parallel schedule.
+    /// Per-rank soft halo stalls.
     pub(crate) rank_stalls: Vec<u64>,
-    /// Total soft stalls under the parallel schedule.
-    pub(crate) parallel_stalls: u64,
-    /// Accumulated rank-team substep timings (parallel schedule only).
+    /// Total soft halo stalls.
+    pub(crate) halo_stalls: u64,
+    /// Accumulated rank-team substep timings.
     pub(crate) overlap: obs::OverlapStats,
-    /// Measured wire bytes posted under the parallel schedule.
+    /// Measured wire bytes posted between rank threads.
     pub(crate) halo_bytes_posted: u64,
-    /// Measured messages posted under the parallel schedule.
+    /// Measured messages posted between rank threads.
     pub(crate) halo_messages_posted: u64,
     /// The run this instance is stepping for ([`set_run`](Self::set_run)):
     /// cancel token, event sink, fault plan, tracer, metrics. The default
@@ -165,8 +167,8 @@ pub struct DistributedDycore {
 
 pub(crate) struct RankHooks<'a> {
     pub(crate) ids: &'a DycoreIds,
-    /// Halo markers met. The exchange itself happens between rank sweeps
-    /// (ranks run one state-machine step at a time in lock-step).
+    /// Halo markers met. The exchange itself happens before the rank's
+    /// program runs (one marker per substep program).
     pub(crate) halo_markers: u32,
 }
 
@@ -198,8 +200,7 @@ impl fmt::Display for Substep {
 /// The store one rank-substep runs on. The first use of `slot` builds and
 /// counts it; later uses — the next rank, the next substep — take it as
 /// the last run left it, re-zeroing only the `clear` containers (see
-/// [`dataflow::reuse`]; every input is overwritten by `load_state` or
-/// replaced by `lend_state`).
+/// [`dataflow::reuse`]; every input is replaced by `lend_state`).
 pub(crate) fn scratch_store<'a>(
     slot: &'a mut Option<DataStore>,
     built: &AtomicU64,
@@ -282,7 +283,6 @@ impl DistributedDycore {
             init_baroclinic(&mut state, grid, &BaroclinicConfig::default());
             states.push(state);
         }
-        let updater = HaloUpdater::new(partition.clone(), HALO, CornerPolicy::Fold);
         let nranks = partition.ranks();
         DistributedDycore {
             config,
@@ -290,7 +290,6 @@ impl DistributedDycore {
             grids,
             states,
             expanded,
-            updater,
             step_index: 0,
             pool: None,
             schedule: run.rank_schedule,
@@ -310,7 +309,7 @@ impl DistributedDycore {
             mut_clock: 0,
             mutated_at: vec![0; nranks],
             rank_stalls: vec![0; nranks],
-            parallel_stalls: 0,
+            halo_stalls: 0,
             overlap: obs::OverlapStats::default(),
             halo_bytes_posted: 0,
             halo_messages_posted: 0,
@@ -417,7 +416,7 @@ impl DistributedDycore {
     /// Run rank programs on a worker pool (bit-identical to serial; see
     /// the `pool` field note). `None` reverts to serial execution.
     /// Under [`RankSchedule::Parallel`] the pool's size instead bounds
-    /// the rank team (`min(ranks, workers)`; with no pool, the
+    /// the team of rank threads (`min(ranks, workers)`; with no pool, the
     /// construction-time [`RunConfig::host_workers`]). Invalidates the
     /// step cache, and with it the team's scratch stores.
     pub fn set_pool(&mut self, pool: Option<Pool>) {
@@ -469,7 +468,7 @@ impl DistributedDycore {
 
     /// Scratch stores ([`DataStore::for_sdfg`]) built since construction.
     /// Every sequential step builds one and drops it; the parallel
-    /// schedule builds one per rank-team worker and keeps them with the
+    /// schedule builds one per rank thread and keeps them with the
     /// step cache, however many steps and substeps run on them.
     pub fn scratch_stores_built(&self) -> u64 {
         self.scratch_built.load(Ordering::Relaxed)
@@ -524,8 +523,8 @@ impl DistributedDycore {
         }
     }
 
-    /// Attach this instance to a run (see [`RunContext`]); the halo
-    /// updater and, each substep, the rank team get the same context.
+    /// Attach this instance to a run (see [`RunContext`]); each substep,
+    /// the rank team gets the same context.
     ///
     /// * `sink` — every completed driver step publishes a `StepCompleted`
     ///   event carrying the step index and wall time. Events carry copies,
@@ -536,14 +535,14 @@ impl DistributedDycore {
     ///   the step counter — [`step_interrupted`](Self::step_interrupted)
     ///   then reports true and the states must be treated as mid-step
     ///   (discard or restore them).
-    /// * `faults` — the plan the driver, halo and pool-worker sites fire.
+    /// * `faults` — the plan the driver, halo and pool-worker sites fire
+    ///   (each halo site at most once per substep).
     /// * `tracer`, `metrics` — `driver_step` / `acoustic` / `rank` /
     ///   `halo` / `kernel` spans, and the driver's counters and gauges.
     ///
     /// Install [`RunContext::default`] to detach (a serving engine does
     /// before parking a warm tenant).
     pub fn set_run(&mut self, run: RunContext) {
-        self.updater.set_run(run.clone());
         self.run = run;
     }
 
@@ -559,9 +558,9 @@ impl DistributedDycore {
         self.step_interrupted
     }
 
-    /// Select the rank schedule (sequential lock-step vs a threaded rank
-    /// team). Both produce bit-identical states. A
-    /// change of schedule releases the rank team's scratch stores.
+    /// Select the rank schedule: a team of one on the calling thread, or
+    /// a team of rank threads. Both produce bit-identical states. A
+    /// change of schedule releases the rank threads' scratch stores.
     pub fn set_rank_schedule(&mut self, schedule: RankSchedule) {
         if schedule != self.schedule {
             self.release_scratch_stores();
@@ -574,14 +573,16 @@ impl DistributedDycore {
         self.schedule
     }
 
-    /// Hard deadline for parallel halo receives; on expiry the receiving
-    /// rank poisons the mailboxes and panics (supervisor rolls back).
+    /// Hard deadline for halo receives under rank threads; on expiry the
+    /// receiving rank panics and its worker poisons the mailboxes
+    /// (supervisor rolls back). A team with one worker has posted every
+    /// send before it receives, so it fails a missing message at once.
     pub fn set_halo_recv_timeout(&mut self, deadline: Duration) {
         self.recv_timeout = deadline;
     }
 
-    /// Accumulated rank-team substep timings: pack, wait, run (parallel
-    /// schedule).
+    /// Accumulated rank-team substep timings: pack, wait, run — one
+    /// sample per rank-substep.
     pub fn overlap_stats(&self) -> obs::OverlapStats {
         self.overlap
     }
@@ -591,32 +592,39 @@ impl DistributedDycore {
         std::mem::take(&mut self.overlap)
     }
 
-    /// Per-rank soft halo stalls under the parallel schedule.
+    /// Per-rank soft halo stalls.
     pub fn rank_stalls(&self) -> &[u64] {
         &self.rank_stalls
     }
 
-    /// Measured wire traffic posted by the parallel schedule since
-    /// construction, as `(bytes, messages)`. One substep posts every
-    /// packed field over every channel, so across a run this must equal
-    /// the [`comm::ExchangePlan::stats`] closed form times the number of
+    /// Measured wire traffic posted between rank threads
+    /// ([`RankSchedule::Parallel`]) since construction, as `(bytes,
+    /// messages)`. One substep posts every packed field over every
+    /// channel, so across a parallel run this must equal the
+    /// [`comm::ExchangePlan::stats`] closed form times the number of
     /// packed fields times the substep count (asserted in
-    /// `tests/weak_scaling.rs`).
+    /// `tests/weak_scaling.rs`). A team of one on the calling thread
+    /// posts only to itself and adds nothing here (the repo benchmark's
+    /// `dycore_seq` reads 0 halo bytes a step); the `halo_bytes` /
+    /// `halo_messages` counters of the run's metrics count what every
+    /// team posts.
     pub fn halo_traffic_posted(&self) -> (u64, u64) {
         (self.halo_bytes_posted, self.halo_messages_posted)
     }
 
-    /// Arm (or disarm) the halo stall watchdog (see
-    /// [`HaloUpdater::set_stall_deadline`]). Under the parallel schedule
-    /// the same deadline classifies slow receives as soft stalls.
+    /// Arm (or disarm, with `None`) the halo stall watchdog: a rank
+    /// whose own post plus its receive wait takes longer than `deadline`
+    /// counts as stalled ([`halo_stalls`](Self::halo_stalls),
+    /// [`rank_stalls`](Self::rank_stalls), the `halo_stalls` metric).
+    /// Detection is after the fact — the substep still completes — which
+    /// is enough for a supervisor to notice a wedged neighbour.
     pub fn set_halo_stall_deadline(&mut self, deadline: Option<Duration>) {
-        self.updater.set_stall_deadline(deadline);
         self.soft_stall = deadline;
     }
 
-    /// Halo exchanges that overran the stall deadline (both schedules).
+    /// Rank-substeps that overran the stall deadline.
     pub fn halo_stalls(&self) -> u64 {
-        self.updater.stall_count() + self.parallel_stalls
+        self.halo_stalls
     }
 
     /// One rank-substep's graph as [`lower_substep`] builds it (never
@@ -625,56 +633,14 @@ impl DistributedDycore {
         &self.expanded
     }
 
-    /// Exchange halos of the given state fields across all ranks.
-    fn exchange(&mut self, names: &[&str]) {
-        // Every rank's halo is rewritten: mark all states mutated.
-        self.mut_clock += 1;
-        let clock = self.mut_clock;
-        for r in 0..self.partition.ranks() {
-            self.mark_rank_mutated(r, clock);
-        }
-        // u and v exchange as a vector pair; everything else as scalars.
-        // The arrays are moved out of the states and back; a panic in
-        // between leaves ranks that are already marked for restore.
-        let vector_pair = names.contains(&"u") && names.contains(&"v");
-        if vector_pair {
-            let (mut us, mut vs) = (self.take_field("u"), self.take_field("v"));
-            self.updater.exchange_vector(&mut us, &mut vs);
-            self.put_field("u", us);
-            self.put_field("v", vs);
-        }
-        for name in names {
-            if vector_pair && (*name == "u" || *name == "v") {
-                continue;
-            }
-            let mut arrays = self.take_field(name);
-            self.updater.exchange_scalar(&mut arrays);
-            self.put_field(name, arrays);
-        }
-    }
-
-    fn take_field(&mut self, name: &str) -> Vec<Array3> {
-        self.states
-            .iter_mut()
-            .map(|s| std::mem::take(s.field_mut(name)))
-            .collect()
-    }
-
-    fn put_field(&mut self, name: &str, arrays: Vec<Array3>) {
-        for (s, a) in self.states.iter_mut().zip(arrays) {
-            *s.field_mut(name) = a;
-        }
-    }
-
     /// Advance every rank by one full dycore call (k_split remapping
-    /// steps). Halo exchanges happen between the per-rank executions in
-    /// lock-step: each acoustic substep is one execution round.
+    /// steps). Each acoustic substep is one round of the rank team: every
+    /// rank exchanges its halos, then runs the one-substep program.
     ///
     /// Implementation note: the orchestrated program embeds halo markers;
     /// running whole programs per rank then exchanging would break
-    /// lock-step. Instead the driver performs the exchange *before* each
-    /// rank round and runs one full program per rank per step with
-    /// exchanges applied at the acoustic cadence, which matches the
+    /// lock-step. Instead the team exchanges *before* each rank's run of
+    /// a program holding one acoustic substep, which matches the
     /// single-exchange-per-acoustic-substep structure of the program.
     pub fn step(&mut self) {
         let config = self.config.dycore;
@@ -686,17 +652,14 @@ impl DistributedDycore {
         // per-substep program, its lowering, and the executors are cached
         // across steps (`crate::parallel::StepCache`).
         self.ensure_step_cache();
+        // A step that unwinds drops its cache, mailboxes included, so
+        // every step starts with empty, unpoisoned mailboxes.
         let mut cache = self.cache.take().expect("step cache built");
-        if self.schedule == RankSchedule::Parallel {
-            cache.boxes.reset();
-        }
         self.step_interrupted = false;
-        // The sequential schedule's scratch store: built by the step's
-        // first rank-substep, reused by every later one, dropped when the
-        // step returns or unwinds (kept across steps it read +15.6 % of
-        // `dycore_seq/peak_rss_mib`). The parallel schedule's stores live
-        // in the cache, which an unwinding step drops whole.
-        let mut seq_store: Option<DataStore> = None;
+        // The team of one's store lives for this step (kept, it read
+        // +15.6 % of the sequential peak RSS, DESIGN §17.1); the rank
+        // threads' live in the cache, which an unwinding step drops whole.
+        let mut seq_store = None;
         'substeps: for ks in 0..config.k_split {
             for ns in 0..config.n_split {
                 // Cancellation point: between substeps the states are
@@ -710,12 +673,7 @@ impl DistributedDycore {
                 }
                 let module = Substep { ks, ns };
                 let _acoustic_span = self.run.span("acoustic", format_args!("{module}"));
-                match self.schedule {
-                    RankSchedule::Sequential => {
-                        self.sequential_substep(&cache, module, &mut seq_store)
-                    }
-                    RankSchedule::Parallel => self.parallel_substep(&mut cache, module),
-                }
+                self.substep(&mut cache, &mut seq_store, module);
             }
             // Remap runs inside each rank's program already (k_split = 1
             // per substep program means remap fires each substep);
@@ -734,61 +692,6 @@ impl DistributedDycore {
         }
         if let Some(m) = &self.run.metrics {
             m.counter_add("driver_steps", &[], 1);
-        }
-    }
-
-    /// One acoustic substep under the sequential rank schedule: exchange
-    /// halos, then run every rank in turn on the calling thread, all on
-    /// the step's one scratch store.
-    pub(crate) fn sequential_substep(
-        &mut self,
-        cache: &StepCache,
-        module: Substep,
-        scratch: &mut Option<DataStore>,
-    ) {
-        self.exchange(&["u", "v", "w", "delp", "pt", "q"]);
-        if self.run.faults.is_armed() {
-            if let Some((rank, field)) = self.plan_poison(module) {
-                self.apply_poison(rank, &field);
-            }
-        }
-        let sub = &cache.sub;
-        for r in 0..self.partition.ranks() {
-            let _rank_span = self.run.span("rank", format_args!("rank{r}"));
-            let metrics = self.run.metrics.as_ref();
-            let store = scratch_store(
-                scratch,
-                &self.scratch_built,
-                &sub.sub_expanded,
-                &sub.clear,
-                metrics,
-            );
-            if let Some(m) = metrics {
-                m.counter_add("rank_runs", &[], 1);
-            }
-            // The rank's prognostics run in place, on loan to the store:
-            // no copy in, no copy out. A run that unwinds hands back a
-            // partly stepped state, which the exchange above has already
-            // marked for the rollback. The rank team keeps copying
-            // (`Team::run_rank`): a starved rank's state must stay as it
-            // was, and its copies make it this path's bit-identity oracle.
-            let mut lent = lend_state(store, &sub.sub_prog.ids, &mut self.states[r], &self.grids[r]);
-            let mut hooks = RankHooks {
-                ids: &sub.sub_prog.ids,
-                halo_markers: 0,
-            };
-            let rep = sub.exec_seq.run_in(
-                &sub.sub_expanded,
-                lent.store(),
-                &sub.sub_prog.params,
-                &mut hooks,
-                &self.run,
-            );
-            drop(lent);
-            // The per-substep program embeds exactly one halo marker,
-            // satisfied by the exchange above.
-            debug_assert_eq!(hooks.halo_markers, 1);
-            self.note_kernel_cache(rep.cache_hits, rep.cache_misses);
         }
     }
 
@@ -859,16 +762,6 @@ impl DistributedDycore {
     pub fn any_nonfinite(&self) -> bool {
         self.states.iter().any(|s| s.has_nonfinite())
     }
-
-    /// Per-rank halo bytes and messages for one acoustic substep (for
-    /// the network model).
-    pub fn comm_volume(&self) -> (u64, u64) {
-        let fields = 6; // u, v, w, delp, pt, q
-        (
-            self.updater.bytes_per_rank(self.config.nk, fields),
-            self.updater.messages_per_rank() * fields as u64,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -909,26 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn halo_exchange_makes_edges_consistent() {
-        let mut d = small();
-        // After an exchange, each rank's halo must equal its neighbour's
-        // boundary (spot-check delp between two adjacent tiles).
-        d.exchange(&["delp"]);
-        let s = d.partition.sub_n as i64;
-        for r in 0..6 {
-            match d.partition.halo_source(RankId(r), -1, 2) {
-                comm::HaloSource::Inter { rank, i, j, .. } => {
-                    assert_eq!(
-                        d.states[r].delp.get(-1, 2, 0),
-                        d.states[rank.0].delp.get(i, j, 0)
-                    );
-                }
-                other => panic!("expected inter-tile source, got {other:?} (s={s})"),
-            }
-        }
-    }
-
-    #[test]
     fn health_sampling_covers_every_rank_and_stays_clean() {
         let mut d = small();
         let mut monitor = fv3::health::HealthMonitor::new();
@@ -944,14 +817,6 @@ mod tests {
         assert_eq!(monitor.samples().len(), 2 * d.partition.ranks());
         assert!(monitor.all_healthy());
         assert_eq!(monitor.to_jsonl().lines().count(), monitor.samples().len());
-    }
-
-    #[test]
-    fn comm_volume_is_positive_and_scale_free() {
-        let d = small();
-        let (bytes, msgs) = d.comm_volume();
-        assert!(bytes > 0);
-        assert_eq!(msgs, 48);
     }
 
     #[test]

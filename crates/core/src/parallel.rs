@@ -1,23 +1,27 @@
-//! True parallel rank execution with message-passing halo exchange.
+//! The rank team: the one way the driver runs an acoustic substep.
 //!
-//! The sequential driver runs ranks one after another with a pull-style
-//! halo gather between rounds. This module runs them on a **rank team**
-//! sized to the host — `min(ranks, workers)` threads through
-//! [`machine::Pool::rank_scope`], worker `w` owning ranks `w, w + W, …`
-//! and one scratch store kept across steps — and gives each acoustic
-//! substep the message-passing schedule a real MPI dycore uses:
+//! Every rank runs the same program and updates its halos through the
+//! same message-passing exchange, whichever [`RankSchedule`] is selected.
+//! A substep's ranks are dealt round-robin to a **rank team** — worker
+//! `w` of `W` owns ranks `w, w + W, …` and runs them all on one scratch
+//! store — and each worker follows one protocol:
 //!
-//! 1. **pack + post** — a worker packs the pre-substep interiors of *all*
-//!    its ranks for their neighbours ([`comm::ExchangePlan`]) and posts
-//!    the buffers into epoch-tagged mailboxes ([`comm::HaloMailboxes`])
-//!    before it receives anything, so no receive can wait on a worker
-//!    that is itself blocked; then, rank by rank:
-//! 2. **load** — copy the rank's state into the worker's store;
-//! 3. **wait + unpack + fold** — receive every inbound channel (hard
-//!    deadline; a missing message panics the rank instead of hanging),
-//!    unpack into the store's halo cells, apply cube-corner folds;
-//! 4. **run** — the substep graph the sequential schedule runs, once;
-//! 5. **extract** — write the state back.
+//! 1. **post** — pack the pre-substep interiors of *all* its ranks for
+//!    their neighbours ([`comm::ExchangePlan`]) and post the buffers into
+//!    epoch-tagged mailboxes ([`comm::HaloMailboxes`]) before receiving
+//!    anything, so no receive can wait on a worker that is itself
+//!    blocked; then, rank by rank:
+//! 2. **receive** every inbound channel into its mailbox buffer (hard
+//!    deadline: a missing message panics the rank instead of hanging it —
+//!    at once for a team with one worker, whose every send was posted
+//!    before this receive, so a message not there is lost);
+//! 3. **mark** the rank as mutating, for the rollback;
+//! 4. **lend** the rank's state to the worker's store
+//!    ([`fv3::dyn_core::lend_state`]: no array is copied);
+//! 5. **unpack + fold** the buffers into the lent halos, cube corners
+//!    last;
+//! 6. **run** the substep graph, once;
+//! 7. **return** the loan and hand the buffers back to their senders.
 //!
 //! The latency a receive could wait for is the peers' packing, and the
 //! team's order hides it: every send is posted before its worker's first
@@ -25,22 +29,34 @@
 //! than that, at the cost of a second walk over a store larger than L2
 //! (DESIGN §12.1).
 //!
-//! **Bit-identity.** The parallel schedule produces bit-identical states
-//! to the sequential one, step for step: packing reads only pre-substep
-//! interiors (so the exchanged values equal the sequential exchange's —
-//! `comm::plan` holds this to 0 ULP), unpack/fold land before any
-//! statement runs, and the statements are the sequential schedule's own
-//! graph. `core/tests/parallel_schedule_diff.rs` asserts the end-to-end
-//! equality.
+//! A schedule decides three things, none of them protocol: where the
+//! team runs and how large it is (one member on the calling thread for
+//! [`RankSchedule::Sequential`]; `min(ranks, workers)` threads through
+//! [`machine::Pool::rank_scope`] for [`RankSchedule::Parallel`]), which
+//! executor runs its kernels (the pool-backed `exec_seq` for the team of
+//! one, the inline `exec_team` for rank threads), and how long its
+//! working memory lives: the team of one's store lives for one `step()`
+//! and its halo buffers for one substep; the rank threads' stores and
+//! buffers are kept in the [`StepCache`] (DESIGN §17.1). Both teams post
+//! through the cache's one set of mailboxes.
 //!
-//! **Failure containment.** A rank that panics (recv timeout after a
+//! **Bit-identity.** Every team size produces the same bits, step for
+//! step: packing reads only pre-substep interiors (so the exchanged
+//! values equal the central gather's — `comm::plan`'s tests hold this to
+//! 0 ULP against `comm::halo`), unpack and fold land before any
+//! statement runs, and every rank runs the one graph
+//! ([`CompiledSubstep::graph`]). `core/tests/parallel_schedule_diff.rs`
+//! asserts the end-to-end equality and the golden replay.
+//!
+//! **Failure containment.** A rank that panics (receive timeout after a
 //! dropped message, poisoned mailbox, kernel panic) fails alone: its
 //! worker runs its remaining ranks, then poisons every mailbox slot so
 //! peers still blocked unwind instead of hanging; the panic propagates
 //! to the caller after the whole team has joined, where the supervisor
-//! rolls back. Per-rank mutation tracking
-//! ([`DistributedDycore::restore`]) keeps that rollback rank-aware:
-//! ranks that never reached their state extraction are not rewritten.
+//! rolls back. A rank starved at step 2 has not touched its state, so
+//! the rank-aware rollback ([`DistributedDycore::restore`]) leaves it
+//! alone; a rank that fails after step 3 hands back a partly stepped
+//! state (the loan returns on the unwind) that is marked for restore.
 
 use crate::checkpoint::CheckpointBasis;
 use crate::driver::{scratch_store, DistributedDycore, DriverConfig, RankHooks, Substep};
@@ -51,7 +67,7 @@ use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::reuse::clear_list;
 use dataflow::transforms::power;
 use dataflow::DataId;
-use fv3::dyn_core::{build_dycore_program, extract_state, load_state, DycoreIds, DycoreProgram};
+use fv3::dyn_core::{build_dycore_program, lend_state, load_state, DycoreIds, DycoreProgram};
 use fv3::state::{DycoreState, HALO};
 use machine::faults::{FaultAction, FireCtx};
 use machine::pool::Pool;
@@ -135,15 +151,16 @@ pub(crate) fn next_instance_id() -> u64 {
 pub struct CompiledSubstep {
     key: StepKey,
     pub(crate) sub_prog: DycoreProgram,
-    /// The graph every rank-substep runs, under either schedule.
+    /// The graph every rank-substep runs, whatever the team.
     pub(crate) sub_expanded: Sdfg,
     /// What the build-time autotune pipeline did to `sub_expanded`
     /// (`None` when the bundle was built untuned).
     tune: Option<tuning::AutotuneReport>,
-    /// Sequential-path executor (worker-pool backed when one is set).
+    /// The team of one's executor (worker-pool backed when one is set):
+    /// the pool's workers share each kernel.
     pub(crate) exec_seq: Executor,
-    /// Rank-team executor, run inline (`Pool::new(1)`): the team's
-    /// workers are the parallelism.
+    /// The rank threads' executor, run inline (`Pool::new(1)`): the
+    /// team's workers are the parallelism.
     pub(crate) exec_team: Executor,
     /// Worker team `exec_seq` is pinned to (`None`: inline serial).
     pool: Option<Pool>,
@@ -154,7 +171,7 @@ pub struct CompiledSubstep {
 }
 
 impl CompiledSubstep {
-    /// Build the substep bundle for `config`, pinning the sequential-path
+    /// Build the substep bundle for `config`, pinning the team of one's
     /// executor to `pool`. Kernel compilation itself is lazy: the first
     /// run through each executor populates its cache.
     /// The substep program is lowered by [`lower_substep`]; when `tuned`,
@@ -223,7 +240,7 @@ impl CompiledSubstep {
         &self.sub_prog
     }
 
-    /// The graph one rank-substep runs, under either schedule: the
+    /// The graph one rank-substep runs, whatever the team: the
     /// substep program as [`lower_substep`] (and the tuner, for a tuned
     /// bundle) left it.
     pub fn graph(&self) -> &Sdfg {
@@ -263,13 +280,14 @@ pub(crate) struct StepCache {
     pub(crate) sub: Arc<CompiledSubstep>,
     pub(crate) plan: Arc<ExchangePlan>,
     pub(crate) boxes: Arc<HaloMailboxes>,
-    /// The rank team's scratch stores, one slot per worker: `min(ranks,
+    /// The rank threads' scratch stores, one slot per worker: `min(ranks,
     /// workers)` of them, `workers` being the installed pool's size or
     /// what [`Pool::host`] would pick. Built by a worker's first
     /// rank-substep and kept across substeps *and steps* — a store that
-    /// is built, first-touched and freed every step costs more than the
-    /// step's halo exchange (DESIGN §17.1). Only the parallel schedule
-    /// fills them.
+    /// is built, first-touched and freed every step on a fresh thread
+    /// costs more than the step's halo exchange (DESIGN §17.1). Only
+    /// [`RankSchedule::Parallel`] fills them; the team of one runs on the
+    /// store its `step()` holds.
     pub(crate) stores: Vec<Option<DataStore>>,
 }
 
@@ -302,6 +320,7 @@ impl StepKey {
 /// One rank's substep timings and flags, reported back to the driver.
 struct RankOutcome {
     sent: Posted,
+    /// Receive, unpack and fold.
     wait: Duration,
     run: Duration,
     stalled: bool,
@@ -336,9 +355,11 @@ struct Team<'a> {
     plan: &'a ExchangePlan,
     boxes: &'a HaloMailboxes,
     sub: &'a CompiledSubstep,
+    /// The executor every rank's graph runs on (see the module docs).
+    exec: &'a Executor,
     grids: &'a [fv3::grid::Grid],
-    /// The run's context: rank spans, counters, the wire-corruption
-    /// victim pick.
+    /// The run's context: rank and halo spans, counters, the
+    /// wire-corruption victim pick.
     run: &'a RunContext,
     faults: FaultPlan,
     epoch: u64,
@@ -346,8 +367,9 @@ struct Team<'a> {
     recv_timeout: Duration,
     soft_stall: Option<Duration>,
     scratch_built: &'a AtomicU64,
-    /// Per rank, set just before the rank starts writing its state back:
-    /// a panic mid-extract still marks it dirty for the rollback.
+    /// Per rank, set once its receives are complete, just before its
+    /// state is lent: a failure from there on leaves a partly stepped
+    /// state, which the rollback must rewrite.
     mutating: Vec<AtomicBool>,
     /// Per rank, filled by the worker that completed it.
     outcomes: Vec<Mutex<Option<RankOutcome>>>,
@@ -430,7 +452,7 @@ impl Team<'_> {
         }
     }
 
-    /// 2–5. Rank `r`'s substep on its worker's store.
+    /// 2–7. Rank `r`'s substep on its worker's store.
     fn run_rank(
         &self,
         r: usize,
@@ -440,13 +462,10 @@ impl Team<'_> {
     ) -> RankOutcome {
         let (plan, boxes, sub, nk) = (self.plan, self.boxes, self.sub, self.nk);
         let (ids, params) = (&sub.sub_prog.ids, &sub.sub_prog.params[..]);
-        // Span parity with the sequential schedule: the tracer is
-        // thread-safe, so rank spans land in the run's registry from
-        // whichever worker runs the rank.
+        // The tracer is thread-safe: rank spans land in the run's
+        // registry from whichever worker runs the rank.
         let _rank_span = self.run.span("rank", format_args!("rank{r}"));
         let metrics = self.run.metrics.as_ref();
-
-        // 2. Load the state into the worker's store.
         let store = scratch_store(
             slot,
             self.scratch_built,
@@ -454,52 +473,79 @@ impl Team<'_> {
             &sub.clear,
             metrics,
         );
-        let copied_in = load_state(store, ids, state, &self.grids[r]);
+        let mut halo_span = self.run.span("halo", "halo_exchange");
+        let t0 = Instant::now();
+
+        // 2. Receive: a starved rank panics here, its state untouched.
+        let received: Vec<(usize, Vec<f64>)> = plan
+            .recvs(r)
+            .iter()
+            .map(|&ch| match boxes.recv(ch, self.epoch, self.recv_timeout) {
+                Ok(buf) => (ch, buf),
+                Err(e) => panic!("rank {r}: halo recv on channel {ch} failed: {e}"),
+            })
+            .collect();
+
+        // 3–4. Lend the state to the worker's store.
+        self.mutating[r].store(true, Ordering::Release);
+        let own: Vec<*const f64> = match metrics {
+            Some(_) => state.fields().iter().map(|(_, f)| f.raw().as_ptr()).collect(),
+            None => Vec::new(),
+        };
+        let mut lent = lend_state(store, ids, state, &self.grids[r]);
         if let Some(m) = metrics {
             m.counter_add("rank_runs", &[], 1);
+            // Prognostics the program runs on that are not the rank's own
+            // arrays, each of which a copy in and a copy out would cost:
+            // 0 while lent.
+            let store = lent.store();
+            let foreign = ids.loaded().into_iter();
+            let foreign = foreign.filter(|id| !own.contains(&store.get(*id).raw().as_ptr()));
+            m.counter_add("array_copies", &[], 2 * foreign.count() as u64);
         }
 
-        // 3. Receive, unpack into the store's halos, fold corners.
-        let t0 = Instant::now();
+        // 5. Unpack into the lent halos, fold corners.
         let exch = exchanged_ids(ids);
-        for &ch in plan.recvs(r) {
-            match boxes.recv(ch, self.epoch, self.recv_timeout) {
-                Ok(buf) => {
-                    for (fi, id) in exch.iter().enumerate() {
-                        plan.unpack_field(ch, &buf, fi, exch.len(), nk, store.get_mut(*id));
-                    }
-                    boxes.recycle(ch, buf);
-                }
-                Err(e) => panic!("rank {r}: halo recv on channel {ch} failed: {e}"),
+        let store = lent.store();
+        for (ch, buf) in &received {
+            for (fi, id) in exch.iter().enumerate() {
+                plan.unpack_field(*ch, buf, fi, exch.len(), nk, store.get_mut(*id));
             }
         }
         for id in exch {
             plan.apply_folds(r, nk, store.get_mut(id));
         }
         let wait = t0.elapsed();
+        halo_span.set_bytes(received.iter().map(|(_, b)| b.len() as u64 * 8).sum());
+        halo_span.set_points(received.len() as u64);
+        drop(halo_span);
 
-        // 4. Run the substep graph.
+        // 6. Run the substep graph.
         let mut hooks = RankHooks {
             ids,
             halo_markers: 0,
         };
         let t1 = Instant::now();
-        let rep = sub
-            .exec_team
+        let rep = self
+            .exec
             .run_in(&sub.sub_expanded, store, params, &mut hooks, self.run);
         let run = t1.elapsed();
+        // The substep program embeds exactly one halo marker, satisfied by
+        // the exchange above.
+        debug_assert_eq!(hooks.halo_markers, 1);
 
-        // 5. Extract.
-        self.mutating[r].store(true, Ordering::Release);
-        let copied_out = extract_state(store, ids, state);
-        if let Some(m) = metrics {
-            m.counter_add("array_copies", &[], (copied_in + copied_out) as u64);
+        // 7. Return the loan, the buffers to their senders.
+        drop(lent);
+        for (ch, buf) in received {
+            boxes.recycle(ch, buf);
         }
         RankOutcome {
+            // A stall is charged to the rank it delayed: its own post (an
+            // injected sleep sits there) plus its wait for its peers'.
+            stalled: self.soft_stall.is_some_and(|d| sent.pack + wait > d),
             sent,
             wait,
             run,
-            stalled: self.soft_stall.is_some_and(|d| wait > d),
             cache_hits: rep.cache_hits,
             cache_misses: rep.cache_misses,
         }
@@ -536,15 +582,15 @@ fn exchanged_ids(ids: &DycoreIds) -> [DataId; 6] {
 struct FaultPlan {
     /// Rank that sleeps this long before posting its sends.
     stall: Option<(usize, u64)>,
-    /// Destination rank whose inbound messages are dropped (its recvs
-    /// time out — the parallel analogue of a lost message).
+    /// Destination rank whose inbound messages are dropped (its receives
+    /// time out, as after a lost message).
     drop_dst: Option<usize>,
     /// (channel, factor) — corrupt one packed value on the wire; a NaN
     /// factor poisons instead of scaling.
     corrupt: Option<(usize, f64)>,
     /// Pre-packed send buffers of a poisoned rank (packed before the
-    /// poison landed, matching the sequential exchange-then-poison
-    /// ordering).
+    /// poison landed: its neighbours receive what it held before the
+    /// blowup).
     prepacked: Option<(usize, Vec<PackedSend>)>,
 }
 
@@ -588,8 +634,9 @@ impl DistributedDycore {
         });
     }
 
-    /// Fire this substep's halo/poison faults on the main thread and
-    /// translate them into the parallel schedule's terms.
+    /// Fire this substep's halo and poison faults on the calling thread
+    /// and translate them into the team's terms: each site fires at most
+    /// once per substep.
     fn plan_faults(&mut self, plan: &ExchangePlan, module: Substep) -> FaultPlan {
         let mut fp = FaultPlan::default();
         if !self.run.faults.is_armed() {
@@ -624,8 +671,7 @@ impl DistributedDycore {
         }
         if let Some((rank, field)) = self.plan_poison(module) {
             // Pack the victim's sends *before* poisoning, so neighbours
-            // see pre-poison interiors exactly as under the sequential
-            // exchange-then-poison ordering.
+            // see pre-poison interiors.
             let bufs = plan
                 .sends(rank)
                 .iter()
@@ -637,38 +683,57 @@ impl DistributedDycore {
         fp
     }
 
-    /// One acoustic substep under the parallel rank schedule, run by the
-    /// cache's rank team ([`Team`]). Bit-identical to the sequential
-    /// substep; panics (after poisoning the mailboxes and joining the
-    /// team) on lost messages or rank failures, leaving per-rank mutation
-    /// flags accurate for a rank-aware rollback.
-    pub(crate) fn parallel_substep(&mut self, cache: &mut StepCache, module: Substep) {
+    /// One acoustic substep, run by a rank team ([`Team`]) shaped by the
+    /// schedule (see the module docs); `seq_store` is the team of one's
+    /// store for the step. Panics (after poisoning the mailboxes and
+    /// joining the team) on lost messages or rank failures, leaving
+    /// per-rank mutation flags accurate for a rank-aware rollback.
+    pub(crate) fn substep(
+        &mut self,
+        cache: &mut StepCache,
+        seq_store: &mut Option<DataStore>,
+        module: Substep,
+    ) {
         let ranks = self.partition.ranks();
         self.halo_epoch += 1;
         self.mut_clock += 1;
         let clock = self.mut_clock;
         let faults = self.plan_faults(&cache.plan, module);
         let rank_pool = self.pool().cloned().unwrap_or_else(|| Pool::new(1));
+        // The three things a schedule decides: the team's stores (and so
+        // its size), its executor, and whether it launches rank threads.
+        let (stores, exec, threads) = match self.schedule {
+            RankSchedule::Sequential => {
+                (std::slice::from_mut(seq_store), &cache.sub.exec_seq, false)
+            }
+            RankSchedule::Parallel => (&mut cache.stores[..], &cache.sub.exec_team, true),
+        };
+        let workers = stores.len();
 
         let team = Team {
             plan: &cache.plan,
             boxes: &cache.boxes,
             sub: &cache.sub,
+            exec,
             grids: &self.grids,
             run: &self.run,
             faults,
             epoch: self.halo_epoch,
             nk: self.config.nk as i64,
-            recv_timeout: self.recv_timeout,
+            // One worker has posted every send before its first receive:
+            // a message not there already is lost, so waiting is futile.
+            recv_timeout: if workers == 1 {
+                Duration::ZERO
+            } else {
+                self.recv_timeout
+            },
             soft_stall: self.soft_stall,
             scratch_built: &self.scratch_built,
             mutating: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             outcomes: (0..ranks).map(|_| Mutex::new(None)).collect(),
         };
         // Deal the ranks round-robin: worker `w` of `W` owns `w, w + W, …`.
-        let workers = cache.stores.len();
-        let mut seats: Vec<Seat> = cache
-            .stores
+        let mut seats: Vec<Seat> = stores
             .iter_mut()
             .map(|store| Seat {
                 ranks: Vec::with_capacity(ranks.div_ceil(workers)),
@@ -681,6 +746,7 @@ impl DistributedDycore {
         let seats: Vec<Mutex<Option<Seat>>> =
             seats.into_iter().map(|s| Mutex::new(Some(s))).collect();
 
+        // A team of one runs on the calling thread (`rank_scope(1, ..)`).
         let scope = catch_unwind(AssertUnwindSafe(|| {
             rank_pool.rank_scope(workers, |w| {
                 let seat = seats[w].lock().unwrap_or_else(|e| e.into_inner()).take();
@@ -693,7 +759,7 @@ impl DistributedDycore {
         let Team {
             mutating, outcomes, ..
         } = team;
-        self.rank_workers_launched += workers as u64;
+        let mut posted = (0u64, 0u64);
         for (r, (mutated, outcome)) in mutating.into_iter().zip(outcomes).enumerate() {
             if mutated.into_inner() {
                 self.mark_rank_mutated(r, clock);
@@ -701,20 +767,31 @@ impl DistributedDycore {
             if let Some(o) = outcome.into_inner().unwrap_or_else(|e| e.into_inner()) {
                 if o.stalled {
                     self.rank_stalls[r] += 1;
-                    self.parallel_stalls += 1;
+                    self.halo_stalls += 1;
                     if let Some(m) = &self.run.metrics {
                         m.counter_add("halo_stalls", &[], 1);
                     }
                 }
                 self.overlap.record_substep(o.sent.pack, o.wait, o.run);
-                self.halo_bytes_posted += o.sent.bytes;
-                self.halo_messages_posted += o.sent.messages;
+                posted.0 += o.sent.bytes;
+                posted.1 += o.sent.messages;
                 self.note_kernel_cache(o.cache_hits, o.cache_misses);
             }
         }
+        if threads {
+            self.rank_workers_launched += workers as u64;
+            self.halo_bytes_posted += posted.0;
+            self.halo_messages_posted += posted.1;
+        } else {
+            // The team of one keeps no halo buffer past its substep, as it
+            // keeps no store past its step (DESIGN §17.1).
+            cache.boxes.reset();
+        }
         if let Some(m) = &self.run.metrics {
             self.overlap.publish(m);
-            m.counter_add("parallel_substeps", &[], 1);
+            m.counter_add("halo_bytes", &[], posted.0);
+            m.counter_add("halo_messages", &[], posted.1);
+            m.counter_add("team_substeps", &[], 1);
         }
         if let Err(p) = scope {
             resume_unwind(p);

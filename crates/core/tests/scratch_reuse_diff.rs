@@ -19,9 +19,9 @@
 //!   run continues to the bits of one that was left alone;
 //! * **aborted steps** — after a step cut short by a `CancelToken`,
 //!   failed by a mid-step NaN and rolled back by the supervisor, or
-//!   failed by a rank that starved mid-substep on a store its worker went
-//!   on using, the run continues bit for bit like an instance that never
-//!   saw any of it.
+//!   failed by a rank that starved mid-substep while its worker went on
+//!   using its store, the run continues bit for bit like an instance that
+//!   never saw any of it.
 
 use comm::{CornerPolicy, HaloUpdater};
 use dataflow::exec::{DataStore, Executor};
@@ -344,9 +344,8 @@ fn kept_stores_full_of_nan_step_to_the_same_bits() {
 
 #[test]
 fn a_rank_starved_mid_substep_fails_alone_and_leaves_nothing_behind() {
-    // The starved rank has loaded its state into its worker's store when
-    // its receive times out, and the worker runs its other ranks on that
-    // store afterwards.
+    // The starved rank's receive times out before its state is lent, and
+    // the worker runs its other ranks on the same store afterwards.
     let cfg = config(24, 2, 2, 1);
     let clean = {
             let mut d = dycore(cfg, RankSchedule::Sequential, false);
@@ -355,19 +354,29 @@ fn a_rank_starved_mid_substep_fails_alone_and_leaves_nothing_behind() {
         }
         d
     };
-    for workers in [1, 2, 3, 6] {
-        let mut d = team_dycore(cfg, workers);
+    let teams = [1, 2, 3, 6].map(|w| (RankSchedule::Parallel, w));
+    for (schedule, workers) in [(RankSchedule::Sequential, 1)].into_iter().chain(teams) {
+        let mut d = match schedule {
+            RankSchedule::Sequential => dycore(cfg, schedule, false),
+            RankSchedule::Parallel => team_dycore(cfg, workers),
+        };
         arm(&mut d, "seed=11;drop");
         d.set_halo_recv_timeout(std::time::Duration::from_millis(250));
         let mut sup = Supervisor::new(SupervisorPolicy::default());
         let report = sup.run(&mut d, 2).expect("the lost message is recovered");
-        let what = format!("team of {workers}");
+        let what = format!("{schedule:?} team of {workers}");
         assert_eq!((report.retries, d.step_index()), (1, 2), "{what}");
         // Whatever the team, only the starved rank never wrote its state
         // back: the rollback rewrites the other five.
         assert_eq!(report.ranks_restored, 5, "{what}");
-        // The failed step took the step cache with it, stores included.
-        assert_eq!(d.scratch_stores_built(), 2 * workers as u64, "{what}");
+        // The failed step took its stores with it: a team of threads
+        // builds its own again (the cache went too); a team of one builds
+        // one per step attempt anyway.
+        let built = match schedule {
+            RankSchedule::Sequential => 3,
+            RankSchedule::Parallel => 2 * workers as u64,
+        };
+        assert_eq!(d.scratch_stores_built(), built, "{what}");
         assert_states_bit_identical(&d.states, &clean.states, &what);
     }
 }

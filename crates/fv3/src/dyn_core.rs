@@ -346,8 +346,9 @@ fn swap_prognostics(store: &mut DataStore, ids: &DycoreIds, state: &mut DycoreSt
 /// the returned loan drops.
 /// Meanwhile `state` holds the store's spare arrays, so a run that unwinds
 /// returns a *partly stepped* state where the copying pair would have left
-/// it untouched: only for a caller whose rollback already rewrites this
-/// rank (the sequential schedule, after its exchange marked every rank).
+/// it untouched: lend only once the rank is marked for the rollback (the
+/// driver's rank team lends after its receives, and marks the rank just
+/// before).
 pub fn lend_state<'a>(
     store: &'a mut DataStore,
     ids: &'a DycoreIds,

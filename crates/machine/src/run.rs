@@ -13,8 +13,8 @@
 //!   id, cancel token, event sink, fault plan, tracer, metrics registry.
 //!   The default is inert throughout (every field is `None` inside), so
 //!   cloning it is free and each instrumentation point is one branch. It
-//!   is installed with `DistributedDycore::set_run`, which hands clones
-//!   to the halo updater and the rank team; the supervisor reads the
+//!   is installed with `DistributedDycore::set_run`, which hands it to
+//!   the rank team each substep; the supervisor reads the
 //!   dycore's; executors and pool regions take it per call
 //!   (`Executor::run_in`, `Pool::for_each_chunk_in`), because they are
 //!   shared between runs.
@@ -26,17 +26,21 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// How the driver runs its ranks within one acoustic substep.
+/// Which rank team runs an acoustic substep. Both run one protocol —
+/// every rank posts its sends, receives, lends its state, unpacks its
+/// halos and runs the substep program (`fv3core::parallel`) — and are
+/// bit-identical; they differ in where the team runs, which executor its
+/// kernels use, and how long its scratch store and halo buffers live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankSchedule {
-    /// One rank after another on the calling thread, pull-style halo
-    /// gather between rounds (the original driver schedule).
+    /// A team of one on the calling thread: one rank after another, each
+    /// kernel on the worker pool, its scratch store built once per step
+    /// and its halo buffers once per substep.
     #[default]
     Sequential,
     /// The ranks dealt round-robin to a team of `min(ranks, workers)`
-    /// threads, push-style mailbox exchange with every send posted before
-    /// the first receive. Bit-identical to
-    /// [`RankSchedule::Sequential`] for every team size.
+    /// rank threads, each running its kernels inline on a scratch store
+    /// kept across steps.
     Parallel,
 }
 

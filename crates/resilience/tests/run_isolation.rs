@@ -112,9 +112,9 @@ struct Recorded {
 const COUNTERS: [&str; 7] = [
     "driver_steps",
     "rank_runs",
-    "halo_exchanges",
+    "halo_bytes",
     "halo_messages",
-    "parallel_substeps",
+    "team_substeps",
     "kernel_cache_hits",
     "kernel_cache_misses",
 ];
@@ -149,10 +149,10 @@ fn traced_run(schedule: RankSchedule, steps: usize, start: &Barrier) -> Recorded
 
 #[test]
 fn two_traced_runs_each_record_only_themselves() {
-    // Different shapes on purpose — one sequential step (central halo
-    // exchanges, rank spans on the caller) against two parallel ones
-    // (mailbox posts, rank spans on team workers) — so a span or a count
-    // that lands in the wrong context cannot cancel out.
+    // Different shapes on purpose — one sequential step (a team of one,
+    // every span on the caller) against two parallel ones (rank and halo
+    // spans on team workers) — so a span or a count that lands in the
+    // wrong context cannot cancel out.
     let alone = Barrier::new(1);
     let seq_alone = traced_run(RankSchedule::Sequential, 1, &alone);
     let par_alone = traced_run(RankSchedule::Parallel, 2, &alone);
@@ -163,10 +163,10 @@ fn two_traced_runs_each_record_only_themselves() {
             .unwrap_or(0)
     };
     assert_eq!(count(&seq_alone, "step", "driver_step"), 1);
-    assert_eq!(count(&seq_alone, "halo", "halo_exchange"), 6);
+    assert_eq!(count(&seq_alone, "halo", "halo_exchange"), 6, "one per rank-substep");
     assert_eq!(count(&seq_alone, "rank", "rank3"), 1);
     assert_eq!(count(&par_alone, "step", "driver_step"), 2);
-    assert_eq!(count(&par_alone, "halo", "halo_exchange"), 0);
+    assert_eq!(count(&par_alone, "halo", "halo_exchange"), 12);
     assert_eq!(count(&par_alone, "rank", "rank3"), 2);
     for r in [&seq_alone, &par_alone] {
         assert!(r.spans.keys().any(|(cat, _)| cat == "kernel"), "{r:?}");

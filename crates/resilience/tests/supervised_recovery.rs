@@ -194,8 +194,8 @@ fn checkpointing_disabled_fails_fast_without_rollback_basis() {
 }
 
 /// A pool worker panics `call` fault-site calls into a run, i.e. some way
-/// into one rank's kernels: the sequential schedule runs that rank on its
-/// own prognostic arrays, lent to the scratch store.
+/// into one rank's kernels: the team runs that rank on its own
+/// prognostic arrays, lent to the scratch store.
 fn panics_mid_rank(call: u64) -> DistributedDycore {
     let mut d = faulted(&format!("seed=7;panic@call={call}"));
     d.set_pool(Some(Pool::new(3)));
@@ -226,14 +226,18 @@ fn a_panic_mid_rank_hands_every_lent_array_back() {
             assert_eq!(f.raw().len(), layout.len, "rank {r} field {name}");
         }
     }
-    // Mid-step: the ranks before the victim finished their substep in
-    // place, the ones after it have not started theirs.
+    // Mid-rank: the victim hands back a partly stepped state; the ranks
+    // before it finished their substep in place, and so did the ones
+    // after it (a failed rank fails alone).
     let same = |a: &fv3::state::DycoreState, b: &fv3::state::DycoreState| {
         let pairs = a.fields().into_iter().zip(b.fields());
         pairs.into_iter().all(|((_, x), (_, y))| x.raw() == y.raw())
     };
     let done: Vec<bool> = d.states.iter().zip(&clean.states).map(|(a, b)| same(a, b)).collect();
-    assert!(done[0] && !done[5], "panic did not land mid-step: {done:?}");
+    assert!(
+        done[0] && done[5] && done.iter().filter(|d| !**d).count() == 1,
+        "panic did not land mid-rank: {done:?}"
+    );
 }
 
 #[test]
@@ -244,8 +248,8 @@ fn a_panic_mid_rank_rolls_back_all_six_ranks_bit_identically() {
     assert_eq!(d.step_index(), 2);
     assert_eq!((report.retries, report.restores), (1, 1));
     assert_eq!(report.events[0].kind, FailureKind::Panic);
-    // The exchange marked every rank before the first one ran, so the
-    // partly stepped victim — and everyone else — is rewritten.
+    // Every rank got past its receives, so the partly stepped victim —
+    // and everyone else — is rewritten.
     assert_eq!(report.ranks_restored, 6);
     // One store per step attempt (two steps and the one that unwound),
     // none kept: lending builds nothing of its own.
