@@ -7,8 +7,12 @@
 //! one of the code shapes GT4Py cannot express (no variable offsets,
 //! Section IV-D). The Python port ran such pieces through the
 //! orchestrator's **callback** mechanism (Section V-B); we do the same:
-//! [`remap_state`] is host code invoked via a `Callback` node, and it
-//! doubles as the FORTRAN-style baseline.
+//! [`remap_state`] is host code, and it doubles as the FORTRAN-style
+//! baseline.
+//!
+//! Each column takes **one walk** over its source/target overlap, which
+//! advances every field's target sum at each `(mass taken, source
+//! layer)` pair: each field keeps its own operations in its own order.
 //!
 //! Reconstruction is piecewise-constant (first-order), which makes
 //! conservation exact and monotonicity trivial — higher-order PPM remap
@@ -17,65 +21,53 @@
 use crate::grid::{reference_level, reference_pressure};
 use crate::init::constants::{P0, PTOP};
 use dataflow::Array3;
+use std::array;
 
-/// How one column's source layers overlap its target layers: for every
-/// target layer the `(mass taken, source layer)` pairs in the order the
-/// walk meets them. The walk reads thicknesses only, so one overlap
-/// serves every field of the column.
-#[derive(Default)]
-struct Overlap {
-    /// All target layers' pairs back to back.
-    takes: Vec<(f64, usize)>,
-    /// Where each target layer's run of `takes` ends.
-    ends: Vec<usize>,
-}
+/// Fields one walk advances together (the dycore remaps five: `pt`, `w`,
+/// `q`, `u`, `v`). More fields take one walk per group.
+const GROUP: usize = 5;
 
-impl Overlap {
-    /// Walk the source layers once for the given target thicknesses.
-    /// Source and target must span the same total within round-off; a
-    /// tail the source no longer covers takes the last layer's value.
-    fn build(&mut self, src_dp: &[f64], dst_dp: &[f64]) {
-        self.takes.clear();
-        self.ends.clear();
-        let last = src_dp.len().saturating_sub(1);
-        let mut k_src = 0usize;
-        // Mass remaining in the current source layer.
-        let mut avail = src_dp.first().copied().unwrap_or(0.0);
-        for &need_total in dst_dp {
-            let mut need = need_total;
-            while need > 0.0 {
-                if k_src >= src_dp.len() {
-                    self.takes.push((need, last));
-                    break;
+/// Walk one column's source layers once for the target thicknesses and
+/// `put(k, means)` the target means of all `N` fields per target layer.
+/// Source and target must span the same total within round-off; a tail
+/// the source no longer covers takes the last layer's value, and an
+/// empty source column reads as zero.
+fn walk<const N: usize>(
+    src_dp: &[f64],
+    dst_dp: &[f64],
+    vals: [&[f64]; N],
+    mut put: impl FnMut(usize, [f64; N]),
+) {
+    let n = src_dp.len();
+    let tail = vals.map(|v| v.last().copied().unwrap_or(0.0));
+    let mut k_src = 0usize;
+    // Mass remaining in the current source layer.
+    let mut avail = src_dp.first().copied().unwrap_or(0.0);
+    for (k, &need_total) in dst_dp.iter().enumerate() {
+        let mut need = need_total;
+        let mut acc = [0.0f64; N];
+        while need > 0.0 {
+            if k_src >= n {
+                for (a, t) in acc.iter_mut().zip(tail) {
+                    *a += need * t;
                 }
-                let take = need.min(avail);
-                self.takes.push((take, k_src));
-                need -= take;
-                avail -= take;
-                if avail <= 1e-30 {
-                    k_src += 1;
-                    avail = src_dp.get(k_src).copied().unwrap_or(0.0);
-                }
-                if take <= 0.0 && avail <= 0.0 && k_src >= src_dp.len() {
-                    break;
-                }
+                break;
             }
-            self.ends.push(self.takes.len());
-        }
-    }
-
-    /// Target mean values of one field: `put(k, mean)` per target layer.
-    /// An empty source column reads as zero.
-    fn apply(&self, src_val: &[f64], dst_dp: &[f64], mut put: impl FnMut(usize, f64)) {
-        let mut start = 0;
-        for (k, (&end, &need_total)) in self.ends.iter().zip(dst_dp).enumerate() {
-            let mut acc = 0.0;
-            for &(take, s) in &self.takes[start..end] {
-                acc += take * src_val.get(s).copied().unwrap_or(0.0);
+            let take = need.min(avail);
+            for (a, v) in acc.iter_mut().zip(vals) {
+                *a += take * v[k_src];
             }
-            start = end;
-            put(k, if need_total > 0.0 { acc / need_total } else { 0.0 });
+            need -= take;
+            avail -= take;
+            if avail <= 1e-30 {
+                k_src += 1;
+                avail = src_dp.get(k_src).copied().unwrap_or(0.0);
+            }
+            if take <= 0.0 && avail <= 0.0 && k_src >= n {
+                break;
+            }
         }
+        put(k, acc.map(|a| if need_total > 0.0 { a / need_total } else { 0.0 }));
     }
 }
 
@@ -87,10 +79,8 @@ impl Overlap {
 /// target mean values.
 pub fn remap_column(src_dp: &[f64], src_val: &[f64], dst_dp: &[f64]) -> Vec<f64> {
     assert_eq!(src_dp.len(), src_val.len());
-    let mut overlap = Overlap::default();
-    overlap.build(src_dp, dst_dp);
     let mut out = vec![0.0; dst_dp.len()];
-    overlap.apply(src_val, dst_dp, |k, v| out[k] = v);
+    walk(src_dp, dst_dp, [src_val], |k, [v]| out[k] = v);
     out
 }
 
@@ -133,16 +123,16 @@ pub fn target_thicknesses(nk: usize, p_top: f64, column_mass: f64) -> Vec<f64> {
 
 /// Remap every column of the given fields back to the reference
 /// coordinate. `delp` is both input (Lagrangian thicknesses) and output
-/// (reference thicknesses); `fields` are remapped in place. Nothing is
-/// allocated per column: the overlap of a column is found once and
-/// applied to every field.
+/// (reference thicknesses); `fields` are remapped in place, [`GROUP`] at
+/// a time by one walk per column. Nothing is allocated per column.
 pub fn remap_state(delp: &mut Array3, fields: &mut [&mut Array3]) {
     let [ni, nj, nk] = delp.layout().domain;
     let mut targets = Targets::new(nk);
-    let mut overlap = Overlap::default();
     let mut src_dp = vec![0.0f64; nk];
     let mut dst_dp = vec![0.0f64; nk];
-    let mut src_val = vec![0.0f64; nk];
+    // A group's source columns, gathered before the walk overwrites them.
+    // Rows past a short group's last field are read and discarded.
+    let mut src_val = vec![0.0f64; GROUP * nk];
     for j in 0..nj as i64 {
         for i in 0..ni as i64 {
             let (at, sk) = delp.column(i, j);
@@ -155,14 +145,22 @@ pub fn remap_state(delp: &mut Array3, fields: &mut [&mut Array3]) {
             for (k, v) in dst_dp.iter().enumerate() {
                 raw[at + k * sk] = *v;
             }
-            overlap.build(&src_dp, &dst_dp);
-            for f in fields.iter_mut() {
-                let (at, sk) = f.column(i, j);
-                let raw = f.raw_mut();
-                for (k, v) in src_val.iter_mut().enumerate() {
-                    *v = raw[at + k * sk];
+            for group in fields.chunks_mut(GROUP) {
+                let mut cols = [(0usize, 0usize); GROUP];
+                for (f, field) in group.iter().enumerate() {
+                    cols[f] = field.column(i, j);
+                    let (at, sk) = cols[f];
+                    let raw = field.raw();
+                    for (k, v) in src_val[f * nk..(f + 1) * nk].iter_mut().enumerate() {
+                        *v = raw[at + k * sk];
+                    }
                 }
-                overlap.apply(&src_val, &dst_dp, |k, v| raw[at + k * sk] = v);
+                let vals = array::from_fn(|f| &src_val[f * nk..(f + 1) * nk]);
+                walk::<GROUP>(&src_dp, &dst_dp, vals, |k, means| {
+                    for ((field, (at, sk)), v) in group.iter_mut().zip(cols).zip(means) {
+                        field.raw_mut()[at + k * sk] = v;
+                    }
+                });
             }
         }
     }

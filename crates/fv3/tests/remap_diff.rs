@@ -94,6 +94,24 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Equal bits, except that a NaN matches any NaN: where two NaNs of
+/// different bits meet in one add, which one it hands on is the
+/// compiler's choice per call site.
+fn same(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// A field value that is NaN, +inf or -inf now and then.
+fn poisoned_value(r: &mut SmallRng) -> f64 {
+    match r.gen_range(0..40) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => r.gen_range(-300.0..300.0),
+    }
+}
+
 const ORDERS: [StorageOrder; 3] = [
     StorageOrder::IContiguous,
     StorageOrder::KContiguous,
@@ -125,13 +143,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Whole states: every storage order, 1 to 32 layers, thickness
-    /// ratios up to 40 between neighbouring layers, one to five fields.
+    /// ratios up to 40 between neighbouring layers, one to eight fields
+    /// (more than one walk's group of five).
     #[test]
     fn remap_state_matches_the_column_by_column_reference(
         ni in 1usize..5,
         nj in 1usize..5,
         nk in 1usize..33,
-        n_fields in 1usize..6,
+        n_fields in 1usize..9,
         seed in 0u64..1u64 << 48,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -190,5 +209,72 @@ proptest! {
             bits(&target_thicknesses(nk, p_top, mass)),
             bits(&old_target_thicknesses(nk, p_top, mass))
         );
+    }
+
+    /// Poisoned and degenerate states, as the blowup path remaps them
+    /// before the health check looks: NaN and ±inf in the fields, `delp`
+    /// columns with a NaN layer or no mass at all, and zero-thickness
+    /// source layers.
+    #[test]
+    fn remap_state_matches_the_reference_on_poisoned_columns(
+        ni in 1usize..4,
+        nj in 1usize..4,
+        nk in 1usize..17,
+        n_fields in 1usize..9,
+        seed in 0u64..1u64 << 48,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let shape = [ni, nj, nk];
+        let mut delp = random_field(&mut rng, shape, |r| match r.gen_range(0..20) {
+            0 => f64::NAN,
+            1..=3 => 0.0,
+            _ => r.gen_range(50.0..2000.0),
+        });
+        for j in 0..nj as i64 {
+            for i in 0..ni as i64 {
+                if rng.gen_bool(0.2) {
+                    for k in 0..nk as i64 {
+                        delp.set(i, j, k, 0.0);
+                    }
+                }
+            }
+        }
+        let mut fields: Vec<Array3> = (0..n_fields)
+            .map(|_| random_field(&mut rng, shape, poisoned_value))
+            .collect();
+        let mut ref_delp = delp.clone();
+        let mut ref_fields = fields.clone();
+
+        remap_state(&mut delp, &mut fields.iter_mut().collect::<Vec<_>>());
+        old_remap_state(&mut ref_delp, &mut ref_fields.iter_mut().collect::<Vec<_>>());
+
+        prop_assert!(same(delp.raw(), ref_delp.raw()), "delp");
+        for (n, (a, b)) in fields.iter().zip(&ref_fields).enumerate() {
+            prop_assert!(same(a.raw(), b.raw()), "field {}", n);
+        }
+    }
+
+    /// Single columns with zero-thickness source layers and NaN or ±inf
+    /// values.
+    #[test]
+    fn remap_column_matches_the_old_walk_on_poisoned_columns(
+        n_src in 0usize..17,
+        n_dst in 0usize..17,
+        seed in 0u64..1u64 << 48,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let src_dp: Vec<f64> = (0..n_src)
+            .map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(0.01..2.0) })
+            .collect();
+        let src_val: Vec<f64> = (0..n_src).map(|_| poisoned_value(&mut rng)).collect();
+        let mut dst_dp: Vec<f64> = (0..n_dst).map(|_| rng.gen_range(0.01..2.0)).collect();
+        let (total, dsum): (f64, f64) = (src_dp.iter().sum(), dst_dp.iter().sum());
+        if dsum > 0.0 {
+            dst_dp.iter_mut().for_each(|d| *d *= total / dsum);
+        }
+        prop_assert!(same(
+            &remap_column(&src_dp, &src_val, &dst_dp),
+            &old_remap_column(&src_dp, &src_val, &dst_dp)
+        ));
     }
 }
