@@ -15,9 +15,7 @@ use comm::{Partition, RankId};
 use dataflow::exec::{DataStore, ExecHooks};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::DataId;
-use fv3::dyn_core::{
-    build_dycore_program, remap_callback, DycoreConfig, DycoreIds, REMAP_CALLBACK,
-};
+use fv3::dyn_core::{build_substep_program, DycoreConfig, DycoreProgram};
 use fv3::grid::Grid;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
 use fv3::state::{DycoreState, HALO};
@@ -62,15 +60,12 @@ impl DriverConfig {
         }
     }
 
-    /// The dycore configuration of the program a rank executes: one
-    /// acoustic substep (the driver runs the `k_split` x `n_split` loops
-    /// itself, exchanging halos between trips).
-    pub(crate) fn substep_dycore(&self) -> DycoreConfig {
-        DycoreConfig {
-            n_split: 1,
-            k_split: 1,
-            ..self.dycore
-        }
+    /// The program a rank executes: one acoustic substep, ending at
+    /// `pt_update`. The driver runs the `k_split` x `n_split` loops
+    /// itself, exchanging halos between trips, and remaps once per
+    /// `k_split` round (DESIGN §6b).
+    pub(crate) fn substep_program(&self) -> DycoreProgram {
+        build_substep_program(self.tile_n / self.rt, self.nk, self.dycore)
     }
 }
 
@@ -165,20 +160,15 @@ pub struct DistributedDycore {
     step_interrupted: bool,
 }
 
-pub(crate) struct RankHooks<'a> {
-    pub(crate) ids: &'a DycoreIds,
+pub(crate) struct RankHooks {
     /// Halo markers met. The exchange itself happens before the rank's
     /// program runs (one marker per substep program).
     pub(crate) halo_markers: u32,
 }
 
-impl ExecHooks for RankHooks<'_> {
+impl ExecHooks for RankHooks {
     fn halo_exchange(&mut self, _fields: &[DataId], _store: &mut DataStore) {
         self.halo_markers += 1;
-    }
-    fn callback(&mut self, name: &str, store: &mut DataStore) {
-        assert_eq!(name, REMAP_CALLBACK);
-        remap_callback(store, self.ids);
     }
 }
 
@@ -189,6 +179,14 @@ impl ExecHooks for RankHooks<'_> {
 pub(crate) struct Substep {
     ks: u32,
     ns: u32,
+}
+
+impl Substep {
+    /// Whether this is the last acoustic substep of its `k_split` round,
+    /// after which every rank remaps.
+    pub(crate) fn ends_round(self, n_split: u32) -> bool {
+        self.ns + 1 == n_split
+    }
 }
 
 impl fmt::Display for Substep {
@@ -254,8 +252,7 @@ impl DistributedDycore {
     ) -> Self {
         let partition = Partition::new(config.tile_n, config.rt);
         let sub_n = partition.sub_n;
-        let expanded =
-            lower_substep(&build_dycore_program(sub_n, config.nk, config.substep_dycore()));
+        let expanded = lower_substep(&config.substep_program());
         dataflow::exec::validate_sdfg(&expanded).expect("dycore program validates");
 
         let grids = match shared_grids.filter(|g| g.len() == partition.ranks()) {
@@ -675,10 +672,6 @@ impl DistributedDycore {
                 let _acoustic_span = self.run.span("acoustic", format_args!("{module}"));
                 self.substep(&mut cache, &mut seq_store, module);
             }
-            // Remap runs inside each rank's program already (k_split = 1
-            // per substep program means remap fires each substep);
-            // acceptable for the reproduction: remapping to the same
-            // reference is idempotent.
         }
         self.cache = Some(cache);
         if self.step_interrupted {

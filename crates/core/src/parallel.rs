@@ -20,7 +20,9 @@
 //!    ([`fv3::dyn_core::lend_state`]: no array is copied);
 //! 5. **unpack + fold** the buffers into the lent halos, cube corners
 //!    last;
-//! 6. **run** the substep graph, once;
+//! 6. **run** the substep graph, once — and after the last acoustic
+//!    substep of a `k_split` round, the vertical remap on the lent store
+//!    (FV3's cadence; the substep graph holds no remap);
 //! 7. **return** the loan and hand the buffers back to their senders.
 //!
 //! The latency a receive could wait for is the peers' packing, and the
@@ -67,7 +69,7 @@ use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::reuse::clear_list;
 use dataflow::transforms::power;
 use dataflow::DataId;
-use fv3::dyn_core::{build_dycore_program, lend_state, load_state, DycoreIds, DycoreProgram};
+use fv3::dyn_core::{lend_state, load_state, remap_callback, DycoreIds, DycoreProgram};
 use fv3::state::{DycoreState, HALO};
 use machine::faults::{FaultAction, FireCtx};
 use machine::pool::Pool;
@@ -186,7 +188,7 @@ impl CompiledSubstep {
     pub fn build_with_tune(config: &DriverConfig, pool: Option<&Pool>, tuned: bool) -> Self {
         let key = StepKey::of_config(config, tuned);
         let sub_n = config.tile_n / config.rt;
-        let sub_prog = build_dycore_program(sub_n, config.nk, config.substep_dycore());
+        let sub_prog = config.substep_program();
         let mut sub_expanded = lower_substep(&sub_prog);
         let tune = tuned.then(|| {
             // Seed the measured veto with a representative baroclinic
@@ -362,6 +364,9 @@ struct Team<'a> {
     /// wire-corruption victim pick.
     run: &'a RunContext,
     faults: FaultPlan,
+    /// Whether this substep closes a `k_split` round: every rank remaps
+    /// after its run.
+    remap: bool,
     epoch: u64,
     nk: i64,
     recv_timeout: Duration,
@@ -520,15 +525,16 @@ impl Team<'_> {
         halo_span.set_points(received.len() as u64);
         drop(halo_span);
 
-        // 6. Run the substep graph.
-        let mut hooks = RankHooks {
-            ids,
-            halo_markers: 0,
-        };
+        // 6. Run the substep graph, then remap if the round ends here.
+        let mut hooks = RankHooks { halo_markers: 0 };
         let t1 = Instant::now();
         let rep = self
             .exec
             .run_in(&sub.sub_expanded, store, params, &mut hooks, self.run);
+        if self.remap {
+            let _remap_span = self.run.span("remap", "vertical_remap");
+            remap_callback(store, ids);
+        }
         let run = t1.elapsed();
         // The substep program embeds exactly one halo marker, satisfied by
         // the exchange above.
@@ -718,6 +724,7 @@ impl DistributedDycore {
             grids: &self.grids,
             run: &self.run,
             faults,
+            remap: module.ends_round(self.config.dycore.n_split),
             epoch: self.halo_epoch,
             nk: self.config.nk as i64,
             // One worker has posted every send before its first receive:

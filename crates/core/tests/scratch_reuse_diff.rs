@@ -30,6 +30,7 @@ use dataflow::{Array3, DataId, Sdfg};
 use fv3::dyn_core::{extract_state, load_state, DycoreConfig, DycoreProgram};
 use fv3::grid::Grid;
 use fv3::profiling::RemapHooks;
+use fv3::remapping::remap_state;
 use fv3::state::{DycoreState, HALO};
 use fv3core::{Checkpoint, CompiledSubstep, DistributedDycore, DriverConfig, RankSchedule};
 use machine::cancel::CancelToken;
@@ -215,8 +216,14 @@ fn multi_substep_steps_match_a_fresh_store_per_rank_substep() {
             let updater = HaloUpdater::new(d.partition.clone(), HALO, CornerPolicy::Fold);
             let sub = CompiledSubstep::build_with_tune(&cfg, None, false);
             let mut states = d.states.clone();
-            for _ in 0..steps * n_split * k_split {
+            for substep in 1..=steps * n_split * k_split {
                 fresh_store_substep(&mut states, &d.grids, &updater, &sub);
+                // The remap closes each `k_split` round.
+                if substep % n_split == 0 {
+                    for s in &mut states {
+                        remap_state(&mut s.delp, &mut [&mut s.pt, &mut s.w, &mut s.q, &mut s.u, &mut s.v]);
+                    }
+                }
             }
             states
         };

@@ -94,6 +94,23 @@ pub struct DycoreProgram {
 
 /// Build the whole-model program for an `n`×`n`×`nk` subdomain.
 pub fn build_dycore_program(n: usize, nk: usize, config: DycoreConfig) -> DycoreProgram {
+    build_program(n, nk, config, true)
+}
+
+/// Build the program of one acoustic substep for an `n`×`n`×`nk`
+/// subdomain: [`build_dycore_program`] with `n_split = k_split = 1` and
+/// no remap, so it ends at `pt_update`. A caller that runs the sub-step
+/// loops itself remaps once per `k_split` round ([`remap_callback`]).
+pub fn build_substep_program(n: usize, nk: usize, config: DycoreConfig) -> DycoreProgram {
+    let one = DycoreConfig {
+        n_split: 1,
+        k_split: 1,
+        ..config
+    };
+    build_program(n, nk, one, false)
+}
+
+fn build_program(n: usize, nk: usize, config: DycoreConfig, remap: bool) -> DycoreProgram {
     let h = crate::state::HALO;
     let mut b = ProgramBuilder::new("fv3_dycore", [n, n, nk], [h, h, 0]);
     let ids = DycoreIds {
@@ -237,12 +254,14 @@ pub fn build_dycore_program(n: usize, nk: usize, config: DycoreConfig) -> Dycore
             // thermodynamics; see DESIGN.md).
             b.copy(ids.ptc, ids.pt);
         });
-        b.begin_state("remap");
-        b.callback(
-            REMAP_CALLBACK,
-            &[ids.delp, ids.pt, ids.w, ids.q, ids.u, ids.v],
-            &[ids.delp, ids.pt, ids.w, ids.q, ids.u, ids.v],
-        );
+        if remap {
+            b.begin_state("remap");
+            b.callback(
+                REMAP_CALLBACK,
+                &[ids.delp, ids.pt, ids.w, ids.q, ids.u, ids.v],
+                &[ids.delp, ids.pt, ids.w, ids.q, ids.u, ids.v],
+            );
+        }
     });
 
     let sdfg = b.build();
@@ -363,8 +382,9 @@ pub fn lend_state<'a>(
     LentState { store, ids, state }
 }
 
-/// Apply the vertical-remap callback on the store (what the driver's
-/// `ExecHooks::callback` does).
+/// Apply the vertical remap to the prognostics in `store`: what the
+/// whole program's callback runs, and what the distributed driver runs
+/// after the last acoustic substep of each `k_split` round.
 pub fn remap_callback(store: &mut DataStore, ids: &DycoreIds) {
     let [delp, pt, w, q, u, v] =
         store.get_disjoint_mut([ids.delp, ids.pt, ids.w, ids.q, ids.u, ids.v]);

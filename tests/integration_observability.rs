@@ -68,7 +68,8 @@ fn driver_step_records_spans_metrics_and_health() {
         // halo-exchange span (receive, unpack, fold). The rank programs
         // run under the same context, so their `kernel` spans (and the
         // `halo` span of the marker node each program carries) sit inside
-        // the rank spans too.
+        // the rank spans too, as does the one `remap` span per rank that
+        // closes the step's `k_split` round.
         let events = tracer.finished();
         let count = |cat: &str| events.iter().filter(|e| e.cat == cat).count();
         let exchanges: Vec<_> = events
@@ -80,6 +81,7 @@ fn driver_step_records_spans_metrics_and_health() {
         assert_eq!(count("rank"), 2 * ranks, "{what}");
         assert_eq!(exchanges.len(), 2 * ranks, "{what}");
         assert_eq!(count("halo"), 2 * 2 * ranks, "{what}");
+        assert_eq!(count("remap"), ranks, "{what}");
         // Every halo span is tagged with its traffic, and what the
         // exchange spans received is what the team posted: six packed
         // fields over every channel, each substep.
@@ -90,10 +92,13 @@ fn driver_step_records_spans_metrics_and_health() {
         assert_eq!(exchanges.iter().map(|e| e.points).sum::<u64>(), messages, "{what}");
         let posted = (2 * 6 * wire.total_bytes, 2 * wire.total_messages);
         assert_eq!((bytes, messages), posted, "{what}");
-        // Every exchange and kernel span lies inside a rank span of its
-        // thread.
+        // Every exchange, kernel and remap span lies inside a rank span of
+        // its thread.
         assert!(count("kernel") >= 2 * ranks, "{what}");
-        for k in events.iter().filter(|e| e.cat == "kernel" || e.name == "halo_exchange") {
+        let in_rank = |e: &&obs::TraceEvent| {
+            e.cat == "kernel" || e.cat == "remap" || e.name == "halo_exchange"
+        };
+        for k in events.iter().filter(in_rank) {
             assert!(
                 events.iter().any(|r| r.cat == "rank"
                     && r.tid == k.tid
