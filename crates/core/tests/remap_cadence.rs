@@ -49,7 +49,10 @@ fn every_rank_remaps_once_per_k_split_round() {
     for (n_split, k_split) in SPLITS {
         let config = dycore(n_split, k_split);
         let per_step = whole_program_remaps(config);
-        assert_eq!(per_step, k_split as u64, "dyn_core n_split={n_split} k_split={k_split}");
+        assert_eq!(
+            per_step, k_split as u64,
+            "dyn_core n_split={n_split} k_split={k_split}"
+        );
         for (schedule, workers) in [(RankSchedule::Sequential, 1), (RankSchedule::Parallel, 3)] {
             let what = format!("n_split={n_split} k_split={k_split} {schedule:?}");
             let mut d = DistributedDycore::new(

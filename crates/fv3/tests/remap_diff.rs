@@ -99,7 +99,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// compiler's choice per call site.
 fn same(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
 /// A field value that is NaN, +inf or -inf now and then.
