@@ -221,8 +221,8 @@ fn multi_substep_steps_match_a_fresh_store_per_rank_substep() {
                 // The remap closes each `k_split` round.
                 if substep % n_split == 0 {
                     for s in &mut states {
-                        let fields = [&mut s.pt, &mut s.w, &mut s.q, &mut s.u, &mut s.v];
-                        remap_state(&mut s.delp, &mut fields.map(|f| f));
+                        let mut fields = [&mut s.pt, &mut s.w, &mut s.q, &mut s.u, &mut s.v];
+                        remap_state(&mut s.delp, &mut fields);
                     }
                 }
             }
