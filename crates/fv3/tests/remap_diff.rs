@@ -1,8 +1,8 @@
 //! The vertical remap against its pre-rewrite self, to the last bit.
 //!
-//! `remap_state` finds a column's source/target overlap once and applies
-//! it to every field through raw strided columns; `remap_column` and
-//! `target_thicknesses` wrap the same core. The reference below is the
+//! `remap_state` walks a column's source/target overlap once and
+//! advances every field's sum at each pair it meets, on raw strided
+//! columns; `remap_column` and `target_thicknesses` wrap the same core. The reference below is the
 //! implementation they replaced — one `Vec` per column per field, `get`/
 //! `set` per element — kept here verbatim as the oracle.
 
