@@ -17,7 +17,7 @@ use dataflow::Array3;
 /// it is posted.
 pub const SITE_HALO_CORRUPT: &str = "halo.corrupt";
 /// Fault site: drop every message destined for one receiving rank (its
-/// receives time out and the rank fails, as after a lost message).
+/// receives find them lost and the rank fails).
 pub const SITE_HALO_DROP: &str = "halo.drop";
 /// Fault site: stall one rank (sleep) before it posts its sends.
 pub const SITE_HALO_STALL: &str = "halo.stall";

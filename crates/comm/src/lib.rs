@@ -6,7 +6,7 @@
 //! substrate for the reproduction: face geometry with derived edge
 //! connectivity ([`geometry`]), rank decomposition ([`partition`]), the
 //! message-passing exchange the driver runs — channel plans and
-//! epoch-tagged mailboxes ([`plan`]) — and its central-gather oracle
+//! mailboxes ([`plan`]) — and its central-gather oracle
 //! ([`halo`]). Ranks are simulated in-process (see DESIGN.md); the
 //! packing, orientation and corner logic is the real thing, and exchange
 //! statistics feed `machine::NetworkModel` for the scaling studies.

@@ -1,5 +1,5 @@
 //! Message-passing halo exchange: precomputed channel plans and
-//! thread-safe, epoch-tagged mailboxes.
+//! thread-safe mailboxes.
 //!
 //! [`HaloUpdater::exchange_scalar`](crate::HaloUpdater::exchange_scalar)
 //! is a *pull*-style gather: one thread walks every rank's halo and reads
@@ -15,22 +15,23 @@
 //! is bit-identical to `exchange_impl` — `plan_matches_sequential_*` in
 //! the crate tests holds this equivalence down to the ULP.
 //!
-//! [`HaloMailboxes`] is the wire: one slot per channel, holding
-//! epoch-tagged buffers. The double-buffer invariant (at most two
-//! outstanding epochs per channel) falls out of the neighbour-synchronous
-//! step structure: a sender cannot post epoch `e+2` before it has
-//! received (and therefore its receiver has packed) epoch `e+1`, which
-//! implies the receiver consumed the sender's epoch `e`. Receives are
-//! condvar waits with a hard deadline; a rank that panics poisons every
-//! slot so its neighbours unwind instead of hanging — the supervised
-//! rollback path depends on that.
+//! [`HaloMailboxes`] is the wire: one slot per channel, holding at most
+//! one message — a sender posts a channel once per substep, and the team
+//! joins before the next. The team registers its senders
+//! ([`HaloMailboxes::open`]) and each marks its post phase done
+//! ([`HaloMailboxes::sender_done`]), so a receive tells a late message
+//! from a lost one without a clock: a message in the slot is taken, an
+//! empty slot with no sender still posting is [`RecvError::Lost`], and
+//! anything else waits. Its deadline is a backstop for a sender that
+//! never runs.
 
 pub use crate::halo::FoldCell;
 use crate::halo::{corner_folds, fold_corners, halo_cells, ExchangeStats, Orientation};
 use crate::partition::{HaloSource, Partition, RankId};
 use dataflow::Array3;
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One halo cell's wire mapping: destination-local halo cell, source-local
@@ -301,136 +302,132 @@ impl ExchangePlan {
 /// Receive failure modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
-    /// No message with the requested epoch arrived within the deadline —
-    /// the sender is wedged or its message was dropped.
+    /// The slot is empty and no sender is still posting: the message was
+    /// never posted (dropped, or its sender failed before posting it).
+    Lost,
+    /// A sender stayed registered past the deadline without finishing
+    /// its post phase — its worker never ran.
     Timeout,
-    /// Another rank panicked and poisoned the mailboxes.
-    Poisoned,
 }
 
 impl std::fmt::Display for RecvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecvError::Timeout => write!(f, "halo recv timed out"),
-            RecvError::Poisoned => write!(f, "halo mailboxes poisoned by a peer failure"),
+            RecvError::Lost => write!(f, "message lost: no sender is still posting"),
+            RecvError::Timeout => write!(f, "timed out on a sender that never finished posting"),
         }
     }
 }
 
 struct Slot {
-    entries: Mutex<VecDeque<(u64, Vec<f64>)>>,
+    msg: Mutex<Option<Vec<f64>>>,
     cv: Condvar,
     /// The last buffer the receiver was done with, for the sender's next
     /// pack.
     spare: Mutex<Vec<f64>>,
 }
 
-/// Thread-safe, epoch-tagged mailboxes: one slot per plan channel.
+/// Thread-safe mailboxes: one slot per plan channel, and a count of the
+/// senders still posting this substep.
 pub struct HaloMailboxes {
     slots: Vec<Slot>,
-    poisoned: std::sync::atomic::AtomicBool,
+    posting: AtomicUsize,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl HaloMailboxes {
-    /// One empty slot per channel of `plan`.
+    /// One empty slot per channel of `plan`, no sender registered.
     pub fn for_plan(plan: &ExchangePlan) -> Self {
         HaloMailboxes {
             slots: (0..plan.n_channels())
                 .map(|_| Slot {
-                    entries: Mutex::new(VecDeque::new()),
+                    msg: Mutex::new(None),
                     cv: Condvar::new(),
                     spare: Mutex::new(Vec::new()),
                 })
                 .collect(),
-            poisoned: std::sync::atomic::AtomicBool::new(false),
+            posting: AtomicUsize::new(0),
         }
     }
 
-    /// Post a buffer for `epoch` on channel `ch` (nonblocking).
-    pub fn post(&self, ch: usize, epoch: u64, buf: Vec<f64>) {
+    /// Register the `senders` that post this substep: until each has
+    /// called [`sender_done`](Self::sender_done), a receive on an empty
+    /// slot waits. Must not be called while a receive is in flight.
+    pub fn open(&self, senders: usize) {
+        self.posting.store(senders, Ordering::Release);
+    }
+
+    /// Mark one sender's post phase over, whether it completed or
+    /// unwound. The last one wakes every slot: a message not posted by
+    /// then never will be.
+    pub fn sender_done(&self) {
+        let before = self.posting.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(before > 0, "sender_done without a registered sender");
+        if before == 1 {
+            for slot in &self.slots {
+                // Taking the lock orders this wake after any receiver's
+                // read of the count under it.
+                let _msg = lock(&slot.msg);
+                slot.cv.notify_all();
+            }
+        }
+    }
+
+    /// Post a buffer on channel `ch` (nonblocking).
+    pub fn post(&self, ch: usize, buf: Vec<f64>) {
         let slot = &self.slots[ch];
-        let mut q = slot.entries.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back((epoch, buf));
-        // Neighbour-synchronous steps keep at most two epochs in flight
-        // (double buffering); more means the protocol is broken.
-        debug_assert!(q.len() <= 2, "channel {ch} holds {} epochs", q.len());
+        let held = lock(&slot.msg).replace(buf);
+        debug_assert!(held.is_none(), "channel {ch} posted twice in one substep");
         slot.cv.notify_all();
     }
 
-    /// Block until the buffer for `epoch` arrives on channel `ch`, up to
-    /// `deadline`. Entries from older epochs (aborted steps) are
-    /// discarded on sight.
-    pub fn recv(&self, ch: usize, epoch: u64, deadline: Duration) -> Result<Vec<f64>, RecvError> {
-        use std::sync::atomic::Ordering;
+    /// The message on channel `ch`: taken if it is in the slot,
+    /// [`RecvError::Lost`] if not and no sender is still posting;
+    /// otherwise wait, up to `deadline`.
+    pub fn recv(&self, ch: usize, deadline: Duration) -> Result<Vec<f64>, RecvError> {
         let slot = &self.slots[ch];
         let t0 = Instant::now();
-        let mut q = slot.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let mut msg = lock(&slot.msg);
         loop {
-            if self.poisoned.load(Ordering::Acquire) {
-                return Err(RecvError::Poisoned);
+            // A present message wins over "no sender left"; the count is
+            // read under the slot's lock, which the last sender takes to
+            // wake it.
+            if let Some(buf) = msg.take() {
+                return Ok(buf);
             }
-            while let Some((e, _)) = q.front() {
-                if *e < epoch {
-                    q.pop_front();
-                } else {
-                    break;
-                }
+            if self.posting.load(Ordering::Acquire) == 0 {
+                return Err(RecvError::Lost);
             }
-            if let Some((e, _)) = q.front() {
-                if *e == epoch {
-                    return Ok(q.pop_front().expect("front checked").1);
-                }
-            }
-            let elapsed = t0.elapsed();
-            if elapsed >= deadline {
+            let left = deadline.saturating_sub(t0.elapsed());
+            if left.is_zero() {
                 return Err(RecvError::Timeout);
             }
-            let (guard, _timeout) = slot
-                .cv
-                .wait_timeout(q, deadline - elapsed)
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
+            msg = slot.cv.wait_timeout(msg, left).unwrap_or_else(|e| e.into_inner()).0;
         }
     }
 
     /// Hand an unpacked buffer of channel `ch` back to its sender.
     pub fn recycle(&self, ch: usize, buf: Vec<f64>) {
-        *self.slots[ch].spare.lock().unwrap_or_else(|e| e.into_inner()) = buf;
+        *lock(&self.slots[ch].spare) = buf;
     }
 
     /// The buffer last [`recycle`](Self::recycle)d on channel `ch`, for
     /// [`ExchangePlan::pack_into`]; empty when none came back.
     pub fn spare(&self, ch: usize) -> Vec<f64> {
-        std::mem::take(&mut *self.slots[ch].spare.lock().unwrap_or_else(|e| e.into_inner()))
+        std::mem::take(&mut *lock(&self.slots[ch].spare))
     }
 
-    /// Mark the mailboxes failed and wake every waiter (call from a
-    /// panicking rank so neighbours unwind instead of timing out).
-    pub fn poison(&self) {
-        self.poisoned
-            .store(true, std::sync::atomic::Ordering::Release);
-        for slot in &self.slots {
-            let _q = slot.entries.lock().unwrap_or_else(|e| e.into_inner());
-            slot.cv.notify_all();
-        }
-    }
-
-    /// Whether a peer failure poisoned the mailboxes.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Free every buffer the mailboxes hold — queued entries and recycled
-    /// spares — and clear the poison flag: the driver's team of one keeps
-    /// no halo buffer past its substep. Must not be called while rank
-    /// threads are live.
+    /// Free every buffer the mailboxes hold — posted messages and
+    /// recycled spares: the driver's team of one keeps no halo buffer
+    /// past its substep. Must not be called while rank threads are live.
     pub fn reset(&self) {
         for slot in &self.slots {
-            *slot.entries.lock().unwrap_or_else(|e| e.into_inner()) = VecDeque::new();
-            *slot.spare.lock().unwrap_or_else(|e| e.into_inner()) = Vec::new();
+            *lock(&slot.msg) = None;
+            *lock(&slot.spare) = Vec::new();
         }
-        self.poisoned
-            .store(false, std::sync::atomic::Ordering::Release);
     }
 }
 
@@ -561,51 +558,83 @@ mod tests {
         }
     }
 
+    fn mailboxes() -> HaloMailboxes {
+        HaloMailboxes::for_plan(&ExchangePlan::new(&Partition::new(8, 1), 2))
+    }
+
+    /// The backstop: a sender that registered and never finished.
     #[test]
     fn mailbox_recv_times_out_instead_of_hanging() {
-        let part = Partition::new(8, 1);
-        let plan = ExchangePlan::new(&part, 2);
-        let boxes = HaloMailboxes::for_plan(&plan);
+        let boxes = mailboxes();
+        boxes.open(1);
         let t0 = Instant::now();
-        let err = boxes.recv(0, 7, Duration::from_millis(50)).unwrap_err();
+        let err = boxes.recv(0, Duration::from_millis(50)).unwrap_err();
         assert_eq!(err, RecvError::Timeout);
         assert!(t0.elapsed() >= Duration::from_millis(50));
     }
 
     #[test]
-    fn mailbox_poison_wakes_waiters() {
-        let part = Partition::new(8, 1);
-        let plan = ExchangePlan::new(&part, 2);
-        let boxes = std::sync::Arc::new(HaloMailboxes::for_plan(&plan));
-        let b2 = boxes.clone();
-        let h = std::thread::spawn(move || b2.recv(0, 1, Duration::from_secs(30)));
-        std::thread::sleep(Duration::from_millis(20));
-        boxes.poison();
-        assert_eq!(h.join().unwrap().unwrap_err(), RecvError::Poisoned);
+    fn a_receive_after_every_sender_is_done_finds_lost() {
+        let boxes = mailboxes();
+        boxes.open(2);
+        boxes.post(3, vec![1.0]);
+        boxes.sender_done();
+        boxes.sender_done();
+        assert_eq!(boxes.recv(0, Duration::from_secs(30)), Err(RecvError::Lost));
+        let got = boxes.recv(3, Duration::from_secs(30)).unwrap();
+        boxes.recycle(3, got);
+        // A reset frees the recycled spare and anything left posted.
+        boxes.post(3, vec![2.0]);
         boxes.reset();
-        assert!(!boxes.is_poisoned());
+        assert!(boxes.spare(3).is_empty());
+        assert_eq!(boxes.recv(3, Duration::from_secs(30)), Err(RecvError::Lost));
     }
 
     #[test]
-    fn mailbox_discards_stale_epochs_after_reset_cycles() {
-        let part = Partition::new(8, 1);
-        let plan = ExchangePlan::new(&part, 2);
-        let boxes = HaloMailboxes::for_plan(&plan);
-        boxes.post(3, 1, vec![1.0]);
-        boxes.post(3, 2, vec![2.0]);
-        // Asking for epoch 2 discards the stale epoch-1 entry.
-        let got = boxes.recv(3, 2, Duration::from_millis(50)).unwrap();
-        assert_eq!(got, vec![2.0]);
-        boxes.recycle(3, got);
-        boxes.reset();
-        assert_eq!(
-            boxes.recv(3, 2, Duration::from_millis(10)).unwrap_err(),
-            RecvError::Timeout
-        );
-        // Reset frees the recycled spare too.
-        assert!(boxes.spare(3).is_empty());
-        // A zero deadline still takes what has already been posted.
-        boxes.post(3, 3, vec![3.0]);
-        assert_eq!(boxes.recv(3, 3, Duration::ZERO).unwrap(), vec![3.0]);
+    fn a_posted_message_wins_over_no_sender_left() {
+        let boxes = mailboxes();
+        boxes.open(1);
+        boxes.post(3, vec![3.0]);
+        boxes.sender_done();
+        // Even with no time left to wait.
+        assert_eq!(boxes.recv(3, Duration::ZERO), Ok(vec![3.0]));
+        assert_eq!(boxes.recv(3, Duration::ZERO), Err(RecvError::Lost));
+    }
+
+    /// What a receive on channel 5, blocked on another thread, returns
+    /// once `act` has run.
+    fn recv_across(boxes: &HaloMailboxes, act: impl FnOnce()) -> Result<Vec<f64>, RecvError> {
+        let (ready, waiting) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let rx = s.spawn(|| {
+                ready.send(()).unwrap();
+                boxes.recv(5, Duration::from_secs(30))
+            });
+            waiting.recv().unwrap();
+            act();
+            rx.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn a_blocked_receiver_gets_the_message_once_its_sender_posts() {
+        let boxes = mailboxes();
+        boxes.open(1);
+        let got = recv_across(&boxes, || {
+            boxes.post(5, vec![5.0]);
+            boxes.sender_done();
+        });
+        assert_eq!(got, Ok(vec![5.0]));
+    }
+
+    #[test]
+    fn the_last_senders_done_wakes_a_blocked_receiver_with_lost() {
+        let boxes = mailboxes();
+        boxes.open(2);
+        let got = recv_across(&boxes, || {
+            boxes.sender_done();
+            boxes.sender_done();
+        });
+        assert_eq!(got, Err(RecvError::Lost));
     }
 }

@@ -120,11 +120,6 @@ pub struct DistributedDycore {
     pub(crate) state_copies: AtomicU64,
     /// Rank threads launched by the parallel schedule since construction.
     pub(crate) rank_workers_launched: u64,
-    /// Monotonic epoch tag for mailbox exchanges.
-    pub(crate) halo_epoch: u64,
-    /// Hard deadline for halo receives (a missing message panics the
-    /// rank instead of hanging it).
-    pub(crate) recv_timeout: Duration,
     /// Soft stall deadline (the watchdog's): a rank whose post plus
     /// receive wait takes longer counts as stalled without failing the
     /// step.
@@ -299,8 +294,6 @@ impl DistributedDycore {
             scratch_built: AtomicU64::new(0),
             state_copies: AtomicU64::new(0),
             rank_workers_launched: 0,
-            halo_epoch: 0,
-            recv_timeout: crate::parallel::DEFAULT_RECV_TIMEOUT,
             soft_stall: None,
             instance_id: crate::parallel::next_instance_id(),
             mut_clock: 0,
@@ -570,14 +563,6 @@ impl DistributedDycore {
         self.schedule
     }
 
-    /// Hard deadline for halo receives under rank threads; on expiry the
-    /// receiving rank panics and its worker poisons the mailboxes
-    /// (supervisor rolls back). A team with one worker has posted every
-    /// send before it receives, so it fails a missing message at once.
-    pub fn set_halo_recv_timeout(&mut self, deadline: Duration) {
-        self.recv_timeout = deadline;
-    }
-
     /// Accumulated rank-team substep timings: pack, wait, run — one
     /// sample per rank-substep.
     pub fn overlap_stats(&self) -> obs::OverlapStats {
@@ -650,7 +635,7 @@ impl DistributedDycore {
         // across steps (`crate::parallel::StepCache`).
         self.ensure_step_cache();
         // A step that unwinds drops its cache, mailboxes included, so
-        // every step starts with empty, unpoisoned mailboxes.
+        // every step starts with empty mailboxes.
         let mut cache = self.cache.take().expect("step cache built");
         self.step_interrupted = false;
         // The team of one's store lives for this step (kept, it read

@@ -14,7 +14,7 @@
 //! * [`checkpoint`] — crash-consistent `FV3CKPT1` checkpoint/restart
 //!   (ISSUE 5; supervision policy lives in `crates/resilience`);
 //! * [`parallel`] — true parallel rank execution: a rank team that posts
-//!   every halo send into epoch-tagged mailboxes before it receives, then
+//!   every halo send into the mailboxes before it receives, then
 //!   runs each rank's substep graph, bit-identical to the sequential
 //!   schedule.
 

@@ -8,13 +8,13 @@
 //!
 //! 1. **post** — pack the pre-substep interiors of *all* its ranks for
 //!    their neighbours ([`comm::ExchangePlan`]) and post the buffers into
-//!    epoch-tagged mailboxes ([`comm::HaloMailboxes`]) before receiving
-//!    anything, so no receive can wait on a worker that is itself
-//!    blocked; then, rank by rank:
-//! 2. **receive** every inbound channel into its mailbox buffer (hard
-//!    deadline: a missing message panics the rank instead of hanging it —
-//!    at once for a team with one worker, whose every send was posted
-//!    before this receive, so a message not there is lost);
+//!    the mailboxes ([`comm::HaloMailboxes`]) before receiving anything,
+//!    so no receive can wait on a worker that is itself blocked; then
+//!    mark itself done posting, even if posting unwound. Rank by rank:
+//! 2. **receive** every inbound channel into its mailbox buffer: a
+//!    message in its slot is taken, an empty slot with every worker done
+//!    posting is lost and panics the rank, anything else waits — one
+//!    rule for every team size;
 //! 3. **mark** the rank as mutating, for the rollback;
 //! 4. **lend** the rank's state to the worker's store
 //!    ([`fv3::dyn_core::lend_state`]: no array is copied);
@@ -50,15 +50,16 @@
 //! ([`CompiledSubstep::graph`]). `core/tests/parallel_schedule_diff.rs`
 //! asserts the end-to-end equality and the golden replay.
 //!
-//! **Failure containment.** A rank that panics (receive timeout after a
-//! dropped message, poisoned mailbox, kernel panic) fails alone: its
-//! worker runs its remaining ranks, then poisons every mailbox slot so
-//! peers still blocked unwind instead of hanging; the panic propagates
-//! to the caller after the whole team has joined, where the supervisor
-//! rolls back. A rank starved at step 2 has not touched its state, so
-//! the rank-aware rollback ([`DistributedDycore::restore`]) leaves it
-//! alone; a rank that fails after step 3 hands back a partly stepped
-//! state (the loan returns on the unwind) that is marked for restore.
+//! **Failure containment.** A rank that panics (a lost message, a kernel
+//! panic) fails alone: its worker runs its remaining ranks, and the
+//! panic propagates to the caller after the whole team has joined, where
+//! the supervisor rolls back. No peer waits on it: a worker that fails
+//! posting still counts as done, so what it left unsent reads as lost,
+//! and a posted message always wins over "no sender left". A rank
+//! starved at step 2 has not touched its state, so the rank-aware
+//! rollback ([`DistributedDycore::restore`]) leaves it alone; a rank that
+//! fails after step 3 hands back a partly stepped state (the loan
+//! returns on the unwind) that is marked for restore.
 
 use crate::checkpoint::CheckpointBasis;
 use crate::driver::{scratch_store, DistributedDycore, DriverConfig, RankHooks, Substep};
@@ -80,8 +81,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Hard halo-receive deadline (`set_halo_recv_timeout` overrides it).
-pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
+/// A receive's backstop against a registered worker that never posts:
+/// reached only if its thread never starts (`rank_scope`'s spawn fails).
+const RECV_BACKSTOP: Duration = Duration::from_secs(10);
 
 /// The one lowering of the production build: the graph every schedule,
 /// tuned or not, executes (and [`DistributedDycore::program_graph`]
@@ -274,9 +276,9 @@ impl CompiledSubstep {
 }
 
 /// Per-driver-instance substep machinery: the (possibly shared) compile
-/// bundle plus this instance's exchange plan and epoch-tagged mailboxes.
-/// Mailboxes are deliberately *not* shared across tenants — each driver
-/// owns its halo epochs, so concurrent tenants cannot cross-deliver.
+/// bundle plus this instance's exchange plan and mailboxes. Mailboxes
+/// are deliberately *not* shared across tenants — each driver's team
+/// registers its own senders, so concurrent tenants cannot cross-deliver.
 /// Rebuilt when the dycore configuration or worker pool changes.
 pub(crate) struct StepCache {
     pub(crate) sub: Arc<CompiledSubstep>,
@@ -367,9 +369,7 @@ struct Team<'a> {
     /// Whether this substep closes a `k_split` round: every rank remaps
     /// after its run.
     remap: bool,
-    epoch: u64,
     nk: i64,
-    recv_timeout: Duration,
     soft_stall: Option<Duration>,
     scratch_built: &'a AtomicU64,
     /// Per rank, set once its receives are complete, just before its
@@ -387,28 +387,21 @@ impl Team<'_> {
             let post = |(r, state): &(usize, &mut DycoreState)| self.post_sends(*r, state);
             ranks.iter().map(post).collect::<Vec<Posted>>()
         }));
+        // Done posting, unwound or not: what this worker left unsent now
+        // reads as lost.
+        self.boxes.sender_done();
+        let sent = posted.unwrap_or_else(|p| resume_unwind(p));
+        // A failure is its rank's own: the worker's other ranks still run
+        // (their messages are all posted), so which ranks a failed
+        // substep leaves mutated does not depend on the team size.
         let mut failure = None;
-        match posted {
-            // A failure is its rank's own: the worker's other ranks still
-            // run (their messages are all posted), so which ranks a
-            // failed substep leaves mutated does not depend on the team
-            // size.
-            Ok(sent) => {
-                for ((r, state), sent) in ranks.iter_mut().zip(sent) {
-                    match catch_unwind(AssertUnwindSafe(|| self.run_rank(*r, state, store, sent))) {
-                        Ok(out) => {
-                            *self.outcomes[*r].lock().unwrap_or_else(|e| e.into_inner()) = Some(out)
-                        }
-                        Err(p) => failure = failure.or(Some(p)),
-                    }
-                }
+        for ((r, state), sent) in ranks.iter_mut().zip(sent) {
+            match catch_unwind(AssertUnwindSafe(|| self.run_rank(*r, state, store, sent))) {
+                Ok(out) => *self.outcomes[*r].lock().unwrap_or_else(|e| e.into_inner()) = Some(out),
+                Err(p) => failure = failure.or(Some(p)),
             }
-            Err(p) => failure = Some(p),
         }
         if let Some(p) = failure {
-            // Wake every peer still blocked on this worker's sends, then
-            // let the panic propagate through the rank scope.
-            self.boxes.poison();
             resume_unwind(p);
         }
     }
@@ -426,7 +419,7 @@ impl Team<'_> {
         let mut post = |ch: usize, buf: Vec<f64>| {
             bytes += buf.len() as u64 * 8;
             messages += 1;
-            boxes.post(ch, self.epoch, buf);
+            boxes.post(ch, buf);
         };
         match faults.prepacked.as_ref().filter(|(pr, _)| *pr == r) {
             Some((_, bufs)) => {
@@ -485,7 +478,7 @@ impl Team<'_> {
         let received: Vec<(usize, Vec<f64>)> = plan
             .recvs(r)
             .iter()
-            .map(|&ch| match boxes.recv(ch, self.epoch, self.recv_timeout) {
+            .map(|&ch| match boxes.recv(ch, RECV_BACKSTOP) {
                 Ok(buf) => (ch, buf),
                 Err(e) => panic!("rank {r}: halo recv on channel {ch} failed: {e}"),
             })
@@ -589,7 +582,7 @@ struct FaultPlan {
     /// Rank that sleeps this long before posting its sends.
     stall: Option<(usize, u64)>,
     /// Destination rank whose inbound messages are dropped (its receives
-    /// time out, as after a lost message).
+    /// read them as lost once every worker has posted).
     drop_dst: Option<usize>,
     /// (channel, factor) — corrupt one packed value on the wire; a NaN
     /// factor poisons instead of scaling.
@@ -691,9 +684,9 @@ impl DistributedDycore {
 
     /// One acoustic substep, run by a rank team ([`Team`]) shaped by the
     /// schedule (see the module docs); `seq_store` is the team of one's
-    /// store for the step. Panics (after poisoning the mailboxes and
-    /// joining the team) on lost messages or rank failures, leaving
-    /// per-rank mutation flags accurate for a rank-aware rollback.
+    /// store for the step. Panics (after joining the team) on lost
+    /// messages or rank failures, leaving per-rank mutation flags
+    /// accurate for a rank-aware rollback.
     pub(crate) fn substep(
         &mut self,
         cache: &mut StepCache,
@@ -701,7 +694,6 @@ impl DistributedDycore {
         module: Substep,
     ) {
         let ranks = self.partition.ranks();
-        self.halo_epoch += 1;
         self.mut_clock += 1;
         let clock = self.mut_clock;
         let faults = self.plan_faults(&cache.plan, module);
@@ -725,15 +717,7 @@ impl DistributedDycore {
             run: &self.run,
             faults,
             remap: module.ends_round(self.config.dycore.n_split),
-            epoch: self.halo_epoch,
             nk: self.config.nk as i64,
-            // One worker has posted every send before its first receive:
-            // a message not there already is lost, so waiting is futile.
-            recv_timeout: if workers == 1 {
-                Duration::ZERO
-            } else {
-                self.recv_timeout
-            },
             soft_stall: self.soft_stall,
             scratch_built: &self.scratch_built,
             mutating: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
@@ -753,7 +737,9 @@ impl DistributedDycore {
         let seats: Vec<Mutex<Option<Seat>>> =
             seats.into_iter().map(|s| Mutex::new(Some(s))).collect();
 
-        // A team of one runs on the calling thread (`rank_scope(1, ..)`).
+        // Every worker is a sender until its post phase ends. A team of
+        // one runs on the calling thread (`rank_scope(1, ..)`).
+        cache.boxes.open(workers);
         let scope = catch_unwind(AssertUnwindSafe(|| {
             rank_pool.rank_scope(workers, |w| {
                 let seat = seats[w].lock().unwrap_or_else(|e| e.into_inner()).take();

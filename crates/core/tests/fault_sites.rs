@@ -12,8 +12,7 @@ use fv3::state::DycoreState;
 use fv3core::{DistributedDycore, DriverConfig, RankSchedule};
 use machine::faults::{FaultAction, FaultSpec, Faults};
 use machine::{Pool, RunContext};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use resilience::{Supervisor, SupervisorPolicy};
 
 /// A six-rank c8L3 cube, one acoustic substep per step.
 fn config() -> DriverConfig {
@@ -93,30 +92,29 @@ fn corrupt_factor_is_silent_data_corruption() {
     }
 }
 
-/// A one-worker team has posted every send before its first receive, so a
-/// message missing there was dropped, not delayed: the starved rank fails
-/// at once, however long the hard receive deadline (rank threads wait it
-/// out, since a peer may still be posting).
+/// A dropped message was never posted, and a receive waits only while
+/// some worker is still posting: every team fails the starved rank as
+/// soon as it has posted, with no deadline to set. Only that rank never
+/// writes its state back, so the rollback rewrites the other five.
 #[test]
-fn a_one_worker_team_fails_a_dropped_message_at_once() {
-    for schedule in [RankSchedule::Sequential, RankSchedule::Parallel] {
+fn every_team_fails_a_dropped_message_at_once() {
+    let threads = [1, 2, 3, 6].map(|w| (RankSchedule::Parallel, w));
+    for (schedule, workers) in [(RankSchedule::Sequential, 1)].into_iter().chain(threads) {
+        let what = format!("{schedule:?} on {workers} workers");
         let mut d = DistributedDycore::new(config(), &ExpansionAttrs::tuned());
         d.set_rank_schedule(schedule);
-        d.set_pool(Some(Pool::new(1)));
-        d.set_halo_recv_timeout(Duration::from_secs(120));
+        d.set_pool(Some(Pool::new(workers)));
         let faults = Faults::arm(1, vec![FaultSpec::new(SITE_HALO_DROP, FaultAction::DropMessage)]);
         d.set_run(RunContext {
             faults: faults.clone(),
             ..RunContext::default()
         });
-        let t0 = Instant::now();
-        let stepped = catch_unwind(AssertUnwindSafe(|| d.step()));
-        assert!(stepped.is_err(), "{schedule:?}: the starved rank must fail the step");
-        assert_eq!(faults.fired_count(SITE_HALO_DROP), 1, "{schedule:?}");
-        assert!(
-            t0.elapsed() < Duration::from_secs(60),
-            "{schedule:?}: waited {:?} for a message that was never posted",
-            t0.elapsed()
-        );
+        let mut sup = Supervisor::new(SupervisorPolicy::default());
+        let report = sup.run(&mut d, 1).expect("the lost message is recovered");
+        assert_eq!(report.events.len(), 1, "{what}: one failed step");
+        let detail = &report.events[0].detail;
+        assert!(detail.contains("halo recv"), "{what}: {detail}");
+        assert_eq!(faults.fired_count(SITE_HALO_DROP), 1, "{what}");
+        assert_eq!(report.ranks_restored, 5, "{what}");
     }
 }

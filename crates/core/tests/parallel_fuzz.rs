@@ -5,7 +5,8 @@
 //! for 24 ranks up to a thread per rank), rank refinement (rt = 1, 2),
 //! vertical extent, and injected `halo.stall` / `halo.drop` fault, and
 //! it must never hang (a team posts every send before it receives
-//! anything, and receives carry a hard deadline) or silently
+//! anything, and a message missing once every worker has posted reads
+//! as lost at once) or silently
 //! diverge (the final state is always compared against an unfaulted
 //! sequential run of the same configuration).
 //!
@@ -18,7 +19,6 @@ use fv3core::{DistributedDycore, DriverConfig, RankSchedule};
 use machine::Pool;
 use proptest::prelude::*;
 use resilience::{FaultPlan, Supervisor, SupervisorPolicy};
-use std::time::Duration;
 
 /// Steps per case: two, so the second step runs over state produced by
 /// the first (and a rollback of step 1 must not disturb step 0's epoch).
@@ -85,9 +85,6 @@ fn check_case(workers: usize, rt: usize, nk: usize, fault: Fault, seed: u64) {
 
     let mut d = build(rt, nk, workers);
     d.set_rank_schedule(RankSchedule::Parallel);
-    // Hard receive deadline: a lost message fails the rank instead of
-    // hanging the test.
-    d.set_halo_recv_timeout(Duration::from_millis(1000));
 
     match fault {
         Fault::None => {
@@ -97,7 +94,7 @@ fn check_case(workers: usize, rt: usize, nk: usize, fault: Fault, seed: u64) {
         }
         Fault::Stall | Fault::Drop => {
             let text = match fault {
-                // Stall below the recv deadline: slow, never fatal.
+                // A stalled sender is late, not lost: slow, never fatal.
                 Fault::Stall => format!("seed={seed};stall@ms=40"),
                 Fault::Drop => format!("seed={seed};drop"),
                 Fault::None => unreachable!(),
@@ -179,7 +176,7 @@ fn pinned_stall_on_single_worker_pool() {
 
 #[test]
 fn pinned_drop_with_one_worker_for_24_ranks() {
-    // The starved rank times out alone in the middle of its worker's
+    // The starved rank fails alone in the middle of its worker's
     // queue; the 23 others finish behind it and the step rolls back.
     check_case(1, 2, 2, Fault::Drop, 0x5eed_d20c);
 }

@@ -352,8 +352,9 @@ fn kept_stores_full_of_nan_step_to_the_same_bits() {
 
 #[test]
 fn a_rank_starved_mid_substep_fails_alone_and_leaves_nothing_behind() {
-    // The starved rank's receive times out before its state is lent, and
-    // the worker runs its other ranks on the same store afterwards.
+    // The starved rank's receive finds its message lost before its state
+    // is lent, and the worker runs its other ranks on the same store
+    // afterwards.
     let cfg = config(24, 2, 2, 1);
     let clean = {
             let mut d = dycore(cfg, RankSchedule::Sequential, false);
@@ -369,7 +370,6 @@ fn a_rank_starved_mid_substep_fails_alone_and_leaves_nothing_behind() {
             RankSchedule::Parallel => team_dycore(cfg, workers),
         };
         arm(&mut d, "seed=11;drop");
-        d.set_halo_recv_timeout(std::time::Duration::from_millis(250));
         let mut sup = Supervisor::new(SupervisorPolicy::default());
         let report = sup.run(&mut d, 2).expect("the lost message is recovered");
         let what = format!("{schedule:?} team of {workers}");

@@ -35,7 +35,8 @@ pub enum FaultAction {
     PoisonNan,
     /// Multiply the target value by a factor (silent data corruption).
     CorruptFactor(f64),
-    /// Drop a whole halo message (the receiving rank starves and fails).
+    /// Drop a whole halo message (the receiving rank finds it lost and
+    /// fails).
     DropMessage,
     /// Sleep this many milliseconds inside the exchange (stall).
     StallMs(u64),

@@ -392,8 +392,8 @@ impl Pool {
     ///
     /// If any rank body panics, the first panic payload is re-raised on
     /// the caller after *all* rank threads have exited (bodies must
-    /// arrange their own wakeups — e.g. mailbox poisoning — so peers
-    /// blocked on the panicked rank unwind rather than hang).
+    /// arrange their own wakeups — e.g. the halo mailboxes' sender count
+    /// — so peers blocked on the panicked rank unwind rather than hang).
     pub fn rank_scope<F>(&self, ranks: usize, body: F)
     where
         F: Fn(usize) + Sync,

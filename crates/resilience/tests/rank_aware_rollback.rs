@@ -1,9 +1,9 @@
 //! Rank-aware rollback under the parallel rank schedule (ISSUE 6
-//! satellite): when one rank's halo messages are lost, the recv deadline
-//! fails that rank — and only ranks that actually completed the substep
-//! are rewritten by the rollback. One rank's stall must not roll back
-//! its neighbours' completed epochs, and soft stalls are attributed to
-//! the ranks that waited, not to the whole job.
+//! satellite): when one rank's halo messages are lost, its receive finds
+//! them lost and fails that rank — and only ranks that actually
+//! completed the substep are rewritten by the rollback. One rank's stall
+//! must not roll back its neighbours' completed epochs, and soft stalls
+//! are attributed to the ranks that waited, not to the whole job.
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
@@ -56,9 +56,6 @@ fn assert_bit_identical(a: &DistributedDycore, b: &DistributedDycore) {
 fn dropped_halo_message_rolls_back_only_completed_ranks() {
     let mut d = faulted("seed=11;drop");
     d.set_rank_schedule(RankSchedule::Parallel);
-    // Short hard deadline so the starved rank fails fast instead of
-    // waiting out the 10 s default.
-    d.set_halo_recv_timeout(Duration::from_millis(250));
     let mut sup = Supervisor::new(SupervisorPolicy::default());
     let report = sup.run(&mut d, 2).expect("drop is recovered by rollback");
 

@@ -9,7 +9,6 @@ use fv3::dyn_core::DycoreConfig;
 use fv3core::{Checkpoint, DistributedDycore, DriverConfig, RankSchedule};
 use obs::stream::{EventBus, EventSink, RunEvent};
 use resilience::{FaultPlan, RunReport, Supervisor, SupervisorPolicy};
-use std::time::Duration;
 
 const RANKS: u64 = 6;
 
@@ -104,7 +103,6 @@ fn no_in_memory_capture_after_the_last_step() {
 fn recovered(plan: &str, schedule: RankSchedule, steps: u64, given: bool) -> (DistributedDycore, RunReport, u64) {
     let mut d = dycore();
     d.set_rank_schedule(schedule);
-    d.set_halo_recv_timeout(Duration::from_millis(250));
     d.set_run(machine::RunContext {
         faults: FaultPlan::parse(plan).unwrap().arm(),
         ..Default::default()
