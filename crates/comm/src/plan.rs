@@ -305,8 +305,8 @@ pub enum RecvError {
     /// The slot is empty and no sender is still posting: the message was
     /// never posted (dropped, or its sender failed before posting it).
     Lost,
-    /// A sender stayed registered past the deadline without finishing
-    /// its post phase — its worker never ran.
+    /// The deadline passed first: a sender never finished its post
+    /// phase (its worker never ran), or its done did not wake the slot.
     Timeout,
 }
 
@@ -386,7 +386,8 @@ impl HaloMailboxes {
 
     /// The message on channel `ch`: taken if it is in the slot,
     /// [`RecvError::Lost`] if not and no sender is still posting;
-    /// otherwise wait, up to `deadline`.
+    /// otherwise wait, up to `deadline` (the backstop, checked before the
+    /// count so a missed wake reads as [`RecvError::Timeout`]).
     pub fn recv(&self, ch: usize, deadline: Duration) -> Result<Vec<f64>, RecvError> {
         let slot = &self.slots[ch];
         let t0 = Instant::now();
@@ -398,12 +399,12 @@ impl HaloMailboxes {
             if let Some(buf) = msg.take() {
                 return Ok(buf);
             }
-            if self.posting.load(Ordering::Acquire) == 0 {
-                return Err(RecvError::Lost);
-            }
             let left = deadline.saturating_sub(t0.elapsed());
             if left.is_zero() {
                 return Err(RecvError::Timeout);
+            }
+            if self.posting.load(Ordering::Acquire) == 0 {
+                return Err(RecvError::Lost);
             }
             msg = slot.cv.wait_timeout(msg, left).unwrap_or_else(|e| e.into_inner()).0;
         }
@@ -598,21 +599,22 @@ mod tests {
         boxes.sender_done();
         // Even with no time left to wait.
         assert_eq!(boxes.recv(3, Duration::ZERO), Ok(vec![3.0]));
-        assert_eq!(boxes.recv(3, Duration::ZERO), Err(RecvError::Lost));
+        assert_eq!(boxes.recv(3, Duration::from_secs(30)), Err(RecvError::Lost));
     }
 
-    /// What a receive on channel 5, blocked on another thread, returns
-    /// once `act` has run.
-    fn recv_across(boxes: &HaloMailboxes, act: impl FnOnce()) -> Result<Vec<f64>, RecvError> {
-        let (ready, waiting) = std::sync::mpsc::channel();
+    /// What a receive on channel 5 returns when `act` runs on another
+    /// thread, handed off as the receive starts: the receive is nearly
+    /// always waiting by then, so a wake that never comes reads as
+    /// `Timeout` (after 30 s) instead of the result `act` should cause.
+    fn recv_across(boxes: &HaloMailboxes, act: impl FnOnce() + Send) -> Result<Vec<f64>, RecvError> {
+        let (go, went) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
-            let rx = s.spawn(|| {
-                ready.send(()).unwrap();
-                boxes.recv(5, Duration::from_secs(30))
+            s.spawn(move || {
+                went.recv().unwrap();
+                act();
             });
-            waiting.recv().unwrap();
-            act();
-            rx.join().unwrap()
+            go.send(()).unwrap();
+            boxes.recv(5, Duration::from_secs(30))
         })
     }
 
