@@ -430,5 +430,5 @@ fn juwels() {
     println!();
     println!("the gap between the bandwidth ratio and the achieved speedup");
     println!("comes from launch overheads and occupancy, exactly as in the");
-    println!("paper's discussion — and the entire port is one MachineSpec.");
+    println!("paper's discussion — and the entire port is one GpuSpec.");
 }

@@ -72,7 +72,7 @@ impl Edge {
     /// Endpoint corners `(start, end)` of this edge in local `(a, b)`
     /// lattice coordinates for cube size n: the edge parameter runs from
     /// `start` to `end`.
-    pub fn corners(&self, n: i64) -> ((i64, i64), (i64, i64)) {
+    fn corners(&self, n: i64) -> ((i64, i64), (i64, i64)) {
         match self {
             Edge::West => ((0, 0), (0, n)),
             Edge::East => ((n, 0), (n, n)),
@@ -82,7 +82,7 @@ impl Edge {
     }
 
     /// Interior cell at depth `d` from this edge with edge parameter `t`.
-    pub fn interior_cell(&self, n: i64, d: i64, t: i64) -> (i64, i64) {
+    fn interior_cell(&self, n: i64, d: i64, t: i64) -> (i64, i64) {
         match self {
             Edge::West => (d, t),
             Edge::East => (n - 1 - d, t),

@@ -269,11 +269,6 @@ impl HaloUpdater {
         }
     }
 
-    /// The partition.
-    pub fn partition(&self) -> &Partition {
-        &self.part
-    }
-
     /// Exchange a scalar field: `arrays[r]` is rank r's array. Returns
     /// per-rank message statistics.
     pub fn exchange_scalar(&self, arrays: &mut [Array3]) -> ExchangeStats {

@@ -74,7 +74,7 @@ impl Partition {
     }
 
     /// Whether rank `r` owns part of the given tile edge.
-    pub fn on_tile_edge(&self, r: RankId, e: Edge) -> bool {
+    fn on_tile_edge(&self, r: RankId, e: Edge) -> bool {
         let (_, rx, ry) = self.coords(r);
         match e {
             Edge::West => rx == 0,
@@ -85,7 +85,7 @@ impl Partition {
     }
 
     /// Whether rank `r` holds any tile edge (needs region computations).
-    pub fn holds_any_tile_edge(&self, r: RankId) -> bool {
+    fn holds_any_tile_edge(&self, r: RankId) -> bool {
         Edge::ALL.iter().any(|e| self.on_tile_edge(r, *e))
     }
 

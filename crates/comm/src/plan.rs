@@ -73,7 +73,6 @@ pub enum PackField<'a> {
 #[derive(Debug, Clone)]
 pub struct ExchangePlan {
     part: Partition,
-    width: usize,
     channels: Vec<Channel>,
     /// Channel indices with `src == r`, per rank.
     sends: Vec<Vec<usize>>,
@@ -145,22 +144,11 @@ impl ExchangePlan {
         }
         ExchangePlan {
             part: part.clone(),
-            width,
             channels,
             sends,
             recvs,
             folds,
         }
-    }
-
-    /// The partition this plan was derived from.
-    pub fn partition(&self) -> &Partition {
-        &self.part
-    }
-
-    /// Halo width.
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// Number of directed channels.
@@ -181,11 +169,6 @@ impl ExchangePlan {
     /// Channels rank `r` receives on.
     pub fn recvs(&self, r: usize) -> &[usize] {
         &self.recvs[r]
-    }
-
-    /// Cube-corner folds of rank `r`.
-    pub fn folds(&self, r: usize) -> &[FoldCell] {
-        &self.folds[r]
     }
 
     /// Pack one channel's buffer: fields outer, cells middle, k inner.

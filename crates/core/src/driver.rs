@@ -429,11 +429,6 @@ impl DistributedDycore {
         self.cache = None;
     }
 
-    /// The shared substep bundle this driver was offered, if any.
-    pub fn shared_substep(&self) -> Option<&Arc<CompiledSubstep>> {
-        self.shared_substep.as_ref()
-    }
-
     /// Set the whole-program tuning decision (initially
     /// [`RunConfig::tune`]). Invalidates the step cache so the next step
     /// compiles accordingly.

@@ -118,7 +118,7 @@ pub fn table2_row(module: Module, n: usize, nk: usize) -> Table2Row {
 
 /// A copy-stencil program (one input, one output) for the Section VIII-A
 /// bandwidth verification.
-pub fn copy_stencil_program(n: usize, nk: usize) -> Sdfg {
+fn copy_stencil_program(n: usize, nk: usize) -> Sdfg {
     let mut g = Sdfg::new("copy_stencil");
     let l = Layout::fv3_default([n, n, nk], [0, 0, 0]);
     let a = g.add_container("in", l.clone(), false);

@@ -39,7 +39,7 @@
 //! one, the inline `exec_team` for rank threads), and how long its
 //! working memory lives: the team of one's store lives for one `step()`
 //! and its halo buffers for one substep; the rank threads' stores and
-//! buffers are kept in the [`StepCache`] (DESIGN §17.1). Both teams post
+//! buffers are kept in the `StepCache` (DESIGN §17.1). Both teams post
 //! through the cache's one set of mailboxes.
 //!
 //! **Bit-identity.** Every team size produces the same bits, step for
@@ -124,7 +124,7 @@ pub const TUNE_M_OTF: usize = 2;
 /// Measured-veto repeats per score: the vet executes the rewritten state
 /// this many times and keeps the minimum, which rejects scheduler noise
 /// without burning build time (the cutouts are single substep states).
-pub const TUNE_VET_REPEATS: usize = 5;
+const TUNE_VET_REPEATS: usize = 5;
 
 /// Relative improvement a candidate must *measure* to be committed. The
 /// margin filters near-neutral rewrites: anything inside it is noise on
@@ -134,7 +134,7 @@ pub const TUNE_VET_REPEATS: usize = 5;
 /// back, so host noise largely cancels); borderline ones may land either
 /// way across builds, which is safe because every candidate is bit-exact
 /// — the committed *set* is a performance detail, never an answer.
-pub const TUNE_VET_MARGIN: f64 = 0.01;
+const TUNE_VET_MARGIN: f64 = 0.01;
 
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
@@ -185,7 +185,7 @@ impl CompiledSubstep {
     /// confirmed by measured re-execution at this build's size).
     /// Everything the tuner applies is bit-exact, so a tuned bundle produces
     /// states 0 ULP identical to an untuned one; the tuned flag still
-    /// enters the [`StepKey`], so tuned and untuned shared bundles never
+    /// enters the `StepKey`, so tuned and untuned shared bundles never
     /// cross-adopt (their kernel-cache namespaces stay disjoint).
     pub fn build_with_tune(config: &DriverConfig, pool: Option<&Pool>, tuned: bool) -> Self {
         let key = StepKey::of_config(config, tuned);

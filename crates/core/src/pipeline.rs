@@ -93,7 +93,7 @@ impl PipelineStage {
     }
 
     /// How far this stage's output may sit from its predecessor's: the
-    /// loosest tier among its [`kinds`](Self::kinds).
+    /// loosest tier among its `kinds`.
     pub fn tier(&self) -> Tier {
         self.kinds()
             .iter()

@@ -44,15 +44,6 @@ impl Offset3 {
         Offset3 { i, j, k }
     }
 
-    /// Component along `axis`.
-    pub fn along(&self, axis: Axis) -> i32 {
-        match axis {
-            Axis::I => self.i,
-            Axis::J => self.j,
-            Axis::K => self.k,
-        }
-    }
-
     /// Component-wise sum (composition of two relative accesses).
     pub fn add(&self, o: Offset3) -> Offset3 {
         Offset3::new(self.i + o.i, self.j + o.j, self.k + o.k)

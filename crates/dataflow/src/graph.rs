@@ -158,7 +158,8 @@ impl DataflowNode {
 
     /// Whether `self` must stay ordered before `later` (RAW, WAR or WAW
     /// hazard between the two nodes).
-    pub fn depends_before(&self, later: &DataflowNode) -> bool {
+    #[cfg(test)]
+    fn depends_before(&self, later: &DataflowNode) -> bool {
         let (r1, w1) = (self.reads(), self.writes());
         let (r2, w2) = (later.reads(), later.writes());
         w1.iter().any(|d| r2.contains(d) || w2.contains(d))
@@ -337,7 +338,8 @@ impl Sdfg {
     }
 
     /// Total dataflow nodes (the paper reports 26,689 for the full dycore).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.states.iter().map(|s| s.nodes.len()).sum()
     }
 

@@ -11,7 +11,7 @@
 //! workflow possible.
 
 use crate::expr::{DataId, Expr, LocalId, Offset3};
-use crate::storage::{Axis, Layout, StorageOrder};
+use crate::storage::{Axis, Layout};
 use machine::{KernelProfile, Target};
 
 /// A rectangular iteration domain in logical (domain-relative) coordinates.
@@ -60,7 +60,7 @@ impl Domain {
     }
 
     /// Grow by `lo`/`hi` cells on each axis (negative shrinks).
-    pub fn grown(&self, lo: [i64; 3], hi: [i64; 3]) -> Domain {
+    fn grown(&self, lo: [i64; 3], hi: [i64; 3]) -> Domain {
         Domain {
             start: [
                 self.start[0] - lo[0],
@@ -387,7 +387,7 @@ impl Schedule {
     /// runs as a sequential loop in the innermost position, the thread
     /// axis is the next one out (the paper's vertical-solver schedule
     /// `[J, I, Interval, Operation, K]` has I as threadIdx.x).
-    pub fn inner_axis(&self) -> Axis {
+    fn inner_axis(&self) -> Axis {
         if self.k_as_loop && self.order[2] == Axis::K {
             self.order[1]
         } else {
@@ -489,14 +489,14 @@ impl Kernel {
     }
 
     /// Union of statement extents (the halo the kernel computes into).
-    pub fn max_extent(&self) -> Extent2 {
+    fn max_extent(&self) -> Extent2 {
         self.stmts
             .iter()
             .fold(Extent2::ZERO, |acc, s| acc.union(&s.extent))
     }
 
     /// Data-movement records for this kernel (the "exact ranges" query).
-    pub fn memlets(&self) -> Vec<Memlet> {
+    fn memlets(&self) -> Vec<Memlet> {
         let mut out = Vec::new();
         for (d, offs) in self.reads() {
             // Unique elements: domain grown by the offset hull (every
@@ -637,7 +637,9 @@ impl Kernel {
 
 /// Helper: a default layout resolver for tests (I-contiguous, matching the
 /// kernel's domain with a 3-cell halo).
-pub fn test_layout(domain: [usize; 3]) -> impl Fn(DataId) -> Layout {
+#[cfg(test)]
+fn test_layout(domain: [usize; 3]) -> impl Fn(DataId) -> Layout {
+    use crate::storage::StorageOrder;
     move |_| Layout::new(domain, [3, 3, 1], StorageOrder::IContiguous, 1)
 }
 

@@ -8,7 +8,7 @@
 
 use crate::graph::{DataflowNode, Sdfg};
 use crate::kernel::Kernel;
-use machine::{Bound, CpuModel, GpuModel, KernelCost, PerfModel, Target};
+use machine::{Bound, CpuModel, GpuModel, KernelCost, PerfModel};
 
 /// A target-aware cost model: the CPU variant needs the kernel's blocked
 /// working set, which the GPU roofline does not.
@@ -48,22 +48,6 @@ impl CostModel {
                     c
                 }
             }
-        }
-    }
-
-    /// Model name.
-    pub fn name(&self) -> &str {
-        match self {
-            CostModel::Gpu(m) => m.name(),
-            CostModel::Cpu(m) => m.name(),
-        }
-    }
-
-    /// Target this model prices.
-    pub fn target(&self) -> Target {
-        match self {
-            CostModel::Gpu(_) => Target::Gpu,
-            CostModel::Cpu(_) => Target::Cpu,
         }
     }
 }

@@ -1,44 +1,14 @@
 //! Whole-program simplification passes (Section V-B preprocessing).
 //!
-//! The orchestrator's transpilation steps — constant propagation, dead
+//! The orchestrator's transpilation steps — constant folding, dead
 //! code elimination, redundant-container removal — land here as SDFG
 //! passes. Loop unrolling is structural ([`unroll_loops`]) because the
 //! control tree is already counted loops after the Python-side constant
 //! propagation the paper describes.
 
-use crate::expr::{DataId, Expr, ParamId};
+use crate::expr::{DataId, Expr};
 use crate::graph::{ControlNode, DataflowNode, Sdfg};
 use crate::kernel::LValue;
-
-/// Substitute known parameter values into every kernel expression
-/// (constant propagation). `values[p] = Some(v)` pins parameter `p`.
-///
-/// Returns the number of substitution sites. Downstream wins: pinned
-/// constants let the power transformation see integral exponents, and
-/// branch predicates become decidable.
-pub fn bind_params(sdfg: &mut Sdfg, values: &[Option<f64>]) -> usize {
-    // Conservative cache invalidation: even a no-op application bumps
-    // the generation (transforms run at build time, not per timestep).
-    sdfg.touch();
-    let count = std::cell::Cell::new(0usize);
-    for state in &mut sdfg.states {
-        for node in &mut state.nodes {
-            if let DataflowNode::Kernel(k) = node {
-                for s in &mut k.stmts {
-                    let e = std::mem::replace(&mut s.expr, Expr::Const(0.0));
-                    s.expr = e.rewrite(&|e| match e {
-                        Expr::Param(ParamId(p)) if values.get(p).copied().flatten().is_some() => {
-                            count.set(count.get() + 1);
-                            Expr::Const(values[p].unwrap())
-                        }
-                        other => other,
-                    });
-                }
-            }
-        }
-    }
-    count.get()
-}
 
 /// Fold constant subexpressions (`1 + 2 -> 3`, `x * 1 -> x`, `x + 0 -> x`,
 /// `select(const, a, b) -> a|b`). Returns folded-node count.
@@ -280,26 +250,6 @@ mod tests {
         k.stmts
             .push(Stmt::full(LValue::Field(write), Expr::load(read, 0, 0, 0)));
         k
-    }
-
-    #[test]
-    fn bind_params_substitutes() {
-        let mut g = Sdfg::new("p");
-        let a = g.add_container("a", small_layout(), false);
-        let b = g.add_container("b", small_layout(), false);
-        let dt = g.add_param("dt");
-        let mut k = kernel_writing("k", a, b);
-        k.stmts[0].expr = Expr::load(a, 0, 0, 0) * Expr::Param(dt);
-        let mut s = State::new("s");
-        s.nodes.push(DataflowNode::Kernel(k));
-        g.add_state(s);
-        let n = bind_params(&mut g, &[Some(0.25)]);
-        assert_eq!(n, 1);
-        let k = g.states[0].kernels().next().unwrap();
-        assert!(matches!(
-            &k.stmts[0].expr,
-            Expr::Bin(_, _, b) if matches!(b.as_ref(), Expr::Const(v) if *v == 0.25)
-        ));
     }
 
     #[test]

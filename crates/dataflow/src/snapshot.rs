@@ -190,11 +190,6 @@ impl<'a> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
-    /// Current offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos

@@ -46,7 +46,7 @@ pub enum StorageOrder {
 
 impl StorageOrder {
     /// Axes ordered from innermost (unit stride) to outermost.
-    pub fn inner_to_outer(self) -> [Axis; 3] {
+    fn inner_to_outer(self) -> [Axis; 3] {
         match self {
             StorageOrder::IContiguous => [Axis::I, Axis::J, Axis::K],
             StorageOrder::KContiguous => [Axis::K, Axis::J, Axis::I],

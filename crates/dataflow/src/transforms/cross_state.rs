@@ -6,13 +6,13 @@
 //! [`fusion`](super::fusion) can never see a producer in one module and its
 //! consumer in the next. This pass closes that gap in two steps:
 //!
-//! 1. [`merge_adjacent_states`] — a structural rewrite that concatenates two
+//! 1. `merge_adjacent_states` — a structural rewrite that concatenates two
 //!    states into one. It is legal exactly when every occurrence of the two
 //!    states in the control tree is an adjacent `first, first+1` pair inside
 //!    the same loop body: execution then interleaves nothing between them,
 //!    and the flattened node order (hence program semantics, bit for bit)
 //!    is unchanged.
-//! 2. [`fuse_across_states`] — merges a state pair that has a
+//! 2. `fuse_across_states` — merges a state pair that has a
 //!    producer→consumer link (a container written by the first and read by
 //!    the second) and then applies the ordinary access-set-checked OTF/SGF
 //!    transforms across the old seam. The merge is committed only if at
@@ -89,7 +89,7 @@ fn rewrite_control(nodes: &mut Vec<ControlNode>, first: usize) {
 ///
 /// The merged state is named `"{a}+{b}"`. All later state indices shift
 /// down by one; the graph generation is bumped.
-pub fn merge_adjacent_states(sdfg: &mut Sdfg, first: usize) -> TransformResult {
+fn merge_adjacent_states(sdfg: &mut Sdfg, first: usize) -> TransformResult {
     sdfg.touch();
     let second = first + 1;
     if second >= sdfg.states.len() {
@@ -128,7 +128,7 @@ pub fn merge_adjacent_states(sdfg: &mut Sdfg, first: usize) -> TransformResult {
 ///
 /// Returns the first committed fusion (kind `"xmodule-sgf"` /
 /// `"xmodule-otf"`, labels from the fused kernels).
-pub fn fuse_across_states(
+fn fuse_across_states(
     sdfg: &mut Sdfg,
     first: usize,
     approve: &mut dyn FnMut(&Sdfg, &Sdfg, usize) -> bool,
@@ -202,7 +202,7 @@ pub fn fuse_across_states(
 
 /// Greedy cross-module pass: walk every adjacent state pair and fuse
 /// across each boundary where a producer/consumer link and a legal kernel
-/// fusion exist, `approve` forwarded to every [`fuse_across_states`]
+/// fusion exist, `approve` forwarded to every `fuse_across_states`
 /// attempt. Returns everything applied (in application order).
 pub fn cross_module_fusion(
     sdfg: &mut Sdfg,

@@ -8,7 +8,7 @@
 //! 2. load elision for overwritten-before-read fields is subsumed by (1)
 //!    plus dead-transient elimination in `passes`;
 //! 3. values used in consecutive forward/backward iterations are buffered
-//!    in registers ([`apply_register_caching`]) — they "need only to be
+//!    in registers (`apply_register_caching`) — they "need only to be
 //!    loaded from global memory on their first access".
 
 use crate::exec::validate_kernel;
@@ -23,7 +23,7 @@ use crate::transforms::{Applied, UsageMap};
 ///
 /// Returns the number of fields newly cached. Affects the modeled traffic
 /// (see [`Kernel::profile`]); execution semantics are unchanged.
-pub fn apply_register_caching(kernel: &mut Kernel) -> usize {
+fn apply_register_caching(kernel: &mut Kernel) -> usize {
     if !kernel.schedule.k_as_loop && kernel.k_order == KOrder::Parallel {
         return 0;
     }
@@ -71,7 +71,7 @@ pub fn cache_registers_everywhere(sdfg: &mut Sdfg) -> Vec<Applied> {
 /// kernel, and every access is at zero offset (single-thread access). The
 /// container's traffic disappears from the kernel's memlets entirely.
 /// `usage` is the program-wide [`UsageMap`] of `sdfg` as it stands.
-pub fn demote_transient_to_local(
+fn demote_transient_to_local(
     sdfg: &mut Sdfg,
     usage: &UsageMap,
     state: usize,

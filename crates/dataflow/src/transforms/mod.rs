@@ -10,7 +10,7 @@
 //! * [`power`] — strength reduction of the power operator (Section VI-C1);
 //! * [`schedule`] — schedule assignment sweeps and the region realization
 //!   strategy (split kernels vs predication, Section V-A / Table III);
-//! * [`tiling`] — tile-size sweeps feeding the CPU cache model
+//! * [`tiling`] — tile sizes and the blocked working set the CPU cache model prices
 //!   (Section V-A's "tiling and tile sizes in each dimension").
 //!
 //! Each transform checks its preconditions and re-validates the rewritten
@@ -32,13 +32,6 @@ pub mod tiling;
 
 use crate::expr::DataId;
 use crate::graph::Sdfg;
-
-/// Identifies a node inside an SDFG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeRef {
-    pub state: usize,
-    pub node: usize,
-}
 
 /// Summary of an applied transformation (for reports and transfer-tuning
 /// pattern descriptions).

@@ -59,7 +59,7 @@ fn region_domain(r: &Region2, d: &Domain) -> Domain {
 /// region becomes its own kernel whose domain *is* the region, with the
 /// region predicate dropped. Returns `Err` when the kernel has no region
 /// statements.
-pub fn split_regions_of(kernel: &Kernel) -> Result<Vec<Kernel>, String> {
+fn split_regions_of(kernel: &Kernel) -> Result<Vec<Kernel>, String> {
     if kernel.stmts.iter().all(|s| s.region.is_none()) {
         return Err(format!("kernel '{}' has no region statements", kernel.name));
     }

@@ -6,11 +6,9 @@
 //! sees, and is one of the four local-optimization aspects of
 //! Section VI-A ("we search the available space on a representative
 //! horizontal stencil [...] and apply the resulting scheme en masse").
+//! This module applies and prices a tile shape; it does not search one.
 
-use crate::graph::{DataflowNode, Sdfg};
 use crate::kernel::Kernel;
-use crate::model::CostModel;
-use crate::transforms::Applied;
 
 /// Set a kernel's horizontal tile sizes (clamped to its domain).
 pub fn apply_tiling(kernel: &mut Kernel, tile: [usize; 2]) {
@@ -34,58 +32,13 @@ pub fn tiled_working_set(kernel: &Kernel) -> u64 {
     ti * tj * nfields * 8
 }
 
-/// Sweep candidate tile sizes on every kernel, keeping the best per
-/// kernel under `model` (only meaningful for CPU models, where the cache
-/// working set responds to tiling). Returns the tiles applied.
-pub fn sweep_tiles(
-    sdfg: &mut Sdfg,
-    candidates: &[[usize; 2]],
-    model: &CostModel,
-) -> Vec<Applied> {
-    // Conservative cache invalidation: even a no-op application bumps
-    // the generation (transforms run at build time, not per timestep).
-    sdfg.touch();
-    let mut out = Vec::new();
-    // Costs need the full sdfg for layouts; evaluate kernel-by-kernel on
-    // a scratch clone.
-    for s in 0..sdfg.states.len() {
-        for n in 0..sdfg.states[s].nodes.len() {
-            let DataflowNode::Kernel(k0) = &sdfg.states[s].nodes[n] else {
-                continue;
-            };
-            let base = model.kernel_cost(k0, sdfg).time;
-            let mut best: Option<([usize; 2], f64)> = None;
-            for &tile in candidates {
-                let mut trial = k0.clone();
-                apply_tiling(&mut trial, tile);
-                let t = model.kernel_cost(&trial, sdfg).time;
-                if t < best.map(|(_, bt)| bt).unwrap_or(base) {
-                    best = Some((tile, t));
-                }
-            }
-            if let Some((tile, _)) = best {
-                let name = k0.name.clone();
-                if let DataflowNode::Kernel(k) = &mut sdfg.states[s].nodes[n] {
-                    apply_tiling(k, tile);
-                }
-                out.push(Applied {
-                    kind: "tile",
-                    labels: vec![name, format!("{}x{}", tile[0], tile[1])],
-                });
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::graph::State;
+    use crate::graph::{DataflowNode, Sdfg, State};
     use crate::kernel::{Domain, KOrder, LValue, Schedule, Stmt};
     use crate::storage::{Layout, StorageOrder};
-    use machine::{CpuModel, CpuSpec};
 
     /// An out-of-cache horizontal stencil: big slab, many fields.
     fn big_kernel_sdfg() -> Sdfg {
@@ -131,37 +84,5 @@ mod tests {
         let mut k = g.states[0].kernels().next().unwrap().clone();
         apply_tiling(&mut k, [10_000, 3]);
         assert_eq!(k.schedule.tile, [512, 3, 1]);
-    }
-
-    #[test]
-    fn sweep_finds_a_cache_fitting_tile_on_cpu() {
-        let mut g = big_kernel_sdfg();
-        let model = CostModel::Cpu(CpuModel::new(CpuSpec::haswell_e5_2690v3()));
-        let before = {
-            let k = g.states[0].kernels().next().unwrap();
-            model.kernel_cost(k, &g).time
-        };
-        let applied = sweep_tiles(&mut g, &[[32, 32], [64, 64], [128, 128]], &model);
-        assert_eq!(applied.len(), 1, "one kernel tiled: {applied:?}");
-        let after = {
-            let k = g.states[0].kernels().next().unwrap();
-            model.kernel_cost(k, &g).time
-        };
-        assert!(
-            after < before * 0.7,
-            "tiling must recover cache bandwidth: {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn sweep_leaves_gpu_kernels_untouched_when_no_gain() {
-        use machine::{GpuModel, GpuSpec};
-        let mut g = big_kernel_sdfg();
-        // GPU roofline has no cache term: no candidate can improve.
-        let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
-        let applied = sweep_tiles(&mut g, &[[32, 32], [64, 64]], &model);
-        assert!(applied.is_empty());
-        let k = g.states[0].kernels().next().unwrap();
-        assert_eq!(k.schedule.tile, [1, 1, 1]);
     }
 }

@@ -32,15 +32,6 @@ pub enum Scenario {
     BaroclinicWave,
 }
 
-impl Scenario {
-    /// Stable name for labels and artifacts.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scenario::BaroclinicWave => "baroclinic_wave",
-        }
-    }
-}
-
 /// One unit of work: scenario + driver configuration + step budget.
 #[derive(Debug, Clone)]
 pub struct ForecastRequest {
@@ -190,7 +181,7 @@ pub struct EngineConfig {
     /// Concurrent run slots (each one OS thread executing requests).
     pub slots: usize,
     /// Submission-queue capacity; [`submit`](crate::ForecastEngine::submit) blocks and
-    /// [`try_submit`](crate::ForecastEngine::try_submit) refuses beyond it (admission
+    /// [`try_submit_with`](crate::ForecastEngine::try_submit_with) refuses beyond it (admission
     /// control at the front door).
     pub queue_cap: usize,
     /// Shared kernel worker team (`None`: sized by `FV3_WORKERS`, else
@@ -353,30 +344,6 @@ impl ForecastResult {
     /// True for [`Completed`](Self::Completed).
     pub fn is_completed(&self) -> bool {
         matches!(self, ForecastResult::Completed(_))
-    }
-
-    /// The report, when completed.
-    pub fn report(&self) -> Option<&ForecastReport> {
-        match self {
-            ForecastResult::Completed(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The failure, when failed.
-    pub fn failure(&self) -> Option<&EngineFailure> {
-        match self {
-            ForecastResult::Failed(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The cancellation record, when cancelled.
-    pub fn cancelled(&self) -> Option<&CancelledRun> {
-        match self {
-            ForecastResult::Cancelled(c) => Some(c),
-            _ => None,
-        }
     }
 
     /// Unwrap the completed report; panics with `msg` and the actual

@@ -339,13 +339,6 @@ impl ForecastEngine {
         }
     }
 
-    /// Submit in the Normal lane without blocking; hands the request
-    /// back inside [`Rejected::QueueFull`] when nothing could be shed
-    /// to make room.
-    pub fn try_submit(&self, req: ForecastRequest) -> Result<RequestId, Rejected> {
-        self.try_submit_with(req, SubmitOptions::default())
-    }
-
     /// Submit with admission options, without blocking. Refusals are
     /// typed — [`Rejected::QuotaExceeded`] when the tenant is at its
     /// cap, [`Rejected::QueueFull`] when the queue is full and no
@@ -481,11 +474,6 @@ impl ForecastEngine {
     /// The engine's metrics registry (aggregate + per-request series).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
-    }
-
-    /// The shared kernel worker team.
-    pub fn pool(&self) -> &Pool {
-        &self.inner.pool
     }
 
     /// Aggregate counters so far, plus point-in-time occupancy (queue
@@ -956,7 +944,7 @@ mod tests {
         let mut accepted = Vec::new();
         let mut refused = 0usize;
         for _ in 0..4 {
-            match engine.try_submit(small_request(1)) {
+            match engine.try_submit_with(small_request(1), SubmitOptions::default()) {
                 Ok(id) => accepted.push(id),
                 Err(_) => refused += 1,
             }

@@ -13,7 +13,7 @@ use stencil::{StencilBuilder, StencilDef};
 use std::sync::Arc;
 
 /// Upwind interface value.
-pub fn upwind<T: NumLike>(c: T, qm: T, q0: T) -> T {
+fn upwind<T: NumLike>(c: T, qm: T, q0: T) -> T {
     T::select_pos(c, qm, q0)
 }
 

@@ -20,13 +20,13 @@ use stencil::{StencilBuilder, StencilDef};
 use std::sync::Arc;
 
 /// Kinetic energy at a cell.
-pub fn kinetic_energy<T: NumLike>(u: T, v: T) -> T {
+fn kinetic_energy<T: NumLike>(u: T, v: T) -> T {
     T::from(0.5) * (u.clone() * u + v.clone() * v)
 }
 
 /// The metric-corrected advective wind (the paper's flux example):
 /// `dt2 (vel − vel_c · cosa) / sina`.
-pub fn corrected_wind<T: NumLike>(vel: T, vel_c: T, cosa: T, sina: T, dt2: T) -> T {
+fn corrected_wind<T: NumLike>(vel: T, vel_c: T, cosa: T, sina: T, dt2: T) -> T {
     dt2 * (vel - vel_c * cosa) / sina
 }
 

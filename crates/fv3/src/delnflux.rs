@@ -25,7 +25,7 @@ pub enum Nord {
 }
 
 /// Five-point Laplacian with metric weights folded into the coefficient.
-pub fn laplacian<T: NumLike>(qm_i: T, qp_i: T, qm_j: T, qp_j: T, q0: T) -> T {
+fn laplacian<T: NumLike>(qm_i: T, qp_i: T, qm_j: T, qp_j: T, q0: T) -> T {
     qm_i + qp_i + qm_j + qp_j - T::from(4.0) * q0
 }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// Inner advective half-update transverse to a sweep: first-order upwind
 /// with the cell-centred Courant number `cc`.
 /// `q_t = q - 0.5 cc (q - q_upwind)`.
-pub fn inner_update<T: NumLike>(q0: T, qm: T, qp: T, cc: T) -> T {
+fn inner_update<T: NumLike>(q0: T, qm: T, qp: T, cc: T) -> T {
     q0.clone()
         - T::from(0.5)
             * cc.clone()

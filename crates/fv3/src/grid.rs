@@ -12,9 +12,9 @@ use comm::geometry::FaceFrame;
 use dataflow::{Array3, Layout};
 use std::sync::Arc;
 
-/// Earth radius [m] — metric terms are in SI so Courant numbers come out
+/// Earth radius \[m\] — metric terms are in SI so Courant numbers come out
 /// dimensionless for m/s winds.
-pub const RADIUS: f64 = 6.3712e6;
+const RADIUS: f64 = 6.3712e6;
 
 /// Normalize a 3-vector onto the unit sphere.
 fn normalize(p: [f64; 3]) -> [f64; 3] {
@@ -78,7 +78,7 @@ pub struct Grid {
     pub n: usize,
     /// Vertical levels (metric fields are replicated over k).
     pub nk: usize,
-    /// Cell areas [m^2].
+    /// Cell areas \[m^2\].
     pub area: Arc<Array3>,
     /// Inverse cell areas.
     pub rarea: Arc<Array3>,
@@ -197,7 +197,8 @@ impl Grid {
     }
 
     /// Sum of cell areas over the compute domain (one level).
-    pub fn domain_area(&self) -> f64 {
+    #[cfg(test)]
+    fn domain_area(&self) -> f64 {
         let mut s = 0.0;
         for j in 0..self.n as i64 {
             for i in 0..self.n as i64 {

@@ -47,13 +47,13 @@ pub const CP_AIR: f64 = RDGAS * 3.5;
 /// Bounds beyond which a sample is flagged as a violation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthThresholds {
-    /// Max permitted wind speed magnitude [m/s].
+    /// Max permitted wind speed magnitude \[m/s\].
     pub max_wind: f64,
     /// Max permitted advective CFL number.
     pub max_cfl: f64,
-    /// Surface-pressure lower bound [Pa].
+    /// Surface-pressure lower bound \[Pa\].
     pub ps_min: f64,
-    /// Surface-pressure upper bound [Pa].
+    /// Surface-pressure upper bound \[Pa\].
     pub ps_max: f64,
     /// Max relative air-mass drift vs the first sample.
     pub max_mass_drift: f64,
@@ -86,13 +86,13 @@ impl Default for HealthThresholds {
 pub struct HealthInput<'a> {
     /// Timestep index.
     pub step: u64,
-    /// Acoustic timestep [s] (for the CFL estimate).
+    /// Acoustic timestep \[s\] (for the CFL estimate).
     pub dt: f64,
-    /// Model-top pressure [Pa].
+    /// Model-top pressure \[Pa\].
     pub ptop: f64,
-    /// Specific heat at constant pressure [J/(kg·K)].
+    /// Specific heat at constant pressure \[J/(kg·K)\].
     pub cp: f64,
-    /// Gravity [m/s²].
+    /// Gravity \[m/s²\].
     pub grav: f64,
     /// Every prognostic, scanned for non-finite values.
     pub fields: Vec<(&'a str, &'a Array3)>,
@@ -171,11 +171,11 @@ impl fmt::Display for BlowupReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSample {
     pub step: u64,
-    /// `max √(u²+v²+w²)` over the compute domain [m/s].
+    /// `max √(u²+v²+w²)` over the compute domain \[m/s\].
     pub max_wind: f64,
     /// `dt · max(|u|·rdx + |v|·rdy)` over the compute domain.
     pub cfl: f64,
-    /// Min / max per-column surface pressure `ptop + Σ_k delp` [Pa].
+    /// Min / max per-column surface pressure `ptop + Σ_k delp` \[Pa\].
     pub ps_min: f64,
     pub ps_max: f64,
     /// `Σ delp·area` (column k-outer sum, matching the validate crate).
@@ -263,7 +263,7 @@ impl HealthSample {
 
 /// Scan `fields` (logical compute domain, canonical field order then
 /// k-outer / j / i) for the first non-finite value.
-pub fn check_fields(
+fn check_fields(
     fields: &[(&str, &Array3)],
     step: u64,
     span_stack: &[String],
@@ -315,11 +315,6 @@ impl HealthMonitor {
     pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
         self.tracer = Some(tracer.clone());
         self
-    }
-
-    /// The active thresholds.
-    pub fn thresholds(&self) -> &HealthThresholds {
-        &self.thresholds
     }
 
     /// Compute one sample from `input`, record and return it.

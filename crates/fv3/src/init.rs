@@ -14,20 +14,20 @@ use crate::state::DycoreState;
 
 /// Physical constants (SI).
 pub mod constants {
-    /// Dry-air gas constant [J/(kg K)].
+    /// Dry-air gas constant \[J/(kg K)\].
     pub const RDGAS: f64 = 287.05;
-    /// Gravity [m/s^2].
+    /// Gravity \[m/s^2\].
     pub const GRAV: f64 = 9.80665;
-    /// Reference surface pressure [Pa].
+    /// Reference surface pressure \[Pa\].
     pub const P0: f64 = 101_325.0;
-    /// Model-top pressure [Pa].
+    /// Model-top pressure \[Pa\].
     pub const PTOP: f64 = 300.0;
-    /// Jet peak speed [m/s].
-    pub const U0: f64 = 35.0;
-    /// Surface temperature [K].
-    pub const T0: f64 = 288.0;
+    /// Jet peak speed \[m/s\].
+    pub(crate) const U0: f64 = 35.0;
+    /// Surface temperature \[K\].
+    pub(crate) const T0: f64 = 288.0;
     /// Kappa = R/cp.
-    pub const KAPPA: f64 = 2.0 / 7.0;
+    pub(crate) const KAPPA: f64 = 2.0 / 7.0;
 }
 
 /// Configuration of the test case.

@@ -2,7 +2,6 @@
 //! FORTRAN-style baseline it validates against.
 
 pub mod delnflux;
-pub mod diagnostics;
 pub mod dyn_core;
 pub mod grid;
 pub mod c_sw;

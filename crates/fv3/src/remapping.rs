@@ -123,7 +123,7 @@ pub fn target_thicknesses(nk: usize, p_top: f64, column_mass: f64) -> Vec<f64> {
 
 /// Remap every column of the given fields back to the reference
 /// coordinate. `delp` is both input (Lagrangian thicknesses) and output
-/// (reference thicknesses); `fields` are remapped in place, [`GROUP`] at
+/// (reference thicknesses); `fields` are remapped in place, `GROUP` at
 /// a time by one walk per column. Nothing is allocated per column.
 pub fn remap_state(delp: &mut Array3, fields: &mut [&mut Array3]) {
     let [ni, nj, nk] = delp.layout().domain;

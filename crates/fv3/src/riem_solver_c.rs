@@ -27,10 +27,10 @@ use stencil::{StencilBuilder, StencilDef};
 use std::sync::Arc;
 
 /// Heat-capacity ratio used in the sound-speed proxy.
-pub const GAMA: f64 = 1.4;
+const GAMA: f64 = 1.4;
 
 /// Thermal forcing coefficient (buoyancy proxy).
-pub const BUOY: f64 = 1.0e-5;
+const BUOY: f64 = 1.0e-5;
 
 /// Squared-sound-speed proxy `γ R θ`.
 pub fn sound_speed2<T: NumLike>(pt: T) -> T {

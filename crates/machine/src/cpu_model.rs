@@ -38,7 +38,7 @@ impl CpuModel {
     /// (sets slightly above capacity still get partial reuse, matching the
     /// gentle degradation between the paper's 192^2 and 256^2 rows before
     /// the 384^2 cliff).
-    pub fn cache_hit_fraction(&self, working_set: u64) -> f64 {
+    fn cache_hit_fraction(&self, working_set: u64) -> f64 {
         if working_set == 0 {
             return 1.0;
         }
@@ -49,7 +49,7 @@ impl CpuModel {
     }
 
     /// Effective bandwidth for a kernel with the given slab working set.
-    pub fn effective_bandwidth(&self, working_set: u64) -> f64 {
+    fn effective_bandwidth(&self, working_set: u64) -> f64 {
         let h = self.cache_hit_fraction(working_set);
         let cache = self.spec.blocking_cache.bandwidth;
         let dram = self.spec.dram_bandwidth;

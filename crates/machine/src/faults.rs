@@ -90,13 +90,15 @@ impl FaultSpec {
     }
 
     /// Restrict to a driver step.
-    pub fn at_step(mut self, step: u64) -> Self {
+    #[cfg(test)]
+    fn at_step(mut self, step: u64) -> Self {
         self.step = Some(step);
         self
     }
 
     /// Restrict to a module label.
-    pub fn in_module(mut self, module: &str) -> Self {
+    #[cfg(test)]
+    fn in_module(mut self, module: &str) -> Self {
         self.module = Some(module.to_string());
         self
     }
@@ -107,12 +109,6 @@ impl FaultSpec {
         self
     }
 
-    /// Target a rank.
-    pub fn on_rank(mut self, rank: usize) -> Self {
-        self.rank = Some(rank);
-        self
-    }
-
     /// Fire every time the conditions match, not just once.
     pub fn repeatable(mut self) -> Self {
         self.once = false;
@@ -120,7 +116,7 @@ impl FaultSpec {
     }
 }
 
-/// Context a site passes to [`fire`]; sites that do not know the driver
+/// Context a site passes to [`Faults::fire`]; sites that do not know the driver
 /// step or module pass `FireCtx::default()`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FireCtx<'a> {

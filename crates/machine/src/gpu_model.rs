@@ -37,7 +37,7 @@ impl GpuModel {
 
     /// Achieved bandwidth for a kernel exposing `threads` parallel items
     /// with the given coalescing fraction.
-    pub fn achieved_bandwidth(&self, threads: u64, coalescing: f64) -> f64 {
+    fn achieved_bandwidth(&self, threads: u64, coalescing: f64) -> f64 {
         let t = threads.max(1) as f64;
         let occupancy = t / (t + self.spec.saturation_half_threads);
         let coal = coalescing.clamp(0.0, 1.0);

@@ -40,7 +40,7 @@ pub use gpu_model::GpuModel;
 pub use network::NetworkModel;
 pub use pool::Pool;
 pub use run::{RankSchedule, RunConfig, RunContext};
-pub use spec::{CacheLevel, CpuSpec, GpuSpec, MachineSpec, NetworkSpec, Target};
+pub use spec::{CacheLevel, CpuSpec, GpuSpec, NetworkSpec, Target};
 
 /// Data-movement and arithmetic counters for one kernel invocation.
 ///

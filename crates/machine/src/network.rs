@@ -33,7 +33,7 @@ impl NetworkModel {
 
     /// Wire time for one rank sending `messages` messages totalling
     /// `bytes` bytes, before overlap.
-    pub fn wire_time(&self, messages: u64, bytes: u64) -> f64 {
+    fn wire_time(&self, messages: u64, bytes: u64) -> f64 {
         self.spec.latency * messages as f64 + bytes as f64 / self.spec.bandwidth
     }
 

@@ -425,36 +425,6 @@ impl Pool {
             }
         });
     }
-
-    /// Map-reduce over `0..len`: each chunk produces a partial value via
-    /// `body`, combined pairwise with `combine` starting from `identity`.
-    ///
-    /// `combine` must be associative; partials arrive in chunk-completion
-    /// order, so non-commutative reductions see an unspecified (but
-    /// complete) grouping.
-    pub fn map_reduce<T, F, C>(&self, len: usize, identity: T, body: F, combine: C) -> T
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-        C: Fn(T, T) -> T + Sync,
-    {
-        if len == 0 {
-            return identity;
-        }
-        if self.shared.is_none() {
-            return combine(identity, body(0..len));
-        }
-        let partials: Mutex<Vec<T>> = Mutex::new(Vec::new());
-        self.for_each_chunk(len, |r| {
-            let v = body(r);
-            partials.lock().push(v);
-        });
-        let mut out = identity;
-        for p in partials.into_inner() {
-            out = combine(out, p);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -603,40 +573,5 @@ mod tests {
         assert!(caught.is_err());
         // Every non-panicking rank still ran to completion (joined).
         assert_eq!(done.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn map_reduce_sums_correctly() {
-        for workers in [1, 3, 8] {
-            let pool = Pool::new(workers);
-            let total = pool.map_reduce(
-                1000,
-                0u64,
-                |r| r.map(|i| i as u64).sum::<u64>(),
-                |a, b| a + b,
-            );
-            assert_eq!(total, 999 * 1000 / 2);
-        }
-    }
-
-    #[test]
-    fn map_reduce_empty_returns_identity() {
-        let pool = Pool::new(4);
-        let v = pool.map_reduce(0, 42u32, |_| 0, |a, b| a + b);
-        assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn map_reduce_max() {
-        let data: Vec<f64> = (0..500).map(|i| (i as f64 * 0.7).sin()).collect();
-        let pool = Pool::new(4);
-        let mx = pool.map_reduce(
-            data.len(),
-            f64::NEG_INFINITY,
-            |r| r.map(|i| data[i]).fold(f64::NEG_INFINITY, f64::max),
-            f64::max,
-        );
-        let expect = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(mx, expect);
     }
 }

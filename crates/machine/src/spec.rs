@@ -81,15 +81,6 @@ pub struct NetworkSpec {
     pub bandwidth: f64,
 }
 
-/// A full machine: one node type plus its interconnect.
-#[derive(Debug, Clone)]
-pub struct MachineSpec {
-    pub name: String,
-    pub cpu: CpuSpec,
-    pub gpu: Option<GpuSpec>,
-    pub network: NetworkSpec,
-}
-
 impl GpuSpec {
     /// NVIDIA Tesla P100 16GB as deployed in Piz Daint XC50 nodes.
     ///
@@ -211,38 +202,6 @@ impl NetworkSpec {
             bandwidth: 10.0e9,
         }
     }
-
-    /// InfiniBand HDR as in JUWELS Booster.
-    pub fn hdr_infiniband() -> Self {
-        NetworkSpec {
-            name: "HDR InfiniBand".to_string(),
-            latency: 1.0e-6,
-            bandwidth: 23.0e9,
-        }
-    }
-}
-
-impl MachineSpec {
-    /// A Piz Daint XC50 node: Haswell + P100 + Aries.
-    pub fn piz_daint() -> Self {
-        MachineSpec {
-            name: "Piz Daint XC50".to_string(),
-            cpu: CpuSpec::haswell_e5_2690v3(),
-            gpu: Some(GpuSpec::p100()),
-            network: NetworkSpec::aries(),
-        }
-    }
-
-    /// A JUWELS Booster node (A100). The host CPU barely matters for the
-    /// paper's measurement; we reuse the Haswell spec for it.
-    pub fn juwels_booster() -> Self {
-        MachineSpec {
-            name: "JUWELS Booster".to_string(),
-            cpu: CpuSpec::haswell_e5_2690v3(),
-            gpu: Some(GpuSpec::a100()),
-            network: NetworkSpec::hdr_infiniband(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -274,14 +233,5 @@ mod tests {
         assert!((ratio - 11.95).abs() < 0.1, "ratio = {ratio}");
         // (489.83/40.99 = 11.95; the paper's 11.45 uses GB-vs-GiB rounding —
         // either way the order of magnitude claim holds.)
-    }
-
-    #[test]
-    fn machines_construct() {
-        let daint = MachineSpec::piz_daint();
-        assert!(daint.gpu.is_some());
-        assert_eq!(daint.cpu.cores, 12);
-        let juwels = MachineSpec::juwels_booster();
-        assert_eq!(juwels.gpu.unwrap().name, "A100");
     }
 }

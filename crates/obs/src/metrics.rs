@@ -65,7 +65,7 @@ impl HistogramData {
     }
 
     /// Mean of observed values (0 when empty).
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         if self.count > 0 {
             self.sum / self.count as f64
         } else {
@@ -141,7 +141,8 @@ impl MetricsRegistry {
     }
 
     /// Aggregated histogram data, if any observation was made.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramData> {
+    #[cfg(test)]
+    fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramData> {
         lock(&self.inner).histograms.get(&key(name, labels)).copied()
     }
 

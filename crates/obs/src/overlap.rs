@@ -61,7 +61,8 @@ impl OverlapStats {
     }
 
     /// Total accounted rank-seconds.
-    pub fn total_seconds(&self) -> f64 {
+    #[cfg(test)]
+    fn total_seconds(&self) -> f64 {
         self.pack_seconds + self.interior_seconds + self.halo_wait_seconds + self.run_seconds
     }
 

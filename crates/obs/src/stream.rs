@@ -496,7 +496,8 @@ impl EventBus {
     }
 
     /// Live subscriber count (approximate; pruned on publish/subscribe).
-    pub fn subscriber_count(&self) -> usize {
+    #[cfg(test)]
+    fn subscriber_count(&self) -> usize {
         self.inner.nsubs.load(Ordering::Relaxed)
     }
 }
@@ -600,8 +601,8 @@ pub struct StreamProgress {
     pub last_healthy: Option<bool>,
 }
 
-/// The producer handle carried by [`fv3core`]'s driver and
-/// [`resilience`]'s supervisor. The default sink is *off*: one `Option`
+/// The producer handle carried by `fv3core`'s driver and
+/// `resilience`'s supervisor. The default sink is *off*: one `Option`
 /// check, no events, no timestamps, no allocations — the
 /// zero-cost-when-off guarantee of the telemetry plane.
 #[derive(Clone, Default)]

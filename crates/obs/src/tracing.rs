@@ -201,11 +201,6 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Drop all recorded events.
-    pub fn clear(&self) {
-        lock(&self.inner.finished).clear();
-    }
-
     /// Serialize all closed spans as chrome-trace JSON ("Trace Event
     /// Format" `ph: "X"` complete events, loadable in `about://tracing` /
     /// Perfetto), sorted per thread by start time with longer (enclosing)

@@ -40,11 +40,6 @@ impl FieldHandle {
     pub fn c(&self) -> Expr {
         self.at(0, 0, 0)
     }
-
-    /// Stencil-local index.
-    pub fn index(&self) -> usize {
-        self.idx
-    }
 }
 
 /// Handle to a scalar parameter.
@@ -226,9 +221,6 @@ pub mod fns {
     }
     pub fn cos(a: Expr) -> Expr {
         Expr::un(UnOp::Cos, a)
-    }
-    pub fn sign(a: Expr) -> Expr {
-        Expr::un(UnOp::Sign, a)
     }
     pub fn floor(a: Expr) -> Expr {
         Expr::un(UnOp::Floor, a)

@@ -71,7 +71,8 @@ pub fn analyze(def: &StencilDef) -> ExtentAnalysis {
 impl ExtentAnalysis {
     /// Maximum horizontal halo requirement over all fields, as
     /// `[i_halo, j_halo]` (symmetric: max of low/high sides).
-    pub fn max_halo(&self) -> [usize; 2] {
+    #[cfg(test)]
+    fn max_halo(&self) -> [usize; 2] {
         let mut hi = 0i64;
         let mut hj = 0i64;
         for e in &self.field_extents {

@@ -66,12 +66,14 @@ pub struct StencilDef {
 
 impl StencilDef {
     /// Index of a field by name.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
+    #[cfg(test)]
+    fn field_index(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
     }
 
     /// Index of a parameter by name.
-    pub fn param_index(&self, name: &str) -> Option<usize> {
+    #[cfg(test)]
+    fn param_index(&self, name: &str) -> Option<usize> {
         self.params.iter().position(|p| p == name)
     }
 

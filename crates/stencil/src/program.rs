@@ -23,8 +23,6 @@ pub struct ProgramBuilder {
     sdfg: Sdfg,
     domain: [usize; 3],
     halo: [usize; 3],
-    order: StorageOrder,
-    alignment: usize,
     fields: HashMap<String, DataId>,
     params: HashMap<String, ParamId>,
     /// Stack of control sequences: the last is the innermost open scope.
@@ -41,8 +39,6 @@ impl ProgramBuilder {
             sdfg: Sdfg::new(name),
             domain,
             halo,
-            order: StorageOrder::IContiguous,
-            alignment: 32,
             fields: HashMap::new(),
             params: HashMap::new(),
             control_stack: vec![Vec::new()],
@@ -51,20 +47,9 @@ impl ProgramBuilder {
         }
     }
 
-    /// Change the storage order for subsequently registered fields
-    /// (the Fig. 8 layout knob).
-    pub fn storage_order(&mut self, order: StorageOrder) -> &mut Self {
-        self.order = order;
-        self
-    }
-
-    /// The compute domain.
-    pub fn domain(&self) -> Domain {
-        Domain::from_shape(self.domain)
-    }
-
+    /// Every field is i-contiguous with 32-byte-aligned rows.
     fn layout(&self) -> Layout {
-        Layout::new(self.domain, self.halo, self.order, self.alignment)
+        Layout::new(self.domain, self.halo, StorageOrder::IContiguous, 32)
     }
 
     /// Register (or look up) a persistent model field.

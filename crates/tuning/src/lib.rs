@@ -55,7 +55,7 @@ pub struct AutotuneReport {
 
 impl AutotuneReport {
     /// Modeled speedup factor (>= 1 when the pipeline helped).
-    pub fn modeled_speedup(&self) -> f64 {
+    fn modeled_speedup(&self) -> f64 {
         if self.modeled_after > 0.0 {
             self.modeled_before / self.modeled_after
         } else {

@@ -38,7 +38,7 @@ impl Pattern {
 }
 
 /// The leading component of a possibly-fused kernel name.
-pub fn base_label(name: &str) -> &str {
+fn base_label(name: &str) -> &str {
     name.split(['+', '*']).next().unwrap_or(name)
 }
 

@@ -3,7 +3,7 @@
 //! Patterns are matched by kernel label throughout every state. To prune
 //! the match space, "we only consider the first match for each pattern in
 //! each state, and only match the most performance-improving pattern";
-//! a match is committed only when it "also provide[s] a local performance
+//! a match is committed only when it "also provide\[s\] a local performance
 //! improvement" under the machine model. A match is planned against the
 //! program, scored (and vetted) on its trial state, and committed in
 //! place: the caller's graph keeps its identity and gains one generation

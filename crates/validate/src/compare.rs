@@ -17,7 +17,7 @@ use std::fmt;
 /// usual monotone mapping of the f64 bit patterns onto a signed line.
 /// Equal values (including `-0.0` vs `0.0`) are 0; any NaN on either
 /// side is `u64::MAX` unless both are bitwise-equal NaNs.
-pub fn ulp_distance(a: f64, b: f64) -> u64 {
+fn ulp_distance(a: f64, b: f64) -> u64 {
     if a.to_bits() == b.to_bits() {
         return 0;
     }
@@ -40,7 +40,7 @@ pub fn ulp_distance(a: f64, b: f64) -> u64 {
 
 /// Relative error `|a - b| / max(|a|, |b|)`; 0 for equal values, infinity
 /// when exactly one side is non-finite.
-pub fn rel_error(a: f64, b: f64) -> f64 {
+fn rel_error(a: f64, b: f64) -> f64 {
     if a == b || (a.is_nan() && b.is_nan()) {
         return 0.0;
     }
@@ -87,7 +87,7 @@ impl Tolerance {
     }
 
     /// Whether `(expected, actual)` is acceptable.
-    pub fn accepts(&self, expected: f64, actual: f64) -> bool {
+    fn accepts(&self, expected: f64, actual: f64) -> bool {
         ulp_distance(expected, actual) <= self.max_ulps
             || rel_error(expected, actual) <= self.max_rel
     }
@@ -121,7 +121,7 @@ impl Tolerances {
     }
 
     /// The tolerance applying to `field`.
-    pub fn for_field(&self, field: &str) -> Tolerance {
+    fn for_field(&self, field: &str) -> Tolerance {
         self.per_field.get(field).copied().unwrap_or(self.default)
     }
 }
@@ -160,7 +160,7 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// Largest [`ulp_distance`] between two savepoints' values, per field in
+/// Largest `ulp_distance` between two savepoints' values, per field in
 /// capture order: the observed figure a budgeted comparison is held to.
 pub fn max_ulps_per_field(expected: &Savepoint, actual: &Savepoint) -> Vec<(String, u64)> {
     assert_eq!(expected.fields.len(), actual.fields.len(), "field count mismatch");
@@ -175,7 +175,7 @@ pub fn max_ulps_per_field(expected: &Savepoint, actual: &Savepoint) -> Vec<(Stri
 
 /// Compare one field snapshot pair. On failure, reports the worst
 /// (largest ULP distance, ties broken by relative error) failing element.
-pub fn compare_field(
+fn compare_field(
     savepoint: &str,
     expected: &FieldSnapshot,
     actual: &FieldSnapshot,

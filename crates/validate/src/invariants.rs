@@ -31,7 +31,7 @@ pub const CP_AIR: f64 = RDGAS * 3.5;
 /// `pt` is potential temperature, so this is not the exact moist-energy
 /// budget of the full model — it is a stable scalar whose relative drift
 /// bounds how fast the integration is heating or cooling itself.
-pub fn total_energy(state: &DycoreState, grid: &Grid) -> f64 {
+fn total_energy(state: &DycoreState, grid: &Grid) -> f64 {
     let mut e = 0.0;
     for k in 0..state.nk as i64 {
         for j in 0..state.n as i64 {

@@ -19,7 +19,7 @@
 //! * [`stages`] — pipeline tier enforcement: every bit-exact
 //!   `fv3core::pipeline::PipelineStage` must produce bit-identical
 //!   dycore state, the budgeted one state within its ULP budget.
-//! * [`reference`] — the fixed seed case and the deterministic golden
+//! * [`reference`](mod@reference) — the fixed seed case and the deterministic golden
 //!   generator behind `cargo run -p validate --bin capture_golden`.
 //!
 //! See `crates/validate/README.md` for the golden-data workflow.
@@ -31,8 +31,7 @@ pub mod savepoint;
 pub mod stages;
 
 pub use compare::{
-    compare_capture, compare_field, compare_savepoint, max_ulps_per_field, rel_error,
-    ulp_distance, Divergence, Tolerance, Tolerances,
+    compare_capture, compare_savepoint, max_ulps_per_field, Divergence, Tolerance, Tolerances,
 };
 pub use invariants::{check_finite, check_invariants, ConservationLedger, InvariantReport};
 pub use savepoint::{Capture, CaptureRecorder, FieldSnapshot, Savepoint};
