@@ -1,10 +1,13 @@
 //! Deterministic counters of the step path's scratch stores and rank
 //! team (the style of `fv3/tests/tile_program.rs`: counts, not clocks). A
 //! driver that falls back to a store per rank-substep or a thread per
-//! rank, or a dycore graph whose stores need re-zeroing between runs,
-//! fails a count here, not a timing somewhere else.
+//! rank, or a dycore graph whose stores need re-zeroing between runs or
+//! stop packing their transients, fails a count here, not a timing
+//! somewhere else.
 
 use dataflow::graph::ExpansionAttrs;
+use dataflow::liveness::live_intervals;
+use dataflow::{DataStore, Sdfg};
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{CompiledSubstep, DistributedDycore, DriverConfig, RankSchedule};
 use machine::Pool;
@@ -188,4 +191,68 @@ fn whole_array_copies_per_rank_substep() {
             "{schedule:?}"
         );
     }
+}
+
+/// `(owned arrays, bytes)` of a store for `g`, with every container in
+/// an array of its own and as [`DataStore::for_sdfg`] packs it.
+fn owned_unpacked_and_packed(g: &Sdfg) -> [(usize, usize); 2] {
+    let mut unpacked = g.clone();
+    for c in &mut unpacked.containers {
+        c.transient = false;
+    }
+    [&unpacked, g].map(|g| DataStore::for_sdfg(g).owned_arrays())
+}
+
+/// The most transients of `g` live at one node.
+fn most_transients_live(g: &Sdfg) -> usize {
+    let live = live_intervals(g);
+    let transient = |d: usize| g.containers[d].transient;
+    let nodes = live.iter().flatten().map(|iv| iv.last + 1).max().unwrap_or(0);
+    (0..nodes)
+        .map(|at| {
+            let live_at = |d: &usize| live[*d].is_some_and(|iv| iv.first <= at && at <= iv.last);
+            (0..live.len()).filter(|d| transient(*d) && live_at(d)).count()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Transients whose lifetimes do not overlap share one array (see
+/// `dataflow::liveness`). c24L8: the substep graph's 30 transients, at
+/// most 6 of them live at once, fit 6 arrays beside the 17 containers
+/// that keep their own (7 prognostics, 10 fluxes and C-grid winds), so
+/// the store drops from 47 arrays of 65 760 B to 23. Every graph needs
+/// as many arrays for its transients as it has live at once, the fewest
+/// possible. A tuned bundle is packed from its own tuned graph, whose
+/// fusions keep more transients live together; which fusions the
+/// measured veto lets through varies from build to build, so only the
+/// rule is pinned there.
+#[test]
+fn a_substep_store_packs_its_transients_into_fewer_arrays() {
+    let builds = [
+        ("c24L8", config(24, 8, 1, 1, None), false, Some((23, 3_090_720, 1_512_480))),
+        ("c8L3", config(8, 3, 1, 1, None), false, Some((23, 47 * 6_368, 23 * 6_368))),
+        ("c12L4 tuned", config(12, 4, 1, 1, None), true, None),
+    ];
+    for (what, cfg, tuned, expect) in builds {
+        let sub = CompiledSubstep::build_with_tune(&cfg, None, tuned);
+        let g = sub.graph();
+        let [(unpacked, before), (packed, after)] = owned_unpacked_and_packed(g);
+        assert_eq!((unpacked, packed), (47, 17 + most_transients_live(g)), "{what}");
+        assert_eq!(after * unpacked, before * packed, "{what}: arrays of one size");
+        if let Some(pinned) = expect {
+            assert_eq!((packed, before, after), pinned, "{what}");
+        }
+        assert!(after * 100 <= before * 60, "{what}: packed to {after} of {before} B");
+    }
+
+    // The driver's gauge reads what a rank store owns, shared arrays once.
+    let metrics = obs::MetricsRegistry::new();
+    let mut d = dycore(config(24, 8, 1, 1, None), RankSchedule::Sequential, 1);
+    d.set_run(machine::RunContext {
+        metrics: Some(metrics.clone()),
+        ..Default::default()
+    });
+    d.step();
+    assert_eq!(metrics.gauge_value("store_bytes", &[]), Some(1_512_480.0));
 }

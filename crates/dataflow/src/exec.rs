@@ -17,6 +17,7 @@ use crate::bytecode::{self, Src, TileProgram, View, TILE_LANES, TILE_SCRATCH};
 use crate::expr::{DataId, EvalCtx, Expr, LocalId, Offset3, ParamId};
 use crate::graph::{ControlNode, DataflowNode, Sdfg};
 use crate::kernel::{Domain, KOrder, Kernel, LValue};
+use crate::liveness::{live_intervals, Interval, Packing};
 use crate::storage::{Array3, Axis, Layout};
 use machine::{Faults, Pool, RunContext};
 use obs::Tracer;
@@ -26,7 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Runtime storage: one array per SDFG container. A
+/// Runtime storage: one array per SDFG container, except that transients
+/// whose lifetimes do not overlap share one ([`crate::liveness`]): ids
+/// resolve through the store's packing. A
 /// [`constant`](crate::graph::Container::constant) container's slot holds
 /// no array of its own: the caller lends one by reference
 /// ([`lend_constant`](Self::lend_constant)) and every store it is lent to
@@ -34,6 +37,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct DataStore {
     arrays: Vec<Slot>,
+    packing: Arc<Packing>,
 }
 
 #[derive(Debug, Clone)]
@@ -61,41 +65,52 @@ impl Slot {
 }
 
 impl DataStore {
-    /// Allocate zeroed arrays for every container of `sdfg` that is not
-    /// constant.
+    /// Allocate zeroed arrays for the containers of `sdfg` that are not
+    /// constant, one per array of the graph's packing: a transient's
+    /// array may hold another transient's values before its first write
+    /// and after its last read.
     pub fn for_sdfg(sdfg: &Sdfg) -> Self {
-        DataStore {
-            arrays: sdfg
-                .containers
-                .iter()
-                .map(|c| match c.constant {
+        let packing = Packing::of(sdfg);
+        let mut arrays = Vec::new();
+        for (c, &a) in sdfg.containers.iter().zip(&packing.array_of) {
+            if a == arrays.len() {
+                arrays.push(match c.constant {
                     true => Slot::Constant(c.layout.clone(), None),
                     false => Slot::Owned(Array3::zeros(c.layout.clone())),
-                })
-                .collect(),
+                });
+            }
         }
+        DataStore {
+            arrays,
+            packing: Arc::new(packing),
+        }
+    }
+
+    fn slot(&self, d: DataId) -> &Slot {
+        &self.arrays[self.packing.array_of[d.0]]
     }
 
     /// Immutable access to a container's array. A constant nobody has
     /// lent yet reads as the empty array.
     pub fn get(&self, d: DataId) -> &Array3 {
         static UNLENT: OnceLock<Array3> = OnceLock::new();
-        self.arrays[d.0]
+        self.slot(d)
             .array()
             .unwrap_or_else(|| UNLENT.get_or_init(Array3::default))
     }
 
     /// Mutable access to a container's array. Panics for a constant.
     pub fn get_mut(&mut self, d: DataId) -> &mut Array3 {
-        self.arrays[d.0].owned_mut()
+        self.arrays[self.packing.array_of[d.0]].owned_mut()
     }
 
     /// Mutable access to several containers at once (a host callback that
-    /// updates fields in place). Panics when two ids name one container.
+    /// updates fields in place). Panics when two ids name one array.
     pub fn get_disjoint_mut<const N: usize>(&mut self, ids: [DataId; N]) -> [&mut Array3; N] {
+        let at = ids.map(|d| self.packing.array_of[d.0]);
         self.arrays
-            .get_disjoint_mut(ids.map(|d| d.0))
-            .expect("distinct containers of this store")
+            .get_disjoint_mut(at)
+            .expect("distinct arrays of this store")
             .map(Slot::owned_mut)
     }
 
@@ -103,35 +118,64 @@ impl DataStore {
     /// copy. Panics when `d` was not declared constant or the layouts
     /// differ.
     pub fn lend_constant(&mut self, d: DataId, array: &Arc<Array3>) {
-        let Slot::Constant(layout, lent) = &mut self.arrays[d.0] else {
+        let Slot::Constant(layout, lent) = &mut self.arrays[self.packing.array_of[d.0]] else {
             panic!("container {} is not constant", d.0)
         };
         assert_eq!(layout, array.layout(), "layout mismatch in lend_constant");
         *lent = Some(Arc::clone(array));
     }
 
-    /// Copy every element of `src` into `dst` (same layout; `src == dst`
-    /// is a no-op).
+    /// Copy every element of `src` into `dst` (same layout; a no-op when
+    /// the two share an array).
     pub fn copy(&mut self, src: DataId, dst: DataId) {
-        if src == dst {
+        let (s, d) = (self.packing.array_of[src.0], self.packing.array_of[dst.0]);
+        if s == d {
             return;
         }
         let [s, d] = self
             .arrays
-            .get_disjoint_mut([src.0, dst.0])
-            .expect("two containers of this store");
+            .get_disjoint_mut([s, d])
+            .expect("two arrays of this store");
         d.owned_mut()
             .copy_from(s.array().expect("copy from a constant nobody lent"));
     }
 
+    /// Take over `from`'s contents for every container of `sdfg` that is
+    /// not transient and that `from` holds: an owned array copied, a lent
+    /// constant lent again. `from` may have been built for another graph
+    /// over the same containers; this store keeps its own packing.
+    pub fn copy_inputs(&mut self, sdfg: &Sdfg, from: &DataStore) {
+        for (n, c) in sdfg.containers.iter().enumerate().take(from.len()) {
+            let d = DataId(n);
+            match from.slot(d) {
+                _ if c.transient => {}
+                Slot::Owned(a) => self.get_mut(d).copy_from(a),
+                Slot::Constant(_, Some(lent)) => self.lend_constant(d, lent),
+                Slot::Constant(_, None) => {}
+            }
+        }
+    }
+
     /// Number of containers.
     pub fn len(&self) -> usize {
-        self.arrays.len()
+        self.packing.array_of.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.arrays.is_empty()
+        self.packing.array_of.is_empty()
+    }
+
+    /// The arrays this store allocated itself (lent constants are not
+    /// counted): how many, and their bytes.
+    pub fn owned_arrays(&self) -> (usize, usize) {
+        self.arrays
+            .iter()
+            .filter_map(|s| match s {
+                Slot::Owned(a) => Some(a.raw().len() * 8),
+                Slot::Constant(..) => None,
+            })
+            .fold((0, 0), |(n, bytes), b| (n + 1, bytes + b))
     }
 }
 
@@ -608,7 +652,8 @@ fn field_slots(ck: &CompiledKernel, store: &mut DataStore) -> Vec<FieldSlot> {
                 let a = store.get_mut(*d);
                 (a.raw_mut().as_mut_ptr(), a.layout())
             } else {
-                let a = store.arrays[d.0]
+                let a = store
+                    .slot(*d)
                     .array()
                     .unwrap_or_else(|| panic!("constant container {} was never lent to this store", d.0));
                 (a.raw().as_ptr().cast_mut(), a.layout())
@@ -903,6 +948,23 @@ struct KernelCache {
     sdfg_uid: u64,
     generation: u64,
     entries: HashMap<(usize, usize), Arc<CacheEntry>>,
+    /// The graph's live intervals, which every store run on it is
+    /// checked against.
+    live: Option<Arc<[Option<Interval>]>>,
+}
+
+impl KernelCache {
+    /// Drop everything cached for another graph, or an older generation
+    /// of this one.
+    fn namespace(&mut self, sdfg: &Sdfg) -> &mut Self {
+        if self.sdfg_uid != sdfg.uid() || self.generation != sdfg.generation() {
+            self.entries.clear();
+            self.live = None;
+            self.sdfg_uid = sdfg.uid();
+            self.generation = sdfg.generation();
+        }
+        self
+    }
 }
 
 struct CacheEntry {
@@ -954,11 +1016,7 @@ impl Executor {
         kernel: &Kernel,
     ) -> (Arc<CacheEntry>, bool) {
         let mut cache = self.cache.lock();
-        if cache.sdfg_uid != sdfg.uid() || cache.generation != sdfg.generation() {
-            cache.entries.clear();
-            cache.sdfg_uid = sdfg.uid();
-            cache.generation = sdfg.generation();
-        }
+        let cache = cache.namespace(sdfg);
         if let Some(e) = cache.entries.get(&key) {
             if e.compiled.fingerprint == KernelFingerprint::of(kernel) {
                 return (Arc::clone(e), true);
@@ -1031,9 +1089,30 @@ impl Executor {
             sdfg.params.len(),
             params.len()
         );
+        self.check_packing(sdfg, store);
         let mut report = ExecReport::default();
         self.run_control(&sdfg.control, sdfg, store, params, hooks, &mut report, ctx);
         report
+    }
+
+    /// Refuse to run `sdfg` on a store whose packing puts two containers
+    /// that `sdfg` keeps live at once into one array (a store built for
+    /// another graph).
+    fn check_packing(&self, sdfg: &Sdfg, store: &DataStore) {
+        let live = {
+            let mut cache = self.cache.lock();
+            let cache = cache.namespace(sdfg);
+            Arc::clone(cache.live.get_or_insert_with(|| live_intervals(sdfg).into()))
+        };
+        if let Some((a, b)) = store.packing.conflict(&live) {
+            let name = |d: DataId| &sdfg.containers[d.0].name;
+            panic!(
+                "the store shares one array between '{}' and '{}', which '{}' keeps live at once",
+                name(a),
+                name(b),
+                sdfg.name
+            );
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1760,6 +1839,53 @@ mod tests {
         assert_eq!(store.get(ids[0]), &c);
         store.copy(ids[2], ids[2]);
         assert_eq!(store.get(ids[2]), &c);
+    }
+
+    /// `in -> t1 -> out`, then `in -> t2 -> out` (or, `interleaved`, both
+    /// transients written before either is read).
+    fn two_transients(interleaved: bool) -> Sdfg {
+        let (mut g, ids) = sdfg_with(4, 0, &["in", "t1", "t2", "out"]);
+        g.containers[1].transient = true;
+        g.containers[2].transient = true;
+        let step = |src: DataId, dst: DataId| {
+            let mut k = Kernel::new(
+                "step",
+                Domain::from_shape([4, 4, 4]),
+                KOrder::Parallel,
+                Schedule::gpu_horizontal(),
+            );
+            k.stmts
+                .push(Stmt::full(LValue::Field(dst), Expr::load(src, 0, 0, 0) + Expr::c(1.0)));
+            DataflowNode::Kernel(k)
+        };
+        let (i, t1, t2, o) = (ids[0], ids[1], ids[2], ids[3]);
+        let mut s = State::new("s");
+        s.nodes = match interleaved {
+            false => vec![step(i, t1), step(t1, o), step(i, t2), step(t2, o)],
+            true => vec![step(i, t1), step(i, t2), step(t1, o), step(t2, o)],
+        };
+        g.add_state(s);
+        g
+    }
+
+    #[test]
+    fn transients_live_at_different_times_share_an_array() {
+        let g = two_transients(false);
+        let mut store = DataStore::for_sdfg(&g);
+        assert_eq!(store.owned_arrays(), (3, 3 * 4 * 4 * 6 * 8), "K halo of one");
+        assert!(std::ptr::eq(store.get(DataId(1)), store.get(DataId(2))));
+        Executor::serial().run(&g, &mut store, &[], &mut NoHooks);
+        assert_eq!(store.get(DataId(3)).get(1, 2, 3), 2.0);
+        assert_eq!(DataStore::for_sdfg(&two_transients(true)).owned_arrays().0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "the store shares one array between 't1' and 't2', which 'other' keeps live at once")]
+    fn a_store_refuses_a_graph_whose_intervals_conflict_with_its_packing() {
+        let mut store = DataStore::for_sdfg(&two_transients(false));
+        let mut other = two_transients(true);
+        other.name = "other".into();
+        Executor::serial().run(&other, &mut store, &[], &mut NoHooks);
     }
 
     #[test]

@@ -20,7 +20,10 @@ pub struct Container {
     pub layout: Layout,
     /// Transients are intermediate buffers the optimizer may remove,
     /// shrink, or replace with registers ("information on removable
-    /// (transient) containers is indicated on the graph").
+    /// (transient) containers is indicated on the graph"). A store packs
+    /// transients whose lifetimes do not overlap into one array
+    /// ([`crate::liveness`]), so a transient's contents after a run are
+    /// unspecified.
     pub transient: bool,
     /// Never written by any node of the program: its array belongs to
     /// whoever lends it to a store ([`crate::DataStore::lend_constant`]),

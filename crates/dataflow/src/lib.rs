@@ -15,6 +15,7 @@ pub mod exec;
 pub mod expr;
 pub mod graph;
 pub mod kernel;
+pub mod liveness;
 pub mod model;
 pub mod passes;
 pub mod reuse;

@@ -188,6 +188,23 @@ impl Walk {
 /// caller lends it whole before each run. Empty means the store can be
 /// reused as it is.
 pub fn clear_list(sdfg: &Sdfg, loaded: &[DataId]) -> Vec<DataId> {
+    unproven(sdfg, loaded, true)
+}
+
+/// The containers some read of which may see a cell the run has not
+/// written before it — padding included, for a whole-container read. A
+/// container *not* listed holds nothing between two runs that either run
+/// reads, whatever its array held before; one that is listed relies on
+/// the zeros of a fresh store (or on the caller). Every container on the
+/// [`clear_list`] is listed here, as is every `constant` one.
+pub fn reads_unwritten(sdfg: &Sdfg) -> Vec<DataId> {
+    unproven(sdfg, &[], false)
+}
+
+/// The walk behind both lists. With `trust_zeros`, a cell no node of the
+/// program ever writes is proven (it reads zero in every store); without,
+/// only what the run wrote before the read is.
+fn unproven(sdfg: &Sdfg, loaded: &[DataId], trust_zeros: bool) -> Vec<DataId> {
     let whole: Vec<Domain> = sdfg
         .containers
         .iter()
@@ -225,6 +242,14 @@ pub fn clear_list(sdfg: &Sdfg, loaded: &[DataId]) -> Vec<DataId> {
                     cells[d.0].pad_ever = true;
                 }
             }
+        }
+    }
+    if !trust_zeros {
+        // Every cell counts as written by somebody: a read is proven
+        // only where this run wrote first.
+        for (c, w) in cells.iter_mut().zip(&whole) {
+            c.ever = vec![*w];
+            c.pad_ever = true;
         }
     }
     for d in loaded {

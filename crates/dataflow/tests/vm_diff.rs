@@ -12,11 +12,18 @@
 //! store that ran a random program, with every cell the program writes
 //! poisoned, must rerun it to the bits of a fresh store once the
 //! containers on the clear-list are zeroed.
+//!
+//! A third oracle checks the packing of transients
+//! (`dataflow::liveness`): random programs of many short-lived
+//! transients, some kernels inside a loop of several trips, run on a
+//! packed store whose shared arrays start as NaN, must leave every
+//! container that is not transient as the same program does with nothing
+//! packed.
 
 use dataflow::bytecode::TILE_LANES;
 use dataflow::exec::{run_kernel_with, validate_kernel, DataStore, Executor, NoHooks, VmMode};
 use dataflow::expr::{BinOp, CmpOp, LocalId, ParamId};
-use dataflow::graph::{DataflowNode, Sdfg, State};
+use dataflow::graph::{ControlNode, DataflowNode, Sdfg, State};
 use dataflow::kernel::{
     Anchor, AxisInterval, Domain, Extent2, KOrder, Kernel, LValue, Region2, Schedule, Stmt,
 };
@@ -370,8 +377,193 @@ fn check_reuse(ni: usize, nj: usize, nk: usize, korders: [KOrder; 3], n_stmts: u
     assert_stores_bit_identical(&fresh, &used, &ids, &format!("clear-list {clear:?}"));
 }
 
+const N_TRANSIENTS: usize = 8;
+
+/// A random program of `n_kernels` kernels for the packing oracle: three
+/// inputs, [`N_TRANSIENTS`] transients (two of them in a layout of their
+/// own) and two accumulating outputs. Each kernel defines one transient
+/// over the domain grown by its extent from inputs and transients defined
+/// before (mostly the last few), at offsets they cover, and may update it
+/// in place over part of the domain from one of them (read after the
+/// transient was defined, in the same kernel); one kernel in three accumulates
+/// transients into an output. Now and then a read reaches cells nobody
+/// wrote first, or a copy moves a whole container: those transients must
+/// stay out of the packing. A random run of consecutive nodes sits in a
+/// loop of one to three trips.
+fn packing_program(rng: &mut SmallRng, shape: [usize; 3], n_kernels: usize) -> (Sdfg, Vec<DataId>) {
+    let mut g = Sdfg::new("packing_diff");
+    let layout = |align| Layout::new(shape, HALO, StorageOrder::IContiguous, align);
+    let inputs: Vec<DataId> =
+        (0..N_INPUTS).map(|n| g.add_container(format!("in{n}"), layout(8), false)).collect();
+    let temps: Vec<DataId> = (0..N_TRANSIENTS)
+        .map(|n| g.add_container(format!("t{n}"), layout(if n < 2 { 1 } else { 8 }), true))
+        .collect();
+    let outputs: Vec<DataId> =
+        (0..N_OUTPUTS).map(|n| g.add_container(format!("out{n}"), layout(8), false)).collect();
+    let domain = Domain::from_shape(shape);
+    // The horizontal extent each transient was last defined over.
+    let mut defined: Vec<Option<i32>> = vec![None; N_TRANSIENTS];
+    let mut next = 0;
+    let mut nodes = Vec::new();
+    for _ in 0..n_kernels {
+        if rng.gen_bool(0.1) {
+            let (src, dst) = match rng.gen_range(0..2) {
+                0 => (inputs[rng.gen_range(0..N_INPUTS)], rng.gen_range(2..N_TRANSIENTS)),
+                _ => (temps[rng.gen_range(2..N_TRANSIENTS)], rng.gen_range(2..N_TRANSIENTS)),
+            };
+            if src != temps[dst] {
+                nodes.push(DataflowNode::Copy { src, dst: temps[dst] });
+                defined[dst] = Some(2);
+            }
+            continue;
+        }
+        let korder = [KOrder::Parallel, KOrder::Forward][rng.gen_range(0..2)];
+        let mut k = Kernel::new("pack", domain, korder, Schedule::gpu_horizontal());
+        let accumulate = rng.gen_range(0..3) == 0;
+        let (target, ext) = if accumulate {
+            (outputs[rng.gen_range(0..N_OUTPUTS)], 0)
+        } else {
+            // Mostly the next transient in turn, so most die young.
+            next = (next + rng.gen_range(1..3)) % N_TRANSIENTS;
+            (temps[next], rng.gen_range(0..2))
+        };
+        let mut expr = Expr::load(inputs[rng.gen_range(0..N_INPUTS)], rng.gen_range(-1..2), 0, rng.gen_range(-1..2));
+        for _ in 0..rng.gen_range(1..4) {
+            // Mostly one of the two defined last.
+            let s = match rng.gen_bool(0.8) {
+                true => (next + N_TRANSIENTS - rng.gen_range(0..3)) % N_TRANSIENTS,
+                false => rng.gen_range(0..N_TRANSIENTS),
+            };
+            if temps[s] == target {
+                continue;
+            }
+            // Rarely, the whole halo: cells nobody may have written first.
+            let reach = match defined[s] {
+                _ if rng.gen_bool(0.03) => HALO[0] as i32 - ext,
+                Some(e) => (e - ext).max(0),
+                None => continue,
+            };
+            if reach < 0 {
+                continue;
+            }
+            let load = Expr::load(temps[s], rng.gen_range(-reach..=reach), rng.gen_range(-reach..=reach), 0);
+            expr = match rng.gen_range(0..3) {
+                0 => expr + load,
+                1 => expr * load,
+                _ => Expr::bin(BinOp::Max, expr, load),
+            };
+        }
+        if accumulate {
+            expr = Expr::load(target, 0, 0, 0) + expr;
+        }
+        let mut def = Stmt::full(LValue::Field(target), expr);
+        let e = ext as i64;
+        def.extent = Extent2 { i_lo: e, i_hi: e, j_lo: e, j_hi: e };
+        k.stmts.push(def);
+        if rng.gen_bool(0.4) {
+            // In place over part of the domain, from the column below when
+            // the kernel marches upward.
+            let dk = if korder == KOrder::Forward { -1 } else { 0 };
+            let s = (next + N_TRANSIENTS - rng.gen_range(1..3)) % N_TRANSIENTS;
+            let source = match defined[s] {
+                Some(_) if temps[s] != target => temps[s],
+                _ => inputs[rng.gen_range(0..N_INPUTS)],
+            };
+            let mut update = Stmt::full(
+                LValue::Field(target),
+                Expr::load(target, 0, 0, dk) * Expr::Param(ParamId(rng.gen_range(0..N_PARAMS)))
+                    + Expr::load(source, 0, 0, 0),
+            );
+            update.k_range = AxisInterval::new(Anchor::Start(1), Anchor::End(0));
+            if rng.gen_bool(0.5) {
+                update.region = Some(Region2 { i: random_interval(rng), j: random_interval(rng) });
+            }
+            k.stmts.push(update);
+        }
+        if let Some(t) = temps.iter().position(|t| *t == target) {
+            defined[t] = Some(ext);
+        }
+        nodes.push(DataflowNode::Kernel(k));
+    }
+    // Cut the nodes into before / loop body / after.
+    let loop_at = rng.gen_range(0..nodes.len().max(1));
+    let loop_end = rng.gen_range(loop_at..=nodes.len());
+    let trips = rng.gen_range(1..4);
+    let after = nodes.split_off(loop_end);
+    let body = nodes.split_off(loop_at);
+    for (name, part) in [("before", nodes), ("body", body), ("after", after)] {
+        let mut st = State::new(name);
+        st.nodes = part;
+        g.states.push(st);
+    }
+    g.control = vec![
+        ControlNode::State(0),
+        ControlNode::Loop { trips, body: vec![ControlNode::State(1)] },
+        ControlNode::State(2),
+    ];
+    g.touch();
+    (g, inputs)
+}
+
+/// Run a random program on a packed store whose packed arrays start as
+/// NaN, and on a store of the same graph with nothing transient: every
+/// container that is not transient ends bit-identical. Returns whether
+/// the packed store shared an array.
+fn check_packing(shape: [usize; 3], n_kernels: usize, seed: u64) -> bool {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (g, inputs) = packing_program(&mut rng, shape, n_kernels);
+    let params: Vec<f64> = (0..N_PARAMS).map(|_| rng.gen_range(0.2..1.7)).collect();
+    let mut unpacked = g.clone();
+    for c in &mut unpacked.containers {
+        c.transient = false;
+    }
+    let run = |g: &Sdfg, store: &mut DataStore, pool: usize| {
+        fill_store(g, &inputs, store);
+        Executor::new(Pool::new(pool)).run(g, store, &params, &mut NoHooks);
+    };
+    let mut reference = DataStore::for_sdfg(&unpacked);
+    run(&unpacked, &mut reference, 1);
+    let kept: Vec<DataId> = (0..g.containers.len())
+        .map(DataId)
+        .filter(|d| !g.containers[d.0].transient)
+        .collect();
+    let unwritten = dataflow::reuse::reads_unwritten(&g);
+    for pool in [1, 3] {
+        let mut packed = DataStore::for_sdfg(&g);
+        for d in (0..g.containers.len()).map(DataId) {
+            if g.containers[d.0].transient && !unwritten.contains(&d) {
+                packed.get_mut(d).raw_mut().fill(f64::NAN);
+            }
+        }
+        run(&g, &mut packed, pool);
+        assert_stores_bit_identical(&reference, &packed, &kept, &format!("packed, pool {pool}"));
+    }
+    DataStore::for_sdfg(&g).owned_arrays().0 < DataStore::for_sdfg(&unpacked).owned_arrays().0
+}
+
+/// The packing oracle packs: most random programs share an array.
+#[test]
+fn most_packing_programs_share_arrays() {
+    let shared = (0..64).filter(|&seed| check_packing([5, 4, 3], 8, seed)).count();
+    assert!(shared >= 48, "only {shared} of 64 programs shared an array");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Transients packed by their live intervals never see each other's
+    /// values: extents, halo offsets, in-place updates, K marches, copies
+    /// and loops of several trips.
+    #[test]
+    fn packed_stores_run_to_the_bits_of_unpacked_ones(
+        ni in 1usize..10,
+        nj in 1usize..10,
+        nk in 1usize..4,
+        n_kernels in 2usize..10,
+        seed in 0u64..1u64 << 48,
+    ) {
+        check_packing([ni, nj, nk], n_kernels, seed);
+    }
 
     /// The region check never leaves out a container the rerun needs
     /// zeroed: regions, K intervals, extents, solver self-reads and

@@ -53,11 +53,13 @@ pub struct MeasuredScorer {
     /// Parameter values for `Expr::Param` references (must match
     /// `sdfg.params` in length).
     pub params: Vec<f64>,
-    /// Optional seed data: when set, each measurement run starts from a
-    /// clone of this store instead of the synthetic hash fill, so the
+    /// Optional seed data: when set, each measurement run starts from
+    /// this store's inputs instead of the synthetic hash fill, so the
     /// kernels see realistic magnitudes (zero tracer fields, ~1e4 Pa
     /// pressures) whose transcendental and denormal costs the synthetic
-    /// fill cannot reproduce. Must have been built for the same program.
+    /// fill cannot reproduce. Built for the same containers; its
+    /// non-transient arrays are copied into a store built for each cutout
+    /// ([`DataStore::copy_inputs`]).
     seed: Option<DataStore>,
 }
 
@@ -71,7 +73,7 @@ impl MeasuredScorer {
         }
     }
 
-    /// [`new`](Self::new), measuring from clones of `seed` (e.g. the
+    /// [`new`](Self::new), measuring from the inputs of `seed` (e.g. the
     /// initialized model state) instead of the synthetic fill.
     pub fn with_seed(repeats: usize, params: Vec<f64>, seed: DataStore) -> Self {
         let mut s = Self::new(repeats, params);
@@ -103,14 +105,12 @@ impl StateScorer for MeasuredScorer {
             cut.params.len(),
             "measured scorer params must match the program's"
         );
-        let exec = Executor::serial();
-        let mut best = f64::INFINITY;
-        for _ in 0..self.repeats {
-            let mut store = match &self.seed {
-                Some(seed) => seed.clone(),
-                None => DataStore::for_sdfg(&cut),
-            };
-            if self.seed.is_none() {
+        // The cutout's own store: its packing follows the cutout, which
+        // keeps other transients live together than the seed's graph.
+        let mut inputs = DataStore::for_sdfg(&cut);
+        match &self.seed {
+            Some(seed) => inputs.copy_inputs(&cut, seed),
+            None => {
                 for (c, cont) in cut.containers.iter().enumerate() {
                     if cont.transient {
                         continue;
@@ -118,11 +118,16 @@ impl StateScorer for MeasuredScorer {
                     let id = dataflow::DataId(c);
                     let fill = Array3::from_fn(cut.layout_of(id), |i, j, k| fill_value(c, i, j, k));
                     match cont.constant {
-                        true => store.lend_constant(id, &Arc::new(fill)),
-                        false => *store.get_mut(id) = fill,
+                        true => inputs.lend_constant(id, &Arc::new(fill)),
+                        false => *inputs.get_mut(id) = fill,
                     }
                 }
             }
+        }
+        let exec = Executor::serial();
+        let mut best = f64::INFINITY;
+        for _ in 0..self.repeats {
+            let mut store = inputs.clone();
             let report = exec.run(&cut, &mut store, &self.params, &mut NoHooks);
             best = best.min(report.wall_seconds);
         }
