@@ -125,13 +125,8 @@ fn main() -> ExitCode {
         match outcome {
             Ok(report) => {
                 println!(
-                    "  completed {} steps: {} retries, {} restores, {} faults injected, \
-                     {} halo stalls",
-                    report.steps,
-                    report.retries,
-                    report.restores,
-                    report.faults_injected,
-                    report.halo_stalls
+                    "  completed {} steps: {} retries, {} restores, {} faults injected",
+                    report.steps, report.retries, report.restores, report.faults_injected
                 );
                 for ev in &report.events {
                     println!(

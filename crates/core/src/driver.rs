@@ -26,7 +26,6 @@ use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Fault site: poison one interior cell of a prognostic field right
 /// after the halo sends of an acoustic substep — the classic
@@ -120,10 +119,6 @@ pub struct DistributedDycore {
     pub(crate) state_copies: AtomicU64,
     /// Rank threads launched by the parallel schedule since construction.
     pub(crate) rank_workers_launched: u64,
-    /// Soft stall deadline (the watchdog's): a rank whose post plus
-    /// receive wait takes longer counts as stalled without failing the
-    /// step.
-    pub(crate) soft_stall: Option<Duration>,
     /// Process-unique id anchoring [`crate::CheckpointBasis`] lineage.
     pub(crate) instance_id: u64,
     /// Monotonic mutation clock, bumped whenever rank state changes.
@@ -131,10 +126,6 @@ pub struct DistributedDycore {
     /// Per-rank clock value of the last state mutation (for rank-aware
     /// rollback: ranks untouched since a checkpoint's basis skip restore).
     pub(crate) mutated_at: Vec<u64>,
-    /// Per-rank soft halo stalls.
-    pub(crate) rank_stalls: Vec<u64>,
-    /// Total soft halo stalls.
-    pub(crate) halo_stalls: u64,
     /// Accumulated rank-team substep timings.
     pub(crate) overlap: obs::OverlapStats,
     /// Measured wire bytes posted between rank threads.
@@ -291,12 +282,9 @@ impl DistributedDycore {
             scratch_built: AtomicU64::new(0),
             state_copies: AtomicU64::new(0),
             rank_workers_launched: 0,
-            soft_stall: None,
             instance_id: crate::parallel::next_instance_id(),
             mut_clock: 0,
             mutated_at: vec![0; nranks],
-            rank_stalls: vec![0; nranks],
-            halo_stalls: 0,
             overlap: obs::OverlapStats::default(),
             halo_bytes_posted: 0,
             halo_messages_posted: 0,
@@ -336,7 +324,7 @@ impl DistributedDycore {
     ///
     /// The restore is *rank-aware*: when the checkpoint carries a
     /// [`crate::CheckpointBasis`] from this very driver instance, only
-    /// ranks mutated since that basis are rewritten — one rank's stall
+    /// ranks mutated since that basis are rewritten — one rank's failure
     /// does not roll back its neighbours' untouched states. Checkpoints
     /// from disk or another instance restore every rank. Returns the
     /// number of ranks actually restored. A restored rank is copied into
@@ -566,11 +554,6 @@ impl DistributedDycore {
         std::mem::take(&mut self.overlap)
     }
 
-    /// Per-rank soft halo stalls.
-    pub fn rank_stalls(&self) -> &[u64] {
-        &self.rank_stalls
-    }
-
     /// Measured wire traffic posted between rank threads
     /// ([`RankSchedule::Parallel`]) since construction, as `(bytes,
     /// messages)`. One substep posts every packed field over every
@@ -584,21 +567,6 @@ impl DistributedDycore {
     /// team posts.
     pub fn halo_traffic_posted(&self) -> (u64, u64) {
         (self.halo_bytes_posted, self.halo_messages_posted)
-    }
-
-    /// Arm (or disarm, with `None`) the halo stall watchdog: a rank
-    /// whose own post plus its receive wait takes longer than `deadline`
-    /// counts as stalled ([`halo_stalls`](Self::halo_stalls),
-    /// [`rank_stalls`](Self::rank_stalls), the `halo_stalls` metric).
-    /// Detection is after the fact — the substep still completes — which
-    /// is enough for a supervisor to notice a wedged neighbour.
-    pub fn set_halo_stall_deadline(&mut self, deadline: Option<Duration>) {
-        self.soft_stall = deadline;
-    }
-
-    /// Rank-substeps that overran the stall deadline.
-    pub fn halo_stalls(&self) -> u64 {
-        self.halo_stalls
     }
 
     /// One rank-substep's graph as [`lower_substep`] builds it (never

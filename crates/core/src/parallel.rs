@@ -321,13 +321,12 @@ impl StepKey {
     }
 }
 
-/// One rank's substep timings and flags, reported back to the driver.
+/// One rank's substep timings, reported back to the driver.
 struct RankOutcome {
     sent: Posted,
     /// Receive, unpack and fold.
     wait: Duration,
     run: Duration,
-    stalled: bool,
     /// Compiled-kernel cache traffic from this rank's program run.
     cache_hits: u64,
     cache_misses: u64,
@@ -370,7 +369,6 @@ struct Team<'a> {
     /// after its run.
     remap: bool,
     nk: i64,
-    soft_stall: Option<Duration>,
     scratch_built: &'a AtomicU64,
     /// Per rank, set once its receives are complete, just before its
     /// state is lent: a failure from there on leaves a partly stepped
@@ -539,9 +537,6 @@ impl Team<'_> {
             boxes.recycle(ch, buf);
         }
         RankOutcome {
-            // A stall is charged to the rank it delayed: its own post (an
-            // injected sleep sits there) plus its wait for its peers'.
-            stalled: self.soft_stall.is_some_and(|d| sent.pack + wait > d),
             sent,
             wait,
             run,
@@ -718,7 +713,6 @@ impl DistributedDycore {
             faults,
             remap: module.ends_round(self.config.dycore.n_split),
             nk: self.config.nk as i64,
-            soft_stall: self.soft_stall,
             scratch_built: &self.scratch_built,
             mutating: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             outcomes: (0..ranks).map(|_| Mutex::new(None)).collect(),
@@ -748,7 +742,7 @@ impl DistributedDycore {
         }));
 
         // Merge per-rank results (also on the failure path, so mutation
-        // flags and stall counters stay accurate for the rollback).
+        // flags stay accurate for the rollback).
         let Team {
             mutating, outcomes, ..
         } = team;
@@ -758,13 +752,6 @@ impl DistributedDycore {
                 self.mark_rank_mutated(r, clock);
             }
             if let Some(o) = outcome.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                if o.stalled {
-                    self.rank_stalls[r] += 1;
-                    self.halo_stalls += 1;
-                    if let Some(m) = &self.run.metrics {
-                        m.counter_add("halo_stalls", &[], 1);
-                    }
-                }
                 self.overlap.record_substep(o.sent.pack, o.wait, o.run);
                 posted.0 += o.sent.bytes;
                 posted.1 += o.sent.messages;

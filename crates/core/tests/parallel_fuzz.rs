@@ -127,6 +127,10 @@ fn check_case(workers: usize, rt: usize, nk: usize, fault: Fault, seed: u64) {
                         report.clean(),
                         "{label}: a slow message is not a failure: {report:?}"
                     );
+                    assert!(
+                        report.faults_injected >= 1,
+                        "{label}: the stall never fired: {report:?}"
+                    );
                 }
                 Fault::None => unreachable!(),
             }
@@ -172,6 +176,14 @@ fn pinned_stall_on_single_worker_pool() {
     // sleeper delays every post, no receive ever waits, and the stalled
     // exchange still may not perturb the numbers.
     check_case(1, 1, 3, Fault::Stall, 0x5eed_57a1);
+}
+
+#[test]
+fn pinned_stall_with_a_thread_per_rank() {
+    // Six ranks on six rank threads: the sleeper's neighbours receive
+    // beside it and wait for its late post, which must still land the
+    // same bits as the unfaulted sequential run.
+    check_case(6, 1, 3, Fault::Stall, 0x5eed_57a2);
 }
 
 #[test]

@@ -79,8 +79,6 @@ pub enum RunEvent {
     /// A rollback basis for `step` is in place: captured, or handed to the
     /// supervisor by its caller (bytes > 0 when persisted to disk).
     CheckpointWritten { step: u64, bytes: u64 },
-    /// Halo exchanges overran the stall deadline during this step.
-    HaloStall { step: u64, stalls: u64 },
     /// Periodic engine snapshot: queue depth, slot occupancy, warm pool.
     EngineTick {
         queue_depth: u64,
@@ -106,7 +104,6 @@ impl RunEvent {
             RunEvent::HealthSample { .. } => "health_sample",
             RunEvent::SupervisorRetry { .. } => "supervisor_retry",
             RunEvent::CheckpointWritten { .. } => "checkpoint_written",
-            RunEvent::HaloStall { .. } => "halo_stall",
             RunEvent::EngineTick { .. } => "engine_tick",
         }
     }
@@ -197,9 +194,6 @@ impl Event {
             }
             RunEvent::CheckpointWritten { step, bytes } => {
                 let _ = write!(s, ",\"step\":{step},\"bytes\":{bytes}");
-            }
-            RunEvent::HaloStall { step, stalls } => {
-                let _ = write!(s, ",\"step\":{step},\"stalls\":{stalls}");
             }
             RunEvent::EngineTick {
                 queue_depth,
@@ -303,10 +297,6 @@ impl Event {
             "checkpoint_written" => RunEvent::CheckpointWritten {
                 step: u("step")?,
                 bytes: u("bytes")?,
-            },
-            "halo_stall" => RunEvent::HaloStall {
-                step: u("step")?,
-                stalls: u("stalls")?,
             },
             "engine_tick" => RunEvent::EngineTick {
                 queue_depth: u("queue_depth")?,
@@ -914,7 +904,6 @@ mod tests {
                 rolled_back_to: 2,
             },
             RunEvent::CheckpointWritten { step: 2, bytes: 4096 },
-            RunEvent::HaloStall { step: 1, stalls: 3 },
             RunEvent::EngineTick {
                 queue_depth: 5,
                 slots: 4,

@@ -17,7 +17,8 @@
 //!   exchange of step 3;
 //! * `panic@call=2` — panic a pool worker on the third parallel region;
 //! * `corrupt@factor=1000` — silently scale one halo value by 1000×;
-//! * `stall@ms=200;stall@ms=200` — stall two exchanges past the watchdog.
+//! * `stall@ms=200;stall@ms=200` — make one rank post 200 ms late in two
+//!   exchanges; its neighbours' receives wait for it, and nothing fails.
 //!
 //! Every entry is `once` unless `repeat=1`, so a rolled-back retry does
 //! not re-poison itself. The default seed is 0; the seed feeds

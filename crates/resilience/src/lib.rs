@@ -3,9 +3,10 @@
 //!
 //! The layers below provide the mechanisms — `machine::faults` is the
 //! run-scoped injection plan, `fv3core::checkpoint` the
-//! crash-consistent `FV3CKPT1` restart basis, `comm::halo` the stall
-//! watchdog, `machine::pool` the self-rebuilding worker team. This crate
-//! is the policy on top:
+//! crash-consistent `FV3CKPT1` restart basis, `comm::halo` the halo
+//! fault sites (a late sender, a lost or corrupted message),
+//! `machine::pool` the self-rebuilding worker team. This crate is the
+//! policy on top:
 //!
 //! * [`FaultPlan`] parses the `FV3_FAULT_PLAN` grammar into
 //!   [`machine::faults::FaultSpec`]s with validated site names, armed

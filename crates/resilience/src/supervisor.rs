@@ -7,11 +7,9 @@
 //! 1. roll back to the last checkpoint (in-memory always; the same state
 //!    that [`SupervisorPolicy::checkpoint_dir`] persists to disk);
 //! 2. after [`SupervisorPolicy::backoff_after`] plain retries, also back
-//!    off the numerics — `dt` is scaled by
-//!    [`dt_backoff`](SupervisorPolicy::dt_backoff) and the acoustic
-//!    substep count multiplied by
-//!    [`split_factor`](SupervisorPolicy::split_factor) — the standard
-//!    CFL-blowup remedy;
+//!    off the numerics — `dt` is halved and the acoustic substep count
+//!    doubled (the private constants `DT_BACKOFF` and `SPLIT_FACTOR`),
+//!    the standard CFL-blowup remedy;
 //! 3. past [`max_retries`](SupervisorPolicy::max_retries), give up with
 //!    a [`SupervisedError`] carrying the last [`BlowupReport`] (field,
 //!    cell, span stack) and the full recovery-event history.
@@ -41,15 +39,14 @@ pub struct SupervisorPolicy {
     pub checkpoint_every: u64,
     /// Retry budget per failing step before giving up.
     pub max_retries: u32,
-    /// `dt` multiplier applied when backing off (0.5 halves the step).
-    pub dt_backoff: f64,
-    /// Acoustic-substep multiplier applied when backing off.
-    pub split_factor: u32,
     /// Plain retries (pure rollback) before the numerics back off.
     pub backoff_after: u32,
-    /// Halo-exchange watchdog deadline, if any.
-    pub stall_deadline: Option<Duration>,
 }
+
+/// `dt` multiplier applied when backing off (0.5 halves the step).
+const DT_BACKOFF: f64 = 0.5;
+/// Acoustic-substep multiplier applied when backing off.
+const SPLIT_FACTOR: u32 = 2;
 
 impl Default for SupervisorPolicy {
     fn default() -> Self {
@@ -57,10 +54,7 @@ impl Default for SupervisorPolicy {
             checkpoint_dir: None,
             checkpoint_every: 1,
             max_retries: 3,
-            dt_backoff: 0.5,
-            split_factor: 2,
             backoff_after: 1,
-            stall_deadline: None,
         }
     }
 }
@@ -134,7 +128,7 @@ pub struct RunReport {
     pub restores: u64,
     /// Rank states actually rewritten across all rollbacks. The restore
     /// is rank-aware ([`DistributedDycore::restore`]): ranks untouched
-    /// since the rollback basis (e.g. a rank whose stalled substep never
+    /// since the rollback basis (e.g. a rank whose starved substep never
     /// completed) keep their state, so one rank's failure does not
     /// rewrite its neighbours' completed epochs.
     pub ranks_restored: u64,
@@ -144,8 +138,6 @@ pub struct RunReport {
     pub checkpoint_bytes: u64,
     /// Wall time spent writing checkpoints.
     pub checkpoint_write_time: Duration,
-    /// Halo exchanges that overran the stall watchdog.
-    pub halo_stalls: u64,
     /// Faults that fired in this run: the growth of the injection log of
     /// the run's own [`machine::Faults`] handle, never a neighbour's.
     pub faults_injected: u64,
@@ -214,8 +206,8 @@ impl std::error::Error for SupervisedError {}
 ///   boundary with `RunReport::cancelled = Some(cause)` and a recovery
 ///   cycle never blows through a deadline the run already missed;
 /// * its event sink streams `HealthSample` (one aggregate verdict per
-///   step), `SupervisorRetry`, `CheckpointWritten` and `HaloStall`
-///   events as they happen;
+///   step), `SupervisorRetry` and `CheckpointWritten` events as they
+///   happen;
 /// * its fault plan's log is where `faults_injected` is counted.
 ///
 /// Under the default (inert) context a supervised run is bit-identical
@@ -277,9 +269,6 @@ impl Supervisor {
         steps: u64,
         basis: Option<Checkpoint>,
     ) -> Result<RunReport, Box<SupervisedError>> {
-        if self.policy.stall_deadline.is_some() {
-            d.set_halo_stall_deadline(self.policy.stall_deadline);
-        }
         // One clone per supervised run (free for the inert context), so
         // the loop below can borrow `d` mutably.
         let run = d.run_context().clone();
@@ -287,7 +276,6 @@ impl Supervisor {
         let goal = start + steps;
         let faults_before = run.faults.log().len();
         let injected = || (run.faults.log().len() - faults_before) as u64;
-        let stalls_before = d.halo_stalls();
         let mut events: Vec<RecoveryEvent> = Vec::new();
         let mut retries_total = 0u32;
         let mut retries_this_step = 0u32;
@@ -309,9 +297,6 @@ impl Supervisor {
                 .map_err(|e| self.io_error(d.step_index(), e, &events, injected()))?;
             basis = Some(ck);
         }
-        // Cumulative stall count already seen, for per-step stall deltas
-        // on the event stream.
-        let mut stalls_seen = stalls_before;
         // Set when the token fires; the loop then stops at the current
         // boundary and the report carries the partial history.
         let mut cancelled: Option<CancelCause> = None;
@@ -327,18 +312,7 @@ impl Supervisor {
             // success; a panic or cancellation leaves the counter
             // unchanged).
             let attempting = d.step_index() + 1;
-            let attempt = self.try_step(d, &run.sink);
-            // Per-step halo-stall delta onto the event stream (the step
-            // itself may have succeeded despite soft stalls).
-            let stalls_now = d.halo_stalls();
-            if stalls_now > stalls_seen {
-                run.sink.emit(obs::RunEvent::HaloStall {
-                    step: attempting,
-                    stalls: stalls_now - stalls_seen,
-                });
-                stalls_seen = stalls_now;
-            }
-            match attempt {
+            match self.try_step(d, &run.sink) {
                 StepAttempt::Cancelled => {
                     // Cancellation point 2: the token fired mid-step and
                     // the dycore bailed at an acoustic-substep boundary.
@@ -412,9 +386,8 @@ impl Supervisor {
                     ranks_restored += rewritten;
                     self.metrics.counter_add("ranks_restored", &[], rewritten);
                     if backed_off {
-                        d.config.dycore.dt *= self.policy.dt_backoff;
-                        d.config.dycore.n_split =
-                            d.config.dycore.n_split.saturating_mul(self.policy.split_factor);
+                        d.config.dycore.dt *= DT_BACKOFF;
+                        d.config.dycore.n_split = d.config.dycore.n_split.saturating_mul(SPLIT_FACTOR);
                     }
                     self.metrics.counter_add("restore_count", &[], 1);
                     self.metrics
@@ -443,10 +416,6 @@ impl Supervisor {
             self.metrics
                 .counter_add("faults_injected", &[("site", &ev.site)], 1);
         }
-        let stalls = d.halo_stalls() - stalls_before;
-        if stalls > 0 {
-            self.metrics.counter_add("halo_stalls", &[], stalls);
-        }
         Ok(RunReport {
             steps: d.step_index() - start,
             cancelled,
@@ -456,7 +425,6 @@ impl Supervisor {
             checkpoint_writes: written.writes,
             checkpoint_bytes: written.bytes,
             checkpoint_write_time: written.time,
-            halo_stalls: stalls,
             faults_injected: (injections.len() - faults_before) as u64,
             events,
             monitor: std::mem::take(&mut self.monitor),
@@ -575,10 +543,8 @@ mod tests {
         let p = SupervisorPolicy::default();
         assert_eq!(p.checkpoint_every, 1);
         assert_eq!(p.max_retries, 3);
-        assert_eq!(p.dt_backoff, 0.5);
-        assert_eq!(p.split_factor, 2);
+        assert_eq!(p.backoff_after, 1);
         assert!(p.checkpoint_dir.is_none());
-        assert!(p.stall_deadline.is_none());
     }
 
     #[test]
