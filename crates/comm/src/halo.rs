@@ -26,7 +26,7 @@ pub const FAULT_SITES: [&str; 3] = [SITE_HALO_CORRUPT, SITE_HALO_DROP, SITE_HALO
 
 /// Which side of the subdomain a halo cell sits on.
 ///
-/// Used to break halo traffic down by edge orientation in the metrics —
+/// Used to break halo traffic down by edge orientation —
 /// on a cubed sphere the four edges are *not* equivalent (tile seams,
 /// orientation transforms, cube corners), so a per-orientation byte
 /// count localizes imbalances the per-rank total hides.
@@ -71,17 +71,6 @@ impl Orientation {
                 }
             }
             (false, false) => panic!("({i}, {j}) is interior, not halo"),
-        }
-    }
-
-    /// Metric label ("west", "east", ...).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Orientation::West => "west",
-            Orientation::East => "east",
-            Orientation::South => "south",
-            Orientation::North => "north",
-            Orientation::Corner => "corner",
         }
     }
 

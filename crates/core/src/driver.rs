@@ -190,7 +190,6 @@ pub(crate) fn scratch_store<'a>(
     built: &AtomicU64,
     sdfg: &Sdfg,
     clear: &[DataId],
-    metrics: Option<&obs::MetricsRegistry>,
 ) -> &'a mut DataStore {
     if let Some(store) = slot.as_mut() {
         for d in clear {
@@ -199,11 +198,7 @@ pub(crate) fn scratch_store<'a>(
     }
     slot.get_or_insert_with(|| {
         built.fetch_add(1, Ordering::Relaxed);
-        let store = DataStore::for_sdfg(sdfg);
-        if let Some(m) = metrics {
-            m.gauge_high_water("store_bytes", &[], store.owned_arrays().1 as f64);
-        }
-        store
+        DataStore::for_sdfg(sdfg)
     })
 }
 
@@ -483,14 +478,10 @@ impl DistributedDycore {
     }
 
     /// Fold one execution report's kernel-cache traffic into the driver
-    /// counters and the run's metrics registry, if it has one.
+    /// counters.
     pub(crate) fn note_kernel_cache(&mut self, hits: u64, misses: u64) {
         self.exec_cache_hits += hits;
         self.exec_cache_misses += misses;
-        if let Some(m) = &self.run.metrics {
-            m.counter_add("kernel_cache_hits", &[], hits);
-            m.counter_add("kernel_cache_misses", &[], misses);
-        }
     }
 
     /// Attach this instance to a run (see [`RunContext`]); each substep,
@@ -507,8 +498,8 @@ impl DistributedDycore {
     ///   (discard or restore them).
     /// * `faults` — the plan the driver, halo and pool-worker sites fire
     ///   (each halo site at most once per substep).
-    /// * `tracer`, `metrics` — `driver_step` / `acoustic` / `rank` /
-    ///   `halo` / `kernel` spans, and the driver's counters and gauges.
+    /// * `tracer` — `driver_step` / `acoustic` / `rank` / `halo` /
+    ///   `kernel` spans.
     ///
     /// Install [`RunContext::default`] to detach (a serving engine does
     /// before parking a warm tenant).
@@ -627,9 +618,6 @@ impl DistributedDycore {
             self.run
                 .sink
                 .step_completed(self.step_index, t0.elapsed().as_secs_f64());
-        }
-        if let Some(m) = &self.run.metrics {
-            m.counter_add("driver_steps", &[], 1);
         }
     }
 

@@ -286,7 +286,7 @@ pub(crate) struct StepCache {
     pub(crate) boxes: Arc<HaloMailboxes>,
     /// The rank threads' scratch stores, one slot per worker: `min(ranks,
     /// workers)` of them, `workers` being the installed pool's size or
-    /// what [`Pool::host`] would pick. Built by a worker's first
+    /// the instance's `RunConfig::host_workers`. Built by a worker's first
     /// rank-substep and kept across substeps *and steps* — a store that
     /// is built, first-touched and freed every step on a fresh thread
     /// costs more than the step's halo exchange (DESIGN §17.1). Only
@@ -459,16 +459,9 @@ impl Team<'_> {
         let (plan, boxes, sub, nk) = (self.plan, self.boxes, self.sub, self.nk);
         let (ids, params) = (&sub.sub_prog.ids, &sub.sub_prog.params[..]);
         // The tracer is thread-safe: rank spans land in the run's
-        // registry from whichever worker runs the rank.
+        // tracer from whichever worker runs the rank.
         let _rank_span = self.run.span("rank", format_args!("rank{r}"));
-        let metrics = self.run.metrics.as_ref();
-        let store = scratch_store(
-            slot,
-            self.scratch_built,
-            &sub.sub_expanded,
-            &sub.clear,
-            metrics,
-        );
+        let store = scratch_store(slot, self.scratch_built, &sub.sub_expanded, &sub.clear);
         let mut halo_span = self.run.span("halo", "halo_exchange");
         let t0 = Instant::now();
 
@@ -482,27 +475,19 @@ impl Team<'_> {
             })
             .collect();
 
-        // 3–4. Lend the state to the worker's store.
+        // 3–4. Lend the state to the worker's store: the program runs on
+        // the rank's own prognostic arrays, never on copies of them.
         self.mutating[r].store(true, Ordering::Release);
-        let own: Vec<*const f64> = match metrics {
-            Some(_) => state.fields().iter().map(|(_, f)| f.raw().as_ptr()).collect(),
-            None => Vec::new(),
-        };
+        let own = state.fields().map(|(_, f)| f.raw().as_ptr());
         let mut lent = lend_state(store, ids, state, &self.grids[r]);
-        if let Some(m) = metrics {
-            m.counter_add("rank_runs", &[], 1);
-            // Prognostics the program runs on that are not the rank's own
-            // arrays, each of which a copy in and a copy out would cost:
-            // 0 while lent.
-            let store = lent.store();
-            let foreign = ids.loaded().into_iter();
-            let foreign = foreign.filter(|id| !own.contains(&store.get(*id).raw().as_ptr()));
-            m.counter_add("array_copies", &[], 2 * foreign.count() as u64);
-        }
+        let store = lent.store();
+        debug_assert!(
+            ids.loaded().iter().all(|id| own.contains(&store.get(*id).raw().as_ptr())),
+            "rank {r}: the store runs on a prognostic that is not the rank's own array"
+        );
 
         // 5. Unpack into the lent halos, fold corners.
         let exch = exchanged_ids(ids);
-        let store = lent.store();
         for (ch, buf) in &received {
             for (fi, id) in exch.iter().enumerate() {
                 plan.unpack_field(*ch, buf, fi, exch.len(), nk, store.get_mut(*id));
@@ -766,12 +751,6 @@ impl DistributedDycore {
             // The team of one keeps no halo buffer past its substep, as it
             // keeps no store past its step (DESIGN §17.1).
             cache.boxes.reset();
-        }
-        if let Some(m) = &self.run.metrics {
-            self.overlap.publish(m);
-            m.counter_add("halo_bytes", &[], posted.0);
-            m.counter_add("halo_messages", &[], posted.1);
-            m.counter_add("team_substeps", &[], 1);
         }
         if let Err(p) = scope {
             resume_unwind(p);

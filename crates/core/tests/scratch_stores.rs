@@ -165,31 +165,22 @@ fn a_team_compiles_and_launches_what_the_sequential_schedule_does() {
 }
 
 /// Whole-array copies between a rank's state, its grid and the store,
-/// per rank-substep (`array_copies` over `rank_runs`; the rank path
-/// counts a copy in and a copy out for every prognostic its program runs
-/// on that is not the rank's own array). Every team lends everything —
-/// prognostics swapped in and out, grid metrics by reference — after its
-/// receives, so a starved rank's state stays untouched without a copy
-/// (the sequential schedule read 6 when the metrics were copied; a team
-/// of threads read 20, then 14, while it loaded and extracted).
+/// per rank-substep: none. Every team lends everything — prognostics
+/// swapped in and out, grid metrics by reference — after its receives,
+/// so a starved rank's state stays untouched without a copy (the
+/// sequential schedule copied 6 arrays a rank-substep when the metrics
+/// were copied; a team of threads 20, then 14, while it loaded and
+/// extracted). The rank path checks every loan itself: a `debug_assert!`
+/// after `lend_state` that each prognostic the store runs on is one of
+/// the rank's own arrays. This drives that check under both teams (the
+/// dev profile keeps it), and a plain step copies no whole state either.
 #[test]
 fn whole_array_copies_per_rank_substep() {
-    for (schedule, per_rank_substep) in [(RankSchedule::Sequential, 0), (RankSchedule::Parallel, 0)] {
-        let metrics = obs::MetricsRegistry::new();
+    for schedule in [RankSchedule::Sequential, RankSchedule::Parallel] {
         let mut d = dycore(config(8, 3, 2, 1, None), schedule, 2);
-        d.set_run(machine::RunContext {
-            metrics: Some(metrics.clone()),
-            ..Default::default()
-        });
         d.step();
         d.step();
-        let rank_substeps = metrics.counter_value("rank_runs", &[]);
-        assert_eq!(rank_substeps, 2 * 2 * 6, "{schedule:?}");
-        assert_eq!(
-            metrics.counter_value("array_copies", &[]),
-            per_rank_substep * rank_substeps,
-            "{schedule:?}"
-        );
+        assert_eq!(d.take_state_copies(), 0, "{schedule:?}");
     }
 }
 
@@ -246,13 +237,10 @@ fn a_substep_store_packs_its_transients_into_fewer_arrays() {
         assert!(after * 100 <= before * 60, "{what}: packed to {after} of {before} B");
     }
 
-    // The driver's gauge reads what a rank store owns, shared arrays once.
-    let metrics = obs::MetricsRegistry::new();
-    let mut d = dycore(config(24, 8, 1, 1, None), RankSchedule::Sequential, 1);
-    d.set_run(machine::RunContext {
-        metrics: Some(metrics.clone()),
-        ..Default::default()
-    });
+    // A store the rank team keeps (a one-worker team keeps one across
+    // steps) owns the packed arrays, shared ones once.
+    let mut d = dycore(config(24, 8, 1, 1, None), RankSchedule::Parallel, 1);
     d.step();
-    assert_eq!(metrics.gauge_value("store_bytes", &[]), Some(1_512_480.0));
+    let owned: Vec<usize> = d.scratch_stores_mut().map(|s| s.owned_arrays().1).collect();
+    assert_eq!(owned, [1_512_480]);
 }

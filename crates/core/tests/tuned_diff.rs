@@ -1,6 +1,6 @@
 //! Tuned-pipeline differential suite (the closed Fig. 7 loop): the
-//! whole-program autotune pipeline (cross-module fusion + cutout search
-//! + pattern transfer) applied at substep-compile time must be invisible
+//! whole-program autotune pipeline (cross-module fusion, cutout search
+//! and pattern transfer) applied at substep-compile time must be invisible
 //! to the numbers — bit-identical, 0 ULPs, every prognostic field, every
 //! rank, every step — on the full c8L6 cubed sphere, under both rank
 //! schedules, and against the checked-in distributed golden capture.

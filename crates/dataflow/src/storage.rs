@@ -142,8 +142,8 @@ impl Layout {
     }
 
     /// Stride of `axis` in elements.
-    #[inline]
-    pub fn stride(&self, axis: Axis) -> usize {
+    #[cfg(test)]
+    fn stride(&self, axis: Axis) -> usize {
         self.strides[axis.idx()]
     }
 

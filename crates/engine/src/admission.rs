@@ -3,9 +3,10 @@
 //! flag of one engine, and the rules that move a request between them.
 //!
 //! Every method is a pure transition: the clock is an argument and each
-//! method returns what happened. Counting, publishing, waking and firing
-//! a running request's token are the shell's (`lib.rs`), which holds this
-//! value in one mutex. The rules:
+//! method returns what happened. Publishing, waking, firing a running
+//! request's token and the counts no transition sees (warm acquires,
+//! cache traffic) are the shell's (`lib.rs`), which holds this value in
+//! one mutex. The rules:
 //!
 //! * **Quota before capacity.** A tenant at `tenant_cap` (queued +
 //!   running) is refused, and nothing is shed for it.
@@ -117,7 +118,8 @@ pub(crate) struct Admission<T = Instant> {
     running: BTreeMap<u64, Job>,
     /// Terminal outcomes not yet taken.
     outcomes: HashMap<u64, ForecastOutcome>,
-    /// Admissions and the five terminals since start; nothing else set.
+    /// Admissions, refusals and the five terminals since start; nothing
+    /// else set.
     tally: EngineStats,
     next_id: u64,
     open: bool,
@@ -209,6 +211,12 @@ impl<T: Clock> Admission<T> {
         })
     }
 
+    /// A non-blocking submit was refused: count it. A blocking submitter
+    /// that finds no room waits instead, and is not counted.
+    pub fn refused(&mut self) {
+        self.tally.rejected += 1;
+    }
+
     /// Hand the next request in scheduling order to a slot, with a token
     /// armed at its deadline and the sink `sink` makes for it.
     pub fn pop(&mut self, now: T, sink: impl FnOnce(RequestId) -> EventSink) -> Pop {
@@ -281,7 +289,7 @@ impl<T: Clock> Admission<T> {
         self.running.contains_key(&id.0) || queued()
     }
 
-    /// A deposited outcome not yet taken, for the shell to account.
+    /// A deposited outcome not yet taken, for the shell to announce.
     pub fn outcome(&self, id: RequestId) -> &ForecastOutcome {
         &self.outcomes[&id.0]
     }
@@ -289,7 +297,7 @@ impl<T: Clock> Admission<T> {
     /// One consistent view of every request: the queue in scheduling
     /// order, the running set by id, tenants by name, the tally and the
     /// occupancy. The engine-wide fields — slots, warm pool, bus and cache
-    /// counters, refusals — are the shell's and left zero.
+    /// counters — are the shell's and left zero.
     pub fn snapshot(&self) -> EngineStatus {
         let running = self.running.iter().map(|(&id, r)| {
             let progress = r.sink.progress().unwrap_or_default();

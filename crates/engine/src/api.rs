@@ -276,6 +276,10 @@ pub struct ForecastReport {
     /// Kernel compilations this request paid for. Zero for every request
     /// after a case's first — the point of the shared bundle.
     pub cache_misses: u64,
+    /// Whole rank states this request copied: its rewind from the case's
+    /// template and each rollback point it captured
+    /// (`DistributedDycore::take_state_copies`).
+    pub state_copies: u64,
     /// Whether the request reused a parked warm instance.
     pub warm_start: bool,
 }
@@ -377,14 +381,16 @@ impl ForecastOutcome {
     }
 }
 
-/// Aggregate counters (from the engine's metrics registry) plus the
-/// point-in-time occupancy the raw metrics could only approximate:
-/// current queue depth, busy run slots, and parked warm instances.
+/// Counts since the engine started — admissions, refusals and the five
+/// terminals from the admission tally, the rest from the engine's own
+/// counters — plus point-in-time occupancy: current queue depth, busy run
+/// slots, and parked warm instances.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     pub submitted: u64,
     pub completed: u64,
     pub failed: u64,
+    /// `try_submit_with` refusals (a blocking submitter waits instead).
     pub rejected: u64,
     /// Requests cancelled (explicit or deadline), queued or running.
     pub cancelled: u64,
@@ -396,6 +402,8 @@ pub struct EngineStats {
     pub cold_builds: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
+    /// Instances dropped after a failed or cancelled run, never parked.
+    pub discarded: u64,
     /// Requests queued (not yet picked up) right now.
     pub queue_depth: u64,
     /// Queue depth per lane right now, scheduling order (High, Normal,

@@ -12,8 +12,8 @@
 //!   [`fv3core::CompiledSubstep`] bundle per case, so every tenant runs
 //!   the *same* `Sdfg` (one `(uid, generation)` cache namespace) through
 //!   the same pinned executors. Request N+1 pays zero kernel
-//!   compilation; the engine's `kernel_cache_{hits,misses}` counters
-//!   prove it per request.
+//!   compilation; each [`ForecastReport`]'s `cache_misses` proves it per
+//!   request.
 //! * **one grid-metadata set** — per-rank [`fv3::grid::Grid`]s behind an
 //!   `Arc`, computed once per case.
 //! * **one worker team** — every slot's kernels drain through the shared
@@ -34,22 +34,26 @@
 //! compile bundle (held by `Arc`) survives the discard
 //! (`tests/fault_isolation.rs`).
 //!
-//! **Observability.** The engine owns a [`MetricsRegistry`]: aggregate
-//! counters (`requests_{submitted,started,completed,failed}`,
-//! `kernel_cache_{hits,misses}`, `warm_acquires`, `cold_builds`) plus
-//! per-request series labelled `request="rN"`. Each request runs under
-//! its own [`RunContext`] — request id, cancel token, event sink, its
-//! scope of [`EngineConfig::faults`], [`EngineConfig::tracer`] — so its
-//! `request` span encloses its own `driver_step` / `rank` / `kernel`
-//! spans and nobody else's, and it returns its full per-step health
-//! history and final field snapshot in the [`ForecastReport`].
+//! **Observability.** Every count has one typed home. Engine-wide ones
+//! are [`EngineStats`] ([`status`](ForecastEngine::status)): admissions,
+//! refusals and the five terminals from the admission tally; warm
+//! acquires, cold builds, kernel-cache traffic and discarded instances
+//! from plain counters beside it. A request's own are its outcome: the
+//! terminal, and for a completed run the [`ForecastReport`] (cache hits
+//! and misses, whole-state copies, the supervised
+//! [`RunReport`](resilience::RunReport)). Each request runs under its own
+//! [`RunContext`] — request id, cancel token, event sink, its scope of
+//! [`EngineConfig::faults`], [`EngineConfig::tracer`] — so its `request`
+//! span encloses its own `driver_step` / `rank` / `kernel` spans and
+//! nobody else's, and it returns its full per-step health history and
+//! final field snapshot in the [`ForecastReport`].
 //!
 //! **Admission.** Lanes, quotas, shedding, deadlines, cancellation and
 //! the five terminals are one value, `admission::Admission`, behind the
 //! engine's one request lock; its transitions are pure and take the clock
 //! as an argument. This file is the thread shell around it: it reads the
-//! clock, runs requests on the slots, and counts, publishes and wakes on
-//! what each transition returns.
+//! clock, runs requests on the slots, and publishes and wakes on what
+//! each transition returns.
 
 mod admission;
 mod api;
@@ -67,10 +71,10 @@ use machine::cancel::CancelCause;
 use machine::pool::Pool;
 use machine::{Faults, RunConfig, RunContext};
 use obs::stream::{EventBus, EventSink, EventStream, RunEvent};
-use obs::MetricsRegistry;
 use resilience::{Supervisor, SupervisorPolicy};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -137,7 +141,14 @@ struct EngineInner {
     /// The ticker waits here for its period or for shutdown.
     tick_cv: Condvar,
     cases: Mutex<HashMap<CaseKey, CaseCache>>,
-    metrics: MetricsRegistry,
+    /// Requests that took a parked instance / built a cold one.
+    warm_acquires: AtomicU64,
+    cold_builds: AtomicU64,
+    /// Kernel-cache traffic summed over every run.
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    /// Instances dropped after a failed or cancelled run, never parked.
+    discarded: AtomicU64,
     /// The live telemetry bus (`None`: streaming disabled — nothing is
     /// ever published and runs pay zero event cost).
     bus: Option<EventBus>,
@@ -176,56 +187,35 @@ impl EngineInner {
         bus.publish(None, tick);
     }
 
-    /// What a terminal owes the outside besides its deposit: the
-    /// `requests_<terminal>` counter, a labelled counter or histogram, and
-    /// the event. `steps_done` is how far a run that failed got. Called
-    /// before the outcome can be taken, so a waiter that has it sees it
-    /// counted.
-    fn account(&self, o: &ForecastOutcome, steps_done: u64) {
-        let m = &self.metrics;
-        let rid = o.id.to_string();
-        m.counter_add(&format!("requests_{}", o.result.terminal()), &[], 1);
+    /// Publish a terminal's event (the admission tally has counted it).
+    /// `steps_done` is how far a run that failed got. Called before the
+    /// outcome can be taken, so a subscriber sees the event no later than
+    /// the waiter sees the outcome.
+    fn announce(&self, o: &ForecastOutcome, steps_done: u64) {
+        let Some(bus) = &self.bus else { return };
         let event = match &o.result {
-            ForecastResult::Completed(rep) => {
-                m.observe("request_run_seconds", &[], o.run_seconds);
-                m.counter_add("request_steps", &[("request", &rid)], rep.steps);
-                RunEvent::RequestCompleted {
-                    steps: rep.steps,
-                    run_seconds: o.run_seconds,
-                }
-            }
-            ForecastResult::Failed(e) => {
-                m.counter_add("request_failed", &[("request", &rid)], 1);
-                RunEvent::RequestFailed {
-                    step: steps_done,
-                    detail: e.to_string(),
-                }
-            }
-            ForecastResult::Cancelled(c) => {
-                m.counter_add("requests_cancelled", &[("cause", c.cause.label())], 1);
-                RunEvent::RequestCancelled {
-                    cause: c.cause.label().to_string(),
-                    steps_done: c.steps_done,
-                }
-            }
+            ForecastResult::Completed(rep) => RunEvent::RequestCompleted {
+                steps: rep.steps,
+                run_seconds: o.run_seconds,
+            },
+            ForecastResult::Failed(e) => RunEvent::RequestFailed {
+                step: steps_done,
+                detail: e.to_string(),
+            },
+            ForecastResult::Cancelled(c) => RunEvent::RequestCancelled {
+                cause: c.cause.label().to_string(),
+                steps_done: c.steps_done,
+            },
             ForecastResult::Evicted {
                 past_deadline_seconds: late,
-            } => {
-                m.observe("eviction_past_deadline_seconds", &[], *late);
-                RunEvent::RequestEvicted {
-                    past_deadline_seconds: *late,
-                }
-            }
-            ForecastResult::Shed { lane } => {
-                m.counter_add("requests_shed", &[("lane", lane.label())], 1);
-                RunEvent::RequestShed {
-                    lane: lane.label().to_string(),
-                }
-            }
+            } => RunEvent::RequestEvicted {
+                past_deadline_seconds: *late,
+            },
+            ForecastResult::Shed { lane } => RunEvent::RequestShed {
+                lane: lane.label().to_string(),
+            },
         };
-        if let Some(bus) = &self.bus {
-            bus.publish(Some(&rid), event);
-        }
+        bus.publish(Some(&o.id.to_string()), event);
     }
 
     /// A terminal was deposited: wake its waiter and any submitter its
@@ -264,31 +254,14 @@ impl ForecastEngine {
             changed: Condvar::new(),
             tick_cv: Condvar::new(),
             cases: Mutex::new(HashMap::new()),
-            metrics: MetricsRegistry::new(),
+            warm_acquires: AtomicU64::new(0),
+            cold_builds: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            discarded: AtomicU64::new(0),
             bus: cfg.streaming.then(|| EventBus::new(cfg.stream_buffer)),
             slots_n,
         });
-        // Pre-register every aggregate counter (at 0) so the exported
-        // series set is the same for an idle, a failure-free, and a
-        // fully exercised engine — consumers never special-case absence.
-        for name in [
-            "requests_submitted",
-            "requests_started",
-            "requests_completed",
-            "requests_failed",
-            "requests_rejected",
-            "requests_cancelled",
-            "requests_evicted",
-            "requests_shed",
-            "kernel_cache_hits",
-            "kernel_cache_misses",
-            "warm_acquires",
-            "warm_parks",
-            "cold_builds",
-            "instances_discarded",
-        ] {
-            inner.metrics.counter_add(name, &[], 0);
-        }
         let slots = (0..slots_n)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -343,27 +316,22 @@ impl ForecastEngine {
     /// typed — [`Rejected::QuotaExceeded`] when the tenant is at its
     /// cap, [`Rejected::QueueFull`] when the queue is full and no
     /// lower-lane request could be shed — and hand the request back.
-    /// Every refusal increments `requests_rejected` exactly once.
+    /// Every refusal increments [`EngineStats::rejected`] exactly once.
     pub fn try_submit_with(
         &self,
         req: ForecastRequest,
         opts: SubmitOptions,
     ) -> Result<RequestId, Rejected> {
-        let admitted = self.admit(&mut lock(&self.inner.admission), req, &opts);
-        if let Err(refused) = &admitted {
-            let reason = match refused {
-                Rejected::QueueFull(_) => "queue_full",
-                Rejected::QuotaExceeded { .. } => "quota",
-            };
-            let m = &self.inner.metrics;
-            m.counter_add("requests_rejected", &[], 1);
-            m.counter_add("requests_rejected", &[("reason", reason)], 1);
+        let mut a = lock(&self.inner.admission);
+        let admitted = self.admit(&mut a, req, &opts);
+        if admitted.is_err() {
+            a.refused();
         }
         admitted
     }
 
     /// The one admission decision of both submit paths, and what the
-    /// shell owes it: the shed victim's terminal, the counters, the
+    /// shell owes it: the shed victim's terminal event, the
     /// `RequestQueued` event and a slot's wake-up.
     fn admit(
         &self,
@@ -375,18 +343,15 @@ impl ForecastEngine {
         let steps = req.steps;
         let Admitted { id, label, shed } = a.submit(Instant::now(), req, opts)?;
         if let Some(victim) = shed {
-            inner.account(a.outcome(victim), 0);
+            inner.announce(a.outcome(victim), 0);
         }
-        let (m, queue_depth) = (&inner.metrics, a.queued() as u64);
-        m.counter_add("requests_submitted", &[], 1);
-        m.gauge_high_water("queue_depth_high_water", &[], queue_depth as f64);
         // Published under the request lock: no slot can pop this request
         // and publish RequestStarted before RequestQueued is on the bus.
         if let Some(bus) = &inner.bus {
             let event = RunEvent::RequestQueued {
                 label,
                 steps,
-                queue_depth,
+                queue_depth: a.queued() as u64,
             };
             bus.publish(Some(&id.to_string()), event);
         }
@@ -406,7 +371,7 @@ impl ForecastEngine {
             Cancel::Unknown => return false,
             Cancel::Running(token) => token.cancel(),
             Cancel::Queued => {
-                self.inner.account(a.outcome(id), 0);
+                self.inner.announce(a.outcome(id), 0);
                 drop(a);
                 self.inner.settled();
             }
@@ -471,11 +436,6 @@ impl ForecastEngine {
         lock(&self.inner.admission).queued()
     }
 
-    /// The engine's metrics registry (aggregate + per-request series).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.inner.metrics
-    }
-
     /// Aggregate counters so far, plus point-in-time occupancy (queue
     /// depth, busy slots, warm-pool size): [`status`](Self::status)'s
     /// `stats`.
@@ -519,13 +479,13 @@ impl ForecastEngine {
             (st.events_published, st.events_dropped) =
                 (bus.events_published(), bus.events_dropped());
         }
-        let m = &inner.metrics;
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
         st.stats = EngineStats {
-            rejected: m.counter_value("requests_rejected", &[]),
-            warm_acquires: m.counter_value("warm_acquires", &[]),
-            cold_builds: m.counter_value("cold_builds", &[]),
-            cache_hits: m.counter_value("kernel_cache_hits", &[]),
-            cache_misses: m.counter_value("kernel_cache_misses", &[]),
+            warm_acquires: count(&inner.warm_acquires),
+            cold_builds: count(&inner.cold_builds),
+            cache_hits: count(&inner.cache_hits),
+            cache_misses: count(&inner.cache_misses),
+            discarded: count(&inner.discarded),
             slots: st.slots as u64,
             warm_pool: st.warm_pool as u64,
             ..st.stats
@@ -620,7 +580,7 @@ fn slot_loop(inner: &Arc<EngineInner>) {
             match a.pop(Instant::now(), |id| inner.sink(id)) {
                 Pop::Run(job) => break job,
                 Pop::Evict(id) => {
-                    inner.account(a.outcome(id), 0);
+                    inner.announce(a.outcome(id), 0);
                     drop(a);
                     inner.settled();
                     a = lock(&inner.admission);
@@ -640,9 +600,6 @@ fn slot_loop(inner: &Arc<EngineInner>) {
 
 fn run_request(inner: &Arc<EngineInner>, job: Job) -> ForecastOutcome {
     let (rid, queued_seconds, sink) = (job.id.to_string(), job.queued_seconds, &job.sink);
-    let m = &inner.metrics;
-    m.counter_add("requests_started", &[], 1);
-    m.observe("request_queued_seconds", &[], queued_seconds);
     sink.emit(RunEvent::RequestStarted { queued_seconds });
     inner.emit_tick();
     // Everything below the front door reads this request's context and
@@ -655,7 +612,6 @@ fn run_request(inner: &Arc<EngineInner>, job: Job) -> ForecastOutcome {
         sink: sink.clone(),
         faults: inner.faults.scoped(),
         tracer: inner.tracer.clone(),
-        metrics: None,
     };
     let _span = ctx.span("request", &rid);
     let t0 = Instant::now();
@@ -672,14 +628,13 @@ fn run_request(inner: &Arc<EngineInner>, job: Job) -> ForecastOutcome {
         run_seconds: t0.elapsed().as_secs_f64(),
         result,
     };
-    inner.account(&outcome, sink.progress().map_or(0, |p| p.steps_done));
+    inner.announce(&outcome, sink.progress().map_or(0, |p| p.steps_done));
     outcome
 }
 
 fn execute(inner: &Arc<EngineInner>, req: &ForecastRequest, ctx: RunContext) -> ForecastResult {
     let key = CaseKey::of(req);
     let (mut d, basis, warm_start) = acquire(inner, key, req);
-    let rid = ctx.request.clone().expect("a served run has a request id");
     // The instance (and, through it, the supervisor) runs under this
     // request's context for the duration of the run; release() detaches
     // it before parking.
@@ -691,19 +646,15 @@ fn execute(inner: &Arc<EngineInner>, req: &ForecastRequest, ctx: RunContext) -> 
     let res = sup.run_from(&mut d, req.steps, Some(basis));
     let (h1, m1) = d.exec_cache_counters();
     let (hits, misses) = (h1 - h0, m1 - m0);
-    let m = &inner.metrics;
-    m.counter_add("kernel_cache_hits", &[], hits);
-    m.counter_add("kernel_cache_misses", &[], misses);
-    m.counter_add("kernel_cache_hits", &[("request", &rid)], hits);
-    m.counter_add("kernel_cache_misses", &[("request", &rid)], misses);
-    m.counter_add("state_copies", &[("request", &rid)], d.take_state_copies());
+    inner.cache_hits.fetch_add(hits, Ordering::Relaxed);
+    inner.cache_misses.fetch_add(misses, Ordering::Relaxed);
     match res {
         Ok(run) if run.completed() => {
             // The report takes the states; the instance is parked without
             // any, and its next tenant's restore allocates them anew from
             // the template.
             let states = std::mem::take(&mut d.states);
-            let config = d.config;
+            let (config, state_copies) = (d.config, d.take_state_copies());
             release(inner, key, d);
             ForecastResult::Completed(ForecastReport {
                 steps: req.steps,
@@ -712,6 +663,7 @@ fn execute(inner: &Arc<EngineInner>, req: &ForecastRequest, ctx: RunContext) -> 
                 states,
                 cache_hits: hits,
                 cache_misses: misses,
+                state_copies,
                 warm_start,
             })
         }
@@ -721,7 +673,7 @@ fn execute(inner: &Arc<EngineInner>, req: &ForecastRequest, ctx: RunContext) -> 
             // is discarded exactly like a failed one — a cancelled
             // tenant must never contaminate the warm pool.
             drop(d);
-            m.counter_add("instances_discarded", &[], 1);
+            inner.discarded.fetch_add(1, Ordering::Relaxed);
             let cause = run.cancelled.unwrap_or(CancelCause::Requested);
             ForecastResult::Cancelled(CancelledRun {
                 cause,
@@ -735,7 +687,7 @@ fn execute(inner: &Arc<EngineInner>, req: &ForecastRequest, ctx: RunContext) -> 
             // The compiled kernels live in the shared `Arc` bundle and
             // survive the discard.
             drop(d);
-            m.counter_add("instances_discarded", &[], 1);
+            inner.discarded.fetch_add(1, Ordering::Relaxed);
             ForecastResult::Failed(EngineFailure::Supervised(e))
         }
     }
@@ -763,7 +715,7 @@ fn acquire(
                     // so restore() rewrites unconditionally).
                     d.config = req.config;
                     d.restore(&reset);
-                    inner.metrics.counter_add("warm_acquires", &[], 1);
+                    inner.warm_acquires.fetch_add(1, Ordering::Relaxed);
                     let basis = Checkpoint {
                         basis: Some(d.mutation_basis()),
                         ..reset
@@ -815,7 +767,7 @@ fn acquire(
             cc.reset.get_or_insert_with(|| basis.clone());
         }
     }
-    inner.metrics.counter_add("cold_builds", &[], 1);
+    inner.cold_builds.fetch_add(1, Ordering::Relaxed);
     (d, basis, false)
 }
 
@@ -832,7 +784,6 @@ fn release(inner: &EngineInner, key: CaseKey, mut d: DistributedDycore) {
     if let Some(cc) = cases.get_mut(&key) {
         if cc.reset.is_some() && cc.warm.len() < inner.warm_cap {
             cc.warm.push(d);
-            inner.metrics.counter_add("warm_parks", &[], 1);
         }
     }
 }

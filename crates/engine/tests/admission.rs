@@ -91,12 +91,6 @@ fn cancel_running_request_releases_slot_and_keeps_partial_progress() {
     // A terminal id has no token left to fire.
     assert!(!engine.cancel(id), "cancel after the terminal is a no-op");
 
-    let m = engine.metrics();
-    assert_eq!(m.counter_value("requests_cancelled", &[]), 1);
-    assert_eq!(
-        m.counter_value("requests_cancelled", &[("cause", "requested")]),
-        1
-    );
     let stats = engine.shutdown();
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed, 2, "warmup + follow-up");
@@ -167,12 +161,7 @@ fn deadline_cancels_running_request_at_a_step_boundary() {
         }
         other => panic!("expected a deadline cancel, got '{}'", other.terminal()),
     }
-    let m = engine.metrics();
-    assert_eq!(
-        m.counter_value("requests_cancelled", &[("cause", "deadline")]),
-        1
-    );
-    engine.shutdown();
+    assert_eq!(engine.shutdown().cancelled, 1);
 }
 
 #[test]
@@ -290,10 +279,6 @@ fn overload_sheds_newest_batch_first_and_never_sheds_own_lane() {
     unplug(&engine, plug_id);
     engine.wait(n0).result.expect("surviving normal request");
     engine.wait(h0).result.expect("high request");
-    let m = engine.metrics();
-    assert_eq!(m.counter_value("requests_shed", &[]), 3);
-    assert_eq!(m.counter_value("requests_shed", &[("lane", "batch")]), 2);
-    assert_eq!(m.counter_value("requests_shed", &[("lane", "normal")]), 1);
     let stats = engine.shutdown();
     assert_eq!(stats.shed, 3);
     assert_eq!(stats.rejected, 2);
@@ -352,8 +337,8 @@ fn expired_wait_timeout_leaves_the_outcome_claimable() {
     engine.shutdown();
 }
 
-/// `requests_rejected` counts each refusal once, in the stats and in the
-/// pre-registered series (total and per reason).
+/// `EngineStats::rejected` counts each refusal once; the `Rejected`
+/// value says why.
 #[test]
 fn rejections_count_exactly_once_per_refusal() {
     let engine = engine(EngineConfig {
@@ -361,9 +346,6 @@ fn rejections_count_exactly_once_per_refusal() {
         tenant_cap: Some(1),
         ..EngineConfig::default()
     });
-    // Pre-registered at zero before any refusal.
-    let m = engine.metrics();
-    assert_eq!(m.counter_value("requests_rejected", &[]), 0);
     assert_eq!(engine.stats().rejected, 0);
     let t = || SubmitOptions::default().tenant("t");
     let plug_id = start(
@@ -379,12 +361,7 @@ fn rejections_count_exactly_once_per_refusal() {
     let filler = engine.submit_with(req("filler"), batch());
     let full = engine.try_submit_with(req("refused"), batch());
     assert!(matches!(full, Err(Rejected::QueueFull(_))));
-    assert_eq!(m.counter_value("requests_rejected", &[]), 2);
-    assert_eq!(m.counter_value("requests_rejected", &[("reason", "quota")]), 1);
-    assert_eq!(
-        m.counter_value("requests_rejected", &[("reason", "queue_full")]),
-        1
-    );
+    assert_eq!(engine.stats().rejected, 2);
 
     unplug(&engine, plug_id);
     engine.wait(filler).result.expect("admitted filler completes");

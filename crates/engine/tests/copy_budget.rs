@@ -1,7 +1,7 @@
 //! A count, not a clock: how many whole rank states one served request
 //! duplicates. `state_copies` is bumped where a state is copied —
-//! `Checkpoint::capture` and `DistributedDycore::restore` — and published
-//! per request. A warm request pays the rewind from the case's template
+//! `Checkpoint::capture` and `DistributedDycore::restore` — and reported
+//! per request in its `ForecastReport`. A warm request pays the rewind from the case's template
 //! and one capture per step it could still roll back to; the template is
 //! its step-0 basis, nothing is captured after the last step, and the
 //! report takes the states it returns. (At this PR's parent the same
@@ -19,11 +19,7 @@ fn a_warm_request_copies_its_state_once_per_rollback_point() {
         let id = engine.submit(ForecastRequest::c8l6(steps));
         let rep = engine.wait(id).result.expect("clean request");
         let ranks = rep.states.len() as u64;
-        let rid = id.to_string();
-        let copies = engine
-            .metrics()
-            .counter_value("state_copies", &[("request", &rid)]);
-        (rep.warm_start, copies, ranks)
+        (rep.warm_start, rep.state_copies, ranks)
     };
     // Cold: the one capture is the case's template.
     assert_eq!(copies_of(1), (false, 6, 6));

@@ -136,7 +136,7 @@ fn an_instance_parked_without_states_rewinds_bit_identically() {
         faults: Some(FaultPlan::parse("seed=3;nan@step=3,field=pt").unwrap()),
         ..EngineConfig::default()
     });
-    let discarded = || engine.metrics().counter_value("instances_discarded", &[]);
+    let discarded = || engine.stats().discarded;
 
     // Every report stays alive across the runs of the tenants after it.
     let mut held: Vec<ForecastReport> = Vec::new();

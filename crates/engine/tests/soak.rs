@@ -6,8 +6,8 @@
 //! * complete every submitted request within a hard deadline — no
 //!   deadlock, no lost request (every id waited on yields an outcome);
 //! * keep the shared kernel cache monotone: after the warmup request
-//!   pays the case's compile bill, `kernel_cache_hits` only grows and
-//!   `kernel_cache_misses` never moves again;
+//!   pays the case's compile bill, `EngineStats::cache_hits` only grows
+//!   and `cache_misses` never moves again;
 //! * run every request clean and for exactly its budget.
 //!
 //! Regression parameter sets found by the fuzzer are pinned as named
@@ -85,7 +85,7 @@ fn check_case(slots: usize, budgets: &[u64], rotate: usize) {
         assert_eq!(rep.cache_misses, 0, "{label}: request {id} recompiled a warm case");
         assert!(rep.cache_hits > 0, "{label}: request {id} bypassed the shared cache");
         let now = engine.stats().cache_hits;
-        assert!(now >= hits_seen, "{label}: kernel_cache_hits went backwards");
+        assert!(now >= hits_seen, "{label}: cache_hits went backwards");
         hits_seen = now;
     }
 
@@ -98,7 +98,7 @@ fn check_case(slots: usize, budgets: &[u64], rotate: usize) {
     assert_eq!(stats.failed, 0, "{label}: no request may fail");
     assert_eq!(
         stats.cache_misses, base.cache_misses,
-        "{label}: kernel_cache_misses moved after the first compile"
+        "{label}: cache_misses moved after the first compile"
     );
     assert!(
         stats.cache_hits > base.cache_hits,

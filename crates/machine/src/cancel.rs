@@ -30,7 +30,7 @@ pub enum CancelCause {
 }
 
 impl CancelCause {
-    /// Stable label for metrics and JSONL.
+    /// Stable label for events and JSONL.
     pub fn label(&self) -> &'static str {
         match self {
             CancelCause::Requested => "requested",
@@ -74,11 +74,6 @@ impl std::fmt::Debug for CancelToken {
 }
 
 impl CancelToken {
-    /// An inert token: never fires, costs one `Option` check to poll.
-    pub fn inert() -> Self {
-        CancelToken::default()
-    }
-
     /// An armed token with no deadline; fires only on [`cancel`](Self::cancel).
     pub fn new() -> Self {
         Self::build(None)
@@ -160,7 +155,7 @@ mod tests {
 
     #[test]
     fn inert_token_never_fires() {
-        let t = CancelToken::inert();
+        let t = CancelToken::default();
         assert!(t.is_inert());
         assert!(!t.fired());
         t.cancel();

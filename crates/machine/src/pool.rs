@@ -17,7 +17,6 @@
 //! back in for that region, so the borrow outlives every use.
 
 use crate::faults::{FaultAction, Faults, FireCtx, SITE_WORKER_DEATH, SITE_WORKER_PANIC};
-use crate::run::RunConfig;
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -255,12 +254,6 @@ impl Pool {
             shared: Some(shared),
             _lease: Some(lease),
         }
-    }
-
-    /// A pool sized by the environment ([`RunConfig::host_workers`]:
-    /// `FV3_WORKERS`, else the host's available parallelism).
-    pub fn host() -> Self {
-        Pool::new(RunConfig::from_env().host_workers())
     }
 
     /// Number of worker threads (including the submitting thread).
@@ -513,7 +506,7 @@ mod tests {
 
     #[test]
     fn host_pool_has_at_least_one_worker() {
-        assert!(Pool::host().workers() >= 1);
+        assert!(Pool::new(crate::RunConfig::from_env().host_workers()).workers() >= 1);
     }
 
     #[test]

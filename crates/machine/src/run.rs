@@ -7,10 +7,10 @@
 //! * [`RunConfig`] — the five `FV3_*` variables, parsed once by
 //!   [`RunConfig::from_env`], the only function in the library crates
 //!   that reads the environment. Constructors that take no configuration
-//!   (`DistributedDycore::new`, `Pool::host`, `ForecastEngine::start`)
+//!   (`DistributedDycore::new`, `ForecastEngine::start`)
 //!   call it once and keep the answer.
 //! * [`RunContext`] — what one run carries while it executes: request
-//!   id, cancel token, event sink, fault plan, tracer, metrics registry.
+//!   id, cancel token, event sink, fault plan, tracer.
 //!   The default is inert throughout (every field is `None` inside), so
 //!   cloning it is free and each instrumentation point is one branch. It
 //!   is installed with `DistributedDycore::set_run`, which hands it to
@@ -21,7 +21,7 @@
 
 use crate::cancel::CancelToken;
 use crate::faults::Faults;
-use obs::{EventSink, MetricsRegistry, SpanGuard, Tracer};
+use obs::{EventSink, SpanGuard, Tracer};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -112,9 +112,6 @@ pub struct RunContext {
     /// Span recorder for `request` / `driver_step` / `acoustic` / `rank` /
     /// `halo` / `kernel` spans.
     pub tracer: Option<Tracer>,
-    /// Registry for the counters and gauges the driver, the halo updater
-    /// and the rank team record.
-    pub metrics: Option<MetricsRegistry>,
 }
 
 impl RunContext {

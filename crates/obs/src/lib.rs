@@ -1,5 +1,5 @@
 //! The observability spine: one span recorder, one trace record, one
-//! JSON codec, plus metrics and the live event stream.
+//! JSON codec, the rank team's phase timings and the live event stream.
 //!
 //! A leaf crate (std only) that every other crate may depend on, so each
 //! layer — executor kernels (`dataflow::Executor::run_profiled`), dycore
@@ -13,8 +13,8 @@
 //!   over a thread-safe [`Tracer`]), the span record ([`TraceEvent`])
 //!   and its chrome-trace codec, so one file opens in Perfetto showing
 //!   run → module → kernel.
-//! * [`metrics`] — labeled counters / gauges / histograms with
-//!   per-timestep JSONL emission ([`emit_jsonl`]).
+//! * [`overlap`] — the rank team's pack / wait / run sums
+//!   ([`OverlapStats`]), read through the driver.
 //! * [`stream`] — the live telemetry plane: a bounded, drop-oldest
 //!   broadcast [`EventBus`] carrying typed [`RunEvent`]s (per-step
 //!   completion, health verdicts, supervisor retries, engine ticks) so a
@@ -22,18 +22,19 @@
 //!   reports at the end. Zero-cost when no sink is installed.
 //! * [`json`] — the one JSON codec: string escaper and reader.
 //!
-//! Nothing here is process-global: a run's tracer, registry and sink
-//! travel in its `machine::RunContext`, so library crates instrument
-//! unconditionally, at one branch per site when the run carries none, and
-//! two runs in one process never see each other's spans or counters.
+//! Nothing here is process-global: a run's tracer and sink travel in its
+//! `machine::RunContext`, so library crates instrument unconditionally,
+//! at one branch per site when the run carries none, and two runs in one
+//! process never see each other's spans or events. Counts are not kept
+//! here: each has one typed home beside what it counts — a dycore's
+//! accessors, a supervised run's `RunReport`, the engine's `EngineStats`
+//! and a served request's `ForecastReport`.
 
 pub mod json;
-pub mod metrics;
 pub mod overlap;
 pub mod stream;
 pub mod tracing;
 
-pub use metrics::{emit_jsonl, HistogramData, MetricsRegistry};
 pub use overlap::OverlapStats;
 pub use stream::{Event, EventBus, EventSink, EventStream, RunEvent, StreamProgress};
 pub use tracing::{SpanGuard, TraceEvent, Tracer};

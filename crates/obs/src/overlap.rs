@@ -31,15 +31,6 @@ pub struct OverlapStats {
 }
 
 impl OverlapStats {
-    /// Fold another sample (e.g. one rank's substep) into this one.
-    pub fn merge(&mut self, other: &OverlapStats) {
-        self.pack_seconds += other.pack_seconds;
-        self.interior_seconds += other.interior_seconds;
-        self.halo_wait_seconds += other.halo_wait_seconds;
-        self.run_seconds += other.run_seconds;
-        self.substeps += other.substeps;
-    }
-
     /// Record one rank's substep from raw durations.
     pub fn record_substep(&mut self, pack: Duration, halo_wait: Duration, run: Duration) {
         self.pack_seconds += pack.as_secs_f64();
@@ -64,14 +55,6 @@ impl OverlapStats {
     #[cfg(test)]
     fn total_seconds(&self) -> f64 {
         self.pack_seconds + self.interior_seconds + self.halo_wait_seconds + self.run_seconds
-    }
-
-    /// Publish into `m`: `overlap_interior_seconds`,
-    /// `overlap_halo_wait_seconds`, `overlap_efficiency`.
-    pub fn publish(&self, m: &crate::MetricsRegistry) {
-        m.gauge_set("overlap_interior_seconds", &[], self.interior_seconds);
-        m.gauge_set("overlap_halo_wait_seconds", &[], self.halo_wait_seconds);
-        m.gauge_set("overlap_efficiency", &[], self.efficiency());
     }
 }
 
@@ -104,6 +87,8 @@ mod tests {
         assert_eq!(s.total_seconds(), 0.0);
     }
 
+    /// The driver merges its ranks' substeps into one sum, one
+    /// `record_substep` each.
     #[test]
     fn merge_accumulates_rank_seconds() {
         let mut a = OverlapStats::default();
@@ -112,13 +97,11 @@ mod tests {
             Duration::from_millis(10),
             Duration::from_millis(20),
         );
-        let mut b = OverlapStats::default();
-        b.record_substep(
+        a.record_substep(
             Duration::from_millis(5),
             Duration::from_millis(10),
             Duration::from_millis(30),
         );
-        a.merge(&b);
         assert_eq!(a.substeps, 2);
         assert!((a.total_seconds() - 0.075).abs() < 1e-12);
         assert!((a.run_seconds - 0.050).abs() < 1e-12);

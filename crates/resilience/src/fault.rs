@@ -69,17 +69,6 @@ impl FaultPlan {
     pub fn arm(&self) -> Faults {
         Faults::arm(self.seed, self.specs.clone())
     }
-
-    /// The sites this plan will fire at (deduplicated, plan order).
-    pub fn sites(&self) -> Vec<&str> {
-        let mut seen = Vec::new();
-        for s in &self.specs {
-            if !seen.contains(&s.site.as_str()) {
-                seen.push(s.site.as_str());
-            }
-        }
-        seen
-    }
 }
 
 fn parse_entry(entry: &str) -> Result<FaultSpec, String> {
@@ -167,7 +156,7 @@ mod tests {
         let p = FaultPlan::parse("stall@ms=200;stall@ms=200").unwrap();
         assert_eq!(p.specs.len(), 2);
         assert_eq!(p.specs[0].action, FaultAction::StallMs(200));
-        assert_eq!(p.sites(), vec![comm::halo::SITE_HALO_STALL]);
+        assert!(p.specs.iter().all(|s| s.site == comm::halo::SITE_HALO_STALL));
 
         let p = FaultPlan::parse("kill@repeat=1,rank=0").unwrap();
         assert_eq!(p.specs[0].action, FaultAction::KillWorker);

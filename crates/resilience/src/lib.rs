@@ -19,6 +19,11 @@
 //!   [`SupervisedError`] carrying the [`fv3::health::BlowupReport`] and span
 //!   stack a post-mortem needs.
 //!
+//! A run's counts — retries, restores, ranks restored, checkpoints
+//! written, faults fired — are fields of its [`RunReport`], the one place
+//! they are kept; which site each fault fired at is in the run's
+//! [`machine::Faults::log`].
+//!
 //! With no plan armed and checkpointing off, a supervised run is
 //! bit-identical to calling `step()` in a loop (asserted by
 //! `tests/integration_resilience.rs`).

@@ -23,11 +23,9 @@ use fv3::health::{BlowupReport, HealthMonitor};
 use fv3core::checkpoint::{step_path, Checkpoint};
 use fv3core::DistributedDycore;
 use machine::cancel::CancelCause;
-use obs::MetricsRegistry;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 /// What the supervisor does between and after steps.
 #[derive(Debug, Clone)]
@@ -71,7 +69,7 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
-    /// Metric label.
+    /// Stable label for events and JSONL.
     pub fn label(&self) -> &'static str {
         match self {
             FailureKind::Blowup => "blowup",
@@ -136,10 +134,9 @@ pub struct RunReport {
     pub checkpoint_writes: u64,
     /// Bytes written to disk across all checkpoints.
     pub checkpoint_bytes: u64,
-    /// Wall time spent writing checkpoints.
-    pub checkpoint_write_time: Duration,
     /// Faults that fired in this run: the growth of the injection log of
-    /// the run's own [`machine::Faults`] handle, never a neighbour's.
+    /// the run's own [`machine::Faults`] handle, never a neighbour's. The
+    /// log itself ([`machine::Faults::log`]) names each site.
     pub faults_injected: u64,
     /// Every recovery action, in order.
     pub events: Vec<RecoveryEvent>,
@@ -196,9 +193,9 @@ impl fmt::Display for SupervisedError {
 
 impl std::error::Error for SupervisedError {}
 
-/// Wraps a dycore with the recovery policy. Owns the health monitor and
-/// a metrics registry recording recovery counters. The run's context is
-/// the dycore's ([`DistributedDycore::set_run`]):
+/// Wraps a dycore with the recovery policy. Owns the health monitor; the
+/// recovery counts are the [`RunReport`]'s. The run's context is the
+/// dycore's ([`DistributedDycore::set_run`]):
 ///
 /// * its cancel token is polled before every step attempt and before
 ///   every rollback-retry (the dycore polls the same token between
@@ -215,7 +212,6 @@ impl std::error::Error for SupervisedError {}
 pub struct Supervisor {
     pub policy: SupervisorPolicy,
     monitor: HealthMonitor,
-    metrics: MetricsRegistry,
 }
 
 /// Checkpoints one supervised run mirrored to disk.
@@ -223,7 +219,6 @@ pub struct Supervisor {
 struct DiskTally {
     writes: u64,
     bytes: u64,
-    time: Duration,
 }
 
 impl Supervisor {
@@ -233,14 +228,7 @@ impl Supervisor {
         Supervisor {
             policy,
             monitor: HealthMonitor::new(),
-            metrics: MetricsRegistry::new(),
         }
-    }
-
-    /// The recovery metrics recorded so far (checkpoint_bytes,
-    /// restore_count, retries, faults_injected, ...).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Advance `d` by `steps` supervised steps. On success the report
@@ -349,11 +337,8 @@ impl Supervisor {
                     // blowups are detected post-increment.
                     if let Some(cause) = run.cancel.cause() {
                         if let Some(ck) = &basis {
-                            let rewritten = d.restore(ck) as u64;
                             restores += 1;
-                            ranks_restored += rewritten;
-                            self.metrics.counter_add("ranks_restored", &[], rewritten);
-                            self.metrics.counter_add("restore_count", &[], 1);
+                            ranks_restored += d.restore(ck) as u64;
                         }
                         cancelled = Some(cause);
                         break;
@@ -381,17 +366,12 @@ impl Supervisor {
                     retries_this_step += 1;
                     retries_total += 1;
                     let backed_off = retries_this_step > self.policy.backoff_after;
-                    let rewritten = d.restore(ck) as u64;
                     restores += 1;
-                    ranks_restored += rewritten;
-                    self.metrics.counter_add("ranks_restored", &[], rewritten);
+                    ranks_restored += d.restore(ck) as u64;
                     if backed_off {
                         d.config.dycore.dt *= DT_BACKOFF;
                         d.config.dycore.n_split = d.config.dycore.n_split.saturating_mul(SPLIT_FACTOR);
                     }
-                    self.metrics.counter_add("restore_count", &[], 1);
-                    self.metrics
-                        .counter_add("retries", &[("kind", kind.label())], 1);
                     run.sink.emit(obs::RunEvent::SupervisorRetry {
                         step: failed_step,
                         kind: kind.label().to_string(),
@@ -411,11 +391,6 @@ impl Supervisor {
             }
         }
 
-        let injections = run.faults.log();
-        for ev in &injections[faults_before..] {
-            self.metrics
-                .counter_add("faults_injected", &[("site", &ev.site)], 1);
-        }
         Ok(RunReport {
             steps: d.step_index() - start,
             cancelled,
@@ -424,8 +399,7 @@ impl Supervisor {
             ranks_restored,
             checkpoint_writes: written.writes,
             checkpoint_bytes: written.bytes,
-            checkpoint_write_time: written.time,
-            faults_injected: (injections.len() - faults_before) as u64,
+            faults_injected: injected(),
             events,
             monitor: std::mem::take(&mut self.monitor),
         })
@@ -439,17 +413,13 @@ impl Supervisor {
         sink: &obs::EventSink,
         written: &mut DiskTally,
     ) -> std::io::Result<Checkpoint> {
-        let t = Instant::now();
         let ck = Checkpoint::capture(d);
         let mut bytes = 0;
         if let Some(dir) = &self.policy.checkpoint_dir {
             bytes = ck.write_atomic(&step_path(dir, ck.step))?;
             written.writes += 1;
             written.bytes += bytes;
-            self.metrics.counter_add("checkpoint_writes", &[], 1);
-            self.metrics.counter_add("checkpoint_bytes", &[], bytes);
         }
-        written.time += t.elapsed();
         sink.emit(obs::RunEvent::CheckpointWritten {
             step: ck.step,
             bytes,

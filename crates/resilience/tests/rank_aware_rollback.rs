@@ -72,7 +72,6 @@ fn dropped_halo_message_rolls_back_only_completed_ranks() {
         report.ranks_restored, 5,
         "only completed ranks should be rewritten"
     );
-    assert_eq!(sup.metrics().counter_value("ranks_restored", &[]), 5);
 
     // The recovered run is bit-identical to one that never faulted.
     let mut clean = dycore();

@@ -1,6 +1,5 @@
 //! Run-scoped state, proven by sharing a process on purpose: a run's
-//! fault plan, tracer and metrics registry live in the `RunContext` it
-//! was handed, so runs on sibling threads — with no lock, guard or
+//! fault plan and tracer live in the `RunContext` it was handed, so runs on sibling threads — with no lock, guard or
 //! ordering between them — cannot touch each other's.
 //!
 //! * thread A runs a supervised c8L6 dycore under `nan@step=1,field=pt`
@@ -9,7 +8,7 @@
 //!   reference every round (it never sees A's poison), A recovers to
 //!   the same bits, and A's plan logs exactly one injection per round;
 //! * two dycores traced at once through two contexts record exactly the
-//!   spans and counters each records alone.
+//!   spans each records alone.
 //!
 //! The two tests also run beside each other, which is the point.
 
@@ -102,33 +101,20 @@ fn a_poisoned_run_and_a_clean_one_share_a_process_and_nothing_else() {
 }
 
 /// What one traced run left in its context: span counts by
-/// `(category, name)` and the driver's counters.
+/// `(category, name)`.
 #[derive(Debug, PartialEq)]
 struct Recorded {
     spans: BTreeMap<(String, String), usize>,
-    counters: Vec<(&'static str, u64)>,
 }
-
-const COUNTERS: [&str; 7] = [
-    "driver_steps",
-    "rank_runs",
-    "halo_bytes",
-    "halo_messages",
-    "team_substeps",
-    "kernel_cache_hits",
-    "kernel_cache_misses",
-];
 
 fn traced_run(schedule: RankSchedule, steps: usize, start: &Barrier) -> Recorded {
     let tracer = obs::Tracer::new();
-    let metrics = obs::MetricsRegistry::new();
     let mut d = c8l6();
     d.set_rank_schedule(schedule);
     d.set_tuned(false);
     d.set_pool(Some(Pool::new(2)));
     d.set_run(RunContext {
         tracer: Some(tracer.clone()),
-        metrics: Some(metrics.clone()),
         ..RunContext::default()
     });
     start.wait();
@@ -139,20 +125,15 @@ fn traced_run(schedule: RankSchedule, steps: usize, start: &Barrier) -> Recorded
     for e in tracer.finished() {
         *spans.entry((e.cat, e.name)).or_default() += 1;
     }
-    Recorded {
-        spans,
-        counters: COUNTERS
-            .map(|c| (c, metrics.counter_value(c, &[])))
-            .to_vec(),
-    }
+    Recorded { spans }
 }
 
 #[test]
 fn two_traced_runs_each_record_only_themselves() {
     // Different shapes on purpose — one sequential step (a team of one,
     // every span on the caller) against two parallel ones (rank and halo
-    // spans on team workers) — so a span or a count that lands in the
-    // wrong context cannot cancel out.
+    // spans on team workers) — so a span that lands in the wrong context
+    // cannot cancel out.
     let alone = Barrier::new(1);
     let seq_alone = traced_run(RankSchedule::Sequential, 1, &alone);
     let par_alone = traced_run(RankSchedule::Parallel, 2, &alone);
