@@ -889,7 +889,10 @@ fn run_tiles(
                         // disjoint `(j-block[, k])` sets and `validate_kernel`
                         // lets a kernel read a field it writes only at zero
                         // horizontal offset (zero offset at all for `(block,
-                        // k)` items), so no item touches what another writes.
+                        // k)` items), so no item touches what another writes;
+                        // a written field is not constant, hence not
+                        // horizontal (`compiled_for`), so distinct `k` are
+                        // distinct cells.
                         // (4) Hence a destination overlaps an operand only as
                         // the same rows of the same field or local, which the
                         // lane loops read before they write.
@@ -1021,6 +1024,19 @@ impl Executor {
             if e.compiled.fingerprint == KernelFingerprint::of(kernel) {
                 return (Arc::clone(e), true);
             }
+        }
+        // Horizontal ⇒ constant: every level of a horizontal container is
+        // one cell, so two `(block, k)` work items writing it would write
+        // one cell (`run_tiles` SAFETY (3)); a constant is never written.
+        let touched = kernel.reads().into_iter().map(|(d, _)| d).chain(kernel.writes());
+        for d in touched {
+            let c = &sdfg.containers[d.0];
+            assert!(
+                c.constant || !c.layout.is_horizontal(),
+                "container '{}' of kernel '{}' has a k-stride of 0 but is not constant",
+                c.name,
+                kernel.name
+            );
         }
         if let Some(d) = kernel.writes().into_iter().find(|d| sdfg.containers[d.0].constant) {
             panic!(

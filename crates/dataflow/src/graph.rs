@@ -29,7 +29,9 @@ pub struct Container {
     /// whoever lends it to a store ([`crate::DataStore::lend_constant`]),
     /// the executor takes read access only and refuses to compile a
     /// kernel that writes it, and [`crate::reuse`] never asks for it to
-    /// be cleared.
+    /// be cleared. Only a constant may be horizontal
+    /// ([`Layout::horizontal`]): the executor refuses a kernel over any
+    /// other container with a K stride of 0.
     /// Set by the program builder, never by the caller of a built program.
     pub constant: bool,
 }

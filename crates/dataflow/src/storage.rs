@@ -119,6 +119,30 @@ impl Layout {
         Layout::new(domain, halo, StorageOrder::IContiguous, 32)
     }
 
+    /// A horizontal field (a grid metric, FV3core's `IJ` field): the
+    /// logical extent of [`new`](Self::new), so `contains` and the
+    /// logical export see every level, but one `(i, j)` plane in memory.
+    /// The K stride is 0: every level reads the plane, and a write at
+    /// any level writes it. Only a `constant` container may have this
+    /// layout (the executor refuses any other, see DESIGN §18.3).
+    pub fn horizontal(domain: [usize; 3], halo: [usize; 3], order: StorageOrder, alignment: usize) -> Self {
+        let plane = Layout::new([domain[0], domain[1], 1], [halo[0], halo[1], 0], order, alignment);
+        let mut strides = plane.strides;
+        strides[2] = 0;
+        Layout {
+            domain,
+            halo,
+            strides,
+            ..plane
+        }
+    }
+
+    /// Whether every level of this layout maps onto one plane
+    /// ([`horizontal`](Self::horizontal)).
+    pub fn is_horizontal(&self) -> bool {
+        self.strides[2] == 0 && self.domain_len() > 0
+    }
+
     /// Flat index of logical `(i, j, k)` (may be negative into the halo).
     ///
     /// Debug builds check halo bounds; release builds rely on the executor

@@ -9,6 +9,7 @@
 //! specialized edge computations of Section IV-B.
 
 use comm::geometry::FaceFrame;
+use dataflow::storage::StorageOrder;
 use dataflow::{Array3, Layout};
 use std::sync::Arc;
 
@@ -65,28 +66,25 @@ fn scale_v(a: [f64; 3], s: f64) -> [f64; 3] {
 
 /// Metric terms for one rank's subdomain of one tile.
 ///
-/// All fields are stored as full 3-D arrays with the vertical extent
-/// replicated, so they bind directly to DSL stencil inputs (GT4Py
-/// storages are 3-D; the paper's model does the same for 2-D metric
-/// fields). The six the dycore program reads (`area`, `rarea`, `rdx`,
-/// `rdy`, `cosa`, `sina`) are its `constant` containers and sit behind an
-/// `Arc`, so every store of every tenant of a case reads the one
-/// allocation ([`crate::dyn_core::load_state`] lends, never copies).
+/// Every field is horizontal, FV3core's `IJ` fields: the logical extent
+/// of a 3-D field, so it binds directly to DSL stencil inputs at any
+/// level, stored as one plane with a K stride of 0
+/// ([`Layout::horizontal`]). The six the dycore program reads (`area`,
+/// `rarea`, `rdx`, `rdy`, `cosa`, `sina`) are its `constant` containers
+/// and sit behind an `Arc`, so every store of every tenant of a case
+/// reads the one allocation ([`crate::dyn_core::load_state`] lends,
+/// never copies).
 #[derive(Debug, Clone)]
 pub struct Grid {
     /// Cells per subdomain edge.
     pub n: usize,
-    /// Vertical levels (metric fields are replicated over k).
+    /// Vertical levels (every level of a metric reads its one plane).
     pub nk: usize,
     /// Cell areas \[m^2\].
     pub area: Arc<Array3>,
     /// Inverse cell areas.
     pub rarea: Arc<Array3>,
-    /// Cell widths along i (great-circle, at cell centres).
-    pub dx: Array3,
-    /// Cell widths along j.
-    pub dy: Array3,
-    /// Inverse widths.
+    /// Inverse cell widths along i and j (great-circle, at cell centres).
     pub rdx: Arc<Array3>,
     pub rdy: Arc<Array3>,
     /// Cosine of the angle between grid lines (0 for orthogonal would be
@@ -114,11 +112,9 @@ impl Grid {
         halo: usize,
         nk: usize,
     ) -> Grid {
-        let layout = Layout::fv3_default([n, n, nk], [halo, halo, 0]);
+        let layout = Layout::horizontal([n, n, nk], [halo, halo, 0], StorageOrder::IContiguous, 32);
         let mut area = Array3::zeros(layout.clone());
         let mut rarea = Array3::zeros(layout.clone());
-        let mut dx = Array3::zeros(layout.clone());
-        let mut dy = Array3::zeros(layout.clone());
         let mut rdx = Array3::zeros(layout.clone());
         let mut rdy = Array3::zeros(layout.clone());
         let mut cosa = Array3::zeros(layout.clone());
@@ -165,18 +161,14 @@ impl Grid {
                 let latv = centre_pt[2].clamp(-1.0, 1.0).asin();
                 let lonv = centre_pt[1].atan2(centre_pt[0]);
 
-                for k in 0..nk as i64 {
-                    area.set(i, j, k, a);
-                    rarea.set(i, j, k, 1.0 / a);
-                    dx.set(i, j, k, dxi);
-                    dy.set(i, j, k, dyj);
-                    rdx.set(i, j, k, 1.0 / dxi);
-                    rdy.set(i, j, k, 1.0 / dyj);
-                    cosa.set(i, j, k, ca);
-                    sina.set(i, j, k, sa);
-                    lat.set(i, j, k, latv);
-                    lon.set(i, j, k, lonv);
-                }
+                area.set(i, j, 0, a);
+                rarea.set(i, j, 0, 1.0 / a);
+                rdx.set(i, j, 0, 1.0 / dxi);
+                rdy.set(i, j, 0, 1.0 / dyj);
+                cosa.set(i, j, 0, ca);
+                sina.set(i, j, 0, sa);
+                lat.set(i, j, 0, latv);
+                lon.set(i, j, 0, lonv);
             }
         }
 
@@ -185,8 +177,6 @@ impl Grid {
             nk,
             area: Arc::new(area),
             rarea: Arc::new(rarea),
-            dx,
-            dy,
             rdx: Arc::new(rdx),
             rdy: Arc::new(rdy),
             cosa: Arc::new(cosa),
@@ -304,7 +294,7 @@ mod tests {
         let geom = CubeGeometry::new(n);
         let g = Grid::compute(&geom.faces[0], n, 0, 0, n, 3, 4);
         assert!(g.area.get(-3, -3, 3) > 0.0);
-        assert!(g.dx.get(10, 10, 0) > 0.0);
+        assert!(g.rdx.get(10, 10, 3) > 0.0);
     }
 
     #[test]

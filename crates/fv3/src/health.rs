@@ -79,8 +79,8 @@ impl Default for HealthThresholds {
 
 /// One timestep's worth of model state handed to the monitor.
 ///
-/// Metric fields (`area`, `rdx`, `rdy`) are read at `k = 0` (replicated
-/// over levels, matching the grid convention). `fields` is the full
+/// Metric fields (`area`, `rdx`, `rdy`) are read at `k = 0` (horizontal:
+/// every level reads one plane, [`crate::grid::Grid`]). `fields` is the full
 /// prognostic list scanned by the blowup detector; the named references
 /// are the subset the physics diagnostics need.
 pub struct HealthInput<'a> {

@@ -64,10 +64,13 @@ impl ProgramBuilder {
 
     /// Register (or look up) a model field no stencil of the program
     /// writes (a grid metric): a `constant` container, lent to the store
-    /// by reference instead of copied into it.
+    /// by reference instead of copied into it, and horizontal — one
+    /// `(i, j)` plane that every level reads ([`Layout::horizontal`]).
     pub fn constant(&mut self, name: &str) -> DataId {
         let d = self.field(name);
-        self.sdfg.containers[d.0].constant = true;
+        let c = &mut self.sdfg.containers[d.0];
+        c.constant = true;
+        c.layout = Layout::horizontal(self.domain, self.halo, StorageOrder::IContiguous, 32);
         d
     }
 
