@@ -176,15 +176,6 @@ pub mod rngs {
     pub type StdRng = SmallRng;
 }
 
-/// Convenience: a fresh generator seeded from the system clock.
-pub fn thread_rng() -> rngs::SmallRng {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-        .unwrap_or(0x5EED);
-    <rngs::SmallRng as SeedableRng>::seed_from_u64(nanos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,8 @@ impl FaceFrame {
     }
 
     /// Continuous 3-D position of the cell centre `(i, j)` (lattice units).
-    pub fn cell_center(&self, i: f64, j: f64) -> [f64; 3] {
+    #[cfg(test)]
+    pub(crate) fn cell_center(&self, i: f64, j: f64) -> [f64; 3] {
         [
             self.origin[0] as f64 + self.u[0] as f64 * (i + 0.5) + self.v[0] as f64 * (j + 0.5),
             self.origin[1] as f64 + self.u[1] as f64 * (i + 0.5) + self.v[1] as f64 * (j + 0.5),

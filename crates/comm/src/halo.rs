@@ -337,7 +337,7 @@ impl HaloUpdater {
     /// The statistics [`exchange_scalar`](Self::exchange_scalar) reports
     /// for an `nk`-level field, without touching data (cube corners carry
     /// no traffic).
-    pub fn exact_stats(&self, nk: usize) -> ExchangeStats {
+    pub(crate) fn exact_stats(&self, nk: usize) -> ExchangeStats {
         let nk = nk as u64;
         let one = &self.level_stats;
         ExchangeStats {

@@ -255,8 +255,7 @@ impl ExchangePlan {
     }
 
     /// The statistics one single-field exchange over this plan produces —
-    /// structurally the same enumeration as
-    /// [`HaloUpdater::exact_stats`](crate::HaloUpdater::exact_stats), so
+    /// structurally the same enumeration as `HaloUpdater::exact_stats`, so
     /// the two agree exactly (asserted in the crate tests).
     pub fn stats(&self, nk: usize) -> ExchangeStats {
         let s = self.part.sub_n as i64;

@@ -372,12 +372,6 @@ impl DistributedDycore {
         restored
     }
 
-    /// Write an `FV3CKPT1` checkpoint of the current state; returns the
-    /// byte size written.
-    pub fn write_checkpoint(&self, path: &Path) -> std::io::Result<u64> {
-        crate::checkpoint::Checkpoint::capture(self).write_atomic(path)
-    }
-
     /// Driver steps completed since construction or the last restore.
     pub fn step_index(&self) -> u64 {
         self.step_index
@@ -538,11 +532,6 @@ impl DistributedDycore {
     /// sample per rank-substep.
     pub fn overlap_stats(&self) -> obs::OverlapStats {
         self.overlap
-    }
-
-    /// Take and reset the accumulated rank-team timings.
-    pub fn take_overlap_stats(&mut self) -> obs::OverlapStats {
-        std::mem::take(&mut self.overlap)
     }
 
     /// Measured wire traffic posted between rank threads

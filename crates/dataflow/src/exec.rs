@@ -20,11 +20,9 @@ use crate::kernel::{Domain, KOrder, Kernel, LValue};
 use crate::liveness::{live_intervals, Interval, Packing};
 use crate::storage::{Array3, Axis, Layout};
 use machine::{Faults, Pool, RunContext};
-use obs::Tracer;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Runtime storage: one array per SDFG container, except that transients
@@ -1000,6 +998,11 @@ impl Executor {
         }
     }
 
+    /// The kernel cache; a poisoned lock is recovered, not propagated.
+    fn cache(&self) -> MutexGuard<'_, KernelCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Serial executor (deterministic, used by tests).
     pub fn serial() -> Self {
         Executor::new(Pool::new(1))
@@ -1018,7 +1021,7 @@ impl Executor {
         key: (usize, usize),
         kernel: &Kernel,
     ) -> (Arc<CacheEntry>, bool) {
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache();
         let cache = cache.namespace(sdfg);
         if let Some(e) = cache.entries.get(&key) {
             if e.compiled.fingerprint == KernelFingerprint::of(kernel) {
@@ -1064,33 +1067,16 @@ impl Executor {
         self.run_in(sdfg, store, params, hooks, &RunContext::default())
     }
 
-    /// Run the whole program with observability: every executed node is
-    /// recorded as a `kernel` / `copy` / `halo` / `callback` span in
-    /// `tracer`, kernels annotated with points and modeled bytes/flops
-    /// from their access sets. The spans share the tracer's clock and the
-    /// calling thread's span stack, so they nest inside whatever run/step
-    /// span the caller holds open. Numerical results are identical to
-    /// [`Executor::run`] — profiling never touches the data plane.
-    pub fn run_profiled(
-        &self,
-        sdfg: &Sdfg,
-        store: &mut DataStore,
-        params: &[f64],
-        hooks: &mut dyn ExecHooks,
-        tracer: &Tracer,
-    ) -> ExecReport {
-        let ctx = RunContext {
-            tracer: Some(tracer.clone()),
-            ..RunContext::default()
-        };
-        self.run_in(sdfg, store, params, hooks, &ctx)
-    }
-
-    /// Run the whole program as part of the run that carries `ctx`:
-    /// profiled into the context's tracer when it has one (see
-    /// [`run_profiled`](Self::run_profiled)), every kernel a pool region
-    /// under the context's fault plan. An executor is shared between
-    /// runs — the context comes with the call.
+    /// Run the whole program as part of the run that carries `ctx`: every
+    /// kernel a pool region under the context's fault plan. With a tracer
+    /// in the context, every executed node is recorded as a `kernel` /
+    /// `copy` / `halo` / `callback` span, kernels annotated with points and
+    /// modeled bytes/flops from their access sets. The spans share the
+    /// tracer's clock and the calling thread's span stack, so they nest
+    /// inside whatever run/step span the caller holds open. Numerical
+    /// results are identical to [`Executor::run`]: profiling never touches
+    /// the data plane. An executor is shared between runs; the context
+    /// comes with the call.
     pub fn run_in(
         &self,
         sdfg: &Sdfg,
@@ -1116,7 +1102,7 @@ impl Executor {
     /// another graph).
     fn check_packing(&self, sdfg: &Sdfg, store: &DataStore) {
         let live = {
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache();
             let cache = cache.namespace(sdfg);
             Arc::clone(cache.live.get_or_insert_with(|| live_intervals(sdfg).into()))
         };
@@ -1585,7 +1571,7 @@ mod tests {
         assert_eq!(store.get(ids[0]).get(2, 2, 2), 5.0);
     }
 
-    /// The single spine: spans recorded by `run_profiled` land in the
+    /// The single spine: spans recorded by a traced `run_in` land in the
     /// caller's tracer on the caller's thread, so they sit inside the
     /// span the caller holds open with no timeline re-basing, and the
     /// modeled cost rides in the compiled-kernel cache entry (profiled
@@ -1613,12 +1599,16 @@ mod tests {
             body: vec![ControlNode::State(0)],
         }];
 
-        let tracer = Tracer::new();
+        let tracer = obs::Tracer::new();
         let exec = Executor::serial();
         let mut store = DataStore::for_sdfg(&g);
         {
             let _step = tracer.span("step", "timestep0");
-            exec.run_profiled(&g, &mut store, &[], &mut NoHooks, &tracer);
+            let ctx = RunContext {
+                tracer: Some(tracer.clone()),
+                ..Default::default()
+            };
+            exec.run_in(&g, &mut store, &[], &mut NoHooks, &ctx);
         }
         let events = tracer.finished();
         let step = events.iter().find(|e| e.cat == "step").expect("outer span");
@@ -1636,7 +1626,7 @@ mod tests {
         assert_eq!((of("kernel").len(), of("copy").len()), (7, 7));
         // 4*4*4 elements read + written per launch.
         assert!(of("kernel").iter().all(|e| e.bytes == 2 * 64 * 8));
-        let cache = exec.cache.lock();
+        let cache = exec.cache();
         assert_eq!(cache.entries.len(), 1, "one cache entry for the looped kernel");
         assert!(cache.entries[&(0, 0)].modeled.get().is_some());
     }

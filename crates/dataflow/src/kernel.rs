@@ -42,7 +42,7 @@ impl Domain {
     }
 
     /// Total points.
-    pub fn volume(&self) -> u64 {
+    pub(crate) fn volume(&self) -> u64 {
         if self.is_empty() {
             0
         } else {

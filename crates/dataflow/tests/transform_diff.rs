@@ -8,8 +8,9 @@
 //! `powf` with repeated multiplication (`Powi`), so it is budgeted.
 //!
 //! Each transformed program is additionally executed under the profiler
-//! ([`Executor::run_profiled`]) and must match its unprofiled run
-//! bitwise — instrumentation must not perturb results.
+//! ([`Executor::run_in`] with a tracer in its `RunContext`) and must
+//! match its unprofiled run bitwise — instrumentation must not perturb
+//! results.
 //!
 //! `prune_regions` is deliberately NOT in the registry: it drops
 //! compute regions that a distributed decomposition makes redundant and
@@ -173,7 +174,11 @@ fn run(g: &Sdfg, input: DataId, outs: &[DataId], seed: u64, profiled: bool) -> V
     let exec = Executor::serial();
     if profiled {
         let tracer = obs::Tracer::new();
-        exec.run_profiled(g, &mut store, &params, &mut NoHooks, &tracer);
+        let ctx = machine::RunContext {
+            tracer: Some(tracer.clone()),
+            ..Default::default()
+        };
+        exec.run_in(g, &mut store, &params, &mut NoHooks, &ctx);
         let kernels = tracer.finished().iter().filter(|e| e.cat == "kernel").count();
         assert!(kernels > 0, "profiler saw no kernels");
     } else {

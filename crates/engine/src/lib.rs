@@ -379,19 +379,6 @@ impl ForecastEngine {
         true
     }
 
-    /// Submit with a guard that cancels the request when dropped before
-    /// [`SubmitGuard::wait`] or [`SubmitGuard::detach`] — opt-in
-    /// abandon-stops-the-run semantics for callers that would otherwise
-    /// leak a slot-burning orphan on an early return.
-    pub fn submit_guarded(&self, req: ForecastRequest, opts: SubmitOptions) -> SubmitGuard<'_> {
-        let id = self.submit_with(req, opts);
-        SubmitGuard {
-            engine: self,
-            id,
-            armed: true,
-        }
-    }
-
     /// Block until `id`'s outcome is available and take it. Each outcome
     /// can be taken exactly once.
     ///
@@ -522,41 +509,6 @@ impl ForecastEngine {
 impl Drop for ForecastEngine {
     fn drop(&mut self) {
         self.close_and_join();
-    }
-}
-
-/// RAII submission handle from [`ForecastEngine::submit_guarded`]:
-/// dropping it without [`wait`](Self::wait) or
-/// [`detach`](Self::detach) cancels the request.
-pub struct SubmitGuard<'a> {
-    engine: &'a ForecastEngine,
-    id: RequestId,
-    armed: bool,
-}
-
-impl SubmitGuard<'_> {
-    pub fn id(&self) -> RequestId {
-        self.id
-    }
-
-    /// Wait for the outcome (disarms the guard).
-    pub fn wait(mut self) -> ForecastOutcome {
-        self.armed = false;
-        self.engine.wait(self.id)
-    }
-
-    /// Let the request keep running unguarded; returns its id.
-    pub fn detach(mut self) -> RequestId {
-        self.armed = false;
-        self.id
-    }
-}
-
-impl Drop for SubmitGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.engine.cancel(self.id);
-        }
     }
 }
 

@@ -285,38 +285,6 @@ fn overload_sheds_newest_batch_first_and_never_sheds_own_lane() {
     assert_eq!(stats.failed, 0, "shedding is not a failure");
 }
 
-#[test]
-fn submit_guard_drop_cancels_but_wait_and_detach_disarm() {
-    let engine = engine(EngineConfig::default());
-    let plug_id = plug(&engine);
-    // Dropping the guard abandons the queued request.
-    let abandoned = engine
-        .submit_guarded(req("abandoned"), SubmitOptions::default())
-        .id();
-    let out = engine
-        .wait_timeout(abandoned, DEADLINE)
-        .expect("resolved while the plug holds the slot");
-    assert!(
-        matches!(out.result, ForecastResult::Cancelled(_)),
-        "expected cancelled, got '{}'",
-        out.result.terminal()
-    );
-    // detach() leaves the request to run unguarded.
-    let detached = engine
-        .submit_guarded(req("detached"), SubmitOptions::default())
-        .detach();
-    unplug(&engine, plug_id);
-    engine
-        .wait(detached)
-        .result
-        .expect("a detached request runs to completion");
-    // wait() consumes the guard and the outcome.
-    let guard = engine.submit_guarded(req("waited"), SubmitOptions::default());
-    let rep = guard.wait().result.expect("a waited guard completes");
-    assert_eq!(rep.steps, 1);
-    engine.shutdown();
-}
-
 /// An expired `wait_timeout` leaves the outcome claimable; once claimed,
 /// a further wait finds nothing, at once.
 #[test]

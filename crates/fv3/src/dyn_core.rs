@@ -605,8 +605,11 @@ mod tests {
         let mut hooks = RemapHooks { ids: &prog.ids };
         // Under the profiler, which must not perturb the answer.
         let tracer = obs::Tracer::new();
-        let report =
-            Executor::serial().run_profiled(&g, &mut store, &prog.params, &mut hooks, &tracer);
+        let ctx = machine::RunContext {
+            tracer: Some(tracer.clone()),
+            ..Default::default()
+        };
+        let report = Executor::serial().run_in(&g, &mut store, &prog.params, &mut hooks, &ctx);
         assert!(report.launches > 0);
         assert_eq!(report.callbacks, config.k_split as u64);
         assert_eq!(

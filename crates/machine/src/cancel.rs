@@ -99,7 +99,8 @@ impl CancelToken {
     }
 
     /// True for the default token (can never fire).
-    pub fn is_inert(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_inert(&self) -> bool {
         self.inner.is_none()
     }
 

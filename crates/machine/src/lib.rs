@@ -76,29 +76,6 @@ impl KernelProfile {
     pub fn bytes_total(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Merge two profiles as if their kernels were fused into one launch.
-    ///
-    /// The caller is responsible for removing any intermediate traffic that
-    /// fusion elides; this helper only sums counters and keeps the max
-    /// parallelism.
-    pub fn fuse(&self, other: &KernelProfile) -> KernelProfile {
-        KernelProfile {
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            flops: self.flops + other.flops,
-            threads: self.threads.max(other.threads),
-            work_per_thread: self.work_per_thread.max(other.work_per_thread),
-            coalescing: if self.bytes_total() + other.bytes_total() == 0 {
-                1.0
-            } else {
-                (self.coalescing * self.bytes_total() as f64
-                    + other.coalescing * other.bytes_total() as f64)
-                    / (self.bytes_total() + other.bytes_total()) as f64
-            },
-            transcendentals: self.transcendentals + other.transcendentals,
-        }
-    }
 }
 
 /// Which resource limits a kernel under a given model.
@@ -153,50 +130,6 @@ pub trait PerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profile_fuse_sums_and_averages() {
-        let a = KernelProfile {
-            bytes_read: 100,
-            bytes_written: 100,
-            flops: 10,
-            threads: 4,
-            work_per_thread: 1,
-            coalescing: 1.0,
-            transcendentals: 0,
-        };
-        let b = KernelProfile {
-            bytes_read: 200,
-            bytes_written: 0,
-            flops: 30,
-            threads: 8,
-            work_per_thread: 2,
-            coalescing: 0.5,
-            transcendentals: 3,
-        };
-        let f = a.fuse(&b);
-        assert_eq!(f.bytes_total(), 400);
-        assert_eq!(f.flops, 40);
-        assert_eq!(f.threads, 8);
-        assert_eq!(f.work_per_thread, 2);
-        assert_eq!(f.transcendentals, 3);
-        // weighted coalescing: (1.0*200 + 0.5*200) / 400 = 0.75
-        assert!((f.coalescing - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fuse_with_empty_keeps_coalescing() {
-        let a = KernelProfile {
-            bytes_read: 64,
-            bytes_written: 64,
-            coalescing: 0.8,
-            ..Default::default()
-        };
-        let empty = KernelProfile::default();
-        let f = a.fuse(&empty);
-        assert_eq!(f.bytes_total(), 128);
-        assert!((f.coalescing - 0.8).abs() < 1e-12);
-    }
 
     #[test]
     fn peak_fraction_caps_at_one() {

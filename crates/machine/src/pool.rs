@@ -2,9 +2,9 @@
 //!
 //! This is the execution substrate that stands in for the paper's OpenMP
 //! thread teams and CUDA thread grids: the `dataflow` executor hands map
-//! scopes to [`Pool::for_each_chunk`], which splits the iteration range into
-//! contiguous chunks claimed by workers through a shared atomic cursor
-//! (guided self-scheduling). Workers are spawned **once** at pool
+//! scopes to [`Pool::for_each_chunk_in`], which splits the iteration range
+//! into contiguous chunks claimed by workers through a shared atomic
+//! cursor (guided self-scheduling). Workers are spawned **once** at pool
 //! construction and parked between parallel regions, so a kernel launch
 //! costs a mutex/condvar wake rather than a thread spawn — the OpenMP
 //! "persistent team" model. On a single-core host (or `Pool::new(1)`) the
@@ -13,15 +13,14 @@
 //!
 //! Closure lifetimes stay simple (no `'static` bound on the body): the
 //! submitting thread type-erases a borrow of the body into a raw pointer,
-//! and `for_each_chunk` does not return until every worker has checked
+//! and `for_each_chunk_in` does not return until every worker has checked
 //! back in for that region, so the borrow outlives every use.
 
 use crate::faults::{FaultAction, Faults, FireCtx, SITE_WORKER_DEATH, SITE_WORKER_PANIC};
-use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A type-erased parallel region: a borrowed `Fn(Range<usize>) + Sync`
 /// body plus the trampoline that downcasts and calls it.
@@ -70,7 +69,7 @@ struct Shared {
     state: Mutex<JobState>,
     work_cv: Condvar,
     done_cv: Condvar,
-    /// Serializes concurrent `for_each_chunk` calls from pool clones —
+    /// Serializes concurrent `for_each_chunk_in` calls from pool clones —
     /// the worker team drains one region at a time.
     region: Mutex<()>,
     cursor: AtomicUsize,
@@ -88,7 +87,7 @@ struct WorkerGuard<'a> {
 
 impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.sh.state.lock();
+        let mut st = self.sh.state();
         st.alive -= 1;
         if self.in_flight {
             st.panicked = true;
@@ -101,6 +100,11 @@ impl Drop for WorkerGuard<'_> {
 }
 
 impl Shared {
+    /// The team state; a poisoned lock is recovered, not propagated.
+    fn state(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn worker_loop(&self) {
         let mut last_epoch = 0u64;
         let mut guard = WorkerGuard {
@@ -109,7 +113,7 @@ impl Shared {
         };
         loop {
             let job = {
-                let mut st = self.state.lock();
+                let mut st = self.state();
                 loop {
                     if st.shutdown {
                         return;
@@ -120,7 +124,7 @@ impl Shared {
                             break job.clone();
                         }
                     }
-                    self.work_cv.wait(&mut st);
+                    st = self.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
                 }
             };
             guard.in_flight = true;
@@ -130,7 +134,7 @@ impl Shared {
             // the loop so `alive` drops and the next region rebuilds.
             if let Some(spec) = job.faults.fire(SITE_WORKER_DEATH, FireCtx::default()) {
                 if matches!(spec.action, FaultAction::KillWorker) {
-                    let mut st = self.state.lock();
+                    let mut st = self.state();
                     st.pending -= 1;
                     if st.pending == 0 {
                         self.done_cv.notify_all();
@@ -147,7 +151,7 @@ impl Shared {
                 drain(&self.cursor, &job);
             }))
             .is_ok();
-            let mut st = self.state.lock();
+            let mut st = self.state();
             if !ok {
                 st.panicked = true;
             }
@@ -191,7 +195,7 @@ struct Lease {
 
 impl Drop for Lease {
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state();
         st.shutdown = true;
         self.shared.work_cv.notify_all();
     }
@@ -278,12 +282,12 @@ impl Pool {
     pub fn alive_workers(&self) -> usize {
         match &self.shared {
             None => 0,
-            Some(sh) => sh.state.lock().alive,
+            Some(sh) => sh.state().alive,
         }
     }
 
-    /// Workers respawned after unexpected deaths (poisoned-team
-    /// rebuilds performed by [`for_each_chunk`](Self::for_each_chunk)).
+    /// Workers respawned after unexpected deaths (poisoned-team rebuilds
+    /// performed by [`for_each_chunk_in`](Self::for_each_chunk_in)).
     pub fn rebuilds(&self) -> u64 {
         match &self.shared {
             None => 0,
@@ -291,22 +295,23 @@ impl Pool {
         }
     }
 
-    /// Run `body` over every index in `0..len`, in parallel chunks.
-    ///
-    /// `body` receives a contiguous sub-range; ranges partition `0..len`
-    /// exactly once each. The closure must be `Sync` because multiple
-    /// workers invoke it concurrently.
-    pub fn for_each_chunk<F>(&self, len: usize, body: F)
+    /// [`for_each_chunk_in`](Self::for_each_chunk_in) outside any run.
+    #[cfg(test)]
+    fn for_each_chunk<F>(&self, len: usize, body: F)
     where
         F: Fn(Range<usize>) + Sync,
     {
         self.for_each_chunk_in(&Faults::inert(), len, body)
     }
 
-    /// [`for_each_chunk`](Self::for_each_chunk) as a region of the run
-    /// that holds `faults`: the pool's two fault sites (worker panic,
-    /// worker death) fire through that plan for this region only. The
-    /// team is shared between runs; the plan is not.
+    /// Run `body` over every index in `0..len`, in parallel chunks, as a
+    /// region of the run that holds `faults`.
+    ///
+    /// `body` receives a contiguous sub-range; ranges partition `0..len`
+    /// exactly once each. The closure must be `Sync` because multiple
+    /// workers invoke it concurrently. The pool's two fault sites (worker
+    /// panic, worker death) fire through `faults` for this region only.
+    /// The team is shared between runs; the plan is not.
     pub fn for_each_chunk_in<F>(&self, faults: &Faults, len: usize, body: F)
     where
         F: Fn(Range<usize>) + Sync,
@@ -328,9 +333,9 @@ impl Pool {
             chunk,
             faults: faults.clone(),
         };
-        let _region = shared.region.lock();
+        let _region = shared.region.lock().unwrap_or_else(PoisonError::into_inner);
         {
-            let mut st = shared.state.lock();
+            let mut st = shared.state();
             // Poisoned-team rebuild: replace workers that died (injected
             // deaths, or a panic that escaped the body's catch_unwind)
             // so the team never shrinks permanently and `pending` below
@@ -356,15 +361,15 @@ impl Pool {
             drain(&shared.cursor, &job);
         }));
         let worker_panicked = {
-            let mut st = shared.state.lock();
-            while st.pending > 0 {
-                shared.done_cv.wait(&mut st);
-            }
+            let mut st = shared
+                .done_cv
+                .wait_while(shared.state(), |st| st.pending > 0)
+                .unwrap_or_else(PoisonError::into_inner);
             st.job = None;
             st.panicked
         };
         if worker_panicked {
-            panic!("worker panicked inside Pool::for_each_chunk");
+            panic!("worker panicked inside Pool::for_each_chunk_in");
         }
         if let Err(payload) = main_result {
             resume_unwind(payload);
@@ -373,8 +378,8 @@ impl Pool {
 
     /// Run `body(r)` for every `r` in `0..ranks`, each on its own
     /// dedicated OS thread (as opposed to the region-level chunks of
-    /// [`for_each_chunk`](Self::for_each_chunk)). The driver's rank team
-    /// passes its worker count here, one body per worker.
+    /// [`for_each_chunk_in`](Self::for_each_chunk_in)). The driver's rank
+    /// team passes its worker count here, one body per worker.
     ///
     /// Bodies block on each other (halo mailbox receives), so they must
     /// not share the bounded worker team — `ranks` may exceed
@@ -497,9 +502,9 @@ mod tests {
         let tid = std::thread::current().id();
         let mut seen = None;
         // A FnMut trick: use a cell to capture inside Fn.
-        let cell = parking_lot::Mutex::new(&mut seen);
+        let cell = Mutex::new(&mut seen);
         pool.for_each_chunk(10, |_| {
-            **cell.lock() = Some(std::thread::current().id());
+            **cell.lock().unwrap() = Some(std::thread::current().id());
         });
         assert_eq!(seen, Some(tid));
     }
@@ -531,13 +536,13 @@ mod tests {
         let hits: Vec<AtomicU64> = (0..12).map(|_| AtomicU64::new(0)).collect();
         pool.rank_scope(12, |r| {
             hits[r].fetch_add(1, Ordering::Relaxed);
-            ids.lock().insert(std::thread::current().id());
+            ids.lock().unwrap().insert(std::thread::current().id());
         });
         for (r, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "rank {r}");
         }
         // More ranks than workers, all genuinely concurrent threads.
-        assert_eq!(ids.lock().len(), 12);
+        assert_eq!(ids.lock().unwrap().len(), 12);
     }
 
     #[test]

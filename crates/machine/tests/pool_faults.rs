@@ -44,7 +44,7 @@ fn injected_worker_panic_propagates_and_team_survives() {
         vec![FaultSpec::new(SITE_WORKER_PANIC, FaultAction::PanicWorker)],
     );
     // Another run's region on the same team never meets this plan.
-    pool.for_each_chunk(1000, |_| {});
+    pool.for_each_chunk_in(&Faults::inert(), 1000, |_| {});
     assert_eq!(faults.fired_count(SITE_WORKER_PANIC), 0);
     let caught = catch_unwind(AssertUnwindSafe(|| {
         pool.for_each_chunk_in(&faults, 1000, |_| {});

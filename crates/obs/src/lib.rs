@@ -2,7 +2,7 @@
 //! JSON codec, the rank team's phase timings and the live event stream.
 //!
 //! A leaf crate (std only) that every other crate may depend on, so each
-//! layer — executor kernels (`dataflow::Executor::run_profiled`), dycore
+//! layer — executor kernels (`dataflow::Executor::run_in`), dycore
 //! modules, halo exchanges, timesteps, served requests — reports into the
 //! same measurement view, the structure the paper's optimization loop
 //! (Fig. 7) navigates when deciding where to look next. Domain-specific

@@ -3,7 +3,7 @@
 //! A [`Tracer`] collects closed spans as [`TraceEvent`]s — the one span
 //! record of the workspace. Whole-run spans (timesteps, acoustic
 //! substeps, dycore modules, halo exchanges) and the executor's
-//! kernel-level spans (`dataflow::Executor::run_profiled`) are recorded
+//! kernel-level spans (`dataflow::Executor::run_in`) are recorded
 //! by the same tracer on the same clock and per-thread stack, so they
 //! nest by construction and serialize through one chrome-trace codec
 //! ([`Tracer::to_chrome_trace`] / [`parse_chrome_trace`]) that opens in

@@ -70,7 +70,9 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted_run() {
         let mut d = c8l6();
         for _ in 0..3 {
             d.step();
-            d.write_checkpoint(&step_path(&dir, d.step_index())).unwrap();
+            Checkpoint::capture(&d)
+                .write_atomic(&step_path(&dir, d.step_index()))
+                .unwrap();
         }
     }
 
@@ -93,7 +95,7 @@ fn resume_restores_config_from_the_checkpoint_itself() {
     let mut d = c8l6();
     d.step();
     let path = step_path(&dir, d.step_index());
-    d.write_checkpoint(&path).unwrap();
+    Checkpoint::capture(&d).write_atomic(&path).unwrap();
 
     let ck = Checkpoint::load(&path).unwrap();
     assert_eq!(ck.step, 1);
