@@ -25,7 +25,7 @@ use machine::{RunConfig, RunContext};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Fault site: poison one interior cell of a prognostic field right
 /// after the halo sends of an acoustic substep — the classic
@@ -79,9 +79,10 @@ pub struct DistributedDycore {
     /// Per-rank prognostic states.
     pub states: Vec<DycoreState>,
     /// A rank-substep's lowered graph ([`lower_substep`]), for inspection
-    /// only ([`program_graph`](Self::program_graph)); stepping runs the
-    /// step cache's own build of it.
-    expanded: Sdfg,
+    /// only: lowered by the first [`program_graph`](Self::program_graph)
+    /// call, never by construction or stepping, which run the step
+    /// cache's bundle — its one lowering per instance.
+    expanded: OnceLock<Sdfg>,
     /// Driver steps completed since construction or the last restore.
     step_index: u64,
     /// Worker pool: the team of one's kernels run on it, and it sizes a
@@ -221,7 +222,9 @@ impl DistributedDycore {
     /// all tenants read the same grids. An incompatible set (wrong rank
     /// count) is ignored and grids are computed fresh. `run` supplies the
     /// initial rank schedule, tuning decision and team size; the instance
-    /// never looks at the environment itself.
+    /// never looks at the environment itself. Nothing is lowered here:
+    /// the first step's bundle lowers and validates the substep program,
+    /// once per instance (or adopts the engine's, which already has).
     pub fn new_with_grids(
         config: DriverConfig,
         _attrs: &ExpansionAttrs,
@@ -230,8 +233,6 @@ impl DistributedDycore {
     ) -> Self {
         let partition = Partition::new(config.tile_n, config.rt);
         let sub_n = partition.sub_n;
-        let expanded = lower_substep(&config.substep_program());
-        dataflow::exec::validate_sdfg(&expanded).expect("dycore program validates");
 
         let grids = match shared_grids.filter(|g| g.len() == partition.ranks()) {
             Some(g) => g,
@@ -264,7 +265,7 @@ impl DistributedDycore {
             partition,
             grids,
             states,
-            expanded,
+            expanded: OnceLock::new(),
             step_index: 0,
             pool: None,
             schedule: run.rank_schedule,
@@ -550,9 +551,11 @@ impl DistributedDycore {
     }
 
     /// One rank-substep's graph as [`lower_substep`] builds it (never
-    /// autotuned).
+    /// autotuned), for the configuration of the first call: lowered then,
+    /// and kept.
     pub fn program_graph(&self) -> &Sdfg {
-        &self.expanded
+        self.expanded
+            .get_or_init(|| lower_substep(&self.config.substep_program()))
     }
 
     /// Advance every rank by one full dycore call (k_split remapping

@@ -192,6 +192,7 @@ impl CompiledSubstep {
         let sub_n = config.tile_n / config.rt;
         let sub_prog = config.substep_program();
         let mut sub_expanded = lower_substep(&sub_prog);
+        dataflow::exec::validate_sdfg(&sub_expanded).expect("dycore program validates");
         let tune = tuned.then(|| {
             // Seed the measured veto with a representative baroclinic
             // tile at this substep's size: candidate fusions are priced

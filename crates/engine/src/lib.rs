@@ -586,7 +586,7 @@ fn run_request(inner: &Arc<EngineInner>, job: Job) -> ForecastOutcome {
 
 fn execute(inner: &Arc<EngineInner>, req: &ForecastRequest, ctx: RunContext) -> ForecastResult {
     let key = CaseKey::of(req);
-    let (mut d, basis, warm_start) = acquire(inner, key, req);
+    let (mut d, basis, warm_start) = acquire(inner, key, req, &ctx);
     // The instance (and, through it, the supervisor) runs under this
     // request's context for the duration of the run; release() detaches
     // it before parking.
@@ -649,66 +649,77 @@ fn execute(inner: &Arc<EngineInner>, req: &ForecastRequest, ctx: RunContext) -> 
 /// against the case's shared compile bundle and grid set. Returns the
 /// instance at step 0, the step-0 template stamped as *its* rollback
 /// basis (a handle on the case's one copy), and whether it was warm.
+///
+/// Traced as one `acquire` span named `warm` or `cold`; a cold one holds
+/// a `build` span per part of the build: `bundle` (the case's first
+/// tenant only), `instance` and `template`.
 fn acquire(
     inner: &EngineInner,
     key: CaseKey,
     req: &ForecastRequest,
+    ctx: &RunContext,
 ) -> (DistributedDycore, Checkpoint, bool) {
-    let (substep, grids) = {
-        let mut cases = lock(&inner.cases);
-        match cases.get_mut(&key) {
-            Some(cc) => {
-                if let Some(mut d) = cc.warm.pop() {
-                    let reset = cc.reset.clone().expect("parked instance implies reset template");
-                    drop(cases);
-                    // Undo any supervisor backoff a previous tenant
-                    // applied, then rewrite every rank from the step-0
-                    // template (its basis belongs to another instance,
-                    // so restore() rewrites unconditionally).
-                    d.config = req.config;
-                    d.restore(&reset);
-                    inner.warm_acquires.fetch_add(1, Ordering::Relaxed);
-                    let basis = Checkpoint {
-                        basis: Some(d.mutation_basis()),
-                        ..reset
-                    };
-                    return (d, basis, true);
-                }
-                (Arc::clone(&cc.substep), cc.grids.clone())
-            }
-            None => {
-                // First tenant of this case: register the shared bundle
-                // under the lock so racing cold tenants agree on one
-                // program instance (kernel compilation itself is lazy
-                // and deduplicated by the executors' cache locks).
-                let substep = Arc::new(CompiledSubstep::build_with_tune(
+    let mut cases = lock(&inner.cases);
+    if let Some(mut d) = cases.get_mut(&key).and_then(|cc| cc.warm.pop()) {
+        let _warm = ctx.span("acquire", "warm");
+        let reset = cases[&key].reset.clone().expect("parked instance implies reset template");
+        drop(cases);
+        // Undo any supervisor backoff a previous tenant applied, then
+        // rewrite every rank from the step-0 template (its basis belongs
+        // to another instance, so restore() rewrites unconditionally).
+        d.config = req.config;
+        d.restore(&reset);
+        inner.warm_acquires.fetch_add(1, Ordering::Relaxed);
+        let basis = Checkpoint {
+            basis: Some(d.mutation_basis()),
+            ..reset
+        };
+        return (d, basis, true);
+    }
+    let _cold = ctx.span("acquire", "cold");
+    let (substep, grids) = match cases.get(&key) {
+        Some(cc) => (Arc::clone(&cc.substep), cc.grids.clone()),
+        None => {
+            // First tenant of this case: register the shared bundle under
+            // the lock so racing cold tenants agree on one program
+            // instance (kernel compilation itself is lazy and
+            // deduplicated by the executors' cache locks).
+            let substep = {
+                let _bundle = ctx.span("build", "bundle");
+                Arc::new(CompiledSubstep::build_with_tune(
                     &req.config,
                     Some(&inner.pool),
                     inner.run.tune,
-                ));
-                cases.insert(
-                    key,
-                    CaseCache {
-                        substep: Arc::clone(&substep),
-                        grids: None,
-                        reset: None,
-                        warm: Vec::new(),
-                    },
-                );
-                (substep, None)
-            }
+                ))
+            };
+            cases.insert(
+                key,
+                CaseCache {
+                    substep: Arc::clone(&substep),
+                    grids: None,
+                    reset: None,
+                    warm: Vec::new(),
+                },
+            );
+            (substep, None)
         }
     };
+    drop(cases);
     // Instance build (grids when not yet shared, initial states, halo
     // updater) happens outside the case lock: it is per-tenant work.
-    let mut d = DistributedDycore::new_with_grids(
-        req.config,
-        &ExpansionAttrs::tuned(),
-        grids,
-        &inner.run,
-    );
-    d.set_pool(Some(inner.pool.clone()));
-    d.set_shared_substep(substep);
+    let d = {
+        let _instance = ctx.span("build", "instance");
+        let mut d = DistributedDycore::new_with_grids(
+            req.config,
+            &ExpansionAttrs::tuned(),
+            grids,
+            &inner.run,
+        );
+        d.set_pool(Some(inner.pool.clone()));
+        d.set_shared_substep(substep);
+        d
+    };
+    let _template = ctx.span("build", "template");
     let basis = Checkpoint::capture(&d);
     {
         let mut cases = lock(&inner.cases);
@@ -867,7 +878,7 @@ mod tests {
         let inner = &engine.inner;
         let req = small_request(1);
         let key = CaseKey::of(&req);
-        let (mut d, _, warm) = acquire(inner, key, &req);
+        let (mut d, _, warm) = acquire(inner, key, &req, &RunContext::default());
         assert!(!warm);
         // The engine takes its schedule from the environment; a tenant
         // on the parallel one comes off its run holding its team's stores.
@@ -882,7 +893,7 @@ mod tests {
             .collect();
         assert_eq!(parked, [0]);
         // The next tenant gets the instance back and builds them again.
-        let (mut d, _, warm) = acquire(inner, key, &req);
+        let (mut d, _, warm) = acquire(inner, key, &req, &RunContext::default());
         assert!(warm);
         d.step();
         assert_eq!((d.live_scratch_stores(), d.scratch_stores_built()), (1, 2));
@@ -927,6 +938,65 @@ mod tests {
             assert!(inside("kernel") >= 6 * steps, "{rid}: kernel spans");
         }
         assert_eq!(events.iter().filter(|e| e.cat == "step").count(), 3);
+    }
+
+    #[test]
+    fn acquires_and_health_samples_are_traced_inside_their_request() {
+        let tracer = obs::Tracer::new();
+        let engine = ForecastEngine::start(EngineConfig {
+            slots: 1,
+            pool: Some(Pool::new(1)),
+            tracer: Some(tracer.clone()),
+            ..EngineConfig::default()
+        });
+        let cold = engine.submit(small_request(2));
+        assert!(engine.wait(cold).result.is_completed());
+        let warm = engine.submit(small_request(1));
+        assert!(engine.wait(warm).result.is_completed());
+        engine.shutdown();
+        let events = tracer.finished();
+        let within = |outer: &obs::TraceEvent, e: &obs::TraceEvent| {
+            e.tid == outer.tid
+                && outer.ts_us <= e.ts_us
+                && e.ts_us + e.dur_us <= outer.ts_us + outer.dur_us
+        };
+        for (id, steps, kind) in [(cold, 2, "cold"), (warm, 1, "warm")] {
+            let rid = id.to_string();
+            let req = events
+                .iter()
+                .find(|e| e.cat == "request" && e.name == rid)
+                .unwrap_or_else(|| panic!("no request span for {rid}"));
+            // In close order, which is also open order here: none of
+            // these nest in another of the same category.
+            let inside = |cat: &str| -> Vec<&obs::TraceEvent> {
+                events.iter().filter(|e| e.cat == cat && within(req, e)).collect()
+            };
+            let acquire = inside("acquire");
+            assert_eq!(acquire.len(), 1, "{rid}: one acquire span");
+            assert_eq!(acquire[0].name, kind, "{rid}");
+            let builds = inside("build");
+            assert!(builds.iter().all(|b| within(acquire[0], b)), "{rid}: build outside acquire");
+            let names: Vec<&str> = builds.iter().map(|e| e.name.as_str()).collect();
+            let want: &[&str] = match kind {
+                "cold" => &["bundle", "instance", "template"],
+                _ => &[],
+            };
+            assert_eq!(names, want, "{rid}: the build inside acquire({kind})");
+            // One health sample per supervised step, after it.
+            let sequence: Vec<&str> = events
+                .iter()
+                .filter(|e| (e.cat == "step" || e.cat == "health") && within(req, e))
+                .map(|e| e.cat.as_str())
+                .collect();
+            let alternating: Vec<&str> = (0..steps).flat_map(|_| ["step", "health"]).collect();
+            assert_eq!(sequence, alternating, "{rid}: driver steps and health samples");
+            for (step, health) in inside("step").into_iter().zip(inside("health")) {
+                assert_eq!(health.name, "sample_health");
+                // Within 1 ns, the clock's resolution.
+                let step_end = step.ts_us + step.dur_us;
+                assert!(health.ts_us >= step_end - 1e-3, "{rid}: health opens after its step");
+            }
+        }
     }
 
     #[test]

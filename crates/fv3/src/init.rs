@@ -11,6 +11,7 @@
 
 use crate::grid::{reference_pressures, Grid};
 use crate::state::DycoreState;
+use dataflow::Array3;
 
 /// Physical constants (SI).
 pub mod constants {
@@ -54,49 +55,88 @@ impl Default for BaroclinicConfig {
     }
 }
 
-/// Fill `state` for the subdomain described by `grid`.
+/// What [`init_baroclinic`] writes into one column, whatever the level:
+/// the factors that depend on latitude and longitude only.
+struct Column {
+    /// `sin²(2 lat)`, the jet's meridional shape.
+    s2: f64,
+    /// `cos(lat)`.
+    c: f64,
+    /// The Gaussian wind perturbation.
+    pert: f64,
+    /// The tracer blob before its vertical weight.
+    qa: f64,
+}
+
+/// The `w` elements of row `j` at level `k`, from `i = -h` on.
+fn row_mut(a: &mut Array3, j: i64, k: i64, h: i64, w: usize) -> impl Iterator<Item = &mut f64> {
+    let off = a.layout().offset(-h, j, k);
+    let si = a.layout().strides[0];
+    a.raw_mut()[off..].iter_mut().step_by(si).take(w)
+}
+
+/// Fill `state` for the subdomain described by `grid`, halo included.
+///
+/// Each factor is evaluated once where its inputs vary, with the
+/// expression and association a per-cell evaluation would use: the
+/// vertical profile once per level, the latitude/longitude shapes once
+/// per column (`lat`/`lon` are horizontal), so every cell gets the bits
+/// it would get from evaluating the whole formula in place
+/// (`tests/init_identity.rs` holds this to 0 ULP).
 pub fn init_baroclinic(state: &mut DycoreState, grid: &Grid, cfg: &BaroclinicConfig) {
     use constants::*;
+    use std::f64::consts::PI;
     let n = state.n as i64;
     let nk = state.nk;
     let p_ref = reference_pressures(nk, PTOP, P0);
     let h = crate::state::HALO as i64;
+    let w = (n + 2 * h) as usize;
 
-    for k in 0..nk as i64 {
-        let dp = p_ref[k as usize + 1] - p_ref[k as usize];
-        let p_mid = 0.5 * (p_ref[k as usize + 1] + p_ref[k as usize]);
+    let mut columns = Vec::with_capacity(w * w);
+    for j in -h..n + h {
+        for i in -h..n + h {
+            let lat = grid.lat.get(i, j, 0);
+            let lon = grid.lon.get(i, j, 0);
+            // Gaussian perturbation in the northern jet.
+            let dlon = (lon - cfg.centre.0 + PI).rem_euclid(2.0 * PI) - PI;
+            let dlat = lat - cfg.centre.1;
+            let r2 = (dlon * dlon + dlat * dlat) / (cfg.width * cfg.width);
+            columns.push(Column {
+                s2: (2.0 * lat).sin().powi(2),
+                c: lat.cos(),
+                pert: cfg.up * (-r2).exp(),
+                // Tracer: a smooth blob for transport experiments.
+                qa: 1e-3 * (1.0 + (3.0 * lat).cos() * (2.0 * lon).sin()),
+            });
+        }
+    }
+
+    for k in 0..nk {
+        let dp = p_ref[k + 1] - p_ref[k];
+        let p_mid = 0.5 * (p_ref[k + 1] + p_ref[k]);
         // Stable stratification: theta increases with height.
         let theta = T0 * (P0 / p_mid).powf(KAPPA);
         // Vertical jet structure: strongest in the mid-troposphere.
         let sigma = p_mid / P0;
-        let vert = (sigma * std::f64::consts::PI).sin().powi(2);
-        for j in -h..n + h {
-            for i in -h..n + h {
-                let lat = grid.lat.get(i, j, k);
-                let lon = grid.lon.get(i, j, k);
-                // Zonal jet: two mid-latitude maxima.
-                let jet = cfg.u0 * vert * (2.0 * lat).sin().powi(2) * lat.cos();
-                // Gaussian perturbation in the northern jet.
-                let dlon = (lon - cfg.centre.0 + std::f64::consts::PI)
-                    .rem_euclid(2.0 * std::f64::consts::PI)
-                    - std::f64::consts::PI;
-                let dlat = lat - cfg.centre.1;
-                let r2 = (dlon * dlon + dlat * dlat) / (cfg.width * cfg.width);
-                let pert = cfg.up * (-r2).exp();
-
-                state.delp.set(i, j, k, dp);
-                state.pt.set(i, j, k, theta);
-                state.u.set(i, j, k, jet + pert);
-                state.v.set(i, j, k, 0.0);
-                state.w.set(i, j, k, 0.0);
-                // Hydrostatic depth (negative, FV3 convention).
-                let t_mid = theta * (p_mid / P0).powf(KAPPA);
-                state
-                    .delz
-                    .set(i, j, k, -RDGAS * t_mid * dp / (GRAV * p_mid));
-                // Tracer: a smooth blob for transport experiments.
-                let q = 1e-3 * (1.0 + (3.0 * lat).cos() * (2.0 * lon).sin()) * vert;
-                state.q.set(i, j, k, q.max(0.0));
+        let vert = (sigma * PI).sin().powi(2);
+        // Hydrostatic depth (negative, FV3 convention).
+        let t_mid = theta * (p_mid / P0).powf(KAPPA);
+        let delz = -RDGAS * t_mid * dp / (GRAV * p_mid);
+        // The zonal jet's two mid-latitude maxima are `u0 * vert * s2 * c`,
+        // left to right: this is its first product.
+        let u0v = cfg.u0 * vert;
+        let k = k as i64;
+        for (row, j) in columns.chunks_exact(w).zip(-h..n + h) {
+            row_mut(&mut state.delp, j, k, h, w).for_each(|x| *x = dp);
+            row_mut(&mut state.pt, j, k, h, w).for_each(|x| *x = theta);
+            for (x, col) in row_mut(&mut state.u, j, k, h, w).zip(row) {
+                *x = u0v * col.s2 * col.c + col.pert;
+            }
+            row_mut(&mut state.v, j, k, h, w).for_each(|x| *x = 0.0);
+            row_mut(&mut state.w, j, k, h, w).for_each(|x| *x = 0.0);
+            row_mut(&mut state.delz, j, k, h, w).for_each(|x| *x = delz);
+            for (x, col) in row_mut(&mut state.q, j, k, h, w).zip(row) {
+                *x = (col.qa * vert).max(0.0);
             }
         }
     }

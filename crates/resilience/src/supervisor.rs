@@ -443,7 +443,10 @@ impl Supervisor {
             // misreport as a blowup or violation.
             return StepAttempt::Cancelled;
         }
-        let healthy = d.sample_health(&mut self.monitor, d.step_index());
+        let healthy = {
+            let _health = d.run_context().span("health", "sample_health");
+            d.sample_health(&mut self.monitor, d.step_index())
+        };
         // Stream the per-step verdict (worst wind/CFL over ranks) while
         // the run executes; read-only aggregation, copies only.
         if sink.is_active() {
