@@ -7,8 +7,8 @@
 //!
 //! * `nan-blowup` — a NaN is poisoned into `pt` mid-step; health
 //!   sampling flags the blowup and the supervisor rolls back.
-//! * `worker-panic` — a pool worker panics mid-kernel; the panic
-//!   propagates, the team is rebuilt, and the step is retried.
+//! * `worker-panic` — the first kernel launch panics; the panic
+//!   propagates once the rank team has joined, and the step is retried.
 //!
 //! `FV3_FAULT_PLAN` replaces the built-in scenarios with a single
 //! custom one; `FV3_CHECKPOINT_DIR` persists the rollback basis. Both
@@ -24,7 +24,7 @@
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{DistributedDycore, DriverConfig};
-use machine::{Pool, RunConfig, RunContext};
+use machine::{RunConfig, RunContext};
 use obs::json;
 use resilience::{FaultPlan, Supervisor, SupervisorPolicy};
 use std::fmt::Write as _;
@@ -37,7 +37,6 @@ const STEPS: u64 = 3;
 struct Scenario {
     name: &'static str,
     plan: String,
-    workers: usize,
 }
 
 fn dycore(run: &RunConfig) -> DistributedDycore {
@@ -65,18 +64,15 @@ fn main() -> ExitCode {
         Some(plan) => vec![Scenario {
             name: "custom",
             plan: plan.clone(),
-            workers: 3,
         }],
         None => vec![
             Scenario {
                 name: "nan-blowup",
                 plan: "seed=11;nan@step=1,field=pt".to_string(),
-                workers: 0,
             },
             Scenario {
                 name: "worker-panic",
                 plan: "seed=12;panic".to_string(),
-                workers: 3,
             },
         ],
     };
@@ -102,10 +98,6 @@ fn main() -> ExitCode {
             faults: faults.clone(),
             ..RunContext::default()
         });
-        let pool = (sc.workers > 0).then(|| Pool::new(sc.workers));
-        if let Some(p) = &pool {
-            d.set_pool(Some(p.clone()));
-        }
         let mut sup = Supervisor::new(policy.clone());
         let outcome = sup.run(&mut d, STEPS);
 
@@ -179,24 +171,12 @@ fn main() -> ExitCode {
                 if expect_faults && report.faults_injected == 0 {
                     failures.push(format!("{}: no fault fired (site unreachable?)", sc.name));
                 }
-                // A killed worker is absorbed by the cursor protocol, so
-                // only panics/poisons force a rollback; every built-in
-                // scenario expects at least one.
+                // Every built-in scenario expects at least one rollback.
                 if sc.name != "custom" && report.retries == 0 {
                     failures.push(format!(
                         "{}: run completed without the rollback it was meant to exercise",
                         sc.name
                     ));
-                }
-                if let Some(p) = &pool {
-                    if p.alive_workers() != sc.workers - 1 && p.alive_workers() != sc.workers {
-                        failures.push(format!(
-                            "{}: pool has {} live workers of {}",
-                            sc.name,
-                            p.alive_workers(),
-                            sc.workers
-                        ));
-                    }
                 }
             }
             Err(e) => failures.push(format!("{}: {e}", sc.name)),

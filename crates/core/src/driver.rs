@@ -10,7 +10,7 @@
 //! threads (see [`crate::parallel`]), and every team size is
 //! bit-identical.
 
-use crate::parallel::{lower_substep, CompiledSubstep, RankSchedule, StepCache};
+use crate::parallel::{CompiledSubstep, RankSchedule, StepCache};
 use comm::{Partition, RankId};
 use dataflow::exec::{DataStore, ExecHooks};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
@@ -78,17 +78,16 @@ pub struct DistributedDycore {
     pub grids: Arc<Vec<Grid>>,
     /// Per-rank prognostic states.
     pub states: Vec<DycoreState>,
-    /// A rank-substep's lowered graph ([`lower_substep`]), for inspection
-    /// only: lowered by the first [`program_graph`](Self::program_graph)
-    /// call, never by construction or stepping, which run the step
-    /// cache's bundle — its one lowering per instance.
-    expanded: OnceLock<Sdfg>,
+    /// The untuned bundle a [`program_graph`](Self::program_graph) call
+    /// before any untuned step lowered, for the configuration of that
+    /// call. The first step that needs that bundle adopts it, so the
+    /// inspection and the step share the instance's one lowering.
+    pub(crate) inspected: OnceLock<CompiledSubstep>,
     /// Driver steps completed since construction or the last restore.
     step_index: u64,
-    /// Worker pool: the team of one's kernels run on it, and it sizes a
-    /// team of rank threads; `None` runs serially. The tile VM is
-    /// bit-identical across pool widths (`parallel_pool_matches_serial`
-    /// in `dataflow::exec`), so this changes wall time only.
+    /// The rank-team width: it bounds a team of rank threads (`None`:
+    /// [`host_workers`](Self::host_workers)). Every team width gives the
+    /// same bits, so this changes wall time only.
     pool: Option<Pool>,
     /// Which rank team runs a substep (bit-identical either way).
     pub(crate) schedule: RankSchedule,
@@ -98,14 +97,14 @@ pub struct DistributedDycore {
     /// Rank-team size bound when no pool is installed
     /// ([`RunConfig::host_workers`] at construction).
     pub(crate) host_workers: usize,
-    /// Cached per-substep machinery: programs, pinned executors, exchange
-    /// plan, mailboxes, the rank threads' stores. Invalidated on
-    /// config/pool changes.
+    /// Cached per-substep machinery: program, executor, exchange plan,
+    /// mailboxes, the rank threads' stores. Invalidated on config/pool
+    /// changes.
     pub(crate) cache: Option<StepCache>,
     /// Shared compile bundle installed by a serving engine
     /// ([`set_shared_substep`](Self::set_shared_substep)): adopted by
     /// [`crate::parallel`]'s `ensure_step_cache` whenever it matches the
-    /// current configuration and worker team, so tenants of one engine
+    /// current configuration, so tenants of one engine
     /// share a single compiled-kernel cache.
     pub(crate) shared_substep: Option<Arc<CompiledSubstep>>,
     /// Compiled-kernel cache hits across all rank program runs.
@@ -207,8 +206,9 @@ impl DistributedDycore {
     /// Set up the partition, grids and initial states. `attrs` is not
     /// read: the graph `step` executes and the inspection graph
     /// ([`program_graph`](Self::program_graph)) are both what
-    /// [`lower_substep`] builds, and the parameter stays for the callers
-    /// that pass it (the repo benchmark among them). Rank
+    /// [`lower_substep`](crate::parallel::lower_substep) builds, and the
+    /// parameter stays for the callers that pass it (the repo benchmark
+    /// among them). Rank
     /// schedule, tuning and team size come from the environment
     /// ([`RunConfig::from_env`], read here once); see
     /// [`new_with_grids`](Self::new_with_grids) to pass them in.
@@ -265,7 +265,7 @@ impl DistributedDycore {
             partition,
             grids,
             states,
-            expanded: OnceLock::new(),
+            inspected: OnceLock::new(),
             step_index: 0,
             pool: None,
             schedule: run.rank_schedule,
@@ -378,27 +378,25 @@ impl DistributedDycore {
         self.step_index
     }
 
-    /// Run rank programs on a worker pool (bit-identical to serial; see
-    /// the `pool` field note). `None` reverts to serial execution.
-    /// Under [`RankSchedule::Parallel`] the pool's size instead bounds
-    /// the team of rank threads (`min(ranks, workers)`; with no pool, the
-    /// construction-time [`RunConfig::host_workers`]). Invalidates the
-    /// step cache, and with it the team's scratch stores.
+    /// Set the rank-team width: under [`RankSchedule::Parallel`] the
+    /// pool's size bounds the team of rank threads (`min(ranks,
+    /// workers)`; with no pool, the construction-time
+    /// [`RunConfig::host_workers`]). Bit-identical at every width.
+    /// Invalidates the step cache, and with it the team's scratch stores.
     pub fn set_pool(&mut self, pool: Option<Pool>) {
         self.pool = pool;
         self.cache = None;
     }
 
-    /// The installed worker pool, if any.
+    /// The installed rank-team width, if any.
     pub fn pool(&self) -> Option<&Pool> {
         self.pool.as_ref()
     }
 
     /// Install a shared substep compile bundle (see
     /// [`CompiledSubstep`]). The bundle is adopted on the next step iff
-    /// it was built for this driver's configuration and worker team;
-    /// otherwise the driver silently builds its own. Invalidates the
-    /// step cache.
+    /// it was built for this driver's configuration; otherwise the driver
+    /// silently builds its own. Invalidates the step cache.
     pub fn set_shared_substep(&mut self, sub: Arc<CompiledSubstep>) {
         self.shared_substep = Some(sub);
         self.cache = None;
@@ -550,12 +548,20 @@ impl DistributedDycore {
         (self.halo_bytes_posted, self.halo_messages_posted)
     }
 
-    /// One rank-substep's graph as [`lower_substep`] builds it (never
-    /// autotuned), for the configuration of the first call: lowered then,
-    /// and kept.
+    /// One rank-substep's graph as
+    /// [`lower_substep`](crate::parallel::lower_substep) builds it (never
+    /// autotuned): the step cache's when its bundle is untuned, else the
+    /// graph of an untuned bundle lowered for the configuration of the
+    /// first such call and kept — which the next step adopts when it
+    /// needs that bundle, so inspecting first costs no second lowering.
     pub fn program_graph(&self) -> &Sdfg {
-        self.expanded
-            .get_or_init(|| lower_substep(&self.config.substep_program()))
+        match &self.cache {
+            Some(c) if !c.sub.is_tuned() => c.sub.graph(),
+            _ => self
+                .inspected
+                .get_or_init(|| CompiledSubstep::build_with_tune(&self.config, false))
+                .graph(),
+        }
     }
 
     /// Advance every rank by one full dycore call (k_split remapping

@@ -31,16 +31,16 @@
 //! than that, at the cost of a second walk over a store larger than L2
 //! (DESIGN §12.1).
 //!
-//! A schedule decides three things, none of them protocol: where the
+//! A schedule decides two things, neither of them protocol: where the
 //! team runs and how large it is (one member on the calling thread for
 //! [`RankSchedule::Sequential`]; `min(ranks, workers)` threads through
-//! [`machine::Pool::rank_scope`] for [`RankSchedule::Parallel`]), which
-//! executor runs its kernels (the pool-backed `exec_seq` for the team of
-//! one, the inline `exec_team` for rank threads), and how long its
-//! working memory lives: the team of one's store lives for one `step()`
-//! and its halo buffers for one substep; the rank threads' stores and
-//! buffers are kept in the `StepCache` (DESIGN §17.1). Both teams post
-//! through the cache's one set of mailboxes.
+//! [`machine::Pool::rank_scope`] for [`RankSchedule::Parallel`]), and how
+//! long its working memory lives: the team of one's store lives for one
+//! `step()` and its halo buffers for one substep; the rank threads'
+//! stores and buffers are kept in the `StepCache` (DESIGN §17.1). Both
+//! teams run their kernels through the bundle's one executor, each on
+//! the thread of the rank that launches it, and post through the cache's
+//! one set of mailboxes.
 //!
 //! **Bit-identity.** Every team size produces the same bits, step for
 //! step: packing reads only pre-substep interiors (so the exchanged
@@ -146,12 +146,12 @@ pub(crate) fn next_instance_id() -> u64 {
 /// Everything about a substep that is invariant across steps *and across
 /// driver instances* for a fixed configuration: the per-substep program
 /// (one `Sdfg` instance, so one `(uid, generation)` cache namespace), its
-/// lowering, and pinned executors whose compiled-kernel caches stay
-/// warm. The executors are `Sync` (kernel
-/// compilation happens under their internal cache lock), so one bundle
-/// can be shared by many concurrently-running tenants — this is the
-/// compile-once/run-many substrate the serving engine (`crates/engine`)
-/// hands out per `(scenario, config)`: tenant N+1 pays zero compilation.
+/// lowering, and an executor whose compiled-kernel cache stays warm. The
+/// executor is `Sync` (kernel compilation happens under its internal
+/// cache lock), so one bundle can be shared by many concurrently-running
+/// tenants — this is the compile-once/run-many substrate the serving
+/// engine (`crates/engine`) hands out per `(scenario, config)`: tenant
+/// N+1 pays zero compilation.
 pub struct CompiledSubstep {
     key: StepKey,
     pub(crate) sub_prog: DycoreProgram,
@@ -160,14 +160,9 @@ pub struct CompiledSubstep {
     /// What the build-time autotune pipeline did to `sub_expanded`
     /// (`None` when the bundle was built untuned).
     tune: Option<tuning::AutotuneReport>,
-    /// The team of one's executor (worker-pool backed when one is set):
-    /// the pool's workers share each kernel.
-    pub(crate) exec_seq: Executor,
-    /// The rank threads' executor, run inline (`Pool::new(1)`): the
-    /// team's workers are the parallelism.
-    pub(crate) exec_team: Executor,
-    /// Worker team `exec_seq` is pinned to (`None`: inline serial).
-    pool: Option<Pool>,
+    /// The executor every team runs its kernels on, each kernel on the
+    /// thread of the rank that launches it.
+    pub(crate) exec: Executor,
     /// Containers a store that already ran `sub_expanded` must re-zero
     /// before running it again ([`dataflow::reuse::clear_list`], proven
     /// once here). Empty for every dycore graph built so far.
@@ -175,9 +170,8 @@ pub struct CompiledSubstep {
 }
 
 impl CompiledSubstep {
-    /// Build the substep bundle for `config`, pinning the team of one's
-    /// executor to `pool`. Kernel compilation itself is lazy: the first
-    /// run through each executor populates its cache.
+    /// Build the substep bundle for `config`. Kernel compilation itself is
+    /// lazy: the first run through the executor populates its cache.
     /// The substep program is lowered by [`lower_substep`]; when `tuned`,
     /// the lowered graph is then run through
     /// [`tuning::autotune_vetted_scored`] (cross-module fusion, then cutout
@@ -187,7 +181,7 @@ impl CompiledSubstep {
     /// states 0 ULP identical to an untuned one; the tuned flag still
     /// enters the `StepKey`, so tuned and untuned shared bundles never
     /// cross-adopt (their kernel-cache namespaces stay disjoint).
-    pub fn build_with_tune(config: &DriverConfig, pool: Option<&Pool>, tuned: bool) -> Self {
+    pub fn build_with_tune(config: &DriverConfig, tuned: bool) -> Self {
         let key = StepKey::of_config(config, tuned);
         let sub_n = config.tile_n / config.rt;
         let sub_prog = config.substep_program();
@@ -218,18 +212,12 @@ impl CompiledSubstep {
             )
         });
         let clear = clear_list(&sub_expanded, &sub_prog.ids.loaded());
-        let exec_seq = match pool {
-            Some(p) => Executor::new(p.clone()),
-            None => Executor::serial(),
-        };
         CompiledSubstep {
             key,
             sub_prog,
             sub_expanded,
             tune,
-            exec_seq,
-            exec_team: Executor::serial(),
-            pool: pool.cloned(),
+            exec: Executor::serial(),
             clear,
         }
     }
@@ -263,16 +251,11 @@ impl CompiledSubstep {
         self.tune.is_some()
     }
 
-    /// True when this bundle serves `key` on `pool`'s worker team — the
-    /// condition under which a driver may adopt it instead of building
-    /// its own.
-    pub(crate) fn matches(&self, key: &StepKey, pool: Option<&Pool>) -> bool {
+    /// True when this bundle serves `key` — the condition under which a
+    /// driver may adopt it instead of building its own, whatever either's
+    /// rank-team width.
+    pub(crate) fn matches(&self, key: &StepKey) -> bool {
         self.key == *key
-            && match (&self.pool, pool) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.same_team(b),
-                _ => false,
-            }
     }
 }
 
@@ -280,7 +263,7 @@ impl CompiledSubstep {
 /// bundle plus this instance's exchange plan and mailboxes. Mailboxes
 /// are deliberately *not* shared across tenants — each driver's team
 /// registers its own senders, so concurrent tenants cannot cross-deliver.
-/// Rebuilt when the dycore configuration or worker pool changes.
+/// Rebuilt when the dycore configuration or rank-team width changes.
 pub(crate) struct StepCache {
     pub(crate) sub: Arc<CompiledSubstep>,
     pub(crate) plan: Arc<ExchangePlan>,
@@ -359,8 +342,6 @@ struct Team<'a> {
     plan: &'a ExchangePlan,
     boxes: &'a HaloMailboxes,
     sub: &'a CompiledSubstep,
-    /// The executor every rank's graph runs on (see the module docs).
-    exec: &'a Executor,
     grids: &'a [fv3::grid::Grid],
     /// The run's context: rank and halo spans, counters, the
     /// wire-corruption victim pick.
@@ -505,7 +486,7 @@ impl Team<'_> {
         // 6. Run the substep graph, then remap if the round ends here.
         let mut hooks = RankHooks { halo_markers: 0 };
         let t1 = Instant::now();
-        let rep = self
+        let rep = sub
             .exec
             .run_in(&sub.sub_expanded, store, params, &mut hooks, self.run);
         if self.remap {
@@ -581,26 +562,22 @@ impl DistributedDycore {
     /// Build (or keep) the cached per-substep machinery for the current
     /// configuration. An installed shared bundle
     /// ([`DistributedDycore::set_shared_substep`]) is adopted when it
-    /// matches the configuration and worker team; a supervisor that backs
-    /// off `dt` changes the [`StepKey`] and falls back to a private
-    /// bundle, so backed-off tenants never pollute the shared cache.
+    /// matches the configuration, and so is the bundle
+    /// [`program_graph`](DistributedDycore::program_graph) lowered: an
+    /// instance lowers its substep once. A supervisor that backs off `dt`
+    /// changes the [`StepKey`] and falls back to a private bundle, so
+    /// backed-off tenants never pollute the shared cache.
     pub(crate) fn ensure_step_cache(&mut self) {
-        let tuned = self.tuned;
-        let key = StepKey::of_config(&self.config, tuned);
-        if self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.sub.matches(&key, self.pool()))
-        {
+        let key = StepKey::of_config(&self.config, self.tuned);
+        if self.cache.as_ref().is_some_and(|c| c.sub.matches(&key)) {
             return;
         }
         let sub = match &self.shared_substep {
-            Some(s) if s.matches(&key, self.pool()) => Arc::clone(s),
-            _ => Arc::new(CompiledSubstep::build_with_tune(
-                &self.config,
-                self.pool(),
-                tuned,
-            )),
+            Some(s) if s.matches(&key) => Arc::clone(s),
+            _ if self.inspected.get().is_some_and(|s| s.matches(&key)) => {
+                Arc::new(self.inspected.take().expect("matched above"))
+            }
+            _ => Arc::new(CompiledSubstep::build_with_tune(&self.config, self.tuned)),
         };
         let plan = Arc::new(ExchangePlan::new(&self.partition, HALO));
         let boxes = Arc::new(HaloMailboxes::for_plan(&plan));
@@ -679,13 +656,11 @@ impl DistributedDycore {
         let clock = self.mut_clock;
         let faults = self.plan_faults(&cache.plan, module);
         let rank_pool = self.pool().cloned().unwrap_or_else(|| Pool::new(1));
-        // The three things a schedule decides: the team's stores (and so
-        // its size), its executor, and whether it launches rank threads.
-        let (stores, exec, threads) = match self.schedule {
-            RankSchedule::Sequential => {
-                (std::slice::from_mut(seq_store), &cache.sub.exec_seq, false)
-            }
-            RankSchedule::Parallel => (&mut cache.stores[..], &cache.sub.exec_team, true),
+        // What a schedule decides: the team's stores (and so its size),
+        // and whether it launches rank threads.
+        let (stores, threads) = match self.schedule {
+            RankSchedule::Sequential => (std::slice::from_mut(seq_store), false),
+            RankSchedule::Parallel => (&mut cache.stores[..], true),
         };
         let workers = stores.len();
 
@@ -693,7 +668,6 @@ impl DistributedDycore {
             plan: &cache.plan,
             boxes: &cache.boxes,
             sub: &cache.sub,
-            exec,
             grids: &self.grids,
             run: &self.run,
             faults,

@@ -62,7 +62,7 @@ fn no_bundle_executes_a_general_pow() {
 
         let cfg = DriverConfig::six_rank(n, nk, dycore(4.0));
         for tuned in [false, true] {
-            let sub = CompiledSubstep::build_with_tune(&cfg, None, tuned);
+            let sub = CompiledSubstep::build_with_tune(&cfg, tuned);
             assert_eq!(
                 transcendental_stmts(sub.graph()),
                 [],
@@ -98,7 +98,7 @@ fn run_tile(g: &Sdfg, prog: &DycoreProgram, n: usize, nk: usize) -> ExecReport {
 fn the_reduced_tile_substep_costs_the_vm_what_the_unreduced_one_did() {
     let (n, nk) = (24, 8);
     let cfg = DriverConfig::six_rank(n, nk, dycore(30.0));
-    let sub = CompiledSubstep::build_with_tune(&cfg, None, false);
+    let sub = CompiledSubstep::build_with_tune(&cfg, false);
     let prog = sub.program();
     // The graph a rank-substep runs under either schedule: a team rank
     // dispatches these 3 917 tiles, not the 1 222 + 5 340 of an interior

@@ -1,4 +1,6 @@
-//! A count, not a clock: a cold instance lowers its substep program once.
+//! A count, not a clock: a cold instance lowers its substep program once,
+//! whether it is inspected first or stepped first, and an instance adopts
+//! an installed bundle whatever its rank-team width.
 //! Every `Sdfg::new` / `clone` draws the next value of one process-wide
 //! uid counter, so the difference between two probe graphs' uids is the
 //! number of graphs minted in between — and a lowering mints its own
@@ -9,7 +11,7 @@
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{CompiledSubstep, DistributedDycore, DriverConfig};
-use machine::RunConfig;
+use machine::{Pool, RunConfig};
 use std::sync::Arc;
 
 fn probe() -> u64 {
@@ -42,8 +44,7 @@ fn construction_and_first_step_lower_the_substep_once() {
         },
     );
     let mut bundle = None;
-    let one_lowering =
-        minted(|| bundle = Some(CompiledSubstep::build_with_tune(&cfg, None, false)));
+    let one_lowering = minted(|| bundle = Some(CompiledSubstep::build_with_tune(&cfg, false)));
     assert!(one_lowering >= 2, "a lowering mints {one_lowering} graphs");
 
     // On its own, a cold instance's first step builds its bundle: one
@@ -64,14 +65,26 @@ fn construction_and_first_step_lower_the_substep_once() {
 
     // With a bundle installed (the serving engine's cold path), the
     // instance never lowers its own graph.
+    let bundle = Arc::new(bundle.unwrap());
     let mut shared = instance(cfg);
-    shared.set_shared_substep(Arc::new(bundle.unwrap()));
+    shared.set_shared_substep(Arc::clone(&bundle));
     assert_eq!(
         minted(|| shared.step()),
         0,
         "an installed bundle is adopted"
     );
     assert_eq!(minted(|| shared.step()), 0);
+
+    // A bundle is matched by its configuration only: an instance whose
+    // rank-team width differs from the bundle builder's adopts it too.
+    let mut wide = instance(cfg);
+    wide.set_pool(Some(Pool::new(2)));
+    wide.set_shared_substep(Arc::clone(&bundle));
+    assert_eq!(
+        minted(|| wide.step()),
+        0,
+        "a bundle is adopted whatever the instance's pool"
+    );
     assert_eq!(shared.states.len(), d.states.len());
     for (a, b) in shared.states.iter().zip(&d.states) {
         for ((name, x), (_, y)) in a.fields().into_iter().zip(b.fields()) {
@@ -84,8 +97,31 @@ fn construction_and_first_step_lower_the_substep_once() {
         }
     }
 
-    // Only inspection lowers on the instance, on demand, once.
+    // Inspecting a stepped instance reads the graph its untuned bundle
+    // runs: no lowering.
     let inspect = || assert!(!shared.program_graph().states.is_empty());
-    assert_eq!(minted(inspect), one_lowering);
     assert_eq!(minted(inspect), 0);
+    assert!(std::ptr::eq(shared.program_graph(), bundle.graph()));
+
+    // Inspected before its first step, an instance lowers once, and the
+    // step adopts that lowering.
+    let mut inspected = instance(cfg);
+    assert_eq!(
+        minted(|| {
+            assert!(!inspected.program_graph().states.is_empty());
+            inspected.step();
+        }),
+        one_lowering,
+        "program_graph() then the first step lower once"
+    );
+    assert_eq!(
+        minted(|| assert!(!inspected.program_graph().states.is_empty())),
+        0
+    );
+    assert_eq!(minted(|| inspected.step()), 0);
+    for (a, b) in inspected.states.iter().zip(&d.states) {
+        for ((name, x), (_, y)) in a.fields().into_iter().zip(b.fields()) {
+            assert!(x.raw() == y.raw(), "{name} differs after inspection");
+        }
+    }
 }

@@ -126,8 +126,8 @@ fn sequential_schedule_reports_no_overlap() {
 }
 
 /// Every rank's state after each of `steps` steps under `schedule` with a
-/// `workers`-wide pool (which under the parallel schedule sizes the rank
-/// team and nothing else).
+/// `workers`-wide pool (which sizes the parallel schedule's rank team and
+/// nothing else).
 fn run_steps(
     cfg: DriverConfig,
     steps: usize,

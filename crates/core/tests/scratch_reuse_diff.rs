@@ -108,7 +108,7 @@ fn poisoned_store_reruns_to_the_bits_of_a_fresh_one() {
         // The measured veto makes a tuned build slow in the dev profile;
         // the two smaller sizes exercise the same transforms.
         for tuned in [false, true].into_iter().filter(|t| !t || n < 24) {
-            let sub = CompiledSubstep::build_with_tune(&d.config, None, tuned);
+            let sub = CompiledSubstep::build_with_tune(&d.config, tuned);
             let what = format!("c{n}L{nk} tuned={tuned}");
             let (g, prog) = (sub.graph(), sub.program());
             let scratch: Vec<DataId> = (0..g.containers.len())
@@ -214,7 +214,7 @@ fn multi_substep_steps_match_a_fresh_store_per_rank_substep() {
         let reference = {
             let d = dycore(cfg, RankSchedule::Sequential, false);
             let updater = HaloUpdater::new(d.partition.clone(), HALO, CornerPolicy::Fold);
-            let sub = CompiledSubstep::build_with_tune(&cfg, None, false);
+            let sub = CompiledSubstep::build_with_tune(&cfg, false);
             let mut states = d.states.clone();
             for substep in 1..=steps * n_split * k_split {
                 fresh_store_substep(&mut states, &d.grids, &updater, &sub);

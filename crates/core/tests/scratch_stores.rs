@@ -132,7 +132,7 @@ fn no_dycore_graph_needs_a_container_cleared() {
         ("c12L4 tuned", config(12, 4, 1, 1, None), true),
     ];
     for (what, cfg, tuned) in builds {
-        let sub = CompiledSubstep::build_with_tune(&cfg, None, tuned);
+        let sub = CompiledSubstep::build_with_tune(&cfg, tuned);
         assert_eq!(sub.is_tuned(), tuned);
         assert_eq!(sub.clear_list(), &[], "{what}");
     }
@@ -226,7 +226,7 @@ fn a_substep_store_packs_its_transients_into_fewer_arrays() {
         ("c12L4 tuned", config(12, 4, 1, 1, None), true, None),
     ];
     for (what, cfg, tuned, expect) in builds {
-        let sub = CompiledSubstep::build_with_tune(&cfg, None, tuned);
+        let sub = CompiledSubstep::build_with_tune(&cfg, tuned);
         let g = sub.graph();
         let [(unpacked, before), (packed, after)] = owned_unpacked_and_packed(g);
         assert_eq!((unpacked, packed), (47, 17 + most_transients_live(g)), "{what}");

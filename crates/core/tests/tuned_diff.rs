@@ -121,7 +121,7 @@ fn tuned_shared_bundle_is_adopted_and_stays_warm() {
     // tenants (the StepKey carries the flag), tenant N+1 pays zero
     // compilation, and an *untuned* tenant refuses the tuned bundle.
     let cfg = distributed_seed_config();
-    let bundle = Arc::new(CompiledSubstep::build_with_tune(&cfg, None, true));
+    let bundle = Arc::new(CompiledSubstep::build_with_tune(&cfg, true));
     assert!(bundle.is_tuned());
     let report = bundle.tune_report().expect("tuned bundle carries its report");
     assert!(report.kernels_after < report.kernels_before);

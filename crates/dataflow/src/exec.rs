@@ -3,9 +3,9 @@
 //! Execution is column-oriented: every column of a kernel's `(i, j)` hull
 //! sees its statements in program order while K marches upward, downward,
 //! or in arbitrary order per its [`KOrder`]. Columns are grouped into
-//! blocks of j-rows (parallel chunks through [`machine::Pool`]) whose
-//! statements run as tile programs on the tile VM; the reference walks
-//! each statement's expression tree per column ([`VmMode::Scalar`]). The
+//! blocks of j-rows whose statements run as tile programs on the tile VM,
+//! on the thread that launches the kernel; the reference walks each
+//! statement's expression tree per column ([`VmMode::Scalar`]). The
 //! executor enforces the same
 //! parallel-model restriction GT4Py does: within one kernel, no statement
 //! may read — at a nonzero horizontal offset — a field written by the same
@@ -19,9 +19,9 @@ use crate::graph::{ControlNode, DataflowNode, Sdfg};
 use crate::kernel::{Domain, KOrder, Kernel, LValue};
 use crate::liveness::{live_intervals, Interval, Packing};
 use crate::storage::{Array3, Axis, Layout};
-use machine::{Faults, Pool, RunContext};
+use machine::faults::SITE_WORKER_PANIC;
+use machine::{Faults, FireCtx, RunContext};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -665,27 +665,35 @@ fn field_slots(ck: &CompiledKernel, store: &mut DataStore) -> Vec<FieldSlot> {
         .collect()
 }
 
-/// Run `kernel`, compiled as `ck`, as a pool region of the run that holds
-/// `faults`. Array pointers are re-resolved from `store` on every launch
-/// (arrays may have been reallocated between launches); everything else
-/// comes from the cache-friendly [`CompiledKernel`], except the statements
-/// the reference walk evaluates, which it reads from `kernel` in place.
+/// Run `kernel`, compiled as `ck`, on the calling thread, as part of the
+/// run that holds `faults`: a launch with work fires the kernel-panic
+/// site once first. Array pointers are re-resolved from `store` on every
+/// launch (arrays may have been reallocated between launches); everything
+/// else comes from the cache-friendly [`CompiledKernel`], except the
+/// statements the reference walk evaluates, which it reads from `kernel`
+/// in place.
 fn run_compiled(
     kernel: &Kernel,
     ck: &CompiledKernel,
     store: &mut DataStore,
     params: &[f64],
-    pool: &Pool,
     mode: VmMode,
     faults: &Faults,
 ) -> KernelRunStats {
     if ck.empty {
         return KernelRunStats::default();
     }
+    // Fault site: panic mid-kernel, as a bad stencil body would.
+    if faults.fire(SITE_WORKER_PANIC, FireCtx::default()).is_some() {
+        panic!(
+            "injected fault: kernel panic in '{}' (site {SITE_WORKER_PANIC})",
+            kernel.name
+        );
+    }
     let slots = field_slots(ck, store);
     match mode {
-        VmMode::Scalar => run_scalar(kernel, ck, &slots, params, pool, faults),
-        VmMode::Lanes => run_tiles(ck, &slots, params, pool, faults),
+        VmMode::Scalar => run_scalar(kernel, ck, &slots, params),
+        VmMode::Lanes => run_tiles(ck, &slots, params),
     }
 }
 
@@ -697,50 +705,41 @@ fn run_scalar(
     ck: &CompiledKernel,
     slots: &[FieldSlot],
     params: &[f64],
-    pool: &Pool,
-    faults: &Faults,
 ) -> KernelRunStats {
     let hull = ck.hull;
     let ni = (hull.ih - hull.il) as usize;
     let nj = (hull.jh - hull.jl) as usize;
-    let columns = ni * nj;
     let k_desc = ck.k_desc;
-    let n_locals = ck.n_locals;
-
-    pool.for_each_chunk_in(faults, columns, |range| {
-        let mut locals = vec![0.0f64; n_locals];
-        for col in range {
-            let i = hull.il + (col % ni) as i64;
-            let j = hull.jl + (col / ni) as i64;
-            if n_locals > 0 {
-                locals.iter_mut().for_each(|l| *l = 0.0);
-            }
-            let mut k = if k_desc { hull.kh - 1 } else { hull.kl };
-            while k >= hull.kl && k < hull.kh {
-                for (s, cs) in kernel.stmts.iter().zip(&ck.stmts) {
-                    let b = &cs.bounds;
-                    if i >= b.il && i < b.ih && j >= b.jl && j < b.jh && k >= b.kl && k < b.kh {
-                        let v = s.expr.eval(&PointCtx {
-                            ids: &ck.ids,
-                            slots,
-                            locals: &locals,
-                            params,
-                            i,
-                            j,
-                            k,
-                        });
-                        match cs.lvalue {
-                            CompiledLValue::Field(slot) => unsafe {
-                                slots[slot as usize].write(i, j, k, v);
-                            },
-                            CompiledLValue::Local(l) => locals[l as usize] = v,
-                        }
+    let mut locals = vec![0.0f64; ck.n_locals];
+    for col in 0..ni * nj {
+        let i = hull.il + (col % ni) as i64;
+        let j = hull.jl + (col / ni) as i64;
+        locals.fill(0.0);
+        let mut k = if k_desc { hull.kh - 1 } else { hull.kl };
+        while k >= hull.kl && k < hull.kh {
+            for (s, cs) in kernel.stmts.iter().zip(&ck.stmts) {
+                let b = &cs.bounds;
+                if i >= b.il && i < b.ih && j >= b.jl && j < b.jh && k >= b.kl && k < b.kh {
+                    let v = s.expr.eval(&PointCtx {
+                        ids: &ck.ids,
+                        slots,
+                        locals: &locals,
+                        params,
+                        i,
+                        j,
+                        k,
+                    });
+                    match cs.lvalue {
+                        CompiledLValue::Field(slot) => unsafe {
+                            slots[slot as usize].write(i, j, k, v);
+                        },
+                        CompiledLValue::Local(l) => locals[l as usize] = v,
                     }
                 }
-                k += if k_desc { -1 } else { 1 };
             }
+            k += if k_desc { -1 } else { 1 };
         }
-    });
+    }
 
     KernelRunStats {
         points: ck.points,
@@ -811,115 +810,90 @@ impl Tile<'_> {
 /// kernel of narrow strips in a wide hull (the edge regions a region
 /// split carves out) runs each strip as one tall tile instead of one
 /// sliver per hull-sized block.
-/// Kernels that march K get at least one block per pool worker, because
-/// blocks are their only parallel axis.
-fn run_tiles(
-    ck: &CompiledKernel,
-    slots: &[FieldSlot],
-    params: &[f64],
-    pool: &Pool,
-    faults: &Faults,
-) -> KernelRunStats {
+fn run_tiles(ck: &CompiledKernel, slots: &[FieldSlot], params: &[f64]) -> KernelRunStats {
     let hull = ck.hull;
     let ni = (hull.ih - hull.il) as usize;
     let nj = (hull.jh - hull.jl) as usize;
     let nk = (hull.kh - hull.kl) as usize;
     let marching = !(ck.k_parallel && ck.n_locals == 0);
-    let mut blocks = nj.div_ceil((TILE_LANES / ck.block_w.max(1)).max(1));
-    if marching {
-        blocks = blocks.max(pool.workers().min(nj));
-    }
+    let blocks = nj.div_ceil((TILE_LANES / ck.block_w.max(1)).max(1));
     let h = nj.div_ceil(blocks);
     let blocks = nj.div_ceil(h);
     let items = if marching { blocks } else { blocks * nk };
-    let dispatches = AtomicU64::new(0);
-    let lane_ops = AtomicU64::new(0);
-    let operator_lanes = AtomicU64::new(0);
-
-    pool.for_each_chunk_in(faults, items, |range| {
-        let mut regs = vec![0.0f64; (ck.tile_regs + TILE_SCRATCH) * TILE_LANES];
-        let mut locals = vec![0.0f64; ck.n_locals * h * ni];
-        let (mut nd, mut nl, mut no) = (0u64, 0u64, 0u64);
-        for item in range {
-            let j0 = hull.jl + ((item % blocks) * h) as i64;
-            let j1 = (j0 + h as i64).min(hull.jh);
-            let (mut k, k_last, dk) = if !marching {
-                let k = hull.kl + (item / blocks) as i64;
-                (k, k, 1)
-            } else if ck.k_desc {
-                (hull.kh - 1, hull.kl, -1)
-            } else {
-                (hull.kl, hull.kh - 1, 1)
-            };
-            locals.fill(0.0);
-            loop {
-                for cs in &ck.stmts {
-                    let b = &cs.bounds;
-                    let (j, j_end) = (b.jl.max(j0), b.jh.min(j1));
-                    if j >= j_end || k < b.kl || k >= b.kh {
-                        continue;
-                    }
-                    let rows = (j_end - j) as usize;
-                    let mut i = b.il;
-                    while i < b.ih {
-                        let w = ((b.ih - i) as usize).min(TILE_LANES / rows);
-                        let first = (j - j0) as usize * ni + (i - hull.il) as usize;
-                        let tile = Tile {
-                            slots,
-                            params,
-                            // Never dereferenced when the kernel has no locals.
-                            locals: locals.as_mut_ptr().wrapping_add(first),
-                            local_len: h * ni,
-                            ni,
-                            origin: [i, j, k],
-                            rows,
-                            w,
-                        };
-                        // SAFETY — the one argument for every raw view of the
-                        // tile VM (DESIGN §10.1). (1) Registers, scratch and
-                        // locals are this chunk's own buffers, sized above:
-                        // `rows * w <= TILE_LANES` because `w <= TILE_LANES /
-                        // rows` and `rows <= h <= TILE_LANES`, and the tile lies in
-                        // the `h × ni` block. (2) A field view covers the
-                        // statement's bounds shifted by a stencil offset,
-                        // inside the container's domain + halo: the points the
-                        // reference walk reads one by one. (3) Work items cover
-                        // disjoint `(j-block[, k])` sets and `validate_kernel`
-                        // lets a kernel read a field it writes only at zero
-                        // horizontal offset (zero offset at all for `(block,
-                        // k)` items), so no item touches what another writes;
-                        // a written field is not constant, hence not
-                        // horizontal (`compiled_for`), so distinct `k` are
-                        // distinct cells.
-                        // (4) Hence a destination overlaps an operand only as
-                        // the same rows of the same field or local, which the
-                        // lane loops read before they write.
-                        unsafe { tile.run(cs, regs.as_mut_ptr()) };
-                        nd += cs.tile.instrs.len() as u64;
-                        nl += (cs.tile.instrs.len() * rows * w) as u64;
-                        no += (cs.operators * rows * w) as u64;
-                        i += w as i64;
-                    }
-                }
-                if k == k_last {
-                    break;
-                }
-                k += dk;
-            }
-        }
-        dispatches.fetch_add(nd, Ordering::Relaxed);
-        lane_ops.fetch_add(nl, Ordering::Relaxed);
-        operator_lanes.fetch_add(no, Ordering::Relaxed);
-    });
-
-    KernelRunStats {
+    let mut regs = vec![0.0f64; (ck.tile_regs + TILE_SCRATCH) * TILE_LANES];
+    let mut locals = vec![0.0f64; ck.n_locals * h * ni];
+    let mut stats = KernelRunStats {
         points: ck.points,
         lanes_vector: ck.points,
-        lanes_scalar: 0,
-        vm_dispatches: dispatches.load(Ordering::Relaxed),
-        vm_lane_ops: lane_ops.load(Ordering::Relaxed),
-        vm_operator_lanes: operator_lanes.load(Ordering::Relaxed),
+        ..Default::default()
+    };
+    for item in 0..items {
+        let j0 = hull.jl + ((item % blocks) * h) as i64;
+        let j1 = (j0 + h as i64).min(hull.jh);
+        let (mut k, k_last, dk) = if !marching {
+            let k = hull.kl + (item / blocks) as i64;
+            (k, k, 1)
+        } else if ck.k_desc {
+            (hull.kh - 1, hull.kl, -1)
+        } else {
+            (hull.kl, hull.kh - 1, 1)
+        };
+        locals.fill(0.0);
+        loop {
+            for cs in &ck.stmts {
+                let b = &cs.bounds;
+                let (j, j_end) = (b.jl.max(j0), b.jh.min(j1));
+                if j >= j_end || k < b.kl || k >= b.kh {
+                    continue;
+                }
+                let rows = (j_end - j) as usize;
+                let mut i = b.il;
+                while i < b.ih {
+                    let w = ((b.ih - i) as usize).min(TILE_LANES / rows);
+                    let first = (j - j0) as usize * ni + (i - hull.il) as usize;
+                    let tile = Tile {
+                        slots,
+                        params,
+                        // Never dereferenced when the kernel has no locals.
+                        locals: locals.as_mut_ptr().wrapping_add(first),
+                        local_len: h * ni,
+                        ni,
+                        origin: [i, j, k],
+                        rows,
+                        w,
+                    };
+                    // SAFETY — the one argument for every raw view of the
+                    // tile VM (DESIGN §10.1). (1) Registers, scratch and
+                    // locals are this launch's own buffers, sized above:
+                    // `rows * w <= TILE_LANES` because `w <= TILE_LANES /
+                    // rows` and `rows <= h <= TILE_LANES`, and the tile lies in
+                    // the `h × ni` block. (2) A field view covers the
+                    // statement's bounds shifted by a stencil offset,
+                    // inside the container's domain + halo: the points the
+                    // reference walk reads one by one. (3) The calling
+                    // thread runs the items one after another, so only this
+                    // tile's views are live; `validate_kernel` lets a kernel
+                    // read a field it writes only at zero horizontal offset
+                    // (zero offset at all for `(block, k)` items), and a
+                    // written field is not constant, hence not horizontal
+                    // (`compiled_for`), so distinct `k` are distinct cells.
+                    // (4) Hence a destination overlaps an operand only as
+                    // the same rows of the same field or local, which the
+                    // lane loops read before they write.
+                    unsafe { tile.run(cs, regs.as_mut_ptr()) };
+                    stats.vm_dispatches += cs.tile.instrs.len() as u64;
+                    stats.vm_lane_ops += (cs.tile.instrs.len() * rows * w) as u64;
+                    stats.vm_operator_lanes += (cs.operators * rows * w) as u64;
+                    i += w as i64;
+                }
+            }
+            if k == k_last {
+                break;
+            }
+            k += dk;
+        }
     }
+    stats
 }
 
 /// Compile and run one kernel with an explicit [`VmMode`] (used by the
@@ -928,11 +902,10 @@ pub fn run_kernel_with(
     kernel: &Kernel,
     store: &mut DataStore,
     params: &[f64],
-    pool: &Pool,
     mode: VmMode,
 ) -> KernelRunStats {
     debug_assert!(validate_kernel(kernel).is_ok(), "{:?}", validate_kernel(kernel));
-    run_compiled(kernel, &compile_kernel(kernel), store, params, pool, mode, &Faults::inert())
+    run_compiled(kernel, &compile_kernel(kernel), store, params, mode, &Faults::inert())
 }
 
 /// Compiled kernels held by an [`Executor`], keyed by `(state index,
@@ -976,23 +949,29 @@ struct CacheEntry {
     modeled: OnceLock<(u64, u64)>,
 }
 
-/// Executes SDFGs with a worker pool, a compiled-kernel cache, and hooks.
+/// Executes SDFGs with a compiled-kernel cache and hooks. Every kernel
+/// runs on the thread that calls [`run`](Self::run): the parallelism of
+/// a run is its rank threads, each with its own store, sharing one
+/// executor.
 pub struct Executor {
-    pool: Pool,
     mode: VmMode,
     cache: Mutex<KernelCache>,
 }
 
 impl Executor {
-    /// An executor backed by `pool` (tile VM).
-    pub fn new(pool: Pool) -> Self {
-        Executor::with_mode(pool, VmMode::default())
+    /// An executor on the tile VM.
+    pub fn serial() -> Self {
+        Executor::with_mode(VmMode::default())
     }
 
-    /// An executor backed by `pool` with an explicit VM mode.
-    pub fn with_mode(pool: Pool, mode: VmMode) -> Self {
+    /// An executor forced onto the reference tree walk.
+    pub fn serial_scalar() -> Self {
+        Executor::with_mode(VmMode::Scalar)
+    }
+
+    /// An executor on `mode`.
+    pub fn with_mode(mode: VmMode) -> Self {
         Executor {
-            pool,
             mode,
             cache: Mutex::new(KernelCache::default()),
         }
@@ -1001,16 +980,6 @@ impl Executor {
     /// The kernel cache; a poisoned lock is recovered, not propagated.
     fn cache(&self) -> MutexGuard<'_, KernelCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Serial executor (deterministic, used by tests).
-    pub fn serial() -> Self {
-        Executor::new(Pool::new(1))
-    }
-
-    /// Serial executor forced onto the reference tree walk.
-    pub fn serial_scalar() -> Self {
-        Executor::with_mode(Pool::new(1), VmMode::Scalar)
     }
 
     /// Look up (or compile) the kernel at `key`, reporting whether it was
@@ -1068,7 +1037,7 @@ impl Executor {
     }
 
     /// Run the whole program as part of the run that carries `ctx`: every
-    /// kernel a pool region under the context's fault plan. With a tracer
+    /// kernel launch fires the context's fault plan's kernel-panic site. With a tracer
     /// in the context, every executed node is recorded as a `kernel` /
     /// `copy` / `halo` / `callback` span, kernels annotated with points and
     /// modeled bytes/flops from their access sets. The spans share the
@@ -1162,15 +1131,7 @@ impl Executor {
                     let span = prof.map(|t| t.span("kernel", &k.name));
                     let t0 = Instant::now();
                     let (entry, hit) = self.compiled_for(sdfg, (state_idx, node_idx), k);
-                    let stats = run_compiled(
-                        k,
-                        &entry.compiled,
-                        store,
-                        params,
-                        &self.pool,
-                        self.mode,
-                        faults,
-                    );
+                    let stats = run_compiled(k, &entry.compiled, store, params, self.mode, faults);
                     report.record(&k.name, stats.points, t0.elapsed().as_secs_f64());
                     if hit {
                         report.cache_hits += 1;
@@ -1505,43 +1466,6 @@ mod tests {
         assert_eq!(store.get(ids[0]).get(-1, 0, 0), 7.0);
         assert_eq!(store.get(ids[0]).get(6, 0, 0), 7.0);
         assert_eq!(store.get(ids[0]).get(0, -1, 0), 0.0, "j not extended");
-    }
-
-    #[test]
-    fn parallel_pool_matches_serial() {
-        let (mut g, ids) = sdfg_with(16, 1, &["inp", "out"]);
-        let mut k = Kernel::new(
-            "lap",
-            Domain::from_shape([16, 16, 4]),
-            KOrder::Parallel,
-            Schedule::gpu_horizontal(),
-        );
-        let e = Expr::load(ids[0], -1, 0, 0) + Expr::load(ids[0], 1, 0, 0)
-            - Expr::c(2.0) * Expr::load(ids[0], 0, 0, 0);
-        k.stmts.push(Stmt::full(LValue::Field(ids[1]), e));
-        let mut s = State::new("s");
-        s.nodes.push(DataflowNode::Kernel(k));
-        g.add_state(s);
-
-        let init = |store: &mut DataStore| {
-            let l = g.layout_of(ids[0]);
-            let mut a = Array3::zeros(l);
-            for k_ in 0..4i64 {
-                for j in -1..17i64 {
-                    for i in -1..17i64 {
-                        a.set(i, j, k_, ((i * 7 + j * 3 + k_) % 11) as f64);
-                    }
-                }
-            }
-            *store.get_mut(ids[0]) = a;
-        };
-        let mut s1 = DataStore::for_sdfg(&g);
-        init(&mut s1);
-        Executor::serial().run(&g, &mut s1, &[], &mut NoHooks);
-        let mut s2 = DataStore::for_sdfg(&g);
-        init(&mut s2);
-        Executor::new(Pool::new(4)).run(&g, &mut s2, &[], &mut NoHooks);
-        assert_eq!(s1.get(ids[1]).max_abs_diff(s2.get(ids[1])), 0.0);
     }
 
     #[test]

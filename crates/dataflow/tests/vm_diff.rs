@@ -5,8 +5,8 @@
 //! to wider than a tile register, j-extents that leave a short last
 //! block, region and K-interval statements that cover part of a block,
 //! `Index(J)` inside a tile, locals carried through vertical solvers,
-//! in-place updates, add / sub / mul chains that lower to tree
-//! instructions, and parallel pools (which change the block height).
+//! in-place updates, and add / sub / mul chains that lower to tree
+//! instructions.
 //!
 //! The same generator drives a dynamic oracle for `dataflow::reuse`: a
 //! store that ran a random program, with every cell the program writes
@@ -29,7 +29,6 @@ use dataflow::kernel::{
 };
 use dataflow::storage::{Array3, Axis, Layout, StorageOrder};
 use dataflow::{DataId, Expr};
-use machine::Pool;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
@@ -239,8 +238,8 @@ fn assert_stores_bit_identical(a: &DataStore, b: &DataStore, ids: &[DataId], lab
     }
 }
 
-/// Run one random program through both VM modes (and a parallel pool)
-/// and require bit identity everywhere.
+/// Run one random program through both VM modes (and on stores that
+/// share lent inputs) and require bit identity everywhere.
 #[allow(clippy::too_many_arguments)]
 fn check_case(
     ni: usize,
@@ -275,18 +274,12 @@ fn check_case(
     let mut scalar_store = DataStore::for_sdfg(&g);
     fill_store(&g, &ids, &mut scalar_store);
     let mut lanes_store = scalar_store.clone();
-    let mut par_store = scalar_store.clone();
 
-    let serial = Pool::new(1);
-    let s = run_kernel_with(&kernel, &mut scalar_store, &params, &serial, VmMode::Scalar);
-    let v = run_kernel_with(&kernel, &mut lanes_store, &params, &serial, VmMode::Lanes);
+    let s = run_kernel_with(&kernel, &mut scalar_store, &params, VmMode::Scalar);
+    let v = run_kernel_with(&kernel, &mut lanes_store, &params, VmMode::Lanes);
     assert_eq!(s.points, v.points);
     assert_eq!((v.lanes_vector, v.lanes_scalar), (s.lanes_scalar, 0));
-    assert_stores_bit_identical(&scalar_store, &lanes_store, &ids, "serial lanes");
-
-    let par = Pool::new(3);
-    run_kernel_with(&kernel, &mut par_store, &params, &par, VmMode::Lanes);
-    assert_stores_bit_identical(&scalar_store, &par_store, &ids, "parallel lanes");
+    assert_stores_bit_identical(&scalar_store, &lanes_store, &ids, "lanes");
 
     // The same program with its inputs declared constant: two stores that
     // share one lent set of input arrays run to the bits of the store
@@ -299,7 +292,7 @@ fn check_case(
     let lent: Vec<Arc<Array3>> = (0..N_INPUTS)
         .map(|n| Arc::new(fill_array(g.layout_of(ids[n]), n)))
         .collect();
-    for (pool, label) in [(&serial, "shared, serial"), (&par, "shared, parallel")] {
+    for label in ["shared, first store", "shared, second store"] {
         let mut store = DataStore::for_sdfg(&shared);
         for (d, a) in ids.iter().zip(&lent) {
             store.lend_constant(*d, a);
@@ -307,7 +300,7 @@ fn check_case(
         for (n, d) in ids.iter().enumerate().skip(N_INPUTS) {
             *store.get_mut(*d) = fill_array(g.layout_of(*d), n);
         }
-        run_kernel_with(&kernel, &mut store, &params, pool, VmMode::Lanes);
+        run_kernel_with(&kernel, &mut store, &params, VmMode::Lanes);
         assert_stores_bit_identical(&scalar_store, &store, &ids, label);
     }
 }
@@ -517,27 +510,25 @@ fn check_packing(shape: [usize; 3], n_kernels: usize, seed: u64) -> bool {
     for c in &mut unpacked.containers {
         c.transient = false;
     }
-    let run = |g: &Sdfg, store: &mut DataStore, pool: usize| {
+    let run = |g: &Sdfg, store: &mut DataStore| {
         fill_store(g, &inputs, store);
-        Executor::new(Pool::new(pool)).run(g, store, &params, &mut NoHooks);
+        Executor::serial().run(g, store, &params, &mut NoHooks);
     };
     let mut reference = DataStore::for_sdfg(&unpacked);
-    run(&unpacked, &mut reference, 1);
+    run(&unpacked, &mut reference);
     let kept: Vec<DataId> = (0..g.containers.len())
         .map(DataId)
         .filter(|d| !g.containers[d.0].transient)
         .collect();
     let unwritten = dataflow::reuse::reads_unwritten(&g);
-    for pool in [1, 3] {
-        let mut packed = DataStore::for_sdfg(&g);
-        for d in (0..g.containers.len()).map(DataId) {
-            if g.containers[d.0].transient && !unwritten.contains(&d) {
-                packed.get_mut(d).raw_mut().fill(f64::NAN);
-            }
+    let mut packed = DataStore::for_sdfg(&g);
+    for d in (0..g.containers.len()).map(DataId) {
+        if g.containers[d.0].transient && !unwritten.contains(&d) {
+            packed.get_mut(d).raw_mut().fill(f64::NAN);
         }
-        run(&g, &mut packed, pool);
-        assert_stores_bit_identical(&reference, &packed, &kept, &format!("packed, pool {pool}"));
     }
+    run(&g, &mut packed);
+    assert_stores_bit_identical(&reference, &packed, &kept, "packed");
     DataStore::for_sdfg(&g).owned_arrays().0 < DataStore::for_sdfg(&unpacked).owned_arrays().0
 }
 

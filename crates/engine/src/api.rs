@@ -184,8 +184,10 @@ pub struct EngineConfig {
     /// [`try_submit_with`](crate::ForecastEngine::try_submit_with) refuses beyond it (admission
     /// control at the front door).
     pub queue_cap: usize,
-    /// Shared kernel worker team (`None`: sized by `FV3_WORKERS`, else
-    /// the core count — [`machine::RunConfig::host_workers`]).
+    /// Every instance's rank-team width (`None`: `FV3_WORKERS`, else
+    /// the core count — [`machine::RunConfig::host_workers`]). It bounds
+    /// the rank threads of a parallel substep; kernels run on the thread
+    /// of the rank (or slot) that launches them.
     pub pool: Option<Pool>,
     /// Per-request supervision policy.
     pub policy: SupervisorPolicy,

@@ -11,14 +11,15 @@
 //! * **one compiled program instance** — a
 //!   [`fv3core::CompiledSubstep`] bundle per case, so every tenant runs
 //!   the *same* `Sdfg` (one `(uid, generation)` cache namespace) through
-//!   the same pinned executors. Request N+1 pays zero kernel
-//!   compilation; each [`ForecastReport`]'s `cache_misses` proves it per
-//!   request.
+//!   the same executor, adopted by key whatever the tenant's rank-team
+//!   width. Request N+1 pays zero kernel compilation; each
+//!   [`ForecastReport`]'s `cache_misses` proves it per request.
 //! * **one grid-metadata set** — per-rank [`fv3::grid::Grid`]s behind an
 //!   `Arc`, computed once per case.
-//! * **one worker team** — every slot's kernels drain through the shared
-//!   [`machine::pool::Pool`]; its region lock is the admission control
-//!   that keeps concurrent tenants from oversubscribing the host.
+//! * **one thread model** — a slot runs its tenant's kernels on its own
+//!   thread (or, under the parallel rank schedule, on the tenant's rank
+//!   threads, as many as the [`machine::pool::Pool`] width allows); the
+//!   slot count and the admission rules bound how many run at once.
 //! * **warm instances** — completed tenants park their
 //!   [`DistributedDycore`] (grids, halo updater, mailboxes) in a bounded
 //!   per-case pool; the next request rewinds it to the step-0 template
@@ -683,12 +684,11 @@ fn acquire(
             // First tenant of this case: register the shared bundle under
             // the lock so racing cold tenants agree on one program
             // instance (kernel compilation itself is lazy and
-            // deduplicated by the executors' cache locks).
+            // deduplicated by the executor's cache lock).
             let substep = {
                 let _bundle = ctx.span("build", "bundle");
                 Arc::new(CompiledSubstep::build_with_tune(
                     &req.config,
-                    Some(&inner.pool),
                     inner.run.tune,
                 ))
             };

@@ -1,13 +1,13 @@
 //! ISSUE 7 satellite 1: N concurrent tenants running the standard c8L6
 //! case through one [`ForecastEngine`] must each be bit-identical
 //! (0 ULP) to a fresh single-process run of the same request — sharing
-//! one compiled program, one grid set, and one worker team across
+//! one compiled program, one grid set, and one executor across
 //! tenants is a pure performance transform, never a numerical one.
 //!
 //! The compile-sharing claim is asserted through the request-level
 //! kernel-cache counters: the first wave pays exactly one compilation
 //! per kernel *in total* (concurrent cold tenants dedupe through the
-//! executor cache locks), and every request after the first pays zero.
+//! executor's cache lock), and every request after the first pays zero.
 
 use dataflow::graph::ExpansionAttrs;
 use engine::{EngineConfig, ForecastEngine, ForecastReport, ForecastRequest, ForecastResult};

@@ -1,12 +1,11 @@
 //! Deterministic fault injection: a [`Faults`] handle carries an armed
 //! plan to the named *sites* compiled into the production crates
-//! (`machine::pool`, `comm::halo`, `fv3core::driver`).
+//! (`dataflow::exec`, `comm::halo`, `fv3core::driver`).
 //!
 //! * **Run-scoped.** A plan is a value, not process state: a site fires
-//!   only through the handle its caller holds (its [`crate::RunContext`],
-//!   or the pool region a run submits), so a fault fires inside the run
-//!   that armed it and nowhere else. Concurrent runs and concurrent tests
-//!   need no lock between them.
+//!   only through the handle its caller holds (its [`crate::RunContext`]),
+//!   so a fault fires inside the run that armed it and nowhere else.
+//!   Concurrent runs and concurrent tests need no lock between them.
 //! * **Zero cost when inert.** The default handle is `None` inside: every
 //!   site is one predictable branch — no lock, no allocation.
 //! * **Deterministic.** A plan carries a seed; any site that needs to
@@ -23,10 +22,10 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Fault sites owned by [`crate::pool`].
+/// The kernel-panic site: fired once per kernel launch by the `dataflow`
+/// executor, on the thread that runs the kernel, under every rank
+/// schedule. The name predates the executor owning it.
 pub const SITE_WORKER_PANIC: &str = "pool.worker_panic";
-/// See [`SITE_WORKER_PANIC`].
-pub const SITE_WORKER_DEATH: &str = "pool.worker_death";
 
 /// What an armed fault does when its site fires.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,12 +39,9 @@ pub enum FaultAction {
     DropMessage,
     /// Sleep this many milliseconds inside the exchange (stall).
     StallMs(u64),
-    /// Panic the worker thread mid-kernel (caught by the pool, propagated
-    /// to the submitter).
+    /// Panic the thread running a kernel, before the kernel runs (the
+    /// rank fails; its team propagates the panic to the caller).
     PanicWorker,
-    /// Terminate the worker thread entirely (the team shrinks; the pool
-    /// must rebuild on the next region instead of hanging).
-    KillWorker,
 }
 
 /// One armed fault: a site name, trigger conditions, and an action.
@@ -110,7 +106,8 @@ impl FaultSpec {
     }
 
     /// Fire every time the conditions match, not just once.
-    pub fn repeatable(mut self) -> Self {
+    #[cfg(test)]
+    fn repeatable(mut self) -> Self {
         self.once = false;
         self
     }

@@ -1,5 +1,6 @@
 //! Hardware substrate for the FV3 reproduction: machine specifications,
-//! analytic performance models, a worker pool, and host bandwidth probes.
+//! analytic performance models, the rank team's threads, and host
+//! bandwidth probes.
 //!
 //! The SC'22 paper evaluates on Piz Daint (NVIDIA P100 + Intel Haswell) and
 //! JUWELS Booster (NVIDIA A100). Neither is available here, so this crate

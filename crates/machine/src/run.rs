@@ -15,9 +15,8 @@
 //!   cloning it is free and each instrumentation point is one branch. It
 //!   is installed with `DistributedDycore::set_run`, which hands it to
 //!   the rank team each substep; the supervisor reads the
-//!   dycore's; executors and pool regions take it per call
-//!   (`Executor::run_in`, `Pool::for_each_chunk_in`), because they are
-//!   shared between runs.
+//!   dycore's; executors take it per call (`Executor::run_in`), because
+//!   they are shared between runs.
 
 use crate::cancel::CancelToken;
 use crate::faults::Faults;
@@ -29,13 +28,14 @@ use std::sync::Arc;
 /// Which rank team runs an acoustic substep. Both run one protocol —
 /// every rank posts its sends, receives, lends its state, unpacks its
 /// halos and runs the substep program (`fv3core::parallel`) — and are
-/// bit-identical; they differ in where the team runs, which executor its
-/// kernels use, and how long its scratch store and halo buffers live.
+/// bit-identical; they differ in where the team runs and how long its
+/// scratch store and halo buffers live. Every kernel runs on the thread
+/// of the rank that launches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankSchedule {
-    /// A team of one on the calling thread: one rank after another, each
-    /// kernel on the worker pool, its scratch store built once per step
-    /// and its halo buffers once per substep.
+    /// A team of one on the calling thread: one rank after another, its
+    /// scratch store built once per step and its halo buffers once per
+    /// substep.
     #[default]
     Sequential,
     /// The ranks dealt round-robin to a team of `min(ranks, workers)`
@@ -47,8 +47,9 @@ pub enum RankSchedule {
 /// The typed form of the `FV3_*` environment: one field per variable.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunConfig {
-    /// `FV3_WORKERS`, a positive integer: pool and rank-team size
-    /// (`None`: the core count).
+    /// `FV3_WORKERS`, a positive integer: the rank-team width, which
+    /// bounds the rank threads of a parallel substep (`None`: the core
+    /// count).
     pub workers: Option<usize>,
     /// `FV3_RANK_SCHEDULE`: `parallel` / `threads` / `threaded`, else
     /// sequential.
@@ -86,7 +87,7 @@ impl RunConfig {
         }
     }
 
-    /// The worker-team size for this host: [`workers`](Self::workers),
+    /// The rank-team width for this host: [`workers`](Self::workers),
     /// else the available parallelism.
     pub fn host_workers(&self) -> usize {
         self.workers.unwrap_or_else(|| {

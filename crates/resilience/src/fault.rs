@@ -6,7 +6,7 @@
 //! FV3_FAULT_PLAN = entry (';' entry)*
 //! entry          = "seed=" u64
 //!                | kind [ '@' key '=' value (',' key '=' value)* ]
-//! kind           = "nan" | "corrupt" | "drop" | "stall" | "panic" | "kill"
+//! kind           = "nan" | "corrupt" | "drop" | "stall" | "panic"
 //! key            = "step" | "module" | "call" | "field" | "rank"
 //!                | "factor" | "ms" | "repeat"
 //! ```
@@ -15,7 +15,8 @@
 //!
 //! * `seed=7;nan@step=3,field=pt` — poison `pt` after the first halo
 //!   exchange of step 3;
-//! * `panic@call=2` — panic a pool worker on the third parallel region;
+//! * `panic@call=2` — panic the third kernel launch (on the thread that
+//!   runs it, under either rank schedule);
 //! * `corrupt@factor=1000` — silently scale one halo value by 1000×;
 //! * `stall@ms=200;stall@ms=200` — make one rank post 200 ms late in two
 //!   exchanges; its neighbours' receives wait for it, and nothing fails.
@@ -82,10 +83,9 @@ fn parse_entry(entry: &str) -> Result<FaultSpec, String> {
         "drop" => (comm::halo::SITE_HALO_DROP, FaultAction::DropMessage),
         "stall" => (comm::halo::SITE_HALO_STALL, FaultAction::StallMs(100)),
         "panic" => (faults::SITE_WORKER_PANIC, FaultAction::PanicWorker),
-        "kill" => (faults::SITE_WORKER_DEATH, FaultAction::KillWorker),
         other => {
             return Err(format!(
-                "unknown fault kind '{other}' (nan|corrupt|drop|stall|panic|kill)"
+                "unknown fault kind '{other}' (nan|corrupt|drop|stall|panic)"
             ))
         }
     };
@@ -158,8 +158,9 @@ mod tests {
         assert_eq!(p.specs[0].action, FaultAction::StallMs(200));
         assert!(p.specs.iter().all(|s| s.site == comm::halo::SITE_HALO_STALL));
 
-        let p = FaultPlan::parse("kill@repeat=1,rank=0").unwrap();
-        assert_eq!(p.specs[0].action, FaultAction::KillWorker);
+        let p = FaultPlan::parse("drop@repeat=1,rank=0").unwrap();
+        assert_eq!(p.specs[0].action, FaultAction::DropMessage);
+        assert_eq!(p.specs[0].rank, Some(0));
         assert!(!p.specs[0].once);
     }
 

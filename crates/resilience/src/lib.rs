@@ -5,8 +5,8 @@
 //! run-scoped injection plan, `fv3core::checkpoint` the
 //! crash-consistent `FV3CKPT1` restart basis, `comm::halo` the halo
 //! fault sites (a late sender, a lost or corrupted message),
-//! `machine::pool` the self-rebuilding worker team. This crate is the
-//! policy on top:
+//! `dataflow::exec` the kernel-panic site. This crate is the policy on
+//! top:
 //!
 //! * [`FaultPlan`] parses the `FV3_FAULT_PLAN` grammar into
 //!   [`machine::faults::FaultSpec`]s with validated site names, armed
@@ -14,7 +14,7 @@
 //! * [`Supervisor`] wraps [`fv3core::DistributedDycore::step`] with
 //!   health sampling, periodic checkpoints, and a bounded
 //!   rollback-and-retry loop (halved `dt`, doubled acoustic substeps)
-//!   that turns a mid-run NaN or worker panic into a recovered forecast
+//!   that turns a mid-run NaN or kernel panic into a recovered forecast
 //!   instead of a dead job — or, past the retry budget, into a
 //!   [`SupervisedError`] carrying the [`fv3::health::BlowupReport`] and span
 //!   stack a post-mortem needs.
@@ -39,10 +39,7 @@ pub use supervisor::{
 
 /// Every fault site compiled into the production crates, by layer.
 pub fn known_sites() -> Vec<&'static str> {
-    let mut sites = vec![
-        machine::faults::SITE_WORKER_PANIC,
-        machine::faults::SITE_WORKER_DEATH,
-    ];
+    let mut sites = vec![machine::faults::SITE_WORKER_PANIC];
     sites.extend(comm::halo::FAULT_SITES);
     sites.extend(fv3core::driver::FAULT_SITES);
     sites
@@ -53,7 +50,7 @@ mod tests {
     #[test]
     fn site_registry_is_complete_and_unique() {
         let sites = super::known_sites();
-        assert_eq!(sites.len(), 6);
+        assert_eq!(sites.len(), 5);
         let mut dedup = sites.clone();
         dedup.sort_unstable();
         dedup.dedup();

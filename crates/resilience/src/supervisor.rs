@@ -14,9 +14,8 @@
 //!    a [`SupervisedError`] carrying the last [`BlowupReport`] (field,
 //!    cell, span stack) and the full recovery-event history.
 //!
-//! Worker panics are caught at the step boundary (`catch_unwind`); the
-//! pool rebuilds its team on the next parallel region
-//! (`machine::pool`), so a panicked or killed worker costs one rollback,
+//! Kernel panics are caught at the step boundary (`catch_unwind`), after
+//! the rank team has joined, so a panicked kernel costs one rollback,
 //! not the job.
 
 use fv3::health::{BlowupReport, HealthMonitor};
@@ -64,7 +63,7 @@ pub enum FailureKind {
     Blowup,
     /// A health threshold was crossed (CFL, wind, pressure, drift).
     Violation,
-    /// `step()` panicked (worker panic propagated by the pool).
+    /// `step()` panicked (a rank's panic, propagated by its team).
     Panic,
 }
 

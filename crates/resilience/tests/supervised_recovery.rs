@@ -6,7 +6,7 @@
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{DistributedDycore, DriverConfig};
-use machine::Pool;
+use fv3core::RankSchedule;
 use resilience::{FailureKind, FaultPlan, Supervisor, SupervisorPolicy};
 
 fn dycore() -> DistributedDycore {
@@ -79,50 +79,29 @@ fn nan_blowup_recovers_by_rollback_and_matches_clean_run() {
 
 #[test]
 fn worker_panic_recovers_and_pool_survives() {
-    let mut d = faulted("seed=2;panic");
-    let pool = Pool::new(3);
-    d.set_pool(Some(pool.clone()));
-    // The pool's worker sites sit under the sequential schedule's pooled
-    // executor; a rank team runs its kernels inline.
-    d.set_rank_schedule(fv3core::RankSchedule::Sequential);
-    let mut sup = Supervisor::new(SupervisorPolicy::default());
-    let report = sup.run(&mut d, 2).expect("panic recovered by rollback");
+    // The kernel-panic site fires on whichever thread runs the kernel:
+    // the calling thread for the team of one, a rank thread for the
+    // parallel schedule. Either way the step unwinds once the team has
+    // joined, and the rollback erases the failed attempt.
+    for schedule in [RankSchedule::Sequential, RankSchedule::Parallel] {
+        let mut d = faulted("seed=2;panic");
+        d.set_rank_schedule(schedule);
+        let mut sup = Supervisor::new(SupervisorPolicy::default());
+        let report = sup.run(&mut d, 2).expect("panic recovered by rollback");
 
-    assert_eq!(d.step_index(), 2);
-    assert!(report.retries >= 1);
-    assert_eq!(report.events[0].kind, FailureKind::Panic);
-    assert!(report.faults_injected >= 1);
-    // The team survived the panic (workers catch and propagate).
-    assert_eq!(pool.alive_workers(), 2);
+        assert_eq!(d.step_index(), 2);
+        assert!(report.retries >= 1, "{schedule:?}");
+        assert_eq!(report.events[0].kind, FailureKind::Panic);
+        assert_eq!(report.faults_injected, 1);
 
-    // Bit-identity with a clean serial run: the pool changes wall time,
-    // not bits, and the rollback erased the poisoned attempt.
-    let mut clean = dycore();
-    for _ in 0..2 {
-        clean.step();
+        // Bit-identity with a clean run: the schedule changes wall time,
+        // not bits.
+        let mut clean = dycore();
+        for _ in 0..2 {
+            clean.step();
+        }
+        assert_bit_identical(&d, &clean);
     }
-    assert_bit_identical(&d, &clean);
-}
-
-#[test]
-fn killed_worker_is_rebuilt_and_run_completes() {
-    let mut d = faulted("seed=3;kill");
-    let pool = Pool::new(3);
-    d.set_pool(Some(pool.clone()));
-    // The pool's worker sites sit under the sequential schedule's pooled
-    // executor; a rank team runs its kernels inline.
-    d.set_rank_schedule(fv3core::RankSchedule::Sequential);
-    let mut sup = Supervisor::new(SupervisorPolicy::default());
-    // A killed worker does not corrupt the job (its chunks are re-run by
-    // the survivors' work-stealing or checked in by the guard), so the
-    // run may complete with zero retries — the requirement is that it
-    // completes at all instead of hanging.
-    let report = sup.run(&mut d, 2).expect("killed worker must not hang the run");
-    assert_eq!(d.step_index(), 2);
-    assert!(report.faults_injected >= 1);
-    // The team was rebuilt back to full strength on a later region.
-    assert_eq!(pool.alive_workers(), 2);
-    assert!(pool.rebuilds() >= 1);
 }
 
 #[test]
@@ -166,19 +145,20 @@ fn checkpointing_disabled_fails_fast_without_rollback_basis() {
     assert!(err.events.is_empty());
 }
 
-/// A pool worker panics `call` fault-site calls into a run, i.e. some way
+/// A kernel panics `call` fault-site calls into a run, i.e. some way
 /// into one rank's kernels: the team runs that rank on its own
 /// prognostic arrays, lent to the scratch store.
 fn panics_mid_rank(call: u64) -> DistributedDycore {
     let mut d = faulted(&format!("seed=7;panic@call={call}"));
-    d.set_pool(Some(Pool::new(3)));
-    d.set_rank_schedule(fv3core::RankSchedule::Sequential);
+    d.set_rank_schedule(RankSchedule::Sequential);
     d
 }
 
 /// Site calls into the step at which the panic lands: past the first
-/// ranks' kernels, before the last's.
-const MID_STEP_CALL: u64 = 130;
+/// ranks' kernels, before the last's. The site fires once per kernel
+/// launch, and a rank-substep of this case launches 25 kernels, so call
+/// 65 is the sixteenth kernel of rank 2.
+const MID_STEP_CALL: u64 = 65;
 
 #[test]
 fn a_panic_mid_rank_hands_every_lent_array_back() {

@@ -25,7 +25,6 @@ use fv3::grid::Grid;
 use fv3::profiling::RemapHooks;
 use fv3::state::DycoreState;
 use fv3core::pipeline::{run_pipeline, PipelineStage};
-use machine::Pool;
 
 /// Run the dycore program optimized *through* `stage` on `state0`,
 /// returning the resulting prognostic state.
@@ -70,7 +69,7 @@ pub fn capture_executed(
     let mut store = DataStore::for_sdfg(&g);
     load_state(&mut store, &prog.ids, state0, grid);
     let mut hooks = RemapHooks { ids: &prog.ids };
-    let exec = Executor::with_mode(Pool::new(1), mode);
+    let exec = Executor::with_mode(mode);
     let mut state = state0.clone();
     let mut capture = Capture::default();
     for step in 0..steps {

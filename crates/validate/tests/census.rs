@@ -30,7 +30,7 @@ const ALLOW: &[(&str, &str, &str)] = &[];
 /// The most `pub` items that only tests or examples may reach. The pin
 /// only falls: a change that brings the count below it lowers it to the
 /// count the census prints.
-const TEST_ONLY_PIN: usize = 70;
+const TEST_ONLY_PIN: usize = 68;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Kind {

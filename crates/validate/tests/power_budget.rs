@@ -18,7 +18,6 @@ use fv3::grid::Grid;
 use fv3::init::{init_baroclinic, BaroclinicConfig};
 use fv3::profiling::RemapHooks;
 use fv3::state::{DycoreState, HALO};
-use machine::Pool;
 use validate::{max_ulps_per_field, Savepoint};
 
 const N: usize = 12;
@@ -108,15 +107,7 @@ fn twenty_reduced_steps_stay_inside_the_power_tiers_budget() {
 fn the_tile_vm_matches_the_tree_walk_on_the_reduced_graph() {
     let (prog, state0, grid) = case();
     let g = expanded(&prog, true);
-    let of = |mode| {
-        run(
-            &g,
-            &prog,
-            &state0,
-            &grid,
-            &Executor::with_mode(Pool::new(1), mode),
-        )
-    };
+    let of = |mode| run(&g, &prog, &state0, &grid, &Executor::with_mode(mode));
     let (scalar, lanes) = (of(VmMode::Scalar), of(VmMode::Lanes));
     let observed = max_ulps_per_field(&savepoint(&scalar), &savepoint(&lanes));
     assert!(
