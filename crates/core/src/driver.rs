@@ -5,10 +5,9 @@
 //! Ranks live in one process (the DESIGN.md substitution). Every
 //! acoustic substep is run by a rank team that packs, posts, receives
 //! and unpacks halos through mailboxes — the packing and orientation
-//! transforms of Section IV-C — whatever the [`RankSchedule`]: the
-//! schedule only picks a team of one on the calling thread or a team of
-//! threads (see [`crate::parallel`]), and every team size is
-//! bit-identical.
+//! transforms of Section IV-C — at every width: the team's width alone
+//! picks the team of one on the calling thread or a team of threads (see
+//! [`crate::parallel`]), and every width is bit-identical.
 
 use crate::parallel::{CompiledSubstep, RankSchedule, StepCache};
 use comm::{Partition, RankId};
@@ -85,11 +84,10 @@ pub struct DistributedDycore {
     pub(crate) inspected: OnceLock<CompiledSubstep>,
     /// Driver steps completed since construction or the last restore.
     step_index: u64,
-    /// The rank-team width: it bounds a team of rank threads (`None`:
-    /// [`host_workers`](Self::host_workers)). Every team width gives the
-    /// same bits, so this changes wall time only.
-    pool: Option<Pool>,
-    /// Which rank team runs a substep (bit-identical either way).
+    /// The width of a [`RankSchedule::Parallel`] team (`None`:
+    /// [`host_workers`](Self::host_workers)); changes wall time only.
+    pub(crate) pool: Option<Pool>,
+    /// Width 1, or the pool's width (`team_width` reads both).
     pub(crate) schedule: RankSchedule,
     /// Whole-program tuning at each cache (re)build. Tuned programs are
     /// bit-identical to untuned ones, so this changes speed only.
@@ -98,8 +96,8 @@ pub struct DistributedDycore {
     /// ([`RunConfig::host_workers`] at construction).
     pub(crate) host_workers: usize,
     /// Cached per-substep machinery: program, executor, exchange plan,
-    /// mailboxes, the rank threads' stores. Invalidated on config/pool
-    /// changes.
+    /// mailboxes, the rank threads' stores. Rebuilt on config or tuning
+    /// changes; a width change resizes only the stores.
     pub(crate) cache: Option<StepCache>,
     /// Shared compile bundle installed by a serving engine
     /// ([`set_shared_substep`](Self::set_shared_substep)): adopted by
@@ -117,7 +115,7 @@ pub struct DistributedDycore {
     /// Whole rank states duplicated since the last
     /// [`take_state_copies`](Self::take_state_copies).
     pub(crate) state_copies: AtomicU64,
-    /// Rank threads launched by the parallel schedule since construction.
+    /// Rank threads launched by teams wider than one since construction.
     pub(crate) rank_workers_launched: u64,
     /// Process-unique id anchoring [`crate::CheckpointBasis`] lineage.
     pub(crate) instance_id: u64,
@@ -128,12 +126,12 @@ pub struct DistributedDycore {
     pub(crate) mutated_at: Vec<u64>,
     /// Accumulated rank-team substep timings.
     pub(crate) overlap: obs::OverlapStats,
-    /// Measured wire bytes posted between rank threads.
+    /// Measured wire bytes posted between rank threads (widths above 1).
     pub(crate) halo_bytes_posted: u64,
-    /// Measured messages posted between rank threads.
+    /// Measured messages posted between rank threads (widths above 1).
     pub(crate) halo_messages_posted: u64,
     /// The run this instance is stepping for ([`set_run`](Self::set_run)):
-    /// cancel token, event sink, fault plan, tracer, metrics. The default
+    /// cancel token, event sink, fault plan, tracer. The default
     /// is inert throughout — one `Option` check per site on the hot path,
     /// no events, no timestamps, no allocations — and a run under it is
     /// bit-identical to one under any other context whose faults stay
@@ -208,8 +206,8 @@ impl DistributedDycore {
     /// ([`program_graph`](Self::program_graph)) are both what
     /// [`lower_substep`](crate::parallel::lower_substep) builds, and the
     /// parameter stays for the callers that pass it (the repo benchmark
-    /// among them). Rank
-    /// schedule, tuning and team size come from the environment
+    /// among them). Team
+    /// width and tuning come from the environment
     /// ([`RunConfig::from_env`], read here once); see
     /// [`new_with_grids`](Self::new_with_grids) to pass them in.
     pub fn new(config: DriverConfig, attrs: &ExpansionAttrs) -> Self {
@@ -221,10 +219,10 @@ impl DistributedDycore {
     /// serving engine passes one `Arc` per (scenario, config) case so
     /// all tenants read the same grids. An incompatible set (wrong rank
     /// count) is ignored and grids are computed fresh. `run` supplies the
-    /// initial rank schedule, tuning decision and team size; the instance
-    /// never looks at the environment itself. Nothing is lowered here:
-    /// the first step's bundle lowers and validates the substep program,
-    /// once per instance (or adopts the engine's, which already has).
+    /// tuning and the team width (`workers` above 1: a team that wide);
+    /// the instance never looks at the environment itself. Nothing is
+    /// lowered here: the first step's bundle lowers and validates the
+    /// substep program, once per instance (or adopts the engine's).
     pub fn new_with_grids(
         config: DriverConfig,
         _attrs: &ExpansionAttrs,
@@ -268,7 +266,10 @@ impl DistributedDycore {
             inspected: OnceLock::new(),
             step_index: 0,
             pool: None,
-            schedule: run.rank_schedule,
+            schedule: match run.workers {
+                Some(w) if w > 1 => RankSchedule::Parallel,
+                _ => RankSchedule::Sequential,
+            },
             tuned: run.tune,
             host_workers: run.host_workers(),
             cache: None,
@@ -378,19 +379,13 @@ impl DistributedDycore {
         self.step_index
     }
 
-    /// Set the rank-team width: under [`RankSchedule::Parallel`] the
-    /// pool's size bounds the team of rank threads (`min(ranks,
-    /// workers)`; with no pool, the construction-time
-    /// [`RunConfig::host_workers`]). Bit-identical at every width.
-    /// Invalidates the step cache, and with it the team's scratch stores.
+    /// Set the width of a [`RankSchedule::Parallel`] team (`None`: the
+    /// construction-time [`RunConfig::host_workers`]); bit-identical at
+    /// every width. The bundle, exchange plan and mailboxes stay; only the
+    /// team's kept stores are resized.
     pub fn set_pool(&mut self, pool: Option<Pool>) {
         self.pool = pool;
-        self.cache = None;
-    }
-
-    /// The installed rank-team width, if any.
-    pub fn pool(&self) -> Option<&Pool> {
-        self.pool.as_ref()
+        self.fit_team();
     }
 
     /// Install a shared substep compile bundle (see
@@ -425,9 +420,9 @@ impl DistributedDycore {
     }
 
     /// Scratch stores ([`DataStore::for_sdfg`]) built since construction.
-    /// Every sequential step builds one and drops it; the parallel
-    /// schedule builds one per rank thread and keeps them with the
-    /// step cache, however many steps and substeps run on them.
+    /// Every step of the team of one builds one and drops it; a wider
+    /// team builds one per rank thread and keeps them with the step
+    /// cache, however many steps and substeps run on them.
     pub fn scratch_stores_built(&self) -> u64 {
         self.scratch_built.load(Ordering::Relaxed)
     }
@@ -438,8 +433,8 @@ impl DistributedDycore {
         std::mem::take(self.state_copies.get_mut())
     }
 
-    /// Scratch stores this instance holds right now: the rank team's,
-    /// between parallel steps; none under the sequential schedule.
+    /// Scratch stores this instance holds right now: the rank threads',
+    /// between steps; none at width 1.
     pub fn live_scratch_stores(&self) -> usize {
         self.cache
             .as_ref()
@@ -455,8 +450,8 @@ impl DistributedDycore {
             .flat_map(|c| c.stores.iter_mut().flatten())
     }
 
-    /// Drop the rank team's scratch stores; the next parallel step
-    /// builds them again. For an instance that will sit idle (the
+    /// Drop the rank team's scratch stores; the team's next step builds
+    /// them again. For an instance that will sit idle (the
     /// serving engine parks warm tenants without them).
     pub fn release_scratch_stores(&mut self) {
         if let Some(c) = &mut self.cache {
@@ -464,8 +459,8 @@ impl DistributedDycore {
         }
     }
 
-    /// Rank-team workers the parallel schedule has launched since
-    /// construction: `min(ranks, workers)` per acoustic substep.
+    /// Rank threads launched since construction: the team's width per
+    /// acoustic substep when it is above 1, none at width 1.
     pub fn rank_workers_launched(&self) -> u64 {
         self.rank_workers_launched
     }
@@ -489,8 +484,9 @@ impl DistributedDycore {
     ///   the step counter — [`step_interrupted`](Self::step_interrupted)
     ///   then reports true and the states must be treated as mid-step
     ///   (discard or restore them).
-    /// * `faults` — the plan the driver, halo and pool-worker sites fire
-    ///   (each halo site at most once per substep).
+    /// * `faults` — the plan the driver's and the halo sites fire (each
+    ///   halo site at most once per substep) and the executor's
+    ///   kernel-panic site, once per kernel launch with work.
     /// * `tracer` — `driver_step` / `acoustic` / `rank` / `halo` /
     ///   `kernel` spans.
     ///
@@ -512,19 +508,12 @@ impl DistributedDycore {
         self.step_interrupted
     }
 
-    /// Select the rank schedule: a team of one on the calling thread, or
-    /// a team of rank threads. Both produce bit-identical states. A
-    /// change of schedule releases the rank threads' scratch stores.
+    /// Select the team's width: 1, or the pool's width (see
+    /// [`set_pool`](Self::set_pool)). Both give the same bits; like a
+    /// pool change, this keeps the bundle and resizes the kept stores.
     pub fn set_rank_schedule(&mut self, schedule: RankSchedule) {
-        if schedule != self.schedule {
-            self.release_scratch_stores();
-        }
         self.schedule = schedule;
-    }
-
-    /// The active rank schedule.
-    pub fn rank_schedule(&self) -> RankSchedule {
-        self.schedule
+        self.fit_team();
     }
 
     /// Accumulated rank-team substep timings: pack, wait, run — one
@@ -533,17 +522,13 @@ impl DistributedDycore {
         self.overlap
     }
 
-    /// Measured wire traffic posted between rank threads
-    /// ([`RankSchedule::Parallel`]) since construction, as `(bytes,
-    /// messages)`. One substep posts every packed field over every
-    /// channel, so across a parallel run this must equal the
-    /// [`comm::ExchangePlan::stats`] closed form times the number of
-    /// packed fields times the substep count (asserted in
-    /// `tests/weak_scaling.rs`). A team of one on the calling thread
-    /// posts only to itself and adds nothing here (the repo benchmark's
-    /// `dycore_seq` reads 0 halo bytes a step); the `halo_bytes` /
-    /// `halo_messages` counters of the run's metrics count what every
-    /// team posts.
+    /// Measured wire traffic posted between rank threads since
+    /// construction, as `(bytes, messages)`. One substep posts every
+    /// packed field over every channel, so a run at width > 1 posts the
+    /// [`comm::ExchangePlan::stats`] closed form times the packed fields
+    /// times the substeps (asserted in `tests/weak_scaling.rs`). The team
+    /// of one posts only to itself and adds nothing here (the repo
+    /// benchmark's `dycore_seq` reads 0 halo bytes a step).
     pub fn halo_traffic_posted(&self) -> (u64, u64) {
         (self.halo_bytes_posted, self.halo_messages_posted)
     }
@@ -590,7 +575,7 @@ impl DistributedDycore {
         // The team of one's store (23 packed arrays, 1.44 MiB at c24L8)
         // lives for this step (DESIGN §17.1); the rank threads' live in
         // the cache, which an unwinding step drops whole.
-        let mut seq_store = None;
+        let mut step_store = None;
         'substeps: for ks in 0..config.k_split {
             for ns in 0..config.n_split {
                 // Cancellation point: between substeps the states are
@@ -604,7 +589,7 @@ impl DistributedDycore {
                 }
                 let module = Substep { ks, ns };
                 let _acoustic_span = self.run.span("acoustic", format_args!("{module}"));
-                self.substep(&mut cache, &mut seq_store, module);
+                self.substep(&mut cache, &mut step_store, module);
             }
         }
         self.cache = Some(cache);

@@ -1,10 +1,10 @@
 //! The rank team: the one way the driver runs an acoustic substep.
 //!
 //! Every rank runs the same program and updates its halos through the
-//! same message-passing exchange, whichever [`RankSchedule`] is selected.
-//! A substep's ranks are dealt round-robin to a **rank team** — worker
-//! `w` of `W` owns ranks `w, w + W, …` and runs them all on one scratch
-//! store — and each worker follows one protocol:
+//! same message-passing exchange, at every team width. A substep's
+//! ranks are dealt round-robin to a **rank team** — worker `w` of `W`
+//! owns ranks `w, w + W, …` and runs them all on one scratch store — and
+//! each worker follows one protocol:
 //!
 //! 1. **post** — pack the pre-substep interiors of *all* its ranks for
 //!    their neighbours ([`comm::ExchangePlan`]) and post the buffers into
@@ -31,16 +31,14 @@
 //! than that, at the cost of a second walk over a store larger than L2
 //! (DESIGN §12.1).
 //!
-//! A schedule decides two things, neither of them protocol: where the
-//! team runs and how large it is (one member on the calling thread for
-//! [`RankSchedule::Sequential`]; `min(ranks, workers)` threads through
-//! [`machine::Pool::rank_scope`] for [`RankSchedule::Parallel`]), and how
-//! long its working memory lives: the team of one's store lives for one
-//! `step()` and its halo buffers for one substep; the rank threads'
-//! stores and buffers are kept in the `StepCache` (DESIGN §17.1). Both
-//! teams run their kernels through the bundle's one executor, each on
-//! the thread of the rank that launches it, and post through the cache's
-//! one set of mailboxes.
+//! The team's width is its one knob (`DistributedDycore::team_width`,
+//! read once per substep), and it decides two things, neither of them
+//! protocol: width 1 runs on the calling thread, its store living for one
+//! `step()` and its halo buffers for one substep; a wider team runs on
+//! [`machine::Pool::rank_scope`] threads whose stores and buffers are kept
+//! in the `StepCache` (DESIGN §17.1). Every width runs its kernels
+//! through the bundle's one executor, each on the thread of the rank that
+//! launches it, and posts through the cache's one set of mailboxes.
 //!
 //! **Bit-identity.** Every team size produces the same bits, step for
 //! step: packing reads only pre-substep interiors (so the exchanged
@@ -74,7 +72,6 @@ use fv3::dyn_core::{lend_state, load_state, remap_callback, DycoreIds, DycorePro
 use fv3::state::{DycoreState, HALO};
 use machine::faults::{FaultAction, FireCtx};
 use machine::pool::Pool;
-pub use machine::run::RankSchedule;
 use machine::RunContext;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,6 +112,17 @@ pub fn lower_substep(program: &DycoreProgram) -> Sdfg {
 /// mis-ranked host changes speed, never answers.
 pub fn tune_model() -> dataflow::model::CostModel {
     dataflow::model::CostModel::Cpu(machine::CpuModel::new(machine::CpuSpec::lane_vm()))
+}
+
+/// How wide the rank team that runs an acoustic substep is (see the
+/// module docs). Every width gives the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RankSchedule {
+    /// Width 1: one rank after another on the calling thread.
+    #[default]
+    Sequential,
+    /// Width `min(ranks, workers)`: the pool's width, else `host_workers`.
+    Parallel,
 }
 
 /// How many OTF configurations each cutout keeps for pattern transfer
@@ -263,19 +271,17 @@ impl CompiledSubstep {
 /// bundle plus this instance's exchange plan and mailboxes. Mailboxes
 /// are deliberately *not* shared across tenants — each driver's team
 /// registers its own senders, so concurrent tenants cannot cross-deliver.
-/// Rebuilt when the dycore configuration or rank-team width changes.
+/// Rebuilt when the dycore configuration or the tuning changes; a width
+/// change resizes only [`stores`](Self::stores).
 pub(crate) struct StepCache {
     pub(crate) sub: Arc<CompiledSubstep>,
     pub(crate) plan: Arc<ExchangePlan>,
     pub(crate) boxes: Arc<HaloMailboxes>,
-    /// The rank threads' scratch stores, one slot per worker: `min(ranks,
-    /// workers)` of them, `workers` being the installed pool's size or
-    /// the instance's `RunConfig::host_workers`. Built by a worker's first
-    /// rank-substep and kept across substeps *and steps* — a store that
-    /// is built, first-touched and freed every step on a fresh thread
-    /// costs more than the step's halo exchange (DESIGN §17.1). Only
-    /// [`RankSchedule::Parallel`] fills them; the team of one runs on the
-    /// store its `step()` holds.
+    /// The rank threads' scratch stores, one slot per worker at width > 1
+    /// (the team of one runs on its `step()`'s store). Built by a worker's
+    /// first rank-substep and kept across substeps *and steps* — a store
+    /// built, first-touched and freed every step on a fresh thread costs
+    /// more than the step's halo exchange (DESIGN §17.1).
     pub(crate) stores: Vec<Option<DataStore>>,
 }
 
@@ -581,14 +587,32 @@ impl DistributedDycore {
         };
         let plan = Arc::new(ExchangePlan::new(&self.partition, HALO));
         let boxes = Arc::new(HaloMailboxes::for_plan(&plan));
-        let workers = self.pool().map_or(self.host_workers, Pool::workers);
-        let team = self.partition.ranks().min(workers);
         self.cache = Some(StepCache {
             sub,
             plan,
             boxes,
-            stores: (0..team).map(|_| None).collect(),
+            stores: Vec::new(),
         });
+        self.fit_team();
+    }
+
+    /// The rank team's width, its one knob: `min(ranks, w)`, `w` being 1
+    /// under `Sequential`, else the pool's width or `host_workers`.
+    fn team_width(&self) -> usize {
+        let workers = match self.schedule {
+            RankSchedule::Sequential => 1,
+            RankSchedule::Parallel => self.pool.as_ref().map_or(self.host_workers, Pool::workers),
+        };
+        self.partition.ranks().min(workers)
+    }
+
+    /// One kept store slot per worker of the current width, none at
+    /// width 1; the stores of the workers that remain are kept.
+    pub(crate) fn fit_team(&mut self) {
+        let width = self.team_width();
+        if let Some(c) = &mut self.cache {
+            c.stores.resize_with(if width > 1 { width } else { 0 }, || None);
+        }
     }
 
     /// Fire this substep's halo and poison faults on the calling thread
@@ -640,29 +664,27 @@ impl DistributedDycore {
         fp
     }
 
-    /// One acoustic substep, run by a rank team ([`Team`]) shaped by the
-    /// schedule (see the module docs); `seq_store` is the team of one's
-    /// store for the step. Panics (after joining the team) on lost
-    /// messages or rank failures, leaving per-rank mutation flags
+    /// One acoustic substep, run by a [`Team`] of
+    /// [`team_width`](Self::team_width) workers; `step_store` is the store
+    /// of a team of one for the step. Panics (after joining the team) on
+    /// lost messages or rank failures, leaving per-rank mutation flags
     /// accurate for a rank-aware rollback.
     pub(crate) fn substep(
         &mut self,
         cache: &mut StepCache,
-        seq_store: &mut Option<DataStore>,
+        step_store: &mut Option<DataStore>,
         module: Substep,
     ) {
         let ranks = self.partition.ranks();
         self.mut_clock += 1;
         let clock = self.mut_clock;
         let faults = self.plan_faults(&cache.plan, module);
-        let rank_pool = self.pool().cloned().unwrap_or_else(|| Pool::new(1));
-        // What a schedule decides: the team's stores (and so its size),
-        // and whether it launches rank threads.
-        let (stores, threads) = match self.schedule {
-            RankSchedule::Sequential => (std::slice::from_mut(seq_store), false),
-            RankSchedule::Parallel => (&mut cache.stores[..], true),
+        let workers = self.team_width();
+        let stores = match workers {
+            1 => std::slice::from_mut(step_store),
+            _ => &mut cache.stores[..],
         };
-        let workers = stores.len();
+        debug_assert_eq!(stores.len(), workers);
 
         let team = Team {
             plan: &cache.plan,
@@ -695,7 +717,7 @@ impl DistributedDycore {
         // one runs on the calling thread (`rank_scope(1, ..)`).
         cache.boxes.open(workers);
         let scope = catch_unwind(AssertUnwindSafe(|| {
-            rank_pool.rank_scope(workers, |w| {
+            Pool::new(workers).rank_scope(workers, |w| {
                 let seat = seats[w].lock().unwrap_or_else(|e| e.into_inner()).take();
                 team.run_worker(seat.expect("one worker per seat"));
             })
@@ -718,7 +740,7 @@ impl DistributedDycore {
                 self.note_kernel_cache(o.cache_hits, o.cache_misses);
             }
         }
-        if threads {
+        if workers > 1 {
             self.rank_workers_launched += workers as u64;
             self.halo_bytes_posted += posted.0;
             self.halo_messages_posted += posted.1;

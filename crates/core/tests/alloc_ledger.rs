@@ -8,7 +8,8 @@
 //! store every step (23 arrays, 71 allocations with the 47 of an unpacked
 //! store) and posts the substep's 24 halo buffers, which its mailboxes
 //! free when the substep ends (DESIGN §17.1). A team of two keeps its
-//! stores across steps and its buffers in its mailboxes: nothing.
+//! stores across steps and its buffers in its mailboxes: nothing. The
+//! parallel schedule on a one-worker pool is the team of one.
 
 use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
@@ -85,9 +86,9 @@ fn large_allocations_per_warm_c24l8_step() {
             nord4_damp: None,
         },
     );
-    let teams = [(RankSchedule::Sequential, 1), (RankSchedule::Parallel, 2)];
-    let expect = [(47, 23 * 65_760 + 24 * 36_864), (0, 0)];
-    for ((schedule, workers), expect) in teams.into_iter().zip(expect) {
+    let (seq, par) = (RankSchedule::Sequential, RankSchedule::Parallel);
+    let one = (47, 23 * 65_760 + 24 * 36_864);
+    for ((schedule, workers), expect) in [((seq, 1), one), ((par, 2), (0, 0)), ((par, 1), one)] {
         let mut d = DistributedDycore::new(cfg, &ExpansionAttrs::tuned());
         d.set_rank_schedule(schedule);
         d.set_tuned(false);

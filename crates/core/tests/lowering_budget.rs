@@ -1,6 +1,7 @@
 //! A count, not a clock: a cold instance lowers its substep program once,
-//! whether it is inspected first or stepped first, and an instance adopts
-//! an installed bundle whatever its rank-team width.
+//! whether it is inspected first or stepped first, an instance adopts an
+//! installed bundle whatever its rank-team width, and a width change
+//! keeps the bundle.
 //! Every `Sdfg::new` / `clone` draws the next value of one process-wide
 //! uid counter, so the difference between two probe graphs' uids is the
 //! number of graphs minted in between — and a lowering mints its own
@@ -10,7 +11,7 @@
 
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use fv3::dyn_core::DycoreConfig;
-use fv3core::{CompiledSubstep, DistributedDycore, DriverConfig};
+use fv3core::{CompiledSubstep, DistributedDycore, DriverConfig, RankSchedule};
 use machine::{Pool, RunConfig};
 use std::sync::Arc;
 
@@ -124,4 +125,15 @@ fn construction_and_first_step_lower_the_substep_once() {
             assert!(x.raw() == y.raw(), "{name} differs after inspection");
         }
     }
+
+    // A width change keeps the bundle: a stepped instance taken from width
+    // 1 to 2 and 3 and back lowers nothing and compiles nothing again.
+    let (_, misses) = d.exec_cache_counters();
+    let (par, seq) = (RankSchedule::Parallel, RankSchedule::Sequential);
+    for (workers, schedule) in [(2, par), (3, par), (3, seq)] {
+        d.set_pool(Some(Pool::new(workers)));
+        d.set_rank_schedule(schedule);
+        assert_eq!(minted(|| d.step()), 0, "{schedule:?}/{workers} lowers nothing");
+    }
+    assert_eq!(d.exec_cache_counters().1, misses, "a width change compiles nothing");
 }

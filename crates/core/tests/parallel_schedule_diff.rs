@@ -89,6 +89,8 @@ fn overlap_metrics_are_recorded_under_the_parallel_schedule() {
     let cfg = wide_config();
     let mut d = DistributedDycore::new(cfg, &ExpansionAttrs::tuned());
     d.set_rank_schedule(RankSchedule::Parallel);
+    // The team of one counts no wire traffic: at least two rank threads.
+    d.set_pool(Some(Pool::new(machine::RunConfig::from_env().host_workers().max(2))));
     d.step();
     let stats = d.overlap_stats();
     assert_eq!(stats.substeps, 6, "one substep per rank");
@@ -109,19 +111,18 @@ fn overlap_metrics_are_recorded_under_the_parallel_schedule() {
 #[test]
 fn sequential_schedule_reports_no_overlap() {
     let mut d = DistributedDycore::new(distributed_seed_config(), &ExpansionAttrs::tuned());
-    // The default comes from the environment, once, at construction
-    // (the CI tier-1 gate sets `FV3_RANK_SCHEDULE=parallel`).
-    assert_eq!(
-        d.rank_schedule(),
-        machine::RunConfig::from_env().rank_schedule
-    );
+    // The width comes from the environment, once, at construction:
+    // `FV3_WORKERS` above 1 starts an instance on rank threads.
+    d.step();
+    let wide = machine::RunConfig::from_env().workers.is_some_and(|w| w > 1);
+    assert_eq!(d.rank_workers_launched() > 0, wide);
     d.set_rank_schedule(RankSchedule::Sequential);
     d.step();
-    // A team of one records one sample per rank-substep, and computes
-    // nothing ahead of its receives either.
+    // Every team records one sample per rank-substep, and a team of one
+    // computes nothing ahead of its receives either.
     let rank_substeps = 6 * d.config.dycore.n_split * d.config.dycore.k_split;
     let stats = d.overlap_stats();
-    assert_eq!(stats.substeps, rank_substeps as u64, "{stats:?}");
+    assert_eq!(stats.substeps, 2 * rank_substeps as u64, "{stats:?}");
     assert_eq!(stats.efficiency(), 0.0, "{stats:?}");
 }
 

@@ -311,7 +311,7 @@ fn team_dycore(cfg: DriverConfig, workers: usize) -> DistributedDycore {
 
 #[test]
 fn kept_stores_full_of_nan_step_to_the_same_bits() {
-    for ((n, nk), workers) in SIZES.into_iter().zip([1, 2, 3]) {
+    for ((n, nk), workers) in SIZES.into_iter().zip([2, 3, 6]) {
         let cfg = config(n, nk, 2, 1);
         let mut left_alone = team_dycore(cfg, workers);
         let mut poisoned = team_dycore(cfg, workers);
@@ -378,12 +378,9 @@ fn a_rank_starved_mid_substep_fails_alone_and_leaves_nothing_behind() {
         // back: the rollback rewrites the other five.
         assert_eq!(report.ranks_restored, 5, "{what}");
         // The failed step took its stores with it: a team of threads
-        // builds its own again (the cache went too); a team of one builds
-        // one per step attempt anyway.
-        let built = match schedule {
-            RankSchedule::Sequential => 3,
-            RankSchedule::Parallel => 2 * workers as u64,
-        };
+        // builds its own again (the cache went too); the team of one
+        // builds one per step attempt anyway.
+        let built = if workers == 1 { 3 } else { 2 * workers as u64 };
         assert_eq!(d.scratch_stores_built(), built, "{what}");
         assert_states_bit_identical(&d.states, &clean.states, &what);
     }

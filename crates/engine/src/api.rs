@@ -184,10 +184,10 @@ pub struct EngineConfig {
     /// [`try_submit_with`](crate::ForecastEngine::try_submit_with) refuses beyond it (admission
     /// control at the front door).
     pub queue_cap: usize,
-    /// Every instance's rank-team width (`None`: `FV3_WORKERS`, else
-    /// the core count — [`machine::RunConfig::host_workers`]). It bounds
-    /// the rank threads of a parallel substep; kernels run on the thread
-    /// of the rank (or slot) that launches them.
+    /// Every instance's rank-team width when `FV3_WORKERS` is above 1
+    /// (`None`: `FV3_WORKERS` — [`machine::RunConfig::host_workers`]);
+    /// otherwise each instance is the team of one. Kernels run on the
+    /// thread of the rank (or slot) that launches them.
     pub pool: Option<Pool>,
     /// Per-request supervision policy.
     pub policy: SupervisorPolicy,

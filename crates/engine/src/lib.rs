@@ -17,7 +17,7 @@
 //! * **one grid-metadata set** — per-rank [`fv3::grid::Grid`]s behind an
 //!   `Arc`, computed once per case.
 //! * **one thread model** — a slot runs its tenant's kernels on its own
-//!   thread (or, under the parallel rank schedule, on the tenant's rank
+//!   thread (or, when `FV3_WORKERS` is above 1, on the tenant's rank
 //!   threads, as many as the [`machine::pool::Pool`] width allows); the
 //!   slot count and the admission rules bound how many run at once.
 //! * **warm instances** — completed tenants park their
@@ -127,8 +127,8 @@ struct EngineInner {
     warm_cap: usize,
     policy: SupervisorPolicy,
     pool: Pool,
-    /// Rank schedule, tuning and team size of every instance this engine
-    /// builds: the environment as it was when the engine started.
+    /// Tuning and team width of every instance this engine builds: the
+    /// environment as it was when the engine started.
     run: RunConfig,
     /// [`EngineConfig::faults`], armed (inert without one).
     faults: Faults,
@@ -880,11 +880,11 @@ mod tests {
         let key = CaseKey::of(&req);
         let (mut d, _, warm) = acquire(inner, key, &req, &RunContext::default());
         assert!(!warm);
-        // The engine takes its schedule from the environment; a tenant
-        // on the parallel one comes off its run holding its team's stores.
+        // The team of one keeps no store: park a tenant of two rank threads.
+        d.set_pool(Some(Pool::new(2)));
         d.set_rank_schedule(fv3core::RankSchedule::Parallel);
         d.step();
-        assert_eq!(d.live_scratch_stores(), 1, "a one-worker pool is a team of one");
+        assert_eq!(d.live_scratch_stores(), 2, "a two-worker pool keeps two");
         release(inner, key, d);
         let parked: Vec<usize> = lock(&inner.cases)[&key]
             .warm
@@ -896,7 +896,7 @@ mod tests {
         let (mut d, _, warm) = acquire(inner, key, &req, &RunContext::default());
         assert!(warm);
         d.step();
-        assert_eq!((d.live_scratch_stores(), d.scratch_stores_built()), (1, 2));
+        assert_eq!((d.live_scratch_stores(), d.scratch_stores_built()), (2, 4));
         drop(d);
         engine.shutdown();
     }

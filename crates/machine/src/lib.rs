@@ -40,7 +40,7 @@ pub use faults::{FaultAction, FaultSpec, Faults, FireCtx};
 pub use gpu_model::GpuModel;
 pub use network::NetworkModel;
 pub use pool::Pool;
-pub use run::{RankSchedule, RunConfig, RunContext};
+pub use run::{RunConfig, RunContext};
 pub use spec::{CacheLevel, CpuSpec, GpuSpec, NetworkSpec, Target};
 
 /// Data-movement and arithmetic counters for one kernel invocation.

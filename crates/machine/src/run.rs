@@ -4,7 +4,7 @@
 //! `ForecastEngine::start` / `submit`, a test) and handed down — nothing
 //! below reads a process global or the environment:
 //!
-//! * [`RunConfig`] — the five `FV3_*` variables, parsed once by
+//! * [`RunConfig`] — the four `FV3_*` variables, parsed once by
 //!   [`RunConfig::from_env`], the only function in the library crates
 //!   that reads the environment. Constructors that take no configuration
 //!   (`DistributedDycore::new`, `ForecastEngine::start`)
@@ -25,35 +25,14 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Which rank team runs an acoustic substep. Both run one protocol —
-/// every rank posts its sends, receives, lends its state, unpacks its
-/// halos and runs the substep program (`fv3core::parallel`) — and are
-/// bit-identical; they differ in where the team runs and how long its
-/// scratch store and halo buffers live. Every kernel runs on the thread
-/// of the rank that launches it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RankSchedule {
-    /// A team of one on the calling thread: one rank after another, its
-    /// scratch store built once per step and its halo buffers once per
-    /// substep.
-    #[default]
-    Sequential,
-    /// The ranks dealt round-robin to a team of `min(ranks, workers)`
-    /// rank threads, each running its kernels inline on a scratch store
-    /// kept across steps.
-    Parallel,
-}
-
 /// The typed form of the `FV3_*` environment: one field per variable.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunConfig {
-    /// `FV3_WORKERS`, a positive integer: the rank-team width, which
-    /// bounds the rank threads of a parallel substep (`None`: the core
-    /// count).
+    /// `FV3_WORKERS`, a positive integer: the rank-team width. Above 1,
+    /// an instance starts on a team of that width; unset or 1, on the
+    /// team of one (`None`: a team set to the host's width is the core
+    /// count wide).
     pub workers: Option<usize>,
-    /// `FV3_RANK_SCHEDULE`: `parallel` / `threads` / `threaded`, else
-    /// sequential.
-    pub rank_schedule: RankSchedule,
     /// `FV3_TUNE`: `1` / `true` / `on` run whole-program tuning at
     /// substep-compile time.
     pub tune: bool,
@@ -77,10 +56,6 @@ impl RunConfig {
             workers: var("FV3_WORKERS")
                 .and_then(|v| v.parse().ok())
                 .filter(|n| *n >= 1),
-            rank_schedule: match lower("FV3_RANK_SCHEDULE").as_deref() {
-                Some("parallel" | "threads" | "threaded") => RankSchedule::Parallel,
-                _ => RankSchedule::Sequential,
-            },
             tune: matches!(lower("FV3_TUNE").as_deref(), Some("1" | "true" | "on")),
             fault_plan: var("FV3_FAULT_PLAN"),
             checkpoint_dir: var("FV3_CHECKPOINT_DIR").map(PathBuf::from),
@@ -160,7 +135,6 @@ mod tests {
     #[test]
     fn default_config_is_the_unset_environment() {
         let c = RunConfig::default();
-        assert_eq!(c.rank_schedule, RankSchedule::Sequential);
         assert!(!c.tune && c.workers.is_none());
         assert!(c.fault_plan.is_none() && c.checkpoint_dir.is_none());
         assert!(c.host_workers() >= 1);

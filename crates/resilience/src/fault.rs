@@ -16,7 +16,7 @@
 //! * `seed=7;nan@step=3,field=pt` — poison `pt` after the first halo
 //!   exchange of step 3;
 //! * `panic@call=2` — panic the third kernel launch (on the thread that
-//!   runs it, under either rank schedule);
+//!   runs it, at every rank-team width);
 //! * `corrupt@factor=1000` — silently scale one halo value by 1000×;
 //! * `stall@ms=200;stall@ms=200` — make one rank post 200 ms late in two
 //!   exchanges; its neighbours' receives wait for it, and nothing fails.
