@@ -12,9 +12,12 @@
 //!
 //! Each fusion is a pure **plan** ([`plan_otf`], [`plan_subgraph`]: every
 //! legality check and the fused kernel, against `&Sdfg`) and a **commit**
-//! ([`FusionPlan::commit`]). A tuner prices a candidate on its
-//! [`FusionPlan::trial_state`] and never copies the program; [`fuse_otf`]
-//! / [`fuse_subgraph`] are plan + commit: one implementation of legality.
+//! ([`FusionPlan::commit`]). A tuner prices a candidate from the costs of
+//! the nodes it keeps plus the one fused kernel, never copying the program
+//! or the state ([`FusionPlan::trial_state`] builds the state for a run
+//! that measures it), and carries its [`UsageMap`] across each commit
+//! ([`FusionPlan::commit_counted`]); [`fuse_otf`] / [`fuse_subgraph`] are
+//! plan + commit: one implementation of legality.
 
 use crate::exec::validate_kernel;
 use crate::expr::{DataId, Expr, LocalId};
@@ -57,12 +60,22 @@ pub struct FusionPlan {
 
 impl FusionPlan {
     /// The state as a commit would leave it, built beside the graph: for
-    /// scoring or executing the rewrite without applying it.
+    /// executing the rewrite without applying it.
     pub fn trial_state(&self, sdfg: &Sdfg) -> State {
         let mut state = sdfg.states[self.state].clone();
         state.nodes[self.keep] = DataflowNode::Kernel(self.kernel.clone());
         state.nodes.remove(self.drop);
         state
+    }
+
+    /// The state the plan rewrites.
+    pub fn state(&self) -> usize {
+        self.state
+    }
+
+    /// Index of the node the fused kernel takes the place of.
+    pub fn kept_node(&self) -> usize {
+        self.keep
     }
 
     /// Index of the node a commit removes (later nodes shift down by one).
@@ -80,6 +93,21 @@ impl FusionPlan {
             kind: self.kind,
             labels: self.labels.to_vec(),
         }
+    }
+
+    /// [`commit`](Self::commit), carrying `usage` (the graph's
+    /// [`UsageMap`] as the plan saw it) across: the two fused nodes'
+    /// accesses leave it and the fused kernel's enter, which is what a
+    /// fresh [`UsageMap::build`] of the committed graph would count.
+    pub fn commit_counted(self, sdfg: &mut Sdfg, usage: &mut UsageMap) -> Applied {
+        let nodes = &sdfg.states[self.state].nodes;
+        usage.count(&nodes[self.keep], -1);
+        usage.count(&nodes[self.drop], -1);
+        // The removal shifts the fused kernel down when it came later.
+        let (state, fused) = (self.state, self.keep - usize::from(self.drop < self.keep));
+        let applied = self.commit(sdfg);
+        usage.count(&sdfg.states[state].nodes[fused], 1);
+        applied
     }
 }
 
@@ -467,6 +495,26 @@ mod tests {
         assert_eq!(g.kernel_count(), 1);
         let after = run_and_get(&g, a, out);
         assert_eq!(before.max_abs_diff(&after), 0.0);
+    }
+
+    #[test]
+    fn counted_commit_keeps_the_usage_map_current() {
+        // OTF keeps the later node, SGF the earlier; a node on each side
+        // shifts the fused slot.
+        for (mut g, otf) in [(otf_sdfg().0, true), (sgf_sdfg().0, false)] {
+            let a = g.find_container("a").unwrap();
+            let nodes = &mut g.states[0].nodes;
+            nodes.insert(0, DataflowNode::HaloExchange { fields: vec![a] });
+            nodes.push(DataflowNode::HaloExchange { fields: vec![a] });
+            let mut usage = UsageMap::build(&g);
+            let plan = match otf {
+                true => plan_otf(&g, &usage, 0, 1, 2),
+                false => plan_subgraph(&g, 0, 1),
+            };
+            plan.unwrap().commit_counted(&mut g, &mut usage);
+            let fresh = UsageMap::build(&g);
+            assert_eq!((usage.reads, usage.writes), (fresh.reads, fresh.writes), "otf={otf}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod schedule;
 pub mod tiling;
 
 use crate::expr::DataId;
-use crate::graph::Sdfg;
+use crate::graph::{DataflowNode, Sdfg};
 
 /// Summary of an applied transformation (for reports and transfer-tuning
 /// pattern descriptions).
@@ -98,15 +98,19 @@ impl UsageMap {
         };
         for state in &sdfg.states {
             for node in &state.nodes {
-                for d in node.reads() {
-                    u.reads[d.0] += 1;
-                }
-                for d in node.writes() {
-                    u.writes[d.0] += 1;
-                }
+                u.count(node, 1);
             }
         }
         u
+    }
+
+    /// Add (`by = 1`) or remove (`by = -1`) one node's accesses: a commit
+    /// that turns two nodes into one carries the map across with three
+    /// calls, and the result is what [`build`](Self::build) would count.
+    pub(crate) fn count(&mut self, node: &DataflowNode, by: i32) {
+        let step = |n: &mut u32| *n = n.checked_add_signed(by).expect("a node counted once");
+        node.reads().into_iter().for_each(|d| step(&mut self.reads[d.0]));
+        node.writes().into_iter().for_each(|d| step(&mut self.writes[d.0]));
     }
 
     /// Readers of `d` across the program.
@@ -129,7 +133,7 @@ pub fn touches_between(sdfg: &Sdfg, state: usize, a: usize, b: usize, fields: &[
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::graph::{DataflowNode, State};
+    use crate::graph::State;
     use crate::kernel::{Domain, KOrder, Kernel, LValue, Schedule, Stmt};
     use crate::storage::{Layout, StorageOrder};
 

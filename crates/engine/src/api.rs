@@ -184,10 +184,12 @@ pub struct EngineConfig {
     /// [`try_submit_with`](crate::ForecastEngine::try_submit_with) refuses beyond it (admission
     /// control at the front door).
     pub queue_cap: usize,
-    /// Every instance's rank-team width when `FV3_WORKERS` is above 1
-    /// (`None`: `FV3_WORKERS` — [`machine::RunConfig::host_workers`]);
-    /// otherwise each instance is the team of one. Kernels run on the
-    /// thread of the rank (or slot) that launches them.
+    /// Every instance's rank-team width: `Some(p)` runs each instance at
+    /// `min(ranks, p.workers())`, on rank threads when that is above 1,
+    /// whatever the environment says; `None` leaves each instance the
+    /// width `FV3_WORKERS` gives it at construction (the team of one
+    /// unless above 1). Kernels run on the thread of the rank (or slot)
+    /// that launches them.
     pub pool: Option<Pool>,
     /// Per-request supervision policy.
     pub policy: SupervisorPolicy,

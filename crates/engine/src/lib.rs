@@ -17,9 +17,9 @@
 //! * **one grid-metadata set** — per-rank [`fv3::grid::Grid`]s behind an
 //!   `Arc`, computed once per case.
 //! * **one thread model** — a slot runs its tenant's kernels on its own
-//!   thread (or, when `FV3_WORKERS` is above 1, on the tenant's rank
-//!   threads, as many as the [`machine::pool::Pool`] width allows); the
-//!   slot count and the admission rules bound how many run at once.
+//!   thread, or on the tenant's rank threads when its team is wider than
+//!   one ([`EngineConfig::pool`]'s width, else `FV3_WORKERS`); the slot
+//!   count and the admission rules bound how many run at once.
 //! * **warm instances** — completed tenants park their
 //!   [`DistributedDycore`] (grids, halo updater, mailboxes) in a bounded
 //!   per-case pool; the next request rewinds it to the step-0 template
@@ -126,9 +126,11 @@ struct CaseCache {
 struct EngineInner {
     warm_cap: usize,
     policy: SupervisorPolicy,
-    pool: Pool,
-    /// Tuning and team width of every instance this engine builds: the
-    /// environment as it was when the engine started.
+    /// [`EngineConfig::pool`]: every instance's rank-team width, when set.
+    pool: Option<Pool>,
+    /// Tuning of every instance this engine builds, and its team width
+    /// when no pool is set: the environment as it was when the engine
+    /// started.
     run: RunConfig,
     /// [`EngineConfig::faults`], armed (inert without one).
     faults: Faults,
@@ -242,12 +244,11 @@ impl ForecastEngine {
     /// [`EngineConfig::faults`], spawn the run slots.
     pub fn start(cfg: EngineConfig) -> Self {
         let run = RunConfig::from_env();
-        let pool = cfg.pool.unwrap_or_else(|| Pool::new(run.host_workers()));
         let slots_n = cfg.slots.max(1);
         let inner = Arc::new(EngineInner {
             warm_cap: cfg.warm_cap,
             policy: cfg.policy,
-            pool,
+            pool: cfg.pool,
             run,
             faults: cfg.faults.map_or_else(Faults::inert, |p| p.arm()),
             tracer: cfg.tracer,
@@ -715,7 +716,10 @@ fn acquire(
             grids,
             &inner.run,
         );
-        d.set_pool(Some(inner.pool.clone()));
+        if let Some(pool) = &inner.pool {
+            d.set_pool(Some(pool.clone()));
+            d.set_rank_schedule(fv3core::RankSchedule::Parallel);
+        }
         d.set_shared_substep(substep);
         d
     };
@@ -873,6 +877,23 @@ mod tests {
     }
 
     #[test]
+    fn engine_pool_sets_every_instance_team_width() {
+        let engine = ForecastEngine::start(EngineConfig {
+            slots: 1,
+            pool: Some(Pool::new(2)),
+            ..EngineConfig::default()
+        });
+        let req = small_request(1);
+        let key = CaseKey::of(&req);
+        let (mut d, _, _) = acquire(&engine.inner, key, &req, &RunContext::default());
+        d.step();
+        assert!(d.rank_workers_launched() > 0, "two rank threads per substep");
+        assert_eq!(d.live_scratch_stores(), 2);
+        drop(d);
+        engine.shutdown();
+    }
+
+    #[test]
     fn parked_tenant_holds_no_scratch_stores() {
         let engine = small_engine(1);
         let inner = &engine.inner;
@@ -882,7 +903,6 @@ mod tests {
         assert!(!warm);
         // The team of one keeps no store: park a tenant of two rank threads.
         d.set_pool(Some(Pool::new(2)));
-        d.set_rank_schedule(fv3core::RankSchedule::Parallel);
         d.step();
         assert_eq!(d.live_scratch_stores(), 2, "a two-worker pool keeps two");
         release(inner, key, d);

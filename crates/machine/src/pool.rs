@@ -2,12 +2,12 @@
 //!
 //! This stands in for the paper's MPI ranks (§IV-C): a [`Pool`] of
 //! `workers` bounds how many rank threads a parallel substep runs, and
-//! [`Pool::rank_scope`] spawns them, one scoped thread per team member,
-//! for the substep's duration. Kernels run on the thread that launches
+//! [`Pool::rank_scope`] runs them for the substep's duration: the calling
+//! thread is the first team member, a scoped thread each the others. Kernels run on the thread that launches
 //! them, so the rank threads (and a serving engine's slots) are the only
 //! parallelism in a run. `Pool::new` spawns nothing.
 
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// The width of a team of rank threads.
 #[derive(Clone, Debug)]
@@ -28,20 +28,22 @@ impl Pool {
         self.workers
     }
 
-    /// Run `body(r)` for every `r` in `0..ranks`, each on its own
-    /// dedicated OS thread. The driver's rank team passes its worker
+    /// Run `body(r)` for every `r` in `0..ranks`, each on a thread of its
+    /// own: bodies `1..ranks` on scoped threads spawned first, then body 0
+    /// on the calling thread. The driver's rank team passes its worker
     /// count here, one body per worker.
     ///
     /// Bodies block on each other (halo mailbox receives), so every body
     /// gets a thread of its own — `ranks` may exceed `workers()`, and a
     /// body waiting on a peer that cannot be scheduled would deadlock.
-    /// Dedicated scoped threads sidestep that: every body is always
-    /// runnable. One rank runs on the calling thread.
+    /// Dedicated threads sidestep that: every body is always runnable,
+    /// and body 0 starts only once its peers are spawned.
     ///
-    /// If any rank body panics, the first panic payload is re-raised on
-    /// the caller after *all* rank threads have exited (bodies must
-    /// arrange their own wakeups — e.g. the halo mailboxes' sender count
-    /// — so peers blocked on the panicked rank unwind rather than hang).
+    /// If any rank body panics, the first panic payload (in rank order)
+    /// is re-raised on the caller after *all* rank threads have exited
+    /// (bodies must arrange their own wakeups — e.g. the halo mailboxes'
+    /// sender count — so peers blocked on the panicked rank unwind
+    /// rather than hang).
     pub fn rank_scope<F>(&self, ranks: usize, body: F)
     where
         F: Fn(usize) + Sync,
@@ -53,7 +55,7 @@ impl Pool {
             return;
         }
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..ranks)
+            let handles: Vec<_> = (1..ranks)
                 .map(|r| {
                     let b = &body;
                     std::thread::Builder::new()
@@ -62,7 +64,7 @@ impl Pool {
                         .expect("failed to spawn rank thread")
                 })
                 .collect();
-            let mut payload = None;
+            let mut payload = catch_unwind(AssertUnwindSafe(|| body(0))).err();
             for h in handles {
                 if let Err(p) = h.join() {
                     payload.get_or_insert(p);

@@ -25,7 +25,7 @@ pub mod search;
 pub mod transfer;
 
 pub use cutout::{extract_cutouts, Cutout};
-pub use measure::{MeasuredScorer, ModelScorer, StateScorer, Vet};
+pub use measure::{MeasuredScorer, ModelScorer, NodeCosts, StateScorer, StateView, Vet};
 pub use pattern::Pattern;
 pub use search::{tune_cutouts, SearchReport};
 pub use transfer::{transfer_patterns, TransferReport};

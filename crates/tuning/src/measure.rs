@@ -9,21 +9,109 @@
 //! [`MeasuredScorer`] actually executes the state's cutout and scores it
 //! by measured kernel seconds.
 //!
-//! A scorer is handed a [`State`], not an index: a live state, or the
-//! *trial state* of a planned fusion (`FusionPlan::trial_state`) that is in
-//! no graph — scoring a candidate costs one state, never a program copy.
+//! A scorer is handed a [`StateView`], not a state: a live state's node
+//! list with at most one planned fusion swapped in. Pricing a candidate
+//! builds nothing — the model sums the standing nodes' costs, each taken
+//! once while its node stands ([`NodeCosts`]), and the one fused kernel's
+//! — and only a measurement builds the trial state it runs.
 
 use dataflow::exec::{DataStore, Executor, NoHooks};
-use dataflow::graph::State;
+use dataflow::graph::{DataflowNode, State};
+use dataflow::kernel::Kernel;
 use dataflow::model::CostModel;
+use dataflow::transforms::fusion::FusionPlan;
 use dataflow::{Array3, Sdfg};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// Scores `state` over `sdfg`'s containers and parameters; lower is
+/// A state as a scorer sees it: a state's node list, with at most one
+/// planned fusion swapped in (the fused kernel in the kept slot, the
+/// removed node gone), and optionally the model costs already taken from
+/// its standing nodes.
+#[derive(Clone, Copy)]
+pub struct StateView<'a> {
+    state: &'a State,
+    swap: Option<&'a FusionPlan>,
+    costs: Option<&'a NodeCosts>,
+}
+
+impl<'a> StateView<'a> {
+    /// `state` as it stands.
+    pub fn of(state: &'a State) -> Self {
+        StateView {
+            state,
+            swap: None,
+            costs: None,
+        }
+    }
+
+    /// The state of `sdfg` that `plan` rewrites, as a commit would leave it.
+    pub fn planned(sdfg: &'a Sdfg, plan: &'a FusionPlan) -> Self {
+        StateView {
+            swap: Some(plan),
+            ..Self::of(&sdfg.states[plan.state()])
+        }
+    }
+
+    /// Price the standing nodes from `costs` (kept for this state's node
+    /// list by one model scorer) instead of profiling them again.
+    pub fn with_costs(self, costs: &'a NodeCosts) -> Self {
+        assert_eq!(costs.0.len(), self.state.nodes.len(), "costs follow the node list");
+        StateView {
+            costs: Some(costs),
+            ..self
+        }
+    }
+
+    /// The view's kernels in node order: a standing kernel with its node
+    /// index, the planned fused kernel with `None`.
+    fn kernels(self) -> impl Iterator<Item = (Option<usize>, &'a Kernel)> {
+        let swap = self.swap;
+        let (keep, drop) = swap.map_or((None, None), |p| (Some(p.kept_node()), Some(p.removed_node())));
+        self.state.nodes.iter().enumerate().filter_map(move |(i, node)| match node {
+            _ if Some(i) == drop => None,
+            _ if Some(i) == keep => swap.map(|p| (None, &p.kernel)),
+            DataflowNode::Kernel(k) => Some((Some(i), k)),
+            _ => None,
+        })
+    }
+
+    /// The state the view shows, built: a clone of the state, or the
+    /// plan's [`FusionPlan::trial_state`].
+    fn to_state(self, sdfg: &Sdfg) -> State {
+        match self.swap {
+            Some(plan) => plan.trial_state(sdfg),
+            None => self.state.clone(),
+        }
+    }
+}
+
+/// One state's per-node model costs, aligned with its node list: a node's
+/// cost is taken the first time a view prices it and kept while the node
+/// stands. [`commit`](Self::commit) follows a fusion's commit, so a
+/// hill-climb profiles each kernel once, not once per candidate.
+#[derive(Debug)]
+pub struct NodeCosts(Vec<Cell<Option<f64>>>);
+
+impl NodeCosts {
+    /// No cost taken yet, one slot per node of `state`.
+    pub fn new(state: &State) -> Self {
+        NodeCosts(state.nodes.iter().map(|_| Cell::new(None)).collect())
+    }
+
+    /// Follow `plan`'s commit: the fused node's cost is taken afresh, the
+    /// removed node's slot goes.
+    pub fn commit(&mut self, plan: &FusionPlan) {
+        self.0[plan.kept_node()] = Cell::new(None);
+        self.0.remove(plan.removed_node());
+    }
+}
+
+/// Scores a view over `sdfg`'s containers and parameters; lower is
 /// better. Tuning only compares scores of the *same* state before/after a
 /// rewrite, so scorers need to be consistent, not calibrated.
 pub trait StateScorer {
-    fn state_time(&mut self, sdfg: &Sdfg, state: &State) -> f64;
+    fn state_time(&mut self, sdfg: &Sdfg, view: StateView) -> f64;
 }
 
 /// The static scorer: modeled kernel cost summed over the state.
@@ -32,10 +120,23 @@ pub struct ModelScorer<'a> {
 }
 
 impl StateScorer for ModelScorer<'_> {
-    fn state_time(&mut self, sdfg: &Sdfg, state: &State) -> f64 {
-        state
-            .kernels()
-            .map(|k| self.model.kernel_cost(k, sdfg).time)
+    /// `Iterator::sum` of the view's kernel costs in node order: bit for
+    /// bit the sum over the built trial state, whose kernels are the same
+    /// in the same order.
+    fn state_time(&mut self, sdfg: &Sdfg, view: StateView) -> f64 {
+        let cost = |k: &Kernel| self.model.kernel_cost(k, sdfg).time;
+        view.kernels()
+            .map(|(slot, k)| match (slot, view.costs) {
+                (Some(i), Some(costs)) => {
+                    let cell = &costs.0[i];
+                    cell.get().unwrap_or_else(|| {
+                        let t = cost(k);
+                        cell.set(Some(t));
+                        t
+                    })
+                }
+                _ => cost(k),
+            })
             .sum()
     }
 }
@@ -93,13 +194,13 @@ fn fill_value(c: usize, i: i64, j: i64, k: i64) -> f64 {
 }
 
 impl StateScorer for MeasuredScorer {
-    fn state_time(&mut self, sdfg: &Sdfg, state: &State) -> f64 {
+    fn state_time(&mut self, sdfg: &Sdfg, view: StateView) -> f64 {
         // Standalone cutout: the program's containers and parameters, and
         // the one state under test as the whole control flow.
         let mut cut = Sdfg::new(sdfg.name.as_str());
         cut.containers = sdfg.containers.clone();
         cut.params = sdfg.params.clone();
-        cut.add_state(state.clone());
+        cut.add_state(view.to_state(sdfg));
         assert_eq!(
             self.params.len(),
             cut.params.len(),
@@ -150,20 +251,20 @@ pub struct Vet<'a> {
 }
 
 impl Vet<'_> {
-    /// Whether rewriting state `before` of `sdfg` into the trial state
-    /// `after` is a measured win.
-    pub fn passes(&mut self, sdfg: &Sdfg, before: &State, after: &State) -> bool {
-        let b = self.scorer.state_time(sdfg, before);
-        let a = self.scorer.state_time(sdfg, after);
+    /// Whether committing `plan` to `sdfg` is a measured win on the state
+    /// it rewrites.
+    pub fn passes(&mut self, sdfg: &Sdfg, plan: &FusionPlan) -> bool {
+        let b = self.scorer.state_time(sdfg, StateView::of(&sdfg.states[plan.state()]));
+        let a = self.scorer.state_time(sdfg, StateView::planned(sdfg, plan));
         a < b * (1.0 - self.margin)
     }
 
     /// Cross-state form: states `first` and `first + 1` of `before`
     /// merged (and fused) into state `first` of `after`.
     pub fn passes_merge(&mut self, before: &Sdfg, after: &Sdfg, first: usize) -> bool {
-        let b = self.scorer.state_time(before, &before.states[first])
-            + self.scorer.state_time(before, &before.states[first + 1]);
-        let a = self.scorer.state_time(after, &after.states[first]);
+        let b = self.scorer.state_time(before, StateView::of(&before.states[first]))
+            + self.scorer.state_time(before, StateView::of(&before.states[first + 1]));
+        let a = self.scorer.state_time(after, StateView::of(&after.states[first]));
         a < b * (1.0 - self.margin)
     }
 }
@@ -224,7 +325,7 @@ mod tests {
             .map(|k| model.kernel_cost(k, &g).time)
             .sum();
         let mut scorer = ModelScorer { model: &model };
-        assert_eq!(scorer.state_time(&g, &g.states[0]), direct);
+        assert_eq!(scorer.state_time(&g, StateView::of(&g.states[0])), direct);
     }
 
     #[test]
@@ -232,7 +333,7 @@ mod tests {
         let mut g = Sdfg::new("m");
         copy_state(&mut g, "c", [16, 16, 4]);
         let mut scorer = MeasuredScorer::new(2, vec![]);
-        let t = scorer.state_time(&g, &g.states[0]);
+        let t = scorer.state_time(&g, StateView::of(&g.states[0]));
         assert!(t > 0.0 && t.is_finite());
         assert_eq!(fill_value(3, 1, 2, 4), fill_value(3, 1, 2, 4));
         let v = fill_value(0, 0, 0, 0);
@@ -257,7 +358,7 @@ mod tests {
         let wrong = CostModel::Gpu(GpuModel::new(wrong_spec));
 
         let mut model_scorer = ModelScorer { model: &wrong };
-        let (a, b) = (&g.states[0], &g.states[1]);
+        let (a, b) = (StateView::of(&g.states[0]), StateView::of(&g.states[1]));
         let (ma, mb) = (model_scorer.state_time(&g, a), model_scorer.state_time(&g, b));
         assert!(
             ma < mb,

@@ -3,17 +3,17 @@
 //! For each cutout, every (producer, consumer) pair is a candidate OTF
 //! configuration and every adjacent pair a candidate SGF configuration.
 //! Each candidate is *planned* against the program (legality and the fused
-//! kernel, nothing applied); a legal one is scored on its trial state —
-//! the cutout's node list with the planned kernel swapped in — and the
-//! best `M` OTF plus the single best SGF configurations per cutout become
-//! transferable patterns ("the best (M=2) configurations of each cutout
-//! for OTF and the single best for SGF"). The searched cutouts themselves
-//! are hill-climbed to a fixpoint — they are part of the program being
-//! optimized, and long pointwise chains collapse into single launches —
-//! by committing the winning plan in place.
+//! kernel, nothing applied); a legal one is scored on its view — the
+//! cutout's node list with the planned kernel swapped in, built only if a
+//! measurement runs it — and the best `M` OTF plus the single best SGF
+//! configurations per cutout become transferable patterns ("the best (M=2)
+//! configurations of each cutout for OTF and the single best for SGF").
+//! The searched cutouts themselves are hill-climbed to a fixpoint — they
+//! are part of the program being optimized, and long pointwise chains
+//! collapse into single launches — by committing the winning plan in place.
 
 use crate::cutout::Cutout;
-use crate::measure::{StateScorer, Vet};
+use crate::measure::{NodeCosts, StateScorer, StateView, Vet};
 use crate::pattern::{Pattern, PatternKind};
 use dataflow::transforms::fusion::{plan_otf, plan_subgraph, FusionPlan};
 use dataflow::transforms::UsageMap;
@@ -45,7 +45,9 @@ pub struct SearchReport {
 /// the candidate list against the transformed state, repeat until no
 /// candidate improves the ranked time. Every step is individually
 /// legality-checked, so the fixpoint is reached only through bit-exact
-/// rewrites.
+/// rewrites. The program's usage map and the cutout's node costs are
+/// taken once and carried across each commit, so a round prices each
+/// candidate by its one fused kernel.
 ///
 /// With a measured [`Vet`], each hill-climb step walks the ranked
 /// candidates and applies the *best one the measurement confirms*, so the
@@ -63,25 +65,27 @@ pub fn tune_cutouts(
         cutouts: cutouts.len(),
         ..Default::default()
     };
+    let mut usage = UsageMap::build(sdfg);
 
     for cutout in cutouts {
         // Node indices of the cutout's surviving kernels; maintained
         // across applications (each fusion removes one node).
         let mut members = cutout.kernels.clone();
+        let mut costs = NodeCosts::new(&sdfg.states[cutout.state]);
         let mut first_round = true;
         // Candidates the measured veto already rejected; keyed by kind
         // and labels so they aren't re-measured every round.
         let mut rejected: Vec<(PatternKind, [String; 2])> = Vec::new();
         loop {
-            // The graph stands still for a round: one usage map, one base
-            // score, and every plan made in it stays valid.
-            let usage = UsageMap::build(sdfg);
-            let base = scorer.state_time(sdfg, &sdfg.states[cutout.state]);
+            // The graph stands still for a round: one base score, and
+            // every plan made in it stays valid.
+            let live = StateView::of(&sdfg.states[cutout.state]).with_costs(&costs);
+            let base = scorer.state_time(sdfg, live);
             let mut found: Vec<(Pattern, FusionPlan)> = Vec::new();
             let mut consider = |kind, plan: Result<FusionPlan, String>| {
                 report.configurations += 1;
                 let Ok(plan) = plan else { return };
-                let t = scorer.state_time(sdfg, &plan.trial_state(sdfg));
+                let t = scorer.state_time(sdfg, StateView::planned(sdfg, &plan).with_costs(&costs));
                 if t < base {
                     let pattern = Pattern {
                         kind,
@@ -137,8 +141,7 @@ pub fn tune_cutouts(
                     continue;
                 }
                 if let Some(v) = vet.as_deref_mut() {
-                    let live = &sdfg.states[cutout.state];
-                    if !v.passes(sdfg, live, &plan.trial_state(sdfg)) {
+                    if !v.passes(sdfg, &plan) {
                         rejected.push((pat.kind, pat.labels));
                         continue;
                     }
@@ -150,7 +153,8 @@ pub fn tune_cutouts(
                 break;
             };
             let removed = plan.removed_node();
-            plan.commit(sdfg);
+            costs.commit(&plan);
+            plan.commit_counted(sdfg, &mut usage);
             members.retain(|&i| i != removed);
             for i in &mut members {
                 if *i > removed {
@@ -209,11 +213,11 @@ mod tests {
         let model = CostModel::Gpu(GpuModel::new(GpuSpec::p100()));
         let cutouts = extract_cutouts(&g, &[]);
         let mut ranker = ModelScorer { model: &model };
-        let before = ranker.state_time(&g, &g.states[0]);
+        let before = ranker.state_time(&g, StateView::of(&g.states[0]));
         let report = tune_cutouts(&mut g, &cutouts, &mut ranker, None, 2);
         assert!(report.configurations >= 2, "OTF pair + SGF pair");
         assert!(!report.patterns.is_empty());
-        let after = ranker.state_time(&g, &g.states[0]);
+        let after = ranker.state_time(&g, StateView::of(&g.states[0]));
         assert!(after < before);
         assert_eq!(g.states[0].kernel_count(), 1, "pair fused in the cutout");
     }

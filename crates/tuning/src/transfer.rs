@@ -5,11 +5,11 @@
 //! each state, and only match the most performance-improving pattern";
 //! a match is committed only when it "also provide\[s\] a local performance
 //! improvement" under the machine model. A match is planned against the
-//! program, scored (and vetted) on its trial state, and committed in
+//! program, scored (and vetted) on its view of the state, and committed in
 //! place: the caller's graph keeps its identity and gains one generation
 //! per commit.
 
-use crate::measure::{StateScorer, Vet};
+use crate::measure::{NodeCosts, StateScorer, StateView, Vet};
 use crate::pattern::{Pattern, PatternKind};
 use dataflow::graph::DataflowNode;
 use dataflow::transforms::fusion::{plan_otf, plan_subgraph};
@@ -51,13 +51,15 @@ pub fn transfer_patterns(
 ) -> TransferReport {
     let mut report = TransferReport::default();
     let mut vetoed: Vec<(usize, PatternKind, [String; 2])> = Vec::new();
+    // Carried across every commit, like each state's node costs.
+    let mut usage = UsageMap::build(sdfg);
     for state in 0..sdfg.states.len() {
+        let mut costs = NodeCosts::new(&sdfg.states[state]);
         // Repeat until no pattern matches this state anymore; each round
         // commits the best pattern's first match. The graph stands still
-        // within a round, so its usage map and the state's score are
-        // taken once (the score only if a match asks for it).
+        // within a round, so the state's score is taken once (and only if
+        // a match asks for it).
         loop {
-            let usage = UsageMap::build(sdfg);
             let mut before = None;
             let mut committed = None;
             'patterns: for pat in patterns {
@@ -85,16 +87,21 @@ pub fn transfer_patterns(
                             PatternKind::Sgf => plan_subgraph(sdfg, state, a),
                         };
                         let Ok(plan) = plan else { continue };
-                        let before = *before.get_or_insert_with(|| scorer.state_time(sdfg, live));
-                        let trial = plan.trial_state(sdfg);
-                        let after = scorer.state_time(sdfg, &trial);
+                        let before = *before.get_or_insert_with(|| {
+                            scorer.state_time(sdfg, StateView::of(live).with_costs(&costs))
+                        });
+                        let trial = StateView::planned(sdfg, &plan).with_costs(&costs);
+                        let after = scorer.state_time(sdfg, trial);
                         let improves = after < before;
+                        if !improves {
+                            continue;
+                        }
                         let key = (state, pat.kind, plan.labels.clone());
-                        if !improves || vetoed.contains(&key) {
+                        if vetoed.contains(&key) {
                             continue;
                         }
                         if let Some(v) = vet.as_deref_mut() {
-                            if !v.passes(sdfg, live, &trial) {
+                            if !v.passes(sdfg, &plan) {
                                 vetoed.push(key);
                                 continue;
                             }
@@ -110,10 +117,9 @@ pub fn transfer_patterns(
                     }
                 }
             }
-            match committed {
-                Some(plan) => plan.commit(sdfg),
-                None => break,
-            };
+            let Some(plan) = committed else { break };
+            costs.commit(&plan);
+            plan.commit_counted(sdfg, &mut usage);
         }
     }
     report
