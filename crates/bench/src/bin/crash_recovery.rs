@@ -21,7 +21,6 @@
 //! `RunReport` counts: `restores`, `ranks_restored`, `retries`,
 //! `checkpoint_writes`, `checkpoint_bytes`, `faults_injected`).
 
-use dataflow::graph::ExpansionAttrs;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{DistributedDycore, DriverConfig};
 use machine::{RunConfig, RunContext};
@@ -51,7 +50,7 @@ fn dycore(run: &RunConfig) -> DistributedDycore {
             nord4_damp: None,
         },
     );
-    DistributedDycore::new_with_grids(cfg, &ExpansionAttrs::tuned(), None, run)
+    DistributedDycore::from_config(cfg, run)
 }
 
 fn main() -> ExitCode {

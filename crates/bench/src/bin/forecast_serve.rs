@@ -326,7 +326,7 @@ fn cmd_cancel(cfg: CliConfig) -> ExitCode {
     };
     let stats = engine.shutdown();
     println!(
-        "submitted={} completed={} cancelled={} (slot released, warm pool untouched)",
+        "submitted={} completed={} cancelled={} (slot released, case template untouched)",
         stats.submitted, stats.completed, stats.cancelled
     );
     code
@@ -419,12 +419,11 @@ fn cmd_status(cfg: CliConfig) -> ExitCode {
             })
             .collect();
         println!(
-            "status: queued={} running=[{}] slots={}/{} warm_pool={} events={}/{} done={}",
+            "status: queued={} running=[{}] slots={}/{} events={}/{} done={}",
             st.queue_depth(),
             running.join(", "),
             st.slots_busy,
             st.slots,
-            st.warm_pool,
             st.events_published,
             st.events_dropped,
             st.stats.completed + st.stats.failed

@@ -140,7 +140,7 @@ pub struct DistributedDycore {
     /// True when the last [`step`](Self::step) call aborted at a substep
     /// boundary because the token fired: the step counter was not
     /// advanced and the states are mid-step — the instance must be
-    /// discarded or restored, never trusted or parked warm.
+    /// discarded or restored, never trusted.
     step_interrupted: bool,
 }
 
@@ -200,63 +200,90 @@ pub(crate) fn scratch_store<'a>(
     })
 }
 
+/// One grid per rank of `partition`, computed.
+fn compute_grids(partition: &Partition, config: &DriverConfig) -> Arc<Vec<Grid>> {
+    let grids = (0..partition.ranks())
+        .map(|r| {
+            let (tile, rx, ry) = partition.coords(RankId(r));
+            let face = &partition.geom.faces[tile];
+            Grid::compute(face, config.tile_n, rx, ry, partition.sub_n, HALO, config.nk)
+        })
+        .collect();
+    Arc::new(grids)
+}
+
 impl DistributedDycore {
     /// Set up the partition, grids and initial states. `attrs` is not
     /// read: the graph `step` executes and the inspection graph
     /// ([`program_graph`](Self::program_graph)) are both what
     /// [`lower_substep`](crate::parallel::lower_substep) builds, and the
     /// parameter stays for the callers that pass it (the repo benchmark
-    /// among them). Team
-    /// width and tuning come from the environment
+    /// among them). Team width and tuning come from the environment
     /// ([`RunConfig::from_env`], read here once); see
-    /// [`new_with_grids`](Self::new_with_grids) to pass them in.
-    pub fn new(config: DriverConfig, attrs: &ExpansionAttrs) -> Self {
-        Self::new_with_grids(config, attrs, None, &RunConfig::from_env())
+    /// [`from_config`](Self::from_config) to pass them in.
+    pub fn new(config: DriverConfig, _attrs: &ExpansionAttrs) -> Self {
+        Self::from_config(config, &RunConfig::from_env())
     }
 
-    /// Like [`new`](Self::new), but adopting `shared_grids` instead of
-    /// recomputing grid metadata when a compatible set is supplied — the
-    /// serving engine passes one `Arc` per (scenario, config) case so
-    /// all tenants read the same grids. An incompatible set (wrong rank
-    /// count) is ignored and grids are computed fresh. `run` supplies the
-    /// tuning and the team width (`workers` above 1: a team that wide);
-    /// the instance never looks at the environment itself. Nothing is
-    /// lowered here: the first step's bundle lowers and validates the
-    /// substep program, once per instance (or adopts the engine's).
-    pub fn new_with_grids(
-        config: DriverConfig,
-        _attrs: &ExpansionAttrs,
+    /// Set up the partition, grids and the baroclinic-wave initial states
+    /// of `config`. `run` supplies the tuning and the team width
+    /// (`workers` above 1: a team that wide); the instance never looks at
+    /// the environment itself. Nothing is lowered here: the first step's
+    /// bundle lowers and validates the substep program, once per instance
+    /// (or adopts the engine's).
+    pub fn from_config(config: DriverConfig, run: &RunConfig) -> Self {
+        let partition = Partition::new(config.tile_n, config.rt);
+        let grids = compute_grids(&partition, &config);
+        let states = grids
+            .iter()
+            .map(|grid| {
+                let mut state = DycoreState::zeros(partition.sub_n, config.nk);
+                init_baroclinic(&mut state, grid, &BaroclinicConfig::default());
+                state
+            })
+            .collect();
+        Self::assemble(config, partition, grids, states, run)
+    }
+
+    /// An instance at `ck`'s step with a copy of its states, counted in
+    /// [`take_state_copies`](Self::take_state_copies); nothing else is
+    /// computed when `shared_grids` holds one grid per rank (the serving
+    /// engine passes its case's set, so every tenant reads the same
+    /// grids), and the grids are computed otherwise. `run` is read as by
+    /// [`from_config`](Self::from_config). Stepping it is bit-identical
+    /// to stepping the instance `ck` was captured from.
+    ///
+    /// # Panics
+    ///
+    /// When `ck` does not hold one state per rank of its configuration.
+    pub fn from_checkpoint(
+        ck: &crate::checkpoint::Checkpoint,
         shared_grids: Option<Arc<Vec<Grid>>>,
         run: &RunConfig,
     ) -> Self {
-        let partition = Partition::new(config.tile_n, config.rt);
-        let sub_n = partition.sub_n;
-
+        let partition = Partition::new(ck.config.tile_n, ck.config.rt);
+        assert_eq!(
+            ck.states.len(),
+            partition.ranks(),
+            "checkpoint rank count does not cover this partition"
+        );
         let grids = match shared_grids.filter(|g| g.len() == partition.ranks()) {
             Some(g) => g,
-            None => {
-                let mut grids = Vec::with_capacity(partition.ranks());
-                for r in 0..partition.ranks() {
-                    let (tile, rx, ry) = partition.coords(RankId(r));
-                    grids.push(Grid::compute(
-                        &partition.geom.faces[tile],
-                        config.tile_n,
-                        rx,
-                        ry,
-                        sub_n,
-                        HALO,
-                        config.nk,
-                    ));
-                }
-                Arc::new(grids)
-            }
+            None => compute_grids(&partition, &ck.config),
         };
-        let mut states = Vec::with_capacity(partition.ranks());
-        for grid in grids.iter() {
-            let mut state = DycoreState::zeros(sub_n, config.nk);
-            init_baroclinic(&mut state, grid, &BaroclinicConfig::default());
-            states.push(state);
-        }
+        let mut d = Self::assemble(ck.config, partition, grids, ck.states.to_vec(), run);
+        *d.state_copies.get_mut() = ck.states.len() as u64;
+        d.step_index = ck.step;
+        d
+    }
+
+    fn assemble(
+        config: DriverConfig,
+        partition: Partition,
+        grids: Arc<Vec<Grid>>,
+        states: Vec<DycoreState>,
+        run: &RunConfig,
+    ) -> Self {
         let nranks = partition.ranks();
         DistributedDycore {
             config,
@@ -290,11 +317,12 @@ impl DistributedDycore {
         }
     }
 
-    /// Resume a run from an `FV3CKPT1` checkpoint file: rebuild the
-    /// dycore for the stored configuration, then restore the states and
-    /// step counter. The resumed run is bit-identical to one that never
-    /// stopped.
-    pub fn resume_from(path: &Path, attrs: &ExpansionAttrs) -> std::io::Result<Self> {
+    /// Resume a run from an `FV3CKPT1` checkpoint file: an instance of the
+    /// stored configuration at the stored step
+    /// ([`from_checkpoint`](Self::from_checkpoint)), team width and tuning
+    /// from the environment. The resumed run is bit-identical to one that
+    /// never stopped.
+    pub fn resume_from(path: &Path) -> std::io::Result<Self> {
         let ck = crate::checkpoint::Checkpoint::load(path)?;
         let want = 6 * ck.config.rt * ck.config.rt;
         if ck.states.len() != want {
@@ -308,9 +336,7 @@ impl DistributedDycore {
                 ),
             ));
         }
-        let mut d = DistributedDycore::new(ck.config, attrs);
-        d.restore(&ck);
-        Ok(d)
+        Ok(Self::from_checkpoint(&ck, None, &RunConfig::from_env()))
     }
 
     /// Restore states and step counter from a checkpoint taken on a
@@ -325,9 +351,7 @@ impl DistributedDycore {
     /// does not roll back its neighbours' untouched states. Checkpoints
     /// from disk or another instance restore every rank. Returns the
     /// number of ranks actually restored. A restored rank is copied into
-    /// the arrays it already owns; only an instance whose states were
-    /// taken (`std::mem::take(&mut d.states)`, as the serving engine's
-    /// report does) allocates.
+    /// the arrays it already owns.
     pub fn restore(&mut self, ck: &crate::checkpoint::Checkpoint) -> usize {
         assert_eq!(
             (ck.config.tile_n, ck.config.rt, ck.config.nk),
@@ -339,21 +363,15 @@ impl DistributedDycore {
             self.partition.ranks(),
             "checkpoint rank count does not cover this partition"
         );
-        let taken = self.states.is_empty();
         let known = ck
             .basis
-            .filter(|b| !taken && b.instance == self.instance_id && b.clock <= self.mut_clock);
+            .filter(|b| b.instance == self.instance_id && b.clock <= self.mut_clock);
         let mut restored = 0;
-        if taken {
-            self.states = ck.states.to_vec();
-            restored = self.states.len();
-        } else {
-            for r in 0..self.partition.ranks() {
-                let clean = known.is_some_and(|b| self.mutated_at[r] <= b.clock);
-                if !clean {
-                    self.states[r].copy_from(&ck.states[r]);
-                    restored += 1;
-                }
+        for r in 0..self.partition.ranks() {
+            let clean = known.is_some_and(|b| self.mutated_at[r] <= b.clock);
+            if !clean {
+                self.states[r].copy_from(&ck.states[r]);
+                restored += 1;
             }
         }
         *self.state_copies.get_mut() += restored as u64;
@@ -427,8 +445,9 @@ impl DistributedDycore {
         self.scratch_built.load(Ordering::Relaxed)
     }
 
-    /// Whole rank states captured into a checkpoint or rewritten from one
-    /// since the last call: the serving engine's per-request `state_copies`.
+    /// Whole rank states captured into a checkpoint, or copied or
+    /// rewritten from one, since construction or the last call: the
+    /// serving engine's per-request `state_copies`.
     pub fn take_state_copies(&mut self) -> u64 {
         std::mem::take(self.state_copies.get_mut())
     }
@@ -448,15 +467,6 @@ impl DistributedDycore {
         self.cache
             .iter_mut()
             .flat_map(|c| c.stores.iter_mut().flatten())
-    }
-
-    /// Drop the rank team's scratch stores; the team's next step builds
-    /// them again. For an instance that will sit idle (the
-    /// serving engine parks warm tenants without them).
-    pub fn release_scratch_stores(&mut self) {
-        if let Some(c) = &mut self.cache {
-            c.stores.fill_with(|| None);
-        }
     }
 
     /// Rank threads launched since construction: the team's width per
@@ -490,8 +500,7 @@ impl DistributedDycore {
     /// * `tracer` — `driver_step` / `acoustic` / `rank` / `halo` /
     ///   `kernel` spans.
     ///
-    /// Install [`RunContext::default`] to detach (a serving engine does
-    /// before parking a warm tenant).
+    /// Install [`RunContext::default`] to detach.
     pub fn set_run(&mut self, run: RunContext) {
         self.run = run;
     }
@@ -773,6 +782,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tenants_built_from_a_template_with_its_bundle_build_no_exchange_plan() {
+        let first = DistributedDycore::from_config(small().config, &RunConfig::default());
+        let bundle = Arc::new(CompiledSubstep::build_with_tune(&first.config, false));
+        let template = crate::Checkpoint::capture(&first);
+        let grids = Some(Arc::clone(&first.grids));
+        let tenants: Vec<DistributedDycore> = (0..3)
+            .map(|_| {
+                let mut d =
+                    DistributedDycore::from_checkpoint(&template, grids.clone(), &RunConfig::default());
+                d.set_shared_substep(Arc::clone(&bundle));
+                d.step();
+                assert!(Arc::ptr_eq(&d.grids, &first.grids), "the shared grids are read");
+                d
+            })
+            .collect();
+        // Three stepped tenants, one plan between them: the bundle's.
+        let plans: std::collections::HashSet<*const comm::ExchangePlan> = tenants
+            .iter()
+            .map(|d| &d.cache.as_ref().expect("stepped").sub.plan as *const _)
+            .collect();
+        assert_eq!(plans.into_iter().collect::<Vec<_>>(), [&bundle.plan as *const _]);
     }
 
     #[test]

@@ -62,7 +62,7 @@
 use crate::checkpoint::CheckpointBasis;
 use crate::driver::{scratch_store, DistributedDycore, DriverConfig, RankHooks, Substep};
 use comm::halo::{SITE_HALO_CORRUPT, SITE_HALO_DROP, SITE_HALO_STALL};
-use comm::{ExchangePlan, HaloMailboxes, PackField};
+use comm::{ExchangePlan, HaloMailboxes, PackField, Partition};
 use dataflow::exec::{DataStore, Executor};
 use dataflow::graph::{ExpansionAttrs, Sdfg};
 use dataflow::reuse::clear_list;
@@ -154,7 +154,8 @@ pub(crate) fn next_instance_id() -> u64 {
 /// Everything about a substep that is invariant across steps *and across
 /// driver instances* for a fixed configuration: the per-substep program
 /// (one `Sdfg` instance, so one `(uid, generation)` cache namespace), its
-/// lowering, and an executor whose compiled-kernel cache stays warm. The
+/// lowering, the partition's exchange plan, and an executor whose
+/// compiled-kernel cache stays warm. The
 /// executor is `Sync` (kernel compilation happens under its internal
 /// cache lock), so one bundle can be shared by many concurrently-running
 /// tenants — this is the compile-once/run-many substrate the serving
@@ -171,6 +172,9 @@ pub struct CompiledSubstep {
     /// The executor every team runs its kernels on, each kernel on the
     /// thread of the rank that launches it.
     pub(crate) exec: Executor,
+    /// Who packs what for whom across the partition's halos: built once
+    /// per bundle, so an instance that adopts one builds no plan.
+    pub(crate) plan: ExchangePlan,
     /// Containers a store that already ran `sub_expanded` must re-zero
     /// before running it again ([`dataflow::reuse::clear_list`], proven
     /// once here). Empty for every dycore graph built so far.
@@ -226,6 +230,7 @@ impl CompiledSubstep {
             sub_expanded,
             tune,
             exec: Executor::serial(),
+            plan: ExchangePlan::new(&Partition::new(config.tile_n, config.rt), HALO),
             clear,
         }
     }
@@ -268,14 +273,13 @@ impl CompiledSubstep {
 }
 
 /// Per-driver-instance substep machinery: the (possibly shared) compile
-/// bundle plus this instance's exchange plan and mailboxes. Mailboxes
-/// are deliberately *not* shared across tenants — each driver's team
-/// registers its own senders, so concurrent tenants cannot cross-deliver.
-/// Rebuilt when the dycore configuration or the tuning changes; a width
-/// change resizes only [`stores`](Self::stores).
+/// bundle, with its exchange plan, plus this instance's mailboxes.
+/// Mailboxes are deliberately *not* shared across tenants — each driver's
+/// team registers its own senders, so concurrent tenants cannot
+/// cross-deliver. Rebuilt when the dycore configuration or the tuning
+/// changes; a width change resizes only [`stores`](Self::stores).
 pub(crate) struct StepCache {
     pub(crate) sub: Arc<CompiledSubstep>,
-    pub(crate) plan: Arc<ExchangePlan>,
     pub(crate) boxes: Arc<HaloMailboxes>,
     /// The rank threads' scratch stores, one slot per worker at width > 1
     /// (the team of one runs on its `step()`'s store). Built by a worker's
@@ -290,7 +294,9 @@ pub(crate) struct StepKey {
     dt: u64,
     dddmp: u64,
     nord4: Option<u64>,
-    sub_n: usize,
+    /// The partition the bundle's exchange plan was built for.
+    tile_n: usize,
+    rt: usize,
     nk: usize,
     /// Tuned and untuned bundles compile different (but bit-identical)
     /// programs; keying on the flag keeps them from cross-adopting.
@@ -304,7 +310,8 @@ impl StepKey {
             dt: c.dt.to_bits(),
             dddmp: c.dddmp.to_bits(),
             nord4: c.nord4_damp.map(f64::to_bits),
-            sub_n: config.tile_n / config.rt,
+            tile_n: config.tile_n,
+            rt: config.rt,
             nk: config.nk,
             tuned,
         }
@@ -585,11 +592,9 @@ impl DistributedDycore {
             }
             _ => Arc::new(CompiledSubstep::build_with_tune(&self.config, self.tuned)),
         };
-        let plan = Arc::new(ExchangePlan::new(&self.partition, HALO));
-        let boxes = Arc::new(HaloMailboxes::for_plan(&plan));
+        let boxes = Arc::new(HaloMailboxes::for_plan(&sub.plan));
         self.cache = Some(StepCache {
             sub,
-            plan,
             boxes,
             stores: Vec::new(),
         });
@@ -678,7 +683,7 @@ impl DistributedDycore {
         let ranks = self.partition.ranks();
         self.mut_clock += 1;
         let clock = self.mut_clock;
-        let faults = self.plan_faults(&cache.plan, module);
+        let faults = self.plan_faults(&cache.sub.plan, module);
         let workers = self.team_width();
         let stores = match workers {
             1 => std::slice::from_mut(step_store),
@@ -687,7 +692,7 @@ impl DistributedDycore {
         debug_assert_eq!(stores.len(), workers);
 
         let team = Team {
-            plan: &cache.plan,
+            plan: &cache.sub.plan,
             boxes: &cache.boxes,
             sub: &cache.sub,
             grids: &self.grids,

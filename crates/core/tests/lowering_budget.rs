@@ -9,7 +9,7 @@
 //! binary holds exactly one `#[test]` so that nothing else draws from
 //! the counter.
 
-use dataflow::graph::{ExpansionAttrs, Sdfg};
+use dataflow::graph::Sdfg;
 use fv3::dyn_core::DycoreConfig;
 use fv3core::{CompiledSubstep, DistributedDycore, DriverConfig, RankSchedule};
 use machine::{Pool, RunConfig};
@@ -28,7 +28,7 @@ fn minted(f: impl FnOnce()) -> u64 {
 
 fn instance(cfg: DriverConfig) -> DistributedDycore {
     // Untuned, sequential, no pool: the defaults, not the environment.
-    DistributedDycore::new_with_grids(cfg, &ExpansionAttrs::tuned(), None, &RunConfig::default())
+    DistributedDycore::from_config(cfg, &RunConfig::default())
 }
 
 #[test]

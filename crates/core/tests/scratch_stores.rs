@@ -89,32 +89,26 @@ fn a_rank_team_builds_one_store_per_worker_and_keeps_them_across_steps() {
 }
 
 #[test]
-fn stores_go_with_the_cache_the_schedule_or_on_request() {
+fn stores_go_with_the_cache_and_the_schedule() {
     let mut d = dycore(config(8, 3, 1, 1, None), RankSchedule::Parallel, 2);
     d.step();
     assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (2, 2));
-
-    // Parked: nothing held; the next step builds the team's stores again.
-    d.release_scratch_stores();
-    assert_eq!(d.live_scratch_stores(), 0);
-    d.step();
-    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (4, 2));
 
     // Width 1 holds no team stores.
     d.set_rank_schedule(RankSchedule::Sequential);
     assert_eq!(d.live_scratch_stores(), 0);
     d.step();
-    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (5, 0));
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (3, 0));
 
     // A wider team keeps the stores of the workers it had and builds
     // the rest; a narrower one drops the stores of the workers it lost.
     d.set_rank_schedule(RankSchedule::Parallel);
     d.step();
-    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (7, 2));
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (5, 2));
     d.set_pool(Some(Pool::new(3)));
     assert_eq!(d.live_scratch_stores(), 2);
     d.step();
-    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (8, 3));
+    assert_eq!((d.scratch_stores_built(), d.live_scratch_stores()), (6, 3));
     d.set_pool(Some(Pool::new(2)));
     assert_eq!(d.live_scratch_stores(), 2);
     d.set_pool(Some(Pool::new(1)));

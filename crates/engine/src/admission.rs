@@ -273,7 +273,7 @@ impl<T: Clock> Admission<T> {
             .running
             .remove(&outcome.id.0)
             .expect("only a running request finishes");
-        self.release(&r.tenant);
+        self.vacate(&r.tenant);
         self.deposit(outcome);
     }
 
@@ -327,7 +327,6 @@ impl<T: Clock> Admission<T> {
             slots: 0,
             slots_busy: running.len(),
             running,
-            warm_pool: 0,
             events_published: 0,
             events_dropped: 0,
             stats,
@@ -336,7 +335,7 @@ impl<T: Clock> Admission<T> {
 
     /// Terminal for a request that left the queue without running.
     fn unstarted(&mut self, now: T, q: Queued<T>, result: ForecastResult) {
-        self.release(&q.tenant);
+        self.vacate(&q.tenant);
         self.deposit(ForecastOutcome {
             id: RequestId(q.id),
             label: q.req.label,
@@ -346,7 +345,8 @@ impl<T: Clock> Admission<T> {
         });
     }
 
-    fn release(&mut self, tenant: &Option<String>) {
+    /// Give back one of `tenant`'s places under its quota.
+    fn vacate(&mut self, tenant: &Option<String>) {
         if let Some(t) = tenant {
             match self.tenants[t] {
                 1 => self.tenants.remove(t),

@@ -193,8 +193,6 @@ pub struct EngineConfig {
     pub pool: Option<Pool>,
     /// Per-request supervision policy.
     pub policy: SupervisorPolicy,
-    /// Warm instances parked per case (0 disables warm reuse).
-    pub warm_cap: usize,
     /// Live telemetry ([`obs::stream`]): when true the engine owns an
     /// [`obs::stream::EventBus`] and every request streams its lifecycle and per-step
     /// events ([`subscribe`](crate::ForecastEngine::subscribe)). When false the bus is
@@ -230,7 +228,6 @@ impl Default for EngineConfig {
             queue_cap: 64,
             pool: None,
             policy: SupervisorPolicy::default(),
-            warm_cap: 4,
             streaming: true,
             stream_buffer: 1024,
             tick_every: None,
@@ -280,11 +277,13 @@ pub struct ForecastReport {
     /// Kernel compilations this request paid for. Zero for every request
     /// after a case's first — the point of the shared bundle.
     pub cache_misses: u64,
-    /// Whole rank states this request copied: its rewind from the case's
-    /// template and each rollback point it captured
+    /// Whole rank states this request copied: the case's template (its
+    /// capture, for the case's first request; the copy it was built
+    /// from, for every later one) and each rollback point it captured
     /// (`DistributedDycore::take_state_copies`).
     pub state_copies: u64,
-    /// Whether the request reused a parked warm instance.
+    /// Whether the request was built from its case's existing template
+    /// (false: it built the case).
     pub warm_start: bool,
 }
 
@@ -308,8 +307,7 @@ pub struct CancelledRun {
     /// still queued).
     pub steps_done: u64,
     /// The partial supervised-run history, when the request had started
-    /// (`None`: cancelled in the queue). The instance behind it was
-    /// discarded — cancelled tenants never park warm state.
+    /// (`None`: cancelled in the queue).
     pub run: Option<RunReport>,
 }
 
@@ -387,8 +385,8 @@ impl ForecastOutcome {
 
 /// Counts since the engine started — admissions, refusals and the five
 /// terminals from the admission tally, the rest from the engine's own
-/// counters — plus point-in-time occupancy: current queue depth, busy run
-/// slots, and parked warm instances.
+/// counters — plus point-in-time occupancy: current queue depth and busy
+/// run slots.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     pub submitted: u64,
@@ -402,12 +400,12 @@ pub struct EngineStats {
     pub evicted: u64,
     /// Requests shed from the queue under overload.
     pub shed: u64,
+    /// Requests built from their case's existing template.
     pub warm_acquires: u64,
+    /// Requests that built their case: bundle, grids and template.
     pub cold_builds: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Instances dropped after a failed or cancelled run, never parked.
-    pub discarded: u64,
     /// Requests queued (not yet picked up) right now.
     pub queue_depth: u64,
     /// Queue depth per lane right now, scheduling order (High, Normal,
@@ -417,8 +415,6 @@ pub struct EngineStats {
     pub slots_busy: u64,
     /// Total run slots.
     pub slots: u64,
-    /// Warm instances parked across all cases right now.
-    pub warm_pool: u64,
 }
 
 /// Live progress of one running request, from the telemetry plane's
@@ -454,8 +450,6 @@ pub struct EngineStatus {
     /// Total run slots / slots currently busy.
     pub slots: usize,
     pub slots_busy: usize,
-    /// Warm instances parked across all cases.
-    pub warm_pool: usize,
     /// Events published on the bus so far (0 when streaming is off).
     pub events_published: u64,
     /// Events dropped across all subscribers (drop-oldest backpressure).

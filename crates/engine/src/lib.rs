@@ -14,32 +14,36 @@
 //!   the same executor, adopted by key whatever the tenant's rank-team
 //!   width. Request N+1 pays zero kernel compilation; each
 //!   [`ForecastReport`]'s `cache_misses` proves it per request.
+//!   The bundle holds the partition's exchange plan, so no tenant builds
+//!   one.
 //! * **one grid-metadata set** — per-rank [`fv3::grid::Grid`]s behind an
 //!   `Arc`, computed once per case.
+//! * **one step-0 template** — the case's first tenant builds the
+//!   bundle, its instance and the template captured from it, in the
+//!   case's once-cell, and runs on that instance; every later tenant is
+//!   a copy of the template's states on the shared grids
+//!   ([`DistributedDycore::from_checkpoint`]), which computes nothing and
+//!   is bit-identical to a fresh build (`tests/multi_tenant.rs`). No
+//!   instance outlives its request.
 //! * **one thread model** — a slot runs its tenant's kernels on its own
 //!   thread, or on the tenant's rank threads when its team is wider than
 //!   one ([`EngineConfig::pool`]'s width, else `FV3_WORKERS`); the slot
 //!   count and the admission rules bound how many run at once.
-//! * **warm instances** — completed tenants park their
-//!   [`DistributedDycore`] (grids, halo updater, mailboxes) in a bounded
-//!   per-case pool; the next request rewinds it to the step-0 template
-//!   checkpoint instead of rebuilding, which is bit-identical to a fresh
-//!   build (`tests/multi_tenant.rs`).
 //!
 //! **Isolation.** Each request runs under its own
-//! [`resilience::Supervisor`]: a tenant that blows up rolls back and
-//! retries within its own instance, and a tenant that fails for good is
-//! *discarded* — its outcome carries a
+//! [`resilience::Supervisor`] on its own instance: a tenant that blows up
+//! rolls back and retries within it, and a tenant that fails for good
+//! has an outcome carrying a
 //! [`SupervisedError`](resilience::SupervisedError) tagged with its
-//! [`RequestId`], its neighbours never observe the fault, and the shared
-//! compile bundle (held by `Arc`) survives the discard
+//! [`RequestId`]; its neighbours never observe the fault, and the shared
+//! compile bundle (held by `Arc`) and template outlive it
 //! (`tests/fault_isolation.rs`).
 //!
 //! **Observability.** Every count has one typed home. Engine-wide ones
 //! are [`EngineStats`] ([`status`](ForecastEngine::status)): admissions,
-//! refusals and the five terminals from the admission tally; warm
-//! acquires, cold builds, kernel-cache traffic and discarded instances
-//! from plain counters beside it. A request's own are its outcome: the
+//! refusals and the five terminals from the admission tally; template
+//! builds, cold builds and kernel-cache traffic from plain counters
+//! beside it. A request's own are its outcome: the
 //! terminal, and for a completed run the [`ForecastReport`] (cache hits
 //! and misses, whole-state copies, the supervised
 //! [`RunReport`](resilience::RunReport)). Each request runs under its own
@@ -66,22 +70,23 @@ pub use api::{
 };
 
 use admission::{Admission, Admitted, Cancel, Job, Pop};
-use dataflow::graph::ExpansionAttrs;
+use fv3::grid::Grid;
 use fv3core::{Checkpoint, CompiledSubstep, DistributedDycore};
 use machine::cancel::CancelCause;
 use machine::pool::Pool;
 use machine::{Faults, RunConfig, RunContext};
 use obs::stream::{EventBus, EventSink, EventStream, RunEvent};
+use resilience::supervisor::panic_text;
 use resilience::{Supervisor, SupervisorPolicy};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything that must agree for two requests to share one compile
-/// bundle, grid set, and warm-instance pool. Floats are keyed by bits
+/// bundle, grid set and step-0 template. Floats are keyed by bits
 /// (the same discipline as the driver's internal step key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CaseKey {
@@ -113,18 +118,16 @@ impl CaseKey {
     }
 }
 
-/// Per-case shared machinery plus the warm-instance pool.
-struct CaseCache {
+/// What every tenant of one case shares, built by its first tenant.
+struct Case {
+    /// The compile bundle, with its exchange plan.
     substep: Arc<CompiledSubstep>,
-    grids: Option<Arc<Vec<fv3::grid::Grid>>>,
-    /// Step-0 template; rewinding a warm instance through it is
-    /// bit-identical to a fresh build.
-    reset: Option<Checkpoint>,
-    warm: Vec<DistributedDycore>,
+    grids: Arc<Vec<Grid>>,
+    /// The step-0 states every later tenant is built from.
+    template: Checkpoint,
 }
 
 struct EngineInner {
-    warm_cap: usize,
     policy: SupervisorPolicy,
     /// [`EngineConfig::pool`]: every instance's rank-team width, when set.
     pool: Option<Pool>,
@@ -143,15 +146,16 @@ struct EngineInner {
     changed: Condvar,
     /// The ticker waits here for its period or for shutdown.
     tick_cv: Condvar,
-    cases: Mutex<HashMap<CaseKey, CaseCache>>,
-    /// Requests that took a parked instance / built a cold one.
+    /// One cell per case, set by its first tenant: the map's lock is
+    /// held only to find the cell, so two cases build side by side and
+    /// racing tenants of one case wait on its cell.
+    cases: Mutex<HashMap<CaseKey, Arc<OnceLock<Case>>>>,
+    /// Requests built from their case's template / that built their case.
     warm_acquires: AtomicU64,
     cold_builds: AtomicU64,
     /// Kernel-cache traffic summed over every run.
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// Instances dropped after a failed or cancelled run, never parked.
-    discarded: AtomicU64,
     /// The live telemetry bus (`None`: streaming disabled — nothing is
     /// ever published and runs pay zero event cost).
     bus: Option<EventBus>,
@@ -160,11 +164,6 @@ struct EngineInner {
 }
 
 impl EngineInner {
-    /// Warm instances parked across all cases right now.
-    fn warm_pool_size(&self) -> usize {
-        lock(&self.cases).values().map(|c| c.warm.len()).sum()
-    }
-
     /// A request's telemetry sink: streams to the bus when the engine has
     /// one, and keeps the progress mirror `status()` reads either way.
     fn sink(&self, id: RequestId) -> EventSink {
@@ -184,7 +183,6 @@ impl EngineInner {
             queue_depth: queued as u64,
             slots: self.slots_n as u64,
             slots_busy: busy as u64,
-            warm_pool: self.warm_pool_size() as u64,
             events_dropped: bus.events_dropped(),
         };
         bus.publish(None, tick);
@@ -246,7 +244,6 @@ impl ForecastEngine {
         let run = RunConfig::from_env();
         let slots_n = cfg.slots.max(1);
         let inner = Arc::new(EngineInner {
-            warm_cap: cfg.warm_cap,
             policy: cfg.policy,
             pool: cfg.pool,
             run,
@@ -260,7 +257,6 @@ impl ForecastEngine {
             cold_builds: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            discarded: AtomicU64::new(0),
             bus: cfg.streaming.then(|| EventBus::new(cfg.stream_buffer)),
             slots_n,
         });
@@ -364,8 +360,7 @@ impl ForecastEngine {
     /// Cancel a queued or running request. Queued: removed and terminal
     /// `Cancelled` immediately. Running: its token fires and the run
     /// stops at the next step (or acoustic-substep) boundary; the
-    /// outcome then carries the partial run history, and the instance is
-    /// discarded like a failed one — never parked warm. Returns false
+    /// outcome then carries the partial run history. Returns false
     /// when the id is unknown or already terminal.
     pub fn cancel(&self, id: RequestId) -> bool {
         let mut a = lock(&self.inner.admission);
@@ -426,7 +421,7 @@ impl ForecastEngine {
     }
 
     /// Aggregate counters so far, plus point-in-time occupancy (queue
-    /// depth, busy slots, warm-pool size): [`status`](Self::status)'s
+    /// depth, busy slots): [`status`](Self::status)'s
     /// `stats`.
     pub fn stats(&self) -> EngineStats {
         self.status().stats
@@ -452,8 +447,8 @@ impl ForecastEngine {
 
     /// A point-in-time snapshot of the whole engine: queued requests in
     /// order, running requests with live progress (steps done / budget,
-    /// last step wall time, last health verdict), slot and warm-pool
-    /// occupancy, and bus health. Works with streaming on or off — the
+    /// last step wall time, last health verdict), slot occupancy, and bus
+    /// health. Works with streaming on or off — the
     /// progress mirror is maintained either way.
     ///
     /// One consistent view: queue, running set and terminal counts are
@@ -463,7 +458,6 @@ impl ForecastEngine {
         let mut st = lock(&self.inner.admission).snapshot();
         let inner = &self.inner;
         st.slots = inner.slots_n;
-        st.warm_pool = inner.warm_pool_size();
         if let Some(bus) = &inner.bus {
             (st.events_published, st.events_dropped) =
                 (bus.events_published(), bus.events_dropped());
@@ -474,9 +468,7 @@ impl ForecastEngine {
             cold_builds: count(&inner.cold_builds),
             cache_hits: count(&inner.cache_hits),
             cache_misses: count(&inner.cache_misses),
-            discarded: count(&inner.discarded),
             slots: st.slots as u64,
-            warm_pool: st.warm_pool as u64,
             ..st.stats
         };
         st
@@ -587,182 +579,109 @@ fn run_request(inner: &Arc<EngineInner>, job: Job) -> ForecastOutcome {
 }
 
 fn execute(inner: &Arc<EngineInner>, req: &ForecastRequest, ctx: RunContext) -> ForecastResult {
-    let key = CaseKey::of(req);
-    let (mut d, basis, warm_start) = acquire(inner, key, req, &ctx);
+    let (mut d, basis, warm_start) = acquire(inner, CaseKey::of(req), req, &ctx);
     // The instance (and, through it, the supervisor) runs under this
-    // request's context for the duration of the run; release() detaches
-    // it before parking.
+    // request's context; it is dropped with the instance.
     d.set_run(ctx);
-    let (h0, m0) = d.exec_cache_counters();
     let mut sup = Supervisor::new(inner.policy.clone());
-    // The template the instance was just built into or rewound through
+    // The template the instance was just built from or captured into
     // *is* its step-0 state: the supervisor starts from it, no capture.
     let res = sup.run_from(&mut d, req.steps, Some(basis));
-    let (h1, m1) = d.exec_cache_counters();
-    let (hits, misses) = (h1 - h0, m1 - m0);
+    let (hits, misses) = d.exec_cache_counters();
     inner.cache_hits.fetch_add(hits, Ordering::Relaxed);
     inner.cache_misses.fetch_add(misses, Ordering::Relaxed);
     match res {
         Ok(run) if run.completed() => {
-            // The report takes the states; the instance is parked without
-            // any, and its next tenant's restore allocates them anew from
-            // the template.
-            let states = std::mem::take(&mut d.states);
             let (config, state_copies) = (d.config, d.take_state_copies());
-            release(inner, key, d);
             ForecastResult::Completed(ForecastReport {
                 steps: req.steps,
                 config,
                 run,
-                states,
+                // The report takes the states: nothing else will read them.
+                states: d.states,
                 cache_hits: hits,
                 cache_misses: misses,
                 state_copies,
                 warm_start,
             })
         }
-        Ok(run) => {
-            // Cancelled mid-run: the states may be mid-step (the token
-            // can fire at an acoustic-substep boundary), so the instance
-            // is discarded exactly like a failed one — a cancelled
-            // tenant must never contaminate the warm pool.
-            drop(d);
-            inner.discarded.fetch_add(1, Ordering::Relaxed);
-            let cause = run.cancelled.unwrap_or(CancelCause::Requested);
-            ForecastResult::Cancelled(CancelledRun {
-                cause,
-                steps_done: run.steps,
-                run: Some(run),
-            })
-        }
-        Err(e) => {
-            // Fault isolation: the poisoned instance is discarded, never
-            // parked — the next tenant of this case gets a clean build.
-            // The compiled kernels live in the shared `Arc` bundle and
-            // survive the discard.
-            drop(d);
-            inner.discarded.fetch_add(1, Ordering::Relaxed);
-            ForecastResult::Failed(EngineFailure::Supervised(e))
-        }
+        // Cancelled mid-run: the states may be mid-step (the token can
+        // fire at an acoustic-substep boundary); they go with the instance.
+        Ok(run) => ForecastResult::Cancelled(CancelledRun {
+            cause: run.cancelled.unwrap_or(CancelCause::Requested),
+            steps_done: run.steps,
+            run: Some(run),
+        }),
+        // Fault isolation: the poisoned instance goes; the case's bundle
+        // and template, which it never wrote, stay.
+        Err(e) => ForecastResult::Failed(EngineFailure::Supervised(e)),
     }
 }
 
-/// Check a warm instance out of the case pool, or build a cold one
-/// against the case's shared compile bundle and grid set. Returns the
-/// instance at step 0, the step-0 template stamped as *its* rollback
-/// basis (a handle on the case's one copy), and whether it was warm.
+/// An instance of `req`'s case at step 0, the step-0 template stamped as
+/// *its* rollback basis (a handle on the case's one copy), and whether it
+/// was built from an existing template. The case's first tenant builds
+/// the bundle, the grids and the template in the case's cell, so
+/// racing first tenants agree on one set, and runs on the instance the
+/// template was captured from; every later tenant is built from the
+/// template.
 ///
-/// Traced as one `acquire` span named `warm` or `cold`; a cold one holds
-/// a `build` span per part of the build: `bundle` (the case's first
-/// tenant only), `instance` and `template`.
+/// Traced as one `acquire` span, named `cold` when the case was not built
+/// yet as the tenant arrived (the tenant that builds it holds one `build`
+/// span per part: `bundle`, `instance`, `template`), else `warm`.
 fn acquire(
     inner: &EngineInner,
     key: CaseKey,
     req: &ForecastRequest,
     ctx: &RunContext,
 ) -> (DistributedDycore, Checkpoint, bool) {
-    let mut cases = lock(&inner.cases);
-    if let Some(mut d) = cases.get_mut(&key).and_then(|cc| cc.warm.pop()) {
-        let _warm = ctx.span("acquire", "warm");
-        let reset = cases[&key].reset.clone().expect("parked instance implies reset template");
-        drop(cases);
-        // Undo any supervisor backoff a previous tenant applied, then
-        // rewrite every rank from the step-0 template (its basis belongs
-        // to another instance, so restore() rewrites unconditionally).
-        d.config = req.config;
-        d.restore(&reset);
-        inner.warm_acquires.fetch_add(1, Ordering::Relaxed);
-        let basis = Checkpoint {
-            basis: Some(d.mutation_basis()),
-            ..reset
+    let cell = Arc::clone(lock(&inner.cases).entry(key).or_default());
+    let _acquire = ctx.span("acquire", if cell.get().is_some() { "warm" } else { "cold" });
+    let mut built = None;
+    let case = cell.get_or_init(|| {
+        let substep = {
+            let _bundle = ctx.span("build", "bundle");
+            Arc::new(CompiledSubstep::build_with_tune(&req.config, inner.run.tune))
         };
-        return (d, basis, true);
-    }
-    let _cold = ctx.span("acquire", "cold");
-    let (substep, grids) = match cases.get(&key) {
-        Some(cc) => (Arc::clone(&cc.substep), cc.grids.clone()),
-        None => {
-            // First tenant of this case: register the shared bundle under
-            // the lock so racing cold tenants agree on one program
-            // instance (kernel compilation itself is lazy and
-            // deduplicated by the executor's cache lock).
-            let substep = {
-                let _bundle = ctx.span("build", "bundle");
-                Arc::new(CompiledSubstep::build_with_tune(
-                    &req.config,
-                    inner.run.tune,
-                ))
-            };
-            cases.insert(
-                key,
-                CaseCache {
-                    substep: Arc::clone(&substep),
-                    grids: None,
-                    reset: None,
-                    warm: Vec::new(),
-                },
-            );
-            (substep, None)
-        }
-    };
-    drop(cases);
-    // Instance build (grids when not yet shared, initial states, halo
-    // updater) happens outside the case lock: it is per-tenant work.
-    let d = {
-        let _instance = ctx.span("build", "instance");
-        let mut d = DistributedDycore::new_with_grids(
-            req.config,
-            &ExpansionAttrs::tuned(),
+        let mut d = {
+            let _instance = ctx.span("build", "instance");
+            DistributedDycore::from_config(req.config, &inner.run)
+        };
+        d.set_shared_substep(Arc::clone(&substep));
+        let template = {
+            let _template = ctx.span("build", "template");
+            Checkpoint::capture(&d)
+        };
+        let grids = Arc::clone(&d.grids);
+        built = Some(d);
+        Case {
+            substep,
             grids,
-            &inner.run,
-        );
-        if let Some(pool) = &inner.pool {
-            d.set_pool(Some(pool.clone()));
-            d.set_rank_schedule(fv3core::RankSchedule::Parallel);
+            template,
         }
-        d.set_shared_substep(substep);
-        d
+    });
+    let (mut d, basis, warm) = match built {
+        Some(d) => {
+            inner.cold_builds.fetch_add(1, Ordering::Relaxed);
+            (d, case.template.clone(), false)
+        }
+        None => {
+            let (template, grids) = (&case.template, Arc::clone(&case.grids));
+            let mut d = DistributedDycore::from_checkpoint(template, Some(grids), &inner.run);
+            d.set_shared_substep(Arc::clone(&case.substep));
+            let basis = Checkpoint {
+                basis: Some(d.mutation_basis()),
+                ..template.clone()
+            };
+            inner.warm_acquires.fetch_add(1, Ordering::Relaxed);
+            (d, basis, true)
+        }
     };
-    let _template = ctx.span("build", "template");
-    let basis = Checkpoint::capture(&d);
-    {
-        let mut cases = lock(&inner.cases);
-        if let Some(cc) = cases.get_mut(&key) {
-            if cc.grids.is_none() {
-                cc.grids = Some(Arc::clone(&d.grids));
-            }
-            cc.reset.get_or_insert_with(|| basis.clone());
-        }
+    if let Some(pool) = &inner.pool {
+        d.set_pool(Some(pool.clone()));
+        d.set_rank_schedule(fv3core::RankSchedule::Parallel);
     }
-    inner.cold_builds.fetch_add(1, Ordering::Relaxed);
-    (d, basis, false)
-}
-
-/// Park a healthy instance for the next tenant, up to the warm cap.
-fn release(inner: &EngineInner, key: CaseKey, mut d: DistributedDycore) {
-    // Never park another tenant's context: the next tenant installs its
-    // own, and a parked instance must not retain a subscriber tag, a
-    // token or a trace handle.
-    d.set_run(RunContext::default());
-    // Nor a rank team's scratch stores: an idle tenant would hold
-    // megabytes per worker that its next step rebuilds in under one.
-    d.release_scratch_stores();
-    let mut cases = lock(&inner.cases);
-    if let Some(cc) = cases.get_mut(&key) {
-        if cc.reset.is_some() && cc.warm.len() < inner.warm_cap {
-            cc.warm.push(d);
-        }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
-    }
+    (d, basis, warm)
 }
 
 #[cfg(test)]
@@ -826,7 +745,7 @@ mod tests {
             "request N+1 must pay zero compilation"
         );
         assert!(second.cache_hits > 0);
-        assert!(second.warm_start, "single-slot second request reuses the instance");
+        assert!(second.warm_start, "the second request is built from the template");
         engine.shutdown();
     }
 
@@ -889,34 +808,6 @@ mod tests {
         d.step();
         assert!(d.rank_workers_launched() > 0, "two rank threads per substep");
         assert_eq!(d.live_scratch_stores(), 2);
-        drop(d);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn parked_tenant_holds_no_scratch_stores() {
-        let engine = small_engine(1);
-        let inner = &engine.inner;
-        let req = small_request(1);
-        let key = CaseKey::of(&req);
-        let (mut d, _, warm) = acquire(inner, key, &req, &RunContext::default());
-        assert!(!warm);
-        // The team of one keeps no store: park a tenant of two rank threads.
-        d.set_pool(Some(Pool::new(2)));
-        d.step();
-        assert_eq!(d.live_scratch_stores(), 2, "a two-worker pool keeps two");
-        release(inner, key, d);
-        let parked: Vec<usize> = lock(&inner.cases)[&key]
-            .warm
-            .iter()
-            .map(|d| d.live_scratch_stores())
-            .collect();
-        assert_eq!(parked, [0]);
-        // The next tenant gets the instance back and builds them again.
-        let (mut d, _, warm) = acquire(inner, key, &req, &RunContext::default());
-        assert!(warm);
-        d.step();
-        assert_eq!((d.live_scratch_stores(), d.scratch_stores_built()), (2, 4));
         drop(d);
         engine.shutdown();
     }

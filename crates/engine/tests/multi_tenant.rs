@@ -6,8 +6,9 @@
 //!
 //! The compile-sharing claim is asserted through the request-level
 //! kernel-cache counters: the first wave pays exactly one compilation
-//! per kernel *in total* (concurrent cold tenants dedupe through the
-//! executor's cache lock), and every request after the first pays zero.
+//! per kernel *in total* (concurrent tenants of one bundle dedupe through
+//! the executor's cache lock), and every request after the first pays
+//! zero.
 
 use dataflow::graph::ExpansionAttrs;
 use engine::{EngineConfig, ForecastEngine, ForecastReport, ForecastRequest, ForecastResult};
@@ -70,8 +71,9 @@ fn concurrent_tenants_are_bit_identical_and_share_one_compile() {
         ..EngineConfig::default()
     });
 
-    // Wave 1: all tenants cold-start concurrently. They must agree with
-    // the fresh-process reference bit for bit, and pay the compile bill
+    // Wave 1: the first tenant builds the case, the rest are built from
+    // its template, and all run concurrently. They must agree with the
+    // fresh-process reference bit for bit, and pay the compile bill
     // exactly once between them.
     let wave1: Vec<_> = (0..TENANTS)
         .map(|i| engine.submit(req.clone().with_label(&format!("tenant-{i}"))))
@@ -91,8 +93,7 @@ fn concurrent_tenants_are_bit_identical_and_share_one_compile() {
     );
 
     // Wave 2: the case is warm. Zero compilation for every tenant, and
-    // still bit-identical — warm-instance rewind is not allowed to leak
-    // the previous tenant's state.
+    // still bit-identical — no tenant may see a previous tenant's state.
     let wave2: Vec<_> = (0..TENANTS)
         .map(|i| engine.submit(req.clone().with_label(&format!("wave2-{i}"))))
         .collect();
@@ -106,7 +107,7 @@ fn concurrent_tenants_are_bit_identical_and_share_one_compile() {
         assert!(rep.cache_hits > 0, "{label}: steady state runs from the shared cache");
         warm_starts += rep.warm_start as usize;
     }
-    assert!(warm_starts > 0, "the warm-instance pool must see reuse");
+    assert!(warm_starts > 0, "the case's template must see reuse");
 
     let stats = engine.shutdown();
     assert_eq!(stats.submitted as usize, 2 * TENANTS);
@@ -116,17 +117,16 @@ fn concurrent_tenants_are_bit_identical_and_share_one_compile() {
     assert!(stats.warm_acquires > 0);
 }
 
-/// A completed request's report takes the instance's states and the
-/// instance parks without any: the next tenant's rewind must rebuild them
-/// from the template alone, and must not reach into a report a client
-/// still holds.
+/// Every tenant after a case's first is built from the case's step-0
+/// template, whatever became of the tenants before it: a report a client
+/// still holds, a failed run, a cancelled one. Each compiles nothing and
+/// is bit-identical to a solo run.
 #[test]
-fn an_instance_parked_without_states_rewinds_bit_identically() {
+fn every_later_tenant_is_built_from_the_template() {
     let req = ForecastRequest::c8l6(STEPS);
     let reference = reference_states(&req);
-    // One slot: the tenants below are back to back on one warm instance.
-    // The plan poisons only a run that reaches step 3, and zero retries
-    // makes that a failure.
+    // One slot: the tenants below run back to back. The plan poisons only
+    // a run that reaches step 3, and zero retries makes that a failure.
     let engine = ForecastEngine::start(EngineConfig {
         slots: 1,
         policy: SupervisorPolicy {
@@ -136,33 +136,31 @@ fn an_instance_parked_without_states_rewinds_bit_identically() {
         faults: Some(FaultPlan::parse("seed=3;nan@step=3,field=pt").unwrap()),
         ..EngineConfig::default()
     });
-    let discarded = || engine.stats().discarded;
+    let from_template = |label: &str| {
+        let id = engine.submit(req.clone().with_label(label));
+        let rep = engine.wait(id).result.expect(label);
+        assert!(rep.warm_start, "{label}: built from the template");
+        assert_eq!(rep.cache_misses, 0, "{label}: compiles nothing");
+        assert_bit_identical(&rep.states, &reference, label);
+        rep
+    };
 
     // Every report stays alive across the runs of the tenants after it.
-    let mut held: Vec<ForecastReport> = Vec::new();
-    for i in 0..3 {
-        let id = engine.submit(req.clone().with_label(&format!("tenant-{i}")));
-        let rep = engine.wait(id).result.expect("clean tenant");
-        assert_eq!(rep.warm_start, i > 0, "tenant-{i}");
-        assert_eq!(engine.status().warm_pool, 1, "tenant-{i} parked its instance");
-        held.push(rep);
-    }
+    let id = engine.submit(req.clone().with_label("tenant-0"));
+    let first = engine.wait(id).result.expect("clean tenant");
+    assert!(!first.warm_start, "the first tenant builds the case");
+    let held: Vec<ForecastReport> = (1..3).map(|i| from_template(&format!("tenant-{i}"))).collect();
+    assert_bit_identical(&first.states, &reference, "tenant-0, held");
     for (i, rep) in held.iter().enumerate() {
-        assert_bit_identical(&rep.states, &reference, &format!("tenant-{i}, held"));
+        assert_bit_identical(&rep.states, &reference, &format!("tenant-{}, held", i + 1));
     }
 
-    // A failed request's instance is discarded, not parked.
+    // After a failed tenant.
     let id = engine.submit(ForecastRequest::c8l6(5).with_label("poisoned"));
     assert!(matches!(engine.wait(id).result, ForecastResult::Failed(_)));
-    assert_eq!((discarded(), engine.status().warm_pool), (1, 0));
+    let after_failed = from_template("after-failed");
 
-    // So is a cancelled one's (the tenant before it was a cold build that
-    // parked again).
-    let id = engine.submit(req.clone().with_label("refill"));
-    let refill = engine.wait(id).result.expect("clean tenant");
-    assert!(!refill.warm_start);
-    let id = engine.submit(ForecastRequest::c8l6(2).with_label("warm"));
-    assert!(engine.wait(id).result.expect("clean tenant").warm_start);
+    // After a cancelled one.
     let plug = engine.submit(ForecastRequest::c8l6(100_000).with_label("plug"));
     let t0 = Instant::now();
     while !engine.status().running.iter().any(|r| r.id == plug) {
@@ -171,11 +169,11 @@ fn an_instance_parked_without_states_rewinds_bit_identically() {
     }
     assert!(engine.cancel(plug));
     assert!(matches!(engine.wait(plug).result, ForecastResult::Cancelled(_)));
-    assert_eq!((discarded(), engine.status().warm_pool), (2, 0));
+    from_template("after-cancelled");
+    assert_bit_identical(&after_failed.states, &reference, "after-failed, held");
 
-    let id = engine.submit(req.with_label("after"));
-    let after = engine.wait(id).result.expect("clean tenant");
-    assert_bit_identical(&after.states, &reference, "after");
-    assert_bit_identical(&refill.states, &reference, "refill, held");
-    engine.shutdown();
+    // One case build; the other six tenants, the failed and the cancelled
+    // among them, were built from its template.
+    let stats = engine.shutdown();
+    assert_eq!((stats.cold_builds, stats.warm_acquires), (1, 6));
 }

@@ -162,21 +162,19 @@ fn status_tracks_occupancy_under_concurrent_submit_burst() {
     for id in ids {
         assert!(e.wait(id).result.is_completed());
     }
-    // Quiescent snapshot: empty queue, idle slots, warm instances parked,
-    // and the stats occupancy fields agree.
+    // Quiescent snapshot: empty queue, idle slots, and the stats
+    // occupancy fields agree.
     let st = e.status();
     assert_eq!(st.queue_depth(), 0);
     assert_eq!(st.slots_busy, 0);
     assert_eq!(st.running.len(), 0);
     assert_eq!(st.slots, 2);
-    assert!(st.warm_pool >= 1, "completed tenants park warm instances");
     assert!(st.events_published > 0);
     let stats = st.stats;
     assert_eq!(stats.completed, total);
     assert_eq!(stats.slots, 2);
     assert_eq!(stats.slots_busy, 0);
     assert_eq!(stats.queue_depth, 0);
-    assert_eq!(stats.warm_pool, st.warm_pool as u64);
     e.shutdown();
 }
 

@@ -38,3 +38,11 @@ pub mod tracing;
 pub use overlap::OverlapStats;
 pub use stream::{Event, EventBus, EventSink, EventStream, RunEvent, StreamProgress};
 pub use tracing::{SpanGuard, TraceEvent, Tracer};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Lock a mutex, surviving poisoning: a panicking *user* scope must not
+/// take the recorder or the bus down (panic-safety is a tested property).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

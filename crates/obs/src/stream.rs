@@ -25,11 +25,11 @@
 //! Events serialize one-per-line via [`Event::to_json`] (the
 //! `RUN_events.jsonl` channel) and parse back with [`Event::parse`].
 
-use crate::json;
+use crate::{json, lock};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// What happened. Every variant carries owned copies of its payload —
@@ -79,12 +79,11 @@ pub enum RunEvent {
     /// A rollback basis for `step` is in place: captured, or handed to the
     /// supervisor by its caller (bytes > 0 when persisted to disk).
     CheckpointWritten { step: u64, bytes: u64 },
-    /// Periodic engine snapshot: queue depth, slot occupancy, warm pool.
+    /// Periodic engine snapshot: queue depth, slot occupancy.
     EngineTick {
         queue_depth: u64,
         slots: u64,
         slots_busy: u64,
-        warm_pool: u64,
         events_dropped: u64,
     },
 }
@@ -199,12 +198,11 @@ impl Event {
                 queue_depth,
                 slots,
                 slots_busy,
-                warm_pool,
                 events_dropped,
             } => {
                 let _ = write!(
                     s,
-                    ",\"queue_depth\":{queue_depth},\"slots\":{slots},\"slots_busy\":{slots_busy},\"warm_pool\":{warm_pool},\"events_dropped\":{events_dropped}"
+                    ",\"queue_depth\":{queue_depth},\"slots\":{slots},\"slots_busy\":{slots_busy},\"events_dropped\":{events_dropped}"
                 );
             }
         }
@@ -302,7 +300,6 @@ impl Event {
                 queue_depth: u("queue_depth")?,
                 slots: u("slots")?,
                 slots_busy: u("slots_busy")?,
-                warm_pool: u("warm_pool")?,
                 events_dropped: u("events_dropped")?,
             },
             other => return Err(format!("unknown event kind '{other}'")),
@@ -340,10 +337,6 @@ struct BusInner {
     dropped: AtomicU64,
     nsubs: AtomicUsize,
     subs: Mutex<Vec<Weak<SubState>>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The broadcast bus. Cheap to clone (shared handle). Publishing walks
@@ -908,7 +901,6 @@ mod tests {
                 queue_depth: 5,
                 slots: 4,
                 slots_busy: 3,
-                warm_pool: 2,
                 events_dropped: 0,
             },
         ];

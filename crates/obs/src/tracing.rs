@@ -15,11 +15,11 @@
 //! run carries (`machine::RunContext::span`), and gets a
 //! [`SpanGuard::noop`] — one branch — from a run that carries none.
 
-use crate::json;
+use crate::{json, lock};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -81,12 +81,6 @@ struct Inner {
     /// Closed spans, in close order.
     finished: Mutex<Vec<TraceEvent>>,
     threads: Mutex<ThreadTable>,
-}
-
-/// Lock a mutex, surviving poisoning (a panicking *user* scope must not
-/// take the whole registry down — panic-safety is a tested property).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A thread-safe hierarchical span recorder. Cheap to clone (shared

@@ -496,7 +496,8 @@ impl Supervisor {
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+/// A panic payload's message (`panic!` with a literal or a format).
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -79,7 +79,7 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted_run() {
     // Resurrection from the newest checkpoint file alone.
     let newest = latest_in(&dir).unwrap().expect("checkpoints on disk");
     assert_eq!(newest, step_path(&dir, 3));
-    let mut resumed = DistributedDycore::resume_from(&newest, &ExpansionAttrs::tuned()).unwrap();
+    let mut resumed = DistributedDycore::resume_from(&newest).unwrap();
     assert_eq!(resumed.step_index(), 3);
     for _ in 0..3 {
         resumed.step();
